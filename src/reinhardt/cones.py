@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .domain import DomainSpec, LogPolyhedron
+from .errors import ReinhardtError
 from .hnf import cleared_integer_rows, integer_kernel_basis
 from .loglin import LogLin
 from .scalars import QuadExt, Scalar, sign_of
@@ -99,6 +100,13 @@ def recession_contains(poly: LogPolyhedron, direction: Sequence[Scalar]) -> bool
     return all(sign_of(linalg.dot(a.components, direction)) <= 0 for a in poly.normals)
 
 
+def require_optimal(cert: LPCertificate, what: str) -> None:
+    """Raise unless an LP that is bounded and feasible by construction says so."""
+    if cert.status != OPTIMAL:
+        raise ReinhardtError(f"{what}: LP returned {cert.status!r}, expected optimal "
+                             "(internal error)")
+
+
 def _const_point(cert: LPCertificate) -> list[Scalar]:
     out = []
     for v in cert.primal_point:
@@ -120,7 +128,7 @@ def cone_nonzero_direction(rows: list[list[Scalar]], n: int) -> Optional[list[Sc
             slice_row[j] = Fraction(s)
             obj = list(slice_row)
             cert = solve_lp(rows + [slice_row], [LogLin.zero()] * len(rows) + [LogLin.of(1)], obj)
-            assert cert.status == OPTIMAL
+            require_optimal(cert, "cone_nonzero_direction")
             if cert.objective.sign() > 0:
                 return _const_point(cert)
     return None
@@ -139,7 +147,7 @@ def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
     """Recession direction with <w, d> > 0 (witnesses sup <w, x> = +infinity)."""
     rows = [list(a.components) for a in poly.normals]
     cert = solve_lp(rows + [list(w)], [LogLin.zero()] * len(rows) + [LogLin.of(1)], list(w))
-    assert cert.status == OPTIMAL
+    require_optimal(cert, "recession_improving_direction")
     if cert.objective.sign() > 0:
         return _const_point(cert)
     return None
@@ -180,7 +188,7 @@ def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
     rhs.append(LogLin.zero())
     obj = [Fraction(0)] * k + [Fraction(1)]
     cert = solve_lp(rows, rhs, obj)
-    assert cert.status == OPTIMAL
+    require_optimal(cert, "approach_certificate")
     if cert.objective.sign() <= 0:
         return None
     point = _const_point(cert)
@@ -249,7 +257,7 @@ def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
     cert = solve_lp(rows, rhs, tail)
     if cert.status == INFEASIBLE:
         return None
-    assert cert.status == OPTIMAL
+    require_optimal(cert, "interior_point")
     if cert.objective.sign() <= 0:
         return None
     return cert.primal_point[:n]

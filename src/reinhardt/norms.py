@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .cones import (lineality_space, lp_optimize, recession_improving_direction,
-                    recession_meets_halfspace)
+                    recession_meets_halfspace, require_optimal)
 from .domain import DomainSpec, ExponentVector, log_polyhedron
-from .errors import SpecError
+from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
 from .precision import interval_str, iv, scalar_interval, working_precision
 from .scalars import Scalar, format_scalar, is_rational, scalar_cmp, sign_of
@@ -166,9 +166,10 @@ def sup_norm_monomial(spec: DomainSpec, nu: ExponentVector) -> NormResult:
     if ray is not None:
         return NormResult(kind="infinite", ray=tuple(ray))
     cert = lp_optimize(list(nu.components), poly)
-    assert cert.status == "optimal"
+    require_optimal(cert, "sup_norm_monomial")
     if sign_of(cert.objective.const) != 0:
-        raise AssertionError("sup of a pure monomial objective must be offset-only")
+        raise ReinhardtError("sup of a pure monomial objective must be offset-only "
+                             "(internal error)")
     return make_exact_norm(Fraction(1), 0, cert.objective.terms)
 
 

@@ -14,19 +14,27 @@ arithmetic before they are returned:
 * ``infeasible`` — Farkas multipliers lambda >= 0 with lambda @ A == 0 and
                    lambda @ b < 0.
 
-Problems here are tiny (a handful of rows), so the dense tableau with
-freshly recomputed reduced costs per pivot is the simplest correct choice.
+The tableau carries its reduced-cost row: priced once per phase, then
+eliminated in every pivot like any other row, and read for the dual and
+Farkas multipliers.  A pivot touches only the nonzero columns of the pivot
+row, in the rows with a nonzero entry in the pivot column.  Each right-hand
+side is a coefficient vector ``[const, coeff of log b_1, ..., log b_k]`` over
+the LP's distinct log bases, sorted as in :class:`LogLin`, so pivots update
+it in field arithmetic; ``LogLin`` values are built only for ratio-test
+signs, the objective value and the primal point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from .errors import BoundaryIndeterminate, ReinhardtError
+from .linalg import dot
 from .loglin import LogLin, as_loglin
-from .scalars import Scalar, sign_of
+from .scalars import Scalar, scalar_cmp, sign_of
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
 
@@ -46,23 +54,33 @@ class LPCertificate:
     attained: Optional[bool] = None
 
 
+# Zero tests below use truthiness: a QuadExt is never zero (b != 0), so
+# ``bool(x)`` is an exact nonzero test on every scalar.
+
 class _Tableau:
     def __init__(self, a_rows, b_vals, n: int):
         self.n = n
         self.m = len(a_rows)
         self.slack0 = 2 * self.n
         self.ncols = 2 * self.n + self.m
+        self.bases = sorted({base for b in b_vals for base, _ in b.terms},
+                            key=cmp_to_key(scalar_cmp))
+        slot = {base: 1 + k for k, base in enumerate(self.bases)}
         self.mat: list[list[Scalar]] = []
-        self.rhs: list[LogLin] = []
+        self.rhs: list[list[Scalar]] = []  # [const, coeff of log bases[0], ...]
+        self.red: list[Scalar] = []  # reduced costs of the current phase
         self.basis: list[int] = []
         self.art_cols: list[int] = []
         for i, (row, b) in enumerate(zip(a_rows, b_vals)):
             flip = b.sign() < 0
-            g = -1 if flip else 1
-            full = [g * x for x in row] + [-g * x for x in row] + \
-                   [Fraction(g if j == i else 0) for j in range(self.m)]
+            neg = [-x for x in row]
+            full = (neg + row if flip else row + neg) + [Fraction(0)] * self.m
+            full[self.slack0 + i] = Fraction(-1 if flip else 1)
             self.mat.append(full)
-            self.rhs.append(-b if flip else b)
+            vec = [b.const] + [Fraction(0)] * len(self.bases)
+            for base, coeff in b.terms:
+                vec[slot[base]] = coeff
+            self.rhs.append([-v for v in vec] if flip else vec)
             self.basis.append(self.slack0 + i)
         # artificials for flipped rows (their slack sits at -1, unusable as basis)
         for i in range(self.m):
@@ -74,53 +92,69 @@ class _Tableau:
                 self.art_cols.append(col)
                 self.basis[i] = col
 
-    def reduced_costs(self, cost: list[Scalar]) -> list[Scalar]:
-        red = []
-        for j in range(self.ncols):
-            acc: Scalar = Fraction(0)
-            for i in range(self.m):
-                cb = cost[self.basis[i]]
-                if sign_of(cb) != 0 and sign_of(self.mat[i][j]) != 0:
-                    acc = acc + cb * self.mat[i][j]
-            red.append(acc - cost[j])
-        return red
+    def loglin(self, vec: Sequence[Scalar]) -> LogLin:
+        return LogLin(vec[0], tuple((b, c) for b, c in zip(self.bases, vec[1:]) if c))
 
-    def objective_value(self, cost: list[Scalar]) -> LogLin:
-        val = LogLin.zero()
+    def price(self, cost: list[Scalar]) -> None:
+        """Reduced-cost row c_B B^-1 A - c for the current basis."""
+        self.red = [-c for c in cost]
         for i in range(self.m):
             cb = cost[self.basis[i]]
-            if sign_of(cb) != 0:
-                val = val + self.rhs[i] * cb
-        return val
+            if cb:
+                for j, x in enumerate(self.mat[i]):
+                    if x:
+                        self.red[j] = self.red[j] + cb * x
+
+    def objective_value(self, cost: list[Scalar]) -> LogLin:
+        val: list[Scalar] = [Fraction(0)] * (len(self.bases) + 1)
+        for i in range(self.m):
+            cb = cost[self.basis[i]]
+            if cb:
+                val = [v + cb * r for v, r in zip(val, self.rhs[i])]
+        return self.loglin(val)
 
     def pivot(self, row: int, col: int) -> None:
         piv = self.mat[row][col]
-        inv = Fraction(1) / piv if isinstance(piv, (int, Fraction)) else 1 / piv
-        self.mat[row] = [x * inv for x in self.mat[row]]
-        self.rhs[row] = self.rhs[row] * inv
+        inv = 1 / piv
+        prow, prhs = self.mat[row], self.rhs[row]
+        nz = [j for j, x in enumerate(prow) if x]
+        rnz = [k for k, v in enumerate(prhs) if v]
+        for j in nz:
+            prow[j] = prow[j] * inv
+        for k in rnz:
+            prhs[k] = prhs[k] * inv
         for i in range(self.m):
-            if i != row and sign_of(self.mat[i][col]) != 0:
-                f = self.mat[i][col]
-                self.mat[i] = [x - f * y for x, y in zip(self.mat[i], self.mat[row])]
-                self.rhs[i] = self.rhs[i] - self.rhs[row] * f
+            f = self.mat[i][col]
+            if i != row and f:
+                cur, crhs = self.mat[i], self.rhs[i]
+                for j in nz:
+                    cur[j] = cur[j] - f * prow[j]
+                for k in rnz:
+                    crhs[k] = crhs[k] - f * prhs[k]
+        f = self.red[col]
+        if f:
+            for j in nz:
+                self.red[j] = self.red[j] - f * prow[j]
         self.basis[row] = col
 
     def run(self, cost: list[Scalar], frozen_cols: set[int]) -> Optional[int]:
         """Bland pivoting to optimality; returns an entering column on unboundedness."""
+        self.price(cost)
         for _ in range(_MAX_PIVOTS):
-            red = self.reduced_costs(cost)
             enter = next((j for j in range(self.ncols)
-                          if j not in frozen_cols and sign_of(red[j]) < 0), None)
+                          if j not in frozen_cols and self.red[j] < 0), None)
             if enter is None:
                 return None
             leave, best = None, None
             for i in range(self.m):
-                if sign_of(self.mat[i][enter]) > 0:
-                    ratio = self.rhs[i] / self.mat[i][enter]
+                a = self.mat[i][enter]
+                if a > 0:
+                    inv = 1 / a
+                    ratio = [v * inv for v in self.rhs[i]]
                     if best is None:
                         leave, best = i, ratio
                     else:
-                        s = (ratio - best).sign()
+                        s = self.loglin([x - y for x, y in zip(ratio, best)]).sign()
                         if s < 0 or (s == 0 and self.basis[i] < self.basis[leave]):
                             leave, best = i, ratio
             if leave is None:
@@ -132,7 +166,7 @@ class _Tableau:
 def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar],
              ) -> LPCertificate:
     """Maximize <objective, x> over {x : a_rows @ x <= b_vals}, exactly."""
-    a_rows = [list(r) for r in a_rows]
+    a_rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in a_rows]
     b_vals = [as_loglin(b) for b in b_vals]
     n = len(objective)
     if any(len(r) != n for r in a_rows):
@@ -149,8 +183,7 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
             raise ReinhardtError("phase I unbounded (internal error)")
         value = t.objective_value(cost1)
         if value.sign() < 0:
-            red = t.reduced_costs(cost1)
-            lam = tuple(red[t.slack0 + i] for i in range(t.m))
+            lam = tuple(t.red[t.slack0 + i] for i in range(t.m))
             _check_farkas(a_rows, b_vals, lam)
             return LPCertificate(status=INFEASIBLE, farkas=lam)
         _drive_out_artificials(t)
@@ -168,8 +201,7 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
 
     point = _extract_point(t)
     value = t.objective_value(cost2)
-    red = t.reduced_costs(cost2)
-    lam = tuple(red[t.slack0 + i] for i in range(t.m))
+    lam = tuple(t.red[t.slack0 + i] for i in range(t.m))
     _check_dual(a_rows, objective, lam)
     return LPCertificate(status=OPTIMAL, primal_point=point, objective=value, dual=lam)
 
@@ -192,8 +224,9 @@ def _drive_out_artificials(t: _Tableau) -> None:
 
 def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:
     vals = {col: t.rhs[i] for i, col in enumerate(t.basis)}
-    zero = LogLin.zero()
-    return tuple(vals.get(j, zero) - vals.get(t.n + j, zero) for j in range(t.n))
+    zero = [Fraction(0)] * (len(t.bases) + 1)
+    return tuple(t.loglin([u - v for u, v in zip(vals.get(j, zero), vals.get(t.n + j, zero))])
+                 for j in range(t.n))
 
 
 def _extract_ray(t: _Tableau, enter: int) -> tuple[Scalar, ...]:
@@ -204,17 +237,10 @@ def _extract_ray(t: _Tableau, enter: int) -> tuple[Scalar, ...]:
                  for j in range(t.n))
 
 
-def _dot(u, v):
-    acc: Scalar = Fraction(0)
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
-
-
 def _check_ray(a_rows, objective, ray) -> None:
-    if any(sign_of(_dot(row, ray)) > 0 for row in a_rows):
+    if any(sign_of(dot(row, ray)) > 0 for row in a_rows):
         raise ReinhardtError("unbounded-ray certificate failed verification")
-    if sign_of(_dot(objective, ray)) <= 0:
+    if sign_of(dot(objective, ray)) <= 0:
         raise ReinhardtError("unbounded ray does not improve the objective")
 
 
@@ -223,7 +249,7 @@ def _check_farkas(a_rows, b_vals, lam) -> None:
         raise ReinhardtError("Farkas multipliers must be non-negative")
     n = len(a_rows[0]) if a_rows else 0
     for j in range(n):
-        if sign_of(_dot(lam, [row[j] for row in a_rows])) != 0:
+        if sign_of(dot(lam, [row[j] for row in a_rows])) != 0:
             raise ReinhardtError("Farkas combination does not annihilate the rows")
     combo = LogLin.zero()
     for li, b in zip(lam, b_vals):
@@ -239,5 +265,5 @@ def _check_dual(a_rows, objective, lam) -> None:
     if any(sign_of(li) < 0 for li in lam):
         raise ReinhardtError("dual multipliers must be non-negative")
     for j, cj in enumerate(objective):
-        if sign_of(_dot(lam, [row[j] for row in a_rows]) - cj) != 0:
+        if sign_of(dot(lam, [row[j] for row in a_rows]) - cj) != 0:
             raise ReinhardtError("dual multipliers do not reproduce the objective")

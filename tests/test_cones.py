@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from conftest import random_spec, sample_interior_points
 
-from reinhardt import (approach, approach_certificate, interior_point, is_rational_type,
+from reinhardt import (approach, approach_certificate, cones, interior_point, is_rational_type,
                        lineality_space, log_polyhedron, lp_optimize, product_split,
                        recession_contains)
 from reinhardt.cones import Subspace, integer_lattice_of
+from reinhardt.errors import ReinhardtError
 from reinhardt.linalg import rank
 from reinhardt.scalars import quad
+from reinhardt.simplex import UNBOUNDED, LPCertificate
 
 
 def test_lineality_examples(hartogs, multiplicative_strip, disc_times_plane):
@@ -127,3 +130,19 @@ def test_recession_intersection_is_lineality(hartogs, multiplicative_strip,
             in_span = (rank(basis_rows + [vec]) == lin.dim) if basis_rows else all(
                 x == 0 for x in vec)
             assert two_sided == in_span
+
+
+@pytest.mark.parametrize("query", [
+    lambda poly: cones.cone_nonzero_direction([list(a.components) for a in poly.normals], poly.n),
+    lambda poly: cones.recession_improving_direction(poly, [Fraction(1), Fraction(0)]),
+    lambda poly: cones.approach_certificate.__wrapped__(poly, frozenset({0})),
+    lambda poly: cones.interior_point.__wrapped__(poly),
+], ids=["cone_nonzero_direction", "recession_improving_direction", "approach_certificate",
+        "interior_point"])
+def test_unexpected_lp_status_is_a_typed_error(monkeypatch, hartogs, query):
+    # these checks must hold under ``python -O`` too, so they cannot be asserts
+    poly = log_polyhedron(hartogs)
+    monkeypatch.setattr(cones, "solve_lp", lambda *_args: LPCertificate(status=UNBOUNDED))
+    with pytest.raises(ReinhardtError, match="expected optimal"):
+        query(poly)
+

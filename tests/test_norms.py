@@ -12,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from reinhardt import (SimplicialFrame, exponents, find_integrable_monomial,
-                       lp_norm_exact_simplicial, lp_norm_finite, sup_norm_monomial)
+                       lp_norm_exact_simplicial, lp_norm_finite, norms, sup_norm_monomial)
 from reinhardt.domain import parse_spec
+from reinhardt.errors import ReinhardtError
+from reinhardt.loglin import LogLin
 from reinhardt.norms import domain_volume_exact
 from reinhardt.scalars import sign_of
+from reinhardt.simplex import OPTIMAL, UNBOUNDED, LPCertificate
 
 
 def oracle_hartogs_integral(p_nu):
@@ -184,3 +187,15 @@ def test_rescaled_to_unit(hartogs_half):
 def _log_half():
     from reinhardt.loglin import LogLin
     return LogLin.log_of(Fraction(1, 2))
+
+
+def test_sup_norm_rejects_unexpected_lp_answers(monkeypatch, polydisc):
+    # library checks, not asserts: they must hold under ``python -O`` too
+    nu = exponents(1, 1)
+    monkeypatch.setattr(norms, "lp_optimize", lambda *_args: LPCertificate(status=UNBOUNDED))
+    with pytest.raises(ReinhardtError, match="expected optimal"):
+        sup_norm_monomial(polydisc, nu)
+    offset = LPCertificate(status=OPTIMAL, objective=LogLin.of(1))
+    monkeypatch.setattr(norms, "lp_optimize", lambda *_args: offset)
+    with pytest.raises(ReinhardtError, match="offset-only"):
+        sup_norm_monomial(polydisc, nu)
