@@ -2,12 +2,12 @@
 
 from .classify import (ClassificationReport, Verdict, classify_ainf, classify_all,
                        classify_hinf, classify_hinf_k, classify_l2, classify_lp_ak)
-from .cones import (ProductSplit, Subspace, approach, approach_certificate,
-                    interior_point, is_rational_type, lineality_space, lp_optimize,
-                    product_split, recession_contains)
+from .cones import (ProductSplit, RecessionCone, Subspace, approach, approach_certificate,
+                    has_finite_volume, interior_point, is_bounded, is_rational_type,
+                    lineality_space, lp_optimize, product_split, recession_contains)
 from .domain import (DomainSpec, ExponentVector, LogPolyhedron, MonomialConstraint,
-                     RadialPoint, contains, exponents, has_finite_volume, is_bounded,
-                     load_spec, log_polyhedron, parse_spec, radial)
+                     RadialPoint, contains, exponents, load_spec, log_polyhedron, parse_spec,
+                     radial)
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
                      ReinhardtError, SpecError)
 from .montecarlo import coefficient_inequality_check, lp_norm_monte_carlo

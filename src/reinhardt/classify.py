@@ -25,9 +25,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .cones import (approach_certificate, integer_lattice_of, lineality_space,
-                    product_split)
-from .domain import DomainSpec, has_finite_volume, is_bounded, log_polyhedron
+from .cones import (approach_certificate, has_finite_volume, integer_lattice_of, is_bounded,
+                    lineality_space, product_split)
+from .domain import DomainSpec, log_polyhedron
 from .scalars import scalar_to_json, sign_of
 
 YES = "yes"

@@ -5,21 +5,32 @@ of a half-space system ``<alpha_i, x> < log(c_i)``.  With the single
 exception of :func:`interior_point` and :func:`lp_optimize` (which involve
 the offsets), the decisions depend on the normals only and are therefore
 fully exact field computations.
+
+The recession cone C = {d : <alpha_i, d> <= 0} is computed once per
+polyhedron, by double description over the scalar field (:func:`recession_cone`),
+as a lineality basis plus the extreme rays of its pointed part.  The recession
+queries (:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
+:func:`face_meets_halfspace`, :func:`is_bounded`, :func:`has_finite_volume`)
+are then sign tests of dot products against those generators, and every
+direction they return is re-checked exactly before it is returned.  Axis
+approach, interior points, the sup-norm ray and offset-dependent optima are
+LPs solved by :mod:`reinhardt.simplex`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .domain import DomainSpec, LogPolyhedron
+from .domain import DomainSpec, LogPolyhedron, log_polyhedron
 from .errors import ReinhardtError
 from .hnf import cleared_integer_rows, integer_kernel_basis
 from .loglin import LogLin
-from .scalars import QuadExt, Scalar, sign_of
+from .scalars import QuadExt, Scalar, is_rational, sign_of
 from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, solve_lp
 
 
@@ -116,35 +127,10 @@ def _const_point(cert: LPCertificate) -> list[Scalar]:
     return out
 
 
-def cone_nonzero_direction(rows: list[list[Scalar]], n: int) -> Optional[list[Scalar]]:
-    """A nonzero d with rows @ d <= 0, or None if the cone is {0}.
-
-    Scans max |d_j| over the cone sliced at |d_j| <= 1 for each coordinate
-    and sign; the cone is {0} iff all 2n slices are degenerate.
-    """
-    for j in range(n):
-        for s in (1, -1):
-            slice_row = [Fraction(0)] * n
-            slice_row[j] = Fraction(s)
-            obj = list(slice_row)
-            cert = solve_lp(rows + [slice_row], [LogLin.zero()] * len(rows) + [LogLin.of(1)], obj)
-            require_optimal(cert, "cone_nonzero_direction")
-            if cert.objective.sign() > 0:
-                return _const_point(cert)
-    return None
-
-
-def recession_meets_halfspace(poly: LogPolyhedron, w: Sequence[Scalar]
-                              ) -> Optional[list[Scalar]]:
-    """Nonzero recession direction d with <w, d> >= 0, or None."""
-    rows = [list(a.components) for a in poly.normals]
-    rows.append([-x for x in w])
-    return cone_nonzero_direction(rows, poly.n)
-
-
 def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
                                   ) -> Optional[list[Scalar]]:
-    """Recession direction with <w, d> > 0 (witnesses sup <w, x> = +infinity)."""
+    """Recession direction with <w, d> > 0 found by an LP; ``sup_norm_monomial``
+    reports this LP vertex as its ray."""
     rows = [list(a.components) for a in poly.normals]
     cert = solve_lp(rows + [list(w)], [LogLin.zero()] * len(rows) + [LogLin.of(1)], list(w))
     require_optimal(cert, "recession_improving_direction")
@@ -153,8 +139,158 @@ def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
     return None
 
 
-def sup_direction_bounded(poly: LogPolyhedron, w: Sequence[Scalar]) -> bool:
-    return recession_improving_direction(poly, w) is None
+# -- exact generators of the recession cone -------------------------------------
+
+@dataclass(frozen=True)
+class RecessionCone:
+    """C = {d : <alpha_i, d> <= 0} as span(lineality) + cone(rays).
+
+    ``lineality`` is a basis of L = ker A; ``rays`` are the extreme rays of
+    the pointed part C ∩ L^perp.  Both are scaled by ``_scaled``.
+    """
+
+    lineality: tuple[tuple[Scalar, ...], ...]
+    rays: tuple[tuple[Scalar, ...], ...]
+
+
+def _scaled(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """A positive multiple of v: primitive integers when v is rational, else
+    first nonzero entry +-1.  Signs of dot products with v are unchanged,
+    and int dot products are an order of magnitude cheaper than Fraction ones."""
+    if all(is_rational(x) for x in v):
+        lcm = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * lcm) for x in v]
+        g = math.gcd(*ints) or 1
+        return tuple(x // g for x in ints)
+    lead = next(x for x in v if sign_of(x) != 0)
+    return tuple(x / lead for x in v) if sign_of(lead) > 0 else tuple(x / -lead for x in v)
+
+
+def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def recession_cone(poly: LogPolyhedron) -> RecessionCone:
+    """Exact generators by incremental double description (Motzkin et al.
+    1953; Fukuda & Prodon 1996); ``LogPolyhedron.recession`` caches the result.
+
+    A maximal independent set B of the normals spans L^perp, and the cone
+    {d in L^perp : B d <= 0} is simplicial with the rays -B^T (B B^T)^-1 e_j.
+    The other normals are then added one at a time: each keeps the rays it
+    does not cut off and joins every adjacent pair it separates.  Two rays are
+    adjacent iff no third ray is tight on every constraint both are tight on.
+    """
+    rows = [list(a.components) for a in poly.normals]
+    lineality = tuple(_scaled(v) for v in lineality_space(poly).basis)
+    basis = linalg.independent_rows(rows)
+    rays: list[tuple[Scalar, ...]] = []
+    tight: list[int] = []  # bit i set iff the ray is tight on processed row i
+    if basis:
+        b_rows = [rows[i] for i in basis]
+        gram_inv = linalg.invert([[_dot(u, v) for v in b_rows] for u in b_rows])
+        every = sum(1 << i for i in basis)
+        columns = list(zip(*b_rows))
+        for j, g_row in enumerate(gram_inv):
+            rays.append(_scaled([-_dot(g_row, col) for col in columns]))
+            tight.append(every & ~(1 << basis[j]))
+    dim = len(basis)
+    for i, row in enumerate(rows):
+        if i in basis or not rays:
+            continue
+        vals = [_dot(row, r) for r in rays]
+        signs = [sign_of(v) for v in vals]
+        bit = 1 << i
+        kept = [(r, z | bit if s == 0 else z)
+                for r, z, s in zip(rays, tight, signs) if s <= 0]
+        for p, sp in enumerate(signs):
+            if sp <= 0:
+                continue
+            for q, sq in enumerate(signs):
+                if sq >= 0:
+                    continue
+                common = tight[p] & tight[q]
+                if common.bit_count() < dim - 2 or any(
+                        k != p and k != q and common & z == common for k, z in enumerate(tight)):
+                    continue
+                joined = [vals[p] * x - vals[q] * y for x, y in zip(rays[q], rays[p])]
+                kept.append((_scaled(joined), common | bit))
+        rays = [r for r, _ in kept]
+        tight = [z for _, z in kept]
+    return RecessionCone(lineality=lineality, rays=tuple(rays))
+
+
+def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
+               face: Optional[Sequence[Scalar]], what: str) -> list[Scalar]:
+    """``d`` after an exact check that it answers the query, else a typed error."""
+    s = sign_of(linalg.dot(w, d))
+    if (all(sign_of(x) == 0 for x in d) or not recession_contains(poly, d)
+            or s < 0 or (strict and s == 0)
+            or (face is not None and sign_of(linalg.dot(face, d)) != 0)):
+        raise ReinhardtError(f"{what}: generator {[str(x) for x in d]} fails its "
+                             "certificate (internal error)")
+    return list(d)
+
+
+def _generator_direction(poly: LogPolyhedron, w: Sequence[Scalar], strict: bool,
+                         face: Optional[Sequence[Scalar]], what: str
+                         ) -> Optional[list[Scalar]]:
+    """First generator d (a signed lineality vector, else a ray on the face
+    <face, d> = 0 when given) with <w, d> >= 0, or > 0 when ``strict``."""
+    cone = poly.recession
+    w_int = _scaled(w)
+    for v in cone.lineality:
+        s = sign_of(_dot(w_int, v))
+        if s != 0 or not strict:
+            return _certified(poly, v if s >= 0 else [-x for x in v], w, strict, face, what)
+    face_int = None if face is None else _scaled(face)
+    for r in cone.rays:
+        if face_int is not None and sign_of(_dot(face_int, r)) != 0:
+            continue
+        s = sign_of(_dot(w_int, r))
+        if s > 0 or (s == 0 and not strict):
+            return _certified(poly, r, w, strict, face, what)
+    return None
+
+
+def recession_meets_halfspace(poly: LogPolyhedron, w: Sequence[Scalar]
+                              ) -> Optional[list[Scalar]]:
+    """Nonzero recession direction d with <w, d> >= 0, or None.
+
+    None iff the integral of exp(<w, x>) over log G is finite, for a nonempty G.
+    """
+    return _generator_direction(poly, w, False, None, "recession_meets_halfspace")
+
+
+def unbounded_direction(poly: LogPolyhedron, w: Sequence[Scalar]) -> Optional[list[Scalar]]:
+    """Recession direction d with <w, d> > 0, or None iff sup <w, x> over log G
+    is finite: w is orthogonal to the lineality and <w, r> <= 0 on every ray."""
+    return _generator_direction(poly, w, True, None, "unbounded_direction")
+
+
+def face_meets_halfspace(poly: LogPolyhedron, m: Sequence[Scalar], w: Sequence[Scalar]
+                         ) -> Optional[list[Scalar]]:
+    """Nonzero recession direction d with <m, d> = 0 and <w, d> >= 0, or None.
+
+    Needs sup <m, x> finite, so that {d in C : <m, d> = 0} is the face
+    L + cone{r : <m, r> = 0} of the recession cone C.
+    """
+    if unbounded_direction(poly, m) is not None:
+        raise ValueError("face_meets_halfspace needs <m, d> <= 0 on the recession cone")
+    return _generator_direction(poly, w, False, m, "face_meets_halfspace")
+
+
+def is_bounded(spec: DomainSpec) -> bool:
+    """True iff every coordinate modulus is bounded above on the domain: the
+    recession cone lies in the closed negative orthant."""
+    cone = log_polyhedron(spec).recession
+    return not cone.lineality and all(sign_of(x) <= 0 for r in cone.rays for x in r)
+
+
+def has_finite_volume(spec: DomainSpec) -> bool:
+    """True iff <2*1, d> < 0 on every nonzero recession direction of log G:
+    no lineality and a negative coordinate sum on every ray."""
+    cone = log_polyhedron(spec).recession
+    return not cone.lineality and all(sign_of(sum(r)) < 0 for r in cone.rays)
 
 
 @lru_cache(maxsize=None)

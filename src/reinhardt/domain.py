@@ -14,13 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import EmptyDomainError, SpecError
 from .loglin import LogLin
 from .scalars import (Scalar, is_rational, is_square_free, parse_scalar_literal,
                       scalar_to_json, sign_of)
+
+if TYPE_CHECKING:
+    from .cones import RecessionCone
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,12 @@ class LogPolyhedron:
     n: int
     normals: tuple[ExponentVector, ...]
     offsets: tuple[Scalar, ...]
+
+    @cached_property
+    def recession(self) -> RecessionCone:
+        """Exact generators of {d : <alpha_i, d> <= 0}, computed on first use."""
+        from .cones import recession_cone
+        return recession_cone(self)
 
     def half_space_slack(self, x: Sequence[LogLin]) -> list[LogLin]:
         """log(c_i) - <alpha_i, x> for each constraint (positive inside)."""
@@ -217,23 +226,3 @@ def contains(spec: DomainSpec, p: RadialPoint) -> bool:
         if slack.sign() <= 0:
             return False
     return True
-
-
-def is_bounded(spec: DomainSpec) -> bool:
-    """True iff every coordinate modulus is bounded above on the domain."""
-    from .cones import sup_direction_bounded
-    poly = log_polyhedron(spec)
-    unit = [Fraction(0)] * spec.n
-    for j in range(spec.n):
-        e_j = list(unit)
-        e_j[j] = Fraction(1)
-        if not sup_direction_bounded(poly, e_j):
-            return False
-    return True
-
-
-def has_finite_volume(spec: DomainSpec) -> bool:
-    """True iff <2*1, d> < 0 on every nonzero recession direction of log G."""
-    from .cones import recession_meets_halfspace
-    poly = log_polyhedron(spec)
-    return recession_meets_halfspace(poly, [Fraction(2)] * spec.n) is None

@@ -8,6 +8,7 @@ textbook gcd-driven reduction is plenty.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -64,15 +65,6 @@ def cleared_integer_rows(rows) -> list[list[int]]:
     out = []
     for row in rows:
         fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for f in fracs:
-            g = _gcd(lcm, f.denominator)
-            lcm = lcm * f.denominator // g
+        lcm = math.lcm(*(f.denominator for f in fracs))
         out.append([int(f * lcm) for f in fracs])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -50,6 +50,13 @@ def rank(rows) -> int:
     return len(_eliminate(rows)[0])
 
 
+def independent_rows(rows) -> list[int]:
+    """Indices of the first maximal linearly independent subset of ``rows``."""
+    if not rows:
+        return []
+    return _eliminate([list(col) for col in zip(*rows)])[1]
+
+
 def kernel_basis(rows, ncols: int) -> list[list[Scalar]]:
     """Basis of {x : rows @ x = 0}, exact over the field."""
     if not rows:

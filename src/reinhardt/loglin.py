@@ -86,14 +86,12 @@ class LogLin:
             return sign_of(self.const)
         if sign_of(self.const) == 0 and all(is_rational(c) for _, c in self.terms):
             # sum(q_i log b_i) vs 0  <=>  prod b_i**(q_i L) vs 1 for any L > 0
-            lcm = 1
-            for _, c in self.terms:
-                lcm = lcm * Fraction(c).denominator // math.gcd(lcm, Fraction(c).denominator)
+            lcm = math.lcm(*(Fraction(c).denominator for _, c in self.terms))
             prod: Scalar = Fraction(1)
             for base, coeff in self.terms:
                 prod = prod * _pow_int(base, int(Fraction(coeff) * lcm))
             return sign_of(prod - 1)
-        return ladder_sign(self._interval, what="log-linear value")
+        return ladder_sign(self._interval, what=repr(self))
 
     def is_zero(self) -> bool:
         return self.sign() == 0

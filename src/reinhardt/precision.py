@@ -74,9 +74,11 @@ def ladder_sign(build: Callable[[], "mpmath.ctx_iv.ivmpf"], what: str = "express
             if val.b < 0:
                 return -1
         if bits >= cap:
+            lo, hi = interval_str(val)
             raise BoundaryIndeterminate(
-                f"sign of {what} unresolved at {cap} working bits "
-                f"(set {PRECISION_ENV_VAR} to raise the cap)")
+                f"sign of {what} unresolved at {bits} working bits, last interval "
+                f"[{lo}, {hi}] (set {PRECISION_ENV_VAR} to raise the cap)",
+                what=what, bits=bits, interval=(lo, hi))
         bits = min(2 * bits, cap)
 
 

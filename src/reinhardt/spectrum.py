@@ -2,9 +2,14 @@
 
 On Reinhardt domains every space in scope is generated by its monomials, so
 spectrum-level decisions are the computable core.  Verdicts for sup-norm and
-integrability questions are exact recession-cone decisions; the closure-
+integrability questions are exact recession-cone decisions: sup |z^nu| is
+finite iff <nu, d> <= 0 on the recession cone C of log G, and the integral
+of |z^nu|^p iff <p*nu + 2*1, d> < 0 on C minus 0.  Each is a scan of dot
+products against the generators of C, which :mod:`reinhardt.cones` computes
+once per domain, so no monomial solves an LP for them.  The closure-
 continuity engine for A^k is deliberately a sufficient-condition checker
-that answers "yes" or "indeterminate", never an unsound "no".
+that answers "yes" or "indeterminate", never an unsound "no"; its axis
+approach sets are LPs, solved once per domain.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from . import spaces as sp
-from .cones import (approach_certificate, lineality_space, recession_improving_direction,
-                    recession_meets_halfspace)
+from .cones import (approach_certificate, face_meets_halfspace, lineality_space,
+                    recession_meets_halfspace, unbounded_direction)
 from .domain import DomainSpec, ExponentVector, MonomialConstraint, log_polyhedron
 from .linalg import dot
 from .scalars import sign_of
@@ -49,14 +54,8 @@ def monomial_defined(spec: DomainSpec, nu: Sequence[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _sup_unbounded_ray(poly, nu: tuple) -> Optional[tuple]:
-    ray = recession_improving_direction(poly, [Fraction(e) for e in nu])
-    return tuple(ray) if ray is not None else None
-
-
 def sup_finite(spec: DomainSpec, nu: Sequence[int]) -> bool:
-    return _sup_unbounded_ray(log_polyhedron(spec), tuple(nu)) is None
+    return unbounded_direction(log_polyhedron(spec), nu) is None
 
 
 @lru_cache(maxsize=None)
@@ -134,16 +133,15 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
         return SpaceMembership(NO, "undefined-on-interior-axis",
                                {"nu": list(nu)})
     kind = space.kind
+    poly = log_polyhedron(spec)
     if kind == sp.HINF:
-        ray = _sup_unbounded_ray(log_polyhedron(spec), nu)
+        ray = unbounded_direction(poly, nu)
         if ray is None:
             return SpaceMembership(YES, "sup-lp-bounded", {})
         return SpaceMembership(NO, "sup-unbounded", {"ray": [str(x) for x in ray]})
     if kind in (sp.L2, sp.LP):
         p = Fraction(2) if kind == sp.L2 else space.p
-        vec = ExponentVector(tuple(Fraction(e) for e in nu))
-        w = [p * e + 2 for e in vec.components]
-        bad = recession_meets_halfspace(log_polyhedron(spec), w)
+        bad = recession_meets_halfspace(poly, [p * e + 2 for e in nu])
         if bad is None:
             return SpaceMembership(YES, "integrable-recession", {})
         return SpaceMembership(NO, "recession-obstruction",
@@ -151,7 +149,7 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
     if kind == sp.HINF_K:
         for sigma in _nonvanishing_orders(nu, space.k):
             m = tuple(e - s for e, s in zip(nu, sigma))
-            ray = _sup_unbounded_ray(log_polyhedron(spec), m)
+            ray = unbounded_direction(poly, m)
             if ray is not None:
                 return SpaceMembership(NO, "derivative-sup-unbounded",
                                        {"sigma": list(sigma), "ray": [str(x) for x in ray]})
@@ -168,7 +166,6 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
                                        {"sigma": list(sigma)})
         return SpaceMembership(YES, "axis-vanishing-certified", {})
     if kind == sp.LDIAMOND_AK:
-        poly = log_polyhedron(spec)
         for sigma in _nonvanishing_orders(nu, space.k):
             m = tuple(e - s for e, s in zip(nu, sigma))
             for p in (Fraction(1), Fraction(2)):
@@ -179,16 +176,11 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
                                            {"sigma": list(sigma), "p": str(p),
                                             "direction": [str(x) for x in bad]})
             # all p >= 1 at once: <m, d> > 0 or (<m, d> = 0 and <2*1, d> >= 0) kills it
-            ray = _sup_unbounded_ray(poly, m)
+            ray = unbounded_direction(poly, m)
             if ray is not None:
                 return SpaceMembership(NO, "large-p-obstruction",
                                        {"sigma": list(sigma), "direction": [str(x) for x in ray]})
-            rows = [list(a.components) for a in poly.normals]
-            rows.append([-Fraction(e) for e in m])
-            rows.append([Fraction(e) for e in m])
-            rows.append([Fraction(-2)] * spec.n)
-            from .cones import cone_nonzero_direction
-            bad = cone_nonzero_direction(rows, spec.n)
+            bad = face_meets_halfspace(poly, m, [Fraction(1)] * spec.n)
             if bad is not None:
                 return SpaceMembership(NO, "limit-p-obstruction",
                                        {"sigma": list(sigma), "direction": [str(x) for x in bad]})

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import mpmath
@@ -86,8 +86,8 @@ class N0Result:
         while True:
             with working_precision(bits):
                 _, trans = self._branches()
-                lo = int(mp_ceil(trans.a))
-                hi = int(mp_ceil(trans.b))
+                lo = int(mpmath.ceil(trans.a))
+                hi = int(mpmath.ceil(trans.b))
                 if lo == hi:
                     return lo
             if bits >= cap:
@@ -98,10 +98,6 @@ class N0Result:
         with working_precision(64):
             v = self.interval()
             return float((v.a + v.b) / 2)
-
-
-def mp_ceil(x) -> int:
-    return int(mpmath.ceil(x))
 
 
 def compute_n0(frame: SimplicialFrame, k: int) -> tuple[N0Result, int]:
@@ -376,7 +372,7 @@ def verify_witness_membership(w: WitnessFunction, frame: Optional[SimplicialFram
         raise SpecError("membership verification expects unit thresholds")
     poly = frame.polyhedron()
     axis_coords = sorted({ell for size in range(1, n + 1)
-                          for coords in _subsets(n, size)
+                          for coords in combinations(range(n), size)
                           if approach_certificate(poly, frozenset(coords)) is not None
                           for ell in coords})
     checks = []
@@ -416,8 +412,3 @@ def _norm_sign_vs_one(norm: NormResult) -> int:
         return val - 1
 
     return ladder_sign(build, what="norm vs 1")
-
-
-def _subsets(n: int, size: int):
-    from itertools import combinations
-    return combinations(range(n), size)

@@ -4,15 +4,18 @@ from itertools import product
 
 import pytest
 from conftest import random_spec, sample_interior_points
+from hypothesis import given, settings, strategies as st
 
-from reinhardt import (approach, approach_certificate, cones, interior_point, is_rational_type,
-                       lineality_space, log_polyhedron, lp_optimize, product_split,
-                       recession_contains)
+from reinhardt import (DomainSpec, ExponentVector, LogPolyhedron, MonomialConstraint,
+                       RecessionCone, approach, approach_certificate, cones, has_finite_volume,
+                       interior_point, is_bounded, is_rational_type, lineality_space,
+                       log_polyhedron, lp_optimize, product_split, recession_contains)
 from reinhardt.cones import Subspace, integer_lattice_of
 from reinhardt.errors import ReinhardtError
-from reinhardt.linalg import rank
-from reinhardt.scalars import quad
-from reinhardt.simplex import UNBOUNDED, LPCertificate
+from reinhardt.linalg import dot, rank
+from reinhardt.loglin import LogLin
+from reinhardt.scalars import quad, sign_of
+from reinhardt.simplex import UNBOUNDED, LPCertificate, solve_lp
 
 
 def test_lineality_examples(hartogs, multiplicative_strip, disc_times_plane):
@@ -133,12 +136,10 @@ def test_recession_intersection_is_lineality(hartogs, multiplicative_strip,
 
 
 @pytest.mark.parametrize("query", [
-    lambda poly: cones.cone_nonzero_direction([list(a.components) for a in poly.normals], poly.n),
     lambda poly: cones.recession_improving_direction(poly, [Fraction(1), Fraction(0)]),
     lambda poly: cones.approach_certificate.__wrapped__(poly, frozenset({0})),
     lambda poly: cones.interior_point.__wrapped__(poly),
-], ids=["cone_nonzero_direction", "recession_improving_direction", "approach_certificate",
-        "interior_point"])
+], ids=["recession_improving_direction", "approach_certificate", "interior_point"])
 def test_unexpected_lp_status_is_a_typed_error(monkeypatch, hartogs, query):
     # these checks must hold under ``python -O`` too, so they cannot be asserts
     poly = log_polyhedron(hartogs)
@@ -146,3 +147,142 @@ def test_unexpected_lp_status_is_a_typed_error(monkeypatch, hartogs, query):
     with pytest.raises(ReinhardtError, match="expected optimal"):
         query(poly)
 
+
+@pytest.mark.parametrize("query", [
+    lambda poly: cones.recession_meets_halfspace(poly, [Fraction(0), Fraction(0)]),
+    lambda poly: cones.unbounded_direction(poly, [Fraction(1), Fraction(1)]),
+    lambda poly: cones.face_meets_halfspace(poly, [Fraction(0), Fraction(0)],
+                                            [Fraction(0), Fraction(0)]),
+], ids=["recession_meets_halfspace", "unbounded_direction", "face_meets_halfspace"])
+def test_corrupted_generator_is_a_typed_error(hartogs, query):
+    # a fresh polyhedron, so the shared cached one keeps its true generators
+    poly = LogPolyhedron(n=2, normals=log_polyhedron(hartogs).normals,
+                         offsets=log_polyhedron(hartogs).offsets)
+    poly.__dict__["recession"] = RecessionCone(lineality=(), rays=((Fraction(1), Fraction(1)),))
+    with pytest.raises(ReinhardtError, match="fails its certificate"):
+        query(poly)
+
+
+def test_recession_cone_examples(hartogs, multiplicative_strip, disc_times_plane):
+    # hartogs: d1 <= d2 <= 0 has the rays (-1, 0) and (-1, -1)
+    assert log_polyhedron(hartogs).recession == RecessionCone(
+        lineality=(), rays=((Fraction(-1), Fraction(0)), (Fraction(-1), Fraction(-1))))
+    # |z1 z2| < 1: the half-plane d1 + d2 <= 0 is the line (-1, 1) plus the ray (-1, -1)
+    assert log_polyhedron(multiplicative_strip).recession == RecessionCone(
+        lineality=((Fraction(-1), Fraction(1)),), rays=((Fraction(-1), Fraction(-1)),))
+    plane = log_polyhedron(disc_times_plane).recession
+    assert plane.rays == ((Fraction(-1), Fraction(0)),)
+    assert plane.lineality == ((Fraction(0), Fraction(1)),)
+
+
+# -- LP oracle for the generator queries ---------------------------------------
+#
+# These are the LP implementations the generators replaced: each query solves
+# 2n LPs, one per coordinate and sign, over the cone sliced at |d_j| <= 1.
+
+def lp_cone_nonzero_direction(rows, n):
+    """A nonzero d with rows @ d <= 0, or None if the cone is {0}."""
+    for j in range(n):
+        for s in (1, -1):
+            slice_row = [Fraction(0)] * n
+            slice_row[j] = Fraction(s)
+            cert = solve_lp(rows + [slice_row], [LogLin.zero()] * len(rows) + [LogLin.of(1)],
+                            list(slice_row))
+            assert cert.status == "optimal"
+            if cert.objective.sign() > 0:
+                return [v.const for v in cert.primal_point]
+    return None
+
+
+def lp_recession_meets_halfspace(poly, w):
+    rows = [list(a.components) for a in poly.normals]
+    return lp_cone_nonzero_direction(rows + [[-x for x in w]], poly.n)
+
+
+def lp_unbounded_direction(poly, w):
+    """The hinf test: max <w, d> over the cone cut by <w, d> <= 1."""
+    rows = [list(a.components) for a in poly.normals]
+    cert = solve_lp(rows + [list(w)], [LogLin.zero()] * len(rows) + [LogLin.of(1)], list(w))
+    assert cert.status == "optimal"
+    return [v.const for v in cert.primal_point] if cert.objective.sign() > 0 else None
+
+
+def lp_face_meets_halfspace(poly, m, w):
+    rows = [list(a.components) for a in poly.normals]
+    return lp_cone_nonzero_direction(rows + [[-x for x in m], list(m), [-x for x in w]],
+                                     poly.n)
+
+
+def _is_certificate(poly, d, w, strict, face=None):
+    s = sign_of(dot(w, d))
+    return (any(sign_of(x) != 0 for x in d)
+            and all(sign_of(dot(a.components, d)) <= 0 for a in poly.normals)
+            and (s > 0 if strict else s >= 0)
+            and (face is None or sign_of(dot(face, d)) == 0))
+
+
+@st.composite
+def cone_cases(draw):
+    """A spec (integer, or over Q(sqrt 2) / Q(sqrt 3)), w, nu and a nonnegative
+    combination m of the normals (so that sup <m, x> is finite)."""
+    d = draw(st.sampled_from([None, 2, 3]))
+    n = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+
+    def scalar():
+        a = draw(small)
+        return Fraction(a) if d is None else quad(a, draw(st.integers(-2, 2)), d)
+
+    def vector():
+        return [scalar() for _ in range(n)]
+
+    count = draw(st.integers(0, 8))
+    rank_cap = draw(st.integers(1, n))  # rank_cap < n forces a lineality space
+    base = [vector() for _ in range(rank_cap)]
+    constraints = []
+    for _ in range(count):
+        coeffs = [draw(small) for _ in base]
+        alpha = [sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(n)]
+        if all(sign_of(x) == 0 for x in alpha):
+            continue
+        constraints.append(MonomialConstraint(ExponentVector(tuple(alpha)), Fraction(1)))
+    spec = DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=d)
+    lam = [draw(st.integers(0, 2)) for _ in constraints]
+    m = [sum((l * con.alpha[j] for l, con in zip(lam, constraints)), Fraction(0))
+         for j in range(n)]
+    return spec, vector(), vector(), m
+
+
+@settings(max_examples=200, deadline=10_000)
+@given(cone_cases())
+def test_generators_agree_with_lp_oracle(case):
+    spec, w, nu, m = case
+    poly = log_polyhedron(spec)
+    cone = poly.recession
+    for v in cone.lineality:
+        assert all(sign_of(dot(a.components, v)) == 0 for a in poly.normals)
+    for r in cone.rays:
+        assert recession_contains(poly, r) and any(sign_of(x) != 0 for x in r)
+
+    got = cones.recession_meets_halfspace(poly, w)
+    assert (got is None) == (lp_recession_meets_halfspace(poly, w) is None)
+    assert got is None or _is_certificate(poly, got, w, strict=False)
+
+    got = cones.unbounded_direction(poly, nu)
+    assert (got is None) == (lp_unbounded_direction(poly, nu) is None)
+    assert got is None or _is_certificate(poly, got, nu, strict=True)
+
+    got = cones.face_meets_halfspace(poly, m, w)
+    assert (got is None) == (lp_face_meets_halfspace(poly, m, w) is None)
+    assert got is None or _is_certificate(poly, got, w, strict=False, face=m)
+
+    ones = [Fraction(1)] * spec.n
+    assert has_finite_volume(spec) == (lp_recession_meets_halfspace(poly, ones) is None)
+    units = [[Fraction(int(i == j)) for i in range(spec.n)] for j in range(spec.n)]
+    assert is_bounded(spec) == all(lp_unbounded_direction(poly, e) is None for e in units)
+
+
+def test_face_query_needs_a_bounded_functional(hartogs):
+    poly = log_polyhedron(hartogs)
+    with pytest.raises(ValueError, match="recession cone"):
+        cones.face_meets_halfspace(poly, [Fraction(-1), Fraction(0)], [Fraction(0), Fraction(0)])

@@ -36,6 +36,20 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
      ["spectrum", "specs/hartogs.json", "--space", "l2", "--box", "2", "--json"]),
     ("spectrum_multiplicative_strip_hinf_box3",
      ["spectrum", "specs/multiplicative_strip.json", "--space", "hinf", "--box", "3", "--json"]),
+    ("spectrum_hartogs_half_ldiamond_k1_box2",
+     ["spectrum", "specs/hartogs_half.json", "--space", "ldiamond", "--k", "1", "--box", "2",
+      "--json"]),
+    ("spectrum_hartogs_half_ak_k1_box2",
+     ["spectrum", "specs/hartogs_half.json", "--space", "ak", "--k", "1", "--box", "2",
+      "--json"]),
+    ("spectrum_irrational_slope_lp_3_2_box2",
+     ["spectrum", "specs/irrational_slope.json", "--space", "lp", "--p", "3/2", "--box", "2",
+      "--json"]),
+    ("spectrum_irrational_slope_hinfk_k1_box2",
+     ["spectrum", "specs/irrational_slope.json", "--space", "hinfk", "--k", "1", "--box", "2",
+      "--json"]),
+    ("spectrum_disc_times_plane_l2_box2",
+     ["spectrum", "specs/disc_times_plane.json", "--space", "l2", "--box", "2", "--json"]),
 ]
 
 

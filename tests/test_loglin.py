@@ -62,6 +62,21 @@ def test_boundary_indeterminate_at_low_cap(monkeypatch):
         (LogLin.log_of(base, s)).sign()  # irrational coeff: no exact path
 
 
+def test_boundary_indeterminate_names_the_value_and_interval(monkeypatch):
+    # (sqrt2/2) log(1/5) + (sqrt2/2) log 5 is exactly zero, but the bases differ
+    # and the coefficients are irrational, so only the ladder sees it
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    h = quad(0, Fraction(1, 2), 2)
+    v = LogLin.log_of(Fraction(1, 5), h) + LogLin.log_of(Fraction(5), h)
+    with pytest.raises(BoundaryIndeterminate) as info:
+        v.sign()
+    exc = info.value
+    lo, hi = exc.interval
+    assert exc.what == repr(v) and exc.bits == 64
+    assert Fraction(lo) <= 0 <= Fraction(hi)
+    assert f"[{lo}, {hi}]" in str(exc) and "64 working bits" in str(exc)
+
+
 def test_arithmetic_and_scaling():
     v = LogLin.log_of(Fraction(2)) * Fraction(3)
     assert v.terms == ((Fraction(2), Fraction(3)),)
