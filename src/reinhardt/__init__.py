@@ -6,8 +6,7 @@ from .cones import (ProductSplit, RecessionCone, Subspace, approach, approach_ce
                     has_finite_volume, interior_point, is_bounded, is_rational_type,
                     lineality_space, lp_optimize, product_split, recession_contains)
 from .domain import (DomainSpec, ExponentVector, LogPolyhedron, MonomialConstraint,
-                     RadialPoint, contains, exponents, load_spec, log_polyhedron, parse_spec,
-                     radial)
+                     RadialPoint, contains, exponents, load_spec, parse_spec, radial)
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
                      ReinhardtError, SpecError)
 from .montecarlo import coefficient_inequality_check, lp_norm_monte_carlo

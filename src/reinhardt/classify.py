@@ -25,9 +25,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .cones import (approach_certificate, has_finite_volume, integer_lattice_of, is_bounded,
-                    lineality_space, product_split)
-from .domain import DomainSpec, log_polyhedron
+from .cones import (approach, approach_certificate, has_finite_volume, integer_lattice_of,
+                    is_bounded, product_split)
+from .domain import DomainSpec
+from .errors import ReinhardtError
 from .scalars import scalar_to_json, sign_of
 
 YES = "yes"
@@ -84,7 +85,7 @@ def _vector_json(vec) -> list:
 def classify_hinf(spec: DomainSpec) -> Verdict:
     """Bounded holomorphic functions see every boundary point iff the
     lineality space of the log-domain has an integer basis."""
-    lin = lineality_space(log_polyhedron(spec))
+    lin = spec.log_polyhedron.lineality
     lattice = integer_lattice_of(lin)
     if len(lattice) == lin.dim:
         return Verdict(YES, "lineality-rational-type", {
@@ -102,7 +103,7 @@ def classify_l2(spec: DomainSpec) -> Verdict:
     if not spec.constraints:
         return Verdict(NOT_APPLICABLE, "whole-space",
                        {"note": "no constraints: the domain is all of C^n"})
-    lin = lineality_space(log_polyhedron(spec))
+    lin = spec.log_polyhedron.lineality
     if lin.dim == 0:
         return Verdict(YES, "lineality-zero", {})
     return Verdict(NO, "lineality-positive-dim", {
@@ -115,7 +116,7 @@ def classify_lp_ak(spec: DomainSpec, k: Optional[int] = None) -> Verdict:
     if not spec.constraints:
         return Verdict(NO, "not-proper-subset",
                        {"note": "the domain is all of C^n"})
-    lin = lineality_space(log_polyhedron(spec))
+    lin = spec.log_polyhedron.lineality
     if lin.dim == 0:
         return Verdict(YES, "lineality-zero-proper-subset", {"uniform_in_k": True})
     return Verdict(NO, "lineality-positive-dim", {
@@ -131,13 +132,14 @@ def classify_ainf(spec: DomainSpec) -> Verdict:
     contraction of those coordinates stays inside the domain, so S cannot
     obstruct.  If some constraint is negative on S, the stratum is disjoint
     from the domain; it then obstructs exactly when a recession ray reaches
-    it, which is the approach LP.
+    it, which the approach supports decide.  The reported ray is the vertex
+    of the approach LP for the first such set.
     """
     base = classify_hinf(spec)
     if not base.is_yes:
         return Verdict(NOT_APPLICABLE, "requires-hinf-domain",
                        {"hinf_criterion": base.criterion})
-    poly = log_polyhedron(spec)
+    poly = spec.log_polyhedron
     checked = 0
     for size in range(1, spec.n + 1):
         for coords in combinations(range(spec.n), size):
@@ -147,8 +149,11 @@ def classify_ainf(spec: DomainSpec) -> Verdict:
             if not negative_on_s:
                 continue
             checked += 1
-            ray = approach_certificate(poly, frozenset(coords))
-            if ray is not None:
+            if approach(poly, coords):
+                ray = approach_certificate(poly, frozenset(coords))
+                if ray is None:
+                    raise ReinhardtError(f"approach LP disagrees with the ray supports on "
+                                         f"{sorted(coords)} (internal error)")
                 eps = [1 if j in coords else 0 for j in range(spec.n)]
                 return Verdict(NO, "axis-approach-witness", {
                     "failing_epsilon": eps,
@@ -159,7 +164,7 @@ def classify_ainf(spec: DomainSpec) -> Verdict:
 def classify_hinf_k(spec: DomainSpec, k: Optional[int] = None) -> Verdict:
     """k-independent (k >= 1): yes iff the domain is a constrained factor
     times a full C factor on the coordinates no constraint touches."""
-    lin = lineality_space(log_polyhedron(spec))
+    lin = spec.log_polyhedron.lineality
     split = product_split(spec, lin)
     if split is not None:
         return Verdict(YES, "product-split", {

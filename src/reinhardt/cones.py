@@ -6,15 +6,18 @@ exception of :func:`interior_point` and :func:`lp_optimize` (which involve
 the offsets), the decisions depend on the normals only and are therefore
 fully exact field computations.
 
-The recession cone C = {d : <alpha_i, d> <= 0} is computed once per
-polyhedron, by double description over the scalar field (:func:`recession_cone`),
-as a lineality basis plus the extreme rays of its pointed part.  The recession
-queries (:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
+The recession cone C = {d : <alpha_i, d> <= 0} is computed by double
+description over the scalar field (:func:`recession_cone`), as a lineality
+basis plus the extreme rays of its pointed part.  The recession queries
+(:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
 :func:`face_meets_halfspace`, :func:`is_bounded`, :func:`has_finite_volume`)
 are then sign tests of dot products against those generators, and every
 direction they return is re-checked exactly before it is returned.  Axis
-approach, interior points, the sup-norm ray and offset-dependent optima are
-LPs solved by :mod:`reinhardt.simplex`.
+approach is read off the ray supports of C ∩ {d <= 0} (:func:`approach`).
+The functions here keep no memo: ``LogPolyhedron`` computes each derived
+object on first use and holds it for its own lifetime.  Interior points, the
+approach and sup-norm rays and offset-dependent optima are LPs solved by
+:mod:`reinhardt.simplex`.
 """
 
 from __future__ import annotations
@@ -22,16 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import linalg
-from .domain import DomainSpec, LogPolyhedron, log_polyhedron
 from .errors import ReinhardtError
 from .hnf import cleared_integer_rows, integer_kernel_basis
 from .loglin import LogLin
 from .scalars import QuadExt, Scalar, is_rational, sign_of
 from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, solve_lp
+
+if TYPE_CHECKING:
+    from .domain import DomainSpec, LogPolyhedron
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,6 @@ class ProductSplit:
         return len(self.bounded_coords)
 
 
-@lru_cache(maxsize=None)
 def lineality_space(poly: LogPolyhedron) -> Subspace:
     """Common kernel of the constraint normals (= rec(P) lines, P nonempty)."""
     rows = [list(a.components) for a in poly.normals]
@@ -170,19 +173,21 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v))
 
 
-def recession_cone(poly: LogPolyhedron) -> RecessionCone:
-    """Exact generators by incremental double description (Motzkin et al.
-    1953; Fukuda & Prodon 1996); ``LogPolyhedron.recession`` caches the result.
+def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
+    """Exact generators of {d in R^n : rows @ d <= 0} by incremental double
+    description (Motzkin et al. 1953; Fukuda & Prodon 1996).
 
-    A maximal independent set B of the normals spans L^perp, and the cone
-    {d in L^perp : B d <= 0} is simplicial with the rays -B^T (B B^T)^-1 e_j.
-    The other normals are then added one at a time: each keeps the rays it
-    does not cut off and joins every adjacent pair it separates.  Two rays are
-    adjacent iff no third ray is tight on every constraint both are tight on.
+    The rows (all nonzero) are first scaled by ``_scaled``, which leaves the
+    cone as it is.  A maximal independent set B of them spans L^perp, and the
+    cone {d in L^perp : B d <= 0} is simplicial with the rays
+    -B^T (B B^T)^-1 e_j.  The other rows are then added one at a time: each
+    keeps the rays it does not cut off and joins every adjacent pair it
+    separates.  Two rays are adjacent iff no third ray is tight on every
+    constraint both are tight on.
     """
-    rows = [list(a.components) for a in poly.normals]
-    lineality = tuple(_scaled(v) for v in lineality_space(poly).basis)
+    rows = [_scaled(r) for r in rows]
     basis = linalg.independent_rows(rows)
+    lineality = tuple(_scaled(v) for v in linalg.kernel_basis(rows, n)) if len(basis) < n else ()
     rays: list[tuple[Scalar, ...]] = []
     tight: list[int] = []  # bit i set iff the ray is tight on processed row i
     if basis:
@@ -282,18 +287,17 @@ def face_meets_halfspace(poly: LogPolyhedron, m: Sequence[Scalar], w: Sequence[S
 def is_bounded(spec: DomainSpec) -> bool:
     """True iff every coordinate modulus is bounded above on the domain: the
     recession cone lies in the closed negative orthant."""
-    cone = log_polyhedron(spec).recession
+    cone = spec.log_polyhedron.recession
     return not cone.lineality and all(sign_of(x) <= 0 for r in cone.rays for x in r)
 
 
 def has_finite_volume(spec: DomainSpec) -> bool:
     """True iff <2*1, d> < 0 on every nonzero recession direction of log G:
     no lineality and a negative coordinate sum on every ray."""
-    cone = log_polyhedron(spec).recession
+    cone = spec.log_polyhedron.recession
     return not cone.lineality and all(sign_of(sum(r)) < 0 for r in cone.rays)
 
 
-@lru_cache(maxsize=None)
 def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
                          ) -> Optional[tuple[Scalar, ...]]:
     """Recession ray along which all coords in S go to -infinity, rest fixed.
@@ -334,9 +338,30 @@ def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
     return tuple(ray)
 
 
-def approach(poly: LogPolyhedron, coords: frozenset[int] | set[int]) -> bool:
-    """Can the axis stratum with zeros exactly on ``coords`` be reached from G?"""
-    return approach_certificate(poly, frozenset(coords)) is not None
+def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
+    """Distinct supports of the extreme rays of K = C ∩ {d <= 0}.
+
+    K is pointed and no ray has a positive entry, so no entries cancel in a
+    nonnegative combination of rays: its support is the union of theirs.
+    """
+    n = poly.n
+    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    # unit rows first: the double description then starts from the negative orthant
+    cone = recession_cone(units + [list(a.components) for a in poly.normals], n)
+    return tuple(dict.fromkeys(frozenset(j for j, x in enumerate(r) if sign_of(x) != 0)
+                               for r in cone.rays))
+
+
+def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:
+    """Can the axis stratum with zeros exactly on ``coords`` be reached from G?
+
+    Yes iff some recession direction d <= 0 has support exactly S = coords,
+    that is iff S is the union of the approach supports contained in S.
+    """
+    target = frozenset(coords)
+    if not target:
+        raise ValueError("approach needs a non-empty coordinate set")
+    return frozenset().union(*(s for s in poly.approach_supports if s <= target)) == target
 
 
 def product_split(spec: DomainSpec, lineality: Subspace) -> Optional[ProductSplit]:
@@ -373,7 +398,6 @@ def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron,
     return cert
 
 
-@lru_cache(maxsize=None)
 def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
     """A point of the open system, or None if the open system is empty.
 

@@ -14,16 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from functools import cached_property
+from itertools import combinations
+from typing import Optional, Sequence
 
+from .cones import (RecessionCone, Subspace, approach, approach_supports, interior_point,
+                    lineality_space, recession_cone)
 from .errors import EmptyDomainError, SpecError
 from .loglin import LogLin
 from .scalars import (Scalar, is_rational, is_square_free, parse_scalar_literal,
                       scalar_to_json, sign_of)
-
-if TYPE_CHECKING:
-    from .cones import RecessionCone
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,9 @@ class LogPolyhedron:
     """The system <alpha, x> < log(c) over R^n, one half-space per constraint.
 
     Offsets stay as the exact thresholds c; log(c) only ever materialises as
-    a directed-rounding interval inside LogLin comparisons.
+    a directed-rounding interval inside LogLin comparisons.  The derived
+    geometry below is computed by :mod:`reinhardt.cones` on first use and
+    lives as long as the polyhedron.
     """
 
     n: int
@@ -104,10 +106,39 @@ class LogPolyhedron:
     offsets: tuple[Scalar, ...]
 
     @cached_property
+    def lineality(self) -> Subspace:
+        """Common kernel of the normals."""
+        return lineality_space(self)
+
+    @cached_property
     def recession(self) -> RecessionCone:
-        """Exact generators of {d : <alpha_i, d> <= 0}, computed on first use."""
-        from .cones import recession_cone
-        return recession_cone(self)
+        """Exact generators of {d : <alpha_i, d> <= 0}."""
+        return recession_cone([list(a.components) for a in self.normals], self.n)
+
+    @cached_property
+    def approach_supports(self) -> tuple[frozenset[int], ...]:
+        """Supports of the extreme rays of {d : <alpha_i, d> <= 0, d <= 0}."""
+        return approach_supports(self)
+
+    @cached_property
+    def axis_faces(self) -> tuple[tuple[frozenset[int], Optional[LogPolyhedron]], ...]:
+        """Each approachable coordinate set S, by size and then lexicographically,
+        with the system on the other coordinates made of the constraints that
+        vanish on S (None when no coordinate is left).  That system contains
+        the closure stratum at S, so certifying continuity on it is sound."""
+        out = []
+        for size in range(1, self.n + 1):
+            for coords in combinations(range(self.n), size):
+                if not approach(self, coords):
+                    continue
+                keep = [j for j in range(self.n) if j not in coords]
+                rows = [(ExponentVector(tuple(a[j] for j in keep)), c)
+                        for a, c in zip(self.normals, self.offsets)
+                        if all(sign_of(a[j]) == 0 for j in coords)]
+                face = LogPolyhedron(n=len(keep), normals=tuple(a for a, _ in rows),
+                                     offsets=tuple(c for _, c in rows)) if keep else None
+                out.append((frozenset(coords), face))
+        return tuple(out)
 
     def half_space_slack(self, x: Sequence[LogLin]) -> list[LogLin]:
         """log(c_i) - <alpha_i, x> for each constraint (positive inside)."""
@@ -148,14 +179,14 @@ class DomainSpec:
             for con in self.constraints]
         return doc
 
-
-@lru_cache(maxsize=None)
-def log_polyhedron(spec: DomainSpec) -> LogPolyhedron:
-    return LogPolyhedron(
-        n=spec.n,
-        normals=tuple(con.alpha for con in spec.constraints),
-        offsets=tuple(con.c for con in spec.constraints),
-    )
+    @cached_property
+    def log_polyhedron(self) -> LogPolyhedron:
+        """The log-polyhedron of the constraints, built on first use."""
+        return LogPolyhedron(
+            n=self.n,
+            normals=tuple(con.alpha for con in self.constraints),
+            offsets=tuple(con.c for con in self.constraints),
+        )
 
 
 def parse_spec(text: str) -> DomainSpec:
@@ -195,8 +226,7 @@ def parse_spec(text: str) -> DomainSpec:
         constraints.append(MonomialConstraint(alpha, c))
     spec = DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=quad_d, raw_text=text)
     # reject empty open domains at load time
-    from .cones import interior_point
-    if interior_point(log_polyhedron(spec)) is None:
+    if interior_point(spec.log_polyhedron) is None:
         raise EmptyDomainError("the constraint system has an empty log-polyhedron")
     return spec
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cones import lp_optimize
-from .domain import DomainSpec, ExponentVector, contains, log_polyhedron, radial
+from .domain import DomainSpec, ExponentVector, contains, radial
 from .errors import MonteCarloError
 from .norms import NormResult
 from .precision import working_precision
@@ -40,7 +40,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def bounding_radii(spec: DomainSpec) -> np.ndarray:
     """Per-coordinate sup of |z_j|, as floats rounded up (rejection box)."""
-    poly = log_polyhedron(spec)
+    poly = spec.log_polyhedron
     radii = []
     for j in range(spec.n):
         obj = [Fraction(0)] * spec.n

@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import product
 from typing import Optional, Sequence
 
 from . import linalg
-from .cones import (lineality_space, lp_optimize, recession_improving_direction,
-                    recession_meets_halfspace, require_optimal)
-from .domain import DomainSpec, ExponentVector, log_polyhedron
+from .cones import (lp_optimize, recession_improving_direction, recession_meets_halfspace,
+                    require_optimal)
+from .domain import DomainSpec, ExponentVector, LogPolyhedron
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
 from .precision import interval_str, iv, scalar_interval, working_precision
@@ -84,8 +85,7 @@ class SimplicialFrame:
             for j in range(self.n))
         return unit, shift
 
-    def polyhedron(self):
-        from .domain import LogPolyhedron
+    def polyhedron(self) -> LogPolyhedron:
         return LogPolyhedron(n=self.n, normals=self.normals, offsets=self.thresholds)
 
 
@@ -161,7 +161,7 @@ def make_exact_norm(coefficient: Scalar, pi_power: int,
 
 def sup_norm_monomial(spec: DomainSpec, nu: ExponentVector) -> NormResult:
     """sup over the domain of |z^nu| = exp(sup <nu, x> over log G)."""
-    poly = log_polyhedron(spec)
+    poly = spec.log_polyhedron
     ray = recession_improving_direction(poly, list(nu.components))
     if ray is not None:
         return NormResult(kind="infinite", ray=tuple(ray))
@@ -179,7 +179,7 @@ def lp_norm_finite(spec: DomainSpec, nu: ExponentVector, p) -> bool:
     if p < 1:
         raise ValueError("p must be a rational >= 1")
     w = [p * Fraction(c) + 2 for c in nu.as_ints()]
-    return recession_meets_halfspace(log_polyhedron(spec), w) is None
+    return recession_meets_halfspace(spec.log_polyhedron, w) is None
 
 
 def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: ExponentVector, p) -> NormResult:
@@ -210,10 +210,8 @@ def find_integrable_monomial(spec: DomainSpec, max_radius: int = 40
                              ) -> Optional[tuple[ExponentVector, Fraction]]:
     """Search for (nu, p) with a finite L^p integral; None when the lineality
     space is nonzero (no monomial is p-integrable then)."""
-    poly = log_polyhedron(spec)
-    if lineality_space(poly).dim > 0:
+    if spec.log_polyhedron.lineality.dim > 0:
         return None
-    from itertools import product
     for radius in range(max_radius + 1):
         shell = [nu for nu in product(range(-radius, radius + 1), repeat=spec.n)
                  if max((abs(x) for x in nu), default=0) == radius]

@@ -11,14 +11,11 @@ L2 = "l2"                      # square-integrable holomorphic functions
 LP = "lp"                      # p-integrable holomorphic functions
 LDIAMOND_AK = "ldiamond_ak"    # all-p integrable derivatives up to order k
 AK = "ak"                      # derivatives up to order k continuous on the closure
-AINF = "ainf"                  # all derivatives continuous on the closure
-S_OF_G = "s_of_g"              # derivatives bounded on compact closure pieces
-HINF_CLOSURE = "hinf_closure"  # bounded and holomorphic past the closure
 HINF_K = "hinf_k"              # bounded derivatives up to order k
 
 _PARAM_P = {LP}
 _PARAM_K = {LDIAMOND_AK, AK, HINF_K}
-_ALL = {HINF, L2, LP, LDIAMOND_AK, AK, AINF, S_OF_G, HINF_CLOSURE, HINF_K}
+_ALL = {HINF, L2, LP, LDIAMOND_AK, AK, HINF_K}
 
 
 @dataclass(frozen=True)
@@ -67,18 +64,6 @@ def ldiamond_ak(k: int) -> FunctionSpace:
 
 def ak(k: int) -> FunctionSpace:
     return FunctionSpace(AK, k=k)
-
-
-def ainf() -> FunctionSpace:
-    return FunctionSpace(AINF)
-
-
-def s_of_g() -> FunctionSpace:
-    return FunctionSpace(S_OF_G)
-
-
-def hinf_closure() -> FunctionSpace:
-    return FunctionSpace(HINF_CLOSURE)
 
 
 def hinf_k(k: int) -> FunctionSpace:

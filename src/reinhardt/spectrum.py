@@ -8,22 +8,21 @@ of |z^nu|^p iff <p*nu + 2*1, d> < 0 on C minus 0.  Each is a scan of dot
 products against the generators of C, which :mod:`reinhardt.cones` computes
 once per domain, so no monomial solves an LP for them.  The closure-
 continuity engine for A^k is deliberately a sufficient-condition checker
-that answers "yes" or "indeterminate", never an unsound "no"; its axis
-approach sets are LPs, solved once per domain.
+that answers "yes" or "indeterminate", never an unsound "no"; it walks the
+approachable axis sets and their projected faces, which each
+``LogPolyhedron`` derives once from the ray supports of C ∩ {d <= 0}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
-from typing import Optional, Sequence
+from itertools import product
+from typing import Sequence
 
 from . import spaces as sp
-from .cones import (approach_certificate, face_meets_halfspace, lineality_space,
-                    recession_meets_halfspace, unbounded_direction)
-from .domain import DomainSpec, ExponentVector, MonomialConstraint, log_polyhedron
+from .cones import face_meets_halfspace, recession_meets_halfspace, unbounded_direction
+from .domain import DomainSpec, LogPolyhedron
 from .linalg import dot
 from .scalars import sign_of
 from .spaces import FunctionSpace
@@ -54,22 +53,6 @@ def monomial_defined(spec: DomainSpec, nu: Sequence[int]) -> bool:
     return True
 
 
-def sup_finite(spec: DomainSpec, nu: Sequence[int]) -> bool:
-    return unbounded_direction(log_polyhedron(spec), nu) is None
-
-
-@lru_cache(maxsize=None)
-def approachable_sets(spec: DomainSpec) -> tuple[frozenset, ...]:
-    """Non-empty coordinate sets whose joint axis stratum meets the closure."""
-    poly = log_polyhedron(spec)
-    out = []
-    for size in range(1, spec.n + 1):
-        for coords in combinations(range(spec.n), size):
-            if approach_certificate(poly, frozenset(coords)) is not None:
-                out.append(frozenset(coords))
-    return tuple(out)
-
-
 def _nonvanishing_orders(nu: Sequence[int], k: int):
     """sigma with |sigma| <= k whose derivative of z^nu is not identically 0."""
     for sigma in product(range(k + 1), repeat=len(nu)):
@@ -80,44 +63,20 @@ def _nonvanishing_orders(nu: Sequence[int], k: int):
         yield sigma
 
 
-def _projected_spec(spec: DomainSpec, drop: frozenset) -> Optional[DomainSpec]:
-    """Sub-spec on the surviving coordinates, keeping only constraints fully
-    supported there.  A superset of the true closure stratum, so certifying
-    continuity on it is sound."""
-    keep = [j for j in range(spec.n) if j not in drop]
-    if not keep:
-        return None
-    cons = []
-    for con in spec.constraints:
-        if all(sign_of(con.alpha[j]) == 0 for j in drop):
-            alpha = ExponentVector(tuple(con.alpha[j] for j in keep))
-            cons.append(MonomialConstraint(alpha, con.c))
-    return DomainSpec(n=len(keep), constraints=tuple(cons), quadratic_d=spec.quadratic_d)
-
-
-def _extends_continuously(spec: DomainSpec, m: tuple) -> bool:
+def _extends_continuously(poly: LogPolyhedron, m: tuple) -> bool:
     """Sufficient check that z^m extends continuously to the closure."""
     if all(e == 0 for e in m):
         return True
-    if not sup_finite(spec, m):
+    if unbounded_direction(poly, m) is not None:
         return False
-    for coords in approachable_sets(spec):
-        dominated = False
-        for ell in coords:
-            shifted = list(m)
-            shifted[ell] -= 1
-            if sup_finite(spec, shifted):
-                dominated = True  # |z^m| <= |z_ell| * sup|z^(m - e_ell)| -> 0
-                break
-        if dominated:
+    for coords, face in poly.axis_faces:
+        # |z^m| <= |z_ell| * sup|z^(m - e_ell)| -> 0
+        if any(unbounded_direction(poly, [e - (j == ell) for j, e in enumerate(m)]) is None
+               for ell in coords):
             continue
-        if all(m[j] == 0 for j in coords):
-            proj = _projected_spec(spec, coords)
-            if proj is None:
-                continue  # constant on the stratum
-            keep = [j for j in range(spec.n) if j not in coords]
-            if _extends_continuously(proj, tuple(m[j] for j in keep)):
-                continue
+        if all(m[j] == 0 for j in coords) and (face is None or _extends_continuously(
+                face, tuple(e for j, e in enumerate(m) if j not in coords))):
+            continue  # constant on the stratum, or continuous on its face
         return False
     return True
 
@@ -133,7 +92,7 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
         return SpaceMembership(NO, "undefined-on-interior-axis",
                                {"nu": list(nu)})
     kind = space.kind
-    poly = log_polyhedron(spec)
+    poly = spec.log_polyhedron
     if kind == sp.HINF:
         ray = unbounded_direction(poly, nu)
         if ray is None:
@@ -161,32 +120,30 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
                                    {"blocked_by": base.criterion, **base.evidence})
         for sigma in _nonvanishing_orders(nu, space.k):
             m = tuple(e - s for e, s in zip(nu, sigma))
-            if not _extends_continuously(spec, m):
+            if not _extends_continuously(poly, m):
                 return SpaceMembership(INDETERMINATE, "outside-sufficient-criteria",
                                        {"sigma": list(sigma)})
         return SpaceMembership(YES, "axis-vanishing-certified", {})
-    if kind == sp.LDIAMOND_AK:
-        for sigma in _nonvanishing_orders(nu, space.k):
-            m = tuple(e - s for e, s in zip(nu, sigma))
-            for p in (Fraction(1), Fraction(2)):
-                w = [p * e + 2 for e in m]
-                bad = recession_meets_halfspace(poly, w)
-                if bad is not None:
-                    return SpaceMembership(NO, "recession-obstruction",
-                                           {"sigma": list(sigma), "p": str(p),
-                                            "direction": [str(x) for x in bad]})
-            # all p >= 1 at once: <m, d> > 0 or (<m, d> = 0 and <2*1, d> >= 0) kills it
-            ray = unbounded_direction(poly, m)
-            if ray is not None:
-                return SpaceMembership(NO, "large-p-obstruction",
-                                       {"sigma": list(sigma), "direction": [str(x) for x in ray]})
-            bad = face_meets_halfspace(poly, m, [Fraction(1)] * spec.n)
+    # sp.LDIAMOND_AK: every other kind has returned above
+    for sigma in _nonvanishing_orders(nu, space.k):
+        m = tuple(e - s for e, s in zip(nu, sigma))
+        for p in (Fraction(1), Fraction(2)):
+            w = [p * e + 2 for e in m]
+            bad = recession_meets_halfspace(poly, w)
             if bad is not None:
-                return SpaceMembership(NO, "limit-p-obstruction",
-                                       {"sigma": list(sigma), "direction": [str(x) for x in bad]})
-        return SpaceMembership(YES, "all-p-integrable", {})
-    raise ValueError(f"no per-monomial criterion for space {space}; "
-                     "use the domain classifier instead")
+                return SpaceMembership(NO, "recession-obstruction",
+                                       {"sigma": list(sigma), "p": str(p),
+                                        "direction": [str(x) for x in bad]})
+        # all p >= 1 at once: <m, d> > 0 or (<m, d> = 0 and <2*1, d> >= 0) kills it
+        ray = unbounded_direction(poly, m)
+        if ray is not None:
+            return SpaceMembership(NO, "large-p-obstruction",
+                                   {"sigma": list(sigma), "direction": [str(x) for x in ray]})
+        bad = face_meets_halfspace(poly, m, [Fraction(1)] * spec.n)
+        if bad is not None:
+            return SpaceMembership(NO, "limit-p-obstruction",
+                                   {"sigma": list(sigma), "direction": [str(x) for x in bad]})
+    return SpaceMembership(YES, "all-p-integrable", {})
 
 
 def spectrum_box(spec: DomainSpec, space: FunctionSpace, radius: int
@@ -202,7 +159,7 @@ def spectrum_box(spec: DomainSpec, space: FunctionSpace, radius: int
 def spectrum_orthogonality_check(spec: DomainSpec, radius: int) -> bool:
     """Every boundedly-representable exponent is orthogonal to the lineality
     space (exact); PASS/FAIL over the box."""
-    lin = lineality_space(log_polyhedron(spec))
+    lin = spec.log_polyhedron.lineality
     if lin.dim == 0:
         return True
     for nu in spectrum_box(spec, sp.hinf(), radius):

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 import mpmath
 
-from .cones import approach_certificate
 from .domain import ExponentVector, RadialPoint
 from .errors import ReinhardtError, SpecError
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
@@ -370,11 +369,8 @@ def verify_witness_membership(w: WitnessFunction, frame: Optional[SimplicialFram
     n = frame.n
     if any(scalar_cmp(c, 1) != 0 for c in frame.thresholds):
         raise SpecError("membership verification expects unit thresholds")
-    poly = frame.polyhedron()
-    axis_coords = sorted({ell for size in range(1, n + 1)
-                          for coords in combinations(range(n), size)
-                          if approach_certificate(poly, frozenset(coords)) is not None
-                          for ell in coords})
+    # each approach support is approachable and every approachable set is a union of them
+    axis_coords = sorted(frozenset().union(*frame.polyhedron().approach_supports))
     checks = []
     for sigma in derivative_orders(n, k):
         nu = ExponentVector(tuple(Fraction(w.N * a - s)

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from reinhardt import (DomainSpec, ExponentVector, MonomialConstraint, interior_point,
-                       load_spec, log_polyhedron)
+from reinhardt import DomainSpec, ExponentVector, MonomialConstraint, interior_point, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -122,7 +121,7 @@ def random_spec(rng: random.Random, n: int, max_constraints: int = 3,
             constraints.append(MonomialConstraint(
                 ExponentVector(tuple(Fraction(x) for x in row)), c))
         spec = DomainSpec(n=n, constraints=tuple(constraints))
-        if interior_point(log_polyhedron(spec)) is not None:
+        if interior_point(spec.log_polyhedron) is not None:
             return spec
 
 
@@ -130,7 +129,7 @@ def sample_interior_points(spec: DomainSpec, count: int, rng: random.Random,
                            max_tries: int = 10_000):
     """Exactly-verified interior points of log G: the LP point plus rational
     jitter, each candidate re-checked with exact slack signs."""
-    poly = log_polyhedron(spec)
+    poly = spec.log_polyhedron
     base = interior_point(poly)
     assert base is not None
     points = []

@@ -16,7 +16,7 @@ from conftest import random_spec, sample_interior_points
 from reinhardt import (SimplicialFrame, approach, build_witness, classify_all,
                        classify_lp_ak, coefficient_inequality_check, exponents,
                        eval_witness_derivative, interior_point, lineality_space,
-                       log_polyhedron, lp_norm_exact_simplicial, lp_norm_monte_carlo,
+                       lp_norm_exact_simplicial, lp_norm_monte_carlo,
                        radial, spectrum_box, spectrum_orthogonality_check,
                        verify_witness_membership)
 from reinhardt import spaces as sp
@@ -143,7 +143,7 @@ def test_criterion_6_translation_invariance(acceptance):
     with acceptance(6, "lineality translation invariance on 20 seeded specs"):
         rng = random.Random(616161)
         for spec in _seeded_suite():
-            poly = log_polyhedron(spec)
+            poly = spec.log_polyhedron
             basis = lineality_space(poly).basis
             points = sample_interior_points(spec, 100, rng)
             for x in points:
@@ -164,7 +164,7 @@ def test_criterion_7_spectrum_orthogonality_and_chain(acceptance, multiplicative
         produced = 0
         while produced < 10:
             spec = random_spec(rng, 2, force_lineality=True)
-            if lineality_space(log_polyhedron(spec)).dim == 0:
+            if lineality_space(spec.log_polyhedron).dim == 0:
                 continue
             assert spectrum_orthogonality_check(spec, 5)
             produced += 1
@@ -187,7 +187,7 @@ _SCALES_BY_N = {1: (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64),
 def _brute_force_approach(spec, coords, rng):
     """Grid search for points of log G with the S-coordinates pushed below
     -T while the complement stays in a small window around an interior point."""
-    poly = log_polyhedron(spec)
+    poly = spec.log_polyhedron
     base = interior_point(poly)
     big_t = 1000
     jitter = Fraction(rng.randint(0, 7), 16)
@@ -211,7 +211,7 @@ def test_criterion_8_approach_vs_sampling_oracle(acceptance, gallery):
         rng = random.Random(808080)
         suite = list(gallery.values()) + _seeded_suite()
         for spec in suite:
-            poly = log_polyhedron(spec)
+            poly = spec.log_polyhedron
             for size in range(1, spec.n + 1):
                 for coords in combinations(range(spec.n), size):
                     lp_says = approach(poly, frozenset(coords))

@@ -2,9 +2,10 @@ import json
 from fractions import Fraction
 
 import jsonschema
+import pytest
 
-from reinhardt import (classify_ainf, classify_all, classify_hinf, classify_hinf_k,
-                       classify_l2, classify_lp_ak, log_polyhedron, parse_spec)
+from reinhardt import (ReinhardtError, classify, classify_ainf, classify_all, classify_hinf,
+                       classify_hinf_k, classify_l2, classify_lp_ak, parse_spec)
 from reinhardt.classify import REPORT_SCHEMA
 from reinhardt.cones import approach_certificate, recession_contains
 from reinhardt.scalars import sign_of
@@ -57,7 +58,7 @@ def test_every_no_carries_reverifiable_evidence(hartogs, multiplicative_strip,
     v = classify_ainf(hartogs)
     eps = v.evidence["failing_epsilon"]
     coords = frozenset(j for j, e in enumerate(eps) if e)
-    poly = log_polyhedron(hartogs)
+    poly = hartogs.log_polyhedron
     ray = approach_certificate(poly, coords)
     assert ray is not None
     assert recession_contains(poly, list(ray))
@@ -65,7 +66,7 @@ def test_every_no_carries_reverifiable_evidence(hartogs, multiplicative_strip,
     # l2 refusal: the lineality vector is a two-sided recession direction
     v2 = classify_l2(multiplicative_strip)
     vec = [Fraction(x) for x in v2.evidence["lineality_vector"]]
-    poly2 = log_polyhedron(multiplicative_strip)
+    poly2 = multiplicative_strip.log_polyhedron
     assert recession_contains(poly2, vec) and recession_contains(poly2, [-x for x in vec])
     # hinf refusal: the basis must genuinely miss integer points
     v3 = classify_hinf(irrational_slope)
@@ -93,3 +94,11 @@ def test_report_schema_validates(gallery):
         doc = classify_all(spec).to_json_dict()
         jsonschema.validate(doc, REPORT_SCHEMA)
         json.dumps(doc)  # JSON-serialisable all the way down
+
+
+def test_approach_lp_disagreement_is_a_typed_error(monkeypatch, hartogs):
+    # the ray supports say {1, 2} is approachable; an LP that finds no ray must
+    # raise, also under ``python -O``
+    monkeypatch.setattr(classify, "approach_certificate", lambda *_args: None)
+    with pytest.raises(ReinhardtError, match="disagrees"):
+        classify_ainf(hartogs)

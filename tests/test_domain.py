@@ -1,11 +1,17 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from reinhardt import (EmptyDomainError, SpecError, contains, has_finite_volume,
-                       is_bounded, log_polyhedron, parse_spec, radial)
+from conftest import SPEC_DIR
+
+from reinhardt import (EmptyDomainError, SpecError, classify_all, contains, has_finite_volume,
+                       is_bounded, parse_spec, radial, spectrum_box)
+from reinhardt import spaces as sp
+
 HARTOGS = '{"n":2,"constraints":[{"alpha":["1","-1"],"c":"1"},{"alpha":["0","1"],"c":"1"}]}'
 
 
@@ -56,9 +62,20 @@ def test_parse_rejects_malformed(doc):
 
 def test_log_polyhedron_order_preserved():
     spec = parse_spec(HARTOGS)
-    poly = log_polyhedron(spec)
+    poly = spec.log_polyhedron
     assert [a.as_ints() for a in poly.normals] == [(1, -1), (0, 1)]
     assert list(poly.offsets) == [Fraction(1), Fraction(1)]
+
+
+def test_derived_geometry_is_freed_with_the_spec():
+    # no module-level memo may keep a domain alive once its caller drops it
+    spec = parse_spec((SPEC_DIR / "hartogs_half.json").read_text(encoding="utf-8"))
+    classify_all(spec)
+    spectrum_box(spec, sp.ak(1), 1)
+    refs = [weakref.ref(spec), weakref.ref(spec.log_polyhedron)]
+    del spec
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_contains_axis_rules(hartogs, annulus):
