@@ -16,7 +16,8 @@ direction they return is re-checked exactly before it is returned.  Axis
 approach is read off the ray supports of C ∩ {d <= 0} (:func:`approach`).
 The functions here keep no memo: ``LogPolyhedron`` computes each derived
 object on first use and holds it for its own lifetime.  Interior points, the
-approach and sup-norm rays and offset-dependent optima are LPs solved by
+approach and sup-norm rays, the Monte-Carlo bounding box
+(:func:`radius_box`) and offset-dependent optima are LPs solved by
 :mod:`reinhardt.simplex`.
 """
 
@@ -27,10 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import linalg
 from .errors import ReinhardtError
 from .hnf import cleared_integer_rows, integer_kernel_basis
 from .loglin import LogLin
+from .precision import working_precision
 from .scalars import QuadExt, Scalar, is_rational, sign_of
 from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, solve_lp
 
@@ -396,6 +400,22 @@ def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron,
         return LPCertificate(status=cert.status, primal_point=cert.primal_point,
                              objective=cert.objective, dual=cert.dual, attained=attained)
     return cert
+
+
+def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
+    """Per-coordinate sup of |z_j| as floats rounded up, or None when some
+    |z_j| is unbounded: one LP per coordinate, in coordinate order."""
+    logs = []
+    for j in range(poly.n):
+        obj = [Fraction(0)] * poly.n
+        obj[j] = Fraction(1)
+        cert = lp_optimize(obj, poly)
+        if cert.status != OPTIMAL:
+            return None
+        with working_precision(64):
+            logs.append(float(cert.objective.interval().b))
+    # tiny outward inflation keeps the box a true superset after float rounding
+    return tuple((np.exp(np.array(logs)) * (1.0 + 1e-9)).tolist())
 
 
 def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:

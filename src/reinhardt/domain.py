@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .cones import (RecessionCone, Subspace, approach, approach_supports, interior_point,
-                    lineality_space, recession_cone)
+                    lineality_space, radius_box, recession_cone)
 from .errors import EmptyDomainError, SpecError
 from .loglin import LogLin
 from .scalars import (Scalar, is_rational, is_square_free, parse_scalar_literal,
@@ -119,6 +119,11 @@ class LogPolyhedron:
     def approach_supports(self) -> tuple[frozenset[int], ...]:
         """Supports of the extreme rays of {d : <alpha_i, d> <= 0, d <= 0}."""
         return approach_supports(self)
+
+    @cached_property
+    def radius_box(self) -> Optional[tuple[float, ...]]:
+        """Per-coordinate sup of |z_j|, rounded up (None when unbounded)."""
+        return radius_box(self)
 
     @cached_property
     def axis_faces(self) -> tuple[tuple[frozenset[int], Optional[LogPolyhedron]], ...]:

@@ -4,16 +4,36 @@ Sampling measure: each radius r_j is drawn with density 2 r / R_j^2 on
 [0, R_j] (the area measure of the disc of radius R_j), phases uniformly when
 the integrand needs them; acceptance is membership of the radius vector.
 With W = prod_j pi R_j^2 the estimator  W * mean(1_G * f)  converges to
-int_G f dLambda_{2n}.
+int_G f dLambda_{2n}.  The box R is solved once per domain (one LP per
+coordinate) and held by its ``LogPolyhedron``.
 
 Streams are counter-based and bit-reproducible: sample block b (fixed size
 65536) is generated by ``numpy.random.Philox(key=(seed, b))``, radii first,
 then phases, and blocks are reduced in index order.  Identical seed and
-sample count give identical results on any platform or thread layout.
+sample count give identical results for any thread layout.  Across CPUs,
+numpy's SIMD loops for transcendental functions may round single values
+differently from its baseline loops: ``pow`` with an array exponent does so
+for about 5% of values, so the last bits of an estimate with exponents other
+than 0 and 1 may depend on the CPU (none of the golden estimates moved with
+dispatch switched off).
+
+A block is evaluated column by column on preallocated buffers, and these
+rules keep every output bit fixed:
+
+* exponents nu_j * p other than 0 and 1 keep the ``r[accepted] ** exps``
+  layout, since numpy's power loop takes ``x*x`` for a stride-0 exponent
+  2.0 but ``pow`` for an array exponent, and the two differ in the last
+  bit; exponents 0 and 1 need no power (``pow(x, 0) == 1``,
+  ``pow(x, 1) == x``), so their columns are multiplied over the whole block;
+* the per-sample product is taken left to right over the coordinates, and
+  the weight W is applied last;
+* the sums run over full-length blocks, zeros for rejected samples
+  included, because pairwise summation depends on where each value sits.
 
 Acceptance is decided on float log-slacks with a guard band: samples within
 1e-9 of a constraint boundary are re-adjudicated with the exact membership
-predicate, so boundary behaviour never depends on float rounding.
+predicate, so boundary behaviour never depends on float rounding.  Only the
+guard band sees the slack values, so their rounding may change freely.
 """
 
 from __future__ import annotations
@@ -24,68 +44,83 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cones import lp_optimize
 from .domain import DomainSpec, ExponentVector, contains, radial
 from .errors import MonteCarloError
 from .norms import NormResult
-from .precision import working_precision
 
 BLOCK_SIZE = 1 << 16
+_CHUNK = 1 << 14  # rows per acceptance pass: its scratch stays cache-sized
 _BOUNDARY_BAND = 1e-9
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, block]))
-
-
 def bounding_radii(spec: DomainSpec) -> np.ndarray:
-    """Per-coordinate sup of |z_j|, as floats rounded up (rejection box)."""
-    poly = spec.log_polyhedron
-    radii = []
-    for j in range(spec.n):
-        obj = [Fraction(0)] * spec.n
-        obj[j] = Fraction(1)
-        cert = lp_optimize(obj, poly)
-        if cert.status != "optimal":
-            raise MonteCarloError("domain is unbounded; Monte-Carlo needs a bounding polydisc")
-        with working_precision(64):
-            radii.append(float(cert.objective.interval().b))
-    # tiny outward inflation keeps the box a true superset after float rounding
-    return np.exp(np.array(radii)) * (1.0 + 1e-9)
+    """Per-coordinate sup of |z_j|, as floats rounded up (rejection box).
+
+    The LPs are solved once per domain (``LogPolyhedron.radius_box``); each
+    call returns a new array.
+    """
+    box = spec.log_polyhedron.radius_box
+    if box is None:
+        raise MonteCarloError("domain is unbounded; Monte-Carlo needs a bounding polydisc")
+    return np.array(box)
 
 
 class _Sampler:
-    """Shared rejection sampler; one instance per (spec, seed, phases?)."""
+    """Shared rejection sampler; one instance per (spec, seed, phases?).
+
+    ``block`` returns views of buffers that the next ``block`` call reuses.
+    """
 
     def __init__(self, spec: DomainSpec, seed: int, with_phases: bool):
         self.spec = spec
         self.seed = int(seed)
-        self.with_phases = with_phases
         self.box = bounding_radii(spec)
         self.weight = float(np.prod(np.pi * self.box ** 2))
-        self.alpha = np.array([[float(a) for a in con.alpha.components]
-                               for con in spec.constraints])
-        self.log_c = np.array([math.log(float(con.c)) for con in spec.constraints])
+        # per constraint: log c and its (column, exponent) pairs with a nonzero exponent
+        self.rows = [(math.log(float(con.c)),
+                      [(j, a) for j, a in enumerate(float(x) for x in con.alpha.components)
+                       if a != 0.0])
+                     for con in spec.constraints]
+        shape = (BLOCK_SIZE, len(self.box))
+        self._r = np.empty(shape)
+        self._theta = np.empty(shape) if with_phases else None
+        self._log_r = np.empty((_CHUNK, len(self.box)))
+        self._slack, self._term = np.empty(_CHUNK), np.empty(_CHUNK)
 
     def block(self, index: int, count: int):
-        rng = _block_rng(self.seed, index)
-        u = rng.random((count, len(self.box)))
-        r = self.box * np.sqrt(u)
-        theta = rng.random((count, len(self.box))) * (2 * np.pi) if self.with_phases else None
+        rng = np.random.Generator(np.random.Philox(key=[self.seed, index]))
+        r = rng.random(out=self._r[:count])
+        np.sqrt(r, out=r)
+        # column by column: broadcasting the box would run an n-long inner loop per sample
+        for j, radius in enumerate(self.box):
+            r[:, j] *= radius
+        theta = None
+        if self._theta is not None:
+            theta = rng.random(out=self._theta[:count])
+            theta *= 2 * np.pi
         return r, theta, self._accept(r)
 
     def _accept(self, r: np.ndarray) -> np.ndarray:
-        if self.alpha.size == 0:
-            return np.ones(len(r), dtype=bool)
+        count = len(r)
+        ok = np.ones(count, dtype=bool)
+        if not self.rows:
+            return ok
+        near = np.ones(count, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_r = np.log(r)
-        slack = np.empty((len(r), len(self.alpha)))
-        for i, row in enumerate(self.alpha):
-            mask = row != 0.0
-            slack[:, i] = self.log_c[i] - log_r[:, mask] @ row[mask]
-        ok = (slack > _BOUNDARY_BAND).all(axis=1)
-        unsure = ~ok & (slack > -_BOUNDARY_BAND).all(axis=1)
-        for idx in np.nonzero(unsure)[0]:
+            for start in range(0, count, _CHUNK):
+                rows = slice(start, start + _CHUNK)
+                size = len(r[rows])
+                log_r = np.log(r[rows], out=self._log_r[:size])
+                slack, term = self._slack[:size], self._term[:size]
+                ok_part, near_part = ok[rows], near[rows]
+                for log_c, terms in self.rows:
+                    slack.fill(log_c)
+                    for j, a in terms:
+                        np.multiply(log_r[:, j], a, out=term)
+                        slack -= term
+                    ok_part &= slack > _BOUNDARY_BAND
+                    near_part &= slack > -_BOUNDARY_BAND
+        for idx in np.flatnonzero(near & ~ok):
             point = radial(*[Fraction(float(x)) for x in r[idx]])
             ok[idx] = contains(self.spec, point)
         return ok
@@ -97,11 +132,39 @@ def _mean_stderr(total: float, total_sq: float, count: int) -> tuple[float, floa
     return mean, math.sqrt(var / count)
 
 
+def _weighted_powers(r: np.ndarray, ok: np.ndarray, exps: np.ndarray, weight: float,
+                     out: np.ndarray) -> np.ndarray:
+    """``weight * prod_j r_j ** exps_j`` on accepted samples and 0 elsewhere,
+    written to ``out``, bit for bit as ``out[ok] = weight * np.prod(r[ok] **
+    exps, axis=1)`` on a zeroed ``out``."""
+    cols = [j for j, e in enumerate(exps) if e != 0.0]
+    if any(exps[j] != 1.0 for j in cols):
+        out.fill(0.0)
+        idx = np.flatnonzero(ok)
+        powers = np.take(r, idx, axis=0) ** exps
+        prod = powers[:, 0]
+        for j in range(1, len(exps)):
+            prod = prod * powers[:, j]
+        out[idx] = weight * prod
+        return out
+    # pow(x, 0) == 1 and pow(x, 1) == x exactly: multiply whole columns, zero the rejected
+    if cols:
+        np.copyto(out, r[:, cols[0]])
+        for j in cols[1:]:
+            out *= r[:, j]
+        out *= ok
+    else:
+        np.copyto(out, ok)
+    out *= weight
+    return out
+
+
 def lp_norm_monte_carlo(spec: DomainSpec, nu: ExponentVector, p, samples: int, seed: int
                         ) -> NormResult:
     """MC estimate of the integral of |z^nu|^p, with standard error."""
     exps = np.array(nu.as_ints(), dtype=float) * float(Fraction(p))
     sampler = _Sampler(spec, seed, with_phases=False)
+    vals_buf, sq_buf = np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE)
     s1 = s2 = 0.0
     accepted = 0
     done = 0
@@ -109,12 +172,10 @@ def lp_norm_monte_carlo(spec: DomainSpec, nu: ExponentVector, p, samples: int, s
     while done < samples:
         count = min(BLOCK_SIZE, samples - done)
         r, _, ok = sampler.block(block, count)
-        vals = np.zeros(count)
-        if ok.any():
-            vals[ok] = sampler.weight * np.prod(r[ok] ** exps, axis=1)
+        vals = _weighted_powers(r, ok, exps, sampler.weight, vals_buf[:count])
         s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-        accepted += int(ok.sum())
+        s2 += float(np.multiply(vals, vals, out=sq_buf[:count]).sum())
+        accepted += int(np.count_nonzero(ok))
         done += count
         block += 1
     if accepted == 0:
@@ -169,7 +230,8 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
         count = min(BLOCK_SIZE, samples - done)
         r, theta, ok = sampler.block(block, count)
         if ok.any():
-            ra, ta = r[ok], theta[ok]
+            idx = np.flatnonzero(ok)
+            ra, ta = np.take(r, idx, axis=0), np.take(theta, idx, axis=0)
             z = ra * np.exp(1j * ta)
             f_vals = np.zeros(len(ra), dtype=complex)
             for i, (nu, coeff) in enumerate(terms):

@@ -388,13 +388,14 @@ def verify_witness_membership(w: WitnessFunction, frame: Optional[SimplicialFram
             le_one = norm.kind == "exact" and _norm_sign_vs_one(norm) <= 0
             checks.append(WitnessCheck(sigma=sigma, p=p, norm=norm, norm_le_one=le_one,
                                        sup_cone_ok=sup_ok, vanishing_ok=vanish_ok))
-    tail = derive_tail_bound(w, k)
-    sup_bounds = {sigma: _sup_series_bound(derive_tail_bound(w, sum(sigma)), float(w.d))
+    # one spot-verified bound per derivative order |sigma| = 0..k
+    tails = {order: derive_tail_bound(w, order) for order in range(k + 1)}
+    sup_bounds = {sigma: _sup_series_bound(tails[sum(sigma)], float(w.d))
                   for sigma in derivative_orders(n, k)}
     return WitnessCertificate(
         witness=w, k=k, p_list=p_list, checks=tuple(checks),
         axis_coords=tuple(axis_coords), derivative_sup_bounds=sup_bounds,
-        tail_bound=tail, ok=all(c.ok for c in checks))
+        tail_bound=tails[k], ok=all(c.ok for c in checks))
 
 
 def _norm_sign_vs_one(norm: NormResult) -> int:

@@ -4,31 +4,41 @@ The files under ``tests/golden/`` were recorded with the dense-tableau
 simplex.  A change to the LP kernel must keep Bland's pivot sequence: the
 CLI outputs check the verdicts and spectra, and ``gallery_lps.json`` checks
 every vertex, dual, ray and Farkas vector of the LPs those commands solve,
-which the verdicts alone do not pin down.
+which the verdicts alone do not pin down.  ``montecarlo.json`` holds the
+``repr`` of seeded Monte-Carlo estimates and coefficient reports, one case
+per path of the block kernel, and for the cases whose exponents are all 0 or 1
+a digest of every per-sample value, so a faster kernel must keep every output
+bit.
 
 Re-record (only when a change is meant to move them) from the repository
 root with ``PYTHONPATH=src python tests/test_golden.py --record``.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from reinhardt import simplex
+from reinhardt import (coefficient_inequality_check, exponents, load_spec, lp_norm_monte_carlo,
+                       parse_spec, simplex)
 from reinhardt.cli import main
 from reinhardt.loglin import LogLin
+from reinhardt.montecarlo import BLOCK_SIZE, _Sampler, _weighted_powers
 from reinhardt.scalars import QuadExt, quad, scalar_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 LP_GOLDEN = GOLDEN / "gallery_lps.json"
+MC_GOLDEN = GOLDEN / "montecarlo.json"
 SPECS = sorted(p.stem for p in (ROOT / "specs").glob("*.json"))
 
 CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for name in SPECS] + [
@@ -55,7 +65,7 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
 
 def test_gallery_is_complete():
     assert len(SPECS) == 8
-    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p != LP_GOLDEN) == \
+    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p not in (LP_GOLDEN, MC_GOLDEN)) == \
         sorted(name for name, _ in CASES)
 
 
@@ -105,6 +115,102 @@ def test_gallery_lp_certificates_match_golden():
         assert _encode_certificate(simplex.solve_lp(a, b, c)) == case["certificate"]
 
 
+# -- Monte Carlo ------------------------------------------------------------
+
+CHAIN3 = ('{"n":3,"constraints":[{"alpha":["1","-1","0"],"c":"1"},'
+          '{"alpha":["0","1","-1"],"c":"1"},{"alpha":["0","0","1"],"c":"1"}]}')
+
+# name -> (domain, nu, p, samples, seed); the per-sample exponents nu*p pick
+# the path through the block kernel
+MC_CASES = {
+    "annulus_nu1_p2": ("annulus", (1,), "2", 4 * BLOCK_SIZE, 101),  # n=1: x*x, not pow
+    "polydisc_nu1_1_p1": ("polydisc", (1, 1), "1", 4 * BLOCK_SIZE, 102),  # two unit columns
+    "hartogs_nu0_0_p1": ("hartogs", (0, 0), "1", 4 * BLOCK_SIZE, 103),  # all exponents zero
+    "annulus_nu-1_p1": ("annulus", (-1,), "1", 4 * BLOCK_SIZE, 104),  # negative exponent
+    "hartogs_half_nu2_1_p3/2": ("hartogs_half", (2, 1), "3/2", 4 * BLOCK_SIZE, 105),
+    "chain3_nu1_0_2_p1": ("chain3", (1, 0, 2), "1", 4 * BLOCK_SIZE, 106),  # mixed 1, 0, 2
+    "hartogs_nu1_0_p1_partial_block": ("hartogs", (1, 0), "1", 2 * BLOCK_SIZE + 12345, 107),
+    "unit_disc_nu2_p2": ("unit_disc", (2,), "2", 4 * BLOCK_SIZE, 108),
+    "hartogs_nu0_2_p2": ("hartogs", (0, 2), "2", 4 * BLOCK_SIZE, 109),
+    "polydisc_nu1_1_p2": ("polydisc", (1, 1), "2", 4 * BLOCK_SIZE, 110),
+}
+# name -> (domain, Laurent polynomial, p, samples, seed)
+COEFFICIENT_CASES = {
+    "polydisc": ("polydisc", {(0, 0): 1.0, (1, 0): 1.0}, "2", 4 * BLOCK_SIZE, 11),
+    "annulus_laurent": ("annulus", {(1,): 1.0, (-1,): 1.0}, "2", 4 * BLOCK_SIZE, 12),
+}
+
+
+def _unit_exponents(nu, p) -> bool:
+    """Exponents nu_j * p of 0 and 1 need no ``pow``, so every per-sample
+    value is the same on every CPU; numpy's SIMD ``pow`` rounds about 5% of
+    single values differently from its baseline loop."""
+    return all(e * Fraction(p) in (0, 1) for e in nu)
+
+
+def _mc_spec(name):
+    return parse_spec(CHAIN3) if name == "chain3" else load_spec(str(ROOT / "specs" /
+                                                                      f"{name}.json"))
+
+
+def _values_sha256(spec, nu, p, samples, seed) -> str:
+    """Digest of every per-sample value the estimator sums: the sums alone
+    can hide a last-bit change in a few values."""
+    exps = np.array(nu, dtype=float) * float(Fraction(p))
+    sampler = _Sampler(spec, seed, with_phases=False)
+    digest = hashlib.sha256()
+    for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, samples - start)
+        r, _, ok = sampler.block(block, count)
+        digest.update(_weighted_powers(r, ok, exps, sampler.weight, np.empty(count)).tobytes())
+    return digest.hexdigest()
+
+
+def montecarlo_results(unit_only: bool = False) -> dict:
+    """``repr`` of every Monte-Carlo golden case, computed by the library, or
+    of the cases with exponents 0 and 1 only."""
+    out = {}
+    for name, (domain, nu, p, samples, seed) in MC_CASES.items():
+        unit = _unit_exponents(nu, p)
+        if unit_only and not unit:
+            continue
+        spec = _mc_spec(domain)
+        r = lp_norm_monte_carlo(spec, exponents(*nu), Fraction(p), samples, seed)
+        out[name] = {"estimate": repr(r.estimate), "stderr": repr(r.stderr)}
+        if unit:
+            out[name]["values_sha256"] = _values_sha256(spec, nu, p, samples, seed)
+    if unit_only:
+        return out
+    for name, (domain, poly, p, samples, seed) in COEFFICIENT_CASES.items():
+        report = coefficient_inequality_check(_mc_spec(domain), poly, Fraction(p), samples, seed)
+        out["coefficient_" + name] = repr(report)
+    return out
+
+
+def test_montecarlo_matches_golden():
+    assert montecarlo_results() == json.loads(MC_GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_montecarlo_golden_without_simd_dispatch():
+    """The cases with exponents 0 and 1, digests included, keep their bits
+    with every numpy SIMD dispatch target switched off.  The other cases go
+    through ``pow``, whose SIMD and baseline loops differ in the last bit of
+    some values, and the complex coefficient reports through ``exp`` and
+    ``abs``, so neither is pinned across CPUs."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__, "--montecarlo"], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300, check=True)
+    golden = json.loads(MC_GOLDEN.read_text(encoding="utf-8"))
+    got = json.loads(proc.stdout)
+    assert got and got == {name: golden[name] for name in got}
+
+
 def record() -> None:
     """Rewrite every golden file from the ``reinhardt`` on ``sys.path``, in a
     fresh process, so that no LP is skipped by a warm cache."""
@@ -139,9 +245,13 @@ def record() -> None:
         for m in modules:
             m.solve_lp = solve
     LP_GOLDEN.write_text(json.dumps(cases, separators=(",", ":")) + "\n", encoding="utf-8")
+    MC_GOLDEN.write_text(json.dumps(montecarlo_results(), indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--montecarlo"]:
+        print(json.dumps(montecarlo_results(unit_only=True)))
+        sys.exit(0)
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
     os.chdir(ROOT)

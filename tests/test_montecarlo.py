@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from reinhardt import (MonteCarloError, coefficient_inequality_check, exponents,
-                       lp_norm_monte_carlo)
-from reinhardt.montecarlo import bounding_radii
+from reinhardt import (MonteCarloError, coefficient_inequality_check, cones, contains, exponents,
+                       load_spec, lp_norm_monte_carlo, radial)
+from reinhardt.montecarlo import (_BOUNDARY_BAND, BLOCK_SIZE, _Sampler, _weighted_powers,
+                                  bounding_radii)
+from conftest import SPEC_DIR
 
 N_SMOKE = 200_000
 
@@ -41,6 +45,58 @@ def test_bounding_radii(hartogs, hartogs_half):
     assert box == pytest.approx([1.0, 1.0], rel=1e-6)
     box2 = bounding_radii(hartogs_half)
     assert box2 == pytest.approx([0.5, 0.5], rel=1e-6)
+
+
+@pytest.mark.parametrize("exps", [(1.0,), (2.0,), (-1.0,), (0.0, 0.0), (1.0, 1.0), (1.0, 0.0),
+                                  (0.0, 2.0), (2.0, 1.0), (3.0, 1.5), (1.0, 0.0, 2.0),
+                                  (0.0, 1.0, 1.0, 1.0)])
+def test_weighted_powers_match_the_reference_expression(exps):
+    """Every value, not only the sums, equals the plain numpy expression."""
+    rng = np.random.default_rng(len(exps))
+    r = 0.01 + rng.random((5000, len(exps)))
+    ok = rng.random(5000) < 0.6
+    weight = math.pi ** 2 * (1.0 + 1e-9) ** 4
+    expected = np.zeros(5000)
+    expected[ok] = weight * np.prod(r[ok] ** np.array(exps), axis=1)
+    got = _weighted_powers(r, ok, np.array(exps), weight, np.empty(5000))
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", ["hartogs", "annulus", "polydisc", "hartogs_half"])
+def test_acceptance_matches_the_reference_mask(name):
+    """The row-by-row mask equals the slack matrix with the exact re-check."""
+    spec = load_spec(str(SPEC_DIR / f"{name}.json"))
+    alpha = np.array([[float(a) for a in con.alpha.components] for con in spec.constraints])
+    log_c = np.array([math.log(float(con.c)) for con in spec.constraints])
+    sampler = _Sampler(spec, 5, with_phases=False)
+    for b in (0, 3):
+        r, _, ok = sampler.block(b, 20_000)
+        slack = log_c - np.log(r) @ alpha.T
+        expected = (slack > _BOUNDARY_BAND).all(axis=1)
+        for idx in np.flatnonzero(~expected & (slack > -_BOUNDARY_BAND).all(axis=1)):
+            expected[idx] = contains(spec, radial(*[Fraction(float(x)) for x in r[idx]]))
+        assert np.array_equal(ok, expected)
+
+
+def test_bounding_radii_solves_its_lps_once_per_domain(monkeypatch):
+    calls = []
+    solve = cones.lp_optimize
+    monkeypatch.setattr(cones, "lp_optimize", lambda *a: calls.append(a) or solve(*a))
+    spec = load_spec(str(SPEC_DIR / "hartogs.json"))
+    first = bounding_radii(spec)
+    lp_norm_monte_carlo(spec, exponents(1, 0), 1, 1000, seed=1)
+    coefficient_inequality_check(spec, {(1, 0): 1.0}, 1, 1000, seed=1)
+    assert np.array_equal(bounding_radii(spec), first)
+    assert len(calls) == spec.n
+
+
+def test_bounding_radii_cannot_be_corrupted_by_callers():
+    spec = load_spec(str(SPEC_DIR / "hartogs_half.json"))
+    before = lp_norm_monte_carlo(spec, exponents(1, 0), 1, BLOCK_SIZE + 7, seed=3)
+    box = bounding_radii(spec)
+    box *= 4.0
+    assert bounding_radii(spec) == pytest.approx([0.5, 0.5], rel=1e-6)
+    assert lp_norm_monte_carlo(spec, exponents(1, 0), 1, BLOCK_SIZE + 7, seed=3) == before
 
 
 def test_mc_rejects_unbounded(disc_times_plane):
