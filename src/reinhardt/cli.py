@@ -134,8 +134,7 @@ def _run_norm(args, spec: DomainSpec, nu_ints: tuple[int, ...]) -> int:
             raise SpecError("--mc requires an explicit --seed")
         result = lp_norm_monte_carlo(spec, nu, p, args.samples, args.seed)
     else:
-        frame = SimplicialFrame.from_spec(spec, _parse_rows(args.rows, spec))
-        result = lp_norm_exact_simplicial(frame, nu, p)
+        result = lp_norm_exact_simplicial(SimplicialFrame.from_spec(spec), nu, p)
     doc = {"command": "norm", "nu": list(nu_ints), "p": str(p), "result": _norm_json(result)}
     _emit(args, doc, [f"integral of |z^{list(nu_ints)}|^{p}: {_norm_text(result)}"])
     return 0
@@ -233,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mc", action="store_true", help="Monte-Carlo estimate")
         p.add_argument("--samples", type=int, default=10 ** 6)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rows", default=None,
-                       help="1-based constraint indices forming the frame")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("witness", help="build (and verify) the singular witness")
@@ -258,8 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # argparse has printed the usage error to stderr
     try:
         if args.echo_spec and args.command != "classify":
             spec = load_spec(args.spec)

@@ -2,11 +2,25 @@
 
 These are the quantities the solver actually compares: log-thresholds of
 constraints, LP objective values, and membership slacks all have this shape.
-Signs are decided exactly whenever every coefficient is rational — the
-combination then equals ``log(prod base_i**coeff_i) + const``, and for
-``const == 0`` the product comparison against 1 happens inside the scalar
-field after clearing denominators.  Only genuinely transcendental comparisons
-fall through to the interval ladder.
+:meth:`LogLin.sign` decides them as follows.
+
+* A form with no terms has the sign of its constant, and a form
+  ``coeff * log(base)`` has the sign of ``coeff`` times that of
+  ``base - 1``, for any field coefficient and any positive base.
+* A form whose bases are all rational is rewritten over a pairwise-coprime
+  (gcd-free) base of every numerator and denominator, as
+  ``const + sum(e_j * log(p_j))``.  Coprime integers greater than 1 are
+  multiplicatively independent, so by Baker's theorem the form is zero
+  exactly when every ``e_j`` is zero and ``const`` is zero: this is the exact
+  zero test, for coefficients in Q and in Q(sqrt d) alike.  A nonzero form
+  with ``const == 0`` and rational ``e_j`` is decided by comparing two
+  integer products when they are small, and otherwise by the interval ladder,
+  which must terminate on a nonzero form; the products decide it as well
+  when the ladder reaches its cap.
+* Nonzero forms with a constant or with a coefficient in Q(sqrt d), and every
+  form with a base (threshold) in Q(sqrt d), go to the interval ladder.  A
+  form of the last kind that is exactly zero without equal bases cancelling
+  cannot be resolved and ends in :class:`BoundaryIndeterminate`.
 """
 
 from __future__ import annotations
@@ -17,8 +31,15 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable
 
+from .errors import BoundaryIndeterminate
 from .precision import iv, ladder_sign, scalar_interval
-from .scalars import Scalar, is_rational, scalar_cmp, sign_of
+from .scalars import QuadExt, Scalar, is_rational, quad, scalar_cmp, sign_of
+
+# A form over rational bases with a zero constant and rational coprime-base
+# exponents e_j is decided by integer products outright when they need at most
+# this many bits, sum(|e_j * L| * bitlen(p_j)) for the least L > 0 that makes
+# every e_j * L an integer; larger ones try the interval ladder first.
+EXACT_PRODUCT_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -84,13 +105,11 @@ class LogLin:
         """Exact sign; raises BoundaryIndeterminate only past the ladder cap."""
         if not self.terms:
             return sign_of(self.const)
-        if sign_of(self.const) == 0 and all(is_rational(c) for _, c in self.terms):
-            # sum(q_i log b_i) vs 0  <=>  prod b_i**(q_i L) vs 1 for any L > 0
-            lcm = math.lcm(*(Fraction(c).denominator for _, c in self.terms))
-            prod: Scalar = Fraction(1)
-            for base, coeff in self.terms:
-                prod = prod * _pow_int(base, int(Fraction(coeff) * lcm))
-            return sign_of(prod - 1)
+        if sign_of(self.const) == 0 and len(self.terms) == 1:
+            (base, coeff), = self.terms
+            return sign_of(coeff) * scalar_cmp(base, 1)
+        if all(is_rational(b) for b, _ in self.terms):
+            return _coprime_sign(self)
         return ladder_sign(self._interval, what=repr(self))
 
     def is_zero(self) -> bool:
@@ -111,10 +130,98 @@ class LogLin:
         return float(base) + sum(float(c) * math.log(float(b)) for b, c in self.terms)
 
 
-def _pow_int(base: Scalar, e: int) -> Scalar:
-    if isinstance(base, (int, Fraction)):
-        return Fraction(base) ** e
-    return base ** e
+def _coprime_sign(form: LogLin) -> int:
+    """Sign of a form whose bases are all rational, over a coprime base."""
+    scale, d, rows = _coprime_exponents(form.terms)
+    if not rows:
+        return sign_of(form.const)
+    const = form.const * scale
+    exact = sign_of(const) == 0 and all(b == 0 for _, _, b in rows)
+    if exact:  # sum(a_j log p_j) has the sign of the primitive vector's form
+        g = math.gcd(*(a for _, a, _ in rows))
+        rows = [(p, a // g, 0) for p, a, _ in rows]
+        if sum(abs(a) * p.bit_length() for p, a, _ in rows) <= EXACT_PRODUCT_BITS:
+            return _product_sign(rows)
+
+    def build():
+        val = scalar_interval(const)
+        for p, a, b in rows:
+            val += scalar_interval(quad(a, b, d)) * iv.log(iv.mpf(p))
+        return val
+
+    try:
+        return ladder_sign(build, what=repr(form))
+    except BoundaryIndeterminate:
+        if not exact:
+            raise
+        return _product_sign(rows)
+
+
+def _coprime_exponents(terms) -> tuple[int, int | None, list[tuple[int, int, int]]]:
+    """``(scale, d, rows)`` with ``scale * sum(c * log b)`` equal to
+    ``sum((a_j + b_j * sqrt(d)) * log(p_j))`` over the rows ``(p_j, a_j, b_j)``.
+
+    All entries are integers, ``scale > 0``, the p_j are pairwise coprime
+    integers greater than 1 in increasing order, and no row has
+    ``a_j == b_j == 0``.  ``d`` is None when no coefficient is quadratic, and
+    then every b_j is 0.
+    """
+    d = next((c.d for _, c in terms if isinstance(c, QuadExt)), None)
+    parts = [(c.a, c.b) if isinstance(c, QuadExt) else (Fraction(c), Fraction(0))
+             for _, c in terms]
+    scale = math.lcm(*(x.denominator for part in parts for x in part))
+    logs: list[tuple[int, int, int]] = []  # (x > 1, a, b): log x times (a + b sqrt d)
+    for (base, _), (a, b) in zip(terms, parts):
+        a, b = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+        q = Fraction(base)
+        if q.numerator > 1:
+            logs.append((q.numerator, a, b))
+        if q.denominator > 1:
+            logs.append((q.denominator, -a, -b))
+    rows = []
+    for p in sorted(_coprime_base([x for x, _, _ in logs])):
+        sum_a = sum_b = 0
+        for x, a, b in logs:
+            while x % p == 0:
+                x //= p
+                sum_a += a
+                sum_b += b
+        if sum_a or sum_b:
+            rows.append((p, sum_a, sum_b))
+    return scale, d, rows
+
+
+def _coprime_base(values: list[int]) -> list[int]:
+    """Pairwise-coprime integers > 1 of which every value is a product of powers.
+
+    Naive gcd refinement: a value that shares a factor g with a kept element b
+    is replaced by the pieces x/g, g and b/g.  Each split lowers the product
+    of all pending and kept numbers, so the loop ends.
+    """
+    base: list[int] = []
+    todo = [x for x in values if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo.extend(v for v in (x // g, g, b // g) if v > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _product_sign(rows) -> int:
+    """Sign of ``sum(a_j * log p_j)``: ``prod(p_j ** a_j)`` against 1."""
+    num = den = 1
+    for p, a, _ in rows:
+        if a > 0:
+            num *= p ** a
+        else:
+            den *= p ** -a
+    return (num > den) - (num < den)
 
 
 def _norm_const(c) -> Scalar:

@@ -6,6 +6,13 @@ with mpmath's outward-rounding interval context: start at 64 bits, double
 until the sign resolves, give up with :class:`BoundaryIndeterminate` at the
 cap.  The cap defaults to 1024 bits and can be overridden through the
 ``REINHARDT_PRECISION`` environment variable.
+
+Signs of log-linear forms over rational bases never need the ladder to tell
+zero from nonzero: :mod:`reinhardt.loglin` decides that exactly over a
+coprime base, so such a form reaches the ladder only when it is nonzero, and
+then the ladder terminates given enough bits.  Forms with a base in
+``Q(sqrt d)``, the witness threshold ``N0`` and the norm-versus-1 comparisons
+of witness certificates still rely on the ladder alone.
 """
 
 from __future__ import annotations

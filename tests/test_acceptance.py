@@ -207,13 +207,13 @@ def _brute_force_approach(spec, coords, rng):
 
 
 def test_criterion_8_approach_vs_sampling_oracle(acceptance, gallery):
-    with acceptance(8, "approach LP agrees with the brute-force point search"):
+    with acceptance(8, "ray-support approach agrees with the brute-force point search"):
         rng = random.Random(808080)
         suite = list(gallery.values()) + _seeded_suite()
         for spec in suite:
             poly = spec.log_polyhedron
             for size in range(1, spec.n + 1):
                 for coords in combinations(range(spec.n), size):
-                    lp_says = approach(poly, frozenset(coords))
+                    supports_say = approach(poly, frozenset(coords))
                     oracle_says = _brute_force_approach(spec, set(coords), rng)
-                    assert lp_says == oracle_says, (spec, coords)
+                    assert supports_say == oracle_says, (spec, coords)

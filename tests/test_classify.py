@@ -1,12 +1,14 @@
 import json
+import time
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from reinhardt import (ReinhardtError, classify, classify_ainf, classify_all, classify_hinf,
-                       classify_hinf_k, classify_l2, classify_lp_ak, parse_spec)
+from reinhardt import (EmptyDomainError, ReinhardtError, classify, classify_ainf, classify_all,
+                       classify_hinf, classify_hinf_k, classify_l2, classify_lp_ak, parse_spec)
 from reinhardt.classify import REPORT_SCHEMA
+from reinhardt.cli import main
 from reinhardt.cones import approach_certificate, recession_contains
 from reinhardt.scalars import sign_of
 
@@ -102,3 +104,46 @@ def test_approach_lp_disagreement_is_a_typed_error(monkeypatch, hartogs):
     monkeypatch.setattr(classify, "approach_certificate", lambda *_args: None)
     with pytest.raises(ReinhardtError, match="disagrees"):
         classify_ainf(hartogs)
+
+
+# Specs from the classify-stream benchmark inputs.  RANDOM_N5 used to spend
+# seconds raising thresholds to huge powers in LogLin signs.  The two
+# quadratic specs are empty by construction, |z1^sqrt2 z2| < c and
+# |z1^-sqrt2 z2^-1| < 1/c, but their emptiness needs the exact zero test of
+# (sqrt2 log c + sqrt2 log(1/c)) / 2, whose bases differ.
+RANDOM_N5 = (
+    '{"n":5,"constraints":[{"alpha":["-2","2","3","2","2"],"c":"8"},'
+    '{"alpha":["-3","3","-1","1","3"],"c":"1/3"},{"alpha":["-2","0","1","0","3"],"c":"6/7"},'
+    '{"alpha":["3","3","-1","0","1"],"c":"4/9"},{"alpha":["3","-2","2","-3","3"],"c":"5/6"},'
+    '{"alpha":["3","3","2","0","2"],"c":"5/7"},{"alpha":["1","3","2","-3","2"],"c":"9/7"},'
+    '{"alpha":["1","3","-3","1","0"],"c":"1/4"},{"alpha":["-1","2","-3","0","-1"],"c":"1"},'
+    '{"alpha":["1","1","3","1","-3"],"c":"9/2"},{"alpha":["3","1","3","-2","-3"],"c":"9/2"}]}')
+EMPTY_QUADRATIC = [
+    '{"n":2,"quadratic_d":2,"constraints":[{"alpha":[{"a":"0","b":"1"},"1"],"c":"2/3"},'
+    '{"alpha":[{"a":"0","b":"-1"},"-1"],"c":"3/2"}]}',
+    '{"n":2,"quadratic_d":2,"constraints":[{"alpha":[{"a":"0","b":"1"},"1"],"c":"1/2"},'
+    '{"alpha":[{"a":"0","b":"-1"},"-1"],"c":"2"}]}',
+]
+
+
+def test_random_n5_spec_classifies_quickly():
+    start = time.perf_counter()
+    report = classify_all(parse_spec(RANDOM_N5))
+    assert time.perf_counter() - start < 5
+    assert {k: v.value for k, v in report.verdicts.items()} == {
+        "hinf": "yes", "l2": "yes", "lp_ak": "yes", "ainf": "no", "hinf_k": "yes"}
+    ainf = report.verdicts["ainf"].evidence
+    assert ainf["failing_epsilon"] == [1, 1, 1, 0, 0]
+    assert [str(x) for x in ainf["approach_ray"]] == ["-1", "-7/2", "-2", "0", "0"]
+    assert report.flags == {"fat": "by-representation", "bounded": False,
+                            "finite_volume": False, "proper_subset": True}
+
+
+@pytest.mark.parametrize("text", EMPTY_QUADRATIC)
+def test_quadratic_specs_empty_by_construction(text, tmp_path, capsys):
+    with pytest.raises(EmptyDomainError):
+        parse_spec(text)
+    path = tmp_path / "empty.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    assert "empty" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from reinhardt.classify import REPORT_SCHEMA
 from reinhardt.cli import main
@@ -122,3 +123,31 @@ def test_bad_flags(capsys):
     assert code == 1
     code, _, err = run(capsys, "norm", HARTOGS, "--nu", "1,2,3", "--p", "1")
     assert code == 1
+
+
+def test_norm_and_volume_take_no_rows(capsys):
+    # the annulus has two constraints for n = 1: an exact norm over one of
+    # them would be the integral over the unit disc, a superset of the domain
+    annulus = str(SPECS / "annulus.json")
+    code, out, err = run(capsys, "norm", annulus, "--nu", "1", "--p", "2", "--exact",
+                         "--rows", "1")
+    assert code == 1 and out == "" and "--rows" in err
+    code, out, err = run(capsys, "volume", annulus, "--exact", "--rows", "1")
+    assert code == 1 and out == "" and "--rows" in err
+    code, out, err = run(capsys, "norm", annulus, "--nu", "1", "--p", "2", "--exact")
+    assert code == 1 and out == "" and "need exactly 1 constraints" in err
+
+
+def test_usage_errors_exit_1(capsys):
+    code, out, err = run(capsys, "norm", HARTOGS, "--bogus")
+    assert code == 1 and out == "" and "usage:" in err
+    code, out, err = run(capsys, "norm", HARTOGS, "--nu", "0,0", "--bogus")
+    assert code == 1 and out == "" and "unrecognized arguments: --bogus" in err
+    code, out, err = run(capsys, "norm", HARTOGS, "--p", "1")
+    assert code == 1 and out == "" and "--nu" in err
+    code, out, err = run(capsys)
+    assert code == 1 and out == "" and "usage:" in err
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "usage:" in capsys.readouterr().out

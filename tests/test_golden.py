@@ -104,15 +104,24 @@ def _encode_certificate(cert):
             if getattr(cert, f.name) is not None}
 
 
+def _solve_case(case: dict) -> dict:
+    """The encoded certificate ``solve_lp`` gives for a stored LP's inputs."""
+    d = case["d"]
+    a = [[_decode_scalar(x, d) for x in row] for row in case["a"]]
+    b = [_decode_loglin(x, d) for x in case["b"]]
+    c = [_decode_scalar(x, d) for x in case["c"]]
+    return _encode_certificate(simplex.solve_lp(a, b, c))
+
+
+def _lp_inputs_key(case: dict) -> str:
+    return json.dumps({k: case[k] for k in ("d", "a", "b", "c")}, sort_keys=True)
+
+
 def test_gallery_lp_certificates_match_golden():
     cases = json.loads(LP_GOLDEN.read_text(encoding="utf-8"))
     assert len(cases) > 100
     for case in cases:
-        d = case["d"]
-        a = [[_decode_scalar(x, d) for x in row] for row in case["a"]]
-        b = [_decode_loglin(x, d) for x in case["b"]]
-        c = [_decode_scalar(x, d) for x in case["c"]]
-        assert _encode_certificate(simplex.solve_lp(a, b, c)) == case["certificate"]
+        assert _solve_case(case) == case["certificate"]
 
 
 # -- Monte Carlo ------------------------------------------------------------
@@ -213,8 +222,15 @@ def test_montecarlo_golden_without_simd_dispatch():
 
 def record() -> None:
     """Rewrite every golden file from the ``reinhardt`` on ``sys.path``, in a
-    fresh process, so that no LP is skipped by a warm cache."""
-    seen, cases = set(), []
+    fresh process, so that no LP is skipped by a warm cache.
+
+    Every LP already stored in ``gallery_lps.json`` is solved again from its
+    stored inputs and kept, in its place; the LPs the gallery commands solve
+    that are not stored yet are appended.  A re-record never drops a case.
+    """
+    stored = json.loads(LP_GOLDEN.read_text(encoding="utf-8")) if LP_GOLDEN.exists() else []
+    cases = [{**case, "certificate": _solve_case(case)} for case in stored]
+    seen = {_lp_inputs_key(case) for case in cases}
     solve = simplex.solve_lp
 
     def recording(a_rows, b_vals, objective):
@@ -222,12 +238,11 @@ def record() -> None:
         values = [x for row in a_rows for x in row] + list(objective) + \
             [s for b in b_vals for s in (b.const, *(v for t in b.terms for v in t))]
         d = next((x.d for x in values if isinstance(x, QuadExt)), None)
-        case = {"d": d, "a": _encode(a_rows), "b": _encode(b_vals), "c": _encode(objective),
-                "certificate": _encode_certificate(cert)}
-        key = json.dumps(case, sort_keys=True)
+        case = {"d": d, "a": _encode(a_rows), "b": _encode(b_vals), "c": _encode(objective)}
+        key = _lp_inputs_key(case)
         if key not in seen:
             seen.add(key)
-            cases.append(case)
+            cases.append({**case, "certificate": _encode_certificate(cert)})
         return cert
 
     modules = [m for m in list(sys.modules.values())
