@@ -12,15 +12,17 @@ constraints, LP objective values, and membership slacks all have this shape.
   ``const + sum(e_j * log(p_j))``.  Coprime integers greater than 1 are
   multiplicatively independent, so by Baker's theorem the form is zero
   exactly when every ``e_j`` is zero and ``const`` is zero: this is the exact
-  zero test, for coefficients in Q and in Q(sqrt d) alike.  A nonzero form
-  with ``const == 0`` and rational ``e_j`` is decided by comparing two
-  integer products when they are small, and otherwise by the interval ladder,
-  which must terminate on a nonzero form; the products decide it as well
-  when the ladder reaches its cap.
-* Nonzero forms with a constant or with a coefficient in Q(sqrt d), and every
-  form with a base (threshold) in Q(sqrt d), go to the interval ladder.  A
-  form of the last kind that is exactly zero without equal bases cancelling
-  cannot be resolved and ends in :class:`BoundaryIndeterminate`.
+  zero test, for coefficients in Q and in Q(sqrt d) alike.
+* A form with ``const == 0`` and rational coefficients (after that rewrite,
+  when it applies) has the sign of ``prod(base ** k) - 1`` for integer
+  ``k``.  This product is compared in the field outright when it is small,
+  and otherwise when the interval ladder reaches its cap, so such a sign is
+  always exact, over thresholds in Q(sqrt d) too.
+* Every other form goes to the interval ladder.  Over rational bases it is
+  nonzero there, so the ladder resolves it given enough bits.  A form with a
+  base (threshold) in Q(sqrt d) and a constant or a coefficient in Q(sqrt d)
+  can be exactly zero without equal bases cancelling; its ladder cannot
+  resolve it, and it ends in :class:`BoundaryIndeterminate`.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from typing import Iterable
 
 from .errors import BoundaryIndeterminate
 from .precision import iv, ladder_sign, scalar_interval
-from .scalars import QuadExt, Scalar, is_rational, quad, scalar_cmp, sign_of
+from .scalars import QuadExt, Scalar, is_rational, scalar_cmp, sign_of
 
-# A form over rational bases with a zero constant and rational coprime-base
-# exponents e_j is decided by integer products outright when they need at most
-# this many bits, sum(|e_j * L| * bitlen(p_j)) for the least L > 0 that makes
-# every e_j * L an integer; larger ones try the interval ladder first.
+# A form with a zero constant and rational coefficients is decided by the
+# product prod(base ** k) outright when _product_bits puts it at no more than
+# this many bits; larger ones try the interval ladder first.
 EXACT_PRODUCT_BITS = 4096
 
 
@@ -108,9 +109,20 @@ class LogLin:
         if sign_of(self.const) == 0 and len(self.terms) == 1:
             (base, coeff), = self.terms
             return sign_of(coeff) * scalar_cmp(base, 1)
+        form = self
         if all(is_rational(b) for b, _ in self.terms):
-            return _coprime_sign(self)
-        return ladder_sign(self._interval, what=repr(self))
+            form = _over_coprime_base(self)
+            if not form.terms:  # the exact zero test
+                return sign_of(form.const)
+        powers = _integer_powers(form)
+        if powers is not None and _product_bits(powers) <= EXACT_PRODUCT_BITS:
+            return _product_sign(powers)
+        try:
+            return ladder_sign(form._interval, what=repr(self))
+        except BoundaryIndeterminate:
+            if powers is None:
+                raise
+            return _product_sign(powers)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -130,65 +142,57 @@ class LogLin:
         return float(base) + sum(float(c) * math.log(float(b)) for b, c in self.terms)
 
 
-def _coprime_sign(form: LogLin) -> int:
-    """Sign of a form whose bases are all rational, over a coprime base."""
-    scale, d, rows = _coprime_exponents(form.terms)
-    if not rows:
-        return sign_of(form.const)
-    const = form.const * scale
-    exact = sign_of(const) == 0 and all(b == 0 for _, _, b in rows)
-    if exact:  # sum(a_j log p_j) has the sign of the primitive vector's form
-        g = math.gcd(*(a for _, a, _ in rows))
-        rows = [(p, a // g, 0) for p, a, _ in rows]
-        if sum(abs(a) * p.bit_length() for p, a, _ in rows) <= EXACT_PRODUCT_BITS:
-            return _product_sign(rows)
+def _over_coprime_base(form: LogLin) -> LogLin:
+    """``form``, whose bases are all rational, as ``const + sum(e_j * log(p_j))``.
 
-    def build():
-        val = scalar_interval(const)
-        for p, a, b in rows:
-            val += scalar_interval(quad(a, b, d)) * iv.log(iv.mpf(p))
-        return val
-
-    try:
-        return ladder_sign(build, what=repr(form))
-    except BoundaryIndeterminate:
-        if not exact:
-            raise
-        return _product_sign(rows)
-
-
-def _coprime_exponents(terms) -> tuple[int, int | None, list[tuple[int, int, int]]]:
-    """``(scale, d, rows)`` with ``scale * sum(c * log b)`` equal to
-    ``sum((a_j + b_j * sqrt(d)) * log(p_j))`` over the rows ``(p_j, a_j, b_j)``.
-
-    All entries are integers, ``scale > 0``, the p_j are pairwise coprime
-    integers greater than 1 in increasing order, and no row has
-    ``a_j == b_j == 0``.  ``d`` is None when no coefficient is quadratic, and
-    then every b_j is 0.
+    The p_j are pairwise-coprime integers greater than 1 in increasing order,
+    of which every numerator and denominator of a base is a product of
+    powers, and no e_j is zero.  The value is unchanged.
     """
-    d = next((c.d for _, c in terms if isinstance(c, QuadExt)), None)
-    parts = [(c.a, c.b) if isinstance(c, QuadExt) else (Fraction(c), Fraction(0))
-             for _, c in terms]
-    scale = math.lcm(*(x.denominator for part in parts for x in part))
-    logs: list[tuple[int, int, int]] = []  # (x > 1, a, b): log x times (a + b sqrt d)
-    for (base, _), (a, b) in zip(terms, parts):
-        a, b = a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator)
+    logs = []  # (x > 1, coeff): coeff * log(x)
+    for base, coeff in form.terms:
         q = Fraction(base)
         if q.numerator > 1:
-            logs.append((q.numerator, a, b))
+            logs.append((q.numerator, coeff))
         if q.denominator > 1:
-            logs.append((q.denominator, -a, -b))
-    rows = []
-    for p in sorted(_coprime_base([x for x, _, _ in logs])):
-        sum_a = sum_b = 0
-        for x, a, b in logs:
+            logs.append((q.denominator, -coeff))
+    terms = []
+    for p in sorted(_coprime_base([x for x, _ in logs])):
+        e: Scalar = Fraction(0)
+        for x, coeff in logs:
+            k = 0
             while x % p == 0:
                 x //= p
-                sum_a += a
-                sum_b += b
-        if sum_a or sum_b:
-            rows.append((p, sum_a, sum_b))
-    return scale, d, rows
+                k += 1
+            if k:
+                e = e + k * coeff
+        if sign_of(e) != 0:
+            terms.append((p, e))
+    return LogLin(form.const, tuple(terms))
+
+
+def _integer_powers(form: LogLin) -> list[tuple[Scalar, int]] | None:
+    """``[(base, k)]``, integers k with gcd 1, such that ``sum(k * log(base))``
+    has the sign of ``form``; None unless ``form.const`` is zero and every
+    coefficient is rational."""
+    if sign_of(form.const) != 0 or not all(is_rational(c) for _, c in form.terms):
+        return None
+    coeffs = [Fraction(c) for _, c in form.terms]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ks = [c.numerator * (scale // c.denominator) for c in coeffs]
+    g = math.gcd(*ks)
+    return [(base, k // g) for (base, _), k in zip(form.terms, ks)]
+
+
+def _product_bits(powers) -> int:
+    """Rough size of ``prod(base ** |k|)``: |k| times the bits of each base."""
+    return sum(abs(k) * _bits(base) for base, k in powers)
+
+
+def _bits(x: Scalar) -> int:
+    if isinstance(x, QuadExt):
+        return _bits(x.a) + _bits(x.b) + x.d.bit_length()
+    return (x.numerator * x.denominator).bit_length()
 
 
 def _coprime_base(values: list[int]) -> list[int]:
@@ -213,15 +217,15 @@ def _coprime_base(values: list[int]) -> list[int]:
     return base
 
 
-def _product_sign(rows) -> int:
-    """Sign of ``sum(a_j * log p_j)``: ``prod(p_j ** a_j)`` against 1."""
+def _product_sign(powers) -> int:
+    """Sign of ``sum(k * log(base))``: ``prod(base ** k)`` against 1, in the field."""
     num = den = 1
-    for p, a, _ in rows:
-        if a > 0:
-            num *= p ** a
+    for base, k in powers:
+        if k > 0:
+            num = num * base ** k
         else:
-            den *= p ** -a
-    return (num > den) - (num < den)
+            den = den * base ** -k
+    return scalar_cmp(num, den)
 
 
 def _norm_const(c) -> Scalar:

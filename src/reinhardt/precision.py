@@ -10,9 +10,12 @@ cap.  The cap defaults to 1024 bits and can be overridden through the
 Signs of log-linear forms over rational bases never need the ladder to tell
 zero from nonzero: :mod:`reinhardt.loglin` decides that exactly over a
 coprime base, so such a form reaches the ladder only when it is nonzero, and
-then the ladder terminates given enough bits.  Forms with a base in
-``Q(sqrt d)``, the witness threshold ``N0`` and the norm-versus-1 comparisons
-of witness certificates still rely on the ladder alone.
+then the ladder terminates given enough bits.  A form with a zero constant
+and rational coefficients is decided by a product in the field when the
+ladder cannot, over bases in ``Q(sqrt d)`` too.  Forms with a base in
+``Q(sqrt d)`` and a constant or a coefficient in ``Q(sqrt d)``, the witness
+threshold ``N0`` and the norm-versus-1 comparisons of witness certificates
+still rely on the ladder alone.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from conftest import SPEC_DIR
 from reinhardt import (EmptyDomainError, SpecError, classify_all, contains, has_finite_volume,
                        is_bounded, parse_spec, radial, spectrum_box)
 from reinhardt import spaces as sp
+from reinhardt.scalars import quad
 
 HARTOGS = '{"n":2,"constraints":[{"alpha":["1","-1"],"c":"1"},{"alpha":["0","1"],"c":"1"}]}'
 
@@ -91,6 +92,17 @@ def test_contains_boundary_is_exact(hartogs, unit_disc):
     assert contains(hartogs, radial(Fraction(1, 2), Fraction(1, 2))) is False
     assert contains(unit_disc, radial(1)) is False
     assert contains(unit_disc, radial(Fraction(999999, 1000000))) is True
+
+
+def test_contains_boundary_over_a_quadratic_threshold_is_exact(monkeypatch):
+    # r^2 < 3 + 2 sqrt2 has the boundary point r = 1 + sqrt2; no digits needed
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    spec = parse_spec('{"n":1,"quadratic_d":2,'
+                      '"constraints":[{"alpha":["2"],"c":{"a":"3","b":"2"}}]}')
+    edge = quad(1, 1, 2)
+    assert contains(spec, radial(edge)) is False
+    assert contains(spec, radial(edge - Fraction(1, 10 ** 40))) is True
+    assert contains(spec, radial(edge + Fraction(1, 10 ** 40))) is False
 
 
 def test_contains_log_consistency(hartogs, annulus, rng=random.Random(11)):

@@ -79,6 +79,15 @@ def test_boundary_indeterminate_names_the_value_and_interval(monkeypatch):
     assert exc.what == repr(v) and exc.bits == 64
     assert Fraction(lo) <= 0 <= Fraction(hi)
     assert f"[{lo}, {hi}]" in str(exc) and "64 working bits" in str(exc)
+    # the same value with coefficient 1/16 is named as itself, and its interval
+    # encloses the value, not 16 times the value
+    w = LogLin.of(Fraction(1)) - LogLin.log_of(NEAR_E ** 16, Fraction(1, 16))
+    with pytest.raises(BoundaryIndeterminate) as info:
+        w.sign()
+    assert info.value.what == repr(w)
+    w_lo, w_hi = map(Fraction, info.value.interval)
+    assert w_lo <= 0 <= w_hi
+    assert w_hi - w_lo <= 2 * (Fraction(hi) - Fraction(lo))
 
 
 def test_quadratic_zero_form_over_distinct_bases(monkeypatch):
@@ -91,6 +100,39 @@ def test_quadratic_zero_form_over_distinct_bases(monkeypatch):
     w = LogLin.log_of(Fraction(2, 3), h) + LogLin.log_of(Fraction(3, 2), h)
     assert w.is_zero()
     assert (w + LogLin.of(quad(-1, 1, 2))).sign() == 1  # sqrt2 - 1 > 0
+
+
+def test_zero_constant_rational_coefficients_over_quadratic_thresholds(monkeypatch):
+    # (1 + sqrt2)^2 = 3 + 2 sqrt2: the bases differ, the form is exactly zero,
+    # and the field product decides it with no digits
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    unit, square = quad(1, 1, 2), quad(3, 2, 2)
+    v = LogLin.log_of(square) - LogLin.log_of(unit, 2)
+    assert v.sign() == 0 and v.is_zero()
+    w = LogLin.log_of(square) - LogLin.log_of(unit, Fraction(3, 2))
+    assert w.sign() == 1 and (-w).sign() == -1
+    mixed = LogLin.log_of(square, Fraction(1, 2)) - LogLin.log_of(unit) + LogLin.log_of(Fraction(1, 3))
+    assert mixed.sign() == -1
+
+
+def test_large_quadratic_products_fall_back_from_the_ladder():
+    # (1 + sqrt2)^3000 needs far more bits than the product bound, so the
+    # zero form goes to the ladder first and the field product decides it at the cap
+    unit = quad(1, 1, 2)
+    v = LogLin.log_of(unit ** 3000) - LogLin.log_of(unit, 3000)
+    assert v.sign() == 0
+    assert (v + LogLin.log_of(Fraction(2 ** 3000 + 1, 2 ** 3000))).sign() == 1
+
+
+def test_quadratic_coefficients_over_quadratic_thresholds_use_the_ladder(monkeypatch):
+    # sqrt2 log(3 + 2 sqrt2) - 2 sqrt2 log(1 + sqrt2) is zero, but neither the
+    # coprime base nor the field product applies: this is the one form the
+    # ladder cannot resolve
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    s = quad(0, 1, 2)
+    v = LogLin.log_of(quad(3, 2, 2), s) - LogLin.log_of(quad(1, 1, 2), 2 * s)
+    with pytest.raises(BoundaryIndeterminate):
+        v.sign()
 
 
 def test_single_term_sign_needs_no_digits(monkeypatch):
