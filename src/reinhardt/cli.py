@@ -93,9 +93,6 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 def _cmd_classify(args) -> int:
     spec = load_spec(args.spec)
-    if args.echo_spec:
-        sys.stdout.write(spec.raw_text)
-        return 0
     report = classify_all(spec)
     doc = report.to_json_dict()
     lines = [f"domain: n={spec.n}, {len(spec.constraints)} constraints"]
@@ -228,8 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "norm":
             p.add_argument("--nu", required=True)
             p.add_argument("--p", default="1", help="rational p >= 1")
-        p.add_argument("--exact", action="store_true", help="exact simplicial value (default)")
-        p.add_argument("--mc", action="store_true", help="Monte-Carlo estimate")
+        method = p.add_mutually_exclusive_group()
+        method.add_argument("--exact", action="store_true",
+                            help="exact simplicial value (default)")
+        method.add_argument("--mc", action="store_true", help="Monte-Carlo estimate")
         p.add_argument("--samples", type=int, default=10 ** 6)
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(fn=fn)
@@ -262,7 +261,7 @@ def main(argv=None) -> int:
             raise
         return 1  # argparse has printed the usage error to stderr
     try:
-        if args.echo_spec and args.command != "classify":
+        if args.echo_spec:
             spec = load_spec(args.spec)
             sys.stdout.write(spec.raw_text)
             return 0

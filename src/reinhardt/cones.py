@@ -8,17 +8,22 @@ fully exact field computations.
 
 The recession cone C = {d : <alpha_i, d> <= 0} is computed by double
 description over the scalar field (:func:`recession_cone`), as a lineality
-basis plus the extreme rays of its pointed part.  The recession queries
-(:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
-:func:`face_meets_halfspace`, :func:`is_bounded`, :func:`has_finite_volume`)
-are then sign tests of dot products against those generators, and every
-direction they return is re-checked exactly before it is returned.  Axis
-approach is read off the ray supports of C ∩ {d <= 0} (:func:`approach`).
-The functions here keep no memo: ``LogPolyhedron`` computes each derived
-object on first use and holds it for its own lifetime.  Interior points, the
-approach and sup-norm rays, the Monte-Carlo bounding box
-(:func:`radius_box`) and offset-dependent optima are LPs solved by
-:mod:`reinhardt.simplex`.
+basis plus the extreme rays of its pointed part.  These generators are the
+only owner of finiteness: whether a sup is finite, whether the domain is
+bounded or has finite volume, and whether an integral converges are sign
+tests of dot products against them (:func:`recession_meets_halfspace`,
+:func:`unbounded_direction`, :func:`face_meets_halfspace`,
+:func:`is_bounded`, :func:`has_finite_volume`), and every direction they
+return is re-checked exactly before it is returned.  Axis approach is read
+off the ray supports of C ∩ {d <= 0} (:func:`approach`).  The functions here
+keep no memo: ``LogPolyhedron`` computes each derived object on first use
+and holds it for its own lifetime.
+
+The simplex (:mod:`reinhardt.simplex`) decides only emptiness
+(:func:`interior_point`); otherwise it computes what gets printed or pinned
+once finiteness is known: the value of a finite sup (:func:`lp_optimize`,
+also the Monte-Carlo bounding box :func:`radius_box`) and the reported
+approach and sup-norm rays.
 """
 
 from __future__ import annotations
@@ -173,10 +178,6 @@ def _scaled(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     return tuple(x / lead for x in v) if sign_of(lead) > 0 else tuple(x / -lead for x in v)
 
 
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
     """Exact generators of {d in R^n : rows @ d <= 0} by incremental double
     description (Motzkin et al. 1953; Fukuda & Prodon 1996).
@@ -196,17 +197,17 @@ def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
     tight: list[int] = []  # bit i set iff the ray is tight on processed row i
     if basis:
         b_rows = [rows[i] for i in basis]
-        gram_inv = linalg.invert([[_dot(u, v) for v in b_rows] for u in b_rows])
+        gram_inv = linalg.invert([[linalg.dot(u, v) for v in b_rows] for u in b_rows])
         every = sum(1 << i for i in basis)
         columns = list(zip(*b_rows))
         for j, g_row in enumerate(gram_inv):
-            rays.append(_scaled([-_dot(g_row, col) for col in columns]))
+            rays.append(_scaled([-linalg.dot(g_row, col) for col in columns]))
             tight.append(every & ~(1 << basis[j]))
     dim = len(basis)
     for i, row in enumerate(rows):
         if i in basis or not rays:
             continue
-        vals = [_dot(row, r) for r in rays]
+        vals = [linalg.dot(row, r) for r in rays]
         signs = [sign_of(v) for v in vals]
         bit = 1 << i
         kept = [(r, z | bit if s == 0 else z)
@@ -248,14 +249,14 @@ def _generator_direction(poly: LogPolyhedron, w: Sequence[Scalar], strict: bool,
     cone = poly.recession
     w_int = _scaled(w)
     for v in cone.lineality:
-        s = sign_of(_dot(w_int, v))
+        s = sign_of(linalg.dot(w_int, v))
         if s != 0 or not strict:
             return _certified(poly, v if s >= 0 else [-x for x in v], w, strict, face, what)
     face_int = None if face is None else _scaled(face)
     for r in cone.rays:
-        if face_int is not None and sign_of(_dot(face_int, r)) != 0:
+        if face_int is not None and sign_of(linalg.dot(face_int, r)) != 0:
             continue
-        s = sign_of(_dot(w_int, r))
+        s = sign_of(linalg.dot(w_int, r))
         if s > 0 or (s == 0 and not strict):
             return _certified(poly, r, w, strict, face, what)
     return None
@@ -296,10 +297,8 @@ def is_bounded(spec: DomainSpec) -> bool:
 
 
 def has_finite_volume(spec: DomainSpec) -> bool:
-    """True iff <2*1, d> < 0 on every nonzero recession direction of log G:
-    no lineality and a negative coordinate sum on every ray."""
-    cone = spec.log_polyhedron.recession
-    return not cone.lineality and all(sign_of(sum(r)) < 0 for r in cone.rays)
+    """True iff <2*1, d> < 0 on every nonzero recession direction of log G."""
+    return recession_meets_halfspace(spec.log_polyhedron, [2] * spec.n) is None
 
 
 def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
@@ -381,37 +380,23 @@ def product_split(spec: DomainSpec, lineality: Subspace) -> Optional[ProductSpli
     )
 
 
-def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron,
-                extra_rows: Sequence[Sequence[Scalar]] = (),
-                extra_rhs: Sequence = ()) -> LPCertificate:
-    """sup <objective, x> over the closed system, exact with symbolic offsets.
-
-    The ``attained`` flag refers to the open system: a nonzero functional
-    never attains its sup on a full-dimensional open set.
-    """
+def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron) -> LPCertificate:
+    """sup <objective, x> over the closed system, exact with symbolic offsets."""
     rows = [list(a.components) for a in poly.normals]
-    rhs: list[LogLin] = [LogLin.log_of(c) for c in poly.offsets]
-    for row, b in zip(extra_rows, extra_rhs):
-        rows.append(list(row))
-        rhs.append(b if isinstance(b, LogLin) else LogLin.of(b))
-    cert = solve_lp(rows, rhs, list(objective))
-    if cert.status == OPTIMAL:
-        attained = all(sign_of(x) == 0 for x in objective)
-        return LPCertificate(status=cert.status, primal_point=cert.primal_point,
-                             objective=cert.objective, dual=cert.dual, attained=attained)
-    return cert
+    return solve_lp(rows, [LogLin.log_of(c) for c in poly.offsets], list(objective))
 
 
 def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
     """Per-coordinate sup of |z_j| as floats rounded up, or None when some
-    |z_j| is unbounded: one LP per coordinate, in coordinate order."""
+    |z_j| is unbounded on the recession cone; one LP per bounded coordinate,
+    in coordinate order, for its value."""
     logs = []
     for j in range(poly.n):
-        obj = [Fraction(0)] * poly.n
-        obj[j] = Fraction(1)
-        cert = lp_optimize(obj, poly)
-        if cert.status != OPTIMAL:
+        unit = [int(i == j) for i in range(poly.n)]
+        if unbounded_direction(poly, unit) is not None:
             return None
+        cert = lp_optimize(unit, poly)
+        require_optimal(cert, "radius_box")
         with working_precision(64):
             logs.append(float(cert.objective.interval().b))
     # tiny outward inflation keeps the box a true superset after float rounding

@@ -10,14 +10,8 @@ Row = list  # list[Scalar]
 
 
 def dot(u, v) -> Scalar:
-    acc: Scalar = Fraction(0)
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
-
-
-def mat_vec(rows, v):
-    return [dot(r, v) for r in rows]
+    """Exact inner product; int vectors stay ints, which is much cheaper."""
+    return sum((a * b for a, b in zip(u, v)), 0)
 
 
 def _eliminate(rows: list[Row]) -> tuple[list[Row], list[int]]:

@@ -5,7 +5,8 @@ Sampling measure: each radius r_j is drawn with density 2 r / R_j^2 on
 the integrand needs them; acceptance is membership of the radius vector.
 With W = prod_j pi R_j^2 the estimator  W * mean(1_G * f)  converges to
 int_G f dLambda_{2n}.  The box R is solved once per domain (one LP per
-coordinate) and held by its ``LogPolyhedron``.
+coordinate) and held by its ``LogPolyhedron``; whether it exists at all is
+read off the recession generators.
 
 Streams are counter-based and bit-reproducible: sample block b (fixed size
 65536) is generated by ``numpy.random.Philox(key=(seed, b))``, radii first,
@@ -47,6 +48,7 @@ import numpy as np
 from .domain import DomainSpec, ExponentVector, contains, radial
 from .errors import MonteCarloError
 from .norms import NormResult
+from .spectrum import monomial_defined
 
 BLOCK_SIZE = 1 << 16
 _CHUNK = 1 << 14  # rows per acceptance pass: its scratch stays cache-sized
@@ -209,16 +211,14 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
     """Check int |a_nu z^nu|^p <= int |f|^p for every term of a Laurent polynomial.
 
     All estimates share the same sample stream, so the comparison is made at
-    matched randomness.  Each monomial must be defined on the domain: a
-    negative exponent on a coordinate requires some constraint to carry a
-    negative exponent there (no vanishing coordinate inside the domain).
+    matched randomness.  Each monomial must be defined on the domain
+    (:func:`reinhardt.spectrum.monomial_defined`).
     """
     p = Fraction(p)
     terms = sorted(laurent_poly.items())
     for nu, _ in terms:
-        for ell, e in enumerate(nu):
-            if e < 0 and all(con.alpha[ell] >= 0 for con in spec.constraints):
-                raise MonteCarloError(f"monomial {nu} is undefined on the domain (axis {ell})")
+        if not monomial_defined(spec, nu):
+            raise MonteCarloError(f"monomial {nu} is undefined on the domain")
     sampler = _Sampler(spec, seed, with_phases=True)
     pf = float(p)
     tot = [0.0, 0.0]

@@ -1,4 +1,8 @@
-"""Monomial norms: sup norms via LP, exact L^p integrals on simplicial frames.
+"""Monomial norms: sup norms, exact L^p integrals on simplicial frames.
+
+Whether a sup or an integral is finite is read off the recession-cone
+generators of the domain (:mod:`reinhardt.cones`); an LP only computes the
+value of a finite sup, or the ray printed for an infinite one.
 
 The exact L^p integral of |z^nu|^p over a domain cut out by exactly n
 independent constraints has the closed form
@@ -22,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .cones import (lp_optimize, recession_improving_direction, recession_meets_halfspace,
-                    require_optimal)
+                    require_optimal, unbounded_direction)
 from .domain import DomainSpec, ExponentVector, LogPolyhedron
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
@@ -103,14 +107,18 @@ class NormResult:
     seed: Optional[int] = None
     ray: Optional[tuple[Scalar, ...]] = None
 
-    def interval(self, bits: int = 64) -> tuple[str, str]:
+    def enclosure(self):
+        """Interval enclosure of the exact value at the working precision."""
         if self.kind != "exact":
             raise ValueError(f"no exact interval for kind={self.kind}")
-        with working_precision(bits):
-            val = scalar_interval(self.coefficient) * iv.pi ** self.pi_power
-            for base, exp in self.factors:
-                val *= iv.exp(scalar_interval(exp) * iv.log(scalar_interval(base)))
-            return interval_str(val)
+        val = scalar_interval(self.coefficient) * iv.pi ** self.pi_power
+        for base, exp in self.factors:
+            val *= iv.exp(scalar_interval(exp) * iv.log(scalar_interval(base)))
+        return val
+
+    def interval(self) -> tuple[str, str]:
+        with working_precision(64):
+            return interval_str(self.enclosure())
 
     def __float__(self) -> float:
         if self.kind == "estimate":
@@ -160,12 +168,20 @@ def make_exact_norm(coefficient: Scalar, pi_power: int,
 
 
 def sup_norm_monomial(spec: DomainSpec, nu: ExponentVector) -> NormResult:
-    """sup over the domain of |z^nu| = exp(sup <nu, x> over log G)."""
+    """sup over the domain of |z^nu| = exp(sup <nu, x> over log G).
+
+    The recession generators decide finiteness; an LP then gives the value,
+    or the improving ray that is reported for an infinite sup.
+    """
     poly = spec.log_polyhedron
-    ray = recession_improving_direction(poly, list(nu.components))
-    if ray is not None:
+    w = list(nu.components)
+    if unbounded_direction(poly, w) is not None:
+        ray = recession_improving_direction(poly, w)
+        if ray is None:
+            raise ReinhardtError("sup_norm_monomial: ray LP disagrees with the recession "
+                                 "generators (internal error)")
         return NormResult(kind="infinite", ray=tuple(ray))
-    cert = lp_optimize(list(nu.components), poly)
+    cert = lp_optimize(w, poly)
     require_optimal(cert, "sup_norm_monomial")
     if sign_of(cert.objective.const) != 0:
         raise ReinhardtError("sup of a pure monomial objective must be offset-only "

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Sequence
 
-from .errors import BoundaryIndeterminate, ReinhardtError
+from .errors import ReinhardtError
 from .linalg import dot
 from .loglin import LogLin, as_loglin
 from .scalars import Scalar, scalar_cmp, sign_of
@@ -51,7 +51,6 @@ class LPCertificate:
     dual: Optional[tuple[Scalar, ...]] = None
     ray: Optional[tuple[Scalar, ...]] = None
     farkas: Optional[tuple[Scalar, ...]] = None
-    attained: Optional[bool] = None
 
 
 # Zero tests below use truthiness: a QuadExt is never zero (b != 0), so
@@ -254,11 +253,8 @@ def _check_farkas(a_rows, b_vals, lam) -> None:
     combo = LogLin.zero()
     for li, b in zip(lam, b_vals):
         combo = combo + b * li
-    try:
-        if combo.sign() >= 0:
-            raise ReinhardtError("Farkas combination is not negative")
-    except BoundaryIndeterminate:
-        pass  # multipliers themselves are exact; the value check is best-effort
+    if combo.sign() >= 0:
+        raise ReinhardtError("Farkas combination is not negative")
 
 
 def _check_dual(a_rows, objective, lam) -> None:

@@ -353,8 +353,7 @@ def _sup_series_bound(bound: TailBound, d: float) -> float:
         mu += 1
 
 
-def verify_witness_membership(w: WitnessFunction, frame: Optional[SimplicialFrame] = None,
-                              k: Optional[int] = None,
+def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
                               p_list: Sequence = (1, 2)) -> WitnessCertificate:
     """Certify f_N: term norms <= 1 for each |sigma| <= k and p in p_list,
     sup norms <= 1 by cone membership, vanishing at reachable axis strata,
@@ -363,7 +362,7 @@ def verify_witness_membership(w: WitnessFunction, frame: Optional[SimplicialFram
     A failed check signals an implementation bug for N >= N0; it is reported,
     never silently repaired.
     """
-    frame = frame or w.frame
+    frame = w.frame
     k = w.k if k is None else k
     p_list = tuple(Fraction(p) for p in p_list)
     n = frame.n
@@ -401,11 +400,4 @@ def verify_witness_membership(w: WitnessFunction, frame: Optional[SimplicialFram
 def _norm_sign_vs_one(norm: NormResult) -> int:
     if norm.pi_power == 0 and not norm.factors:
         return sign_of(norm.coefficient - 1)
-
-    def build():
-        val = scalar_interval(norm.coefficient) * iv.pi ** norm.pi_power
-        for base, exp in norm.factors:
-            val *= iv.exp(scalar_interval(exp) * iv.log(scalar_interval(base)))
-        return val - 1
-
-    return ladder_sign(build, what="norm vs 1")
+    return ladder_sign(lambda: norm.enclosure() - 1, what="norm vs 1")

@@ -145,6 +145,11 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and out == "" and "unrecognized arguments: --bogus" in err
     code, out, err = run(capsys, "norm", HARTOGS, "--p", "1")
     assert code == 1 and out == "" and "--nu" in err
+    code, out, err = run(capsys, "norm", HARTOGS, "--nu", "0,0", "--exact", "--mc",
+                         "--seed", "1")
+    assert code == 1 and out == "" and "not allowed with argument" in err
+    code, out, err = run(capsys, "volume", HARTOGS, "--mc", "--exact", "--seed", "1")
+    assert code == 1 and out == "" and "not allowed with argument" in err
     code, out, err = run(capsys)
     assert code == 1 and out == "" and "usage:" in err
     with pytest.raises(SystemExit) as info:

@@ -199,3 +199,7 @@ def test_sup_norm_rejects_unexpected_lp_answers(monkeypatch, polydisc):
     monkeypatch.setattr(norms, "lp_optimize", lambda *_args: offset)
     with pytest.raises(ReinhardtError, match="offset-only"):
         sup_norm_monomial(polydisc, nu)
+    # |z1|^-1 is unbounded on the polydisc: the ray LP must then find a ray
+    monkeypatch.setattr(norms, "recession_improving_direction", lambda *_args: None)
+    with pytest.raises(ReinhardtError, match="disagrees with the recession generators"):
+        sup_norm_monomial(polydisc, exponents(-1, 0))
