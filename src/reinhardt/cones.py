@@ -397,8 +397,7 @@ def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
             return None
         cert = lp_optimize(unit, poly)
         require_optimal(cert, "radius_box")
-        with working_precision(64):
-            logs.append(float(cert.objective.interval().b))
+        logs.append(float(cert.objective.interval(working_precision(64)).b))
     # tiny outward inflation keeps the box a true superset after float rounding
     return tuple((np.exp(np.array(logs)) * (1.0 + 1e-9)).tolist())
 

@@ -205,7 +205,7 @@ def parse_spec(text: str) -> DomainSpec:
     extra = set(doc) - {"n", "quadratic_d", "constraints"}
     if extra:
         raise SpecError(f"unknown top-level fields: {sorted(extra)}")
-    if not isinstance(doc.get("n"), int) or doc["n"] < 1:
+    if not isinstance(doc.get("n"), int) or isinstance(doc["n"], bool) or doc["n"] < 1:
         raise SpecError("field 'n' must be an integer >= 1")
     n = doc["n"]
     quad_d = doc.get("quadratic_d")

@@ -34,7 +34,7 @@ from functools import cmp_to_key
 from typing import Iterable
 
 from .errors import BoundaryIndeterminate
-from .precision import iv, ladder_sign, scalar_interval
+from .precision import ladder_sign, scalar_interval
 from .scalars import QuadExt, Scalar, is_rational, scalar_cmp, sign_of
 
 # A form with a zero constant and rational coefficients is decided by the
@@ -81,8 +81,6 @@ class LogLin:
         return LogLin(-self.const, tuple((b, -c) for b, c in self.terms))
 
     def __sub__(self, other):
-        if isinstance(other, LogLin):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -118,7 +116,7 @@ class LogLin:
         if powers is not None and _product_bits(powers) <= EXACT_PRODUCT_BITS:
             return _product_sign(powers)
         try:
-            return ladder_sign(form._interval, what=repr(self))
+            return ladder_sign(form.interval, what=repr(self))
         except BoundaryIndeterminate:
             if powers is None:
                 raise
@@ -127,15 +125,12 @@ class LogLin:
     def is_zero(self) -> bool:
         return self.sign() == 0
 
-    def _interval(self):
-        val = scalar_interval(self.const)
+    def interval(self, ctx):
+        """Interval enclosure in the interval context ``ctx``."""
+        val = scalar_interval(self.const, ctx)
         for base, coeff in self.terms:
-            val += scalar_interval(coeff) * iv.log(scalar_interval(base))
+            val += scalar_interval(coeff, ctx) * ctx.log(scalar_interval(base, ctx))
         return val
-
-    def interval(self):
-        """Interval enclosure at the ambient iv precision."""
-        return self._interval()
 
     def __float__(self):
         base = float(self.const) if not isinstance(self.const, int) else self.const

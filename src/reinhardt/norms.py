@@ -30,7 +30,7 @@ from .cones import (lp_optimize, recession_improving_direction, recession_meets_
 from .domain import DomainSpec, ExponentVector, LogPolyhedron
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
-from .precision import interval_str, iv, scalar_interval, working_precision
+from .precision import interval_str, scalar_interval, working_precision
 from .scalars import Scalar, format_scalar, is_rational, scalar_cmp, sign_of
 
 
@@ -107,18 +107,17 @@ class NormResult:
     seed: Optional[int] = None
     ray: Optional[tuple[Scalar, ...]] = None
 
-    def enclosure(self):
-        """Interval enclosure of the exact value at the working precision."""
+    def enclosure(self, ctx):
+        """Interval enclosure of the exact value in the interval context ``ctx``."""
         if self.kind != "exact":
             raise ValueError(f"no exact interval for kind={self.kind}")
-        val = scalar_interval(self.coefficient) * iv.pi ** self.pi_power
+        val = scalar_interval(self.coefficient, ctx) * ctx.pi ** self.pi_power
         for base, exp in self.factors:
-            val *= iv.exp(scalar_interval(exp) * iv.log(scalar_interval(base)))
+            val *= ctx.exp(scalar_interval(exp, ctx) * ctx.log(scalar_interval(base, ctx)))
         return val
 
     def interval(self) -> tuple[str, str]:
-        with working_precision(64):
-            return interval_str(self.enclosure())
+        return interval_str(self.enclosure(working_precision(64)))
 
     def __float__(self) -> float:
         if self.kind == "estimate":
@@ -213,7 +212,7 @@ def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: ExponentVector, p) -> N
     denom: Scalar = frame.det_abs
     for t in coords:
         denom = denom * t
-    coeff = Fraction(2) ** n / denom if is_rational(denom) else (Fraction(2) ** n) / denom
+    coeff = Fraction(2) ** n / denom
     return make_exact_norm(coeff, n, list(zip(frame.thresholds, coords)))
 
 

@@ -2,10 +2,16 @@
 
 Exact decisions go through field arithmetic whenever possible.  Whatever is
 left (signs of expressions mixing logarithms, pi, or n-th roots) is evaluated
-with mpmath's outward-rounding interval context: start at 64 bits, double
+with mpmath's outward-rounding interval arithmetic: start at 64 bits, double
 until the sign resolves, give up with :class:`BoundaryIndeterminate` at the
 cap.  The cap defaults to 1024 bits and can be overridden through the
 ``REINHARDT_PRECISION`` environment variable.
+
+Each precision has its own interval context, fixed at that many bits and
+passed explicitly to whatever builds an interval; nothing here writes
+mpmath's global state, so evaluations in parallel threads cannot change each
+other's precision.  :func:`ladder_sign` is the one loop that raises the
+precision.
 
 Signs of log-linear forms over rational bases never need the ladder to tell
 zero from nonzero: :mod:`reinhardt.loglin` decides that exactly over a
@@ -22,11 +28,10 @@ from __future__ import annotations
 
 import decimal
 import os
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import BoundaryIndeterminate
 from .scalars import QuadExt, Scalar
@@ -35,7 +40,9 @@ LADDER_START_BITS = 64
 DEFAULT_MAX_BITS = 1024
 PRECISION_ENV_VAR = "REINHARDT_PRECISION"
 
-iv = mpmath.iv
+# bits -> interval context fixed at that precision; building one costs more
+# than a whole sign, so each is built once and never changed afterwards
+_CONTEXTS: dict[int, MPIntervalContext] = {}
 
 
 def max_precision_bits() -> int:
@@ -49,40 +56,39 @@ def max_precision_bits() -> int:
     return max(bits, LADDER_START_BITS)
 
 
-@contextmanager
-def working_precision(bits: int):
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        yield iv
-    finally:
-        iv.prec = saved
+def working_precision(bits: int) -> MPIntervalContext:
+    """The interval context that evaluates at ``bits`` working bits."""
+    ctx = _CONTEXTS.get(bits)
+    if ctx is None:
+        ctx = MPIntervalContext()
+        ctx.prec = bits
+        ctx = _CONTEXTS.setdefault(bits, ctx)
+    return ctx
 
 
-def scalar_interval(x: Scalar):
-    """Enclose an exact scalar in an interval at the ambient iv precision."""
+def scalar_interval(x: Scalar, ctx: MPIntervalContext):
+    """Enclose an exact scalar in an interval of the context ``ctx``."""
     if isinstance(x, QuadExt):
-        return (iv.mpf(x.a.numerator) / x.a.denominator
-                + iv.mpf(x.b.numerator) / x.b.denominator * iv.sqrt(x.d))
+        return (ctx.mpf(x.a.numerator) / x.a.denominator
+                + ctx.mpf(x.b.numerator) / x.b.denominator * ctx.sqrt(x.d))
     x = Fraction(x)
-    return iv.mpf(x.numerator) / x.denominator
+    return ctx.mpf(x.numerator) / x.denominator
 
 
-def ladder_sign(build: Callable[[], "mpmath.ctx_iv.ivmpf"], what: str = "expression") -> int:
-    """Resolve the sign of ``build()`` by escalating the working precision.
+def ladder_sign(build: Callable[[MPIntervalContext], object], what: str = "expression") -> int:
+    """Resolve the sign of ``build(ctx)`` by escalating the working precision.
 
-    ``build`` must evaluate the same exact quantity at the ambient iv
-    precision each time it is called.
+    ``build`` must enclose the same exact quantity in whatever interval
+    context it is given; each rung passes a context with more bits.
     """
     bits = LADDER_START_BITS
     cap = max_precision_bits()
     while True:
-        with working_precision(bits):
-            val = build()
-            if val.a > 0:
-                return 1
-            if val.b < 0:
-                return -1
+        val = build(working_precision(bits))
+        if val.a > 0:
+            return 1
+        if val.b < 0:
+            return -1
         if bits >= cap:
             lo, hi = interval_str(val)
             raise BoundaryIndeterminate(

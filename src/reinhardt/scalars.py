@@ -24,7 +24,7 @@ from .errors import SpecError
 Rat = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadExt"]
 
-_RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def is_square_free(d: int) -> bool:
@@ -153,16 +153,6 @@ class QuadExt:
             return diff.sign()
         return (diff > 0) - (diff < 0)
 
-    def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return False  # b != 0 means self is irrational
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
     def __lt__(self, other):
         return self._cmp(other) < 0
 
@@ -228,9 +218,12 @@ def exact_ceil(x: Scalar) -> int:
 
 
 def parse_rational_literal(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RAT_RE.match(text):
+    if not isinstance(text, str) or not _RAT_RE.fullmatch(text):
         raise SpecError(f"malformed rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise SpecError(f"zero denominator in rational literal: {text!r}") from None
 
 
 def parse_scalar_literal(obj, quadratic_d: int | None) -> Scalar:

@@ -25,13 +25,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-import mpmath
+from mpmath import libmp
 
 from .domain import ExponentVector, RadialPoint
-from .errors import ReinhardtError, SpecError
+from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
-from .precision import (interval_str, iv, ladder_sign, max_precision_bits,
-                        scalar_interval, working_precision)
+from .precision import interval_str, ladder_sign, scalar_interval, working_precision
 from .scalars import Scalar, exact_ceil, format_scalar, scalar_cmp, sign_of
 
 
@@ -57,46 +56,45 @@ class N0Result:
     det_abs: Scalar
     n: int
 
-    def _branches(self):
-        pure = scalar_interval(self.shift_max)
-        root = iv.exp(iv.log(scalar_interval(self.det_abs)) / self.n)
-        trans = scalar_interval(self.log_branch_max) + 2 * iv.pi / root
+    def _branches(self, ctx):
+        pure = scalar_interval(self.shift_max, ctx)
+        root = ctx.exp(ctx.log(scalar_interval(self.det_abs, ctx)) / self.n)
+        trans = scalar_interval(self.log_branch_max, ctx) + 2 * ctx.pi / root
         return pure, trans
 
-    def interval(self):
-        pure, trans = self._branches()
+    def interval(self, ctx):
+        pure, trans = self._branches(ctx)
         lo = max(pure.a, trans.a)
         hi = max(pure.b, trans.b)
-        return iv.mpf([lo, hi])
+        return ctx.mpf([lo, hi])
 
     def interval_str(self, dps: int = 12) -> tuple[str, str]:
-        with working_precision(64):
-            return interval_str(self.interval(), dps)
+        return interval_str(self.interval(working_precision(64)), dps)
 
     def ceil(self) -> int:
         """Smallest integer >= N0, exact-vs-interval tie handling included."""
-        winner = ladder_sign(lambda: self._branches()[1] - self._branches()[0],
+        winner = ladder_sign(lambda ctx: self._branches(ctx)[1] - self._branches(ctx)[0],
                              what="N0 branch comparison")
         if winner < 0:
             return exact_ceil(self.shift_max)
-        # transcendental branch: never an integer, so the ladder resolves it
-        bits = 64
-        cap = max_precision_bits()
-        while True:
-            with working_precision(bits):
-                _, trans = self._branches()
-                lo = int(mpmath.ceil(trans.a))
-                hi = int(mpmath.ceil(trans.b))
-                if lo == hi:
-                    return lo
-            if bits >= cap:
-                return hi  # straddling an integer at the cap: take the safe side
-            bits = min(2 * bits, cap)
+        # The transcendental branch is never an integer, so its ceiling is the
+        # least m with trans < m; bisect for it between the ceilings of its
+        # 64-bit endpoints.  A comparison unresolved at the cap counts as
+        # trans > m, the safe side.
+        _, trans = self._branches(working_precision(64))
+        lo, hi = (libmp.to_int(end, libmp.round_ceiling) for end in trans._mpi_)
+        while lo < hi:
+            m = (lo + hi) // 2
+            try:
+                below = ladder_sign(lambda ctx: self._branches(ctx)[1] - m) < 0
+            except BoundaryIndeterminate:
+                below = False
+            lo, hi = (lo, m) if below else (m + 1, hi)
+        return lo
 
     def __float__(self):
-        with working_precision(64):
-            v = self.interval()
-            return float((v.a + v.b) / 2)
+        v = self.interval(working_precision(64))
+        return float((v.a + v.b) / 2)
 
 
 def compute_n0(frame: SimplicialFrame, k: int) -> tuple[N0Result, int]:
@@ -400,4 +398,4 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
 def _norm_sign_vs_one(norm: NormResult) -> int:
     if norm.pi_power == 0 and not norm.factors:
         return sign_of(norm.coefficient - 1)
-    return ladder_sign(lambda: norm.enclosure() - 1, what="norm vs 1")
+    return ladder_sign(lambda ctx: norm.enclosure(ctx) - 1, what="norm vs 1")

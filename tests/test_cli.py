@@ -152,6 +152,13 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and out == "" and "not allowed with argument" in err
     code, out, err = run(capsys)
     assert code == 1 and out == "" and "usage:" in err
+    for argv in (["norm", HARTOGS, "--nu", "0,0", "--p", "1/0"],
+                 ["witness", HARTOGS, "--exterior", "3,1/0", "--j0", "1"],
+                 ["witness", HARTOGS, "--exterior", "3,3/2", "--j0", "1", "--verify",
+                  "--p-list", "1/0"],
+                 ["norm", HARTOGS, "--nu", "0,0", "--p", "\u0661"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0

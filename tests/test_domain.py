@@ -55,6 +55,12 @@ def test_parse_whole_space_allowed(doc):
     '{"n":1,"constraints":[{"alpha":["1.5"],"c":"1"}]}',        # bad literal
     '{"n":1,"quadratic_d":4,"constraints":[]}',                 # not square-free
     '{"n":1,"constraints":[{"alpha":[{"a":"1","b":"1"}],"c":"1"}]}',  # quad without d
+    '{"n":1,"constraints":[{"alpha":["1"],"c":"1/0"}]}',        # zero denominator
+    '{"n":1,"constraints":[{"alpha":["1"],"c":"1/00"}]}',
+    '{"n":1,"constraints":[{"alpha":["1/0"],"c":"1"}]}',
+    '{"n":1,"constraints":[{"alpha":["1\\n"],"c":"1"}]}',      # trailing newline
+    '{"n":1,"constraints":[{"alpha":["\u0661"],"c":"1"}]}',    # non-ASCII digit
+    '{"n":true,"constraints":[{"alpha":["1"],"c":"1"}]}',       # boolean n
 ])
 def test_parse_rejects_malformed(doc):
     with pytest.raises(SpecError):

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import libmp
 
 from reinhardt import (SimplicialFrame, SpecError, build_witness, compute_n0,
                        derive_tail_bound, eval_witness_derivative, radial,
                        verify_witness_membership)
 from reinhardt.domain import exponents
-from reinhardt.witness import WitnessSpec, falling_product
+from reinhardt.witness import N0Result, WitnessSpec, falling_product
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,40 @@ def test_n0_pure_branch_exact():
     assert n0.shift_max == Fraction(5)
     # 2 pi / sqrt(2) + (coords(sigma) - coords(2*1)) stays below 5
     assert big_n == 5
+
+
+# 2 pi to 3000 bits: 9 - TWO_PI + eps has the transcendental branch 9 + eps
+# to far more digits than the default cap reaches
+TWO_PI = 2 * Fraction(*libmp.to_rational(libmp.mpf_pi(3000)))
+EPS = Fraction(1, 2 ** 80)
+
+
+@pytest.mark.parametrize("shift, offset, expected", [
+    (0, EPS, 10), (0, -EPS, 9),
+    # a 64-bit enclosure of a value near 2^100 spans about 2^40 integers
+    (2 ** 100, EPS, 2 ** 100 + 10), (2 ** 100, -EPS, 2 ** 100 + 9),
+], ids=["above-9", "below-9", "above-2^100+9", "below-2^100+9"])
+def test_n0_ceil_where_the_64_bit_enclosure_straddles_an_integer(shift, offset, expected):
+    n0 = N0Result(shift_max=0, log_branch_max=shift + 9 - TWO_PI + offset, det_abs=1, n=1)
+    assert n0.ceil() == expected
+
+
+def test_n0_ceil_takes_the_safe_side_at_the_cap(monkeypatch):
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    for offset in (EPS, -EPS):
+        n0 = N0Result(shift_max=0, log_branch_max=9 - TWO_PI + offset, det_abs=1, n=1)
+        assert n0.ceil() == 10
+
+
+def test_n0_of_a_frame_with_huge_coordinates():
+    # |det| = 1 and coords((1, 0)) = (M, -M - 1), so N0 = M + 2 + 2 pi exactly;
+    # its 64-bit enclosure spans many integers
+    m = 2 ** 70
+    frame = SimplicialFrame.from_rows([exponents(m, m + 1), exponents(m - 1, m)],
+                                      [Fraction(1), Fraction(1)])
+    n0, big_n = compute_n0(frame, 0)
+    assert n0.log_branch_max == m + 2
+    assert big_n == m + 9
 
 
 def test_build_witness_examples(hartogs_frame, polydisc_frame):
