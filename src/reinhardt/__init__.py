@@ -5,8 +5,8 @@ from .classify import (ClassificationReport, Verdict, classify_ainf, classify_al
 from .cones import (ProductSplit, RecessionCone, Subspace, approach, approach_certificate,
                     has_finite_volume, interior_point, is_bounded, is_rational_type,
                     lineality_space, lp_optimize, product_split, recession_contains)
-from .domain import (DomainSpec, ExponentVector, LogPolyhedron, MonomialConstraint,
-                     RadialPoint, contains, exponents, load_spec, parse_spec, radial)
+from .domain import (DomainSpec, LogPolyhedron, MonomialConstraint, RadialPoint, contains,
+                     exponents, load_spec, parse_spec, radial)
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
                      ReinhardtError, SpecError)
 from .montecarlo import coefficient_inequality_check, lp_norm_monte_carlo

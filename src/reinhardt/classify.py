@@ -21,7 +21,6 @@ between the verdicts before returning the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -59,23 +58,9 @@ class ClassificationReport:
             "spaces": {name: {
                 "verdict": v.value,
                 "criterion": v.criterion,
-                "evidence": _evidence_json(v.evidence),
+                "evidence": v.evidence,
             } for name, v in sorted(self.verdicts.items())},
         }
-
-
-def _evidence_json(obj):
-    if isinstance(obj, dict):
-        return {k: _evidence_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_evidence_json(x) for x in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, (Fraction,)) or hasattr(obj, "sign"):
-        return scalar_to_json(obj)
-    return obj
 
 
 def _vector_json(vec) -> list:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .classify import classify_all
-from .domain import DomainSpec, ExponentVector, load_spec, radial
+from .domain import DomainSpec, load_spec, radial
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
                      ReinhardtError, SpecError)
 from .montecarlo import lp_norm_monte_carlo
@@ -116,15 +115,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sup(args) -> int:
     spec = load_spec(args.spec)
-    nu = ExponentVector(tuple(Fraction(x) for x in _parse_int_vector(args.nu, spec.n, "--nu")))
+    nu = _parse_int_vector(args.nu, spec.n, "--nu")
     result = sup_norm_monomial(spec, nu)
-    doc = {"command": "sup", "nu": list(nu.as_ints()), "result": _norm_json(result)}
-    _emit(args, doc, [f"sup |z^{list(nu.as_ints())}| = {_norm_text(result)}"])
+    doc = {"command": "sup", "nu": list(nu), "result": _norm_json(result)}
+    _emit(args, doc, [f"sup |z^{list(nu)}| = {_norm_text(result)}"])
     return 0
 
 
-def _run_norm(args, spec: DomainSpec, nu_ints: tuple[int, ...]) -> int:
-    nu = ExponentVector(tuple(Fraction(x) for x in nu_ints))
+def _run_norm(args, spec: DomainSpec, nu: tuple[int, ...]) -> int:
     p = parse_rational_literal(args.p)
     if args.mc:
         if args.seed is None:
@@ -132,8 +130,8 @@ def _run_norm(args, spec: DomainSpec, nu_ints: tuple[int, ...]) -> int:
         result = lp_norm_monte_carlo(spec, nu, p, args.samples, args.seed)
     else:
         result = lp_norm_exact_simplicial(SimplicialFrame.from_spec(spec), nu, p)
-    doc = {"command": "norm", "nu": list(nu_ints), "p": str(p), "result": _norm_json(result)}
-    _emit(args, doc, [f"integral of |z^{list(nu_ints)}|^{p}: {_norm_text(result)}"])
+    doc = {"command": "norm", "nu": list(nu), "p": str(p), "result": _norm_json(result)}
+    _emit(args, doc, [f"integral of |z^{list(nu)}|^{p}: {_norm_text(result)}"])
     return 0
 
 

@@ -77,7 +77,7 @@ class ProductSplit:
 
 def lineality_space(poly: LogPolyhedron) -> Subspace:
     """Common kernel of the constraint normals (= rec(P) lines, P nonempty)."""
-    rows = [list(a.components) for a in poly.normals]
+    rows = [list(a) for a in poly.normals]
     basis = linalg.kernel_basis(rows, poly.n)
     return Subspace(ambient_n=poly.n, basis=tuple(tuple(v) for v in basis))
 
@@ -120,7 +120,7 @@ def is_rational_type(subspace: Subspace) -> bool:
 
 
 def recession_contains(poly: LogPolyhedron, direction: Sequence[Scalar]) -> bool:
-    return all(sign_of(linalg.dot(a.components, direction)) <= 0 for a in poly.normals)
+    return all(sign_of(linalg.dot(a, direction)) <= 0 for a in poly.normals)
 
 
 def require_optimal(cert: LPCertificate, what: str) -> None:
@@ -143,7 +143,7 @@ def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
                                   ) -> Optional[list[Scalar]]:
     """Recession direction with <w, d> > 0 found by an LP; ``sup_norm_monomial``
     reports this LP vertex as its ray."""
-    rows = [list(a.components) for a in poly.normals]
+    rows = [list(a) for a in poly.normals]
     cert = solve_lp(rows + [list(w)], [LogLin.zero()] * len(rows) + [LogLin.of(1)], list(w))
     require_optimal(cert, "recession_improving_direction")
     if cert.objective.sign() > 0:
@@ -350,7 +350,7 @@ def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
     n = poly.n
     units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     # unit rows first: the double description then starts from the negative orthant
-    cone = recession_cone(units + [list(a.components) for a in poly.normals], n)
+    cone = recession_cone(units + [list(a) for a in poly.normals], n)
     return tuple(dict.fromkeys(frozenset(j for j, x in enumerate(r) if sign_of(x) != 0)
                                for r in cone.rays))
 
@@ -382,7 +382,7 @@ def product_split(spec: DomainSpec, lineality: Subspace) -> Optional[ProductSpli
 
 def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron) -> LPCertificate:
     """sup <objective, x> over the closed system, exact with symbolic offsets."""
-    rows = [list(a.components) for a in poly.normals]
+    rows = [list(a) for a in poly.normals]
     return solve_lp(rows, [LogLin.log_of(c) for c in poly.offsets], list(objective))
 
 
@@ -411,7 +411,7 @@ def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
     n = poly.n
     rows, rhs = [], []
     for alpha, c in zip(poly.normals, poly.offsets):
-        rows.append(list(alpha.components) + [Fraction(1)])
+        rows.append(list(alpha) + [Fraction(1)])
         rhs.append(LogLin.log_of(c))
     tail = [Fraction(0)] * n + [Fraction(1)]
     rows.append(list(tail))

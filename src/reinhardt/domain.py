@@ -16,58 +16,42 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 from typing import Optional, Sequence
 
 from .cones import (RecessionCone, Subspace, approach, approach_supports, interior_point,
                     lineality_space, radius_box, recession_cone)
 from .errors import EmptyDomainError, SpecError
 from .loglin import LogLin
-from .scalars import (Scalar, is_rational, is_square_free, parse_scalar_literal,
-                      scalar_to_json, sign_of)
+from .scalars import (Scalar, format_scalar, is_rational, is_square_free,
+                      parse_scalar_literal, scalar_to_json, sign_of)
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Exponents of a radial monomial |z1|^a1 ... |zn|^an (exact scalars)."""
-
-    components: tuple[Scalar, ...]
-
-    def __len__(self):
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    @property
-    def is_integer(self) -> bool:
-        return all(isinstance(c, int) or (is_rational(c) and Fraction(c).denominator == 1)
-                   for c in self.components)
-
-    def as_ints(self) -> tuple[int, ...]:
-        if not self.is_integer:
-            raise ValueError(f"not an integer exponent vector: {self}")
-        return tuple(int(Fraction(c)) for c in self.components)
-
-    def is_zero(self) -> bool:
-        return all(sign_of(c) == 0 for c in self.components)
+def exponents(*components) -> tuple[Scalar, ...]:
+    """Exponent vector of a radial monomial |z1|^a1 ... |zn|^an (exact scalars)."""
+    return tuple(Fraction(c) if isinstance(c, int) else c for c in components)
 
 
-def exponents(*components) -> ExponentVector:
-    return ExponentVector(tuple(Fraction(c) if isinstance(c, int) else c for c in components))
+def integer_exponents(nu: Sequence[Scalar]) -> tuple[int, ...]:
+    """The exponents of a monomial z^nu as ints; ValueError unless each is an integer."""
+    nu = tuple(nu)
+    if all(type(c) is int for c in nu):  # the common case, e.g. every spectrum_box query
+        return nu
+    if not all(isinstance(c, Integral) or (is_rational(c) and c.denominator == 1) for c in nu):
+        raise ValueError("not an integer exponent vector: "
+                         f"({', '.join(format_scalar(c) for c in nu)})")
+    return tuple(int(c) for c in nu)
 
 
 @dataclass(frozen=True)
 class MonomialConstraint:
     """|z^alpha| < c with c > 0 and alpha nonzero."""
 
-    alpha: ExponentVector
+    alpha: tuple[Scalar, ...]
     c: Scalar
 
     def __post_init__(self):
-        if self.alpha.is_zero():
+        if all(sign_of(a) == 0 for a in self.alpha):
             raise SpecError("constraint exponent vector must be nonzero")
         if sign_of(self.c) <= 0:
             raise SpecError("constraint threshold must be > 0")
@@ -102,7 +86,7 @@ class LogPolyhedron:
     """
 
     n: int
-    normals: tuple[ExponentVector, ...]
+    normals: tuple[tuple[Scalar, ...], ...]
     offsets: tuple[Scalar, ...]
 
     @cached_property
@@ -113,7 +97,7 @@ class LogPolyhedron:
     @cached_property
     def recession(self) -> RecessionCone:
         """Exact generators of {d : <alpha_i, d> <= 0}."""
-        return recession_cone([list(a.components) for a in self.normals], self.n)
+        return recession_cone([list(a) for a in self.normals], self.n)
 
     @cached_property
     def approach_supports(self) -> tuple[frozenset[int], ...]:
@@ -137,7 +121,7 @@ class LogPolyhedron:
                 if not approach(self, coords):
                     continue
                 keep = [j for j in range(self.n) if j not in coords]
-                rows = [(ExponentVector(tuple(a[j] for j in keep)), c)
+                rows = [(tuple(a[j] for j in keep), c)
                         for a, c in zip(self.normals, self.offsets)
                         if all(sign_of(a[j]) == 0 for j in coords)]
                 face = LogPolyhedron(n=len(keep), normals=tuple(a for a, _ in rows),
@@ -224,7 +208,7 @@ def parse_spec(text: str) -> DomainSpec:
         alpha_raw = item.get("alpha")
         if not isinstance(alpha_raw, list) or len(alpha_raw) != n:
             raise SpecError(f"constraint {idx}: 'alpha' must be an array of {n} scalars")
-        alpha = ExponentVector(tuple(parse_scalar_literal(a, quad_d) for a in alpha_raw))
+        alpha = tuple(parse_scalar_literal(a, quad_d) for a in alpha_raw)
         c = parse_scalar_literal(item.get("c"), quad_d)
         if sign_of(c) <= 0:
             raise SpecError(f"constraint {idx}: threshold c must be > 0")

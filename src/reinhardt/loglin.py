@@ -38,7 +38,7 @@ from .precision import ladder_sign, scalar_interval
 from .scalars import QuadExt, Scalar, is_rational, scalar_cmp, sign_of
 
 # A form with a zero constant and rational coefficients is decided by the
-# product prod(base ** k) outright when _product_bits puts it at no more than
+# product prod(base ** k) outright when product_bits puts it at no more than
 # this many bits; larger ones try the interval ladder first.
 EXACT_PRODUCT_BITS = 4096
 
@@ -113,7 +113,7 @@ class LogLin:
             if not form.terms:  # the exact zero test
                 return sign_of(form.const)
         powers = _integer_powers(form)
-        if powers is not None and _product_bits(powers) <= EXACT_PRODUCT_BITS:
+        if powers is not None and product_bits(powers) <= EXACT_PRODUCT_BITS:
             return _product_sign(powers)
         try:
             return ladder_sign(form.interval, what=repr(self))
@@ -179,7 +179,7 @@ def _integer_powers(form: LogLin) -> list[tuple[Scalar, int]] | None:
     return [(base, k // g) for (base, _), k in zip(form.terms, ks)]
 
 
-def _product_bits(powers) -> int:
+def product_bits(powers) -> int:
     """Rough size of ``prod(base ** |k|)``: |k| times the bits of each base."""
     return sum(abs(k) * _bits(base) for base, k in powers)
 

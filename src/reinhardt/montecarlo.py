@@ -42,10 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainSpec, ExponentVector, contains, radial
+from .domain import DomainSpec, contains, integer_exponents, radial
 from .errors import MonteCarloError
 from .norms import NormResult
 from .spectrum import monomial_defined
@@ -80,7 +81,7 @@ class _Sampler:
         self.weight = float(np.prod(np.pi * self.box ** 2))
         # per constraint: log c and its (column, exponent) pairs with a nonzero exponent
         self.rows = [(math.log(float(con.c)),
-                      [(j, a) for j, a in enumerate(float(x) for x in con.alpha.components)
+                      [(j, a) for j, a in enumerate(float(x) for x in con.alpha)
                        if a != 0.0])
                      for con in spec.constraints]
         shape = (BLOCK_SIZE, len(self.box))
@@ -161,10 +162,10 @@ def _weighted_powers(r: np.ndarray, ok: np.ndarray, exps: np.ndarray, weight: fl
     return out
 
 
-def lp_norm_monte_carlo(spec: DomainSpec, nu: ExponentVector, p, samples: int, seed: int
+def lp_norm_monte_carlo(spec: DomainSpec, nu: Sequence[int], p, samples: int, seed: int
                         ) -> NormResult:
     """MC estimate of the integral of |z^nu|^p, with standard error."""
-    exps = np.array(nu.as_ints(), dtype=float) * float(Fraction(p))
+    exps = np.array(integer_exponents(nu), dtype=float) * float(Fraction(p))
     sampler = _Sampler(spec, seed, with_phases=False)
     vals_buf, sq_buf = np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE)
     s1 = s2 = 0.0
@@ -215,7 +216,7 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
     (:func:`reinhardt.spectrum.monomial_defined`).
     """
     p = Fraction(p)
-    terms = sorted(laurent_poly.items())
+    terms = sorted((integer_exponents(nu), coeff) for nu, coeff in laurent_poly.items())
     for nu, _ in terms:
         if not monomial_defined(spec, nu):
             raise MonteCarloError(f"monomial {nu} is undefined on the domain")
@@ -253,7 +254,7 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
     passed = True
     for (nu, _), (s1, s2) in zip(terms, per_term):
         val, se = _mean_stderr(s1, s2, samples)
-        estimates.append(TermEstimate(nu=tuple(nu), value=val, stderr=se))
+        estimates.append(TermEstimate(nu=nu, value=val, stderr=se))
         if val > total + 3.0 * math.hypot(se, total_se):
             passed = False
     return CoefficientInequalityReport(p=p, total=total, total_stderr=total_se,

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .cones import (lp_optimize, recession_improving_direction, recession_meets_halfspace,
                     require_optimal, unbounded_direction)
-from .domain import DomainSpec, ExponentVector, LogPolyhedron
+from .domain import DomainSpec, LogPolyhedron, integer_exponents
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
 from .precision import interval_str, scalar_interval, working_precision
@@ -38,18 +38,18 @@ from .scalars import Scalar, format_scalar, is_rational, scalar_cmp, sign_of
 class SimplicialFrame:
     """Exactly n independent constraints |z^alpha_j| < c_j with invertible A."""
 
-    normals: tuple[ExponentVector, ...]
+    normals: tuple[tuple[Scalar, ...], ...]
     thresholds: tuple[Scalar, ...]
     b_matrix: tuple[tuple[Scalar, ...], ...]  # inverse of the normal matrix
     det_abs: Scalar
 
     @staticmethod
-    def from_rows(normals: Sequence[ExponentVector], thresholds: Sequence[Scalar]
+    def from_rows(normals: Sequence[Sequence[Scalar]], thresholds: Sequence[Scalar]
                   ) -> "SimplicialFrame":
         n = len(normals)
         if any(len(a) != n for a in normals):
             raise SpecError("a simplicial frame needs exactly n constraints in dimension n")
-        rows = [list(a.components) for a in normals]
+        rows = [list(a) for a in normals]
         det = linalg.determinant(rows)
         if sign_of(det) == 0:
             raise SpecError("frame normals are linearly dependent")
@@ -97,7 +97,7 @@ class SimplicialFrame:
 class NormResult:
     """Exact symbolic value, MC estimate, or a divergence witness."""
 
-    kind: str  # "exact" | "estimate" | "infinite" | "zero-space"
+    kind: str  # "exact" | "estimate" | "infinite"
     coefficient: Optional[Scalar] = None
     pi_power: int = 0
     factors: tuple[tuple[Scalar, Scalar], ...] = ()
@@ -166,14 +166,14 @@ def make_exact_norm(coefficient: Scalar, pi_power: int,
                       factors=tuple(kept))
 
 
-def sup_norm_monomial(spec: DomainSpec, nu: ExponentVector) -> NormResult:
+def sup_norm_monomial(spec: DomainSpec, nu: Sequence[Scalar]) -> NormResult:
     """sup over the domain of |z^nu| = exp(sup <nu, x> over log G).
 
     The recession generators decide finiteness; an LP then gives the value,
     or the improving ray that is reported for an infinite sup.
     """
     poly = spec.log_polyhedron
-    w = list(nu.components)
+    w = list(nu)
     if unbounded_direction(poly, w) is not None:
         ray = recession_improving_direction(poly, w)
         if ray is None:
@@ -188,22 +188,22 @@ def sup_norm_monomial(spec: DomainSpec, nu: ExponentVector) -> NormResult:
     return make_exact_norm(Fraction(1), 0, cert.objective.terms)
 
 
-def lp_norm_finite(spec: DomainSpec, nu: ExponentVector, p) -> bool:
+def lp_norm_finite(spec: DomainSpec, nu: Sequence[int], p) -> bool:
     """Is the integral of |z^nu|^p finite?  Exact recession-cone decision."""
     p = Fraction(p)
     if p < 1:
         raise ValueError("p must be a rational >= 1")
-    w = [p * Fraction(c) + 2 for c in nu.as_ints()]
+    w = [p * c + 2 for c in integer_exponents(nu)]
     return recession_meets_halfspace(spec.log_polyhedron, w) is None
 
 
-def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: ExponentVector, p) -> NormResult:
+def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> NormResult:
     """Closed-form integral of |z^nu|^p over the frame's domain."""
     p = Fraction(p)
     if p < 1:
         raise ValueError("p must be a rational >= 1")
     n = frame.n
-    w = [p * Fraction(c) + 2 for c in nu.as_ints()]
+    w = [p * c + 2 for c in integer_exponents(nu)]
     coords = frame.basis_coords(w)
     for j, t in enumerate(coords):
         if sign_of(t) <= 0:
@@ -216,13 +216,8 @@ def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: ExponentVector, p) -> N
     return make_exact_norm(coeff, n, list(zip(frame.thresholds, coords)))
 
 
-def domain_volume_exact(frame: SimplicialFrame) -> NormResult:
-    zero = ExponentVector(tuple(Fraction(0) for _ in range(frame.n)))
-    return lp_norm_exact_simplicial(frame, zero, 1)
-
-
 def find_integrable_monomial(spec: DomainSpec, max_radius: int = 40
-                             ) -> Optional[tuple[ExponentVector, Fraction]]:
+                             ) -> Optional[tuple[tuple[int, ...], Fraction]]:
     """Search for (nu, p) with a finite L^p integral; None when the lineality
     space is nonzero (no monomial is p-integrable then)."""
     if spec.log_polyhedron.lineality.dim > 0:
@@ -231,8 +226,7 @@ def find_integrable_monomial(spec: DomainSpec, max_radius: int = 40
         shell = [nu for nu in product(range(-radius, radius + 1), repeat=spec.n)
                  if max((abs(x) for x in nu), default=0) == radius]
         for nu in sorted(shell):
-            vec = ExponentVector(tuple(Fraction(x) for x in nu))
             for p in (Fraction(1), Fraction(2)):
-                if lp_norm_finite(spec, vec, p):
-                    return vec, p
+                if lp_norm_finite(spec, nu, p):
+                    return nu, p
     raise SpecError(f"no integrable monomial found in the box [-{max_radius},{max_radius}]^n")

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import spaces as sp
 from .cones import face_meets_halfspace, recession_meets_halfspace, unbounded_direction
-from .domain import DomainSpec, LogPolyhedron
+from .domain import DomainSpec, LogPolyhedron, integer_exponents
 from .linalg import dot
 from .scalars import sign_of
 from .spaces import FunctionSpace
@@ -85,7 +85,7 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
                       ) -> SpaceMembership:
     """Exact membership of z^nu, with "indeterminate" only for the A^k
     continuity cases the sufficient criteria do not cover."""
-    nu = tuple(int(e) for e in nu)
+    nu = integer_exponents(nu)
     if len(nu) != spec.n:
         raise ValueError(f"exponent vector has length {len(nu)}, expected {spec.n}")
     if not monomial_defined(spec, nu):

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
 from mpmath import libmp
 
-from .domain import ExponentVector, RadialPoint
+from .domain import RadialPoint, integer_exponents
 from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
+from .loglin import EXACT_PRODUCT_BITS, product_bits
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
 from .precision import interval_str, ladder_sign, scalar_interval, working_precision
 from .scalars import Scalar, exact_ceil, format_scalar, scalar_cmp, sign_of
@@ -165,9 +167,9 @@ class WitnessFunction:
     k: int
     n0: N0Result
 
-    @property
+    @cached_property
     def alpha_j0(self) -> tuple[int, ...]:
-        return self.frame.normals[self.j0].as_ints()
+        return integer_exponents(self.frame.normals[self.j0])
 
     def value(self, z: Sequence[complex]) -> complex:
         """Closed form z^{N*alpha} / (z^{alpha_j0} - d)."""
@@ -194,21 +196,25 @@ def build_witness(wspec: WitnessSpec) -> WitnessFunction:
     if any(scalar_cmp(c, 1) != 0 for c in frame.thresholds):
         raise SpecError("witness frames need unit thresholds; "
                         "use SimplicialFrame.rescaled_to_unit() first")
-    if any(not a.is_integer for a in frame.normals):
-        raise SpecError("witness frames need integer constraint exponents")
-    alpha_j0 = frame.normals[wspec.j0].as_ints()
+    try:
+        normals = [integer_exponents(a) for a in frame.normals]
+    except ValueError:
+        raise SpecError("witness frames need integer constraint exponents") from None
+    alpha_j0 = normals[wspec.j0]
     b = wspec.exterior.radii
     if any(sign_of(r) <= 0 for r in b):
         raise SpecError("exterior point must have strictly positive radii")
+    powers = [(r, e) for r, e in zip(b, alpha_j0) if e]
+    bits = product_bits(powers)
+    if bits > EXACT_PRODUCT_BITS:
+        raise SpecError(f"|b^alpha_j0| needs about {bits} bits, more than {EXACT_PRODUCT_BITS}")
     d: Scalar = Fraction(1)
-    for r, e in zip(b, alpha_j0):
-        if e:
-            d = d * (Fraction(r) ** e if not hasattr(r, "sign") else r ** e)
+    for r, e in powers:
+        d = d * (Fraction(r) ** e if not hasattr(r, "sign") else r ** e)
     if sign_of(d - 1) <= 0:
         raise SpecError(f"|b^alpha_j0| = {format_scalar(d)} must exceed 1")
     n0, big_n = compute_n0(frame, wspec.k)
-    alpha_sum = tuple(sum(a.as_ints()[ell] for a in frame.normals)
-                      for ell in range(frame.n))
+    alpha_sum = tuple(sum(a[ell] for a in normals) for ell in range(frame.n))
     coords = frame.basis_coords([Fraction(a) for a in alpha_sum])
     if any(scalar_cmp(t, 1) != 0 for t in coords):
         raise ReinhardtError("row-sum identity failed: coords(alpha) != 1 (internal)")
@@ -366,17 +372,20 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
     n = frame.n
     if any(scalar_cmp(c, 1) != 0 for c in frame.thresholds):
         raise SpecError("membership verification expects unit thresholds")
+    try:
+        d = float(w.d)
+    except OverflowError:
+        raise SpecError("d = |b^alpha_j0| is too large for a float") from None
     # each approach support is approachable and every approachable set is a union of them
     axis_coords = sorted(frozenset().union(*frame.polyhedron().approach_supports))
     checks = []
     for sigma in derivative_orders(n, k):
-        nu = ExponentVector(tuple(Fraction(w.N * a - s)
-                                  for a, s in zip(w.alpha_sum, sigma)))
-        coords_nu = frame.basis_coords(list(nu.components))
+        nu = tuple(w.N * a - s for a, s in zip(w.alpha_sum, sigma))
+        coords_nu = frame.basis_coords(nu)
         sup_ok = all(sign_of(t) >= 0 for t in coords_nu)
         vanish_ok = True
         for ell in axis_coords:
-            shifted = list(nu.components)
+            shifted = list(nu)
             shifted[ell] -= 1
             if any(sign_of(t) < 0 for t in frame.basis_coords(shifted)):
                 vanish_ok = False
@@ -387,7 +396,7 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
                                        sup_cone_ok=sup_ok, vanishing_ok=vanish_ok))
     # one spot-verified bound per derivative order |sigma| = 0..k
     tails = {order: derive_tail_bound(w, order) for order in range(k + 1)}
-    sup_bounds = {sigma: _sup_series_bound(tails[sum(sigma)], float(w.d))
+    sup_bounds = {sigma: _sup_series_bound(tails[sum(sigma)], d)
                   for sigma in derivative_orders(n, k)}
     return WitnessCertificate(
         witness=w, k=k, p_list=p_list, checks=tuple(checks),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from reinhardt import DomainSpec, ExponentVector, MonomialConstraint, interior_point, load_spec
+from reinhardt import DomainSpec, MonomialConstraint, interior_point, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -118,8 +118,7 @@ def random_spec(rng: random.Random, n: int, max_constraints: int = 3,
             if all(x == 0 for x in row):
                 row[rng.randrange(n)] = 1
             c = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-            constraints.append(MonomialConstraint(
-                ExponentVector(tuple(Fraction(x) for x in row)), c))
+            constraints.append(MonomialConstraint(tuple(Fraction(x) for x in row), c))
         spec = DomainSpec(n=n, constraints=tuple(constraints))
         if interior_point(spec.log_polyhedron) is not None:
             return spec

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -82,6 +83,27 @@ def test_witness_command(capsys):
     assert doc["N"] == 6
     assert doc["certificate"]["all_ok"] is True
     assert all(c["ok"] for c in doc["certificate"]["checks"])
+
+
+def test_witness_with_huge_exterior_power_is_a_spec_error(tmp_path, capsys):
+    # |b^alpha_j0| = 3^(2^70) * 3^(2^70 + 1): too large to compute at all
+    m = 2 ** 70
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"n": 2, "constraints": [
+        {"alpha": [str(m), str(m + 1)], "c": "1"},
+        {"alpha": [str(m - 1), str(m)], "c": "1"}]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "witness", str(frame), "--exterior", "3,3", "--j0", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and err.startswith("error:")
+
+
+def test_witness_verify_with_d_beyond_float_range_is_a_spec_error(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "witness", HARTOGS, "--k", "0", "--exterior", f"{10 ** 400},1",
+                       "--j0", "1", "--verify")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and err.startswith("error:")
 
 
 def test_spectrum_command(capsys):

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_spec, sample_interior_points
 from hypothesis import given, settings, strategies as st
 
-from reinhardt import (DomainSpec, ExponentVector, LogPolyhedron, MonomialConstraint,
+from reinhardt import (DomainSpec, LogPolyhedron, MonomialConstraint,
                        RecessionCone, approach, approach_certificate, cones, has_finite_volume,
                        interior_point, is_bounded, is_rational_type, lineality_space,
                        lp_optimize, product_split, recession_contains, sup_norm_monomial)
@@ -191,20 +191,20 @@ def lp_cone_nonzero_direction(rows, n):
 
 
 def lp_recession_meets_halfspace(poly, w):
-    rows = [list(a.components) for a in poly.normals]
+    rows = [list(a) for a in poly.normals]
     return lp_cone_nonzero_direction(rows + [[-x for x in w]], poly.n)
 
 
 def lp_unbounded_direction(poly, w):
     """The hinf test: max <w, d> over the cone cut by <w, d> <= 1."""
-    rows = [list(a.components) for a in poly.normals]
+    rows = [list(a) for a in poly.normals]
     cert = solve_lp(rows + [list(w)], [LogLin.zero()] * len(rows) + [LogLin.of(1)], list(w))
     assert cert.status == "optimal"
     return [v.const for v in cert.primal_point] if cert.objective.sign() > 0 else None
 
 
 def lp_face_meets_halfspace(poly, m, w):
-    rows = [list(a.components) for a in poly.normals]
+    rows = [list(a) for a in poly.normals]
     return lp_cone_nonzero_direction(rows + [[-x for x in m], list(m), [-x for x in w]],
                                      poly.n)
 
@@ -212,7 +212,7 @@ def lp_face_meets_halfspace(poly, m, w):
 def _is_certificate(poly, d, w, strict, face=None):
     s = sign_of(dot(w, d))
     return (any(sign_of(x) != 0 for x in d)
-            and all(sign_of(dot(a.components, d)) <= 0 for a in poly.normals)
+            and all(sign_of(dot(a, d)) <= 0 for a in poly.normals)
             and (s > 0 if strict else s >= 0)
             and (face is None or sign_of(dot(face, d)) == 0))
 
@@ -241,7 +241,7 @@ def cone_cases(draw):
         alpha = [sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(n)]
         if all(sign_of(x) == 0 for x in alpha):
             continue
-        constraints.append(MonomialConstraint(ExponentVector(tuple(alpha)), Fraction(1)))
+        constraints.append(MonomialConstraint(tuple(alpha), Fraction(1)))
     spec = DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=d)
     lam = [draw(st.integers(0, 2)) for _ in constraints]
     m = [sum((l * con.alpha[j] for l, con in zip(lam, constraints)), Fraction(0))
@@ -256,7 +256,7 @@ def test_generators_agree_with_lp_oracle(case):
     poly = spec.log_polyhedron
     cone = poly.recession
     for v in cone.lineality:
-        assert all(sign_of(dot(a.components, v)) == 0 for a in poly.normals)
+        assert all(sign_of(dot(a, v)) == 0 for a in poly.normals)
     for r in cone.rays:
         assert recession_contains(poly, r) and any(sign_of(x) != 0 for x in r)
 
@@ -268,7 +268,7 @@ def test_generators_agree_with_lp_oracle(case):
     lp_ray = lp_unbounded_direction(poly, nu)
     assert (got is None) == (lp_ray is None)
     assert got is None or _is_certificate(poly, got, nu, strict=True)
-    sup = sup_norm_monomial(spec, ExponentVector(tuple(nu)))
+    sup = sup_norm_monomial(spec, tuple(nu))
     assert (sup.kind == "infinite") == (lp_ray is not None)
 
     got = cones.face_meets_halfspace(poly, m, w)

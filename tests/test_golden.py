@@ -60,6 +60,26 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
       "--json"]),
     ("spectrum_disc_times_plane_l2_box2",
      ["spectrum", "specs/disc_times_plane.json", "--space", "l2", "--box", "2", "--json"]),
+    ("sup_hartogs_half_nu1_1", ["sup", "specs/hartogs_half.json", "--nu", "1,1", "--json"]),
+    ("sup_multiplicative_strip_nu2_-1",
+     ["sup", "specs/multiplicative_strip.json", "--nu", "2,-1", "--json"]),
+    ("sup_irrational_slope_nu2_-1",
+     ["sup", "specs/irrational_slope.json", "--nu", "2,-1", "--json"]),
+    ("sup_unit_disc_nu-1", ["sup", "specs/unit_disc.json", "--nu", "-1", "--json"]),
+    ("norm_exact_hartogs_half_nu1_0_p2",
+     ["norm", "specs/hartogs_half.json", "--nu", "1,0", "--p", "2", "--exact", "--json"]),
+    ("volume_exact_hartogs_half", ["volume", "specs/hartogs_half.json", "--exact", "--json"]),
+    ("volume_exact_polydisc", ["volume", "specs/polydisc.json", "--exact", "--json"]),
+    ("witness_hartogs_k1_exterior3_3-2_j01",
+     ["witness", "specs/hartogs.json", "--k", "1", "--exterior", "3,3/2", "--j0", "1",
+      "--p-list", "1,2,3", "--verify", "--json"]),
+    ("witness_polydisc_k2_exterior5_5_j02",
+     ["witness", "specs/polydisc.json", "--k", "2", "--exterior", "5,5", "--j0", "2",
+      "--verify", "--json"]),
+    # exponents all 0: no pow in the block kernel, so the same bits on every CPU
+    ("norm_mc_hartogs_nu0_0_p1",
+     ["norm", "specs/hartogs.json", "--nu", "0,0", "--p", "1", "--mc", "--samples", "20000",
+      "--seed", "3", "--json"]),
 ]
 
 

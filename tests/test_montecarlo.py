@@ -66,7 +66,7 @@ def test_weighted_powers_match_the_reference_expression(exps):
 def test_acceptance_matches_the_reference_mask(name):
     """The row-by-row mask equals the slack matrix with the exact re-check."""
     spec = load_spec(str(SPEC_DIR / f"{name}.json"))
-    alpha = np.array([[float(a) for a in con.alpha.components] for con in spec.constraints])
+    alpha = np.array([[float(a) for a in con.alpha] for con in spec.constraints])
     log_c = np.array([math.log(float(con.c)) for con in spec.constraints])
     sampler = _Sampler(spec, 5, with_phases=False)
     for b in (0, 3):
@@ -140,3 +140,16 @@ def test_single_monomial_is_tight(hartogs):
 def test_undefined_monomial_rejected(polydisc):
     with pytest.raises(MonteCarloError):
         coefficient_inequality_check(polydisc, {(-1, 0): 1.0}, 1, 1000, seed=1)
+
+
+def test_coefficient_exponents_must_be_integers(hartogs):
+    with pytest.raises(ValueError, match="not an integer exponent vector"):
+        coefficient_inequality_check(hartogs, {(Fraction(3, 2), 0): 1.0}, 1, 1000, seed=1)
+    with pytest.raises(ValueError, match="not an integer exponent vector"):
+        lp_norm_monte_carlo(hartogs, (Fraction(1, 2), 0), 1, 1000, seed=1)
+    by_int = coefficient_inequality_check(hartogs, {(2, 0): 1.0}, 1, 1000, seed=1)
+    for nu in (exponents(2, 0), (Fraction(2), 0)):
+        report = coefficient_inequality_check(hartogs, {nu: 1.0}, 1, 1000, seed=1)
+        assert report == by_int and report.terms[0].nu == (2, 0)
+        assert lp_norm_monte_carlo(hartogs, nu, 1, 1000, seed=1) == \
+            lp_norm_monte_carlo(hartogs, (2, 0), 1, 1000, seed=1)

@@ -16,7 +16,6 @@ from reinhardt import (SimplicialFrame, exponents, find_integrable_monomial,
 from reinhardt.domain import parse_spec
 from reinhardt.errors import ReinhardtError
 from reinhardt.loglin import LogLin
-from reinhardt.norms import domain_volume_exact
 from reinhardt.scalars import sign_of
 from reinhardt.simplex import OPTIMAL, UNBOUNDED, LPCertificate
 
@@ -32,7 +31,7 @@ def oracle_hartogs_integral(p_nu):
 
 def test_hartogs_volume_matches_oracle(hartogs):
     frame = SimplicialFrame.from_spec(hartogs)
-    result = domain_volume_exact(frame)
+    result = lp_norm_exact_simplicial(frame, (0, 0), 1)
     assert result.symbolic() == "pi^2/2"
     oracle, err = oracle_hartogs_integral((0, 0))
     lo, hi = result.interval()
@@ -57,9 +56,21 @@ def test_polydisc_square_norm(polydisc):
     assert math.isclose((2 * math.pi) * val * math.pi, float(result), rel_tol=1e-10)
 
 
+def test_norm_exponents_must_be_integers(hartogs, polydisc):
+    frame = SimplicialFrame.from_spec(polydisc)
+    with pytest.raises(ValueError, match="not an integer exponent vector"):
+        lp_norm_exact_simplicial(frame, (Fraction(1, 2), 0), 2)
+    with pytest.raises(ValueError, match="not an integer exponent vector"):
+        lp_norm_finite(hartogs, (Fraction(1, 2), 0), 2)
+    assert lp_norm_exact_simplicial(frame, (Fraction(1), 0), 2).symbolic() == "pi^2/2"
+    assert lp_norm_finite(hartogs, (Fraction(2), 0), 2) is True
+    # a sup norm takes any field exponents
+    assert sup_norm_monomial(hartogs, (Fraction(1, 2), 0)).symbolic() == "1"
+
+
 def test_dilated_hartogs_threshold_factor(hartogs_half):
     frame = SimplicialFrame.from_spec(hartogs_half)
-    result = domain_volume_exact(frame)
+    result = lp_norm_exact_simplicial(frame, (0, 0), 1)
     assert result.symbolic() == "pi^2/32"
     # oracle: the half-dilation scales the volume by (1/2)^4
     assert math.isclose(float(result), math.pi ** 2 / 32, rel_tol=1e-10)
@@ -151,7 +162,7 @@ def test_sup_scales_with_uniform_thresholds():
 
 def test_find_integrable_monomial(hartogs, multiplicative_strip, disc_times_plane):
     nu, p = find_integrable_monomial(hartogs)
-    assert nu.as_ints() == (0, 0) and p == 1
+    assert nu == (0, 0) and p == 1
     assert find_integrable_monomial(multiplicative_strip) is None
     assert find_integrable_monomial(disc_times_plane) is None
 

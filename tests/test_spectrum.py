@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,13 @@ def test_undefined_monomials(polydisc, disc_times_plane):
     assert v.verdict == "no" and v.criterion == "undefined-on-interior-axis"
     v2 = monomial_in_space(disc_times_plane, (0, -1), sp.hinf())
     assert v2.verdict == "no" and v2.criterion == "undefined-on-interior-axis"
+
+
+def test_monomial_exponents_must_be_integers(hartogs):
+    with pytest.raises(ValueError, match="not an integer exponent vector"):
+        monomial_in_space(hartogs, (Fraction(3, 2), Fraction(1, 2)), sp.hinf())
+    for nu in (exponents(1, 0), (Fraction(2), 0)):
+        assert monomial_in_space(hartogs, nu, sp.hinf()).is_yes
 
 
 def test_spectrum_box_examples(multiplicative_strip, disc_times_plane, polydisc):

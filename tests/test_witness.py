@@ -116,9 +116,38 @@ def test_build_witness_needs_unit_thresholds(hartogs_half):
     assert w.d == 2
 
 
+def test_build_witness_rejects_fractional_normals():
+    frame = SimplicialFrame.from_rows([exponents(Fraction(1, 2), 0), exponents(0, 1)],
+                                      [Fraction(1), Fraction(1)])
+    with pytest.raises(SpecError, match="integer constraint exponents"):
+        build_witness(WitnessSpec(frame=frame, k=0, exterior=radial(3, 3), j0=0))
+
+
+def test_build_witness_bounds_the_size_of_d():
+    # d = 3^(2^70) * 3^(2^70 + 1) would never finish; its size is estimated first
+    m = 2 ** 70
+    frame = SimplicialFrame.from_rows([exponents(m, m + 1), exponents(m - 1, m)],
+                                      [Fraction(1), Fraction(1)])
+    with pytest.raises(SpecError, match="bits"):
+        build_witness(WitnessSpec(frame=frame, k=0, exterior=radial(3, 3), j0=0))
+
+
+def test_verify_rejects_d_beyond_float_range(hartogs_frame):
+    w = build_witness(WitnessSpec(frame=hartogs_frame, k=0,
+                                  exterior=radial(10 ** 400, 1), j0=0))
+    assert w.d == 10 ** 400
+    with pytest.raises(SpecError, match="too large for a float"):
+        verify_witness_membership(w, k=0)
+
+
+def test_alpha_j0_is_computed_once(hartogs_witness):
+    assert hartogs_witness.alpha_j0 == (1, -1)
+    assert hartogs_witness.alpha_j0 is hartogs_witness.alpha_j0
+
+
 def test_alpha_coords_identity(hartogs_frame, polydisc_frame):
     for frame in (hartogs_frame, polydisc_frame):
-        coords = frame.basis_coords([Fraction(sum(a.as_ints()[j] for a in frame.normals))
+        coords = frame.basis_coords([Fraction(sum(a[j] for a in frame.normals))
                                      for j in range(frame.n)])
         assert all(t == 1 for t in coords)
 
