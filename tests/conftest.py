@@ -1,5 +1,5 @@
-"""Shared fixtures: the named domain gallery, seeded spec generators, and
-the acceptance-criteria summary printed at the end of the run."""
+"""Shared fixtures: the named domain gallery, seeded spec and LP generators,
+and the acceptance-criteria summary printed at the end of the run."""
 
 from __future__ import annotations
 
@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from reinhardt import DomainSpec, MonomialConstraint, interior_point, load_spec
+from reinhardt.linalg import dot
+from reinhardt.loglin import LogLin
+from reinhardt.scalars import quad
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -144,3 +147,162 @@ def sample_interior_points(spec: DomainSpec, count: int, rng: random.Random,
             scale /= 2  # shrink toward the known interior point
     assert len(points) == count, "interior sampling failed to converge"
     return points
+
+
+# -- seeded LPs: (a, b, c) for solve_lp ----------------------------------------
+
+LOG_BASES = (Fraction(2), Fraction(3), Fraction(1, 5))
+SQRT2 = quad(0, 1, 2)
+
+
+def log_rhs(rng: random.Random) -> LogLin:
+    """const + sum q_k log b_k with small rational q_k, some of them zero."""
+    value = LogLin.of(Fraction(rng.randint(-2, 3), rng.randint(1, 2)))
+    for base in LOG_BASES:
+        if rng.random() < 0.6:
+            value = value + LogLin.log_of(base, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return value
+
+
+def integer_lp(rng: random.Random):
+    m, n = rng.randint(1, 5), rng.randint(1, 4)
+    a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
+    b = [LogLin.of(Fraction(rng.randint(-3, 6), rng.randint(1, 3))) for _ in range(m)]
+    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    return a, b, c
+
+
+def mixed_log_lp(rng: random.Random):
+    m, n = rng.randint(2, 5), rng.randint(1, 3)
+    a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
+    b = [log_rhs(rng) for _ in range(m)]
+    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    return a, b, c
+
+
+def sqrt2_lp(rng: random.Random):
+    m, n = rng.randint(2, 5), rng.randint(1, 3)
+    a = [[quad(rng.randint(-2, 2), rng.randint(-2, 2), 2) for _ in range(n)] for _ in range(m)]
+    b = [LogLin.of(Fraction(rng.randint(-2, 5), rng.randint(1, 3))) if rng.random() < 0.5
+         else log_rhs(rng) for _ in range(m)]
+    c = [rng.choice([Fraction(rng.randint(-2, 2)), quad(rng.randint(-2, 2), 1, 2)])
+         for _ in range(n)]
+    return a, b, c
+
+
+def sqrt5_lp(rng: random.Random):
+    """Entries in (1/2)Z[sqrt 5]: d = 5 = 1 mod 4, so (1 + sqrt 5)/2 is an
+    algebraic integer and half-integer parts occur."""
+    m, n = rng.randint(2, 5), rng.randint(1, 3)
+    a = [[quad(Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 2), 5)
+          for _ in range(n)] for _ in range(m)]
+    b = [log_rhs(rng) for _ in range(m)]
+    c = [quad(rng.randint(-2, 2), Fraction(rng.randint(-1, 1), 2), 5) for _ in range(n)]
+    return a, b, c
+
+
+def negative_norm_lp(rng: random.Random, d: int):
+    """Every nonzero entry is a + b sqrt(d) with a^2 < b^2 d, such as
+    1 - sqrt 2: a first pivot divides by an element of negative norm."""
+    m, n = rng.randint(2, 5), rng.randint(1, 3)
+    a = [[quad(rng.randint(-1, 1), rng.choice((-2, -1, 1, 2)), d) if rng.random() < 0.85
+          else Fraction(0) for _ in range(n)] for _ in range(m)]
+    b = [log_rhs(rng) if rng.random() < 0.5 else LogLin.of(Fraction(rng.randint(-2, 4)))
+         for _ in range(m)]
+    c = [quad(rng.randint(-2, 2), rng.choice((-1, 1)), d) for _ in range(n)]
+    return a, b, c
+
+
+def degenerate_lp(rng: random.Random):
+    """Repeated and scaled rows with zero right-hand sides: every ratio test
+    ties at zero, so the leaving row comes from Bland's tie-break."""
+    n = rng.randint(2, 3)
+    base_rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(2, 3))]
+    a, b = [], []
+    for row in base_rows:
+        for _ in range(rng.randint(1, 3)):
+            scale = rng.choice([Fraction(1), Fraction(2), Fraction(1, 3), SQRT2])
+            a.append([scale * x for x in row])
+            b.append(LogLin.zero())
+    # bounding rows keep most cases optimal; x = 0 stays feasible throughout
+    for j in range(n):
+        for s in (1, -1):
+            if rng.random() < 0.8:
+                row = [Fraction(0)] * n
+                row[j] = Fraction(s)
+                a.append(row)
+                b.append(LogLin.zero() if rng.random() < 0.5 else
+                         LogLin.log_of(rng.choice(LOG_BASES[:2]), Fraction(1, rng.randint(1, 3))))
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    a, b = [a[i] for i in order], [b[i] for i in order]
+    c = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+    return a, b, c
+
+
+def infeasible_lp(rng: random.Random, d: int | None = None):
+    """Rows of a random LP plus one row that a positive combination of them
+    contradicts by a positive margin, a constant or a log."""
+    a, b, c = mixed_log_lp(rng)
+    if d is not None:
+        a = [[x * quad(rng.randint(1, 2), rng.choice((-1, 1)), d) for x in row] for row in a]
+    picked = rng.sample(range(len(a)), rng.randint(1, len(a)))
+    mult = {i: Fraction(rng.randint(1, 3), rng.randint(1, 2)) for i in picked}
+    combo = [sum((mult[i] * a[i][j] for i in picked), Fraction(0)) for j in range(len(c))]
+    margin = (LogLin.of(Fraction(rng.randint(1, 3), rng.randint(1, 4))) if rng.random() < 0.5
+              else LogLin.log_of(rng.choice(LOG_BASES[:2]), Fraction(1, rng.randint(1, 3))))
+    rhs = sum((b[i] * mult[i] for i in picked), LogLin.zero())
+    pos = rng.randint(0, len(a))
+    a.insert(pos, [-x for x in combo])
+    b.insert(pos, -rhs - margin)
+    return a, b, c
+
+
+def unbounded_lp(rng: random.Random, d: int | None = None):
+    """Rows with A ray <= 0 strictly satisfied at a known point x0, and an
+    objective with <c, ray> > 0; a negative right-hand side sends it through
+    phase I."""
+    m, n = rng.randint(2, 5), rng.randint(2, 3)
+    one = Fraction(1) if d is None else quad(1, rng.choice((-1, 1)), d)
+    ray = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+    if not any(ray):
+        ray[rng.randrange(n)] = Fraction(1)
+    x0 = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+    a, b = [], []
+    for _ in range(m):
+        row = [Fraction(rng.randint(-3, 3)) * (one if rng.random() < 0.5 else 1)
+               for _ in range(n)]
+        if dot(row, ray) > 0:
+            row = [-x for x in row]
+        a.append(row)
+        b.append(LogLin.of(dot(row, x0)) +
+                 (LogLin.of(Fraction(1, rng.randint(1, 3))) if rng.random() < 0.3 else
+                  LogLin.log_of(rng.choice(LOG_BASES[:2]), Fraction(1, rng.randint(1, 3)))))
+    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    s = dot(c, ray)
+    if s <= 0:
+        c = [cj + (1 - s) * rj for cj, rj in zip(c, ray)]
+    return a, b, c
+
+
+def seeded_lps():
+    """Every seeded LP family, as ``(name, (a, b, c))``; the first four
+    families are the ones ``tests/test_simplex.py`` checks against HiGHS."""
+    families = [
+        ("integer", 1000, 40, integer_lp),
+        ("mixed-log", 2000, 20, mixed_log_lp),
+        ("sqrt2", 3000, 20, sqrt2_lp),
+        ("degenerate", 4000, 20, degenerate_lp),
+        ("sqrt5", 5000, 12, sqrt5_lp),
+        ("negative-norm-sqrt2", 6000, 8, lambda rng: negative_norm_lp(rng, 2)),
+        ("negative-norm-sqrt5", 6100, 8, lambda rng: negative_norm_lp(rng, 5)),
+        ("infeasible", 7000, 8, infeasible_lp),
+        ("infeasible-sqrt2", 7100, 6, lambda rng: infeasible_lp(rng, 2)),
+        ("infeasible-sqrt5", 7200, 6, lambda rng: infeasible_lp(rng, 5)),
+        ("unbounded", 8000, 8, unbounded_lp),
+        ("unbounded-sqrt2", 8100, 6, lambda rng: unbounded_lp(rng, 2)),
+        ("unbounded-sqrt5", 8200, 6, lambda rng: unbounded_lp(rng, 5)),
+    ]
+    for name, base, count, make in families:
+        for seed in range(count):
+            yield f"{name}-{seed}", make(random.Random(base + seed))

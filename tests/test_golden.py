@@ -4,7 +4,10 @@ The files under ``tests/golden/`` were recorded with the dense-tableau
 simplex.  A change to the LP kernel must keep Bland's pivot sequence: the
 CLI outputs check the verdicts and spectra, and ``gallery_lps.json`` checks
 every vertex, dual, ray and Farkas vector of the LPs those commands solve,
-which the verdicts alone do not pin down.  ``montecarlo.json`` holds the
+which the verdicts alone do not pin down.  ``random_lps.json`` holds the
+seeded LPs of ``conftest.seeded_lps`` (integer, mixed log bases, Q(sqrt 2),
+Q(sqrt 5), pivots of negative norm, Bland ties, infeasible and unbounded),
+each with its certificate and its number of ``_Tableau.pivot`` calls.  ``montecarlo.json`` holds the
 ``repr`` of seeded Monte-Carlo estimates and coefficient reports, one case
 per path of the block kernel, and for the cases whose exponents are all 0 or 1
 a digest of every per-sample value, so a faster kernel must keep every output
@@ -28,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import seeded_lps
 from reinhardt import (coefficient_inequality_check, exponents, load_spec, lp_norm_monte_carlo,
                        parse_spec, simplex)
 from reinhardt.cli import main
@@ -38,6 +42,7 @@ from reinhardt.scalars import QuadExt, quad, scalar_to_json
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 LP_GOLDEN = GOLDEN / "gallery_lps.json"
+RANDOM_LP_GOLDEN = GOLDEN / "random_lps.json"
 MC_GOLDEN = GOLDEN / "montecarlo.json"
 SPECS = sorted(p.stem for p in (ROOT / "specs").glob("*.json"))
 
@@ -85,7 +90,7 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
 
 def test_gallery_is_complete():
     assert len(SPECS) == 8
-    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p not in (LP_GOLDEN, MC_GOLDEN)) == \
+    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p not in (LP_GOLDEN, RANDOM_LP_GOLDEN, MC_GOLDEN)) == \
         sorted(name for name, _ in CASES)
 
 
@@ -133,6 +138,13 @@ def _solve_case(case: dict) -> dict:
     return _encode_certificate(simplex.solve_lp(a, b, c))
 
 
+def _lp_inputs(a_rows, b_vals, objective) -> dict:
+    values = [x for row in a_rows for x in row] + list(objective) + \
+        [s for b in b_vals for s in (b.const, *(v for t in b.terms for v in t))]
+    d = next((x.d for x in values if isinstance(x, QuadExt)), None)
+    return {"d": d, "a": _encode(a_rows), "b": _encode(b_vals), "c": _encode(objective)}
+
+
 def _lp_inputs_key(case: dict) -> str:
     return json.dumps({k: case[k] for k in ("d", "a", "b", "c")}, sort_keys=True)
 
@@ -142,6 +154,35 @@ def test_gallery_lp_certificates_match_golden():
     assert len(cases) > 100
     for case in cases:
         assert _solve_case(case) == case["certificate"]
+
+
+def random_lps_text() -> str:
+    """JSON text of every seeded LP with its certificate and the number of
+    ``_Tableau.pivot`` calls its solve made."""
+    pivot = simplex._Tableau.pivot
+    count = 0
+
+    def counting(self, row, col):
+        nonlocal count
+        count += 1
+        return pivot(self, row, col)
+
+    cases = []
+    simplex._Tableau.pivot = counting
+    try:
+        for name, (a, b, c) in seeded_lps():
+            count = 0
+            cert = simplex.solve_lp(a, b, c)
+            cases.append({"name": name, **_lp_inputs(a, b, c),
+                          "certificate": _encode_certificate(cert), "pivots": count})
+    finally:
+        simplex._Tableau.pivot = pivot
+    return json.dumps(cases, separators=(",", ":")) + "\n"
+
+
+def test_random_lp_certificates_and_pivot_counts_match_golden():
+    """Byte for byte: the same inputs, certificates and pivot counts."""
+    assert random_lps_text() == RANDOM_LP_GOLDEN.read_text(encoding="utf-8")
 
 
 # -- Monte Carlo ------------------------------------------------------------
@@ -255,10 +296,7 @@ def record() -> None:
 
     def recording(a_rows, b_vals, objective):
         cert = solve(a_rows, b_vals, objective)
-        values = [x for row in a_rows for x in row] + list(objective) + \
-            [s for b in b_vals for s in (b.const, *(v for t in b.terms for v in t))]
-        d = next((x.d for x in values if isinstance(x, QuadExt)), None)
-        case = {"d": d, "a": _encode(a_rows), "b": _encode(b_vals), "c": _encode(objective)}
+        case = _lp_inputs(a_rows, b_vals, objective)
         key = _lp_inputs_key(case)
         if key not in seen:
             seen.add(key)
@@ -280,6 +318,7 @@ def record() -> None:
         for m in modules:
             m.solve_lp = solve
     LP_GOLDEN.write_text(json.dumps(cases, separators=(",", ":")) + "\n", encoding="utf-8")
+    RANDOM_LP_GOLDEN.write_text(random_lps_text(), encoding="utf-8")
     MC_GOLDEN.write_text(json.dumps(montecarlo_results(), indent=1) + "\n", encoding="utf-8")
 
 

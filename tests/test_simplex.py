@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from conftest import degenerate_lp, integer_lp, mixed_log_lp, seeded_lps, sqrt2_lp
 from reinhardt.linalg import dot
 from reinhardt.loglin import LogLin
-from reinhardt.scalars import quad, sign_of
+from reinhardt.scalars import sign_of
 from reinhardt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -81,10 +82,6 @@ def test_dual_matches_objective_symbolically():
 # Each case re-verifies the returned certificate with exact arithmetic and
 # compares status and objective with HiGHS run on float(...) data.
 
-LOG_BASES = (Fraction(2), Fraction(3), Fraction(1, 5))
-SQRT2 = quad(0, 1, 2)
-
-
 def _lhs(row, x):
     return sum((xi * r for xi, r in zip(x, row)), LogLin.zero())
 
@@ -124,74 +121,35 @@ def _against_highs(a, b, c):
     return cert
 
 
-def _log_rhs(rng):
-    """const + sum q_k log b_k with small rational q_k, some of them zero."""
-    value = LogLin.of(Fraction(rng.randint(-2, 3), rng.randint(1, 2)))
-    for base in LOG_BASES:
-        if rng.random() < 0.6:
-            value = value + LogLin.log_of(base, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-    return value
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_random_lps_against_scipy(seed):
-    rng = random.Random(1000 + seed)
-    m, n = rng.randint(1, 5), rng.randint(1, 4)
-    a = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
-    b = [LogLin.of(Fraction(rng.randint(-3, 6), rng.randint(1, 3))) for _ in range(m)]
-    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    _against_highs(a, b, c)
+    _against_highs(*integer_lp(random.Random(1000 + seed)))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_random_lps_with_mixed_log_bases(seed):
-    rng = random.Random(2000 + seed)
-    m, n = rng.randint(2, 5), rng.randint(1, 3)
-    a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-    b = [_log_rhs(rng) for _ in range(m)]
-    c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-    _against_highs(a, b, c)
+    _against_highs(*mixed_log_lp(random.Random(2000 + seed)))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_random_lps_over_quadratic_field(seed):
-    rng = random.Random(3000 + seed)
-    m, n = rng.randint(2, 5), rng.randint(1, 3)
-    a = [[quad(rng.randint(-2, 2), rng.randint(-2, 2), 2) for _ in range(n)] for _ in range(m)]
-    b = [LogLin.of(Fraction(rng.randint(-2, 5), rng.randint(1, 3))) if rng.random() < 0.5
-         else _log_rhs(rng) for _ in range(m)]
-    c = [rng.choice([Fraction(rng.randint(-2, 2)), quad(rng.randint(-2, 2), 1, 2)])
-         for _ in range(n)]
-    _against_highs(a, b, c)
+    _against_highs(*sqrt2_lp(random.Random(3000 + seed)))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_degenerate_lps_hit_bland_ties(seed):
-    """Repeated and scaled rows with zero right-hand sides: every ratio test
-    ties at zero, so the leaving row comes from Bland's tie-break."""
-    rng = random.Random(4000 + seed)
-    n = rng.randint(2, 3)
-    base_rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(2, 3))]
-    a, b = [], []
-    for row in base_rows:
-        for _ in range(rng.randint(1, 3)):
-            scale = rng.choice([Fraction(1), Fraction(2), Fraction(1, 3), SQRT2])
-            a.append([scale * x for x in row])
-            b.append(LogLin.zero())
-    # bounding rows keep most cases optimal; x = 0 stays feasible throughout
-    for j in range(n):
-        for s in (1, -1):
-            if rng.random() < 0.8:
-                row = [Fraction(0)] * n
-                row[j] = Fraction(s)
-                a.append(row)
-                b.append(LogLin.zero() if rng.random() < 0.5 else
-                         LogLin.log_of(rng.choice(LOG_BASES[:2]), Fraction(1, rng.randint(1, 3))))
-    order = list(range(len(a)))
-    rng.shuffle(order)
-    a, b = [a[i] for i in order], [b[i] for i in order]
-    c = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-    _against_highs(a, b, c)
+    _against_highs(*degenerate_lp(random.Random(4000 + seed)))
+
+
+@pytest.mark.parametrize("name,lp", [(name, lp) for name, lp in seeded_lps()
+                                     if name.startswith(("sqrt5", "negative-norm", "infeasible",
+                                                         "unbounded"))])
+def test_seeded_lp_families_against_scipy(name, lp):
+    """Q(sqrt 5), pivots of negative norm, and LPs infeasible or unbounded
+    by construction."""
+    cert = _against_highs(*lp)
+    if name.startswith(("infeasible", "unbounded")):
+        assert cert.status == name.split("-")[0]
 
 
 def test_degenerate_lp_with_tied_ratios():
