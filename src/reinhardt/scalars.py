@@ -132,20 +132,7 @@ class QuadExt:
     # -- exact comparisons ---------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if b == 0:  # unreachable by construction, kept for safety
-            return 1 if a > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 d
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return quadratic_sign(self.a, self.b, self.d)
 
     def _cmp(self, other) -> int:
         diff = self - other
@@ -182,6 +169,18 @@ def quad(a, b, d: int) -> Scalar:
     if b == 0:
         return a
     return QuadExt(a, b, d)
+
+
+def quadratic_sign(a: Rat, b: Rat, d: int) -> int:
+    """Exact sign of ``a + b*sqrt(d)`` for rational a, b and square-free d >= 2."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    # opposite signs: the part with the larger square wins, a^2 against b^2 d
+    diff = a * a - b * b * d
+    return sa if diff > 0 else (-sa if diff < 0 else 0)
 
 
 def is_rational(x: Scalar) -> bool:

@@ -5,27 +5,38 @@ field and b symbolic (:class:`LogLin`), so log-thresholds never get rounded.
 Free variables are split x = u - v; slacks close the rows; artificials only
 appear in phase I on rows whose right-hand side starts negative.
 
-Certificates are extracted from the final tableau and re-verified with exact
-arithmetic before they are returned:
+The tableau is fraction-free.  Each row holds integer numerators over one
+positive integer row denominator, for its constraint columns and for its
+right-hand side ``[const, coeff of log b_1, ..., log b_k]`` over the LP's
+distinct log bases, sorted as in :class:`LogLin`.  Over Q(sqrt d) a row has
+a second list of integers, the sqrt(d) halves; over Q it has none.  A row
+starts scaled by the lcm of its denominators.  A pivot divides its row by
+the pivot (times the conjugate, over the norm, when the pivot is
+irrational) and replaces every other row R with a nonzero entry f by
+(R D_p - f P) / (D_R D_p), then divides out the row's gcd.  The reduced-cost
+row, priced once per phase, is the last row and is updated the same way;
+its right-hand side is the objective value.
+
+Positive row scalings leave the true tableau B^-1 A unchanged, so every
+sign Bland's rule reads is the sign of an integer, or of a + b sqrt(d)
+with integer a, b.  The ratio test compares rhs_i / a_i with rhs_k / a_k by
+the sign of the cross product rhs_i a_k - rhs_k a_i: in integers when it has
+no log terms, and otherwise through :meth:`LogLin.sign` of a positive
+rational multiple of the difference.  Those forms are the only ``LogLin``
+values built while pivoting; ``Fraction``, ``QuadExt`` and ``LogLin``
+values are otherwise built only for the objective value and the
+certificates, which are re-verified exactly before they are returned:
 
 * ``optimal``    — primal point, objective value, dual multipliers with
                    lambda >= 0 and lambda @ A == c;
 * ``unbounded``  — improving ray d with A d <= 0 and <c, d> > 0;
 * ``infeasible`` — Farkas multipliers lambda >= 0 with lambda @ A == 0 and
                    lambda @ b < 0.
-
-The tableau carries its reduced-cost row: priced once per phase, then
-eliminated in every pivot like any other row, and read for the dual and
-Farkas multipliers.  A pivot touches only the nonzero columns of the pivot
-row, in the rows with a nonzero entry in the pivot column.  Each right-hand
-side is a coefficient vector ``[const, coeff of log b_1, ..., log b_k]`` over
-the LP's distinct log bases, sorted as in :class:`LogLin`, so pivots update
-it in field arithmetic; ``LogLin`` values are built only for ratio-test
-signs, the objective value and the primal point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -34,7 +45,7 @@ from typing import Optional, Sequence
 from .errors import ReinhardtError
 from .linalg import dot
 from .loglin import LogLin, as_loglin
-from .scalars import Scalar, scalar_cmp, sign_of
+from .scalars import QuadExt, Scalar, quad, quadratic_sign, scalar_cmp, sign_of
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
 
@@ -53,109 +64,200 @@ class LPCertificate:
     farkas: Optional[tuple[Scalar, ...]] = None
 
 
-# Zero tests below use truthiness: a QuadExt is never zero (b != 0), so
-# ``bool(x)`` is an exact nonzero test on every scalar.
-
 class _Tableau:
-    def __init__(self, a_rows, b_vals, n: int):
+    """Rows of integer numerators over one positive integer row denominator.
+
+    Row ``i`` of ``num`` (and, over Q(sqrt d), of ``irr``) holds the columns
+    ``u, v, slacks, artificials`` followed by the right-hand side
+    ``[const, coeff of log bases[0], ...]``; its true value is
+    ``(num[i][j] + irr[i][j] * sqrt d) / den[i]``.  Over Q, ``irr`` is None.
+    The last row is the reduced-cost row of the current phase, whose
+    right-hand side is the objective value.  A basic column's entry equals
+    its row's denominator (true value 1).
+    """
+
+    def __init__(self, a_rows, b_vals, n: int, d: Optional[int]):
         self.n = n
         self.m = len(a_rows)
+        self.d = d
         self.slack0 = 2 * self.n
-        self.ncols = 2 * self.n + self.m
+        flips = [b.sign() < 0 for b in b_vals]
+        self.art_cols = list(range(2 * self.n + self.m, 2 * self.n + self.m + sum(flips)))
+        self.ncols = 2 * self.n + self.m + len(self.art_cols)
         self.bases = sorted({base for b in b_vals for base, _ in b.terms},
                             key=cmp_to_key(scalar_cmp))
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
-        self.mat: list[list[Scalar]] = []
-        self.rhs: list[list[Scalar]] = []  # [const, coeff of log bases[0], ...]
-        self.red: list[Scalar] = []  # reduced costs of the current phase
+        self.num: list[list[int]] = []
+        self.irr: Optional[list[list[int]]] = None if d is None else []
+        self.den: list[int] = []
         self.basis: list[int] = []
-        self.art_cols: list[int] = []
-        for i, (row, b) in enumerate(zip(a_rows, b_vals)):
-            flip = b.sign() < 0
-            neg = [-x for x in row]
-            full = (neg + row if flip else row + neg) + [Fraction(0)] * self.m
+        arts = iter(self.art_cols)
+        zero = Fraction(0)
+        for i, (row, b, flip) in enumerate(zip(a_rows, b_vals, flips)):
+            full = [zero] * (self.ncols + 1 + len(self.bases))
+            for j, x in enumerate(row):
+                full[j], full[self.n + j] = (-x, x) if flip else (x, -x)
             full[self.slack0 + i] = Fraction(-1 if flip else 1)
-            self.mat.append(full)
-            vec = [b.const] + [Fraction(0)] * len(self.bases)
+            # a flipped row's slack sits at -1, unusable as basis: an artificial starts there
+            self.basis.append(next(arts) if flip else self.slack0 + i)
+            full[self.basis[-1]] = Fraction(1)
+            full[self.ncols] = -b.const if flip else b.const
             for base, coeff in b.terms:
-                vec[slot[base]] = coeff
-            self.rhs.append([-v for v in vec] if flip else vec)
-            self.basis.append(self.slack0 + i)
-        # artificials for flipped rows (their slack sits at -1, unusable as basis)
-        for i in range(self.m):
-            if self.mat[i][self.slack0 + i] < 0:
-                col = self.ncols
-                for k in range(self.m):
-                    self.mat[k].append(Fraction(1 if k == i else 0))
-                self.ncols += 1
-                self.art_cols.append(col)
-                self.basis[i] = col
+                full[self.ncols + slot[base]] = -coeff if flip else coeff
+            self._append_row(full)
+        self._append_row([zero] * (self.ncols + 1 + len(self.bases)))  # reduced costs
+
+    def _append_row(self, values: Sequence[Scalar]) -> None:
+        """Append a row of field scalars, scaled by the lcm of its denominators."""
+        if self.irr is None:
+            den = math.lcm(*(x.denominator for x in values))
+            self.num.append([x.numerator * (den // x.denominator) for x in values])
+        else:
+            parts = [(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in values]
+            den = math.lcm(*(y.denominator for xy in parts for y in xy))
+            self.num.append([a.numerator * (den // a.denominator) for a, _ in parts])
+            self.irr.append([b.numerator * (den // b.denominator) for _, b in parts])
+        self.den.append(den)
+
+    # -- exact values, built only for the objective and the certificates ------
+
+    def value(self, i: int, j: int) -> Scalar:
+        if self.irr is None:
+            return Fraction(self.num[i][j], self.den[i])
+        return quad(Fraction(self.num[i][j], self.den[i]),
+                    Fraction(self.irr[i][j], self.den[i]), self.d)
+
+    def rhs(self, i: int) -> list[Scalar]:
+        return [self.value(i, j) for j in range(self.ncols, len(self.num[i]))]
 
     def loglin(self, vec: Sequence[Scalar]) -> LogLin:
         return LogLin(vec[0], tuple((b, c) for b, c in zip(self.bases, vec[1:]) if c))
 
-    def price(self, cost: list[Scalar]) -> None:
-        """Reduced-cost row c_B B^-1 A - c for the current basis."""
-        self.red = [-c for c in cost]
-        for i in range(self.m):
-            cb = cost[self.basis[i]]
-            if cb:
-                for j, x in enumerate(self.mat[i]):
-                    if x:
-                        self.red[j] = self.red[j] + cb * x
+    def objective_value(self) -> LogLin:
+        return self.loglin(self.rhs(self.m))
 
-    def objective_value(self, cost: list[Scalar]) -> LogLin:
-        val: list[Scalar] = [Fraction(0)] * (len(self.bases) + 1)
+    def reduced_costs(self, cols) -> tuple[Scalar, ...]:
+        return tuple(self.value(self.m, j) for j in cols)
+
+    # -- integer sign tests -----------------------------------------------------
+
+    def sign(self, i: int, j: int) -> int:
+        """Sign of row ``i``, column ``j`` (the denominator is positive)."""
+        x = self.num[i][j]
+        if self.irr is None:
+            return (x > 0) - (x < 0)
+        return quadratic_sign(x, self.irr[i][j], self.d)
+
+    # -- pivoting ---------------------------------------------------------------
+
+    def price(self, cost: Sequence[Scalar]) -> None:
+        """Reduced-cost row c_B B^-1 A - c for the current basis: the row
+        [-c | 0] with each basic column eliminated, so that its right-hand
+        side is c_B B^-1 b."""
+        self.num.pop(), self.den.pop()
+        if self.irr is not None:
+            self.irr.pop()
+        self._append_row([-c for c in cost] + [Fraction(0)] * (1 + len(self.bases)))
         for i in range(self.m):
-            cb = cost[self.basis[i]]
-            if cb:
-                val = [v + cb * r for v, r in zip(val, self.rhs[i])]
-        return self.loglin(val)
+            if self.sign(self.m, self.basis[i]):
+                self._eliminate(self.m, i, self.basis[i])
 
     def pivot(self, row: int, col: int) -> None:
-        piv = self.mat[row][col]
-        inv = 1 / piv
-        prow, prhs = self.mat[row], self.rhs[row]
-        nz = [j for j, x in enumerate(prow) if x]
-        rnz = [k for k, v in enumerate(prhs) if v]
-        for j in nz:
-            prow[j] = prow[j] * inv
-        for k in rnz:
-            prhs[k] = prhs[k] * inv
-        for i in range(self.m):
-            f = self.mat[i][col]
-            if i != row and f:
-                cur, crhs = self.mat[i], self.rhs[i]
-                for j in nz:
-                    cur[j] = cur[j] - f * prow[j]
-                for k in rnz:
-                    crhs[k] = crhs[k] - f * prhs[k]
-        f = self.red[col]
-        if f:
-            for j in nz:
-                self.red[j] = self.red[j] - f * prow[j]
+        """Divide ``row`` by its entry in ``col`` and eliminate ``col`` from
+        every other row, the reduced costs included."""
+        pa = self.num[row][col]
+        if self.irr is None:
+            prow, p = self.num[row], pa
+            if p < 0:
+                prow, p = [-x for x in prow], -p
+            g = math.gcd(*prow)
+            self.num[row] = [x // g for x in prow] if g > 1 else prow
+        else:
+            pa_row, pb_row, pb, d = self.num[row], self.irr[row], self.irr[row][col], self.d
+            if pb:  # times the conjugate pa - pb sqrt d, over the norm pa^2 - pb^2 d
+                pa_row, pb_row = ([x * pa - d * y * pb for x, y in zip(pa_row, pb_row)],
+                                  [y * pa - x * pb for x, y in zip(pa_row, pb_row)])
+            p = pa_row[col]
+            if p < 0:
+                pa_row, pb_row, p = [-x for x in pa_row], [-y for y in pb_row], -p
+            g = math.gcd(*pa_row, *pb_row)
+            if g > 1:
+                pa_row, pb_row = [x // g for x in pa_row], [y // g for y in pb_row]
+            self.num[row], self.irr[row] = pa_row, pb_row
+        self.den[row] = self.num[row][col]
+        for i in range(self.m + 1):
+            if i != row and self.sign(i, col):
+                self._eliminate(i, row, col)
         self.basis[row] = col
+
+    def _eliminate(self, i: int, row: int, col: int) -> None:
+        """Row i minus f times ``row``, whose entry in ``col`` has true value
+        1, where f is row i's entry there: (R D_p - f P) / (D_i D_p)."""
+        cur, prow, dp = self.num[i], self.num[row], self.den[row]
+        den = self.den[i] * dp
+        fa = cur[col]
+        if self.irr is None:
+            cur = [x * dp - fa * y for x, y in zip(cur, prow)]
+            g = math.gcd(*cur, den)
+            if g > 1:
+                cur, den = [x // g for x in cur], den // g
+            self.num[i], self.den[i] = cur, den
+            return
+        cur_b, prow_b = self.irr[i], self.irr[row]
+        fb = cur_b[col]
+        dfb = self.d * fb
+        cur, cur_b = ([x * dp - fa * y - dfb * z for x, y, z in zip(cur, prow, prow_b)],
+                      [x * dp - fa * z - fb * y for x, y, z in zip(cur_b, prow, prow_b)])
+        g = math.gcd(*cur, *cur_b, den)
+        if g > 1:
+            cur, cur_b, den = [x // g for x in cur], [x // g for x in cur_b], den // g
+        self.num[i], self.irr[i], self.den[i] = cur, cur_b, den
+
+    def _ratio_sign(self, i: int, k: int, col: int) -> int:
+        """Sign of rhs_i / a_i - rhs_k / a_k for a_i, a_k > 0 the entries in
+        ``col``: the row denominators cancel, and the cross product
+        rhs_i a_k - rhs_k a_i is a positive multiple of it."""
+        r0, ri, rk = self.ncols, self.num[i], self.num[k]
+        ai, ak = ri[col], rk[col]
+        if self.irr is None:
+            vec = [x * ak - y * ai for x, y in zip(ri[r0:], rk[r0:])]
+            if not any(vec[1:]):
+                return (vec[0] > 0) - (vec[0] < 0)
+            return self.loglin([Fraction(x) for x in vec]).sign()
+        d, bi, bk = self.d, self.irr[i], self.irr[k]
+        bi_, bk_ = bi[col], bk[col]
+        va = [x * ak + d * xb * bk_ - y * ai - d * yb * bi_
+              for x, xb, y, yb in zip(ri[r0:], bi[r0:], rk[r0:], bk[r0:])]
+        vb = [x * bk_ + xb * ak - y * bi_ - yb * ai
+              for x, xb, y, yb in zip(ri[r0:], bi[r0:], rk[r0:], bk[r0:])]
+        if not any(va[1:]) and not any(vb[1:]):
+            return quadratic_sign(va[0], vb[0], d)
+        # Times the conjugate of q = a_i a_k, so that the multiple is the
+        # rational |N(q)| and a form with rational coefficients keeps them.
+        qa, qb = ai * ak + d * bi_ * bk_, ai * bk_ + bi_ * ak
+        if qb:
+            s = 1 if qa * qa - d * qb * qb > 0 else -1
+            va, vb = ([s * (x * qa - d * y * qb) for x, y in zip(va, vb)],
+                      [s * (y * qa - x * qb) for x, y in zip(va, vb)])
+        return self.loglin([quad(x, y, d) for x, y in zip(va, vb)]).sign()
 
     def run(self, cost: list[Scalar], frozen_cols: set[int]) -> Optional[int]:
         """Bland pivoting to optimality; returns an entering column on unboundedness."""
         self.price(cost)
         for _ in range(_MAX_PIVOTS):
             enter = next((j for j in range(self.ncols)
-                          if j not in frozen_cols and self.red[j] < 0), None)
+                          if j not in frozen_cols and self.sign(self.m, j) < 0), None)
             if enter is None:
                 return None
-            leave, best = None, None
+            leave = None
             for i in range(self.m):
-                a = self.mat[i][enter]
-                if a > 0:
-                    inv = 1 / a
-                    ratio = [v * inv for v in self.rhs[i]]
-                    if best is None:
-                        leave, best = i, ratio
+                if self.sign(i, enter) > 0:
+                    if leave is None:
+                        leave = i
                     else:
-                        s = self.loglin([x - y for x, y in zip(ratio, best)]).sign()
+                        s = self._ratio_sign(i, leave, enter)
                         if s < 0 or (s == 0 and self.basis[i] < self.basis[leave]):
-                            leave, best = i, ratio
+                            leave = i
             if leave is None:
                 return enter
             self.pivot(leave, enter)
@@ -171,8 +273,13 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
     if any(len(r) != n for r in a_rows):
         raise ValueError("constraint rows and objective have mismatched lengths")
     objective = [Fraction(c) if isinstance(c, int) else c for c in objective]
+    fields = {x.d for x in (*(x for r in a_rows for x in r), *objective,
+                            *(c for b in b_vals for c in (b.const, *(c for _, c in b.terms))))
+              if isinstance(x, QuadExt)}
+    if len(fields) > 1:
+        raise ValueError(f"mixed quadratic fields: {sorted(fields)}")
 
-    t = _Tableau(a_rows, b_vals, n)
+    t = _Tableau(a_rows, b_vals, n, next(iter(fields), None))
 
     if t.art_cols:
         cost1 = [Fraction(0)] * t.ncols
@@ -180,9 +287,8 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
             cost1[col] = Fraction(-1)
         if t.run(cost1, frozen_cols=set()) is not None:
             raise ReinhardtError("phase I unbounded (internal error)")
-        value = t.objective_value(cost1)
-        if value.sign() < 0:
-            lam = tuple(t.red[t.slack0 + i] for i in range(t.m))
+        if t.objective_value().sign() < 0:
+            lam = t.reduced_costs(range(t.slack0, t.slack0 + t.m))
             _check_farkas(a_rows, b_vals, lam)
             return LPCertificate(status=INFEASIBLE, farkas=lam)
         _drive_out_artificials(t)
@@ -199,8 +305,8 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
         return LPCertificate(status=UNBOUNDED, ray=ray)
 
     point = _extract_point(t)
-    value = t.objective_value(cost2)
-    lam = tuple(t.red[t.slack0 + i] for i in range(t.m))
+    value = t.objective_value()
+    lam = t.reduced_costs(range(t.slack0, t.slack0 + t.m))
     _check_dual(a_rows, objective, lam)
     return LPCertificate(status=OPTIMAL, primal_point=point, objective=value, dual=lam)
 
@@ -210,19 +316,20 @@ def _drive_out_artificials(t: _Tableau) -> None:
     drop_rows = []
     for i in range(t.m):
         if t.basis[i] in art:
-            col = next((j for j in range(t.slack0 + t.m)
-                        if sign_of(t.mat[i][j]) != 0), None)
+            col = next((j for j in range(t.slack0 + t.m) if t.sign(i, j) != 0), None)
             if col is None:
                 drop_rows.append(i)  # redundant zero row
             else:
                 t.pivot(i, col)
     for i in reversed(drop_rows):
-        del t.mat[i], t.rhs[i], t.basis[i]
+        del t.num[i], t.den[i], t.basis[i]
+        if t.irr is not None:
+            del t.irr[i]
         t.m -= 1
 
 
 def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:
-    vals = {col: t.rhs[i] for i, col in enumerate(t.basis)}
+    vals = {col: t.rhs(i) for i, col in enumerate(t.basis)}
     zero = [Fraction(0)] * (len(t.bases) + 1)
     return tuple(t.loglin([u - v for u, v in zip(vals.get(j, zero), vals.get(t.n + j, zero))])
                  for j in range(t.n))
@@ -231,7 +338,7 @@ def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:
 def _extract_ray(t: _Tableau, enter: int) -> tuple[Scalar, ...]:
     delta: dict[int, Scalar] = {enter: Fraction(1)}
     for i, col in enumerate(t.basis):
-        delta[col] = -t.mat[i][enter]
+        delta[col] = -t.value(i, enter)
     return tuple(delta.get(j, Fraction(0)) - delta.get(t.n + j, Fraction(0))
                  for j in range(t.n))
 

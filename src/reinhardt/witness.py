@@ -20,6 +20,7 @@ integer, so the interval ladder always resolves it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -171,10 +172,22 @@ class WitnessFunction:
     def alpha_j0(self) -> tuple[int, ...]:
         return integer_exponents(self.frame.normals[self.j0])
 
+    @cached_property
+    def d_float(self) -> float:
+        """``d`` as a float, for the numeric evaluations of f_N; a SpecError
+        when it does not fit one."""
+        try:
+            value = float(self.d)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise SpecError("d = |b^alpha_j0| is too large for a float")
+        return value
+
     def value(self, z: Sequence[complex]) -> complex:
         """Closed form z^{N*alpha} / (z^{alpha_j0} - d)."""
         num = _cpow(z, [self.N * a for a in self.alpha_sum])
-        den = _cpow(z, self.alpha_j0) - float(self.d)
+        den = _cpow(z, self.alpha_j0) - self.d_float
         return num / den
 
     def singular_location(self) -> str:
@@ -258,7 +271,7 @@ def eval_witness_derivative(w: WitnessFunction, sigma: Sequence[int], z: Sequenc
         raise ValueError("series evaluation needs all coordinates nonzero")
     sigma = tuple(int(s) for s in sigma)
     alpha_j0 = w.alpha_j0
-    dd = float(w.d)
+    dd = w.d_float
     s_ratio = abs(_cpow(z, alpha_j0))
     if s_ratio >= dd:
         raise ValueError(f"|z^alpha_j0| = {s_ratio:.6g} >= d = {dd:.6g}: outside the "
@@ -372,10 +385,7 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
     n = frame.n
     if any(scalar_cmp(c, 1) != 0 for c in frame.thresholds):
         raise SpecError("membership verification expects unit thresholds")
-    try:
-        d = float(w.d)
-    except OverflowError:
-        raise SpecError("d = |b^alpha_j0| is too large for a float") from None
+    d = w.d_float
     # each approach support is approachable and every approachable set is a union of them
     axis_coords = sorted(frozenset().union(*frame.polyhedron().approach_supports))
     checks = []

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from conftest import degenerate_lp, integer_lp, mixed_log_lp, seeded_lps, sqrt2_lp
 from reinhardt.linalg import dot
 from reinhardt.loglin import LogLin
-from reinhardt.scalars import sign_of
+from reinhardt.scalars import quad, sign_of
 from reinhardt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -75,6 +75,19 @@ def test_dual_matches_objective_symbolically():
     for li, bi in zip(cert.dual, b):
         recomb = recomb + bi * li
     assert (recomb - cert.objective).is_zero()
+
+
+def test_ratio_tie_over_dependent_quadratic_bases_is_exact():
+    # log(3 + 2 sqrt 2) = 2 log(1 + sqrt 2): both rows bound x by the same
+    # value, so the ratio test ties on a form that is exactly zero.  Its
+    # coefficients must stay rational for the zero to be decided exactly.
+    unit = quad(1, 1, 2)
+    a = [[Fraction(1)], [unit]]
+    b = [LogLin.log_of(unit, 2), LogLin.log_of(quad(3, 2, 2)) * unit]
+    cert = solve_lp(a, b, [Fraction(1)])
+    assert cert.status == OPTIMAL
+    assert cert.objective.terms == ((unit, Fraction(2)),)
+    assert cert.dual == (Fraction(1), Fraction(0))
 
 
 # -- differential cases against scipy's HiGHS ---------------------------------

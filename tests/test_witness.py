@@ -140,6 +140,15 @@ def test_verify_rejects_d_beyond_float_range(hartogs_frame):
         verify_witness_membership(w, k=0)
 
 
+def test_evaluations_reject_d_beyond_float_range(hartogs_frame):
+    w = build_witness(WitnessSpec(frame=hartogs_frame, k=0,
+                                  exterior=radial(10 ** 400, 1), j0=0))
+    with pytest.raises(SpecError, match="too large for a float"):
+        w.value([0.5, 0.5])
+    with pytest.raises(SpecError, match="too large for a float"):
+        eval_witness_derivative(w, (0, 0), [0.5, 0.5])
+
+
 def test_alpha_j0_is_computed_once(hartogs_witness):
     assert hartogs_witness.alpha_j0 == (1, -1)
     assert hartogs_witness.alpha_j0 is hartogs_witness.alpha_j0
