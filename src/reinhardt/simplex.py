@@ -136,8 +136,9 @@ class _Tableau:
     def objective_value(self) -> LogLin:
         return self.loglin(self.rhs(self.m))
 
-    def reduced_costs(self, cols) -> tuple[Scalar, ...]:
-        return tuple(self.value(self.m, j) for j in cols)
+    def multipliers(self) -> tuple[Scalar, ...]:
+        """Dual or Farkas multipliers: the reduced costs of the slacks."""
+        return tuple(self.value(self.m, self.slack0 + i) for i in range(self.m))
 
     # -- integer sign tests -----------------------------------------------------
 
@@ -273,9 +274,9 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
     if any(len(r) != n for r in a_rows):
         raise ValueError("constraint rows and objective have mismatched lengths")
     objective = [Fraction(c) if isinstance(c, int) else c for c in objective]
-    fields = {x.d for x in (*(x for r in a_rows for x in r), *objective,
-                            *(c for b in b_vals for c in (b.const, *(c for _, c in b.terms))))
-              if isinstance(x, QuadExt)}
+    coeffs = [x for r in a_rows for x in r] + objective + \
+        [c for b in b_vals for c in (b.const, *(c for _, c in b.terms))]
+    fields = {x.d for x in coeffs if isinstance(x, QuadExt)}
     if len(fields) > 1:
         raise ValueError(f"mixed quadratic fields: {sorted(fields)}")
 
@@ -288,7 +289,7 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
         if t.run(cost1, frozen_cols=set()) is not None:
             raise ReinhardtError("phase I unbounded (internal error)")
         if t.objective_value().sign() < 0:
-            lam = t.reduced_costs(range(t.slack0, t.slack0 + t.m))
+            lam = t.multipliers()
             _check_farkas(a_rows, b_vals, lam)
             return LPCertificate(status=INFEASIBLE, farkas=lam)
         _drive_out_artificials(t)
@@ -306,26 +307,19 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
 
     point = _extract_point(t)
     value = t.objective_value()
-    lam = t.reduced_costs(range(t.slack0, t.slack0 + t.m))
+    lam = t.multipliers()
     _check_dual(a_rows, objective, lam)
     return LPCertificate(status=OPTIMAL, primal_point=point, objective=value, dual=lam)
 
 
 def _drive_out_artificials(t: _Tableau) -> None:
+    """Pivot the artificials still basic, all at level zero, out of the basis.
+    The columns [A, -A, I] of u, v and the slacks have full row rank, so
+    every row has a nonzero entry among them."""
     art = set(t.art_cols)
-    drop_rows = []
     for i in range(t.m):
         if t.basis[i] in art:
-            col = next((j for j in range(t.slack0 + t.m) if t.sign(i, j) != 0), None)
-            if col is None:
-                drop_rows.append(i)  # redundant zero row
-            else:
-                t.pivot(i, col)
-    for i in reversed(drop_rows):
-        del t.num[i], t.den[i], t.basis[i]
-        if t.irr is not None:
-            del t.irr[i]
-        t.m -= 1
+            t.pivot(i, next(j for j in range(t.slack0 + t.m) if t.sign(i, j)))
 
 
 def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:
