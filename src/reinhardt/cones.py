@@ -7,17 +7,24 @@ the offsets), the decisions depend on the normals only and are therefore
 fully exact field computations.
 
 The recession cone C = {d : <alpha_i, d> <= 0} is computed by double
-description over the scalar field (:func:`recession_cone`), as a lineality
-basis plus the extreme rays of its pointed part.  These generators are the
+description in integers (:func:`recession_cone`), as a lineality basis plus
+the extreme rays of its pointed part.  Its initial simplicial cone comes
+from one fraction-free elimination of the Gram matrix of a row basis (the
+integer adjugate, up to positive factors), and lines and rays are integer
+rows, over Z[sqrt d] pairs of them, kept primitive.  These generators are the
 only owner of finiteness: whether a sup is finite, whether the domain is
 bounded or has finite volume, and whether an integral converges are sign
 tests of dot products against them (:func:`recession_meets_halfspace`,
 :func:`unbounded_direction`, :func:`face_meets_halfspace`,
 :func:`is_bounded`, :func:`has_finite_volume`), and every direction they
 return is re-checked exactly before it is returned.  Axis approach is read
-off the ray supports of C ∩ {d <= 0} (:func:`approach`).  The functions here
-keep no memo: ``LogPolyhedron`` computes each derived object on first use
-and holds it for its own lifetime.
+off the ray supports of the approach cone K = C ∩ {d <= 0}
+(:func:`approach`), which the same double description gets by going on from
+the generators of C with the n unit rows: a unit row that meets a line of C
+turns it into a ray.  Past ``_MAX_RAYS`` intermediate rays either cone
+raises a typed error.  The functions here keep no memo: ``LogPolyhedron``
+computes each derived object on first use and holds it for its own
+lifetime.
 
 The simplex (:mod:`reinhardt.simplex`) decides only emptiness
 (:func:`interior_point`); otherwise it computes what gets printed or pinned
@@ -28,9 +35,9 @@ approach and sup-norm rays.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,7 +47,7 @@ from .errors import ReinhardtError
 from .hnf import cleared_integer_rows, integer_kernel_basis
 from .loglin import LogLin
 from .precision import working_precision
-from .scalars import QuadExt, Scalar, is_rational, sign_of
+from .scalars import Scalar, quadratic_sign, sign_of
 from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, solve_lp
 
 if TYPE_CHECKING:
@@ -82,26 +89,6 @@ def lineality_space(poly: LogPolyhedron) -> Subspace:
     return Subspace(ambient_n=poly.n, basis=tuple(tuple(v) for v in basis))
 
 
-def _split_quadratic_rows(rows: list[list[Scalar]]) -> list[list[Fraction]]:
-    """Rational + sqrt(d) parts as separate rows: same integer solution set."""
-    out = []
-    for row in rows:
-        a_part, b_part = [], []
-        has_b = False
-        for x in row:
-            if isinstance(x, QuadExt):
-                a_part.append(x.a)
-                b_part.append(x.b)
-                has_b = True
-            else:
-                a_part.append(Fraction(x))
-                b_part.append(Fraction(0))
-        out.append(a_part)
-        if has_b:
-            out.append(b_part)
-    return out
-
-
 def integer_lattice_of(subspace: Subspace) -> list[list[int]]:
     """Lattice basis of subspace ∩ Z^n via Hermite normal form."""
     if subspace.dim == 0:
@@ -110,8 +97,11 @@ def integer_lattice_of(subspace: Subspace) -> list[list[int]]:
     perp = linalg.kernel_basis([list(v) for v in subspace.basis], n)
     if not perp:
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rational_rows = _split_quadratic_rows(perp)
-    return integer_kernel_basis(cleared_integer_rows(rational_rows))
+    rows = []  # rational and sqrt(d) halves as separate rows: same integer solutions
+    for v in perp:
+        halves = linalg.halves(v)
+        rows += [halves[:n], halves[n:]] if any(halves[n:]) else [halves[:n]]
+    return integer_kernel_basis(cleared_integer_rows(rows))
 
 
 def is_rational_type(subspace: Subspace) -> bool:
@@ -153,80 +143,185 @@ def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
 
 # -- exact generators of the recession cone -------------------------------------
 
+# Intermediate rays of one double description.  The classify-stream inputs of
+# the benchmark peak at 27, random bounded specs with n = 12 and m = 24 or 36
+# at about 2100 (1.4 s); past the cap a typed error names the row reached.
+_MAX_RAYS = 5_000
+
+
 @dataclass(frozen=True)
 class RecessionCone:
     """C = {d : <alpha_i, d> <= 0} as span(lineality) + cone(rays).
 
     ``lineality`` is a basis of L = ker A; ``rays`` are the extreme rays of
-    the pointed part C ∩ L^perp.  Both are scaled by ``_scaled``.
+    the pointed part C ∩ L^perp.  Both are scaled by ``_scaled``.  ``tight``
+    holds, per ray, the bit set of the rows it is tight on, with bit i for
+    row i; :func:`approach_supports` continues the double description from it.
     """
 
     lineality: tuple[tuple[Scalar, ...], ...]
     rays: tuple[tuple[Scalar, ...], ...]
+    tight: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def _scaled(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """A positive multiple of v: primitive integers when v is rational, else
     first nonzero entry +-1.  Signs of dot products with v are unchanged,
     and int dot products are an order of magnitude cheaper than Fraction ones."""
-    if all(is_rational(x) for x in v):
-        lcm = math.lcm(*(x.denominator for x in v))
-        ints = [int(x * lcm) for x in v]
-        g = math.gcd(*ints) or 1
-        return tuple(x // g for x in ints)
-    lead = next(x for x in v if sign_of(x) != 0)
-    return tuple(x / lead for x in v) if sign_of(lead) > 0 else tuple(x / -lead for x in v)
+    d = linalg.field_of([v])
+    return _generator(*_lead_normal(linalg.cleared(v, d), d), d)
+
+
+def _lead_normal(v: list[int], d: Optional[int]) -> tuple[list[int], bool]:
+    """The integer row of ``_scaled`` of the vector of v, up to a positive
+    rational factor, and whether that vector is irrational, so that
+    ``_scaled`` divides it by its first nonzero entry.  Over Q(sqrt d) that
+    division is a multiplication by the conjugate of the entry."""
+    if d is not None:
+        k = len(v) // 2
+        if any(v[k:]):
+            j = next(j for j in range(k) if v[j] or v[k + j])
+            s = quadratic_sign(v[j], -v[k + j], d)
+            return linalg.primitive(linalg.times((s * v[j], -s * v[k + j]), v, d)), True
+    return linalg.primitive(v), False
+
+
+def _generator(v: list[int], lead: bool, d: Optional[int]) -> tuple[Scalar, ...]:
+    """``_scaled`` of the vector of an integer row made by ``_lead_normal``."""
+    if not lead:
+        return tuple(v if d is None else v[:len(v) // 2])
+    k = len(v) // 2
+    first = abs(next(x for x in v[:k] if x))
+    return tuple(linalg.scalar(v, j, first, d) for j in range(k))
+
+
+def _ring(d: Optional[int]):
+    """Dot product and sign over Z, or over Z[sqrt d] with (a, b) values."""
+    if d is None:
+        return (lambda u, v: sum(map(mul, u, v))), (lambda x: (x > 0) - (x < 0))
+
+    def dot(u, v):
+        k = len(u) // 2
+        ua, ub, va, vb = u[:k], u[k:], v[:k], v[k:]
+        return (sum(map(mul, ua, va)) + d * sum(map(mul, ub, vb)),
+                sum(map(mul, ua, vb)) + sum(map(mul, ub, va)))
+
+    return dot, (lambda x: quadratic_sign(x[0], x[1], d))
+
+
+def _combine(s, u: list[int], t, v: list[int], d: Optional[int]) -> list[int]:
+    """s u + t v for ring elements s, t and integer rows u, v."""
+    if d is None:
+        return [s * x + t * y for x, y in zip(u, v)]
+    return [x + y for x, y in zip(linalg.times(s, u, d), linalg.times(t, v, d))]
+
+
+def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[list[int]],
+         tight: list[int], lead: list[bool], done: int, dim: int, d: Optional[int], what: str
+         ) -> tuple[list[list[int]], list[int], list[bool]]:
+    """Cut span(lines) + cone(rays) by each <row, x> <= 0 in turn, one
+    incremental double-description step per row (Fukuda & Prodon 1996).
+
+    ``rows`` are ``(i, row)`` pairs, bit i naming the row in the tight sets.
+    ``done`` is the bit set of the rows already imposed, on which every line
+    is tight, and ``dim`` is the dimension of the pointed part of the cone.
+    A row that is nonzero on a line turns the first such line, oriented
+    into the half-space, into a ray, and moves the other lines and the rays
+    along it onto the hyperplane of the row.  Otherwise the row keeps the
+    rays it does not cut off and joins every adjacent pair it separates:
+    two rays are adjacent iff no third ray is tight on every row both are
+    tight on, which needs at least dim - 2 such rows.  Returns the rays,
+    their tight sets and their ``_lead_normal`` flags.
+    """
+    dot, sign = _ring(d)
+    neg = (lambda x: -x) if d is None else (lambda x: (-x[0], -x[1]))
+    for i, row in rows:
+        bit = 1 << i
+        line_vals = [dot(row, v) for v in lines]
+        cut = next((k for k, h in enumerate(line_vals) if sign(h) != 0), None)
+        if cut is not None:
+            l0, h = lines.pop(cut), line_vals.pop(cut)
+            if sign(h) > 0:
+                l0, h = [-x for x in l0], neg(h)
+            lines = [linalg.primitive(_combine(neg(h), v, g, l0, d))
+                     for v, g in zip(lines, line_vals)]
+            moved = [_lead_normal(_combine(neg(h), r, dot(row, r), l0, d), d) for r in rays]
+            rays = [r for r, _ in moved] + [l0]
+            lead = [f for _, f in moved] + [False]
+            tight = [z | bit for z in tight] + [done]
+            done |= bit
+            dim += 1
+            continue
+        done |= bit
+        if not rays:
+            continue
+        vals = [dot(row, r) for r in rays]
+        signs = [sign(v) for v in vals]
+        kept = [(r, z | bit if s == 0 else z, f)
+                for r, z, s, f in zip(rays, tight, signs, lead) if s <= 0]
+        negative = [q for q, s in enumerate(signs) if s < 0]
+        for p in (p for p, s in enumerate(signs) if s > 0):
+            for q in negative:
+                common = tight[p] & tight[q]
+                # p and q are tight on common: a third such ray bars adjacency
+                if common.bit_count() < dim - 2 or len(
+                        [z for z in tight if common & z == common]) > 2:
+                    continue
+                joined, f = _lead_normal(_combine(vals[p], rays[q], neg(vals[q]), rays[p], d), d)
+                kept.append((joined, common | bit, f))
+                if len(kept) > _MAX_RAYS:
+                    raise ReinhardtError(f"{what}: {len(kept)} intermediate rays at row {i}, "
+                                         f"past the cap of {_MAX_RAYS}")
+        rays = [r for r, _, _ in kept]
+        tight = [z for _, z, _ in kept]
+        lead = [f for _, _, f in kept]
+    return rays, tight, lead
 
 
 def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
     """Exact generators of {d in R^n : rows @ d <= 0} by incremental double
-    description (Motzkin et al. 1953; Fukuda & Prodon 1996).
+    description (Motzkin et al. 1953; Fukuda & Prodon 1996), in integers.
 
-    The rows (all nonzero) are first scaled by ``_scaled``, which leaves the
-    cone as it is.  A maximal independent set B of them spans L^perp, and the
-    cone {d in L^perp : B d <= 0} is simplicial with the rays
-    -B^T (B B^T)^-1 e_j.  The other rows are then added one at a time: each
-    keeps the rays it does not cut off and joins every adjacent pair it
-    separates.  Two rays are adjacent iff no third ray is tight on every
-    constraint both are tight on.
+    The rows (all nonzero) are held as integer rows of their ``_scaled``
+    forms, which leaves the cone as it is.  One fraction-free elimination
+    (:func:`linalg.gauss_jordan`) gives the first maximal independent set B
+    of them, which spans L^perp, and the kernel L.  The cone
+    {d in L^perp : B d <= 0} is simplicial with the rays -B^T (B B^T)^-1 e_j.
+    The rows of (B B^T)^-1, each up to a positive factor, come from the same
+    elimination of the integer Gram matrix beside the identity
+    (:func:`linalg.inverse_rows`): they are the rows of its adjugate up to
+    positive factors.  The other rows are then added by :func:`_cut`.  Every
+    ray is held as an integer row that is a positive rational multiple of the
+    vector the same steps give over the field, so its ``_scaled`` form, and
+    the order of the rays, do not depend on the integer scalings.  Past
+    ``_MAX_RAYS`` intermediate rays a :class:`ReinhardtError` names the row
+    reached.
     """
-    rows = [_scaled(r) for r in rows]
-    basis = linalg.independent_rows(rows)
-    lineality = tuple(_scaled(v) for v in linalg.kernel_basis(rows, n)) if len(basis) < n else ()
-    rays: list[tuple[Scalar, ...]] = []
-    tight: list[int] = []  # bit i set iff the ray is tight on processed row i
-    if basis:
-        b_rows = [rows[i] for i in basis]
-        gram_inv = linalg.invert([[linalg.dot(u, v) for v in b_rows] for u in b_rows])
-        every = sum(1 << i for i in basis)
-        columns = list(zip(*b_rows))
-        for j, g_row in enumerate(gram_inv):
-            rays.append(_scaled([-linalg.dot(g_row, col) for col in columns]))
-            tight.append(every & ~(1 << basis[j]))
-    dim = len(basis)
-    for i, row in enumerate(rows):
-        if i in basis or not rays:
-            continue
-        vals = [linalg.dot(row, r) for r in rays]
-        signs = [sign_of(v) for v in vals]
-        bit = 1 << i
-        kept = [(r, z | bit if s == 0 else z)
-                for r, z, s in zip(rays, tight, signs) if s <= 0]
-        for p, sp in enumerate(signs):
-            if sp <= 0:
-                continue
-            for q, sq in enumerate(signs):
-                if sq >= 0:
-                    continue
-                common = tight[p] & tight[q]
-                if common.bit_count() < dim - 2 or any(
-                        k != p and k != q and common & z == common for k, z in enumerate(tight)):
-                    continue
-                joined = [vals[p] * x - vals[q] * y for x, y in zip(rays[q], rays[p])]
-                kept.append((_scaled(joined), common | bit))
-        rays = [r for r, _ in kept]
-        tight = [z for _, z in kept]
-    return RecessionCone(lineality=lineality, rays=tuple(rays))
+    d = linalg.field_of(rows)
+    ints = [_lead_normal(linalg.cleared(r, d), d)[0] for r in rows]
+    basis, pivots, reduced = linalg.gauss_jordan(ints, n, d)
+    lineality = tuple(_scaled(v) for v in linalg.kernel_from(pivots, reduced, n, d))
+    k = len(basis)
+    b_rows = [ints[i] for i in basis]
+    dot, _ = _ring(d)
+    gram = [[dot(u, v) for v in b_rows] for u in b_rows]
+    if d is not None:
+        gram = [[a for a, _ in g] + [b for _, b in g] for g in gram]
+    rays, lead = [], []
+    for held in linalg.inverse_rows(gram, d):  # row j of (B B^T)^-1, times a positive integer
+        ray = [0] * len(b_rows[0])
+        for i, b in enumerate(b_rows):
+            ray = [x - y for x, y in zip(ray, linalg.times(linalg.entry(held, k + i, d), b, d))]
+        r, f = _lead_normal(ray, d)
+        rays.append(r)
+        lead.append(f)
+    every = sum(1 << i for i in basis)
+    tight = [every & ~(1 << i) for i in basis]
+    rest = [(i, row) for i, row in enumerate(ints) if not every >> i & 1]
+    rays, tight, lead = _cut(rest, [], rays, tight, lead, every, k, d, "recession cone")
+    return RecessionCone(lineality=lineality,
+                         rays=tuple(_generator(r, f, d) for r, f in zip(rays, lead)),
+                         tight=tuple(tight))
 
 
 def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
@@ -344,15 +439,22 @@ def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
 def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
     """Distinct supports of the extreme rays of K = C ∩ {d <= 0}.
 
-    K is pointed and no ray has a positive entry, so no entries cancel in a
-    nonnegative combination of rays: its support is the union of theirs.
+    K is C cut by the n rows e_j . d <= 0, so the double description of C
+    (``poly.recession`` and its tight sets) goes on with those rows; K = {0}
+    when C = {0}.  K is pointed and no ray has a positive entry, so no
+    entries cancel in a nonnegative combination of rays: its support is the
+    union of theirs.
     """
-    n = poly.n
-    units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    # unit rows first: the double description then starts from the negative orthant
-    cone = recession_cone(units + [list(a) for a in poly.normals], n)
-    return tuple(dict.fromkeys(frozenset(j for j, x in enumerate(r) if sign_of(x) != 0)
-                               for r in cone.rays))
+    cone = poly.recession
+    n, m = poly.n, len(poly.normals)
+    d = linalg.field_of(poly.normals)
+    width = n if d is None else 2 * n
+    units = [(m + j, [int(i == j) for i in range(width)]) for j in range(n)]
+    lines = [linalg.cleared(v, d) for v in cone.lineality]
+    rays, _, _ = _cut(units, lines, [linalg.cleared(r, d) for r in cone.rays], list(cone.tight),
+                      [False] * len(cone.rays), (1 << m) - 1, n - len(lines), d, "approach cone")
+    return tuple(dict.fromkeys(
+        frozenset(j for j in range(n) if r[j] or (d is not None and r[n + j])) for r in rays))
 
 
 def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:

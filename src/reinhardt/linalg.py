@@ -1,10 +1,28 @@
-"""Exact dense linear algebra over the scalar field (small matrices only)."""
+"""Exact dense linear algebra over the scalar field (small matrices only).
+
+Every query goes through one fraction-free Gauss-Jordan routine,
+:func:`gauss_jordan`.  Over Q a row is a list of integers, a positive
+multiple of the scalar row; over Q(sqrt d) it is one list of 2k integers,
+the rational halves of its k entries followed by their sqrt(d) halves, as in
+``simplex._Tableau``.  Rows are added one at a time.  Each is reduced
+against the pivot rows kept so far by R <- p R - f P, with p the pivot of P
+and f the entry of R in its column, so no division is needed.  A row that
+does not vanish is kept with its first nonzero column as pivot: it is
+multiplied by the conjugate of an irrational pivot and negated if need be,
+so that every pivot is a positive integer, and that column is eliminated
+from the other kept rows.  Every row is divided by the gcd of its integers.
+The kept rows are then positive multiples of the rows of the reduced row
+echelon form, which is canonical, so ranks, pivot columns, kernels,
+inverses and determinants do not depend on the scalings.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Optional
 
-from .scalars import Scalar, sign_of
+from .scalars import QuadExt, Scalar, quad
 
 Row = list  # list[Scalar]
 
@@ -14,85 +32,185 @@ def dot(u, v) -> Scalar:
     return sum((a * b for a, b in zip(u, v)), 0)
 
 
-def _eliminate(rows: list[Row]) -> tuple[list[Row], list[int]]:
-    """Row echelon form by exact Gaussian elimination; returns (rows, pivot cols)."""
-    m = [list(r) for r in rows]
+def field_of(rows) -> Optional[int]:
+    """The d of the first Q(sqrt d) entry of ``rows``, or None over Q."""
+    return next((x.d for row in rows for x in row if isinstance(x, QuadExt)), None)
+
+
+def halves(v) -> list:
+    """The rational halves of the entries of v, then their sqrt(d) halves."""
+    return [x.a if isinstance(x, QuadExt) else x for x in v] + \
+        [x.b if isinstance(x, QuadExt) else 0 for x in v]
+
+
+def cleared(v, d: Optional[int]) -> list[int]:
+    """The integer row of a scalar vector: v times the lcm of the
+    denominators of its entries (of both halves over Q(sqrt d))."""
+    parts = list(v) if d is None else halves(v)
+    den = math.lcm(*(x.denominator for x in parts))
+    return [x.numerator * (den // x.denominator) for x in parts]
+
+
+def primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def times(s, v: list[int], d: Optional[int]) -> list[int]:
+    """The integer row v times a ring element s: an int over Q, a pair
+    (a, b) for a + b sqrt(d) over Q(sqrt d)."""
+    if d is None:
+        return [s * x for x in v]
+    a, b = s
+    k = len(v) // 2
+    num, irr = v[:k], v[k:]
+    return ([a * x + d * b * y for x, y in zip(num, irr)]
+            + [a * y + b * x for x, y in zip(num, irr)])
+
+
+def entry(v: list[int], j: int, d: Optional[int]):
+    """Entry j of an integer row: an int, or an (a, b) pair over Q(sqrt d)."""
+    return v[j] if d is None else (v[j], v[len(v) // 2 + j])
+
+
+def scalar(v: list[int], j: int, den: int, d: Optional[int]) -> Scalar:
+    """Entry j of an integer row over the positive integer ``den``, as a scalar."""
+    if d is None:
+        return Fraction(v[j], den)
+    return quad(Fraction(v[j], den), Fraction(v[len(v) // 2 + j], den), d)
+
+
+def _subtract(row: list[int], prow: list[int], c: int, d: Optional[int]
+              ) -> tuple[list[int], int, int]:
+    """p row - f prow, with p > 0 the integer pivot of ``prow`` in column c and
+    f the entry of ``row`` there, divided by its gcd g; also returns p and g."""
+    p = prow[c]
+    if d is None:
+        f = row[c]
+        out = [p * x - f * y for x, y in zip(row, prow)]
+    else:
+        k = len(row) // 2
+        fa, fb = row[c], row[k + c]
+        pa, pb = prow[:k], prow[k:]
+        out = ([p * x - fa * y - d * fb * z for x, y, z in zip(row[:k], pa, pb)]
+               + [p * x - fa * z - fb * y for x, y, z in zip(row[k:], pa, pb)])
+    g = math.gcd(*out)
+    return ([x // g for x in out] if g > 1 else out), p, g
+
+
+def gauss_jordan(rows: list[list[int]], ncols: int, d: Optional[int],
+                 det: Optional[list] = None) -> tuple[list[int], list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, one at a time.
+
+    Returns ``(kept, pivots, held)``: the indices of the input rows that are
+    independent of the rows before them, the pivot column of each, and the
+    reduced rows, each a positive multiple of a row of the reduced row
+    echelon form, whose pivot entry is a positive integer.  When ``det`` is
+    a list, the true pivot of each kept row (its pivot entry when its row
+    operations are divisions by the pivots, which keep the determinant)
+    is appended to it.
+    """
+    held: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if sign_of(m[i][c]) != 0), None)
-        if pivot is None:
+    kept: list[int] = []
+    for index, row in enumerate(rows):
+        scale_num = scale_den = 1  # row = scale_num / scale_den times its true row
+        for prow, c in zip(held, pivots):
+            if row[c] or (d is not None and row[ncols + c]):
+                row, p, g = _subtract(row, prow, c, d)
+                if det is not None:
+                    scale_num, scale_den = scale_num * p, scale_den * g
+        c = next((j for j in range(ncols) if row[j] or (d is not None and row[ncols + j])), None)
+        if c is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c] if isinstance(m[r][c], (int, Fraction)) else 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and sign_of(m[i][c]) != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if det is not None:
+            det.append(scalar(row, c, 1, d) * Fraction(scale_den, scale_num))
+        if d is not None and row[ncols + c]:
+            # times the conjugate a - b sqrt d: the pivot becomes the norm
+            row = times((row[c], -row[ncols + c]), row, d)
+        if row[c] < 0:
+            row = [-x for x in row]
+        row = primitive(row)
+        for i, (prow, pc) in enumerate(zip(held, pivots)):
+            if prow[c] or (d is not None and prow[ncols + c]):
+                held[i] = _subtract(prow, row, c, d)[0]
+        held.append(row)
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+        kept.append(index)
+    return kept, pivots, held
+
+
+def _echelon(rows) -> tuple[list[int], list[int], list[list[int]], Optional[int]]:
+    d = field_of(rows)
+    kept, pivots, held = gauss_jordan([cleared(r, d) for r in rows], len(rows[0]), d)
+    return kept, pivots, held, d
 
 
 def rank(rows) -> int:
     if not rows:
         return 0
-    return len(_eliminate(rows)[0])
+    return len(_echelon(rows)[0])
 
 
-def independent_rows(rows) -> list[int]:
-    """Indices of the first maximal linearly independent subset of ``rows``."""
-    if not rows:
-        return []
-    return _eliminate([list(col) for col in zip(*rows)])[1]
+def kernel_from(pivots: list[int], held: list[list[int]], ncols: int,
+                d: Optional[int]) -> list[list[Scalar]]:
+    """Basis of the kernel of the reduced rows of :func:`gauss_jordan`: per
+    free column f, the vector with 1 at f and 0 at the other free columns."""
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec: list[Scalar] = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(held, pivots):
+            vec[p] = -scalar(row, f, row[p], d)
+        basis.append(vec)
+    return basis
 
 
 def kernel_basis(rows, ncols: int) -> list[list[Scalar]]:
     """Basis of {x : rows @ x = 0}, exact over the field."""
     if not rows:
         return [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = _eliminate(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec: list[Scalar] = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
-        basis.append(vec)
-    return basis
+    _, pivots, held, d = _echelon(rows)
+    return kernel_from(pivots, held, ncols, d)
+
+
+def inverse_rows(rows: list[list[int]], d: Optional[int]) -> list[list[int]] | None:
+    """The rows of [A | A^-1] for a square integer matrix A, each times a
+    positive integer (its entry on the diagonal of A), or None if singular."""
+    n = len(rows)
+    aug = []
+    for i, row in enumerate(rows):
+        unit = [int(j == i) for j in range(n)]
+        aug.append(row + unit if d is None else row[:n] + unit + row[n:] + [0] * n)
+    _, pivots, held = gauss_jordan(aug, 2 * n, d)
+    if sorted(pivots) != list(range(n)):
+        return None
+    return [row for _, row in sorted(zip(pivots, held))]
 
 
 def invert(rows) -> list[Row] | None:
     """Inverse of a square matrix, or None if singular."""
     n = len(rows)
-    aug = [list(r) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-           for i, r in enumerate(rows)]
-    reduced, pivots = _eliminate(aug)
-    if pivots[:n] != list(range(n)):
+    d = field_of(rows)
+    held = inverse_rows([cleared(r, d) for r in rows], d)
+    if held is None:
         return None
-    return [r[n:] for r in reduced]
+    return [[scalar(row, n + j, row[i], d) for j in range(n)] for i, row in enumerate(held)]
 
 
 def determinant(rows) -> Scalar:
+    """The product of the true pivots over the scalings of the cleared rows,
+    signed by the order of the pivot columns."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    det: Scalar = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if sign_of(m[i][c]) != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = Fraction(1) / m[c][c] if isinstance(m[c][c], (int, Fraction)) else 1 / m[c][c]
-        for i in range(c + 1, n):
-            if sign_of(m[i][c]) != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    d = field_of(rows)
+    true_pivots: list[Scalar] = []
+    _, pivots, _ = gauss_jordan([cleared(r, d) for r in rows], n, d, true_pivots)
+    if len(pivots) < n:
+        return Fraction(0)
+    value: Scalar = Fraction(1)
+    for r, t in zip(rows, true_pivots):
+        den = math.lcm(*(x.denominator for x in (r if d is None else halves(r))))
+        value = value * t / den
+    inversions = sum(1 for i in range(n) for k in range(i + 1, n) if pivots[i] > pivots[k])
+    return -value if inversions % 2 else value

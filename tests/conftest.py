@@ -306,3 +306,56 @@ def seeded_lps():
     for name, base, count, make in families:
         for seed in range(count):
             yield f"{name}-{seed}", make(random.Random(base + seed))
+
+
+# -- seeded cone systems: (d, n, normals) for the recession cone ---------------
+
+def _cone_scalar(rng: random.Random, d: int | None):
+    a = rng.randint(-3, 3)
+    if d is None or rng.random() < 0.3:
+        return Fraction(a)
+    return quad(a, rng.randint(-2, 2), d)
+
+
+def cone_system(rng: random.Random, d: int | None, shape: str):
+    """Nonzero normals in dimension n <= 6 over Q or Q(sqrt d), entries in
+    [-3, 3] or [-3, 3] + [-2, 2] sqrt(d).
+
+    ``shape`` is ``"generic"``; ``"lineality"``, whose rows are combinations
+    of fewer than n base rows; ``"equalities"``, where some rows come with a
+    positive multiple of their negation (implicit equalities of the cone);
+    or ``"scaled"``, where rows are repeated times a positive scalar, an
+    irrational one over Q(sqrt d)."""
+    n = rng.randint(1, 6)
+    rank_cap = rng.randint(1, max(1, n - 1)) if shape == "lineality" else n
+    # over Q(sqrt d) some base rows are rational, so that some rays have
+    # rational directions and irrational representatives
+    base = [[_cone_scalar(rng, None if rng.random() < 0.4 else d) for _ in range(n)]
+            for _ in range(rank_cap)]
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        row = [sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0)) for j in range(n)]
+        if any(row):
+            rows.append(row)
+    extra = []
+    for row in rows:
+        if shape == "equalities" and rng.random() < 0.4:
+            extra.append([-Fraction(rng.randint(1, 3), rng.randint(1, 2)) * x for x in row])
+        if shape == "scaled" and rng.random() < 0.4:
+            scale = Fraction(rng.randint(1, 3)) if d is None else quad(rng.randint(2, 3), 1, d)
+            extra.append([scale * x for x in row])
+    rows += extra
+    rng.shuffle(rows)
+    return d, n, [tuple(row) for row in rows]
+
+
+def seeded_cone_systems():
+    """Every seeded cone system, as ``(name, (d, n, normals))``."""
+    shapes = [("generic", 40), ("lineality", 16), ("equalities", 16), ("scaled", 8)]
+    for d, base in ((None, 9000), (2, 9500), (3, 9800)):
+        field = "integer" if d is None else f"sqrt{d}"
+        for k, (shape, count) in enumerate(shapes):
+            for seed in range(count // 2 if d else count):
+                yield (f"{field}-{shape}-{seed}",
+                       cone_system(random.Random(base + 100 * k + seed), d, shape))

@@ -1,16 +1,20 @@
 import json
+import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reinhardt import (EmptyDomainError, ReinhardtError, classify, classify_ainf, classify_all,
-                       classify_hinf, classify_hinf_k, classify_l2, classify_lp_ak, parse_spec)
-from reinhardt.classify import REPORT_SCHEMA
+from reinhardt import (DomainSpec, EmptyDomainError, MonomialConstraint, ReinhardtError, classify,
+                       classify_ainf, classify_all, classify_hinf, classify_hinf_k, classify_l2,
+                       classify_lp_ak, parse_spec)
+from reinhardt.classify import NO, REPORT_SCHEMA, YES, Verdict
 from reinhardt.cli import main
-from reinhardt.cones import approach_certificate, recession_contains
-from reinhardt.scalars import sign_of
+from reinhardt.cones import approach, approach_certificate, recession_contains
+from reinhardt.scalars import quad, scalar_to_json, sign_of
 
 
 def test_hartogs_full_report(hartogs):
@@ -147,3 +151,74 @@ def test_quadratic_specs_empty_by_construction(text, tmp_path, capsys):
     path.write_text(text)
     assert main(["classify", str(path)]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+def bounded_random_n12() -> str:
+    """A bounded spec with n = 12 and m = 24 whose recession cone is {0}, so
+    that its approach cone costs nothing; a double description of the
+    approach cone from the negative orthant takes 16 s on it."""
+    rng = random.Random(1)
+    constraints = []
+    for _ in range(24):
+        alpha = [str(rng.randint(-3, 3)) for _ in range(12)]
+        constraints.append({"alpha": alpha, "c": str(rng.randint(2, 9))})
+    return json.dumps({"n": 12, "constraints": constraints})
+
+
+def test_bounded_n12_spec_classifies_quickly():
+    start = time.perf_counter()
+    spec = parse_spec(bounded_random_n12())
+    report = classify_all(spec)
+    assert time.perf_counter() - start < 5
+    assert spec.log_polyhedron.approach_supports == ()
+    assert report.flags["bounded"] is True
+    assert report.verdicts["ainf"] == Verdict(YES, "axis-approach-blocked",
+                                              {"checked_sets": 2 ** 12 - 1})
+
+
+# -- ainf against the enumeration of every coordinate set ------------------------
+
+def ainf_by_enumeration(spec: DomainSpec) -> Verdict:
+    """The ainf verdict by visiting the coordinate sets in (size, lex) order:
+    the first set that meets a negative exponent and is approachable."""
+    poly = spec.log_polyhedron
+    checked = 0
+    for size in range(1, spec.n + 1):
+        for coords in combinations(range(spec.n), size):
+            if not any(sign_of(con.alpha[j]) < 0 for con in spec.constraints for j in coords):
+                continue
+            checked += 1
+            if approach(poly, coords):
+                ray = approach_certificate(poly, frozenset(coords))
+                return Verdict(NO, "axis-approach-witness", {
+                    "failing_epsilon": [1 if j in coords else 0 for j in range(spec.n)],
+                    "approach_ray": [scalar_to_json(x) for x in ray]})
+    return Verdict(YES, "axis-approach-blocked", {"checked_sets": checked})
+
+
+@st.composite
+def ainf_specs(draw):
+    """Specs with n <= 6 over Q or Q(sqrt 2), many with zero exponents so that
+    some coordinates carry no negative exponent."""
+    d = draw(st.sampled_from([None, None, 2]))
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from([-3, -2, -1, 0, 0, 0, 1, 2, 3])
+
+    def scalar():
+        a = draw(entry)
+        return Fraction(a) if d is None or a == 0 else quad(a, draw(st.integers(-1, 1)), d)
+
+    constraints = []
+    for _ in range(draw(st.integers(0, 7))):
+        alpha = tuple(scalar() for _ in range(n))
+        if any(sign_of(x) for x in alpha):
+            constraints.append(MonomialConstraint(alpha, Fraction(1)))
+    return DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=d)
+
+
+@settings(max_examples=150, deadline=10_000)
+@given(ainf_specs())
+def test_ainf_matches_enumeration_of_coordinate_sets(spec):
+    expected = ainf_by_enumeration(spec) if classify_hinf(spec).is_yes else None
+    got = classify_ainf(spec)
+    assert got == expected or (expected is None and got.value == "not-applicable")

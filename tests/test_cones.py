@@ -288,6 +288,19 @@ def test_generators_agree_with_lp_oracle(case):
                 (approach_certificate(poly, frozenset(coords)) is not None)
 
 
+@pytest.mark.parametrize("which,row", [("recession", 3), ("approach_supports", 4)])
+def test_ray_cap_is_a_typed_error(monkeypatch, which, row):
+    # C = {|d1|, |d2| <= -d3} has the four rays (+-1, +-1, -1): its last row
+    # joins two pairs, and so does the first unit row of K = C ∩ {d <= 0}
+    poly = LogPolyhedron(n=3, normals=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+                         offsets=(1, 1, 1, 1))
+    if which == "approach_supports":
+        assert len(poly.recession.rays) == 4
+    monkeypatch.setattr(cones, "_MAX_RAYS", 3)
+    with pytest.raises(ReinhardtError, match=f"4 intermediate rays at row {row}, past the cap"):
+        getattr(poly, which)
+
+
 def test_face_query_needs_a_bounded_functional(hartogs):
     poly = hartogs.log_polyhedron
     with pytest.raises(ValueError, match="recession cone"):

@@ -7,7 +7,12 @@ every vertex, dual, ray and Farkas vector of the LPs those commands solve,
 which the verdicts alone do not pin down.  ``random_lps.json`` holds the
 seeded LPs of ``conftest.seeded_lps`` (integer, mixed log bases, Q(sqrt 2),
 Q(sqrt 5), pivots of negative norm, Bland ties, infeasible and unbounded),
-each with its certificate and its number of ``_Tableau.pivot`` calls.  ``montecarlo.json`` holds the
+each with its certificate and its number of ``_Tableau.pivot`` calls.
+``recession_cones.json`` holds the seeded cone systems of
+``conftest.seeded_cone_systems`` (integer, Q(sqrt 2) and Q(sqrt 3), with
+lineality, implicit equalities and repeated rows), each with the lineality
+basis and the rays of its recession cone in order, whose order feeds the
+printed rays, and its sorted approach supports.  ``montecarlo.json`` holds the
 ``repr`` of seeded Monte-Carlo estimates and coefficient reports, one case
 per path of the block kernel, and for the cases whose exponents are all 0 or 1
 a digest of every per-sample value, so a faster kernel must keep every output
@@ -31,9 +36,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import seeded_lps
-from reinhardt import (coefficient_inequality_check, exponents, load_spec, lp_norm_monte_carlo,
-                       parse_spec, simplex)
+from conftest import seeded_cone_systems, seeded_lps
+from reinhardt import (LogPolyhedron, coefficient_inequality_check, exponents, load_spec,
+                       lp_norm_monte_carlo, parse_spec, simplex)
 from reinhardt.cli import main
 from reinhardt.loglin import LogLin
 from reinhardt.montecarlo import BLOCK_SIZE, _Sampler, _weighted_powers
@@ -43,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 LP_GOLDEN = GOLDEN / "gallery_lps.json"
 RANDOM_LP_GOLDEN = GOLDEN / "random_lps.json"
+CONE_GOLDEN = GOLDEN / "recession_cones.json"
 MC_GOLDEN = GOLDEN / "montecarlo.json"
 SPECS = sorted(p.stem for p in (ROOT / "specs").glob("*.json"))
 
@@ -90,7 +96,7 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
 
 def test_gallery_is_complete():
     assert len(SPECS) == 8
-    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p not in (LP_GOLDEN, RANDOM_LP_GOLDEN, MC_GOLDEN)) == \
+    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p not in (LP_GOLDEN, RANDOM_LP_GOLDEN, CONE_GOLDEN, MC_GOLDEN)) == \
         sorted(name for name, _ in CASES)
 
 
@@ -183,6 +189,27 @@ def random_lps_text() -> str:
 def test_random_lp_certificates_and_pivot_counts_match_golden():
     """Byte for byte: the same inputs, certificates and pivot counts."""
     assert random_lps_text() == RANDOM_LP_GOLDEN.read_text(encoding="utf-8")
+
+
+# -- recession cones ----------------------------------------------------------
+
+def recession_cones_text() -> str:
+    """JSON text of every seeded cone system with the generators of its
+    recession cone, in order, and its sorted approach supports."""
+    cases = []
+    for name, (d, n, normals) in seeded_cone_systems():
+        poly = LogPolyhedron(n=n, normals=tuple(normals), offsets=(1,) * len(normals))
+        cone = poly.recession
+        cases.append({"name": name, "d": d, "normals": _encode(normals),
+                      "lineality": _encode(cone.lineality), "rays": _encode(cone.rays),
+                      "approach_supports": sorted(sorted(s) for s in poly.approach_supports)})
+    return json.dumps(cases, separators=(",", ":")) + "\n"
+
+
+def test_recession_cone_generators_match_golden():
+    """Byte for byte: the same lineality bases, rays in the same order, and
+    the same approach supports."""
+    assert recession_cones_text() == CONE_GOLDEN.read_text(encoding="utf-8")
 
 
 # -- Monte Carlo ------------------------------------------------------------
@@ -319,6 +346,7 @@ def record() -> None:
             m.solve_lp = solve
     LP_GOLDEN.write_text(json.dumps(cases, separators=(",", ":")) + "\n", encoding="utf-8")
     RANDOM_LP_GOLDEN.write_text(random_lps_text(), encoding="utf-8")
+    CONE_GOLDEN.write_text(recession_cones_text(), encoding="utf-8")
     MC_GOLDEN.write_text(json.dumps(montecarlo_results(), indent=1) + "\n", encoding="utf-8")
 
 
