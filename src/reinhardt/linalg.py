@@ -132,7 +132,7 @@ def gauss_jordan(rows: list[list[int]], ncols: int, d: Optional[int],
         if row[c] < 0:
             row = [-x for x in row]
         row = primitive(row)
-        for i, (prow, pc) in enumerate(zip(held, pivots)):
+        for i, prow in enumerate(held):
             if prow[c] or (d is not None and prow[ncols + c]):
                 held[i] = _subtract(prow, row, c, d)[0]
         held.append(row)
