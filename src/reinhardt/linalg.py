@@ -43,12 +43,16 @@ def halves(v) -> list:
         [x.b if isinstance(x, QuadExt) else 0 for x in v]
 
 
+def denominator(v, d: Optional[int]) -> int:
+    """The lcm of the denominators of the entries of v (of both halves over
+    Q(sqrt d))."""
+    return math.lcm(*(x.denominator for x in (v if d is None else halves(v))))
+
+
 def cleared(v, d: Optional[int]) -> list[int]:
-    """The integer row of a scalar vector: v times the lcm of the
-    denominators of its entries (of both halves over Q(sqrt d))."""
-    parts = list(v) if d is None else halves(v)
-    den = math.lcm(*(x.denominator for x in parts))
-    return [x.numerator * (den // x.denominator) for x in parts]
+    """The integer row of a scalar vector: v times ``denominator(v, d)``."""
+    den = denominator(v, d)
+    return [x.numerator * (den // x.denominator) for x in (v if d is None else halves(v))]
 
 
 def primitive(v: list[int]) -> list[int]:
@@ -190,13 +194,16 @@ def inverse_rows(rows: list[list[int]], d: Optional[int]) -> list[list[int]] | N
 
 
 def invert(rows) -> list[Row] | None:
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: the inverse of the
+    cleared rows D A, times D."""
     n = len(rows)
     d = field_of(rows)
     held = inverse_rows([cleared(r, d) for r in rows], d)
     if held is None:
         return None
-    return [[scalar(row, n + j, row[i], d) for j in range(n)] for i, row in enumerate(held)]
+    dens = [denominator(r, d) for r in rows]
+    return [[scalar(row, n + j, row[i], d) * dens[j] for j in range(n)]
+            for i, row in enumerate(held)]
 
 
 def determinant(rows) -> Scalar:
@@ -210,7 +217,6 @@ def determinant(rows) -> Scalar:
         return Fraction(0)
     value: Scalar = Fraction(1)
     for r, t in zip(rows, true_pivots):
-        den = math.lcm(*(x.denominator for x in (r if d is None else halves(r))))
-        value = value * t / den
+        value = value * t / denominator(r, d)
     inversions = sum(1 for i in range(n) for k in range(i + 1, n) if pivots[i] > pivots[k])
     return -value if inversions % 2 else value

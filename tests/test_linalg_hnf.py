@@ -29,6 +29,26 @@ def test_determinant_and_inverse():
     assert linalg.determinant([[s, Fraction(1)], [Fraction(1), s]]) == Fraction(1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([None, 2, 5]), st.data())
+def test_inverse_and_determinant_of_fractional_matrices(n, d, data):
+    """A A^-1 = I and det(A) det(A^-1) = 1 with entries that are not
+    integers, over Q and Q(sqrt d); the rows are cleared to integers inside."""
+    def entry():
+        a = Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3)))
+        return a if d is None else quad(a, Fraction(data.draw(st.integers(-2, 2)), 2), d)
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    inv = linalg.invert(a)
+    det = linalg.determinant(a)
+    assert (inv is None) == (det == 0) == (linalg.rank(a) < n)
+    if inv is not None:
+        for i in range(n):
+            for j in range(n):
+                assert linalg.dot(a[i], [row[j] for row in inv]) == int(i == j)
+        assert det * linalg.determinant(inv) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_hnf_transform_properties(m, n, data):
