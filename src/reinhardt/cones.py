@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -195,27 +194,6 @@ def _generator(v: list[int], lead: bool, d: Optional[int]) -> tuple[Scalar, ...]
     return tuple(linalg.scalar(v, j, first, d) for j in range(k))
 
 
-def _ring(d: Optional[int]):
-    """Dot product and sign over Z, or over Z[sqrt d] with (a, b) values."""
-    if d is None:
-        return (lambda u, v: sum(map(mul, u, v))), (lambda x: (x > 0) - (x < 0))
-
-    def dot(u, v):
-        k = len(u) // 2
-        ua, ub, va, vb = u[:k], u[k:], v[:k], v[k:]
-        return (sum(map(mul, ua, va)) + d * sum(map(mul, ub, vb)),
-                sum(map(mul, ua, vb)) + sum(map(mul, ub, va)))
-
-    return dot, (lambda x: quadratic_sign(x[0], x[1], d))
-
-
-def _combine(s, u: list[int], t, v: list[int], d: Optional[int]) -> list[int]:
-    """s u + t v for ring elements s, t and integer rows u, v."""
-    if d is None:
-        return [s * x + t * y for x, y in zip(u, v)]
-    return [x + y for x, y in zip(linalg.times(s, u, d), linalg.times(t, v, d))]
-
-
 def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[list[int]],
          tight: list[int], lead: list[bool], done: int, dim: int, d: Optional[int], what: str
          ) -> tuple[list[list[int]], list[int], list[bool]]:
@@ -233,8 +211,7 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
     tight on, which needs at least dim - 2 such rows.  Returns the rays,
     their tight sets and their ``_lead_normal`` flags.
     """
-    dot, sign = _ring(d)
-    neg = (lambda x: -x) if d is None else (lambda x: (-x[0], -x[1]))
+    dot, sign, neg = linalg.ring(d)
     for i, row in rows:
         bit = 1 << i
         line_vals = [dot(row, v) for v in lines]
@@ -243,9 +220,9 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
             l0, h = lines.pop(cut), line_vals.pop(cut)
             if sign(h) > 0:
                 l0, h = [-x for x in l0], neg(h)
-            lines = [linalg.primitive(_combine(neg(h), v, g, l0, d))
+            lines = [linalg.primitive(linalg.combine(neg(h), v, g, l0, d))
                      for v, g in zip(lines, line_vals)]
-            moved = [_lead_normal(_combine(neg(h), r, dot(row, r), l0, d), d) for r in rays]
+            moved = [_lead_normal(linalg.combine(neg(h), r, dot(row, r), l0, d), d) for r in rays]
             rays = [r for r, _ in moved] + [l0]
             lead = [f for _, f in moved] + [False]
             tight = [z | bit for z in tight] + [done]
@@ -267,7 +244,7 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
                 if common.bit_count() < dim - 2 or len(
                         [z for z in tight if common & z == common]) > 2:
                     continue
-                joined, f = _lead_normal(_combine(vals[p], rays[q], neg(vals[q]), rays[p], d), d)
+                joined, f = _lead_normal(linalg.combine(vals[p], rays[q], neg(vals[q]), rays[p], d), d)
                 kept.append((joined, common | bit, f))
                 if len(kept) > _MAX_RAYS:
                     raise ReinhardtError(f"{what}: {len(kept)} intermediate rays at row {i}, "
@@ -303,10 +280,8 @@ def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
     lineality = tuple(_scaled(v) for v in linalg.kernel_from(pivots, reduced, n, d))
     k = len(basis)
     b_rows = [ints[i] for i in basis]
-    dot, _ = _ring(d)
-    gram = [[dot(u, v) for v in b_rows] for u in b_rows]
-    if d is not None:
-        gram = [[a for a, _ in g] + [b for _, b in g] for g in gram]
+    dot = linalg.ring(d)[0]
+    gram = [linalg.row_of([dot(u, v) for v in b_rows], d) for u in b_rows]
     rays, lead = [], []
     for held in linalg.inverse_rows(gram, d):  # row j of (B B^T)^-1, times a positive integer
         ray = [0] * len(b_rows[0])

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
-from .scalars import QuadExt, Scalar, quad
+from .scalars import QuadExt, Scalar, quad, quadratic_sign
 
 Row = list  # list[Scalar]
 
@@ -73,6 +74,33 @@ def times(s, v: list[int], d: Optional[int]) -> list[int]:
             + [a * y + b * x for x, y in zip(num, irr)])
 
 
+def combine(s, u: list[int], t, v: list[int], d: Optional[int]) -> list[int]:
+    """s u + t v for ring elements s, t and integer rows u, v."""
+    if d is None:
+        return [s * x + t * y for x, y in zip(u, v)]
+    return [x + y for x, y in zip(times(s, u, d), times(t, v, d))]
+
+
+def ring(d: Optional[int]):
+    """Dot product, sign and negation of ring elements: ints over Z, and
+    (a, b) pairs for a + b sqrt(d) over Z[sqrt d]."""
+    if d is None:
+        return (lambda u, v: sum(map(mul, u, v))), (lambda x: (x > 0) - (x < 0)), (lambda x: -x)
+
+    def dot_pair(u, v):
+        k = len(u) // 2
+        ua, ub, va, vb = u[:k], u[k:], v[:k], v[k:]
+        return (sum(map(mul, ua, va)) + d * sum(map(mul, ub, vb)),
+                sum(map(mul, ua, vb)) + sum(map(mul, ub, va)))
+
+    return dot_pair, (lambda x: quadratic_sign(x[0], x[1], d)), (lambda x: (-x[0], -x[1]))
+
+
+def row_of(values: list, d: Optional[int]) -> list[int]:
+    """The integer row of a list of ring elements."""
+    return values if d is None else [a for a, _ in values] + [b for _, b in values]
+
+
 def entry(v: list[int], j: int, d: Optional[int]):
     """Entry j of an integer row: an int, or an (a, b) pair over Q(sqrt d)."""
     return v[j] if d is None else (v[j], v[len(v) // 2 + j])
@@ -90,15 +118,8 @@ def _subtract(row: list[int], prow: list[int], c: int, d: Optional[int]
     """p row - f prow, with p > 0 the integer pivot of ``prow`` in column c and
     f the entry of ``row`` there, divided by its gcd g; also returns p and g."""
     p = prow[c]
-    if d is None:
-        f = row[c]
-        out = [p * x - f * y for x, y in zip(row, prow)]
-    else:
-        k = len(row) // 2
-        fa, fb = row[c], row[k + c]
-        pa, pb = prow[:k], prow[k:]
-        out = ([p * x - fa * y - d * fb * z for x, y, z in zip(row[:k], pa, pb)]
-               + [p * x - fa * z - fb * y for x, y, z in zip(row[k:], pa, pb)])
+    f = entry(row, c, d)
+    out = combine(p if d is None else (p, 0), row, -f if d is None else (-f[0], -f[1]), prow, d)
     g = math.gcd(*out)
     return ([x // g for x in out] if g > 1 else out), p, g
 
