@@ -13,7 +13,9 @@ so that every pivot is a positive integer, and that column is eliminated
 from the other kept rows.  Every row is divided by the gcd of its integers.
 The kept rows are then positive multiples of the rows of the reduced row
 echelon form, which is canonical, so ranks, pivot columns, kernels,
-inverses and determinants do not depend on the scalings.
+inverses and determinants do not depend on the scalings.  The same integer
+rows and their ring arithmetic (:func:`ring`, :func:`times`,
+:func:`combine`) carry the double description of :mod:`reinhardt.cones`.
 """
 
 from __future__ import annotations
