@@ -43,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ReinhardtError
-from .hnf import cleared_integer_rows, integer_kernel_basis
+from .hnf import integer_kernel_basis
 from .loglin import LogLin
 from .precision import working_precision
 from .scalars import Scalar, quadratic_sign, sign_of
@@ -100,7 +100,7 @@ def integer_lattice_of(subspace: Subspace) -> list[list[int]]:
     for v in perp:
         halves = linalg.halves(v)
         rows += [halves[:n], halves[n:]] if any(halves[n:]) else [halves[:n]]
-    return integer_kernel_basis(cleared_integer_rows(rows))
+    return integer_kernel_basis([linalg.cleared(row, None) for row in rows])
 
 
 def is_rational_type(subspace: Subspace) -> bool:

@@ -8,9 +8,6 @@ textbook gcd-driven reduction is plenty.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 
 def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Return (H, U) with U unimodular, H = U @ A in row Hermite normal form."""
@@ -59,12 +56,3 @@ def integer_kernel_basis(rows: list[list[int]]) -> list[list[int]]:
     h, u = hermite_normal_form(transposed)
     return [u[i] for i in range(ncols) if all(x == 0 for x in h[i])]
 
-
-def cleared_integer_rows(rows) -> list[list[int]]:
-    """Scale each rational row to integers (row scaling keeps the kernel)."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        out.append([int(f * lcm) for f in fracs])
-    return out

@@ -1,21 +1,25 @@
-"""Exact dense linear algebra over the scalar field (small matrices only).
+"""Exact dense linear algebra over the scalar field, on integer rows.
+
+A vector over Q is held as an integer row, k integers that are a positive
+multiple of it; over Q(sqrt d) as one list of 2k integers, the rational
+halves of its k entries followed by their sqrt(d) halves.  Where the scale
+matters a row comes with a positive integer denominator: entry j is then
+``(v[j] + v[k + j] sqrt d) / den``.  Ring elements (entries, multipliers)
+are ints over Z and ``(a, b)`` pairs for a + b sqrt(d) over Z[sqrt d].  Only
+this module reads that layout: the simplex tableau of
+:mod:`reinhardt.simplex` and the double description of :mod:`reinhardt.cones`
+work through its helpers.
 
 Every query goes through one fraction-free Gauss-Jordan routine,
-:func:`gauss_jordan`.  Over Q a row is a list of integers, a positive
-multiple of the scalar row; over Q(sqrt d) it is one list of 2k integers,
-the rational halves of its k entries followed by their sqrt(d) halves, as in
-``simplex._Tableau``.  Rows are added one at a time.  Each is reduced
-against the pivot rows kept so far by R <- p R - f P, with p the pivot of P
-and f the entry of R in its column, so no division is needed.  A row that
-does not vanish is kept with its first nonzero column as pivot: it is
-multiplied by the conjugate of an irrational pivot and negated if need be,
-so that every pivot is a positive integer, and that column is eliminated
-from the other kept rows.  Every row is divided by the gcd of its integers.
-The kept rows are then positive multiples of the rows of the reduced row
+:func:`gauss_jordan`.  Rows are added one at a time.  Each is reduced
+against the pivot rows kept so far by R <- p R - f P (:func:`eliminate`),
+with p the pivot of P and f the entry of R in its column, so no division is
+needed.  A row that does not vanish is kept with its first nonzero column
+as pivot, scaled by :func:`pivoted` to a positive integer pivot and a
+primitive row, and that column is eliminated from the other kept rows.  The
+kept rows are then positive multiples of the rows of the reduced row
 echelon form, which is canonical, so ranks, pivot columns, kernels,
-inverses and determinants do not depend on the scalings.  The same integer
-rows and their ring arithmetic (:func:`ring`, :func:`times`,
-:func:`combine`) carry the double description of :mod:`reinhardt.cones`.
+inverses and determinants do not depend on the scalings.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .scalars import QuadExt, Scalar, quad, quadratic_sign
+from .scalars import QuadExt, Scalar, quadratic_sign
 
 Row = list  # list[Scalar]
 
@@ -46,16 +50,17 @@ def halves(v) -> list:
         [x.b if isinstance(x, QuadExt) else 0 for x in v]
 
 
-def denominator(v, d: Optional[int]) -> int:
-    """The lcm of the denominators of the entries of v (of both halves over
-    Q(sqrt d))."""
-    return math.lcm(*(x.denominator for x in (v if d is None else halves(v))))
+def over_denominator(v, d: Optional[int]) -> tuple[list[int], int]:
+    """The integer row of a scalar vector and its denominator, the lcm of the
+    denominators of its entries (of both halves over Q(sqrt d))."""
+    entries = v if d is None else halves(v)
+    den = math.lcm(*(x.denominator for x in entries))
+    return [x.numerator * (den // x.denominator) for x in entries], den
 
 
 def cleared(v, d: Optional[int]) -> list[int]:
-    """The integer row of a scalar vector: v times ``denominator(v, d)``."""
-    den = denominator(v, d)
-    return [x.numerator * (den // x.denominator) for x in (v if d is None else halves(v))]
+    """The integer row of a scalar vector: v times its denominator."""
+    return over_denominator(v, d)[0]
 
 
 def primitive(v: list[int]) -> list[int]:
@@ -64,9 +69,19 @@ def primitive(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
+def signed(v: list[int], signs: list[int]) -> list[int]:
+    """The integer row v with entry j times signs[j], +1 or -1."""
+    return [x * s for x, s in zip(v, signs * (len(v) // len(signs)))]
+
+
+def cancel(v: list[int], den: int) -> tuple[list[int], int]:
+    """The row v over the denominator ``den``, both divided by their gcd."""
+    g = math.gcd(*v, den)
+    return ([x // g for x in v], den // g) if g > 1 else (v, den)
+
+
 def times(s, v: list[int], d: Optional[int]) -> list[int]:
-    """The integer row v times a ring element s: an int over Q, a pair
-    (a, b) for a + b sqrt(d) over Q(sqrt d)."""
+    """The integer row v times a ring element s."""
     if d is None:
         return [s * x for x in v]
     a, b = s
@@ -80,7 +95,54 @@ def combine(s, u: list[int], t, v: list[int], d: Optional[int]) -> list[int]:
     """s u + t v for ring elements s, t and integer rows u, v."""
     if d is None:
         return [s * x + t * y for x, y in zip(u, v)]
-    return [x + y for x, y in zip(times(s, u, d), times(t, v, d))]
+    k = len(u) // 2
+    (sa, sb), (ta, tb) = s, t
+    ua, ub, va, vb = u[:k], u[k:], v[:k], v[k:]
+    dtb = d * tb
+    if not sb:  # a rational s, as in every elimination step
+        return ([sa * w + ta * y + dtb * z for w, y, z in zip(ua, va, vb)]
+                + [sa * x + ta * z + tb * y for x, y, z in zip(ub, va, vb)])
+    dsb = d * sb
+    return ([sa * w + dsb * x + ta * y + dtb * z for w, x, y, z in zip(ua, ub, va, vb)]
+            + [sa * x + sb * w + ta * z + tb * y for w, x, y, z in zip(ua, ub, va, vb)])
+
+
+def product(s, t, d: Optional[int]):
+    """The product of two ring elements."""
+    if d is None:
+        return s * t
+    return s[0] * t[0] + d * s[1] * t[1], s[0] * t[1] + s[1] * t[0]
+
+
+def over(v: list[int], s, d: Optional[int]) -> list[int]:
+    """A positive rational multiple of v / s for a nonzero ring element s: v
+    times the conjugate of an irrational s, signed by its norm, and v times
+    the sign of a rational s.  A form with rational entries keeps them."""
+    if d is None or not s[1]:
+        return [-x for x in v] if (s if d is None else s[0]) < 0 else v
+    a, b = s
+    return times((a, -b) if a * a > d * b * b else (-a, b), v, d)
+
+
+def pivoted(v: list[int], c: int, d: Optional[int]) -> list[int]:
+    """The primitive positive multiple of v whose entry in column c is a
+    positive integer: v over its entry there, divided by the gcd."""
+    return primitive(over(v, entry(v, c, d), d))
+
+
+def eliminate(v: list[int], pv: list[int], c: int, d: Optional[int], start: int = 0
+              ) -> list[int]:
+    """p v - f pv, with p and f the entries of pv and v in column c, on the
+    columns from ``start`` on.  It vanishes in column c, and when p is the
+    positive integer pivot of pv it is p times the row v - (f / p) pv."""
+    if d is None:
+        p, f = pv[c], -v[c]
+    else:
+        k = len(v) // 2
+        p, f = (pv[c], pv[k + c]), (-v[c], -v[k + c])
+    if start:
+        v, pv = tail(v, start, d), tail(pv, start, d)
+    return combine(p, v, f, pv, d)
 
 
 def ring(d: Optional[int]):
@@ -104,26 +166,48 @@ def row_of(values: list, d: Optional[int]) -> list[int]:
 
 
 def entry(v: list[int], j: int, d: Optional[int]):
-    """Entry j of an integer row: an int, or an (a, b) pair over Q(sqrt d)."""
+    """Entry j of an integer row, a ring element."""
     return v[j] if d is None else (v[j], v[len(v) // 2 + j])
+
+
+def entry_sign(v: list[int], j: int, d: Optional[int]) -> int:
+    """Sign of entry j of an integer row."""
+    if d is None:
+        return (v[j] > 0) - (v[j] < 0)
+    return quadratic_sign(v[j], v[len(v) // 2 + j], d)
+
+
+def tail(v: list[int], j: int, d: Optional[int]) -> list[int]:
+    """The integer row of entries j, j + 1, ... of v."""
+    k = len(v) // 2
+    return v[j:] if d is None else v[j:k] + v[k + j:]
 
 
 def scalar(v: list[int], j: int, den: int, d: Optional[int]) -> Scalar:
     """Entry j of an integer row over the positive integer ``den``, as a scalar."""
+    x = Fraction(v[j], den)
     if d is None:
-        return Fraction(v[j], den)
-    return quad(Fraction(v[j], den), Fraction(v[len(v) // 2 + j], den), d)
+        return x
+    y = v[len(v) // 2 + j]
+    return QuadExt(x, Fraction(y, den), d) if y else x
+
+
+def vector(v: list[int], den: int, d: Optional[int]) -> list[Scalar]:
+    """The scalar vector of an integer row over the positive integer ``den``."""
+    xs = [Fraction(x) for x in v] if den == 1 else [Fraction(x, den) for x in v]
+    if d is None:
+        return xs
+    k = len(v) // 2
+    return [QuadExt(x, y, d) if y else x for x, y in zip(xs[:k], xs[k:])]
 
 
 def _subtract(row: list[int], prow: list[int], c: int, d: Optional[int]
               ) -> tuple[list[int], int, int]:
-    """p row - f prow, with p > 0 the integer pivot of ``prow`` in column c and
-    f the entry of ``row`` there, divided by its gcd g; also returns p and g."""
-    p = prow[c]
-    f = entry(row, c, d)
-    out = combine(p if d is None else (p, 0), row, -f if d is None else (-f[0], -f[1]), prow, d)
+    """``eliminate(row, prow, c, d)`` divided by its gcd g, with p > 0 the
+    integer pivot of ``prow`` in column c; also returns p and g."""
+    out = eliminate(row, prow, c, d)
     g = math.gcd(*out)
-    return ([x // g for x in out] if g > 1 else out), p, g
+    return ([x // g for x in out] if g > 1 else out), prow[c], g
 
 
 def gauss_jordan(rows: list[list[int]], ncols: int, d: Optional[int],
@@ -153,12 +237,7 @@ def gauss_jordan(rows: list[list[int]], ncols: int, d: Optional[int],
             continue
         if det is not None:
             det.append(scalar(row, c, 1, d) * Fraction(scale_den, scale_num))
-        if d is not None and row[ncols + c]:
-            # times the conjugate a - b sqrt d: the pivot becomes the norm
-            row = times((row[c], -row[ncols + c]), row, d)
-        if row[c] < 0:
-            row = [-x for x in row]
-        row = primitive(row)
+        row = pivoted(row, c, d)
         for i, prow in enumerate(held):
             if prow[c] or (d is not None and prow[ncols + c]):
                 held[i] = _subtract(prow, row, c, d)[0]
@@ -224,7 +303,7 @@ def invert(rows) -> list[Row] | None:
     held = inverse_rows([cleared(r, d) for r in rows], d)
     if held is None:
         return None
-    dens = [denominator(r, d) for r in rows]
+    dens = [over_denominator(r, d)[1] for r in rows]
     return [[scalar(row, n + j, row[i], d) * dens[j] for j in range(n)]
             for i, row in enumerate(held)]
 
@@ -240,6 +319,6 @@ def determinant(rows) -> Scalar:
         return Fraction(0)
     value: Scalar = Fraction(1)
     for r, t in zip(rows, true_pivots):
-        value = value * t / denominator(r, d)
+        value = value * t / over_denominator(r, d)[1]
     inversions = sum(1 for i in range(n) for k in range(i + 1, n) if pivots[i] > pivots[k])
     return -value if inversions % 2 else value

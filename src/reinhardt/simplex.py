@@ -5,17 +5,16 @@ field and b symbolic (:class:`LogLin`), so log-thresholds never get rounded.
 Free variables are split x = u - v; slacks close the rows; artificials only
 appear in phase I on rows whose right-hand side starts negative.
 
-The tableau is fraction-free.  Each row holds integer numerators over one
-positive integer row denominator, for its constraint columns and for its
-right-hand side ``[const, coeff of log b_1, ..., log b_k]`` over the LP's
-distinct log bases, sorted as in :class:`LogLin`.  Over Q(sqrt d) a row has
-a second list of integers, the sqrt(d) halves; over Q it has none.  A row
-starts scaled by the lcm of its denominators.  A pivot divides its row by
-the pivot (times the conjugate, over the norm, when the pivot is
-irrational) and replaces every other row R with a nonzero entry f by
-(R D_p - f P) / (D_R D_p), then divides out the row's gcd.  The reduced-cost
-row, priced once per phase, is the last row and is updated the same way;
-its right-hand side is the objective value.
+The tableau is fraction-free: each row is an integer row of
+:mod:`reinhardt.linalg` (the format is stated there) over one positive
+integer denominator, for the constraint columns and for the right-hand side
+``[const, coeff of log b_1, ..., log b_k]`` over the LP's distinct log
+bases, sorted as in :class:`LogLin`.  A pivot scales its row by
+:func:`linalg.pivoted` and replaces every other row R with a nonzero entry
+f by (R D_p - f P) / (D_R D_p) (:func:`linalg.eliminate`), over the gcd of
+the result and its denominator.  The reduced-cost row, priced once per
+phase, is the last row and is updated the same way; its right-hand side is
+the objective value.
 
 Positive row scalings leave the true tableau B^-1 A unchanged, so every
 sign Bland's rule reads is the sign of an integer, or of a + b sqrt(d)
@@ -36,16 +35,16 @@ certificates, which are re-verified exactly before they are returned:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional, Sequence
 
+from . import linalg
 from .errors import ReinhardtError
 from .linalg import dot
 from .loglin import LogLin, as_loglin
-from .scalars import QuadExt, Scalar, quad, quadratic_sign, scalar_cmp, sign_of
+from .scalars import QuadExt, Scalar, scalar_cmp, sign_of
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
 
@@ -65,15 +64,14 @@ class LPCertificate:
 
 
 class _Tableau:
-    """Rows of integer numerators over one positive integer row denominator.
+    """The rows of the tableau, each an integer row of :mod:`reinhardt.linalg`
+    over its own positive denominator ``den[i]``.
 
-    Row ``i`` of ``num`` (and, over Q(sqrt d), of ``irr``) holds the columns
-    ``u, v, slacks, artificials`` followed by the right-hand side
-    ``[const, coeff of log bases[0], ...]``; its true value is
-    ``(num[i][j] + irr[i][j] * sqrt d) / den[i]``.  Over Q, ``irr`` is None.
-    The last row is the reduced-cost row of the current phase, whose
-    right-hand side is the objective value.  A basic column's entry equals
-    its row's denominator (true value 1).
+    A row holds the columns ``u, v, slacks, artificials`` followed by the
+    right-hand side ``[const, coeff of log bases[0], ...]``.  The last row is
+    the reduced-cost row of the current phase, whose right-hand side is the
+    objective value.  A basic column's entry equals its row's denominator
+    (true value 1).
     """
 
     def __init__(self, a_rows, b_vals, n: int, d: Optional[int]):
@@ -86,49 +84,34 @@ class _Tableau:
         self.ncols = 2 * self.n + self.m + len(self.art_cols)
         self.bases = sorted({base for b in b_vals for base, _ in b.terms},
                             key=cmp_to_key(scalar_cmp))
+        width = self.ncols + 1 + len(self.bases)
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
-        self.num: list[list[int]] = []
-        self.irr: Optional[list[list[int]]] = None if d is None else []
-        self.den: list[int] = []
-        self.basis: list[int] = []
+        self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
         arts = iter(self.art_cols)
-        zero = Fraction(0)
+        zero, one = Fraction(0), Fraction(1)
         for i, (row, b, flip) in enumerate(zip(a_rows, b_vals, flips)):
-            full = [zero] * (self.ncols + 1 + len(self.bases))
-            for j, x in enumerate(row):
-                full[j], full[self.n + j] = (-x, x) if flip else (x, -x)
-            full[self.slack0 + i] = Fraction(-1 if flip else 1)
+            # s [a | -a | e_i | b], s = -1 on a flipped row, signed in integers below
+            full = [*row, *row] + [zero] * (width - self.slack0)
+            full[self.slack0 + i] = one
             # a flipped row's slack sits at -1, unusable as basis: an artificial starts there
             self.basis.append(next(arts) if flip else self.slack0 + i)
-            full[self.basis[-1]] = Fraction(1)
-            full[self.ncols] = -b.const if flip else b.const
+            full[self.basis[-1]] = -one if flip else one
+            full[self.ncols] = b.const
             for base, coeff in b.terms:
-                full[self.ncols + slot[base]] = -coeff if flip else coeff
-            self._append_row(full)
-        self._append_row([zero] * (self.ncols + 1 + len(self.bases)))  # reduced costs
-
-    def _append_row(self, values: Sequence[Scalar]) -> None:
-        """Append a row of field scalars, scaled by the lcm of its denominators."""
-        if self.irr is None:
-            den = math.lcm(*(x.denominator for x in values))
-            self.num.append([x.numerator * (den // x.denominator) for x in values])
-        else:
-            parts = [(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in values]
-            den = math.lcm(*(y.denominator for xy in parts for y in xy))
-            self.num.append([a.numerator * (den // a.denominator) for a, _ in parts])
-            self.irr.append([b.numerator * (den // b.denominator) for _, b in parts])
-        self.den.append(den)
+                full[self.ncols + slot[base]] = coeff
+            ints, den = linalg.over_denominator(full, d)
+            s = -1 if flip else 1
+            self.rows.append(linalg.signed(ints, [s] * n + [-s] * n + [s] * (width - self.slack0)))
+            self.den.append(den)
+        self.rows.append([]), self.den.append(1)  # the reduced costs, set by price
 
     # -- exact values, built only for the objective and the certificates ------
 
     def value(self, i: int, j: int) -> Scalar:
-        if self.irr is None:
-            return Fraction(self.num[i][j], self.den[i])
-        return quad(Fraction(self.num[i][j], self.den[i]),
-                    Fraction(self.irr[i][j], self.den[i]), self.d)
+        return linalg.scalar(self.rows[i], j, self.den[i], self.d)
 
     def rhs(self, i: int) -> list[Scalar]:
-        return [self.value(i, j) for j in range(self.ncols, len(self.num[i]))]
+        return linalg.vector(linalg.tail(self.rows[i], self.ncols, self.d), self.den[i], self.d)
 
     def loglin(self, vec: Sequence[Scalar]) -> LogLin:
         return LogLin(vec[0], tuple((b, c) for b, c in zip(self.bases, vec[1:]) if c))
@@ -140,119 +123,61 @@ class _Tableau:
         """Dual or Farkas multipliers: the reduced costs of the slacks."""
         return tuple(self.value(self.m, self.slack0 + i) for i in range(self.m))
 
-    # -- integer sign tests -----------------------------------------------------
-
-    def sign(self, i: int, j: int) -> int:
-        """Sign of row ``i``, column ``j`` (the denominator is positive)."""
-        x = self.num[i][j]
-        if self.irr is None:
-            return (x > 0) - (x < 0)
-        return quadratic_sign(x, self.irr[i][j], self.d)
-
     # -- pivoting ---------------------------------------------------------------
 
     def price(self, cost: Sequence[Scalar]) -> None:
         """Reduced-cost row c_B B^-1 A - c for the current basis: the row
         [-c | 0] with each basic column eliminated, so that its right-hand
         side is c_B B^-1 b."""
-        self.num.pop(), self.den.pop()
-        if self.irr is not None:
-            self.irr.pop()
-        self._append_row([-c for c in cost] + [Fraction(0)] * (1 + len(self.bases)))
+        self.rows[self.m], self.den[self.m] = linalg.over_denominator(
+            [-c for c in cost] + [Fraction(0)] * (1 + len(self.bases)), self.d)
         for i in range(self.m):
-            if self.sign(self.m, self.basis[i]):
+            if linalg.entry_sign(self.rows[self.m], self.basis[i], self.d):
                 self._eliminate(self.m, i, self.basis[i])
 
     def pivot(self, row: int, col: int) -> None:
         """Divide ``row`` by its entry in ``col`` and eliminate ``col`` from
         every other row, the reduced costs included."""
-        pa = self.num[row][col]
-        if self.irr is None:
-            prow, p = self.num[row], pa
-            if p < 0:
-                prow, p = [-x for x in prow], -p
-            g = math.gcd(*prow)
-            self.num[row] = [x // g for x in prow] if g > 1 else prow
-        else:
-            pa_row, pb_row, pb, d = self.num[row], self.irr[row], self.irr[row][col], self.d
-            if pb:  # times the conjugate pa - pb sqrt d, over the norm pa^2 - pb^2 d
-                pa_row, pb_row = ([x * pa - d * y * pb for x, y in zip(pa_row, pb_row)],
-                                  [y * pa - x * pb for x, y in zip(pa_row, pb_row)])
-            p = pa_row[col]
-            if p < 0:
-                pa_row, pb_row, p = [-x for x in pa_row], [-y for y in pb_row], -p
-            g = math.gcd(*pa_row, *pb_row)
-            if g > 1:
-                pa_row, pb_row = [x // g for x in pa_row], [y // g for y in pb_row]
-            self.num[row], self.irr[row] = pa_row, pb_row
-        self.den[row] = self.num[row][col]
+        self.rows[row] = linalg.pivoted(self.rows[row], col, self.d)
+        self.den[row] = self.rows[row][col]
         for i in range(self.m + 1):
-            if i != row and self.sign(i, col):
+            if i != row and linalg.entry_sign(self.rows[i], col, self.d):
                 self._eliminate(i, row, col)
         self.basis[row] = col
 
     def _eliminate(self, i: int, row: int, col: int) -> None:
         """Row i minus f times ``row``, whose entry in ``col`` has true value
         1, where f is row i's entry there: (R D_p - f P) / (D_i D_p)."""
-        cur, prow, dp = self.num[i], self.num[row], self.den[row]
-        den = self.den[i] * dp
-        fa = cur[col]
-        if self.irr is None:
-            cur = [x * dp - fa * y for x, y in zip(cur, prow)]
-            g = math.gcd(*cur, den)
-            if g > 1:
-                cur, den = [x // g for x in cur], den // g
-            self.num[i], self.den[i] = cur, den
-            return
-        cur_b, prow_b = self.irr[i], self.irr[row]
-        fb = cur_b[col]
-        dfb = self.d * fb
-        cur, cur_b = ([x * dp - fa * y - dfb * z for x, y, z in zip(cur, prow, prow_b)],
-                      [x * dp - fa * z - fb * y for x, y, z in zip(cur_b, prow, prow_b)])
-        g = math.gcd(*cur, *cur_b, den)
-        if g > 1:
-            cur, cur_b, den = [x // g for x in cur], [x // g for x in cur_b], den // g
-        self.num[i], self.irr[i], self.den[i] = cur, cur_b, den
+        self.rows[i], self.den[i] = linalg.cancel(
+            linalg.eliminate(self.rows[i], self.rows[row], col, self.d),
+            self.den[i] * self.den[row])
 
     def _ratio_sign(self, i: int, k: int, col: int) -> int:
         """Sign of rhs_i / a_i - rhs_k / a_k for a_i, a_k > 0 the entries in
         ``col``: the row denominators cancel, and the cross product
         rhs_i a_k - rhs_k a_i is a positive multiple of it."""
-        r0, ri, rk = self.ncols, self.num[i], self.num[k]
-        ai, ak = ri[col], rk[col]
-        if self.irr is None:
-            vec = [x * ak - y * ai for x, y in zip(ri[r0:], rk[r0:])]
-            if not any(vec[1:]):
-                return (vec[0] > 0) - (vec[0] < 0)
-            return self.loglin([Fraction(x) for x in vec]).sign()
-        d, bi, bk = self.d, self.irr[i], self.irr[k]
-        bi_, bk_ = bi[col], bk[col]
-        va = [x * ak + d * xb * bk_ - y * ai - d * yb * bi_
-              for x, xb, y, yb in zip(ri[r0:], bi[r0:], rk[r0:], bk[r0:])]
-        vb = [x * bk_ + xb * ak - y * bi_ - yb * ai
-              for x, xb, y, yb in zip(ri[r0:], bi[r0:], rk[r0:], bk[r0:])]
-        if not any(va[1:]) and not any(vb[1:]):
-            return quadratic_sign(va[0], vb[0], d)
-        # Times the conjugate of q = a_i a_k, so that the multiple is the
-        # rational |N(q)| and a form with rational coefficients keeps them.
-        qa, qb = ai * ak + d * bi_ * bk_, ai * bk_ + bi_ * ak
-        if qb:
-            s = 1 if qa * qa - d * qb * qb > 0 else -1
-            va, vb = ([s * (x * qa - d * y * qb) for x, y in zip(va, vb)],
-                      [s * (y * qa - x * qb) for x, y in zip(va, vb)])
-        return self.loglin([quad(x, y, d) for x, y in zip(va, vb)]).sign()
+        d, ri, rk = self.d, self.rows[i], self.rows[k]
+        vec = linalg.eliminate(ri, rk, col, d, self.ncols)
+        if not any(linalg.tail(vec, 1, d)):
+            return linalg.entry_sign(vec, 0, d)
+        # over a_i a_k: a form with rational coefficients keeps them
+        q = linalg.product(linalg.entry(ri, col, d), linalg.entry(rk, col, d), d)
+        return self.loglin(linalg.vector(linalg.over(vec, q, d), 1, d)).sign()
 
     def run(self, cost: list[Scalar], frozen_cols: set[int]) -> Optional[int]:
-        """Bland pivoting to optimality; returns an entering column on unboundedness."""
+        """Bland pivoting to optimality; returns an entering column on
+        unboundedness.  Row denominators are positive: signs are read off
+        the integer rows."""
         self.price(cost)
+        sign, d = linalg.entry_sign, self.d
         for _ in range(_MAX_PIVOTS):
             enter = next((j for j in range(self.ncols)
-                          if j not in frozen_cols and self.sign(self.m, j) < 0), None)
+                          if j not in frozen_cols and sign(self.rows[self.m], j, d) < 0), None)
             if enter is None:
                 return None
             leave = None
             for i in range(self.m):
-                if self.sign(i, enter) > 0:
+                if sign(self.rows[i], enter, d) > 0:
                     if leave is None:
                         leave = i
                     else:
@@ -319,7 +244,8 @@ def _drive_out_artificials(t: _Tableau) -> None:
     art = set(t.art_cols)
     for i in range(t.m):
         if t.basis[i] in art:
-            t.pivot(i, next(j for j in range(t.slack0 + t.m) if t.sign(i, j)))
+            t.pivot(i, next(j for j in range(t.slack0 + t.m)
+                            if linalg.entry_sign(t.rows[i], j, t.d)))
 
 
 def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:

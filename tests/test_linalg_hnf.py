@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reinhardt import linalg
-from reinhardt.hnf import cleared_integer_rows, hermite_normal_form, integer_kernel_basis
+from reinhardt.hnf import hermite_normal_form, integer_kernel_basis
 from reinhardt.scalars import quad
 
 
@@ -49,6 +50,24 @@ def test_inverse_and_determinant_of_fractional_matrices(n, d, data):
         assert det * linalg.determinant(inv) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([None, 2, 3, 5]), st.integers(1, 5), st.data())
+def test_pivoted_row_is_a_primitive_multiple_with_a_positive_integer_pivot(d, k, data):
+    """``linalg.pivoted`` over Z and Z[sqrt d]: the entry in the pivot column
+    becomes a positive integer, the row becomes primitive, and the row is a
+    nonzero field multiple of its input."""
+    v = data.draw(st.lists(st.integers(-30, 30), min_size=k if d is None else 2 * k,
+                           max_size=k if d is None else 2 * k))
+    c = data.draw(st.integers(0, k - 1))
+    assume(linalg.entry_sign(v, c, d) != 0)
+    out = linalg.pivoted(v, c, d)
+    assert out[c] > 0 and (d is None or out[k + c] == 0)
+    assert math.gcd(*out) == 1
+    before, after = linalg.vector(v, 1, d), linalg.vector(out, 1, d)
+    factor = after[c] / before[c]
+    assert factor != 0 and all(y == factor * x for x, y in zip(before, after))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_hnf_transform_properties(m, n, data):
@@ -85,4 +104,6 @@ def test_integer_kernel_examples():
 
 def test_cleared_integer_rows():
     rows = [[Fraction(1, 2), Fraction(-1, 3)], [Fraction(2), Fraction(0)]]
-    assert cleared_integer_rows(rows) == [[3, -2], [2, 0]]
+    assert [linalg.cleared(row, None) for row in rows] == [[3, -2], [2, 0]]
+    # over Q(sqrt 2): the rational halves, then the sqrt(2) halves, over one lcm
+    assert linalg.cleared([quad(Fraction(1, 2), Fraction(1, 3), 2), Fraction(1)], 2) == [3, 6, 2, 0]

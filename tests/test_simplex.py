@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import degenerate_lp, integer_lp, mixed_log_lp, seeded_lps, sqrt2_lp
+from reinhardt import linalg, simplex
 from reinhardt.linalg import dot
 from reinhardt.loglin import LogLin
 from reinhardt.scalars import quad, sign_of
@@ -163,6 +164,27 @@ def test_seeded_lp_families_against_scipy(name, lp):
     cert = _against_highs(*lp)
     if name.startswith(("infeasible", "unbounded")):
         assert cert.status == name.split("-")[0]
+
+
+def test_basic_columns_are_unit_columns_after_every_pivot(monkeypatch):
+    """After each pivot, over Q, Q(sqrt 2) and Q(sqrt 5) and through pivots
+    of negative norm, every basic column holds its row's denominator in its
+    row (true value 1) and 0 in every other row, the reduced costs included."""
+    pivot, checked = simplex._Tableau.pivot, []
+
+    def checking(t, row, col):
+        pivot(t, row, col)
+        for r, c in enumerate(t.basis):
+            unit = t.den[r] if t.d is None else (t.den[r], 0)
+            assert linalg.entry(t.rows[r], c, t.d) == unit
+            assert all(linalg.entry_sign(t.rows[i], c, t.d) == 0
+                       for i in range(t.m + 1) if i != r)
+        checked.append(t.d)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", checking)
+    for _, lp in seeded_lps():
+        solve_lp(*lp)
+    assert {None, 2, 5} <= set(checked)
 
 
 def test_degenerate_lp_with_tied_ratios():
