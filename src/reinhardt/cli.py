@@ -42,12 +42,12 @@ CRITERION_TEXT = {
 }
 
 
-def _parse_int_vector(text: str, n: int, what: str) -> tuple[int, ...]:
+def _parse_int_vector(text: str, n: int | None, what: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise SpecError(f"{what} must be comma-separated integers: {text!r}") from exc
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise SpecError(f"{what} needs {n} entries, got {len(parts)}")
     return parts
 
@@ -55,7 +55,7 @@ def _parse_int_vector(text: str, n: int, what: str) -> tuple[int, ...]:
 def _parse_rows(text: str | None, spec: DomainSpec):
     if text is None:
         return None
-    rows = [int(x) - 1 for x in text.split(",")]
+    rows = [r - 1 for r in _parse_int_vector(text, None, "--rows")]
     if any(not 0 <= r < len(spec.constraints) for r in rows):
         raise SpecError(f"--rows indices must be in 1..{len(spec.constraints)}")
     return rows
@@ -172,17 +172,19 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-_SPACES = {"hinf": lambda a: sp.hinf(), "l2": lambda a: sp.l2(),
-           "lp": lambda a: sp.lp(parse_rational_literal(a.p)),
-           "hinfk": lambda a: sp.hinf_k(a.k), "ak": lambda a: sp.ak(a.k),
-           "ldiamond": lambda a: sp.ldiamond_ak(a.k)}
+_SPACES = {"hinf": (None, lambda a: sp.hinf()), "l2": (None, lambda a: sp.l2()),
+           "lp": ("p", lambda a: sp.lp(parse_rational_literal(a.p))),
+           "hinfk": ("k", lambda a: sp.hinf_k(a.k)), "ak": ("k", lambda a: sp.ak(a.k)),
+           "ldiamond": ("k", lambda a: sp.ldiamond_ak(a.k))}
 
 
 def _cmd_spectrum(args) -> int:
     spec = load_spec(args.spec)
-    builder = _SPACES.get(args.space)
-    if builder is None:
+    if args.space not in _SPACES:
         raise SpecError(f"--space must be one of {sorted(_SPACES)}")
+    flag, builder = _SPACES[args.space]
+    if flag is not None and getattr(args, flag) is None:
+        raise SpecError(f"--space {args.space} needs --{flag}")
     try:
         space = builder(args)
     except (TypeError, ValueError) as exc:

@@ -165,6 +165,8 @@ def _weighted_powers(r: np.ndarray, ok: np.ndarray, exps: np.ndarray, weight: fl
 def lp_norm_monte_carlo(spec: DomainSpec, nu: Sequence[int], p, samples: int, seed: int
                         ) -> NormResult:
     """MC estimate of the integral of |z^nu|^p, with standard error."""
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
     exps = np.array(integer_exponents(nu), dtype=float) * float(Fraction(p))
     sampler = _Sampler(spec, seed, with_phases=False)
     vals_buf, sq_buf = np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE)
@@ -215,6 +217,8 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
     matched randomness.  Each monomial must be defined on the domain
     (:func:`reinhardt.spectrum.monomial_defined`).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
     p = Fraction(p)
     terms = sorted((integer_exponents(nu), coeff) for nu, coeff in laurent_poly.items())
     for nu, _ in terms:

@@ -147,6 +147,24 @@ def test_bad_flags(capsys):
     assert code == 1
 
 
+def test_flag_errors_name_the_flag(capsys):
+    code, out, err = run(capsys, "witness", HARTOGS, "--exterior", "3,3/2", "--j0", "1",
+                         "--rows", "a,b")
+    assert code == 1 and out == "" and "--rows must be comma-separated integers" in err
+    code, out, err = run(capsys, "spectrum", HARTOGS, "--space", "lp", "--box", "2")
+    assert code == 1 and out == "" and "--p" in err and "None" not in err
+    code, out, err = run(capsys, "spectrum", HARTOGS, "--space", "hinfk", "--box", "2")
+    assert code == 1 and out == "" and "--k" in err
+
+
+def test_mc_sample_count_must_be_positive(capsys):
+    polydisc = str(SPECS / "polydisc.json")
+    for samples in ("0", "-5"):
+        code, out, err = run(capsys, "norm", polydisc, "--nu", "0,0", "--mc", "--seed", "1",
+                             "--samples", samples)
+        assert code == 1 and out == "" and "samples" in err and "acceptance" not in err
+
+
 def test_norm_and_volume_take_no_rows(capsys):
     # the annulus has two constraints for n = 1: an exact norm over one of
     # them would be the integral over the unit disc, a superset of the domain

@@ -32,6 +32,14 @@ def test_mc_annulus_volume(annulus):
     assert abs(result.estimate - exact) <= 3 * result.stderr
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sample_count_must_be_positive(polydisc, samples):
+    with pytest.raises(ValueError, match="samples"):
+        lp_norm_monte_carlo(polydisc, exponents(0, 0), 1, samples, seed=1)
+    with pytest.raises(ValueError, match="samples"):
+        coefficient_inequality_check(polydisc, {(0, 0): 1.0}, 1, samples, seed=1)
+
+
 def test_mc_bit_reproducible(hartogs):
     a = lp_norm_monte_carlo(hartogs, exponents(0, 0), 1, 50_000, seed=99)
     b = lp_norm_monte_carlo(hartogs, exponents(0, 0), 1, 50_000, seed=99)
