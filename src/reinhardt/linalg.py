@@ -107,13 +107,6 @@ def combine(s, u: list[int], t, v: list[int], d: Optional[int]) -> list[int]:
             + [sa * x + sb * w + ta * z + tb * y for w, x, y, z in zip(ua, ub, va, vb)])
 
 
-def product(s, t, d: Optional[int]):
-    """The product of two ring elements."""
-    if d is None:
-        return s * t
-    return s[0] * t[0] + d * s[1] * t[1], s[0] * t[1] + s[1] * t[0]
-
-
 def over(v: list[int], s, d: Optional[int]) -> list[int]:
     """A positive rational multiple of v / s for a nonzero ring element s: v
     times the conjugate of an irrational s, signed by its norm, and v times

@@ -160,9 +160,10 @@ class _Tableau:
         vec = linalg.eliminate(ri, rk, col, d, self.ncols)
         if not any(linalg.tail(vec, 1, d)):
             return linalg.entry_sign(vec, 0, d)
-        # over a_i a_k: a form with rational coefficients keeps them
-        q = linalg.product(linalg.entry(ri, col, d), linalg.entry(rk, col, d), d)
-        return self.loglin(linalg.vector(linalg.over(vec, q, d), 1, d)).sign()
+        # over a_i and a_k: a form with rational coefficients keeps them
+        for a in (linalg.entry(ri, col, d), linalg.entry(rk, col, d)):
+            vec = linalg.over(vec, a, d)
+        return self.loglin(linalg.vector(vec, 1, d)).sign()
 
     def run(self, cost: list[Scalar], frozen_cols: set[int]) -> Optional[int]:
         """Bland pivoting to optimality; returns an entering column on
