@@ -55,4 +55,3 @@ def integer_kernel_basis(rows: list[list[int]]) -> list[list[int]]:
     transposed = [[rows[i][j] for i in range(len(rows))] for j in range(ncols)]
     h, u = hermite_normal_form(transposed)
     return [u[i] for i in range(ncols) if all(x == 0 for x in h[i])]
-
