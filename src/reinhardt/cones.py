@@ -46,7 +46,7 @@ from .errors import ReinhardtError
 from .hnf import integer_kernel_basis
 from .loglin import LogLin
 from .precision import working_precision
-from .scalars import Scalar, quadratic_sign, sign_of
+from .scalars import Scalar, sign_of
 from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, solve_lp
 
 if TYPE_CHECKING:
@@ -175,23 +175,20 @@ def _lead_normal(v: list[int], d: Optional[int]) -> tuple[list[int], bool]:
     """The integer row of ``_scaled`` of the vector of v, up to a positive
     rational factor, and whether that vector is irrational, so that
     ``_scaled`` divides it by its first nonzero entry.  Over Q(sqrt d) that
-    division is a multiplication by the conjugate of the entry."""
-    if d is not None:
-        k = len(v) // 2
-        if any(v[k:]):
-            j = next(j for j in range(k) if v[j] or v[k + j])
-            s = quadratic_sign(v[j], -v[k + j], d)
-            return linalg.primitive(linalg.times((s * v[j], -s * v[k + j]), v, d)), True
+    division is :func:`linalg.over` by the absolute value of the entry."""
+    if linalg.rational_entries(v, d) is None:
+        first = linalg.entry(v, linalg.lead(v, d), d)
+        _, sign, neg = linalg.ring(d)
+        return linalg.primitive(linalg.over(v, first if sign(first) > 0 else neg(first), d)), True
     return linalg.primitive(v), False
 
 
 def _generator(v: list[int], lead: bool, d: Optional[int]) -> tuple[Scalar, ...]:
-    """``_scaled`` of the vector of an integer row made by ``_lead_normal``."""
+    """``_scaled`` of the vector of an integer row made by ``_lead_normal``,
+    whose first nonzero entry is then rational."""
     if not lead:
-        return tuple(v if d is None else v[:len(v) // 2])
-    k = len(v) // 2
-    first = abs(next(x for x in v[:k] if x))
-    return tuple(linalg.scalar(v, j, first, d) for j in range(k))
+        return tuple(linalg.rational_entries(v, d))
+    return tuple(linalg.vector(v, abs(linalg.entry(v, linalg.lead(v, d), d)[0]), d))
 
 
 def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[list[int]],

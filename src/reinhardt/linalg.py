@@ -170,6 +170,30 @@ def entry_sign(v: list[int], j: int, d: Optional[int]) -> int:
     return quadratic_sign(v[j], v[len(v) // 2 + j], d)
 
 
+def lead(v: list[int], d: Optional[int]) -> Optional[int]:
+    """The index of the first nonzero entry of an integer row, or None."""
+    k = len(v) if d is None else len(v) // 2
+    return next((j for j in range(k) if v[j] or (d is not None and v[k + j])), None)
+
+
+def rational_entries(v: list[int], d: Optional[int]) -> Optional[list[int]]:
+    """The entries of an integer row as ints, or None if one is irrational."""
+    if d is None:
+        return v
+    k = len(v) // 2
+    return None if any(v[k:]) else v[:k]
+
+
+def sparse_products(v: list[int], columns: list[list[tuple[int, int]]], d: Optional[int]
+                    ) -> list:
+    """The ring elements ``sum(x * entry(v, t))`` over the pairs (t, x) of
+    each sparse integer column: the row v times a sparse integer matrix."""
+    if d is None:
+        return [sum(x * v[t] for t, x in col) for col in columns]
+    k = len(v) // 2
+    return [(sum(x * v[t] for t, x in col), sum(x * v[k + t] for t, x in col)) for col in columns]
+
+
 def tail(v: list[int], j: int, d: Optional[int]) -> list[int]:
     """The integer row of entries j, j + 1, ... of v."""
     k = len(v) // 2

@@ -31,11 +31,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable
+from typing import Callable, Iterable, Optional, Sequence
 
+from . import linalg
 from .errors import BoundaryIndeterminate
 from .precision import ladder_sign, scalar_interval
-from .scalars import QuadExt, Scalar, is_rational, scalar_cmp, sign_of
+from .scalars import QuadExt, Scalar, is_rational, quadratic_sign, scalar_cmp, sign_of
 
 # A form with a zero constant and rational coefficients is decided by the
 # product prod(base ** k) outright when product_bits puts it at no more than
@@ -101,26 +102,23 @@ class LogLin:
     # -- decisions ------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign; raises BoundaryIndeterminate only past the ladder cap."""
+        """Exact sign; raises BoundaryIndeterminate only past the ladder cap.
+
+        The form is factored over the coprime base of its bases
+        (:func:`factor_bases`), in integers over one positive denominator,
+        and :func:`decide_sign` decides it."""
         if not self.terms:
             return sign_of(self.const)
         if sign_of(self.const) == 0 and len(self.terms) == 1:
             (base, coeff), = self.terms
             return sign_of(coeff) * scalar_cmp(base, 1)
-        form = self
-        if all(is_rational(b) for b, _ in self.terms):
-            form = _over_coprime_base(self)
-            if not form.terms:  # the exact zero test
-                return sign_of(form.const)
-        powers = _integer_powers(form)
-        if powers is not None and product_bits(powers) <= EXACT_PRODUCT_BITS:
-            return _product_sign(powers)
-        try:
-            return ladder_sign(form.interval, what=repr(self))
-        except BoundaryIndeterminate:
-            if powers is None:
-                raise
-            return _product_sign(powers)
+        bases, columns = factor_bases([b for b, _ in self.terms], 1)
+        row = [self.const, *(c for _, c in self.terms)]
+        d = linalg.field_of([row])
+        ints, den = linalg.over_denominator(row, d)
+        return decide_sign(linalg.entry(ints, 0, d), linalg.sparse_products(ints, columns, d), d,
+                           bases, lambda ctx, j: ctx.log(scalar_interval(bases[j], ctx)),
+                           lambda: repr(self), den)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -136,47 +134,125 @@ class LogLin:
         base = float(self.const) if not isinstance(self.const, int) else self.const
         return float(base) + sum(float(c) * math.log(float(b)) for b, c in self.terms)
 
+    @staticmethod
+    def combination(pairs: Iterable[tuple[Scalar, "LogLin"]]) -> "LogLin":
+        """``sum(s * form)`` over the ``(s, form)`` pairs, merged in one pass."""
+        pairs = list(pairs)
+        return _canonical(sum((s * form.const for s, form in pairs), Fraction(0)),
+                          [(b, s * c) for s, form in pairs for b, c in form.terms])
 
-def _over_coprime_base(form: LogLin) -> LogLin:
-    """``form``, whose bases are all rational, as ``const + sum(e_j * log(p_j))``.
 
-    The p_j are pairwise-coprime integers greater than 1 in increasing order,
-    of which every numerator and denominator of a base is a product of
-    powers, and no e_j is zero.  The value is unchanged.
+def factor_bases(bases: Sequence[Scalar], start: int = 0
+                 ) -> tuple[list[Scalar], list[list[tuple[int, int]]]]:
+    """The log bases of ``bases`` over a coprime base, and their valuations.
+
+    Returns ``(logs, columns)``.  ``logs`` holds the pairwise-coprime
+    integers p_j > 1 of which every numerator and denominator of a rational
+    base is a product of powers, in increasing order, and then every
+    irrational base as it is.  ``columns[j]`` holds the pairs
+    ``(start + t, v)``, v nonzero, such that ``log(bases[t])`` is the sum of
+    ``v * log(logs[j])`` over j: the sparse integer column of ``logs[j]``.
+    A row of coefficients of ``log(bases[t])`` at ``start + t`` maps to
+    exponents over ``logs`` by :func:`linalg.sparse_products`.
     """
-    logs = []  # (x > 1, coeff): coeff * log(x)
-    for base, coeff in form.terms:
+    parts = []  # (t, x > 1, +-1): log x enters log(bases[t]) with that sign
+    irrational = []
+    for t, base in enumerate(bases):
+        if not is_rational(base):
+            irrational.append(t)
+            continue
         q = Fraction(base)
         if q.numerator > 1:
-            logs.append((q.numerator, coeff))
+            parts.append((start + t, q.numerator, 1))
         if q.denominator > 1:
-            logs.append((q.denominator, -coeff))
-    terms = []
-    for p in sorted(_coprime_base([x for x, _ in logs])):
-        e: Scalar = Fraction(0)
-        for x, coeff in logs:
+            parts.append((start + t, q.denominator, -1))
+    logs: list[Scalar] = sorted(_coprime_base([x for _, x, _ in parts]))
+    columns = []
+    for p in logs:
+        column = []
+        for t, x, s in parts:  # a numerator and its denominator share no p
             k = 0
             while x % p == 0:
                 x //= p
                 k += 1
             if k:
-                e = e + k * coeff
-        if sign_of(e) != 0:
-            terms.append((p, e))
-    return LogLin(form.const, tuple(terms))
+                column.append((t, s * k))
+        columns.append(column)
+    logs += [bases[t] for t in irrational]
+    columns += [[(start + t, 1)] for t in irrational]
+    return logs, columns
 
 
-def _integer_powers(form: LogLin) -> list[tuple[Scalar, int]] | None:
-    """``[(base, k)]``, integers k with gcd 1, such that ``sum(k * log(base))``
-    has the sign of ``form``; None unless ``form.const`` is zero and every
-    coefficient is rational."""
-    if sign_of(form.const) != 0 or not all(is_rational(c) for _, c in form.terms):
-        return None
-    coeffs = [Fraction(c) for _, c in form.terms]
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ks = [c.numerator * (scale // c.denominator) for c in coeffs]
-    g = math.gcd(*ks)
-    return [(base, k // g) for (base, _), k in zip(form.terms, ks)]
+def decide_sign(const, exps: Sequence, d: Optional[int], bases: Sequence[Scalar],
+                log_of: Callable, what: Callable[[], str], den: int = 1) -> int:
+    """Sign of ``(const + sum(exps[j] * log(bases[j]))) / den``.
+
+    ``const`` and ``exps`` are ring elements in the format of
+    :mod:`reinhardt.linalg` (ints over Z, ``(a, b)`` pairs over Z[sqrt d]),
+    ``bases`` are as :func:`factor_bases` returns them, ``log_of(ctx, j)``
+    encloses ``log(bases[j])`` in the interval context ``ctx``, and
+    ``what()`` names the form if the ladder fails.  Decided in this order:
+
+    * every exponent zero: the sign of ``const``;
+    * ``const`` zero and the exponents rational, or rational multiples of
+      one element e as :func:`_powers` allows: the sign of e times that of
+      ``prod(base ** k) - 1`` for integers k, outright when
+      :func:`product_bits` is at most ``EXACT_PRODUCT_BITS``;
+    * everything else, and larger products, by :func:`ladder_sign`; a
+      product the ladder cannot resolve is then compared outright.
+    """
+    if d is None:
+        nums, irrs = exps, None
+    else:
+        nums, irrs = [a for a, _ in exps], [b for _, b in exps]
+    live = [j for j, x in enumerate(nums) if x or (irrs is not None and irrs[j])]
+    if not live:  # the exact zero test
+        return (const > 0) - (const < 0) if d is None else quadratic_sign(*const, d)
+    scale, powers = _powers(const, nums, irrs, live, d, bases)
+    if powers and product_bits(powers) <= EXACT_PRODUCT_BITS:
+        return scale * _product_sign(powers)
+
+    def build(ctx):  # the rational halves, plus sqrt(d) times the others
+        val = ctx.mpf(const if d is None else const[0])
+        for j in live:
+            val += log_of(ctx, j) * nums[j]
+        if d is not None and (const[1] or any(irrs[j] for j in live)):
+            irr = ctx.mpf(const[1])
+            for j in live:
+                irr += log_of(ctx, j) * irrs[j]
+            val += ctx.sqrt(d) * irr
+        return val / den if den != 1 else val
+
+    try:
+        return ladder_sign(build, what=what)
+    except BoundaryIndeterminate:
+        if not powers:
+            raise
+        return scale * _product_sign(powers)
+
+
+def _powers(const, nums, irrs, live, d, bases) -> tuple[int, list[tuple[Scalar, int]]]:
+    """``(s, [(base, k)])``, integers k with gcd 1, such that the form of
+    :func:`decide_sign` has s times the sign of ``sum(k * log(base))``.
+
+    The list is empty unless ``const`` is zero and the live exponents are
+    rational multiples of the first, e = a + b sqrt(d), with e rational, or
+    every live base an integer, or one live base.  The k are then the a
+    halves, or the b halves when a is zero, and s is the sign of e times
+    that of its half.  Irrational multiples over several bases in Q(sqrt d)
+    are left to the ladder: such a form can be zero without equal bases."""
+    if const if d is None else const[0] or const[1]:
+        return 0, []
+    ks, scale = nums, 1
+    if d is not None:
+        a, b = nums[live[0]], irrs[live[0]]
+        if any(nums[j] * b != irrs[j] * a for j in live) or (
+                b and len(live) > 1 and not all(isinstance(bases[j], int) for j in live)):
+            return 0, []
+        ks = nums if a else irrs
+        scale = quadratic_sign(a, b, d) * (1 if ks[live[0]] > 0 else -1)
+    g = math.gcd(*(ks[j] for j in live))
+    return scale, [(bases[j], ks[j] // g) for j in live]
 
 
 def product_bits(powers) -> int:
@@ -194,8 +270,9 @@ def _coprime_base(values: list[int]) -> list[int]:
     """Pairwise-coprime integers > 1 of which every value is a product of powers.
 
     Naive gcd refinement: a value that shares a factor g with a kept element b
-    is replaced by the pieces x/g, g and b/g.  Each split lowers the product
-    of all pending and kept numbers, so the loop ends.
+    loses every power of b if g is b, and is otherwise replaced, with b, by
+    the pieces x/g, g and b/g.  Each step lowers the product of all pending
+    and kept numbers, so the loop ends.
     """
     base: list[int] = []
     todo = [x for x in values if x > 1]
@@ -203,6 +280,12 @@ def _coprime_base(values: list[int]) -> list[int]:
         x = todo.pop()
         for i, b in enumerate(base):
             g = math.gcd(x, b)
+            if g == b:
+                while x % b == 0:
+                    x //= b
+                if x > 1:
+                    todo.append(x)
+                break
             if g > 1:
                 del base[i]
                 todo.extend(v for v in (x // g, g, b // g) if v > 1)
@@ -213,14 +296,43 @@ def _coprime_base(values: list[int]) -> list[int]:
 
 
 def _product_sign(powers) -> int:
-    """Sign of ``sum(k * log(base))``: ``prod(base ** k)`` against 1, in the field."""
-    num = den = 1
+    """Sign of ``sum(k * log(base))``: ``prod(base ** k)`` against 1, in
+    integers, and in (a, b) pairs over Z[sqrt d] when a base is in Q(sqrt d)."""
+    d = next((base.d for base, _ in powers if isinstance(base, QuadExt)), None)
+    num = den = 1 if d is None else (1, 0)
     for base, k in powers:
-        if k > 0:
-            num = num * base ** k
+        if isinstance(base, QuadExt):
+            scale = math.lcm(base.a.denominator, base.b.denominator)
+            up, down = (base.a.numerator * (scale // base.a.denominator),
+                        base.b.numerator * (scale // base.b.denominator)), (scale, 0)
         else:
-            den = den * base ** -k
-    return scalar_cmp(num, den)
+            up, down = (base, 1) if d is None else ((base, 0), (1, 0))
+        if k < 0:
+            up, down, k = down, up, -k
+        num, den = _times(num, _power(up, k, d), d), _times(den, _power(down, k, d), d)
+    if d is None:
+        return (num > den) - (num < den)
+    return quadratic_sign(num[0] - den[0], num[1] - den[1], d)
+
+
+def _times(x, y, d: Optional[int]):
+    """The product of two ring elements: ints, or (a, b) pairs over Z[sqrt d]."""
+    if d is None:
+        return x * y
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _power(x, k: int, d: Optional[int]):
+    """x ** k for a ring element x and an integer k >= 0, by squaring."""
+    if d is None:
+        return x ** k
+    out = (1, 0)
+    while k:
+        if k & 1:
+            out = _times(out, x, d)
+        x = _times(x, x, d)
+        k >>= 1
+    return out
 
 
 def _norm_const(c) -> Scalar:

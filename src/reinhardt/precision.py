@@ -71,15 +71,20 @@ def scalar_interval(x: Scalar, ctx: MPIntervalContext):
     if isinstance(x, QuadExt):
         return (ctx.mpf(x.a.numerator) / x.a.denominator
                 + ctx.mpf(x.b.numerator) / x.b.denominator * ctx.sqrt(x.d))
+    if isinstance(x, int):
+        return ctx.mpf(x)
     x = Fraction(x)
     return ctx.mpf(x.numerator) / x.denominator
 
 
-def ladder_sign(build: Callable[[MPIntervalContext], object], what: str = "expression") -> int:
+def ladder_sign(build: Callable[[MPIntervalContext], object],
+                what: str | Callable[[], str] = "expression") -> int:
     """Resolve the sign of ``build(ctx)`` by escalating the working precision.
 
     ``build`` must enclose the same exact quantity in whatever interval
     context it is given; each rung passes a context with more bits.
+    ``what`` names that quantity in the error, or builds the name when
+    called, which happens only past the cap.
     """
     bits = LADDER_START_BITS
     cap = max_precision_bits()
@@ -91,6 +96,8 @@ def ladder_sign(build: Callable[[MPIntervalContext], object], what: str = "expre
             return -1
         if bits >= cap:
             lo, hi = interval_str(val)
+            if callable(what):
+                what = what()
             raise BoundaryIndeterminate(
                 f"sign of {what} unresolved at {bits} working bits, last interval "
                 f"[{lo}, {hi}] (set {PRECISION_ENV_VAR} to raise the cap)",

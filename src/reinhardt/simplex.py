@@ -43,7 +43,8 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import ReinhardtError
 from .linalg import dot
-from .loglin import LogLin, as_loglin
+from .loglin import LogLin, as_loglin, decide_sign, factor_bases
+from .precision import scalar_interval
 from .scalars import QuadExt, Scalar, scalar_cmp, sign_of
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
@@ -84,6 +85,9 @@ class _Tableau:
         self.ncols = 2 * self.n + self.m + len(self.art_cols)
         self.bases = sorted({base for b in b_vals for base, _ in b.terms},
                             key=cmp_to_key(scalar_cmp))
+        # the right-hand-side columns of log bases over their coprime base
+        self.log_bases, self.columns = factor_bases(self.bases, 1)
+        self.logs: dict[int, list] = {}  # precision -> log intervals of log_bases, as asked for
         width = self.ncols + 1 + len(self.bases)
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
         self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
@@ -163,7 +167,22 @@ class _Tableau:
         # over a_i and a_k: a form with rational coefficients keeps them
         for a in (linalg.entry(ri, col, d), linalg.entry(rk, col, d)):
             vec = linalg.over(vec, a, d)
-        return self.loglin(linalg.vector(vec, 1, d)).sign()
+        return self.form_sign(vec)
+
+    def form_sign(self, vec: list[int]) -> int:
+        """Sign of the right-hand-side integer row ``vec`` over denominator 1,
+        decided on its integer exponents over the coprime base."""
+        d = self.d
+        return decide_sign(linalg.entry(vec, 0, d), linalg.sparse_products(vec, self.columns, d),
+                           d, self.log_bases, self._log,
+                           lambda: repr(self.loglin(linalg.vector(vec, 1, d))))
+
+    def _log(self, ctx, j: int):
+        """log(log_bases[j]) enclosed in ``ctx``, each computed once per precision."""
+        logs = self.logs.setdefault(ctx.prec, [None] * len(self.log_bases))
+        if logs[j] is None:
+            logs[j] = ctx.log(scalar_interval(self.log_bases[j], ctx))
+        return logs[j]
 
     def run(self, cost: list[Scalar], frozen_cols: set[int]) -> Optional[int]:
         """Bland pivoting to optimality; returns an entering column on
@@ -278,10 +297,7 @@ def _check_farkas(a_rows, b_vals, lam) -> None:
     for j in range(n):
         if sign_of(dot(lam, [row[j] for row in a_rows])) != 0:
             raise ReinhardtError("Farkas combination does not annihilate the rows")
-    combo = LogLin.zero()
-    for li, b in zip(lam, b_vals):
-        combo = combo + b * li
-    if combo.sign() >= 0:
+    if LogLin.combination(zip(lam, b_vals)).sign() >= 0:
         raise ReinhardtError("Farkas combination is not negative")
 
 

@@ -1,17 +1,21 @@
 """Exact simplex against hand solutions and a float LP oracle (scipy highs)."""
 
+import functools
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from conftest import degenerate_lp, integer_lp, mixed_log_lp, seeded_lps, sqrt2_lp
 from reinhardt import linalg, simplex
+from reinhardt.errors import BoundaryIndeterminate
 from reinhardt.linalg import dot
 from reinhardt.loglin import LogLin
-from reinhardt.scalars import quad, sign_of
+from reinhardt.scalars import QuadExt, quad, sign_of
 from reinhardt.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -195,3 +199,107 @@ def test_degenerate_lp_with_tied_ratios():
     b = [LogLin.zero()] * 5
     cert = _against_highs(a, b, [Fraction(1), Fraction(1)])
     assert cert.status == OPTIMAL and cert.objective.is_zero()
+
+
+# -- the ratio test's sign against LogLin.sign ------------------------------
+#
+# The tableau decides the sign of a ratio-test cross product on integer
+# exponents over the coprime base of the LP's thresholds; LogLin.sign
+# decides the same form over the coprime base of its own bases.  Both must
+# give the same sign, and raise BoundaryIndeterminate on the same forms
+# (run again with REINHARDT_PRECISION=64, where the ladder gives up early).
+
+# thresholds sharing factors, a pair within 2^-4200 of 1 (products far above
+# 4096 bits), and 1 - log(NEAR_E) that needs about 100 bits
+NEAR_E = Fraction(27182818284590452353602874713527, 10 ** 31)
+HUGE = (Fraction(2 ** 4200 + 1, 2 ** 4200), Fraction(2 ** 4200 + 3, 2 ** 4200))
+RATIONAL = (Fraction(4), Fraction(6), Fraction(9), Fraction(2, 3), Fraction(8, 27),
+            Fraction(3, 2), Fraction(5), NEAR_E) + HUGE
+# in Q(sqrt d): a unit and its square, so that distinct bases can cancel
+IRRATIONAL = {None: (), 2: (quad(1, 1, 2), quad(3, 2, 2)),
+              5: (quad(Fraction(1, 2), Fraction(1, 2), 5), quad(Fraction(3, 2), Fraction(1, 2), 5))}
+
+
+@st.composite
+def ratio_forms(draw):
+    """(d, thresholds, vec): an LP's thresholds and a right-hand-side
+    integer row over them, over Z, Z[sqrt 2] or Z[sqrt 5]."""
+    d = draw(st.sampled_from([None, 2, 5]))
+    thresholds = draw(st.lists(st.sampled_from(RATIONAL + IRRATIONAL[d]), min_size=1,
+                               max_size=4, unique=True))
+    # large exponents only over small thresholds, so an outright product stays small
+    bound = 3 if set(thresholds) & set(HUGE) else 10 ** 4
+    entry = st.one_of(st.integers(-3, 3), st.integers(-bound, bound))
+    k = 1 + len(thresholds)
+    vec = draw(st.lists(entry, min_size=k, max_size=k))
+    if d is not None:
+        vec += draw(st.lists(st.one_of(st.just(0), entry), min_size=k, max_size=k))
+    if draw(st.booleans()):  # a zero constant: ties and products
+        vec[0] = 0
+        if d is not None:
+            vec[k] = 0
+    return d, thresholds, vec
+
+
+ORACLE = mpmath.MPContext()
+ORACLE.prec = 16000
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_log(base):
+    def real(x):
+        if isinstance(x, QuadExt):
+            return real(x.a) + real(x.b) * ORACLE.sqrt(x.d)
+        return ORACLE.mpf(x.numerator) / x.denominator
+    return ORACLE.log(real(base))
+
+
+def _high_precision(d, bases, vec):
+    """The form of ``vec`` over ``bases`` at 16000 bits, computed apart from
+    both decision paths."""
+    logs = [_oracle_log(b) for b in bases]
+    k = len(vec) if d is None else len(vec) // 2
+    value = vec[0] + ORACLE.fsum(c * lg for c, lg in zip(vec[1:k], logs))
+    if d is not None:
+        value += ORACLE.sqrt(d) * (vec[k] + ORACLE.fsum(c * lg for c, lg in zip(vec[k + 1:], logs)))
+    return value
+
+
+def _outcome(sign):
+    try:
+        return sign()
+    except BoundaryIndeterminate as exc:
+        return "indeterminate", exc.what
+
+
+def _ratio_tableau(thresholds, d):
+    """A tableau whose right-hand sides are over ``thresholds``."""
+    b = [LogLin.log_of(t) for t in thresholds]
+    return simplex._Tableau([[Fraction(1)]] * len(b), b, 1, d)
+
+
+@given(ratio_forms())
+@example((5, [Fraction(3, 2)], [-4, -1, 2, 0]))  # the sqrt 5 half of the constant counts
+@example((None, [Fraction(4), Fraction(6), Fraction(9)], [0, 1, -2, 1]))  # 4 * 9 = 6^2
+@example((2, [Fraction(2, 3), Fraction(8, 27)], [0, 3, -1, 0, 3, -1]))  # (2/3)^3 = 8/27
+@example((None, list(HUGE), [0, 3, -1]))  # past the ladder cap: the product decides
+@example((5, list(HUGE), [0, 1, -1, 0, 2, -2]))
+@example((None, [NEAR_E, Fraction(4)], [1, -1, 0]))
+@example((2, list(IRRATIONAL[2]), [0, 2, -1, 0, 2, -1]))  # sqrt 2 times a zero form
+@settings(max_examples=300, deadline=None)
+def test_ratio_test_sign_matches_loglin_sign(form):
+    d, thresholds, vec = form
+    t = _ratio_tableau(thresholds, d)
+    expected = _outcome(lambda: t.loglin(linalg.vector(vec, 1, d)).sign())
+    assert _outcome(lambda: t.form_sign(vec)) == expected
+    if isinstance(expected, int):  # no form of these inputs is nonzero below 2^-9000
+        value = _high_precision(d, t.bases, vec)
+        assert expected == (0 if abs(value) < mpmath.mpf(2) ** -15000 else 1 if value > 0 else -1)
+
+
+def test_ratio_test_reads_both_halves_of_the_constant():
+    # (-4 + 2 sqrt 5) - log(3/2) = 0.067...: dropping the sqrt 5 half of the
+    # constant would give -4 - log(3/2) < 0
+    t = _ratio_tableau([Fraction(3, 2)], 5)
+    assert t.form_sign([-4, -1, 2, 0]) == 1
+    assert t.loglin(linalg.vector([-4, -1, 2, 0], 1, 5)).sign() == 1
