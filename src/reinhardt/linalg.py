@@ -91,13 +91,16 @@ def times(s, v: list[int], d: Optional[int]) -> list[int]:
             + [a * y + b * x for x, y in zip(num, irr)])
 
 
-def combine(s, u: list[int], t, v: list[int], d: Optional[int]) -> list[int]:
-    """s u + t v for ring elements s, t and integer rows u, v."""
+def combine(s, u: list[int], t, v: list[int], d: Optional[int], start: int = 0) -> list[int]:
+    """s u + t v for ring elements s, t and integer rows u, v, on the
+    entries from ``start`` on."""
     if d is None:
+        if start:
+            u, v = u[start:], v[start:]
         return [s * x + t * y for x, y in zip(u, v)]
     k = len(u) // 2
     (sa, sb), (ta, tb) = s, t
-    ua, ub, va, vb = u[:k], u[k:], v[:k], v[k:]
+    ua, ub, va, vb = u[start:k], u[k + start:], v[start:k], v[k + start:]
     dtb = d * tb
     if not sb:  # a rational s, as in every elimination step
         return ([sa * w + ta * y + dtb * z for w, y, z in zip(ua, va, vb)]
@@ -133,9 +136,7 @@ def eliminate(v: list[int], pv: list[int], c: int, d: Optional[int], start: int 
     else:
         k = len(v) // 2
         p, f = (pv[c], pv[k + c]), (-v[c], -v[k + c])
-    if start:
-        v, pv = tail(v, start, d), tail(pv, start, d)
-    return combine(p, v, f, pv, d)
+    return combine(p, v, f, pv, d, start)
 
 
 def ring(d: Optional[int]):
@@ -170,10 +171,19 @@ def entry_sign(v: list[int], j: int, d: Optional[int]) -> int:
     return quadratic_sign(v[j], v[len(v) // 2 + j], d)
 
 
-def lead(v: list[int], d: Optional[int]) -> Optional[int]:
-    """The index of the first nonzero entry of an integer row, or None."""
-    k = len(v) if d is None else len(v) // 2
-    return next((j for j in range(k) if v[j] or (d is not None and v[k + j])), None)
+def lead(v: list[int], d: Optional[int], start: int = 0) -> Optional[int]:
+    """The index of the first nonzero entry of an integer row from ``start``
+    on, or None."""
+    if d is None:
+        for j in range(start, len(v)):
+            if v[j]:
+                return j
+        return None
+    k = len(v) // 2
+    for j in range(start, k):
+        if v[j] or v[k + j]:
+            return j
+    return None
 
 
 def rational_entries(v: list[int], d: Optional[int]) -> Optional[list[int]]:

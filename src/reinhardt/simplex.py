@@ -162,7 +162,7 @@ class _Tableau:
         rhs_i a_k - rhs_k a_i is a positive multiple of it."""
         d, ri, rk = self.d, self.rows[i], self.rows[k]
         vec = linalg.eliminate(ri, rk, col, d, self.ncols)
-        if not any(linalg.tail(vec, 1, d)):
+        if linalg.lead(vec, d, 1) is None:
             return linalg.entry_sign(vec, 0, d)
         # over a_i and a_k: a form with rational coefficients keeps them
         for a in (linalg.entry(ri, col, d), linalg.entry(rk, col, d)):
