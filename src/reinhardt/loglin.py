@@ -2,22 +2,29 @@
 
 These are the quantities the solver actually compares: log-thresholds of
 constraints, LP objective values, and membership slacks all have this shape.
-:meth:`LogLin.sign` decides them as follows.
+A sign is decided in two steps, which :meth:`LogLin.sign` and the ratio
+tests of :mod:`reinhardt.simplex` share.
 
-* A form with no terms has the sign of its constant, and a form
-  ``coeff * log(base)`` has the sign of ``coeff`` times that of
-  ``base - 1``, for any field coefficient and any positive base.
-* A form whose bases are all rational is rewritten over a pairwise-coprime
-  (gcd-free) base of every numerator and denominator, as
-  ``const + sum(e_j * log(p_j))``.  Coprime integers greater than 1 are
-  multiplicatively independent, so by Baker's theorem the form is zero
-  exactly when every ``e_j`` is zero and ``const`` is zero: this is the exact
-  zero test, for coefficients in Q and in Q(sqrt d) alike.
-* A form with ``const == 0`` and rational coefficients (after that rewrite,
-  when it applies) has the sign of ``prod(base ** k) - 1`` for integer
-  ``k``.  This product is compared in the field outright when it is small,
-  and otherwise when the interval ladder reaches its cap, so such a sign is
-  always exact, over thresholds in Q(sqrt d) too.
+* *Factor* (:func:`factor_bases`): the rational bases are rewritten over a
+  pairwise-coprime (gcd-free) base p_j of every numerator and denominator
+  (Bach, Driscoll and Shallit, "Factor refinement", 1993), each base a
+  sparse integer column of valuations; a base in Q(sqrt d) keeps its own
+  column.  Cleared of denominators, the form is
+  ``const + sum(e_j * log(p_j))`` with integer ``const`` and ``e_j`` (pairs
+  (a, b) for a + b sqrt(d) over Q(sqrt d)).  A form with one term
+  ``coeff * log(base)`` and no constant skips this: it has the sign of
+  ``coeff`` times that of ``base - 1``.
+* *Decide* (:func:`decide_sign`), in this order.  Coprime integers greater
+  than 1 are multiplicatively independent, so by Baker's theorem a form over
+  them is zero exactly when every ``e_j`` and ``const`` are zero: if every
+  ``e_j`` is zero the sign is that of ``const``, for coefficients in Q and
+  in Q(sqrt d) alike.  A form with ``const == 0`` and rational exponents has
+  the sign of ``prod(p_j ** k_j) - 1`` for integers k_j, and so has one
+  whose exponents are rational multiples of one element of Q(sqrt d) over
+  rational bases or a single base, times the sign of that element.  The
+  product is compared outright when it is small, and otherwise
+  when the interval ladder reaches its cap, so such a sign is always exact,
+  over thresholds in Q(sqrt d) too.
 * Every other form goes to the interval ladder.  Over rational bases it is
   nonzero there, so the ladder resolves it given enough bits.  A form with a
   base (threshold) in Q(sqrt d) and a constant or a coefficient in Q(sqrt d)
@@ -66,6 +73,13 @@ class LogLin:
     @staticmethod
     def zero() -> "LogLin":
         return LogLin(Fraction(0), ())
+
+    @staticmethod
+    def combination(pairs: Iterable[tuple[Scalar, "LogLin"]]) -> "LogLin":
+        """``sum(s * form)`` over the ``(s, form)`` pairs, merged in one pass."""
+        pairs = list(pairs)
+        return _canonical(sum((s * form.const for s, form in pairs), Fraction(0)),
+                          [(b, s * c) for s, form in pairs for b, c in form.terms])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -133,13 +147,6 @@ class LogLin:
     def __float__(self):
         base = float(self.const) if not isinstance(self.const, int) else self.const
         return float(base) + sum(float(c) * math.log(float(b)) for b, c in self.terms)
-
-    @staticmethod
-    def combination(pairs: Iterable[tuple[Scalar, "LogLin"]]) -> "LogLin":
-        """``sum(s * form)`` over the ``(s, form)`` pairs, merged in one pass."""
-        pairs = list(pairs)
-        return _canonical(sum((s * form.const for s, form in pairs), Fraction(0)),
-                          [(b, s * c) for s, form in pairs for b, c in form.terms])
 
 
 def factor_bases(bases: Sequence[Scalar], start: int = 0
@@ -297,42 +304,14 @@ def _coprime_base(values: list[int]) -> list[int]:
 
 def _product_sign(powers) -> int:
     """Sign of ``sum(k * log(base))``: ``prod(base ** k)`` against 1, in
-    integers, and in (a, b) pairs over Z[sqrt d] when a base is in Q(sqrt d)."""
-    d = next((base.d for base, _ in powers if isinstance(base, QuadExt)), None)
-    num = den = 1 if d is None else (1, 0)
+    integers over integer bases, and in the field over bases in Q(sqrt d)."""
+    num = den = 1
     for base, k in powers:
-        if isinstance(base, QuadExt):
-            scale = math.lcm(base.a.denominator, base.b.denominator)
-            up, down = (base.a.numerator * (scale // base.a.denominator),
-                        base.b.numerator * (scale // base.b.denominator)), (scale, 0)
+        if k > 0:
+            num = num * base ** k
         else:
-            up, down = (base, 1) if d is None else ((base, 0), (1, 0))
-        if k < 0:
-            up, down, k = down, up, -k
-        num, den = _times(num, _power(up, k, d), d), _times(den, _power(down, k, d), d)
-    if d is None:
-        return (num > den) - (num < den)
-    return quadratic_sign(num[0] - den[0], num[1] - den[1], d)
-
-
-def _times(x, y, d: Optional[int]):
-    """The product of two ring elements: ints, or (a, b) pairs over Z[sqrt d]."""
-    if d is None:
-        return x * y
-    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _power(x, k: int, d: Optional[int]):
-    """x ** k for a ring element x and an integer k >= 0, by squaring."""
-    if d is None:
-        return x ** k
-    out = (1, 0)
-    while k:
-        if k & 1:
-            out = _times(out, x, d)
-        x = _times(x, x, d)
-        k >>= 1
-    return out
+            den = den * base ** -k
+    return scalar_cmp(num, den)
 
 
 def _norm_const(c) -> Scalar:

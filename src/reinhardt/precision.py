@@ -14,11 +14,13 @@ other's precision.  :func:`ladder_sign` is the one loop that raises the
 precision.
 
 Signs of log-linear forms over rational bases never need the ladder to tell
-zero from nonzero: :mod:`reinhardt.loglin` decides that exactly over a
-coprime base, so such a form reaches the ladder only when it is nonzero, and
-then the ladder terminates given enough bits.  A form with a zero constant
-and rational coefficients is decided by a product in the field when the
-ladder cannot, over bases in ``Q(sqrt d)`` too.  Forms with a base in
+zero from nonzero: :mod:`reinhardt.loglin` decides that exactly on integer
+exponents over a coprime base, so such a form reaches the ladder only when
+it is nonzero, and then the ladder terminates given enough bits.  A form
+with a zero constant and rational exponents is decided by a product when
+the ladder cannot, over bases in ``Q(sqrt d)`` too.  The
+simplex ratio tests go through the same decision, with log intervals
+computed once per tableau and precision.  Forms with a base in
 ``Q(sqrt d)`` and a constant or a coefficient in ``Q(sqrt d)``, the witness
 threshold ``N0`` and the norm-versus-1 comparisons of witness certificates
 still rely on the ladder alone.

@@ -20,11 +20,16 @@ Positive row scalings leave the true tableau B^-1 A unchanged, so every
 sign Bland's rule reads is the sign of an integer, or of a + b sqrt(d)
 with integer a, b.  The ratio test compares rhs_i / a_i with rhs_k / a_k by
 the sign of the cross product rhs_i a_k - rhs_k a_i: in integers when it has
-no log terms, and otherwise through :meth:`LogLin.sign` of a positive
-rational multiple of the difference.  Those forms are the only ``LogLin``
-values built while pivoting; ``Fraction``, ``QuadExt`` and ``LogLin``
-values are otherwise built only for the objective value and the
-certificates, which are re-verified exactly before they are returned:
+no log terms.  Otherwise the tableau, which factors its log bases once
+over their coprime base (:func:`loglin.factor_bases`), maps the log
+coefficients of a positive rational multiple of the difference to integer
+exponents over that base, and :func:`loglin.decide_sign`, the decision of
+:meth:`LogLin.sign`, decides them, with the log intervals the ladder needs
+computed once per tableau and precision.  Pivoting builds no ``Fraction``,
+``QuadExt`` or ``LogLin``, except the ``LogLin`` that names a form the
+ladder cannot resolve and the products over a threshold in Q(sqrt d);
+they are built only for the objective value and the certificates, which
+are re-verified exactly before they are returned:
 
 * ``optimal``    — primal point, objective value, dual multipliers with
                    lambda >= 0 and lambda @ A == c;
