@@ -126,7 +126,7 @@ class LogLin:
         if sign_of(self.const) == 0 and len(self.terms) == 1:
             (base, coeff), = self.terms
             return sign_of(coeff) * scalar_cmp(base, 1)
-        bases, columns = factor_bases([b for b, _ in self.terms], 1)
+        bases, columns = factor_bases([b for b, _ in self.terms])
         row = [self.const, *(c for _, c in self.terms)]
         d = linalg.field_of([row])
         ints, den = linalg.over_denominator(row, d)
@@ -149,18 +149,17 @@ class LogLin:
         return float(base) + sum(float(c) * math.log(float(b)) for b, c in self.terms)
 
 
-def factor_bases(bases: Sequence[Scalar], start: int = 0
-                 ) -> tuple[list[Scalar], list[list[tuple[int, int]]]]:
+def factor_bases(bases: Sequence[Scalar]) -> tuple[list[Scalar], list[list[tuple[int, int]]]]:
     """The log bases of ``bases`` over a coprime base, and their valuations.
 
     Returns ``(logs, columns)``.  ``logs`` holds the pairwise-coprime
     integers p_j > 1 of which every numerator and denominator of a rational
     base is a product of powers, in increasing order, and then every
-    irrational base as it is.  ``columns[j]`` holds the pairs
-    ``(start + t, v)``, v nonzero, such that ``log(bases[t])`` is the sum of
-    ``v * log(logs[j])`` over j: the sparse integer column of ``logs[j]``.
-    A row of coefficients of ``log(bases[t])`` at ``start + t`` maps to
-    exponents over ``logs`` by :func:`linalg.sparse_products`.
+    irrational base as it is.  ``columns[j]`` holds the pairs ``(1 + t, v)``,
+    v nonzero, such that ``log(bases[t])`` is the sum of ``v * log(logs[j])``
+    over j: the sparse integer column of ``logs[j]`` against a row
+    ``[const, coeff of log(bases[0]), ...]``, which
+    :func:`linalg.sparse_products` maps to exponents over ``logs``.
     """
     parts = []  # (t, x > 1, +-1): log x enters log(bases[t]) with that sign
     irrational = []
@@ -170,9 +169,9 @@ def factor_bases(bases: Sequence[Scalar], start: int = 0
             continue
         q = Fraction(base)
         if q.numerator > 1:
-            parts.append((start + t, q.numerator, 1))
+            parts.append((1 + t, q.numerator, 1))
         if q.denominator > 1:
-            parts.append((start + t, q.denominator, -1))
+            parts.append((1 + t, q.denominator, -1))
     logs: list[Scalar] = sorted(_coprime_base([x for _, x, _ in parts]))
     columns = []
     for p in logs:
@@ -186,7 +185,7 @@ def factor_bases(bases: Sequence[Scalar], start: int = 0
                 column.append((t, s * k))
         columns.append(column)
     logs += [bases[t] for t in irrational]
-    columns += [[(start + t, 1)] for t in irrational]
+    columns += [[(1 + t, 1)] for t in irrational]
     return logs, columns
 
 
@@ -246,8 +245,10 @@ def _powers(const, nums, irrs, live, d, bases) -> tuple[int, list[tuple[Scalar, 
     rational multiples of the first, e = a + b sqrt(d), with e rational, or
     every live base an integer, or one live base.  The k are then the a
     halves, or the b halves when a is zero, and s is the sign of e times
-    that of its half.  Irrational multiples over several bases in Q(sqrt d)
-    are left to the ladder: such a form can be zero without equal bases."""
+    that of its half.  Those cases are the rational rule and every one-term
+    form ``coeff * log(base)`` after factoring, whose base may split into
+    several integers.  An irrational e over several bases in Q(sqrt d) is
+    left to the ladder, as the module docstring states."""
     if const if d is None else const[0] or const[1]:
         return 0, []
     ks, scale = nums, 1

@@ -91,7 +91,7 @@ class _Tableau:
         self.bases = sorted({base for b in b_vals for base, _ in b.terms},
                             key=cmp_to_key(scalar_cmp))
         # the right-hand-side columns of log bases over their coprime base
-        self.log_bases, self.columns = factor_bases(self.bases, 1)
+        self.log_bases, self.columns = factor_bases(self.bases)
         self.logs: dict[int, list] = {}  # precision -> log intervals of log_bases, as asked for
         width = self.ncols + 1 + len(self.bases)
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
