@@ -259,7 +259,7 @@ def gauss_jordan(rows: list[list[int]], ncols: int, d: Optional[int],
                 row, p, g = _subtract(row, prow, c, d)
                 if det is not None:
                     scale_num, scale_den = scale_num * p, scale_den * g
-        c = next((j for j in range(ncols) if row[j] or (d is not None and row[ncols + j])), None)
+        c = lead(row, d)
         if c is None:
             continue
         if det is not None:

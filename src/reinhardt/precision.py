@@ -18,12 +18,12 @@ zero from nonzero: :mod:`reinhardt.loglin` decides that exactly on integer
 exponents over a coprime base, so such a form reaches the ladder only when
 it is nonzero, and then the ladder terminates given enough bits.  A form
 with a zero constant and rational exponents is decided by a product when
-the ladder cannot, over bases in ``Q(sqrt d)`` too.  The
-simplex ratio tests go through the same decision, with log intervals
-computed once per tableau and precision.  Forms with a base in
-``Q(sqrt d)`` and a constant or a coefficient in ``Q(sqrt d)``, the witness
-threshold ``N0`` and the norm-versus-1 comparisons of witness certificates
-still rely on the ladder alone.
+the ladder cannot, over bases in ``Q(sqrt d)`` too.  The simplex ratio
+tests go through the same decision, with log intervals computed once per
+tableau and precision.  Forms with a base in ``Q(sqrt d)`` and a constant
+or a coefficient in ``Q(sqrt d)``, the witness threshold ``N0`` and the
+norm-versus-1 comparisons of witness certificates still rely on the ladder
+alone.
 """
 
 from __future__ import annotations
