@@ -177,12 +177,8 @@ def factor_bases(bases: Sequence[Scalar]) -> tuple[list[Scalar], list[list[tuple
     for p in logs:
         column = []
         for t, x, s in parts:  # a numerator and its denominator share no p
-            k = 0
-            while x % p == 0:
-                x //= p
-                k += 1
-            if k:
-                column.append((t, s * k))
+            if x % p == 0:
+                column.append((t, s * _valuation(x, p)[0]))
         columns.append(column)
     logs += [bases[t] for t in irrational]
     columns += [[(1 + t, 1)] for t in irrational]
@@ -277,10 +273,11 @@ def _bits(x: Scalar) -> int:
 def _coprime_base(values: list[int]) -> list[int]:
     """Pairwise-coprime integers > 1 of which every value is a product of powers.
 
-    Naive gcd refinement: a value that shares a factor g with a kept element b
-    loses every power of b if g is b, and is otherwise replaced, with b, by
-    the pieces x/g, g and b/g.  Each step lowers the product of all pending
-    and kept numbers, so the loop ends.
+    Naive gcd refinement: when a value x shares a factor g with a kept
+    element b and one of them divides the other, the smaller is kept and the
+    larger, divided by every power of it, goes back to the pending values;
+    otherwise b is dropped and the pieces x/g, g and b/g are pending.  Each
+    step lowers the product of all pending and kept numbers, so the loop ends.
     """
     base: list[int] = []
     todo = [x for x in values if x > 1]
@@ -288,19 +285,37 @@ def _coprime_base(values: list[int]) -> list[int]:
         x = todo.pop()
         for i, b in enumerate(base):
             g = math.gcd(x, b)
-            if g == b:
-                while x % b == 0:
-                    x //= b
-                if x > 1:
-                    todo.append(x)
-                break
-            if g > 1:
+            if g == 1:
+                continue
+            if g in (x, b):
+                small, big = (b, x) if g == b else (x, b)
+                big = _valuation(big, small)[1]
+                base[i] = small
+                if big > 1:
+                    todo.append(big)
+            else:
                 del base[i]
                 todo.extend(v for v in (x // g, g, b // g) if v > 1)
-                break
+            break
         else:
             base.append(x)
     return base
+
+
+def _valuation(x: int, p: int) -> tuple[int, int]:
+    """``(k, x // p ** k)`` for the largest k with ``p ** k`` dividing x > 0,
+    p > 1: x is divided by p, p^2, p^4, ... while they divide it, then by
+    each of those powers that still does, from the largest down."""
+    powers = []
+    while x % p == 0:
+        powers.append(p)
+        p *= p
+    k = 0
+    for i in reversed(range(len(powers))):
+        if x % powers[i] == 0:
+            x //= powers[i]
+            k += 1 << i
+    return k, x
 
 
 def _product_sign(powers) -> int:
