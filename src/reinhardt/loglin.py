@@ -22,9 +22,9 @@ tests of :mod:`reinhardt.simplex` share.
   the sign of ``prod(p_j ** k_j) - 1`` for integers k_j, and so has one
   whose exponents are rational multiples of one element of Q(sqrt d) over
   rational bases or a single base, times the sign of that element.  The
-  product is compared outright when it is small, and otherwise
-  when the interval ladder reaches its cap, so such a sign is always exact,
-  over thresholds in Q(sqrt d) too.
+  product is compared outright when it is small, and otherwise when the
+  interval ladder reaches its cap, so such a sign is always exact, over
+  thresholds in Q(sqrt d) too.
 * Every other form goes to the interval ladder.  Over rational bases it is
   nonzero there, so the ladder resolves it given enough bits.  A form with a
   base (threshold) in Q(sqrt d) and a constant or a coefficient in Q(sqrt d)
