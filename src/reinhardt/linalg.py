@@ -63,15 +63,23 @@ def cleared(v, d: Optional[int]) -> list[int]:
     return over_denominator(v, d)[0]
 
 
+def rational_row(values: list[int], d: Optional[int]) -> list[int]:
+    """The integer row of a list of integers."""
+    return values if d is None else values + [0] * len(values)
+
+
+def joined(parts: list[list[int]], d: Optional[int]) -> list[int]:
+    """The integer row of the entries of the integer rows ``parts``, in order."""
+    if d is None:
+        return [x for v in parts for x in v]
+    return ([x for v in parts for x in v[:len(v) // 2]]
+            + [x for v in parts for x in v[len(v) // 2:]])
+
+
 def primitive(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries."""
     g = math.gcd(*v)
     return [x // g for x in v] if g > 1 else v
-
-
-def signed(v: list[int], signs: list[int]) -> list[int]:
-    """The integer row v with entry j times signs[j], +1 or -1."""
-    return [x * s for x, s in zip(v, signs * (len(v) // len(signs)))]
 
 
 def cancel(v: list[int], den: int) -> tuple[list[int], int]:

@@ -20,16 +20,18 @@ tests of :mod:`reinhardt.simplex` share.
   ``e_j`` is zero the sign is that of ``const``, for coefficients in Q and
   in Q(sqrt d) alike.  A form with ``const == 0`` and rational exponents has
   the sign of ``prod(p_j ** k_j) - 1`` for integers k_j, and so has one
-  whose exponents are rational multiples of one element of Q(sqrt d) over
-  rational bases or a single base, times the sign of that element.  The
-  product is compared outright when it is small, and otherwise when the
-  interval ladder reaches its cap, so such a sign is always exact, over
-  thresholds in Q(sqrt d) too.
-* Every other form goes to the interval ladder.  Over rational bases it is
-  nonzero there, so the ladder resolves it given enough bits.  A form with a
-  base (threshold) in Q(sqrt d) and a constant or a coefficient in Q(sqrt d)
-  can be exactly zero without equal bases cancelling; its ladder cannot
-  resolve it, and it ends in :class:`BoundaryIndeterminate`.
+  whose exponents are rational multiples of one element of Q(sqrt d), times
+  the sign of that element.  The product is compared outright when it is
+  small, and otherwise when the interval ladder reaches its cap, so such a
+  sign is always exact, over thresholds in Q(sqrt d) too.
+* Every other form goes to the interval ladder, whose rungs are integer
+  multiply-adds on bounds lo <= 2^bits log(p_j) <= hi
+  (:func:`precision.log_bounds`).  Over rational bases it is nonzero there,
+  so the ladder resolves it given enough bits.  A form with a base
+  (threshold) in Q(sqrt d) and coefficients in Q(sqrt d) that are not
+  rational multiples of one element can be exactly zero without equal bases
+  cancelling; its ladder cannot resolve it, and it ends in
+  :class:`BoundaryIndeterminate`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
 from .errors import BoundaryIndeterminate
-from .precision import ladder_sign, scalar_interval
+from .precision import ladder_sign, log_bounds, scalar_interval, scaled_interval
 from .scalars import QuadExt, Scalar, is_rational, quadratic_sign, scalar_cmp, sign_of
 
 # A form with a zero constant and rational coefficients is decided by the
@@ -131,7 +133,7 @@ class LogLin:
         d = linalg.field_of([row])
         ints, den = linalg.over_denominator(row, d)
         return decide_sign(linalg.entry(ints, 0, d), linalg.sparse_products(ints, columns, d), d,
-                           bases, lambda ctx, j: ctx.log(scalar_interval(bases[j], ctx)),
+                           bases, lambda ctx, j: log_bounds(bases[j], ctx),
                            lambda: repr(self), den)
 
     def is_zero(self) -> bool:
@@ -192,7 +194,7 @@ def decide_sign(const, exps: Sequence, d: Optional[int], bases: Sequence[Scalar]
     ``const`` and ``exps`` are ring elements in the format of
     :mod:`reinhardt.linalg` (ints over Z, ``(a, b)`` pairs over Z[sqrt d]),
     ``bases`` are as :func:`factor_bases` returns them, ``log_of(ctx, j)``
-    encloses ``log(bases[j])`` in the interval context ``ctx``, and
+    bounds 2^bits log(bases[j]) as :func:`precision.log_bounds` does, and
     ``what()`` names the form if the ladder fails.  Decided in this order:
 
     * every exponent zero: the sign of ``const``;
@@ -214,16 +216,16 @@ def decide_sign(const, exps: Sequence, d: Optional[int], bases: Sequence[Scalar]
     if powers and product_bits(powers) <= EXACT_PRODUCT_BITS:
         return scale * _product_sign(powers)
 
-    def build(ctx):  # the rational halves, plus sqrt(d) times the others
-        val = ctx.mpf(const if d is None else const[0])
-        for j in live:
-            val += log_of(ctx, j) * nums[j]
+    def build(ctx):  # integer bounds on 2^bits times the form, then over 2^bits
+        bits = ctx.prec
+        bounds = [log_of(ctx, j) for j in live]
+        lo, hi = _enclose(const if d is None else const[0], nums, live, bounds, bits)
         if d is not None and (const[1] or any(irrs[j] for j in live)):
-            irr = ctx.mpf(const[1])
-            for j in live:
-                irr += log_of(ctx, j) * irrs[j]
-            val += ctx.sqrt(d) * irr
-        return val / den if den != 1 else val
+            ilo, ihi = _enclose(const[1], irrs, live, bounds, bits)
+            r = math.isqrt(d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
+            ends = (ilo * r, ilo * (r + 1), ihi * r, ihi * (r + 1))
+            lo, hi, bits = (lo << bits) + min(ends), (hi << bits) + max(ends), 2 * bits
+        return scaled_interval(lo, hi, den << bits, ctx)
 
     try:
         return ladder_sign(build, what=what)
@@ -233,25 +235,28 @@ def decide_sign(const, exps: Sequence, d: Optional[int], bases: Sequence[Scalar]
         return scale * _product_sign(powers)
 
 
+def _enclose(c: int, xs: Sequence[int], live: list[int], bounds: list, bits: int) -> tuple:
+    """Integers lo <= 2^bits (c + sum(xs[j] * log(p_j))) <= hi over the live
+    j, from the bounds lo_j <= 2^bits log(p_j) <= hi_j in the same order."""
+    terms = [(xs[j], lo, hi) for j, (lo, hi) in zip(live, bounds)]
+    return ((c << bits) + sum(x * (lo if x > 0 else hi) for x, lo, hi in terms),
+            (c << bits) + sum(x * (hi if x > 0 else lo) for x, lo, hi in terms))
+
+
 def _powers(const, nums, irrs, live, d, bases) -> tuple[int, list[tuple[Scalar, int]]]:
     """``(s, [(base, k)])``, integers k with gcd 1, such that the form of
     :func:`decide_sign` has s times the sign of ``sum(k * log(base))``.
 
     The list is empty unless ``const`` is zero and the live exponents are
-    rational multiples of the first, e = a + b sqrt(d), with e rational, or
-    every live base an integer, or one live base.  The k are then the a
-    halves, or the b halves when a is zero, and s is the sign of e times
-    that of its half.  Those cases are the rational rule and every one-term
-    form ``coeff * log(base)`` after factoring, whose base may split into
-    several integers.  An irrational e over several bases in Q(sqrt d) is
-    left to the ladder, as the module docstring states."""
+    rational multiples of the first, e = a + b sqrt(d).  The form is then e
+    times a form with rational exponents: the k are the a halves, or the b
+    halves when a is zero, and s is the sign of e times that of its half."""
     if const if d is None else const[0] or const[1]:
         return 0, []
     ks, scale = nums, 1
     if d is not None:
         a, b = nums[live[0]], irrs[live[0]]
-        if any(nums[j] * b != irrs[j] * a for j in live) or (
-                b and len(live) > 1 and not all(isinstance(bases[j], int) for j in live)):
+        if any(nums[j] * b != irrs[j] * a for j in live):
             return 0, []
         ks = nums if a else irrs
         scale = quadratic_sign(a, b, d) * (1 if ks[live[0]] > 0 else -1)

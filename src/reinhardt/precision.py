@@ -16,14 +16,13 @@ precision.
 Signs of log-linear forms over rational bases never need the ladder to tell
 zero from nonzero: :mod:`reinhardt.loglin` decides that exactly on integer
 exponents over a coprime base, so such a form reaches the ladder only when
-it is nonzero, and then the ladder terminates given enough bits.  A form
-with a zero constant and rational exponents is decided by a product when
-the ladder cannot, over bases in ``Q(sqrt d)`` too.  The simplex ratio
-tests go through the same decision, with log intervals computed once per
-tableau and precision.  Forms with a base in ``Q(sqrt d)`` and a constant
-or a coefficient in ``Q(sqrt d)``, the witness threshold ``N0`` and the
-norm-versus-1 comparisons of witness certificates still rely on the ladder
-alone.
+it is nonzero, and then the ladder terminates given enough bits.  The
+ladders of ``LogLin.sign`` and of the simplex ratio tests run on integers:
+each rung takes integer bounds on 2^bits log(p) (:func:`log_bounds`, held
+per tableau and precision by the simplex), encloses the form by integer
+multiply-adds and passes one outward-rounded interval
+(:func:`scaled_interval`).  The witness threshold ``N0`` and the
+norm-versus-1 comparisons of witness certificates build mpmath intervals.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import os
 from fractions import Fraction
 from typing import Callable
 
+from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import BoundaryIndeterminate
@@ -77,6 +77,21 @@ def scalar_interval(x: Scalar, ctx: MPIntervalContext):
         return ctx.mpf(x)
     x = Fraction(x)
     return ctx.mpf(x.numerator) / x.denominator
+
+
+def log_bounds(x: Scalar, ctx: MPIntervalContext) -> tuple[int, int]:
+    """Integers lo <= 2^bits log(x) <= hi for an exact x > 0, at the bits of ``ctx``."""
+    arg = (libmp.from_int(x),) * 2 if isinstance(x, int) else scalar_interval(x, ctx)._mpi_
+    lo, hi = libmp.mpi_log(arg, ctx.prec)
+    return (libmp.to_int(libmp.mpf_shift(lo, ctx.prec), libmp.round_floor),
+            libmp.to_int(libmp.mpf_shift(hi, ctx.prec), libmp.round_ceiling))
+
+
+def scaled_interval(lo: int, hi: int, den: int, ctx: MPIntervalContext):
+    """[lo / den, hi / den] in ``ctx`` for integers lo <= hi and den > 0, rounded outward."""
+    den = libmp.from_int(den)
+    return ctx.make_mpf(tuple(libmp.mpf_div(libmp.from_int(x), den, ctx.prec, rnd)
+                              for x, rnd in ((lo, libmp.round_floor), (hi, libmp.round_ceiling))))
 
 
 def ladder_sign(build: Callable[[MPIntervalContext], object],

@@ -24,12 +24,12 @@ no log terms.  Otherwise the tableau, which factors its log bases once
 over their coprime base (:func:`loglin.factor_bases`), maps the log
 coefficients of a positive rational multiple of the difference to integer
 exponents over that base, and :func:`loglin.decide_sign`, the decision of
-:meth:`LogLin.sign`, decides them, with the log intervals the ladder needs
-computed once per tableau and precision.  Pivoting builds no ``Fraction``,
-``QuadExt`` or ``LogLin``, except the ``LogLin`` that names a form the
-ladder cannot resolve and the products over a threshold in Q(sqrt d);
-they are built only for the objective value and the certificates, which
-are re-verified exactly before they are returned:
+:meth:`LogLin.sign`, decides them, with the integer log bounds the ladder
+needs computed once per tableau and precision.  The tableau starts from the
+constraint rows and objective cleared once; ``Fraction``, ``QuadExt`` and
+``LogLin`` values are built only for the returned certificates (and to name
+a form the ladder cannot resolve), which are checked in integers against
+the cleared rows before they are returned:
 
 * ``optimal``    — primal point, objective value, dual multipliers with
                    lambda >= 0 and lambda @ A == c;
@@ -40,6 +40,7 @@ are re-verified exactly before they are returned:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -47,9 +48,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import ReinhardtError
-from .linalg import dot
 from .loglin import LogLin, as_loglin, decide_sign, factor_bases
-from .precision import scalar_interval
+from .precision import log_bounds
 from .scalars import QuadExt, Scalar, scalar_cmp, sign_of
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
@@ -77,7 +77,8 @@ class _Tableau:
     right-hand side ``[const, coeff of log bases[0], ...]``.  The last row is
     the reduced-cost row of the current phase, whose right-hand side is the
     objective value.  A basic column's entry equals its row's denominator
-    (true value 1).
+    (true value 1).  ``a_rows`` are the cleared constraint rows, pairs
+    (integer row, denominator) of :func:`linalg.over_denominator`.
     """
 
     def __init__(self, a_rows, b_vals, n: int, d: Optional[int]):
@@ -92,27 +93,33 @@ class _Tableau:
                             key=cmp_to_key(scalar_cmp))
         # the right-hand-side columns of log bases over their coprime base
         self.log_bases, self.columns = factor_bases(self.bases)
-        self.logs: dict[int, list] = {}  # precision -> log intervals of log_bases, as asked for
-        width = self.ncols + 1 + len(self.bases)
+        self.logs: dict[int, list] = {}  # precision -> integer log bounds, as asked for
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
         self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
         arts = iter(self.art_cols)
-        zero, one = Fraction(0), Fraction(1)
-        for i, (row, b, flip) in enumerate(zip(a_rows, b_vals, flips)):
-            # s [a | -a | e_i | b], s = -1 on a flipped row, signed in integers below
-            full = [*row, *row] + [zero] * (width - self.slack0)
-            full[self.slack0 + i] = one
-            # a flipped row's slack sits at -1, unusable as basis: an artificial starts there
-            self.basis.append(next(arts) if flip else self.slack0 + i)
-            full[self.basis[-1]] = -one if flip else one
-            full[self.ncols] = b.const
+        for i, ((a, den_a), b, flip) in enumerate(zip(a_rows, b_vals, flips)):
+            rhs = [b.const] + [0] * len(self.bases)
             for base, coeff in b.terms:
-                full[self.ncols + slot[base]] = coeff
-            ints, den = linalg.over_denominator(full, d)
+                rhs[slot[base]] = coeff
+            rhs, den_b = linalg.over_denominator(rhs, d)
+            den = math.lcm(den_a, den_b)
+            # s [a | -a | e_i | b] over den, s = -1 on a flipped row, whose slack
+            # sits at -1, unusable as basis: an artificial starts there at +1
             s = -1 if flip else 1
-            self.rows.append(linalg.signed(ints, [s] * n + [-s] * n + [s] * (width - self.slack0)))
+            self.basis.append(next(arts) if flip else self.slack0 + i)
+            self.rows.append(self.row([s * (den // den_a) * x for x in a],
+                                      {self.slack0 + i: s * den, self.basis[-1]: den},
+                                      [s * (den // den_b) * x for x in rhs]))
             self.den.append(den)
         self.rows.append([]), self.den.append(1)  # the reduced costs, set by price
+
+    def row(self, x: list[int], units: dict, rhs: Optional[list[int]] = None) -> list[int]:
+        """Integer row [x | -x | u | rhs or 0], u zero but where ``units`` maps a column."""
+        u = [0] * (self.ncols - self.slack0)
+        for col, v in units.items():
+            u[col - self.slack0] = v
+        rhs = rhs or linalg.rational_row([0] * (1 + len(self.bases)), self.d)
+        return linalg.joined([x, [-v for v in x], linalg.rational_row(u, self.d), rhs], self.d)
 
     # -- exact values, built only for the objective and the certificates ------
 
@@ -134,12 +141,11 @@ class _Tableau:
 
     # -- pivoting ---------------------------------------------------------------
 
-    def price(self, cost: Sequence[Scalar]) -> None:
-        """Reduced-cost row c_B B^-1 A - c for the current basis: the row
-        [-c | 0] with each basic column eliminated, so that its right-hand
-        side is c_B B^-1 b."""
-        self.rows[self.m], self.den[self.m] = linalg.over_denominator(
-            [-c for c in cost] + [Fraction(0)] * (1 + len(self.bases)), self.d)
+    def price(self, cost: list[int], den: int) -> None:
+        """Reduced-cost row c_B B^-1 A - c for the current basis: the integer
+        row [-c | 0] over ``den`` (:meth:`row`) with each basic column
+        eliminated, so that its right-hand side is c_B B^-1 b."""
+        self.rows[self.m], self.den[self.m] = cost, den
         for i in range(self.m):
             if linalg.entry_sign(self.rows[self.m], self.basis[i], self.d):
                 self._eliminate(self.m, i, self.basis[i])
@@ -182,18 +188,18 @@ class _Tableau:
                            d, self.log_bases, self._log,
                            lambda: repr(self.loglin(linalg.vector(vec, 1, d))))
 
-    def _log(self, ctx, j: int):
-        """log(log_bases[j]) enclosed in ``ctx``, each computed once per precision."""
+    def _log(self, ctx, j: int) -> tuple[int, int]:
+        """Integer bounds on 2^bits log(log_bases[j]), computed once per precision."""
         logs = self.logs.setdefault(ctx.prec, [None] * len(self.log_bases))
         if logs[j] is None:
-            logs[j] = ctx.log(scalar_interval(self.log_bases[j], ctx))
+            logs[j] = log_bounds(self.log_bases[j], ctx)
         return logs[j]
 
-    def run(self, cost: list[Scalar], frozen_cols: set[int]) -> Optional[int]:
-        """Bland pivoting to optimality; returns an entering column on
-        unboundedness.  Row denominators are positive: signs are read off
-        the integer rows."""
-        self.price(cost)
+    def run(self, cost: list[int], den: int, frozen_cols: set[int]) -> Optional[int]:
+        """Bland pivoting to optimality from the cost row ``cost`` over
+        ``den`` (:meth:`price`); returns an entering column on unboundedness.
+        Row denominators are positive: signs are read off the integer rows."""
+        self.price(cost, den)
         sign, d = linalg.entry_sign, self.d
         for _ in range(_MAX_PIVOTS):
             enter = next((j for j in range(self.ncols)
@@ -218,47 +224,41 @@ class _Tableau:
 def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar],
              ) -> LPCertificate:
     """Maximize <objective, x> over {x : a_rows @ x <= b_vals}, exactly."""
-    a_rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in a_rows]
     b_vals = [as_loglin(b) for b in b_vals]
     n = len(objective)
     if any(len(r) != n for r in a_rows):
         raise ValueError("constraint rows and objective have mismatched lengths")
-    objective = [Fraction(c) if isinstance(c, int) else c for c in objective]
-    coeffs = [x for r in a_rows for x in r] + objective + \
+    coeffs = [x for r in a_rows for x in r] + list(objective) + \
         [c for b in b_vals for c in (b.const, *(c for _, c in b.terms))]
     fields = {x.d for x in coeffs if isinstance(x, QuadExt)}
     if len(fields) > 1:
         raise ValueError(f"mixed quadratic fields: {sorted(fields)}")
+    d = next(iter(fields), None)
+    rows = [linalg.over_denominator(r, d) for r in a_rows]
+    cost = linalg.over_denominator(objective, d)
 
-    t = _Tableau(a_rows, b_vals, n, next(iter(fields), None))
+    t = _Tableau(rows, b_vals, n, d)
 
     if t.art_cols:
-        cost1 = [Fraction(0)] * t.ncols
-        for col in t.art_cols:
-            cost1[col] = Fraction(-1)
-        if t.run(cost1, frozen_cols=set()) is not None:
+        phase1 = t.row(linalg.rational_row([0] * n, d), dict.fromkeys(t.art_cols, 1))
+        if t.run(phase1, 1, frozen_cols=set()) is not None:
             raise ReinhardtError("phase I unbounded (internal error)")
         if t.objective_value().sign() < 0:
             lam = t.multipliers()
-            _check_farkas(a_rows, b_vals, lam)
+            _check_farkas(rows, b_vals, lam, d)
             return LPCertificate(status=INFEASIBLE, farkas=lam)
         _drive_out_artificials(t)
 
-    cost2 = [Fraction(0)] * t.ncols
-    for j in range(t.n):
-        cost2[j] = objective[j]
-        cost2[t.n + j] = -objective[j]
-    frozen = set(t.art_cols)
-    enter = t.run(cost2, frozen_cols=frozen)
+    enter = t.run(t.row([-x for x in cost[0]], {}), cost[1], frozen_cols=set(t.art_cols))
     if enter is not None:
         ray = _extract_ray(t, enter)
-        _check_ray(a_rows, objective, ray)
+        _check_ray(rows, cost, ray, d)
         return LPCertificate(status=UNBOUNDED, ray=ray)
 
     point = _extract_point(t)
     value = t.objective_value()
     lam = t.multipliers()
-    _check_dual(a_rows, objective, lam)
+    _check_dual(rows, cost, lam, d)
     return LPCertificate(status=OPTIMAL, primal_point=point, objective=value, dual=lam)
 
 
@@ -274,10 +274,12 @@ def _drive_out_artificials(t: _Tableau) -> None:
 
 
 def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:
-    vals = {col: t.rhs(i) for i, col in enumerate(t.basis)}
-    zero = [Fraction(0)] * (len(t.bases) + 1)
-    return tuple(t.loglin([u - v for u, v in zip(vals.get(j, zero), vals.get(t.n + j, zero))])
-                 for j in range(t.n))
+    """x = u - v; at most one of the opposite columns of u_j and v_j is basic."""
+    point = [LogLin.zero()] * t.n
+    for i, col in enumerate(t.basis):
+        if col < t.slack0:
+            point[col % t.n] = t.loglin([x if col < t.n else -x for x in t.rhs(i)])
+    return tuple(point)
 
 
 def _extract_ray(t: _Tableau, enter: int) -> tuple[Scalar, ...]:
@@ -288,27 +290,36 @@ def _extract_ray(t: _Tableau, enter: int) -> tuple[Scalar, ...]:
                  for j in range(t.n))
 
 
-def _check_ray(a_rows, objective, ray) -> None:
-    if any(sign_of(dot(row, ray)) > 0 for row in a_rows):
+def _check_ray(rows, cost, ray, d: Optional[int]) -> None:
+    dot, sign, _ = linalg.ring(d)
+    r = linalg.over_denominator(ray, d)[0]
+    if any(sign(dot(row, r)) > 0 for row, _ in rows):
         raise ReinhardtError("unbounded-ray certificate failed verification")
-    if sign_of(dot(objective, ray)) <= 0:
+    if sign(dot(cost[0], r)) <= 0:
         raise ReinhardtError("unbounded ray does not improve the objective")
 
 
-def _check_farkas(a_rows, b_vals, lam) -> None:
+def _combination(rows, lam, width: int, d: Optional[int]) -> tuple[list[int], int]:
+    """lam @ A over the cleared rows, as an integer row and a positive denominator."""
+    ints, den = linalg.over_denominator(lam, d)
+    scale = math.lcm(*(r for _, r in rows))
+    terms = [linalg.times(linalg.entry(ints, i, d), [x * (scale // r) for x in row], d)
+             for i, (row, r) in enumerate(rows) if linalg.entry_sign(ints, i, d)]
+    return [sum(col) for col in zip([0] * width, *terms)], den * scale
+
+
+def _check_farkas(rows, b_vals, lam, d: Optional[int]) -> None:
     if any(sign_of(li) < 0 for li in lam):
         raise ReinhardtError("Farkas multipliers must be non-negative")
-    n = len(a_rows[0]) if a_rows else 0
-    for j in range(n):
-        if sign_of(dot(lam, [row[j] for row in a_rows])) != 0:
-            raise ReinhardtError("Farkas combination does not annihilate the rows")
+    if any(_combination(rows, lam, len(rows[0][0]), d)[0]):
+        raise ReinhardtError("Farkas combination does not annihilate the rows")
     if LogLin.combination(zip(lam, b_vals)).sign() >= 0:
         raise ReinhardtError("Farkas combination is not negative")
 
 
-def _check_dual(a_rows, objective, lam) -> None:
+def _check_dual(rows, cost, lam, d: Optional[int]) -> None:
     if any(sign_of(li) < 0 for li in lam):
         raise ReinhardtError("dual multipliers must be non-negative")
-    for j, cj in enumerate(objective):
-        if sign_of(dot(lam, [row[j] for row in a_rows]) - cj) != 0:
-            raise ReinhardtError("dual multipliers do not reproduce the objective")
+    (c, c_den), (total, den) = cost, _combination(rows, lam, len(cost[0]), d)
+    if any(x * c_den != y * den for x, y in zip(total, c)):
+        raise ReinhardtError("dual multipliers do not reproduce the objective")

@@ -1,12 +1,15 @@
 import math
+import os
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reinhardt.errors import BoundaryIndeterminate
 from reinhardt.loglin import LogLin, _coprime_base
+from reinhardt.precision import log_bounds, working_precision
 from reinhardt.scalars import QuadExt, quad, sign_of
 
 
@@ -124,15 +127,15 @@ def test_large_quadratic_products_fall_back_from_the_ladder():
     assert (v + LogLin.log_of(Fraction(2 ** 3000 + 1, 2 ** 3000))).sign() == 1
 
 
-def test_quadratic_coefficients_over_quadratic_thresholds_use_the_ladder(monkeypatch):
-    # sqrt2 log(3 + 2 sqrt2) - 2 sqrt2 log(1 + sqrt2) is zero, but neither the
-    # coprime base nor the field product applies: this is the one form the
-    # ladder cannot resolve
+def test_quadratic_coefficients_over_quadratic_thresholds_are_exact(monkeypatch):
+    # sqrt2 log(3 + 2 sqrt2) - 2 sqrt2 log(1 + sqrt2) is zero: sqrt2 times a form
+    # with rational coefficients, which the field product decides with no digits
     monkeypatch.setenv("REINHARDT_PRECISION", "64")
     s = quad(0, 1, 2)
     v = LogLin.log_of(quad(3, 2, 2), s) - LogLin.log_of(quad(1, 1, 2), 2 * s)
-    with pytest.raises(BoundaryIndeterminate):
-        v.sign()
+    assert v.sign() == 0
+    w = LogLin.log_of(quad(3, 2, 2), s) - LogLin.log_of(quad(1, 1, 2), 3 * s)
+    assert w.sign() == -1 and (-w).sign() == 1
 
 
 def test_single_term_sign_needs_no_digits(monkeypatch):
@@ -256,3 +259,69 @@ def test_arithmetic_and_scaling():
     assert (v - v).is_zero()
     assert float(LogLin.of(Fraction(1)) + LogLin.log_of(Fraction(2))) == pytest.approx(
         1.6931471805599453)
+
+
+# -- the integer ladder: log bounds and the interval it reports ---------------
+
+ENCLOSURE = mpmath.MPContext()
+ENCLOSURE.prec = 4000
+
+
+def _at_4000_bits(x):
+    if isinstance(x, QuadExt):
+        return _at_4000_bits(x.a) + _at_4000_bits(x.b) * ENCLOSURE.sqrt(x.d)
+    x = Fraction(x)
+    return ENCLOSURE.mpf(x.numerator) / x.denominator
+
+
+@st.composite
+def log_bases(draw):
+    """An integer p > 1, small or far past 64 bits, or a positive element of
+    Q(sqrt d) above or below 1."""
+    if draw(st.booleans()):
+        return draw(st.one_of(st.integers(2, 10 ** 6), st.integers(2, 2 ** 3000)))
+    d = draw(st.sampled_from((2, 3, 5)))
+    a, b = draw(st.integers(-50, 50)), draw(st.integers(-50, 50).filter(bool))
+    x = quad(a, b, d)
+    return x if sign_of(x) > 0 else -x
+
+
+@given(log_bases(), st.sampled_from((64, 128, 1024)))
+@example(quad(-1, 1, 2), 64)  # sqrt2 - 1 < 1: its log, and both bounds, are negative
+@example(quad(3, -1, 5), 1024)  # 3 - sqrt5 < 1
+@example(quad(1, 1, 2), 128)
+@example(2, 64)
+@settings(max_examples=200, deadline=None)
+def test_integer_log_bounds_enclose_the_log(x, bits):
+    lo, hi = log_bounds(x, working_precision(bits))
+    exact = ENCLOSURE.ldexp(ENCLOSURE.log(_at_4000_bits(x)), bits)
+    assert lo <= exact <= hi
+    assert hi - lo < 2 ** (bits // 2)  # about bits / 2 of the bits are right
+
+
+NEAR_ZERO_BASES = (Fraction(3), Fraction(2, 7), Fraction(10 ** 20 + 1), quad(1, 1, 2),
+                   quad(3, -1, 5))
+
+
+@given(st.sampled_from(NEAR_ZERO_BASES), st.fractions(-7, 7, max_denominator=9).filter(bool),
+       st.sampled_from((0, 1, -2)))
+@settings(max_examples=60, deadline=None)
+def test_indeterminate_interval_encloses_the_form(base, q, irr):
+    """const + coeff log(base), with const within 2^-100 of -coeff log(base)
+    and a coefficient with a denominator: at a 64-bit cap the ladder gives up,
+    and the interval it reports encloses the value of the form, not a
+    multiple of it."""
+    coeff = quad(q, Fraction(irr, 3), 5) if irr else q
+    target = -_at_4000_bits(coeff) * ENCLOSURE.log(_at_4000_bits(base))
+    const = Fraction(int(ENCLOSURE.floor(ENCLOSURE.ldexp(target, 100))) | 1, 2 ** 100)
+    v = LogLin.of(const) + LogLin.log_of(base, coeff)
+    value = _at_4000_bits(const) - target
+    assert value != 0
+    with mock.patch.dict(os.environ, {"REINHARDT_PRECISION": "64"}):
+        with pytest.raises(BoundaryIndeterminate) as info:
+            v.sign()
+    lo, hi = map(Fraction, info.value.interval)
+    assert _at_4000_bits(lo) <= value <= _at_4000_bits(hi)
+    assert hi - lo < Fraction(1, 2 ** 50)  # 64 bits, not den times as wide
+    with mock.patch.dict(os.environ, {"REINHARDT_PRECISION": "1024"}):
+        assert v.sign() == (1 if value > 0 else -1)  # 1024 bits have the digits

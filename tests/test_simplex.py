@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from conftest import degenerate_lp, integer_lp, mixed_log_lp, seeded_lps, sqrt2_lp
 from reinhardt import linalg, simplex
-from reinhardt.errors import BoundaryIndeterminate
+from reinhardt.errors import BoundaryIndeterminate, ReinhardtError
 from reinhardt.linalg import dot
 from reinhardt.loglin import LogLin
 from reinhardt.scalars import QuadExt, quad, sign_of
@@ -275,7 +275,7 @@ def _outcome(sign):
 def _ratio_tableau(thresholds, d):
     """A tableau whose right-hand sides are over ``thresholds``."""
     b = [LogLin.log_of(t) for t in thresholds]
-    return simplex._Tableau([[Fraction(1)]] * len(b), b, 1, d)
+    return simplex._Tableau([linalg.over_denominator([Fraction(1)], d)] * len(b), b, 1, d)
 
 
 @given(ratio_forms())
@@ -297,3 +297,86 @@ def test_ratio_test_sign_matches_loglin_sign(form):
         value = _high_precision(d, t.bases, vec)
         assert expected == (0 if abs(value) < mpmath.mpf(2) ** -15000 else 1 if value > 0 else -1)
 
+
+
+# -- the integer certificate checks and the initial rows -----------------------
+#
+# solve_lp clears each constraint row and the objective once, and its checks
+# verify the returned certificate in integers against those cleared rows.
+
+def _cleared(a, c):
+    d = next((x.d for x in [*(x for row in a for x in row), *c] if isinstance(x, QuadExt)),
+             None)
+    return [linalg.over_denominator(row, d) for row in a], linalg.over_denominator(c, d), d
+
+
+def _raises(check, message):
+    with pytest.raises(ReinhardtError, match=message):
+        check()
+
+
+def _positive_step(d):
+    """A positive change with an irrational half over Q(sqrt d)."""
+    return Fraction(1) if d is None else quad(-1, 1, d)
+
+
+def test_seeded_certificates_pass_their_checks_and_fail_when_changed():
+    """Every seeded LP's certificate passes its integer check; one multiplier
+    moved by a positive step along a nonzero row, one multiplier negated, or
+    one ray entry moved so that the objective or a row turns, fails it."""
+    checked = set()
+    for _, (a, b, c) in seeded_lps():
+        rows, cost, d = _cleared(a, c)
+        cert = solve_lp(a, b, c)
+        nonzero = [i for i, row in enumerate(a) if any(sign_of(x) for x in row)]
+        if cert.status == UNBOUNDED:
+            ray = list(cert.ray)
+            simplex._check_ray(rows, cost, ray, d)
+            j = next(j for j, cj in enumerate(c) if sign_of(cj))
+            flat = ray[:j] + [ray[j] - dot(c, ray) / c[j]] + ray[j + 1:]  # <c, ray> = 0
+            _raises(lambda: simplex._check_ray(rows, cost, flat, d),
+                    "does not improve|failed verification")
+            # only the objective test rejects the zero ray
+            _raises(lambda: simplex._check_ray(rows, cost, [0] * len(c), d), "does not improve")
+            i, k = next((i, k) for i in nonzero for k, x in enumerate(a[i]) if sign_of(x))
+            up = ray[:k] + [ray[k] + (1 - dot(a[i], ray)) / a[i][k]] + ray[k + 1:]  # row i: 1
+            _raises(lambda: simplex._check_ray(rows, cost, up, d), "failed verification")
+        else:
+            lam = list(cert.dual if cert.status == OPTIMAL else cert.farkas)
+            if cert.status == OPTIMAL:
+                check = lambda m: simplex._check_dual(rows, cost, m, d)  # noqa: E731
+                wrong = "do not reproduce the objective"
+            else:
+                check = lambda m: simplex._check_farkas(rows, b, m, d)  # noqa: E731
+                wrong = "does not annihilate the rows"
+            check(lam)
+            if nonzero:
+                i = nonzero[len(nonzero) // 2]
+                moved = lam[:i] + [lam[i] + _positive_step(d)] + lam[i + 1:]
+                _raises(lambda: check(moved), wrong)
+            i = next((i for i, li in enumerate(lam) if sign_of(li) > 0), None)
+            if i is not None:
+                _raises(lambda: check(lam[:i] + [-lam[i]] + lam[i + 1:]), "non-negative")
+        checked.add((cert.status, d))
+    assert {(s, d) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED) for d in (None, 2)} <= checked
+
+
+def test_initial_rows_are_the_signed_constraint_rows():
+    """Read back over its denominator, row i of a new tableau is
+    s [a_i | -a_i | e_i | b_i], with s = -1 and an artificial at +1 on a row
+    whose right-hand side is negative."""
+    for _, (a, b, c) in seeded_lps():
+        rows, _, d = _cleared(a, c)
+        t = simplex._Tableau(rows, b, len(c), d)
+        for i, (row, bi) in enumerate(zip(a, b)):
+            s = -1 if bi.sign() < 0 else 1
+            expected = [Fraction(0)] * t.ncols + [bi.const] + [Fraction(0)] * len(t.bases)
+            expected[:2 * t.n] = [s * x for x in row] + [-s * x for x in row]
+            expected[t.slack0 + i] = Fraction(s)
+            expected[t.basis[i]] = Fraction(1)
+            for base, coeff in bi.terms:
+                expected[t.ncols + 1 + t.bases.index(base)] = coeff
+            expected[t.ncols:] = [s * x for x in expected[t.ncols:]]
+            got = linalg.vector(t.rows[i], t.den[i], d)
+            assert len(got) == len(expected)
+            assert all(sign_of(x - y) == 0 for x, y in zip(got, expected))
