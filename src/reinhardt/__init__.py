@@ -3,11 +3,11 @@
 from .classify import (ClassificationReport, Verdict, classify_ainf, classify_all,
                        classify_hinf, classify_hinf_k, classify_l2, classify_lp_ak)
 from .cones import (ProductSplit, RecessionCone, Subspace, approach, approach_certificate,
-                    has_finite_volume, interior_point, is_bounded, is_rational_type,
+                    has_finite_volume, interior_point, is_bounded, is_empty, is_rational_type,
                     lineality_space, lp_optimize, product_split, recession_contains)
 from .domain import (DomainSpec, LogPolyhedron, MonomialConstraint, RadialPoint, contains,
                      exponents, load_spec, parse_spec, radial)
-from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
+from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError, RayCapError,
                      ReinhardtError, SpecError)
 from .montecarlo import coefficient_inequality_check, lp_norm_monte_carlo
 from .norms import (NormResult, SimplicialFrame, find_integrable_monomial,

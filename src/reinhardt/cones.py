@@ -1,10 +1,11 @@
-"""Exact geometry of the log-polyhedron: lineality, recession, axis approach.
+"""Exact geometry of the log-polyhedron: emptiness, lineality, recession,
+axis approach.
 
 Everything in this module decides questions about the normal cone structure
-of a half-space system ``<alpha_i, x> < log(c_i)``.  With the single
-exception of :func:`interior_point` and :func:`lp_optimize` (which involve
-the offsets), the decisions depend on the normals only and are therefore
-fully exact field computations.
+of a half-space system ``<alpha_i, x> < log(c_i)``.  With the exception of
+:func:`interior_point`, :func:`lp_optimize` and the fallback of
+:func:`is_empty` (which involve the offsets), the decisions depend on the
+normals only and are therefore fully exact field computations.
 
 The recession cone C = {d : <alpha_i, d> <= 0} is computed by double
 description in integers (:func:`recession_cone`), as a lineality basis plus
@@ -21,16 +22,20 @@ return is re-checked exactly before it is returned.  Axis approach is read
 off the ray supports of the approach cone K = C ∩ {d <= 0}
 (:func:`approach`), which the same double description gets by going on from
 the generators of C with the n unit rows: a unit row that meets a line of C
-turns it into a ray.  Past ``_MAX_RAYS`` intermediate rays either cone
-raises a typed error.  The functions here keep no memo: ``LogPolyhedron``
-computes each derived object on first use and holds it for its own
-lifetime.
+turns it into a ray.  Past a cap of intermediate rays (``_MAX_RAYS``
+unless the caller gives one) either cone raises :class:`RayCapError`.  The
+functions here keep no memo: ``LogPolyhedron`` computes each derived object
+on first use and holds it for its own lifetime.
 
-The simplex (:mod:`reinhardt.simplex`) decides only emptiness
-(:func:`interior_point`); otherwise it computes what gets printed or pinned
-once finiteness is known: the value of a finite sup (:func:`lp_optimize`,
-also the Monte-Carlo bounding box :func:`radius_box`) and the reported
-approach and sup-norm rays.
+Emptiness (:func:`is_empty`) is decided first by Gordan's alternative on
+the recession cone: if d, the sum of the rays of C, has <alpha_i, d> < 0 on
+every row, then lambda d lies in the domain for lambda large enough.  Only
+when some row is an implicit equality of C, or C is not found within a
+budget of 4 m intermediate rays, does the simplex (:mod:`reinhardt.simplex`)
+decide it (:func:`interior_point`).  Otherwise the simplex computes what
+gets printed or pinned once finiteness is known: the value of a finite sup
+(:func:`lp_optimize`, also the Monte-Carlo bounding box :func:`radius_box`)
+and the reported approach and sup-norm rays.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import ReinhardtError
+from .errors import RayCapError, ReinhardtError
 from .hnf import integer_kernel_basis
 from .loglin import LogLin
 from .precision import working_precision
@@ -146,6 +151,12 @@ def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
 # the benchmark peak at 27, random bounded specs with n = 12 and m = 24 or 36
 # at about 2100 (1.4 s); past the cap a typed error names the row reached.
 _MAX_RAYS = 5_000
+# The parse-time budget of :func:`is_empty`, in intermediate rays per row.  On
+# 10 seeded random specs with n = 12 and m = 24 or 36 (seven of them empty,
+# which never need C), the LP alone parses each in 32-123 ms and the whole
+# cone first in 123-5488 ms; within 4 m rays each cone stops by row 15 after
+# 4-8 ms.  All 810 classify-stream inputs fit within 3 m.
+_PARSE_RAYS_PER_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -192,8 +203,8 @@ def _generator(v: list[int], lead: bool, d: Optional[int]) -> tuple[Scalar, ...]
 
 
 def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[list[int]],
-         tight: list[int], lead: list[bool], done: int, dim: int, d: Optional[int], what: str
-         ) -> tuple[list[list[int]], list[int], list[bool]]:
+         tight: list[int], lead: list[bool], done: int, dim: int, d: Optional[int], what: str,
+         cap: Optional[int] = None) -> tuple[list[list[int]], list[int], list[bool]]:
     """Cut span(lines) + cone(rays) by each <row, x> <= 0 in turn, one
     incremental double-description step per row (Fukuda & Prodon 1996).
 
@@ -206,8 +217,10 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
     rays it does not cut off and joins every adjacent pair it separates:
     two rays are adjacent iff no third ray is tight on every row both are
     tight on, which needs at least dim - 2 such rows.  Returns the rays,
-    their tight sets and their ``_lead_normal`` flags.
+    their tight sets and their ``_lead_normal`` flags; past ``cap``
+    (``_MAX_RAYS`` by default) rays raises :class:`RayCapError`.
     """
+    cap = _MAX_RAYS if cap is None else cap
     dot, sign, neg = linalg.ring(d)
     for i, row in rows:
         bit = 1 << i
@@ -243,16 +256,17 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
                     continue
                 joined, f = _lead_normal(linalg.combine(vals[p], rays[q], neg(vals[q]), rays[p], d), d)
                 kept.append((joined, common | bit, f))
-                if len(kept) > _MAX_RAYS:
-                    raise ReinhardtError(f"{what}: {len(kept)} intermediate rays at row {i}, "
-                                         f"past the cap of {_MAX_RAYS}")
+                if len(kept) > cap:
+                    raise RayCapError(f"{what}: {len(kept)} intermediate rays at row {i}, "
+                                      f"past the cap of {cap}")
         rays = [r for r, _, _ in kept]
         tight = [z for _, z, _ in kept]
         lead = [f for _, _, f in kept]
     return rays, tight, lead
 
 
-def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
+def recession_cone(rows: list[list[Scalar]], n: int, cap: Optional[int] = None
+                   ) -> RecessionCone:
     """Exact generators of {d in R^n : rows @ d <= 0} by incremental double
     description (Motzkin et al. 1953; Fukuda & Prodon 1996), in integers.
 
@@ -268,8 +282,8 @@ def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
     ray is held as an integer row that is a positive rational multiple of the
     vector the same steps give over the field, so its ``_scaled`` form, and
     the order of the rays, do not depend on the integer scalings.  Past
-    ``_MAX_RAYS`` intermediate rays a :class:`ReinhardtError` names the row
-    reached.
+    ``cap`` intermediate rays (``_MAX_RAYS`` by default) a
+    :class:`RayCapError` names the row reached.
     """
     d = linalg.field_of(rows)
     ints = [_lead_normal(linalg.cleared(r, d), d)[0] for r in rows]
@@ -290,7 +304,7 @@ def recession_cone(rows: list[list[Scalar]], n: int) -> RecessionCone:
     every = sum(1 << i for i in basis)
     tight = [every & ~(1 << i) for i in basis]
     rest = [(i, row) for i, row in enumerate(ints) if not every >> i & 1]
-    rays, tight, lead = _cut(rest, [], rays, tight, lead, every, k, d, "recession cone")
+    rays, tight, lead = _cut(rest, [], rays, tight, lead, every, k, d, "recession cone", cap)
     return RecessionCone(lineality=lineality,
                          rays=tuple(_generator(r, f, d) for r, f in zip(rays, lead)),
                          tight=tuple(tight))
@@ -476,11 +490,54 @@ def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
     return tuple((np.exp(np.array(logs)) * (1.0 + 1e-9)).tolist())
 
 
+def gordan_direction(poly: LogPolyhedron, cone: RecessionCone) -> Optional[list[Scalar]]:
+    """d = the sum of the rays of the recession cone ``cone`` of ``poly``
+    when <alpha_i, d> < 0 on every nonzero row and every zero row has c_i > 1,
+    else None.  Then x = lambda d is in the open system for every
+    lambda > max_i log(c_i) / <alpha_i, d>, whatever the thresholds are.
+
+    A nonzero row vanishes on the lineality and is <= 0 on every ray, so its
+    sign at d is negative unless it is zero on every ray: d fails exactly
+    when some row is an implicit equality of C (Gordan 1873).  Signs are
+    taken on integer rows, over Z or Z[sqrt d]."""
+    direction = [sum((r[j] for r in cone.rays), 0) for j in range(poly.n)]
+    d = linalg.field_of(poly.normals)
+    dot, sign, _ = linalg.ring(d)
+    ints = linalg.cleared(direction, d)
+    for alpha, c in zip(poly.normals, poly.offsets):
+        row = linalg.cleared(alpha, d)
+        if linalg.lead(row, d) is None:
+            if sign_of(c - 1) <= 0:
+                return None
+        elif sign(dot(row, ints)) >= 0:
+            return None
+    return direction
+
+
+def is_empty(poly: LogPolyhedron) -> bool:
+    """True iff the open system is empty: the emptiness decision of
+    :func:`reinhardt.domain.parse_spec`.
+
+    Nonempty when :func:`gordan_direction` finds a direction in the
+    recession cone, which is computed within a budget of
+    ``_PARSE_RAYS_PER_ROW`` intermediate rays per row and, when it finishes,
+    held as ``poly.recession``.  Otherwise, or past the budget, the LP of
+    :func:`interior_point` decides.  Only that LP can raise
+    :class:`BoundaryIndeterminate`.
+    """
+    cone = poly.recession_within(_PARSE_RAYS_PER_ROW * len(poly.normals))
+    if cone is not None and gordan_direction(poly, cone) is not None:
+        return False
+    return interior_point(poly) is None
+
+
 def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
     """A point of the open system, or None if the open system is empty.
 
     Decided as "the closed system is full-dimensional-feasible": the LP
     max t s.t. <alpha, x> + t <= log c, 0 <= t <= 1 must have optimum > 0.
+    :func:`is_empty` runs it only when Gordan's test on the recession cone
+    does not decide; callers that need a point call it directly.
     """
     n = poly.n
     rows, rhs = [], []

@@ -19,9 +19,9 @@ from itertools import combinations
 from numbers import Integral
 from typing import Optional, Sequence
 
-from .cones import (RecessionCone, Subspace, approach, approach_supports, interior_point,
+from .cones import (RecessionCone, Subspace, approach, approach_supports, is_empty,
                     lineality_space, radius_box, recession_cone)
-from .errors import EmptyDomainError, SpecError
+from .errors import EmptyDomainError, RayCapError, SpecError
 from .loglin import LogLin
 from .scalars import (Scalar, format_scalar, is_rational, is_square_free,
                       parse_scalar_literal, scalar_to_json, sign_of)
@@ -98,6 +98,18 @@ class LogPolyhedron:
     def recession(self) -> RecessionCone:
         """Exact generators of {d : <alpha_i, d> <= 0}."""
         return recession_cone([list(a) for a in self.normals], self.n)
+
+    def recession_within(self, cap: int) -> Optional[RecessionCone]:
+        """``recession``, computed now if its double description stays within
+        ``cap`` intermediate rays and then held; None past the cap, and
+        then nothing is held."""
+        if "recession" not in self.__dict__:
+            try:
+                cone = recession_cone([list(a) for a in self.normals], self.n, cap)
+            except RayCapError:
+                return None
+            self.__dict__.setdefault("recession", cone)
+        return self.recession
 
     @cached_property
     def approach_supports(self) -> tuple[frozenset[int], ...]:
@@ -216,7 +228,7 @@ def parse_spec(text: str) -> DomainSpec:
         constraints.append(MonomialConstraint(alpha, c))
     spec = DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=quad_d, raw_text=text)
     # reject empty open domains at load time
-    if interior_point(spec.log_polyhedron) is None:
+    if is_empty(spec.log_polyhedron):
         raise EmptyDomainError("the constraint system has an empty log-polyhedron")
     return spec
 

@@ -13,6 +13,10 @@ class EmptyDomainError(SpecError):
     """The constraint system describes an empty open domain."""
 
 
+class RayCapError(ReinhardtError):
+    """A double description went past its cap of intermediate rays."""
+
+
 class BoundaryIndeterminate(ReinhardtError):
     """A sign could not be resolved at the maximum working precision.
 

@@ -86,22 +86,24 @@ class _Tableau:
         self.m = len(a_rows)
         self.d = d
         self.slack0 = 2 * self.n
-        flips = [b.sign() < 0 for b in b_vals]
-        self.art_cols = list(range(2 * self.n + self.m, 2 * self.n + self.m + sum(flips)))
-        self.ncols = 2 * self.n + self.m + len(self.art_cols)
         self.bases = sorted({base for b in b_vals for base, _ in b.terms},
                             key=cmp_to_key(scalar_cmp))
         # the right-hand-side columns of log bases over their coprime base
         self.log_bases, self.columns = factor_bases(self.bases)
         self.logs: dict[int, list] = {}  # precision -> integer log bounds, as asked for
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
-        self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
-        arts = iter(self.art_cols)
-        for i, ((a, den_a), b, flip) in enumerate(zip(a_rows, b_vals, flips)):
+        b_rows = []  # each right-hand side cleared: (integer row, denominator)
+        for b in b_vals:
             rhs = [b.const] + [0] * len(self.bases)
             for base, coeff in b.terms:
                 rhs[slot[base]] = coeff
-            rhs, den_b = linalg.over_denominator(rhs, d)
+            b_rows.append(linalg.over_denominator(rhs, d))
+        flips = [self.form_sign(*b) < 0 for b in b_rows]
+        self.art_cols = list(range(2 * self.n + self.m, 2 * self.n + self.m + sum(flips)))
+        self.ncols = 2 * self.n + self.m + len(self.art_cols)
+        self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
+        arts = iter(self.art_cols)
+        for i, ((a, den_a), (rhs, den_b), flip) in enumerate(zip(a_rows, b_rows, flips)):
             den = math.lcm(den_a, den_b)
             # s [a | -a | e_i | b] over den, s = -1 on a flipped row, whose slack
             # sits at -1, unusable as basis: an artificial starts there at +1
@@ -134,6 +136,11 @@ class _Tableau:
 
     def objective_value(self) -> LogLin:
         return self.loglin(self.rhs(self.m))
+
+    def objective_sign(self) -> int:
+        """Sign of the objective value, on the reduced-cost row's integer
+        right-hand side over its positive denominator."""
+        return self.form_sign(linalg.tail(self.rows[self.m], self.ncols, self.d), self.den[self.m])
 
     def multipliers(self) -> tuple[Scalar, ...]:
         """Dual or Farkas multipliers: the reduced costs of the slacks."""
@@ -180,13 +187,13 @@ class _Tableau:
             vec = linalg.over(vec, a, d)
         return self.form_sign(vec)
 
-    def form_sign(self, vec: list[int]) -> int:
-        """Sign of the right-hand-side integer row ``vec`` over denominator 1,
-        decided on its integer exponents over the coprime base."""
+    def form_sign(self, vec: list[int], den: int = 1) -> int:
+        """Sign of the right-hand-side integer row ``vec`` over the positive
+        ``den``, decided on its integer exponents over the coprime base."""
         d = self.d
         return decide_sign(linalg.entry(vec, 0, d), linalg.sparse_products(vec, self.columns, d),
                            d, self.log_bases, self._log,
-                           lambda: repr(self.loglin(linalg.vector(vec, 1, d))))
+                           lambda: repr(self.loglin(linalg.vector(vec, den, d))), den)
 
     def _log(self, ctx, j: int) -> tuple[int, int]:
         """Integer bounds on 2^bits log(log_bases[j]), computed once per precision."""
@@ -243,7 +250,7 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
         phase1 = t.row(linalg.rational_row([0] * n, d), dict.fromkeys(t.art_cols, 1))
         if t.run(phase1, 1, frozen_cols=set()) is not None:
             raise ReinhardtError("phase I unbounded (internal error)")
-        if t.objective_value().sign() < 0:
+        if t.objective_sign() < 0:
             lam = t.multipliers()
             _check_farkas(rows, b_vals, lam, d)
             return LPCertificate(status=INFEASIBLE, farkas=lam)

@@ -17,6 +17,10 @@ from reinhardt.scalars import quad
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
+# floor((1/2)^sqrt2 2^110) / 2^110: with |z| < 1/2, the bound |z^sqrt2| < NEAR_TIE
+# puts the emptiness LP's ratio tests within about 2^-110 of a tie
+NEAR_TIE = Fraction(487055913352370060086506805660324, 2 ** 110)
+
 _acceptance_results: list[tuple[int, str, bool]] = []
 
 

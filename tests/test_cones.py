@@ -3,15 +3,15 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from conftest import random_spec, sample_interior_points
-from hypothesis import given, settings, strategies as st
+from conftest import NEAR_TIE, random_spec, sample_interior_points
+from hypothesis import example, given, settings, strategies as st
 
 from reinhardt import (DomainSpec, LogPolyhedron, MonomialConstraint,
                        RecessionCone, approach, approach_certificate, cones, has_finite_volume,
                        interior_point, is_bounded, is_rational_type, lineality_space,
                        lp_optimize, product_split, recession_contains, sup_norm_monomial)
 from reinhardt.cones import Subspace, integer_lattice_of
-from reinhardt.errors import ReinhardtError
+from reinhardt.errors import BoundaryIndeterminate, RayCapError, ReinhardtError
 from reinhardt.linalg import dot, rank
 from reinhardt.loglin import LogLin
 from reinhardt.scalars import quad, sign_of
@@ -305,3 +305,88 @@ def test_face_query_needs_a_bounded_functional(hartogs):
     poly = hartogs.log_polyhedron
     with pytest.raises(ValueError, match="recession cone"):
         cones.face_meets_halfspace(poly, [Fraction(-1), Fraction(0)], [Fraction(0), Fraction(0)])
+
+
+# -- emptiness: Gordan's test on the recession cone, else the LP ---------------
+
+@st.composite
+def emptiness_cases(draw):
+    """A half-space system over Z, Q(sqrt 2) or Q(sqrt 5) with n <= 4 and
+    m <= 8, thresholds p/q with p, q in 1..9: random rows, zero-form pairs
+    (a, c) and (-a, c'), zero rows, or only such pairs, so that C is its
+    lineality space."""
+    d = draw(st.sampled_from([None, 2, 5]))
+    n = draw(st.integers(1, 4))
+
+    def scalar():
+        a = draw(st.integers(-3, 3))
+        return Fraction(a) if d is None else quad(a, draw(st.integers(-2, 2)), d)
+
+    def threshold():
+        return Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+
+    m = draw(st.integers(0, 8))
+    only_pairs = draw(st.booleans())
+    rows = []
+    while len(rows) < m:
+        kind = "pair" if only_pairs else draw(st.sampled_from(["row", "row", "pair", "zero"]))
+        alpha = [Fraction(0)] * n if kind == "zero" else [scalar() for _ in range(n)]
+        rows.append((tuple(alpha), threshold()))
+        if kind == "pair":
+            rows.append((tuple(-x for x in alpha), threshold()))
+    rows = rows[:m]
+    return LogPolyhedron(n=n, normals=tuple(a for a, _ in rows), offsets=tuple(c for _, c in rows))
+
+
+def _emptiness(decide, poly):
+    """``decide(poly)``, or None when it raises BoundaryIndeterminate."""
+    try:
+        return decide(poly)
+    except BoundaryIndeterminate:
+        return None
+
+
+@settings(max_examples=200, deadline=10_000)
+@given(emptiness_cases())
+@example(LogPolyhedron(n=1, normals=((1,), (quad(0, 1, 2),)), offsets=(Fraction(1, 2), NEAR_TIE)))
+def test_is_empty_agrees_with_the_lp_and_gordan_is_sound(poly):
+    fresh = LogPolyhedron(n=poly.n, normals=poly.normals, offsets=poly.offsets)
+    got = _emptiness(cones.is_empty, fresh)
+    lp = _emptiness(lambda p: interior_point(p) is None, poly)
+    cone = poly.recession
+    direction = cones.gordan_direction(poly, cone)
+    if lp is not None:
+        assert got == lp
+    else:  # where the LP's ladder gives up, only Gordan's test may answer
+        assert got is None or (got is False and direction is not None)
+    # a cone held by is_empty is the whole cone, never a partial one
+    assert fresh.__dict__.get("recession", cone) == cone
+    if direction is None:
+        return
+    assert got is False
+    # lambda (-<alpha_i, d>) > |log c_i| on every nonzero row: c + 1/c bounds |log c|
+    lam = 1 + sum((c + 1 / c) / -dot(a, direction)
+                  for a, c in zip(poly.normals, poly.offsets) if any(sign_of(x) for x in a))
+    point = [LogLin.of(lam * x) for x in direction]
+    assert all(s.sign() > 0 for s in poly.half_space_slack(point))
+
+
+@pytest.mark.parametrize("slab", [None, (Fraction(1, 2), Fraction(3, 2)),
+                                  (Fraction(1, 2), Fraction(2))])
+def test_is_empty_past_the_parse_budget_uses_the_lp_and_holds_no_cone(slab):
+    # C = {|d_j| <= -d_7, j < 7} is the cone over a 6-cube, with 64 rays; its
+    # double description passes 4 m rays at row 11.  The slab rows, last,
+    # add |z_1| < c and |z_1^-1| < c', empty iff c c' <= 1.
+    n = 7
+    rows = [[s * (j == k) + (k == n - 1) for k in range(n)] for j in range(n - 1) for s in (1, -1)]
+    offsets = [Fraction(2)] * len(rows)
+    if slab is not None:
+        rows += [[int(k == 0) for k in range(n)], [-int(k == 0) for k in range(n)]]
+        offsets += list(slab)
+    with pytest.raises(RayCapError):
+        cones.recession_cone(rows, n, cones._PARSE_RAYS_PER_ROW * len(rows))
+    poly = LogPolyhedron(n=n, normals=tuple(map(tuple, rows)), offsets=tuple(offsets))
+    assert cones.is_empty(poly) is (interior_point(poly) is None)
+    assert cones.is_empty(poly) is (slab is not None and slab[0] * slab[1] <= 1)
+    assert "recession" not in poly.__dict__
+    assert poly.recession == cones.recession_cone(rows, n)

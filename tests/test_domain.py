@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SPEC_DIR
+import mpmath
+from conftest import NEAR_TIE, SPEC_DIR
 
 from reinhardt import (EmptyDomainError, SpecError, classify_all, contains, has_finite_volume,
                        is_bounded, parse_spec, radial, spectrum_box)
@@ -26,6 +27,21 @@ def test_parse_hartogs():
 def test_parse_unit_disc():
     spec = parse_spec('{"n":1,"constraints":[{"alpha":["1"],"c":"1"}]}')
     assert spec.n == 1
+
+
+def test_nonempty_spec_near_a_tie_parses_at_a_64_bit_cap(monkeypatch):
+    # |z| < 1/2 and |z^sqrt2| < (1/2)^sqrt2 - O(2^-110): C = {d <= 0} has the
+    # interior direction -1, so no LP runs, and the LP's near-tie ratio test
+    # would exhaust a 64-bit ladder (BoundaryIndeterminate, exit 3)
+    with mpmath.workprec(400):
+        assert NEAR_TIE == Fraction(int(mpmath.floor(2 ** (110 - mpmath.sqrt(2)))), 2 ** 110)
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    spec = parse_spec(json.dumps({"n": 1, "quadratic_d": 2, "constraints": [
+        {"alpha": ["1"], "c": "1/2"},
+        {"alpha": [{"a": "0", "b": "1"}], "c": f"{NEAR_TIE.numerator}/{NEAR_TIE.denominator}"}]}))
+    report = classify_all(spec)
+    assert report.flags["bounded"] is True
+    assert {v.value for v in report.verdicts.values()} == {"yes"}
 
 
 def test_parse_empty_polyhedron_rejected():
