@@ -261,6 +261,8 @@ def gauss_jordan(rows: list[list[int]], ncols: int, d: Optional[int],
     pivots: list[int] = []
     kept: list[int] = []
     for index, row in enumerate(rows):
+        if len(pivots) == ncols:  # full rank: every later row reduces to zero
+            break
         scale_num = scale_den = 1  # row = scale_num / scale_den times its true row
         for prow, c in zip(held, pivots):
             if row[c] or (d is not None and row[ncols + c]):
