@@ -4,9 +4,9 @@ import random
 import weakref
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-import mpmath
 from conftest import NEAR_TIE, SPEC_DIR
 
 from reinhardt import (EmptyDomainError, SpecError, classify_all, contains, has_finite_volume,
