@@ -87,6 +87,14 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
     ("witness_polydisc_k2_exterior5_5_j02",
      ["witness", "specs/polydisc.json", "--k", "2", "--exterior", "5,5", "--j0", "2",
       "--verify", "--json"]),
+    # frames with n = 3 and 4: the chains |z1| < |z2| < ... < |zn| < 1 of tests/specs/
+    ("witness_chain3_k2_exterior4_2_1_j01",
+     ["witness", "tests/specs/chain3.json", "--k", "2", "--exterior", "4,2,1", "--j0", "1",
+      "--verify", "--json"]),
+    ("norm_exact_chain4_nu1_0_2_0_p3_2",
+     ["norm", "tests/specs/chain4.json", "--nu", "1,0,2,0", "--p", "3/2", "--exact", "--json"]),
+    ("norm_exact_chain4_nu0_-2_0_0_p2",
+     ["norm", "tests/specs/chain4.json", "--nu", "0,-2,0,0", "--p", "2", "--exact", "--json"]),
     # exponents all 0: no pow in the block kernel, so the same bits on every CPU
     ("norm_mc_hartogs_nu0_0_p1",
      ["norm", "specs/hartogs.json", "--nu", "0,0", "--p", "1", "--mc", "--samples", "20000",
