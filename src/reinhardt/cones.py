@@ -312,9 +312,14 @@ def recession_cone(rows: list[list[Scalar]], n: int, cap: Optional[int] = None
 
 def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
                face: Optional[Sequence[Scalar]], what: str) -> list[Scalar]:
-    """``d`` after an exact check that it answers the query, else a typed error."""
+    """``d`` after an exact check that it answers the query, else a typed
+    error; its membership in C is read off the integer rows of the normals."""
+    field, rows = poly.integer_normals
+    dot, sign, _ = linalg.ring(field)
+    v = linalg.cleared(d, field)
     s = sign_of(linalg.dot(w, d))
-    if (all(sign_of(x) == 0 for x in d) or not recession_contains(poly, d)
+    if (all(sign_of(x) == 0 for x in d)
+            or any(sign(dot(a, v)) > 0 for a in rows)
             or s < 0 or (strict and s == 0)
             or (face is not None and sign_of(linalg.dot(face, d)) != 0)):
         raise ReinhardtError(f"{what}: generator {[str(x) for x in d]} fails its "

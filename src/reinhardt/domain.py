@@ -19,6 +19,7 @@ from itertools import combinations
 from numbers import Integral
 from typing import Optional, Sequence
 
+from . import linalg
 from .cones import (RecessionCone, Subspace, approach, approach_supports, is_empty,
                     lineality_space, radius_box, recession_cone)
 from .errors import EmptyDomainError, RayCapError, SpecError
@@ -110,6 +111,12 @@ class LogPolyhedron:
                 return None
             self.__dict__.setdefault("recession", cone)
         return self.recession
+
+    @cached_property
+    def integer_normals(self) -> tuple[Optional[int], tuple[list[int], ...]]:
+        """The d of the normals (None over Q) and their integer rows."""
+        d = linalg.field_of(self.normals)
+        return d, tuple(linalg.cleared(a, d) for a in self.normals)
 
     @cached_property
     def approach_supports(self) -> tuple[frozenset[int], ...]:
