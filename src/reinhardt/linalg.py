@@ -7,8 +7,9 @@ matters a row comes with a positive integer denominator: entry j is then
 ``(v[j] + v[k + j] sqrt d) / den``.  Ring elements (entries, multipliers)
 are ints over Z and ``(a, b)`` pairs for a + b sqrt(d) over Z[sqrt d].  Only
 this module reads that layout: the simplex tableau of
-:mod:`reinhardt.simplex` and the double description of :mod:`reinhardt.cones`
-work through its helpers.
+:mod:`reinhardt.simplex`, the double description of :mod:`reinhardt.cones`
+and the simplicial frames of :mod:`reinhardt.norms` (:func:`frame_inverse`,
+:func:`coordinates`) work through its helpers.
 
 Every query goes through one fraction-free Gauss-Jordan routine,
 :func:`gauss_jordan`.  Rows are added one at a time.  Each is reduced
@@ -26,13 +27,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import mul
 from typing import Optional
 
-from .scalars import QuadExt, Scalar, quadratic_sign
-
-Row = list  # list[Scalar]
-
+from .scalars import QuadExt, Scalar, quadratic_sign, sign_of
 
 def dot(u, v) -> Scalar:
     """Exact inner product; int vectors stay ints, which is much cheaper."""
@@ -318,7 +317,8 @@ def kernel_basis(rows, ncols: int) -> list[list[Scalar]]:
     return kernel_from(pivots, held, ncols, d)
 
 
-def inverse_rows(rows: list[list[int]], d: Optional[int]) -> list[list[int]] | None:
+def inverse_rows(rows: list[list[int]], d: Optional[int], det: Optional[list] = None
+                 ) -> list[list[int]] | None:
     """The rows of [A | A^-1] for a square integer matrix A, each times a
     positive integer (its entry on the diagonal of A), or None if singular."""
     n = len(rows)
@@ -326,36 +326,46 @@ def inverse_rows(rows: list[list[int]], d: Optional[int]) -> list[list[int]] | N
     for i, row in enumerate(rows):
         unit = [int(j == i) for j in range(n)]
         aug.append(row + unit if d is None else row[:n] + unit + row[n:] + [0] * n)
-    _, pivots, held = gauss_jordan(aug, 2 * n, d)
+    _, pivots, held = gauss_jordan(aug, 2 * n, d, det)
     if sorted(pivots) != list(range(n)):
         return None
     return [row for _, row in sorted(zip(pivots, held))]
 
 
-def invert(rows) -> list[Row] | None:
-    """Inverse of a square matrix, or None if singular: the inverse of the
-    cleared rows D A, times D."""
-    n = len(rows)
-    d = field_of(rows)
-    held = inverse_rows([cleared(r, d) for r in rows], d)
+def frame_inverse(rows, d: Optional[int]) -> tuple[list[list[int]], int, Scalar] | None:
+    """A^-1 of a square matrix A of scalars, as integer rows over one positive
+    denominator, and |det A|, or None if singular: one elimination of the
+    cleared rows D A beside the identity, and A^-1 = (D A)^-1 D."""
+    ints, dens = zip(*(over_denominator(r, d) for r in rows))
+    true_pivots: list[Scalar] = []
+    held = inverse_rows(list(ints), d, true_pivots)
     if held is None:
         return None
-    dens = [over_denominator(r, d)[1] for r in rows]
-    return [[scalar(row, n + j, row[i], d) * dens[j] for j in range(n)]
-            for i, row in enumerate(held)]
+    den = math.lcm(*(row[i] for i, row in enumerate(held)))
+    scales = [[den // row[i] * m for m in dens] for i, row in enumerate(held)]
+    inverse = [[x * y for x, y in zip(tail(row, len(rows), d), s if d is None else s + s)]
+               for row, s in zip(held, scales)]
+    g = math.gcd(den, *(x for row in inverse for x in row))
+    det = math.prod(true_pivots, start=Fraction(1)) / math.prod(dens)
+    return ([[x // g for x in row] for row in inverse], den // g,
+            det if sign_of(det) > 0 else -det)
 
 
-def determinant(rows) -> Scalar:
-    """The product of the true pivots over the scalings of the cleared rows,
-    signed by the order of the pivot columns."""
-    n = len(rows)
-    d = field_of(rows)
-    true_pivots: list[Scalar] = []
-    _, pivots, _ = gauss_jordan([cleared(r, d) for r in rows], n, d, true_pivots)
-    if len(pivots) < n:
-        return Fraction(0)
-    value: Scalar = Fraction(1)
-    for r, t in zip(rows, true_pivots):
-        value = value * t / over_denominator(r, d)[1]
-    inversions = sum(1 for i in range(n) for k in range(i + 1, n) if pivots[i] > pivots[k])
-    return -value if inversions % 2 else value
+def coordinates(x, rows: list[list[int]], den: int, d: Optional[int]) -> tuple[list[int], int]:
+    """A vector x over Q or Q(sqrt d) times the square matrix of the integer
+    rows ``rows`` over ``den > 0``, as an integer row over a denominator > 0."""
+    v, dx = over_denominator(x, d)
+    columns = list(zip(*rows))
+    if d is None:
+        return [sum(map(mul, v, c)) for c in columns], den * dx
+    k, dot = len(columns) // 2, ring(d)[0]
+    return row_of([dot(v, columns[j] + columns[k + j]) for j in range(k)], d), den * dx
+
+
+def largest_entry(rows: list[list[int]], den: int, d: Optional[int]) -> Scalar:
+    """The largest entry of nonempty integer rows over ``den > 0``, as a scalar."""
+    if d is None:
+        return Fraction(max(max(v) for v in rows), den)
+    best = max((entry(v, j, d) for v in rows for j in range(len(v) // 2)),
+               key=cmp_to_key(lambda x, y: quadratic_sign(x[0] - y[0], x[1] - y[1], d)))
+    return scalar(row_of([best], d), 0, den, d)

@@ -10,7 +10,8 @@ independent constraints has the closed form
     (2 pi)^n * prod_j c_j^{t_j} / (|det A| * prod_j t_j),   t = coords of
     p*nu + 2*1 in the basis of the constraint normals,
 
-finite exactly when every t_j > 0.  Values are carried symbolically
+finite exactly when every t_j > 0; t is a row of integer dot products with
+A^-1, which a frame holds as integer rows.  Values are carried symbolically
 (rational coefficient, power of pi, leftover threshold powers) and only
 interval-evaluated for display.  Non-simplicial exact values are out of
 scope; finiteness stays exact everywhere and values go through Monte Carlo.
@@ -18,9 +19,9 @@ scope; finiteness stays exact everywhere and values go through Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import product
 from typing import Optional, Sequence
 
@@ -36,12 +37,15 @@ from .scalars import Scalar, format_scalar, is_rational, scalar_cmp, sign_of
 
 @dataclass(frozen=True)
 class SimplicialFrame:
-    """Exactly n independent constraints |z^alpha_j| < c_j with invertible A."""
+    """Exactly n independent constraints |z^alpha_j| < c_j with invertible A,
+    whose inverse is held as integer rows over the positive integer ``den``."""
 
     normals: tuple[tuple[Scalar, ...], ...]
     thresholds: tuple[Scalar, ...]
-    b_matrix: tuple[tuple[Scalar, ...], ...]  # inverse of the normal matrix
     det_abs: Scalar
+    inverse: tuple[list[int], ...] = field(repr=False, compare=False)
+    den: int = field(repr=False, compare=False)
+    quadratic_d: Optional[int] = field(repr=False, compare=False)
 
     @staticmethod
     def from_rows(normals: Sequence[Sequence[Scalar]], thresholds: Sequence[Scalar]
@@ -49,17 +53,12 @@ class SimplicialFrame:
         n = len(normals)
         if any(len(a) != n for a in normals):
             raise SpecError("a simplicial frame needs exactly n constraints in dimension n")
-        rows = [list(a) for a in normals]
-        det = linalg.determinant(rows)
-        if sign_of(det) == 0:
+        d = linalg.field_of(normals)
+        inverse = linalg.frame_inverse(normals, d)
+        if inverse is None:
             raise SpecError("frame normals are linearly dependent")
-        inv = linalg.invert(rows)
-        return SimplicialFrame(
-            normals=tuple(normals),
-            thresholds=tuple(thresholds),
-            b_matrix=tuple(tuple(r) for r in inv),
-            det_abs=det if sign_of(det) > 0 else -det,
-        )
+        rows, den, det_abs = inverse
+        return SimplicialFrame(tuple(normals), tuple(thresholds), det_abs, tuple(rows), den, d)
 
     @staticmethod
     def from_spec(spec: DomainSpec, rows: Optional[Sequence[int]] = None) -> "SimplicialFrame":
@@ -69,27 +68,43 @@ class SimplicialFrame:
         chosen = [spec.constraints[i] for i in rows]
         if len(chosen) != spec.n:
             raise SpecError(f"need exactly {spec.n} constraints for a frame, got {len(chosen)}")
-        return SimplicialFrame.from_rows([c.alpha for c in chosen], [c.c for c in chosen])
+        frame = SimplicialFrame.from_rows([c.alpha for c in chosen], [c.c for c in chosen])
+        poly = spec.log_polyhedron
+        if poly.normals == frame.normals and poly.offsets == frame.thresholds:
+            frame.__dict__["polyhedron"] = poly  # the same system: share its derived geometry
+        return frame
 
     @property
     def n(self) -> int:
         return len(self.normals)
 
+    @cached_property
+    def b_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The inverse of the normal matrix, as scalars."""
+        return tuple(tuple(linalg.vector(row, self.den, self.quadratic_d))
+                     for row in self.inverse)
+
+    def coordinates(self, x: Sequence[Scalar]) -> tuple[list[int], int]:
+        """Coordinates t with x = sum_j t_j * alpha_j, as an integer row over a
+        positive denominator, which is ``den`` when x is an integer vector."""
+        return linalg.coordinates(x, self.inverse, self.den, self.quadratic_d)
+
     def basis_coords(self, x: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Coordinates t with x = sum_j t_j * alpha_j (row-vector times B)."""
-        return tuple(linalg.dot(x, [row[j] for row in self.b_matrix]) for j in range(self.n))
+        return tuple(linalg.vector(*self.coordinates(x), self.quadratic_d))
 
     def rescaled_to_unit(self) -> tuple["SimplicialFrame", tuple[LogLin, ...]]:
         """Frame with thresholds 1 plus the log-coordinates of the rescaling."""
-        ones = tuple(Fraction(1) for _ in range(self.n))
-        unit = SimplicialFrame(self.normals, ones, self.b_matrix, self.det_abs)
+        unit = replace(self, thresholds=tuple(Fraction(1) for _ in range(self.n)))
         shift = tuple(
             sum((LogLin.log_of(c, self.b_matrix[j][ell]) for ell, c in enumerate(self.thresholds)
                  if scalar_cmp(c, 1) != 0), LogLin.zero())
             for j in range(self.n))
         return unit, shift
 
+    @cached_property
     def polyhedron(self) -> LogPolyhedron:
+        """The log-polyhedron of the frame's constraints, built on first use."""
         return LogPolyhedron(n=self.n, normals=self.normals, offsets=self.thresholds)
 
 
@@ -202,16 +217,16 @@ def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> No
     p = Fraction(p)
     if p < 1:
         raise ValueError("p must be a rational >= 1")
-    n = frame.n
-    w = [p * c + 2 for c in integer_exponents(nu)]
-    coords = frame.basis_coords(w)
-    for j, t in enumerate(coords):
-        if sign_of(t) <= 0:
+    n, d = frame.n, frame.quadratic_d
+    t, den = frame.coordinates([p * c + 2 for c in integer_exponents(nu)])
+    for j in range(n):
+        if linalg.entry_sign(t, j, d) <= 0:
             ray = tuple(-frame.b_matrix[ell][j] for ell in range(n))
             return NormResult(kind="infinite", ray=ray)
+    coords = linalg.vector(t, den, d)
     denom: Scalar = frame.det_abs
-    for t in coords:
-        denom = denom * t
+    for x in coords:
+        denom = denom * x
     coeff = Fraction(2) ** n / denom
     return make_exact_norm(coeff, n, list(zip(frame.thresholds, coords)))
 

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from mpmath import libmp
 
+from . import linalg
 from .domain import RadialPoint, integer_exponents
 from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
 from .loglin import EXACT_PRODUCT_BITS, product_bits
@@ -109,19 +110,13 @@ def compute_n0(frame: SimplicialFrame, k: int) -> tuple[N0Result, int]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = frame.n
-    two = [Fraction(2)] * n
-    coords_two = frame.basis_coords(two)
-    shift_max: Scalar = Fraction(0)
-    log_branch_max: Optional[Scalar] = None
-    for sigma in derivative_orders(n, k + 1):
-        coords = frame.basis_coords([Fraction(s) for s in sigma])
-        for j in range(n):
-            if scalar_cmp(coords[j], shift_max) > 0:
-                shift_max = coords[j]
-            cand = coords[j] - coords_two[j]
-            if log_branch_max is None or scalar_cmp(cand, log_branch_max) > 0:
-                log_branch_max = cand
+    n, d = frame.n, frame.quadratic_d
+    # coords() is linear and the sigma with |sigma| <= k + 1 fill the simplex
+    # with vertices 0 and (k + 1) e_i, so both maxima are taken at its vertices
+    vertices = [[0] * n] + [[(k + 1) * (i == ell) for ell in range(n)] for i in range(n)]
+    shift_max = linalg.largest_entry([frame.coordinates(s)[0] for s in vertices], frame.den, d)
+    log_branch_max = linalg.largest_entry(
+        [frame.coordinates([x - 2 for x in s])[0] for s in vertices], frame.den, d)
     result = N0Result(shift_max=shift_max, log_branch_max=log_branch_max,
                       det_abs=frame.det_abs, n=n)
     return result, max(1, result.ceil())
@@ -228,8 +223,8 @@ def build_witness(wspec: WitnessSpec) -> WitnessFunction:
         raise SpecError(f"|b^alpha_j0| = {format_scalar(d)} must exceed 1")
     n0, big_n = compute_n0(frame, wspec.k)
     alpha_sum = tuple(sum(a[ell] for a in normals) for ell in range(frame.n))
-    coords = frame.basis_coords([Fraction(a) for a in alpha_sum])
-    if any(scalar_cmp(t, 1) != 0 for t in coords):
+    coords, den = frame.coordinates(alpha_sum)
+    if coords != linalg.rational_row([den] * frame.n, frame.quadratic_d):
         raise ReinhardtError("row-sum identity failed: coords(alpha) != 1 (internal)")
     return WitnessFunction(frame=frame, N=big_n, alpha_sum=alpha_sum, j0=wspec.j0,
                            d=d, k=wspec.k, n0=n0)
@@ -387,18 +382,16 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
         raise SpecError("membership verification expects unit thresholds")
     d = w.d_float
     # each approach support is approachable and every approachable set is a union of them
-    axis_coords = sorted(frozenset().union(*frame.polyhedron().approach_supports))
+    axis_coords = sorted(frozenset().union(*frame.polyhedron.approach_supports))
     checks = []
     for sigma in derivative_orders(n, k):
         nu = tuple(w.N * a - s for a, s in zip(w.alpha_sum, sigma))
-        coords_nu = frame.basis_coords(nu)
-        sup_ok = all(sign_of(t) >= 0 for t in coords_nu)
-        vanish_ok = True
-        for ell in axis_coords:
-            shifted = list(nu)
-            shifted[ell] -= 1
-            if any(sign_of(t) < 0 for t in frame.basis_coords(shifted)):
-                vanish_ok = False
+        coords = frame.coordinates(nu)[0]
+        # coords(nu - e_ell) = coords(nu) - row ell of the inverse, over the same den
+        rows = [coords] + [[x - y for x, y in zip(coords, frame.inverse[ell])]
+                           for ell in axis_coords]
+        ok = [all(linalg.entry_sign(v, j, frame.quadratic_d) >= 0 for j in range(n)) for v in rows]
+        sup_ok, vanish_ok = ok[0], all(ok[1:])
         for p in p_list:
             norm = lp_norm_exact_simplicial(frame, nu, p)
             le_one = norm.kind == "exact" and _norm_sign_vs_one(norm) <= 0

@@ -8,15 +8,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
-from reinhardt import (SimplicialFrame, exponents, find_integrable_monomial,
+from reinhardt import (SimplicialFrame, compute_n0, exponents, find_integrable_monomial,
                        lp_norm_exact_simplicial, lp_norm_finite, norms, sup_norm_monomial)
 from reinhardt.domain import parse_spec
-from reinhardt.errors import ReinhardtError
+from reinhardt.errors import ReinhardtError, SpecError
 from reinhardt.loglin import LogLin
-from reinhardt.scalars import sign_of
+from reinhardt.scalars import quad, scalar_cmp, sign_of
+from reinhardt.witness import N0Result, derivative_orders
 from reinhardt.simplex import OPTIMAL, UNBOUNDED, LPCertificate
 
 
@@ -214,3 +215,104 @@ def test_sup_norm_rejects_unexpected_lp_answers(monkeypatch, polydisc):
     monkeypatch.setattr(norms, "recession_improving_direction", lambda *_args: None)
     with pytest.raises(ReinhardtError, match="disagrees with the recession generators"):
         sup_norm_monomial(polydisc, exponents(-1, 0))
+
+
+# -- frames against a Fraction oracle ------------------------------------------
+
+def oracle_coords(a, x):
+    """t with t A = x, by plain Gaussian elimination on the scalars of A^T | x,
+    and |det A|: the oracle for the integer coordinates of a frame."""
+    n = len(a)
+    m = [[a[j][i] for j in range(n)] + [x[i]] for i in range(n)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if sign_of(m[r][c]) != 0), None)
+        if pivot is None:
+            return None, 0
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(n):
+            if r != c and sign_of(m[r][c]) != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [u - f * v for u, v in zip(m[r], m[c])]
+    det = Fraction(1)
+    for i in range(n):
+        det = det * m[i][i]
+    return [m[i][n] / m[i][i] for i in range(n)], (det if sign_of(det) > 0 else -det)
+
+
+def oracle_norm(a, thresholds, nu, p) -> norms.NormResult:
+    n = len(a)
+    t, det_abs = oracle_coords(a, [p * c + 2 for c in nu])
+    for j in range(n):
+        if sign_of(t[j]) <= 0:
+            column = [oracle_coords(a, [int(i == ell) for i in range(n)])[0][j]
+                      for ell in range(n)]
+            return norms.NormResult(kind="infinite", ray=tuple(-x for x in column))
+    denom = det_abs
+    for x in t:
+        denom = denom * x
+    return norms.make_exact_norm(Fraction(2) ** n / denom, n, list(zip(thresholds, t)))
+
+
+def oracle_n0(a, k) -> N0Result:
+    """Both maxima of the N0 threshold over every sigma with |sigma| <= k + 1."""
+    n = len(a)
+    two, det_abs = oracle_coords(a, [2] * n)
+    shift_max, log_branch_max = Fraction(0), None
+    for sigma in derivative_orders(n, k + 1):
+        coords = oracle_coords(a, list(sigma))[0]
+        for j in range(n):
+            if scalar_cmp(coords[j], shift_max) > 0:
+                shift_max = coords[j]
+            cand = coords[j] - two[j]
+            if log_branch_max is None or scalar_cmp(cand, log_branch_max) > 0:
+                log_branch_max = cand
+    return N0Result(shift_max=shift_max, log_branch_max=log_branch_max, det_abs=det_abs, n=n)
+
+
+@settings(max_examples=60, deadline=3000)
+@given(st.integers(1, 4), st.sampled_from([None, 2, 3, 5]), st.data())
+def test_frame_matches_fraction_oracle(n, d, data):
+    """Integer coordinates, exact norms and N0 on random invertible frames
+    with integer normals, and with normals over Q(sqrt d) whose entries have
+    denominators, against plain Gaussian elimination on the scalars."""
+    small = st.integers(-3, 3)
+
+    def entry():
+        if d is None:
+            return Fraction(data.draw(small))
+        return quad(Fraction(data.draw(small), data.draw(st.integers(1, 2))),
+                    Fraction(data.draw(small), data.draw(st.integers(1, 2))), d)
+
+    a = [[entry() for _ in range(n)] for _ in range(n)]
+    assume(oracle_coords(a, [0] * n)[1] != 0)
+    thresholds = [Fraction(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+                  for _ in range(n)]
+    frame = SimplicialFrame.from_rows(a, thresholds)
+    x = [Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 3))) for _ in range(n)]
+    t, det_abs = oracle_coords(a, x)
+    assert frame.basis_coords(x) == tuple(t) and frame.det_abs == det_abs
+    nu = [data.draw(small) for _ in range(n)]
+    p = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+    assert lp_norm_exact_simplicial(frame, nu, p) == oracle_norm(a, thresholds, nu, p)
+    k = data.draw(st.integers(0, 2))
+    assert compute_n0(frame, k)[0] == oracle_n0(a, k)
+
+
+def test_irrational_slope_rows_as_frames(irrational_slope):
+    """The gallery's Q(sqrt 2) rows are dependent, (-1, -sqrt 2) = -(1, sqrt 2),
+    so they make no frame; its first row with |z2| < 2 makes one."""
+    with pytest.raises(SpecError, match="linearly dependent"):
+        SimplicialFrame.from_spec(irrational_slope)
+    s = quad(0, 1, 2)
+    frame = SimplicialFrame.from_rows([irrational_slope.constraints[0].alpha, exponents(0, 1)],
+                                      [Fraction(1), Fraction(2)])
+    assert frame.det_abs == 1 and frame.b_matrix == ((1, -s), (0, 1))
+    assert frame.basis_coords([Fraction(1, 2), Fraction(3)]) == (Fraction(1, 2), 3 - s / 2)
+    # t = (2, 2 - 2 sqrt 2): the volume is infinite along minus column 2 of A^-1
+    assert lp_norm_exact_simplicial(frame, (0, 0), 1) == norms.NormResult(kind="infinite",
+                                                                          ray=(s, -1))
+    # t = (2, 5 - 2 sqrt 2): (2 pi)^2 2^(5 - 2 sqrt 2) / (2 (5 - 2 sqrt 2))
+    assert lp_norm_exact_simplicial(frame, (0, 3), 1).symbolic() == \
+        "(10/17+4/17*sqrt(2))*pi^2*(2)^(5-2*sqrt(2))"
+    assert compute_n0(frame, 1)[0] == N0Result(shift_max=Fraction(2), log_branch_max=2 * s,
+                                               det_abs=Fraction(1), n=2)
