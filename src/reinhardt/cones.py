@@ -312,8 +312,7 @@ def recession_cone(rows: list[list[Scalar]], n: int, cap: Optional[int] = None
 
 def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
                face: Optional[Sequence[Scalar]], what: str) -> list[Scalar]:
-    """``d`` after an exact check that it answers the query, else a typed
-    error; its membership in C is read off the integer rows of the normals."""
+    """``d`` after an exact integer check that it answers the query, else a typed error."""
     field, rows = poly.integer_normals
     dot, sign, _ = linalg.ring(field)
     v = linalg.cleared(d, field)

@@ -33,6 +33,7 @@ from typing import Optional
 
 from .scalars import QuadExt, Scalar, quadratic_sign, sign_of
 
+
 def dot(u, v) -> Scalar:
     """Exact inner product; int vectors stay ints, which is much cheaper."""
     return sum((a * b for a, b in zip(u, v)), 0)
