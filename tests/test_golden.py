@@ -95,6 +95,9 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
      ["norm", "tests/specs/chain4.json", "--nu", "1,0,2,0", "--p", "3/2", "--exact", "--json"]),
     ("norm_exact_chain4_nu0_-2_0_0_p2",
      ["norm", "tests/specs/chain4.json", "--nu", "0,-2,0,0", "--p", "2", "--exact", "--json"]),
+    # n = 3 with a plane of lineality: the order of a two-vector lattice and basis
+    ("classify_plane3", ["classify", "tests/specs/plane3.json", "--json"]),
+    ("classify_irrational_plane3", ["classify", "tests/specs/irrational_plane3.json", "--json"]),
     # exponents all 0: no pow in the block kernel, so the same bits on every CPU
     ("norm_mc_hartogs_nu0_0_p1",
      ["norm", "specs/hartogs.json", "--nu", "0,0", "--p", "1", "--mc", "--samples", "20000",
