@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cones import (approach_certificate, has_finite_volume, integer_lattice_of, is_bounded,
-                    product_split)
+from .cones import approach_certificate, has_finite_volume, is_bounded, product_split
 from .domain import DomainSpec
 from .errors import ReinhardtError
 from .scalars import scalar_to_json, sign_of
@@ -69,15 +68,15 @@ def _vector_json(vec) -> list:
 def classify_hinf(spec: DomainSpec) -> Verdict:
     """Bounded holomorphic functions see every boundary point iff the
     lineality space of the log-domain has an integer basis."""
-    lin = spec.log_polyhedron.lineality
-    lattice = integer_lattice_of(lin)
-    if len(lattice) == lin.dim:
+    poly = spec.log_polyhedron
+    lin, lattice = poly.lineality, poly.integer_lattice
+    if len(lattice) == len(lin):
         return Verdict(YES, "lineality-rational-type", {
-            "lineality_dim": lin.dim,
+            "lineality_dim": len(lin),
             "integer_lattice_basis": [list(v) for v in lattice]})
     return Verdict(NO, "lineality-irrational", {
-        "lineality_dim": lin.dim,
-        "lineality_basis": [_vector_json(v) for v in lin.basis],
+        "lineality_dim": len(lin),
+        "lineality_basis": [_vector_json(v) for v in lin],
         "integer_rank": len(lattice)})
 
 
@@ -88,11 +87,11 @@ def classify_l2(spec: DomainSpec) -> Verdict:
         return Verdict(NOT_APPLICABLE, "whole-space",
                        {"note": "no constraints: the domain is all of C^n"})
     lin = spec.log_polyhedron.lineality
-    if lin.dim == 0:
+    if not lin:
         return Verdict(YES, "lineality-zero", {})
     return Verdict(NO, "lineality-positive-dim", {
-        "lineality_dim": lin.dim,
-        "lineality_vector": _vector_json(lin.basis[0])})
+        "lineality_dim": len(lin),
+        "lineality_vector": _vector_json(lin[0])})
 
 
 def classify_lp_ak(spec: DomainSpec, k: Optional[int] = None) -> Verdict:
@@ -101,11 +100,11 @@ def classify_lp_ak(spec: DomainSpec, k: Optional[int] = None) -> Verdict:
         return Verdict(NO, "not-proper-subset",
                        {"note": "the domain is all of C^n"})
     lin = spec.log_polyhedron.lineality
-    if lin.dim == 0:
+    if not lin:
         return Verdict(YES, "lineality-zero-proper-subset", {"uniform_in_k": True})
     return Verdict(NO, "lineality-positive-dim", {
-        "lineality_dim": lin.dim,
-        "lineality_vector": _vector_json(lin.basis[0])})
+        "lineality_dim": len(lin),
+        "lineality_vector": _vector_json(lin[0])})
 
 
 def classify_ainf(spec: DomainSpec) -> Verdict:
@@ -155,9 +154,9 @@ def classify_hinf_k(spec: DomainSpec, k: Optional[int] = None) -> Verdict:
     untouched = [j + 1 for j in range(spec.n)
                  if all(sign_of(con.alpha[j]) == 0 for con in spec.constraints)]
     return Verdict(NO, "free-coords-vs-lineality", {
-        "lineality_dim": lin.dim,
+        "lineality_dim": len(lin),
         "untouched_coords": untouched,
-        "lineality_vector": _vector_json(lin.basis[0]) if lin.basis else None})
+        "lineality_vector": _vector_json(lin[0]) if lin else None})
 
 
 def classify_all(spec: DomainSpec) -> ClassificationReport:

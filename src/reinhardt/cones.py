@@ -1,5 +1,5 @@
-"""Exact geometry of the log-polyhedron: emptiness, lineality, recession,
-axis approach.
+"""Exact geometry of the log-polyhedron: emptiness, recession, axis
+approach, integer lattices and product splits.
 
 Everything in this module decides questions about the normal cone structure
 of a half-space system ``<alpha_i, x> < log(c_i)``.  With the exception of
@@ -8,24 +8,27 @@ of a half-space system ``<alpha_i, x> < log(c_i)``.  With the exception of
 normals only and are therefore fully exact field computations.
 
 The recession cone C = {d : <alpha_i, d> <= 0} is computed by double
-description in integers (:func:`recession_cone`), as a lineality basis plus
-the extreme rays of its pointed part.  Its initial simplicial cone comes
-from one fraction-free elimination of the Gram matrix of a row basis (the
-integer adjugate, up to positive factors), and lines and rays are integer
-rows, over Z[sqrt d] pairs of them, kept primitive.  These generators are the
-only owner of finiteness: whether a sup is finite, whether the domain is
-bounded or has finite volume, and whether an integral converges are sign
-tests of dot products against them (:func:`recession_meets_halfspace`,
+description in integers (:func:`recession_cone`), as the lineality basis of
+the polyhedron plus the extreme rays of its pointed part.  It starts from
+the rows kept by the polyhedron's elimination of the integer rows of its
+normals: its initial simplicial cone comes from one fraction-free
+elimination of their Gram matrix (the integer adjugate, up to positive
+factors), and lines and rays are integer rows, over Z[sqrt d] pairs of
+them, kept primitive.  These generators are the only owner of finiteness:
+whether a sup is finite, whether the domain is bounded or has finite
+volume, and whether an integral converges are sign tests of dot products
+against them (:func:`recession_meets_halfspace`,
 :func:`unbounded_direction`, :func:`face_meets_halfspace`,
 :func:`is_bounded`, :func:`has_finite_volume`), and every direction they
-return is re-checked exactly before it is returned.  Axis approach is read
-off the ray supports of the approach cone K = C ∩ {d <= 0}
-(:func:`approach`), which the same double description gets by going on from
-the generators of C with the n unit rows: a unit row that meets a line of C
-turns it into a ray.  Past a cap of intermediate rays (``_MAX_RAYS``
-unless the caller gives one) either cone raises :class:`RayCapError`.  The
-functions here keep no memo: ``LogPolyhedron`` computes each derived object
-on first use and holds it for its own lifetime.
+return passes :func:`recession_contains` on the same integer rows.  Axis
+approach is read off the ray supports of the approach cone
+K = C ∩ {d <= 0} (:func:`approach`), which the same double description
+gets by going on from the generators of C with the n unit rows: a unit row
+that meets a line of C turns it into a ray.  Past a cap of intermediate
+rays (``_MAX_RAYS`` unless the caller gives one) either cone raises
+:class:`RayCapError`.  The functions here keep no memo: ``LogPolyhedron``
+computes each derived object on first use and holds it for its own
+lifetime.
 
 Emptiness (:func:`is_empty`) is decided first by Gordan's alternative on
 the recession cone: if d, the sum of the rays of C, has <alpha_i, d> < 0 on
@@ -59,22 +62,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class Subspace:
-    """Exact basis of a linear subspace of R^n (entries in the scalar field)."""
-
-    ambient_n: int
-    basis: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        if self.basis and linalg.rank([list(v) for v in self.basis]) != len(self.basis):
-            raise ValueError("subspace basis vectors must be linearly independent")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
 class ProductSplit:
     """Partition of coordinates into a constrained factor and a free factor."""
 
@@ -86,19 +73,12 @@ class ProductSplit:
         return len(self.bounded_coords)
 
 
-def lineality_space(poly: LogPolyhedron) -> Subspace:
-    """Common kernel of the constraint normals (= rec(P) lines, P nonempty)."""
-    rows = [list(a) for a in poly.normals]
-    basis = linalg.kernel_basis(rows, poly.n)
-    return Subspace(ambient_n=poly.n, basis=tuple(tuple(v) for v in basis))
-
-
-def integer_lattice_of(subspace: Subspace) -> list[list[int]]:
-    """Lattice basis of subspace ∩ Z^n via Hermite normal form."""
-    if subspace.dim == 0:
+def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[int]]:
+    """Lattice basis of span(basis) ∩ Z^n via Hermite normal form, for a
+    linearly independent ``basis`` of vectors in R^n."""
+    if not basis:
         return []
-    n = subspace.ambient_n
-    perp = linalg.kernel_basis([list(v) for v in subspace.basis], n)
+    perp = linalg.kernel_basis([list(v) for v in basis], n)
     if not perp:
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     rows = []  # rational and sqrt(d) halves as separate rows: same integer solutions
@@ -108,13 +88,19 @@ def integer_lattice_of(subspace: Subspace) -> list[list[int]]:
     return integer_kernel_basis([linalg.cleared(row, None) for row in rows])
 
 
-def is_rational_type(subspace: Subspace) -> bool:
-    """True iff the subspace is spanned by its integer points."""
-    return len(integer_lattice_of(subspace)) == subspace.dim
-
-
 def recession_contains(poly: LogPolyhedron, direction: Sequence[Scalar]) -> bool:
-    return all(sign_of(linalg.dot(a, direction)) <= 0 for a in poly.normals)
+    """True iff <alpha_i, direction> <= 0 for every normal: ring signs on the
+    integer rows of the normals, over Z[sqrt d] when the normals or the
+    direction are irrational."""
+    field, rows = poly.integer_normals
+    d = linalg.field_of([direction]) or field
+    if d != field:
+        if field is not None:
+            raise ValueError(f"mixed quadratic fields: sqrt({field}) vs sqrt({d})")
+        rows = [linalg.rational_row(a, d) for a in rows]
+    dot, sign, _ = linalg.ring(d)
+    v = linalg.cleared(direction, d)
+    return all(sign(dot(a, v)) <= 0 for a in rows)
 
 
 def require_optimal(cert: LPCertificate, what: str) -> None:
@@ -265,30 +251,29 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
     return rays, tight, lead
 
 
-def recession_cone(rows: list[list[Scalar]], n: int, cap: Optional[int] = None
-                   ) -> RecessionCone:
-    """Exact generators of {d in R^n : rows @ d <= 0} by incremental double
-    description (Motzkin et al. 1953; Fukuda & Prodon 1996), in integers.
+def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionCone:
+    """Exact generators of C = {d in R^n : <alpha_i, d> <= 0} by incremental
+    double description (Motzkin et al. 1953; Fukuda & Prodon 1996), in
+    integers.
 
-    The rows (all nonzero) are held as integer rows of their ``_scaled``
-    forms, which leaves the cone as it is.  One fraction-free elimination
-    (:func:`linalg.gauss_jordan`) gives the first maximal independent set B
-    of them, which spans L^perp, and the kernel L.  The cone
-    {d in L^perp : B d <= 0} is simplicial with the rays -B^T (B B^T)^-1 e_j.
-    The rows of (B B^T)^-1, each up to a positive factor, come from the same
-    elimination of the integer Gram matrix beside the identity
-    (:func:`linalg.inverse_rows`): they are the rows of its adjugate up to
-    positive factors.  The other rows are then added by :func:`_cut`.  Every
-    ray is held as an integer row that is a positive rational multiple of the
-    vector the same steps give over the field, so its ``_scaled`` form, and
-    the order of the rays, do not depend on the integer scalings.  Past
-    ``cap`` intermediate rays (``_MAX_RAYS`` by default) a
-    :class:`RayCapError` names the row reached.
+    It reads what ``poly`` holds: the integer rows of its normals, positive
+    multiples of them that leave the cone as it is, and their one
+    fraction-free elimination (:func:`linalg.gauss_jordan`), whose kept rows
+    are the first maximal independent set B, which spans L^perp, and whose
+    kernel is the lineality L.  The cone {d in L^perp : B d <= 0} is
+    simplicial with the rays -B^T (B B^T)^-1 e_j.  The rows of (B B^T)^-1,
+    each up to a positive factor, come from an elimination of the integer
+    Gram matrix beside the identity (:func:`linalg.inverse_rows`): they are
+    the rows of its adjugate up to positive factors.  The other rows are then
+    added by :func:`_cut`.  Every ray is held as an integer row that is a
+    positive rational multiple of the vector the same steps give over the
+    field, so its ``_scaled`` form, and the order of the rays, do not depend
+    on the integer scalings.  Past ``cap`` intermediate rays (``_MAX_RAYS``
+    by default) a :class:`RayCapError` names the row reached.
     """
-    d = linalg.field_of(rows)
-    ints = [_lead_normal(linalg.cleared(r, d), d)[0] for r in rows]
-    basis, pivots, reduced = linalg.gauss_jordan(ints, n, d)
-    lineality = tuple(_scaled(v) for v in linalg.kernel_from(pivots, reduced, n, d))
+    d, ints = poly.integer_normals
+    basis = poly.elimination[0]
+    lineality = tuple(_scaled(v) for v in poly.lineality)
     k = len(basis)
     b_rows = [ints[i] for i in basis]
     dot = linalg.ring(d)[0]
@@ -313,12 +298,9 @@ def recession_cone(rows: list[list[Scalar]], n: int, cap: Optional[int] = None
 def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
                face: Optional[Sequence[Scalar]], what: str) -> list[Scalar]:
     """``d`` after an exact integer check that it answers the query, else a typed error."""
-    field, rows = poly.integer_normals
-    dot, sign, _ = linalg.ring(field)
-    v = linalg.cleared(d, field)
     s = sign_of(linalg.dot(w, d))
     if (all(sign_of(x) == 0 for x in d)
-            or any(sign(dot(a, v)) > 0 for a in rows)
+            or not recession_contains(poly, d)
             or s < 0 or (strict and s == 0)
             or (face is not None and sign_of(linalg.dot(face, d)) != 0)):
         raise ReinhardtError(f"{what}: generator {[str(x) for x in d]} fails its "
@@ -437,7 +419,7 @@ def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
     """
     cone = poly.recession
     n, m = poly.n, len(poly.normals)
-    d = linalg.field_of(poly.normals)
+    d = poly.integer_normals[0]
     width = n if d is None else 2 * n
     units = [(m + j, [int(i == j) for i in range(width)]) for j in range(n)]
     lines = [linalg.cleared(v, d) for v in cone.lineality]
@@ -459,11 +441,13 @@ def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:
     return frozenset().union(*(s for s in poly.approach_supports if s <= target)) == target
 
 
-def product_split(spec: DomainSpec, lineality: Subspace) -> Optional[ProductSplit]:
-    """Split into constrained coords x free coords, when the lineality allows it."""
+def product_split(spec: DomainSpec, lineality: Sequence[Sequence[Scalar]]
+                  ) -> Optional[ProductSplit]:
+    """Split into constrained coords x free coords, when the lineality basis
+    allows it."""
     untouched = [j for j in range(spec.n)
                  if all(sign_of(con.alpha[j]) == 0 for con in spec.constraints)]
-    if len(untouched) != lineality.dim:
+    if len(untouched) != len(lineality):
         return None
     free = set(untouched)
     return ProductSplit(
@@ -505,11 +489,10 @@ def gordan_direction(poly: LogPolyhedron, cone: RecessionCone) -> Optional[list[
     when some row is an implicit equality of C (Gordan 1873).  Signs are
     taken on integer rows, over Z or Z[sqrt d]."""
     direction = [sum((r[j] for r in cone.rays), 0) for j in range(poly.n)]
-    d = linalg.field_of(poly.normals)
+    d, rows = poly.integer_normals
     dot, sign, _ = linalg.ring(d)
     ints = linalg.cleared(direction, d)
-    for alpha, c in zip(poly.normals, poly.offsets):
-        row = linalg.cleared(alpha, d)
+    for row, c in zip(rows, poly.offsets):
         if linalg.lead(row, d) is None:
             if sign_of(c - 1) <= 0:
                 return None

@@ -20,8 +20,8 @@ from numbers import Integral
 from typing import Optional, Sequence
 
 from . import linalg
-from .cones import (RecessionCone, Subspace, approach, approach_supports, is_empty,
-                    lineality_space, radius_box, recession_cone)
+from .cones import (RecessionCone, approach, approach_supports, integer_lattice_of, is_empty,
+                    radius_box, recession_cone)
 from .errors import EmptyDomainError, RayCapError, SpecError
 from .loglin import LogLin
 from .scalars import (Scalar, format_scalar, is_rational, is_square_free,
@@ -82,8 +82,9 @@ class LogPolyhedron:
 
     Offsets stay as the exact thresholds c; log(c) only ever materialises as
     a directed-rounding interval inside LogLin comparisons.  The derived
-    geometry below is computed by :mod:`reinhardt.cones` on first use and
-    lives as long as the polyhedron.
+    geometry below is computed on first use and lives as long as the
+    polyhedron.  All of it, here and in :mod:`reinhardt.cones`, reads one
+    integer form of the normals and its one fraction-free elimination.
     """
 
     n: int
@@ -91,32 +92,46 @@ class LogPolyhedron:
     offsets: tuple[Scalar, ...]
 
     @cached_property
-    def lineality(self) -> Subspace:
-        """Common kernel of the normals."""
-        return lineality_space(self)
+    def integer_normals(self) -> tuple[Optional[int], tuple[list[int], ...]]:
+        """The d of the normals (None over Q) and their primitive integer rows."""
+        d = linalg.field_of(self.normals)
+        return d, tuple(linalg.primitive(linalg.cleared(a, d)) for a in self.normals)
+
+    @cached_property
+    def elimination(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """``linalg.gauss_jordan`` of ``integer_normals``: kept rows, pivots
+        and reduced rows."""
+        d, rows = self.integer_normals
+        return linalg.gauss_jordan(list(rows), self.n, d)
+
+    @cached_property
+    def lineality(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Basis of the common kernel of the normals, read off ``elimination``."""
+        _, pivots, held = self.elimination
+        return tuple(map(tuple, linalg.kernel_from(pivots, held, self.n,
+                                                   self.integer_normals[0])))
+
+    @cached_property
+    def integer_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Lattice basis of the lineality space ∩ Z^n (Hermite normal form)."""
+        return tuple(map(tuple, integer_lattice_of(self.lineality, self.n)))
 
     @cached_property
     def recession(self) -> RecessionCone:
         """Exact generators of {d : <alpha_i, d> <= 0}."""
-        return recession_cone([list(a) for a in self.normals], self.n)
+        return recession_cone(self)
 
     def recession_within(self, cap: int) -> Optional[RecessionCone]:
         """``recession``, computed now if its double description stays within
         ``cap`` intermediate rays and then held; None past the cap, and
-        then nothing is held."""
+        then no cone is held, only ``elimination``."""
         if "recession" not in self.__dict__:
             try:
-                cone = recession_cone([list(a) for a in self.normals], self.n, cap)
+                cone = recession_cone(self, cap)
             except RayCapError:
                 return None
             self.__dict__.setdefault("recession", cone)
         return self.recession
-
-    @cached_property
-    def integer_normals(self) -> tuple[Optional[int], tuple[list[int], ...]]:
-        """The d of the normals (None over Q) and their integer rows."""
-        d = linalg.field_of(self.normals)
-        return d, tuple(linalg.cleared(a, d) for a in self.normals)
 
     @cached_property
     def approach_supports(self) -> tuple[frozenset[int], ...]:

@@ -235,7 +235,7 @@ def find_integrable_monomial(spec: DomainSpec, max_radius: int = 40
                              ) -> Optional[tuple[tuple[int, ...], Fraction]]:
     """Search for (nu, p) with a finite L^p integral; None when the lineality
     space is nonzero (no monomial is p-integrable then)."""
-    if spec.log_polyhedron.lineality.dim > 0:
+    if spec.log_polyhedron.lineality:
         return None
     for radius in range(max_radius + 1):
         shell = [nu for nu in product(range(-radius, radius + 1), repeat=spec.n)

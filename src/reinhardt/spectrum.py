@@ -160,11 +160,11 @@ def spectrum_orthogonality_check(spec: DomainSpec, radius: int) -> bool:
     """Every boundedly-representable exponent is orthogonal to the lineality
     space (exact); PASS/FAIL over the box."""
     lin = spec.log_polyhedron.lineality
-    if lin.dim == 0:
+    if not lin:
         return True
     for nu in spectrum_box(spec, sp.hinf(), radius):
         vec = [Fraction(e) for e in nu]
-        for basis_vec in lin.basis:
+        for basis_vec in lin:
             if sign_of(dot(vec, basis_vec)) != 0:
                 return False
     return True

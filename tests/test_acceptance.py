@@ -15,7 +15,7 @@ from conftest import random_spec, sample_interior_points
 
 from reinhardt import (SimplicialFrame, approach, build_witness, classify_all,
                        classify_lp_ak, coefficient_inequality_check, exponents,
-                       eval_witness_derivative, interior_point, lineality_space,
+                       eval_witness_derivative, interior_point,
                        lp_norm_exact_simplicial, lp_norm_monte_carlo,
                        radial, spectrum_box, spectrum_orthogonality_check,
                        verify_witness_membership)
@@ -144,7 +144,7 @@ def test_criterion_6_translation_invariance(acceptance):
         rng = random.Random(616161)
         for spec in _seeded_suite():
             poly = spec.log_polyhedron
-            basis = lineality_space(poly).basis
+            basis = poly.lineality
             points = sample_interior_points(spec, 100, rng)
             for x in points:
                 for f in basis:
@@ -164,7 +164,7 @@ def test_criterion_7_spectrum_orthogonality_and_chain(acceptance, multiplicative
         produced = 0
         while produced < 10:
             spec = random_spec(rng, 2, force_lineality=True)
-            if lineality_space(spec.log_polyhedron).dim == 0:
+            if not spec.log_polyhedron.lineality:
                 continue
             assert spectrum_orthogonality_check(spec, 5)
             produced += 1

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from reinhardt import (DomainSpec, LogPolyhedron, MonomialConstraint,
                        RecessionCone, approach, approach_certificate, cones, has_finite_volume,
-                       interior_point, is_bounded, is_rational_type, lineality_space,
-                       lp_optimize, product_split, recession_contains, sup_norm_monomial)
-from reinhardt.cones import Subspace, integer_lattice_of
+                       interior_point, is_bounded, linalg, lp_optimize, product_split,
+                       recession_contains, sup_norm_monomial)
+from reinhardt.cones import integer_lattice_of
 from reinhardt.errors import BoundaryIndeterminate, RayCapError, ReinhardtError
 from reinhardt.linalg import dot, rank
 from reinhardt.loglin import LogLin
@@ -19,22 +19,22 @@ from reinhardt.simplex import UNBOUNDED, LPCertificate, solve_lp
 
 
 def test_lineality_examples(hartogs, multiplicative_strip, disc_times_plane):
-    assert lineality_space(hartogs.log_polyhedron).dim == 0
-    lin = lineality_space(multiplicative_strip.log_polyhedron)
-    assert lin.dim == 1 and list(lin.basis[0]) == [Fraction(-1), Fraction(1)]
-    lin2 = lineality_space(disc_times_plane.log_polyhedron)
-    assert lin2.dim == 1 and list(lin2.basis[0]) == [Fraction(0), Fraction(1)]
+    assert len(hartogs.log_polyhedron.lineality) == 0
+    lin = multiplicative_strip.log_polyhedron.lineality
+    assert len(lin) == 1 and list(lin[0]) == [Fraction(-1), Fraction(1)]
+    lin2 = disc_times_plane.log_polyhedron.lineality
+    assert len(lin2) == 1 and list(lin2[0]) == [Fraction(0), Fraction(1)]
 
 
 def test_rational_type():
-    zero = Subspace(ambient_n=2, basis=())
-    assert is_rational_type(zero)
-    integer_line = Subspace(ambient_n=2, basis=((Fraction(1), Fraction(-1)),))
-    assert is_rational_type(integer_line)
+    # a subspace is spanned by its integer points iff its lattice has full rank
+    assert len(integer_lattice_of((), 2)) == 0
+    integer_line = ((Fraction(1), Fraction(-1)),)
+    assert len(integer_lattice_of(integer_line, 2)) == 1
     s = quad(0, 1, 2)
-    irrational_line = Subspace(ambient_n=2, basis=((-s, Fraction(1)),))
-    assert not is_rational_type(irrational_line)
-    assert integer_lattice_of(irrational_line) == []
+    irrational_line = ((-s, Fraction(1)),)
+    assert len(integer_lattice_of(irrational_line, 2)) != 1
+    assert integer_lattice_of(irrational_line, 2) == []
 
 
 def test_rational_type_from_integer_normals(gallery):
@@ -42,7 +42,8 @@ def test_rational_type_from_integer_normals(gallery):
     for name, spec in gallery.items():
         if name == "irrational_slope":
             continue
-        assert is_rational_type(lineality_space(spec.log_polyhedron))
+        poly = spec.log_polyhedron
+        assert len(poly.integer_lattice) == len(poly.lineality)
 
 
 def test_recession_contains(hartogs):
@@ -50,6 +51,17 @@ def test_recession_contains(hartogs):
     assert recession_contains(poly, [Fraction(-1), Fraction(-1)]) is True
     assert recession_contains(poly, [Fraction(0), Fraction(-1)]) is False
     assert recession_contains(poly, [Fraction(0), Fraction(0)]) is True
+
+
+def test_recession_contains_clears_over_the_field_of_normals_and_direction(
+        hartogs, irrational_slope):
+    # rational normals, a direction over Q(sqrt 2): signed over Z[sqrt 2]
+    poly = hartogs.log_polyhedron
+    assert recession_contains(poly, [quad(-1, -1, 2), quad(-1, 0, 2)]) is True
+    assert recession_contains(poly, [quad(0, 1, 2), -1]) is False
+    # normals over Q(sqrt 2) and a direction over Q(sqrt 3) share no field
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        recession_contains(irrational_slope.log_polyhedron, [quad(0, 1, 3), -1])
 
 
 def test_approach_examples(hartogs):
@@ -77,13 +89,12 @@ def test_approach_soundness_certificate(hartogs, annulus, polydisc):
 
 
 def test_product_split(hartogs, disc_times_plane, multiplicative_strip):
-    split = product_split(disc_times_plane,
-                          lineality_space(disc_times_plane.log_polyhedron))
+    split = product_split(disc_times_plane, disc_times_plane.log_polyhedron.lineality)
     assert split is not None and split.m == 1
     assert split.bounded_coords == (0,) and split.free_coords == (1,)
     assert product_split(multiplicative_strip,
-                         lineality_space(multiplicative_strip.log_polyhedron)) is None
-    trivial = product_split(hartogs, lineality_space(hartogs.log_polyhedron))
+                         multiplicative_strip.log_polyhedron.lineality) is None
+    trivial = product_split(hartogs, hartogs.log_polyhedron.lineality)
     assert trivial is not None and trivial.m == 2 and trivial.free_coords == ()
 
 
@@ -107,10 +118,10 @@ def test_lineality_translation_invariance_seeded():
         n = rng.choice([2, 2, 3])
         spec = random_spec(rng, n, force_lineality=True)
         poly = spec.log_polyhedron
-        lin = lineality_space(poly)
-        assert lin.dim >= 1
+        lin = poly.lineality
+        assert len(lin) >= 1
         for x in sample_interior_points(spec, 20, rng):
-            for f in lin.basis:
+            for f in lin:
                 for t in (1, -1, 5, -5, 10, -10):
                     moved = tuple(xi + Fraction(t) * fi for xi, fi in zip(x, f))
                     assert all(s.sign() > 0 for s in poly.half_space_slack(moved))
@@ -120,13 +131,13 @@ def test_recession_intersection_is_lineality(hartogs, multiplicative_strip,
                                              disc_times_plane):
     for spec in (hartogs, multiplicative_strip, disc_times_plane):
         poly = spec.log_polyhedron
-        lin = lineality_space(poly)
-        basis_rows = [list(v) for v in lin.basis]
+        lin = poly.lineality
+        basis_rows = [list(v) for v in lin]
         for d in product(range(-3, 4), repeat=spec.n):
             vec = [Fraction(x) for x in d]
             two_sided = (recession_contains(poly, vec)
                          and recession_contains(poly, [-x for x in vec]))
-            in_span = (rank(basis_rows + [vec]) == lin.dim) if basis_rows else all(
+            in_span = (rank(basis_rows + [vec]) == len(lin)) if basis_rows else all(
                 x == 0 for x in vec)
             assert two_sided == in_span
 
@@ -288,6 +299,19 @@ def test_generators_agree_with_lp_oracle(case):
                 (approach_certificate(poly, frozenset(coords)) is not None)
 
 
+@settings(max_examples=100, deadline=10_000)
+@given(cone_cases())
+def test_lineality_lattice_and_cone_read_one_elimination(case):
+    poly = case[0].log_polyhedron
+    assert poly.lineality == tuple(map(tuple, linalg.kernel_basis(
+        [list(a) for a in poly.normals], poly.n)))
+    assert poly.recession.lineality == tuple(cones._scaled(v) for v in poly.lineality)
+    for v in poly.integer_lattice:
+        assert all(sign_of(dot(a, v)) == 0 for a in poly.normals)
+    if poly.integer_normals[0] is None:  # rational normals: L is spanned by L ∩ Z^n
+        assert len(poly.integer_lattice) == len(poly.lineality)
+
+
 @pytest.mark.parametrize("which,row", [("recession", 3), ("approach_supports", 4)])
 def test_ray_cap_is_a_typed_error(monkeypatch, which, row):
     # C = {|d1|, |d2| <= -d3} has the four rays (+-1, +-1, -1): its last row
@@ -383,10 +407,14 @@ def test_is_empty_past_the_parse_budget_uses_the_lp_and_holds_no_cone(slab):
     if slab is not None:
         rows += [[int(k == 0) for k in range(n)], [-int(k == 0) for k in range(n)]]
         offsets += list(slab)
+    def fresh():
+        return LogPolyhedron(n=n, normals=tuple(map(tuple, rows)), offsets=tuple(offsets))
+
     with pytest.raises(RayCapError):
-        cones.recession_cone(rows, n, cones._PARSE_RAYS_PER_ROW * len(rows))
-    poly = LogPolyhedron(n=n, normals=tuple(map(tuple, rows)), offsets=tuple(offsets))
+        cones.recession_cone(fresh(), cones._PARSE_RAYS_PER_ROW * len(rows))
+    poly = fresh()
     assert cones.is_empty(poly) is (interior_point(poly) is None)
     assert cones.is_empty(poly) is (slab is not None and slab[0] * slab[1] <= 1)
     assert "recession" not in poly.__dict__
-    assert poly.recession == cones.recession_cone(rows, n)
+    assert "elimination" in poly.__dict__  # the elimination outlives the budget
+    assert poly.recession == cones.recession_cone(fresh())
