@@ -9,12 +9,13 @@ normals only and are therefore fully exact field computations.
 
 The recession cone C = {d : <alpha_i, d> <= 0} is computed by double
 description in integers (:func:`recession_cone`), as the lineality basis of
-the polyhedron plus the extreme rays of its pointed part.  It starts from
-the rows kept by the polyhedron's elimination of the integer rows of its
-normals: its initial simplicial cone comes from one fraction-free
-elimination of their Gram matrix (the integer adjugate, up to positive
-factors), and lines and rays are integer rows, over Z[sqrt d] pairs of
-them, kept primitive.  These generators are the only owner of finiteness:
+the polyhedron plus the extreme rays of its pointed part.  One loop,
+:func:`_cut`, starts from the rows kept by the polyhedron's elimination of
+the integer rows of its normals as lines, cuts by those rows first, which
+turns every line into a ray, and then by the other rows.  Lines and rays
+are integer rows, over Z[sqrt d] pairs of them, kept primitive; a ray is
+read off as primitive integers when it is rational, else with first
+nonzero entry +-1.  These generators are the only owner of finiteness:
 whether a sup is finite, whether the domain is bounded or has finite
 volume, and whether an integral converges are sign tests of dot products
 against them (:func:`recession_meets_halfspace`,
@@ -150,7 +151,9 @@ class RecessionCone:
     """C = {d : <alpha_i, d> <= 0} as span(lineality) + cone(rays).
 
     ``lineality`` is a basis of L = ker A; ``rays`` are the extreme rays of
-    the pointed part C ∩ L^perp.  Both are scaled by ``_scaled``.  ``tight``
+    the pointed part C ∩ L^perp.  Both are in the form of ``_scaled``: a
+    rational vector as primitive integers (ints), an irrational one with
+    first nonzero entry +-1.  ``tight``
     holds, per ray, the bit set of the rows it is tight on, with bit i for
     row i; :func:`approach_supports` continues the double description from it.
     """
@@ -165,32 +168,34 @@ def _scaled(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     first nonzero entry +-1.  Signs of dot products with v are unchanged,
     and int dot products are an order of magnitude cheaper than Fraction ones."""
     d = linalg.field_of([v])
-    return _generator(*_lead_normal(linalg.cleared(v, d), d), d)
+    return _generator(_lead_normal(linalg.cleared(v, d), d), d)
 
 
-def _lead_normal(v: list[int], d: Optional[int]) -> tuple[list[int], bool]:
-    """The integer row of ``_scaled`` of the vector of v, up to a positive
-    rational factor, and whether that vector is irrational, so that
-    ``_scaled`` divides it by its first nonzero entry.  Over Q(sqrt d) that
-    division is :func:`linalg.over` by the absolute value of the entry."""
+def _lead_normal(v: list[int], d: Optional[int]) -> list[int]:
+    """The primitive integer row of a positive rational multiple of the
+    integer row v whose first nonzero entry is rational: of v when v is
+    rational, else of v over the absolute value of its first nonzero entry
+    (:func:`linalg.over`)."""
     if linalg.rational_entries(v, d) is None:
         first = linalg.entry(v, linalg.lead(v, d), d)
         _, sign, neg = linalg.ring(d)
-        return linalg.primitive(linalg.over(v, first if sign(first) > 0 else neg(first), d)), True
-    return linalg.primitive(v), False
+        v = linalg.over(v, first if sign(first) > 0 else neg(first), d)
+    return linalg.primitive(v)
 
 
-def _generator(v: list[int], lead: bool, d: Optional[int]) -> tuple[Scalar, ...]:
-    """``_scaled`` of the vector of an integer row made by ``_lead_normal``,
-    whose first nonzero entry is then rational."""
-    if not lead:
-        return tuple(linalg.rational_entries(v, d))
+def _generator(v: list[int], d: Optional[int]) -> tuple[Scalar, ...]:
+    """``_scaled`` of the vector of an integer row made by ``_lead_normal``:
+    its primitive integers when it is rational, else the row over the
+    absolute value of its first nonzero entry, which is rational."""
+    ints = linalg.rational_entries(v, d)
+    if ints is not None:
+        return tuple(ints)
     return tuple(linalg.vector(v, abs(linalg.entry(v, linalg.lead(v, d), d)[0]), d))
 
 
 def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[list[int]],
-         tight: list[int], lead: list[bool], done: int, dim: int, d: Optional[int], what: str,
-         cap: Optional[int] = None) -> tuple[list[list[int]], list[int], list[bool]]:
+         tight: list[int], done: int, dim: int, d: Optional[int], what: str,
+         cap: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
     """Cut span(lines) + cone(rays) by each <row, x> <= 0 in turn, one
     incremental double-description step per row (Fukuda & Prodon 1996).
 
@@ -202,9 +207,9 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
     along it onto the hyperplane of the row.  Otherwise the row keeps the
     rays it does not cut off and joins every adjacent pair it separates:
     two rays are adjacent iff no third ray is tight on every row both are
-    tight on, which needs at least dim - 2 such rows.  Returns the rays,
-    their tight sets and their ``_lead_normal`` flags; past ``cap``
-    (``_MAX_RAYS`` by default) rays raises :class:`RayCapError`.
+    tight on, which needs at least dim - 2 such rows.  Every ray it makes
+    goes through ``_lead_normal``.  Returns the rays and their tight sets;
+    past ``cap`` (``_MAX_RAYS`` by default) rays raises :class:`RayCapError`.
     """
     cap = _MAX_RAYS if cap is None else cap
     dot, sign, neg = linalg.ring(d)
@@ -218,9 +223,8 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
                 l0, h = [-x for x in l0], neg(h)
             lines = [linalg.primitive(linalg.combine(neg(h), v, g, l0, d))
                      for v, g in zip(lines, line_vals)]
-            moved = [_lead_normal(linalg.combine(neg(h), r, dot(row, r), l0, d), d) for r in rays]
-            rays = [r for r, _ in moved] + [l0]
-            lead = [f for _, f in moved] + [False]
+            rays = [_lead_normal(linalg.combine(neg(h), r, dot(row, r), l0, d), d)
+                    for r in rays] + [_lead_normal(l0, d)]
             tight = [z | bit for z in tight] + [done]
             done |= bit
             dim += 1
@@ -230,8 +234,7 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
             continue
         vals = [dot(row, r) for r in rays]
         signs = [sign(v) for v in vals]
-        kept = [(r, z | bit if s == 0 else z, f)
-                for r, z, s, f in zip(rays, tight, signs, lead) if s <= 0]
+        kept = [(r, z | bit if s == 0 else z) for r, z, s in zip(rays, tight, signs) if s <= 0]
         negative = [q for q, s in enumerate(signs) if s < 0]
         for p in (p for p, s in enumerate(signs) if s > 0):
             for q in negative:
@@ -240,15 +243,14 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
                 if common.bit_count() < dim - 2 or len(
                         [z for z in tight if common & z == common]) > 2:
                     continue
-                joined, f = _lead_normal(linalg.combine(vals[p], rays[q], neg(vals[q]), rays[p], d), d)
-                kept.append((joined, common | bit, f))
+                kept.append((_lead_normal(linalg.combine(vals[p], rays[q], neg(vals[q]),
+                                                         rays[p], d), d), common | bit))
                 if len(kept) > cap:
                     raise RayCapError(f"{what}: {len(kept)} intermediate rays at row {i}, "
                                       f"past the cap of {cap}")
-        rays = [r for r, _, _ in kept]
-        tight = [z for _, z, _ in kept]
-        lead = [f for _, _, f in kept]
-    return rays, tight, lead
+        rays = [r for r, _ in kept]
+        tight = [z for _, z in kept]
+    return rays, tight
 
 
 def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionCone:
@@ -260,39 +262,19 @@ def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionC
     multiples of them that leave the cone as it is, and their one
     fraction-free elimination (:func:`linalg.gauss_jordan`), whose kept rows
     are the first maximal independent set B, which spans L^perp, and whose
-    kernel is the lineality L.  The cone {d in L^perp : B d <= 0} is
-    simplicial with the rays -B^T (B B^T)^-1 e_j.  The rows of (B B^T)^-1,
-    each up to a positive factor, come from an elimination of the integer
-    Gram matrix beside the identity (:func:`linalg.inverse_rows`): they are
-    the rows of its adjugate up to positive factors.  The other rows are then
-    added by :func:`_cut`.  Every ray is held as an integer row that is a
-    positive rational multiple of the vector the same steps give over the
-    field, so its ``_scaled`` form, and the order of the rays, do not depend
-    on the integer scalings.  Past ``cap`` intermediate rays (``_MAX_RAYS``
-    by default) a :class:`RayCapError` names the row reached.
+    kernel is the lineality L.  :func:`_cut` starts from span(B) as lines
+    and cuts by the rows of B first, in order, which turns each line into a
+    ray and leaves the simplicial cone {d in L^perp : B d <= 0}, then by the
+    other rows.  Past ``cap`` intermediate rays (``_MAX_RAYS`` by default) a
+    :class:`RayCapError` names the row reached.
     """
     d, ints = poly.integer_normals
     basis = poly.elimination[0]
-    lineality = tuple(_scaled(v) for v in poly.lineality)
-    k = len(basis)
-    b_rows = [ints[i] for i in basis]
-    dot = linalg.ring(d)[0]
-    gram = [linalg.row_of([dot(u, v) for v in b_rows], d) for u in b_rows]
-    rays, lead = [], []
-    for held in linalg.inverse_rows(gram, d):  # row j of (B B^T)^-1, times a positive integer
-        ray = [0] * len(b_rows[0])
-        for i, b in enumerate(b_rows):
-            ray = [x - y for x, y in zip(ray, linalg.times(linalg.entry(held, k + i, d), b, d))]
-        r, f = _lead_normal(ray, d)
-        rays.append(r)
-        lead.append(f)
-    every = sum(1 << i for i in basis)
-    tight = [every & ~(1 << i) for i in basis]
-    rest = [(i, row) for i, row in enumerate(ints) if not every >> i & 1]
-    rays, tight, lead = _cut(rest, [], rays, tight, lead, every, k, d, "recession cone", cap)
-    return RecessionCone(lineality=lineality,
-                         rays=tuple(_generator(r, f, d) for r, f in zip(rays, lead)),
-                         tight=tuple(tight))
+    order = basis + [i for i in range(len(ints)) if i not in basis]
+    rays, tight = _cut([(i, ints[i]) for i in order], [ints[i] for i in basis], [], [], 0, 0, d,
+                       "recession cone", cap)
+    return RecessionCone(lineality=tuple(_scaled(v) for v in poly.lineality),
+                         rays=tuple(_generator(r, d) for r in rays), tight=tuple(tight))
 
 
 def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
@@ -423,8 +405,8 @@ def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
     width = n if d is None else 2 * n
     units = [(m + j, [int(i == j) for i in range(width)]) for j in range(n)]
     lines = [linalg.cleared(v, d) for v in cone.lineality]
-    rays, _, _ = _cut(units, lines, [linalg.cleared(r, d) for r in cone.rays], list(cone.tight),
-                      [False] * len(cone.rays), (1 << m) - 1, n - len(lines), d, "approach cone")
+    rays, _ = _cut(units, lines, [linalg.cleared(r, d) for r in cone.rays], list(cone.tight),
+                   (1 << m) - 1, n - len(lines), d, "approach cone")
     return tuple(dict.fromkeys(
         frozenset(j for j in range(n) if r[j] or (d is not None and r[n + j])) for r in rays))
 

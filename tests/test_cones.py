@@ -180,6 +180,11 @@ def test_recession_cone_examples(hartogs, multiplicative_strip, disc_times_plane
     plane = disc_times_plane.log_polyhedron.recession
     assert plane.rays == ((Fraction(-1), Fraction(0)),)
     assert plane.lineality == ((Fraction(0), Fraction(1)),)
+    # Q(sqrt 3) normals (``sqrt3-generic-12`` of the cone golden) whose one
+    # ray is rational: it is read off as primitive integers, not as (1, 3/2)
+    normals = ((-6, 4), (6, -4), (12, quad(-2, -4, 3)), (-3, 2), (3, quad(4, -4, 3)))
+    poly = LogPolyhedron(n=2, normals=normals, offsets=(1,) * len(normals))
+    assert poly.recession == RecessionCone(lineality=(), rays=((2, 3),))
 
 
 # -- LP oracle for the generator queries ---------------------------------------
@@ -268,8 +273,12 @@ def test_generators_agree_with_lp_oracle(case):
     cone = poly.recession
     for v in cone.lineality:
         assert all(sign_of(dot(a, v)) == 0 for a in poly.normals)
+    full = rank([list(a) for a in poly.normals])
     for r in cone.rays:
         assert recession_contains(poly, r) and any(sign_of(x) != 0 for x in r)
+        assert cones._scaled(r) == r  # one form per ray
+        # extreme: the normals tight at r leave one dimension of C ∩ L^perp
+        assert rank([list(a) for a in poly.normals if sign_of(dot(a, r)) == 0]) == full - 1
 
     got = cones.recession_meets_halfspace(poly, w)
     assert (got is None) == (lp_recession_meets_halfspace(poly, w) is None)

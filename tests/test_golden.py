@@ -37,8 +37,8 @@ import numpy as np
 import pytest
 
 from conftest import seeded_cone_systems, seeded_lps
-from reinhardt import (LogPolyhedron, coefficient_inequality_check, exponents, load_spec,
-                       lp_norm_monte_carlo, parse_spec, simplex)
+from reinhardt import (LogPolyhedron, coefficient_inequality_check, cones, exponents,
+                       load_spec, lp_norm_monte_carlo, parse_spec, simplex)
 from reinhardt.cli import main
 from reinhardt.loglin import LogLin
 from reinhardt.montecarlo import BLOCK_SIZE, _Sampler, _weighted_powers
@@ -219,8 +219,11 @@ def recession_cones_text() -> str:
 
 def test_recession_cone_generators_match_golden():
     """Byte for byte: the same lineality bases, rays in the same order, and
-    the same approach supports."""
+    the same approach supports, each ray in its one form."""
     assert recession_cones_text() == CONE_GOLDEN.read_text(encoding="utf-8")
+    for _, (_, n, normals) in seeded_cone_systems():
+        poly = LogPolyhedron(n=n, normals=tuple(normals), offsets=(1,) * len(normals))
+        assert all(cones._scaled(r) == r for r in poly.recession.rays)
 
 
 # -- Monte Carlo ------------------------------------------------------------
