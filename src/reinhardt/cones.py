@@ -23,13 +23,13 @@ against them (:func:`recession_meets_halfspace`,
 :func:`is_bounded`, :func:`has_finite_volume`), and every direction they
 return passes :func:`recession_contains` on the same integer rows.  Axis
 approach is read off the ray supports of the approach cone
-K = C ∩ {d <= 0} (:func:`approach`), which the same double description
-gets by going on from the generators of C with the n unit rows: a unit row
-that meets a line of C turns it into a ray.  Past a cap of intermediate
-rays (``_MAX_RAYS`` unless the caller gives one) either cone raises
-:class:`RayCapError`.  The functions here keep no memo: ``LogPolyhedron``
-computes each derived object on first use and holds it for its own
-lifetime.
+K = C ∩ {d <= 0} (:func:`approach`): K = C when C lies in {d <= 0}, else
+K has its own run of the same loop, from the n unit vectors as lines, cut
+by the n unit rows and then by the normals; every run starts from lines
+only.  Past a cap of intermediate rays (``_MAX_RAYS`` unless the caller
+gives one) either cone raises :class:`RayCapError`.  The functions here
+keep no memo: ``LogPolyhedron`` computes each derived object on first use
+and holds it for its own lifetime.
 
 Emptiness (:func:`is_empty`) is decided first by Gordan's alternative on
 the recession cone: if d, the sum of the rays of C, has <alpha_i, d> < 0 on
@@ -44,7 +44,7 @@ and the reported approach and sup-norm rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -153,14 +153,14 @@ class RecessionCone:
     ``lineality`` is a basis of L = ker A; ``rays`` are the extreme rays of
     the pointed part C ∩ L^perp.  Both are in the form of ``_scaled``: a
     rational vector as primitive integers (ints), an irrational one with
-    first nonzero entry +-1.  ``tight``
-    holds, per ray, the bit set of the rows it is tight on, with bit i for
-    row i; :func:`approach_supports` continues the double description from it.
+    first nonzero entry +-1.
     """
 
     lineality: tuple[tuple[Scalar, ...], ...]
     rays: tuple[tuple[Scalar, ...], ...]
-    tight: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+    def in_negative_orthant(self) -> bool:  # C ⊆ {d <= 0}: no lineality, no positive entry
+        return not self.lineality and all(sign_of(x) <= 0 for r in self.rays for x in r)
 
 
 def _scaled(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -193,26 +193,27 @@ def _generator(v: list[int], d: Optional[int]) -> tuple[Scalar, ...]:
     return tuple(linalg.vector(v, abs(linalg.entry(v, linalg.lead(v, d), d)[0]), d))
 
 
-def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[list[int]],
-         tight: list[int], done: int, dim: int, d: Optional[int], what: str,
-         cap: Optional[int] = None) -> tuple[list[list[int]], list[int]]:
-    """Cut span(lines) + cone(rays) by each <row, x> <= 0 in turn, one
-    incremental double-description step per row (Fukuda & Prodon 1996).
+def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], d: Optional[int], what: str,
+         cap: Optional[int] = None) -> list[list[int]]:
+    """Cut span(lines) by each <row, x> <= 0 in turn, one incremental
+    double-description step per row (Fukuda & Prodon 1996).
 
-    ``rows`` are ``(i, row)`` pairs, bit i naming the row in the tight sets.
-    ``done`` is the bit set of the rows already imposed, on which every line
-    is tight, and ``dim`` is the dimension of the pointed part of the cone.
-    A row that is nonzero on a line turns the first such line, oriented
-    into the half-space, into a ray, and moves the other lines and the rays
-    along it onto the hyperplane of the row.  Otherwise the row keeps the
-    rays it does not cut off and joins every adjacent pair it separates:
-    two rays are adjacent iff no third ray is tight on every row both are
-    tight on, which needs at least dim - 2 such rows.  Every ray it makes
-    goes through ``_lead_normal``.  Returns the rays and their tight sets;
-    past ``cap`` (``_MAX_RAYS`` by default) rays raises :class:`RayCapError`.
+    ``rows`` are ``(i, row)`` pairs with distinct i.  Each ray keeps its
+    tight set, the bit set of the rows it is tight on (bit i for row i);
+    every line is tight on the rows imposed so far (``done``), and ``dim``
+    is the dimension of the pointed part of the cone.  A row that is
+    nonzero on a line turns the first such line, oriented into the
+    half-space, into a ray, and moves the other lines and the rays along it
+    onto the hyperplane of the row.  Otherwise the row keeps the rays it
+    does not cut off and joins every adjacent pair it separates: two rays
+    are adjacent iff no third ray is tight on every row both are tight on,
+    which needs at least dim - 2 such rows.  Every ray it makes goes
+    through ``_lead_normal``.  Returns the rays; past ``cap``
+    (``_MAX_RAYS`` by default) rays raises :class:`RayCapError`.
     """
     cap = _MAX_RAYS if cap is None else cap
     dot, sign, neg = linalg.ring(d)
+    rays, tight, done, dim = [], [], 0, 0
     for i, row in rows:
         bit = 1 << i
         line_vals = [dot(row, v) for v in lines]
@@ -250,7 +251,7 @@ def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], rays: list[l
                                       f"past the cap of {cap}")
         rays = [r for r, _ in kept]
         tight = [z for _, z in kept]
-    return rays, tight
+    return rays
 
 
 def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionCone:
@@ -271,10 +272,9 @@ def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionC
     d, ints = poly.integer_normals
     basis = poly.elimination[0]
     order = basis + [i for i in range(len(ints)) if i not in basis]
-    rays, tight = _cut([(i, ints[i]) for i in order], [ints[i] for i in basis], [], [], 0, 0, d,
-                       "recession cone", cap)
+    rays = _cut([(i, ints[i]) for i in order], [ints[i] for i in basis], d, "recession cone", cap)
     return RecessionCone(lineality=tuple(_scaled(v) for v in poly.lineality),
-                         rays=tuple(_generator(r, d) for r in rays), tight=tuple(tight))
+                         rays=tuple(_generator(r, d) for r in rays))
 
 
 def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
@@ -341,8 +341,7 @@ def face_meets_halfspace(poly: LogPolyhedron, m: Sequence[Scalar], w: Sequence[S
 def is_bounded(spec: DomainSpec) -> bool:
     """True iff every coordinate modulus is bounded above on the domain: the
     recession cone lies in the closed negative orthant."""
-    cone = spec.log_polyhedron.recession
-    return not cone.lineality and all(sign_of(x) <= 0 for r in cone.rays for x in r)
+    return spec.log_polyhedron.recession.in_negative_orthant()
 
 
 def has_finite_volume(spec: DomainSpec) -> bool:
@@ -391,22 +390,24 @@ def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
 
 
 def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
-    """Distinct supports of the extreme rays of K = C ∩ {d <= 0}.
-
-    K is C cut by the n rows e_j . d <= 0, so the double description of C
-    (``poly.recession`` and its tight sets) goes on with those rows; K = {0}
-    when C = {0}.  K is pointed and no ray has a positive entry, so no
-    entries cancel in a nonnegative combination of rays: its support is the
-    union of theirs.
-    """
+    """Distinct supports of the extreme rays of K = C ∩ {d <= 0}: C's rays
+    when C lies in {d <= 0} (:func:`is_bounded`), else those of K's own
+    double description, from the n unit vectors as lines cut by the unit
+    rows, which leaves the negative orthant, then by the normals stably by
+    their number of positive entries, fewest first: there a row with p
+    positive and q negative entries removes q rays and adds p q.  K is
+    pointed and no ray has a positive entry, so no entries cancel in a
+    nonnegative combination of rays: its support is the union of theirs."""
     cone = poly.recession
+    if cone.in_negative_orthant():
+        return tuple(dict.fromkeys(frozenset(j for j, x in enumerate(r) if sign_of(x))
+                                   for r in cone.rays))
     n, m = poly.n, len(poly.normals)
-    d = poly.integer_normals[0]
-    width = n if d is None else 2 * n
-    units = [(m + j, [int(i == j) for i in range(width)]) for j in range(n)]
-    lines = [linalg.cleared(v, d) for v in cone.lineality]
-    rays, _ = _cut(units, lines, [linalg.cleared(r, d) for r in cone.rays], list(cone.tight),
-                   (1 << m) - 1, n - len(lines), d, "approach cone")
+    d, ints = poly.integer_normals
+    units = [(m + j, [int(i == j) for i in range(n if d is None else 2 * n)]) for j in range(n)]
+    order = sorted(range(m), key=lambda i: sum(linalg.entry_sign(ints[i], j, d) > 0
+                                              for j in range(n)))
+    rays = _cut(units + [(i, ints[i]) for i in order], [u for _, u in units], d, "approach cone")
     return tuple(dict.fromkeys(
         frozenset(j for j in range(n) if r[j] or (d is not None and r[n + j])) for r in rays))
 

@@ -135,8 +135,8 @@ class LogPolyhedron:
 
     @cached_property
     def approach_supports(self) -> tuple[frozenset[int], ...]:
-        """Supports of the extreme rays of {d : <alpha_i, d> <= 0, d <= 0},
-        by going on from the double description of ``recession``."""
+        """Supports of the extreme rays of {d : <alpha_i, d> <= 0, d <= 0}, read
+        off ``recession`` when it lies in {d <= 0}, else by their own run."""
         return approach_supports(self)
 
     @cached_property

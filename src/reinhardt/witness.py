@@ -76,15 +76,13 @@ class N0Result:
         return interval_str(self.interval(working_precision(64)), dps)
 
     def ceil(self) -> int:
-        """Smallest integer >= N0, exact-vs-interval tie handling included."""
-        winner = ladder_sign(lambda ctx: self._branches(ctx)[1] - self._branches(ctx)[0],
-                             what="N0 branch comparison")
-        if winner < 0:
-            return exact_ceil(self.shift_max)
-        # The transcendental branch is never an integer, so its ceiling is the
-        # least m with trans < m; bisect for it between the ceilings of its
-        # 64-bit endpoints.  A comparison unresolved at the cap counts as
-        # trans > m, the safe side.
+        """Smallest integer >= N0, as ceil(max(a, b)) = max(ceil a, ceil b);
+        the field branch's ceiling is exact.  The transcendental branch is
+        never an integer, so its ceiling is the least m with trans < m,
+        bisected for between the ceilings of its 64-bit endpoints.  A
+        comparison unresolved at the cap counts as trans > m, the safe side:
+        then the result is >= N0 but may not be least (2^70 + 256 for
+        N0 = 2^70 + 2 + 2 pi at a 64-bit cap)."""
         _, trans = self._branches(working_precision(64))
         lo, hi = (libmp.to_int(end, libmp.round_ceiling) for end in trans._mpi_)
         while lo < hi:
@@ -94,7 +92,7 @@ class N0Result:
             except BoundaryIndeterminate:
                 below = False
             lo, hi = (lo, m) if below else (m + 1, hi)
-        return lo
+        return max(exact_ceil(self.shift_max), lo)
 
     def __float__(self):
         v = self.interval(working_precision(64))

@@ -155,8 +155,7 @@ def test_quadratic_specs_empty_by_construction(text, tmp_path, capsys):
 
 def bounded_random_n12() -> str:
     """A bounded spec with n = 12 and m = 24 whose recession cone is {0}, so
-    that its approach cone costs nothing; a double description of the
-    approach cone from the negative orthant takes 16 s on it."""
+    that its approach cone is C and costs nothing."""
     rng = random.Random(1)
     constraints = []
     for _ in range(24):
@@ -174,6 +173,20 @@ def test_bounded_n12_spec_classifies_quickly():
     assert report.flags["bounded"] is True
     assert report.verdicts["ainf"] == Verdict(YES, "axis-approach-blocked",
                                               {"checked_sets": 2 ** 12 - 1})
+
+
+def test_unbounded_n11_spec_runs_its_approach_cone_quickly():
+    # C has many rays; K's own double description from the negative orthant,
+    # normals with fewest positive entries first, stays far below the ray cap
+    rng = random.Random(10)
+    constraints = [{"alpha": [str(rng.randint(-1, 3)) for _ in range(11)],
+                    "c": str(rng.randint(2, 9))} for _ in range(18)]
+    start = time.perf_counter()
+    spec = parse_spec(json.dumps({"n": 11, "constraints": constraints}))
+    report = classify_all(spec)
+    assert time.perf_counter() - start < 5
+    assert len(spec.log_polyhedron.approach_supports) == 721
+    assert report.verdicts["ainf"].value == NO
 
 
 # -- ainf against the enumeration of every coordinate set ------------------------

@@ -321,10 +321,12 @@ def test_lineality_lattice_and_cone_read_one_elimination(case):
         assert len(poly.integer_lattice) == len(poly.lineality)
 
 
-@pytest.mark.parametrize("which,row", [("recession", 3), ("approach_supports", 4)])
+@pytest.mark.parametrize("which,row", [("recession", 3), ("approach_supports", 3)])
 def test_ray_cap_is_a_typed_error(monkeypatch, which, row):
     # C = {|d1|, |d2| <= -d3} has the four rays (+-1, +-1, -1): its last row
-    # joins two pairs, and so does the first unit row of K = C ∩ {d <= 0}
+    # joins two pairs.  K = C ∩ {d <= 0} starts from the negative orthant and
+    # takes rows 1 and 3 first, one positive entry each: row 1 swaps -e1 for
+    # (-1, 0, -1), and row 3 cuts off -e2 and joins it to both other rays
     poly = LogPolyhedron(n=3, normals=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
                          offsets=(1, 1, 1, 1))
     if which == "approach_supports":

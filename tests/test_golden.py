@@ -91,6 +91,10 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
     ("witness_chain3_k2_exterior4_2_1_j01",
      ["witness", "tests/specs/chain3.json", "--k", "2", "--exterior", "4,2,1", "--j0", "1",
       "--verify", "--json"]),
+    # a frame that is not the spec's whole constraint list: row 1 of the annulus
+    ("witness_annulus_rows1_exterior2_j01_k1",
+     ["witness", "specs/annulus.json", "--rows", "1", "--exterior", "2", "--j0", "1", "--k", "1",
+      "--verify", "--json"]),
     ("norm_exact_chain4_nu1_0_2_0_p3_2",
      ["norm", "tests/specs/chain4.json", "--nu", "1,0,2,0", "--p", "3/2", "--exact", "--json"]),
     ("norm_exact_chain4_nu0_-2_0_0_p2",

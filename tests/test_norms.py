@@ -6,6 +6,7 @@ Oracle values are computed from iterated integrals over the radius region
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,7 +14,7 @@ from scipy import integrate
 
 from reinhardt import (SimplicialFrame, compute_n0, exponents, find_integrable_monomial,
                        lp_norm_exact_simplicial, lp_norm_finite, norms, sup_norm_monomial)
-from reinhardt.domain import parse_spec
+from reinhardt.domain import LogPolyhedron, load_spec, parse_spec
 from reinhardt.errors import ReinhardtError, SpecError
 from reinhardt.loglin import LogLin
 from reinhardt.scalars import quad, scalar_cmp, sign_of
@@ -185,6 +186,19 @@ def test_frame_requires_square_independent(hartogs, annulus):
     with pytest.raises(Exception):
         SimplicialFrame.from_rows([exponents(1, 1), exponents(2, 2)],
                                   [Fraction(1), Fraction(1)])
+
+
+def test_frame_on_reordered_rows_builds_its_own_polyhedron():
+    chain3 = load_spec(str(Path(__file__).resolve().parent / "specs" / "chain3.json"))
+    frame = SimplicialFrame.from_spec(chain3, rows=[2, 0, 1])
+    assert "polyhedron" not in frame.__dict__  # not the spec's list in order: nothing shared
+    chosen = [chain3.constraints[i] for i in (2, 0, 1)]
+    fresh = LogPolyhedron(n=3, normals=tuple(c.alpha for c in chosen),
+                          offsets=tuple(c.c for c in chosen))
+    assert frame.polyhedron is not chain3.log_polyhedron
+    assert frame.polyhedron.normals == fresh.normals
+    assert frame.polyhedron.approach_supports == fresh.approach_supports
+    assert set(fresh.approach_supports) == set(chain3.log_polyhedron.approach_supports)
 
 
 def test_rescaled_to_unit(hartogs_half):

@@ -65,7 +65,9 @@ EPS = Fraction(1, 2 ** 80)
     # a 64-bit enclosure of a value near 2^100 spans about 2^40 integers
     (2 ** 100, EPS, 2 ** 100 + 10), (2 ** 100, -EPS, 2 ** 100 + 9),
 ], ids=["above-9", "below-9", "above-2^100+9", "below-2^100+9"])
-def test_n0_ceil_where_the_64_bit_enclosure_straddles_an_integer(shift, offset, expected):
+def test_n0_ceil_where_the_64_bit_enclosure_straddles_an_integer(shift, offset, expected,
+                                                                  monkeypatch):
+    monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
     n0 = N0Result(shift_max=0, log_branch_max=shift + 9 - TWO_PI + offset, det_abs=1, n=1)
     assert n0.ceil() == expected
 
@@ -77,7 +79,8 @@ def test_n0_ceil_takes_the_safe_side_at_the_cap(monkeypatch):
         assert n0.ceil() == 10
 
 
-def test_n0_of_a_frame_with_huge_coordinates():
+def test_n0_of_a_frame_with_huge_coordinates(monkeypatch):
+    monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
     # |det| = 1 and coords((1, 0)) = (M, -M - 1), so N0 = M + 2 + 2 pi exactly;
     # its 64-bit enclosure spans many integers
     m = 2 ** 70
