@@ -21,7 +21,6 @@ between the verdicts before returning the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .cones import approach_certificate, has_finite_volume, is_bounded, product_split
 from .domain import DomainSpec
@@ -94,7 +93,7 @@ def classify_l2(spec: DomainSpec) -> Verdict:
         "lineality_vector": _vector_json(lin[0])})
 
 
-def classify_lp_ak(spec: DomainSpec, k: Optional[int] = None) -> Verdict:
+def classify_lp_ak(spec: DomainSpec) -> Verdict:
     """k-independent verdict for finite-p integrable + closure-smooth spaces."""
     if not spec.constraints:
         return Verdict(NO, "not-proper-subset",
@@ -141,7 +140,7 @@ def classify_ainf(spec: DomainSpec) -> Verdict:
         "approach_ray": _vector_json(ray)})
 
 
-def classify_hinf_k(spec: DomainSpec, k: Optional[int] = None) -> Verdict:
+def classify_hinf_k(spec: DomainSpec) -> Verdict:
     """k-independent (k >= 1): yes iff the domain is a constrained factor
     times a full C factor on the coordinates no constraint touches."""
     lin = spec.log_polyhedron.lineality

@@ -447,14 +447,13 @@ def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron) -> LPCertifica
 
 def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
     """Per-coordinate sup of |z_j| as floats rounded up, or None when some
-    |z_j| is unbounded on the recession cone; one LP per bounded coordinate,
-    in coordinate order, for its value."""
+    |z_j| is unbounded, that is when the recession cone does not lie in the
+    closed negative orthant; else one LP per coordinate, in order."""
+    if not poly.recession.in_negative_orthant():
+        return None
     logs = []
     for j in range(poly.n):
-        unit = [int(i == j) for i in range(poly.n)]
-        if unbounded_direction(poly, unit) is not None:
-            return None
-        cert = lp_optimize(unit, poly)
+        cert = lp_optimize([int(i == j) for i in range(poly.n)], poly)
         require_optimal(cert, "radius_box")
         logs.append(float(cert.objective.interval(working_precision(64)).b))
     # tiny outward inflation keeps the box a true superset after float rounding

@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -75,13 +74,6 @@ class LogLin:
     @staticmethod
     def zero() -> "LogLin":
         return LogLin(Fraction(0), ())
-
-    @staticmethod
-    def combination(pairs: Iterable[tuple[Scalar, "LogLin"]]) -> "LogLin":
-        """``sum(s * form)`` over the ``(s, form)`` pairs, merged in one pass."""
-        pairs = list(pairs)
-        return _canonical(sum((s * form.const for s, form in pairs), Fraction(0)),
-                          [(b, s * c) for s, form in pairs for b, c in form.terms])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -340,17 +332,13 @@ def _norm_const(c) -> Scalar:
 
 
 def _canonical(const, raw_terms: Iterable[tuple[Scalar, Scalar]]) -> LogLin:
-    merged: list[list] = []
+    """Equal bases merged and sorted: ``Fraction``, ``int`` and ``QuadExt``
+    hash and order exactly, and no ``QuadExt`` equals a rational."""
+    merged: dict = {}
     for base, coeff in raw_terms:
-        for slot in merged:
-            if scalar_cmp(slot[0], base) == 0:
-                slot[1] = slot[1] + coeff
-                break
-        else:
-            merged.append([base, coeff])
-    kept = [(b, c) for b, c in merged if sign_of(c) != 0 and scalar_cmp(b, 1) != 0]
-    kept.sort(key=cmp_to_key(lambda s, t: scalar_cmp(s[0], t[0])))
-    return LogLin(_norm_const(const), tuple((b, c) for b, c in kept))
+        merged[base] = merged[base] + coeff if base in merged else coeff
+    return LogLin(_norm_const(const), tuple(sorted(
+        ((b, c) for b, c in merged.items() if sign_of(c) != 0 and b != 1), key=lambda t: t[0])))
 
 
 def as_loglin(value) -> LogLin:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -176,7 +176,7 @@ def make_exact_norm(coefficient: Scalar, pi_power: int,
             coeff = coeff * (Fraction(base) ** e if is_rational(base) else base ** e)
         else:
             kept.append((base, exp))
-    kept.sort(key=cmp_to_key(lambda s, t: scalar_cmp(s[0], t[0])))
+    kept.sort(key=lambda t: t[0])
     return NormResult(kind="exact", coefficient=coeff, pi_power=pi_power,
                       factors=tuple(kept))
 

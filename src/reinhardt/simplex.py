@@ -2,8 +2,9 @@
 
 Solves  max <c, x>  s.t.  A x <= b  with x free, A and c over the scalar
 field and b symbolic (:class:`LogLin`), so log-thresholds never get rounded.
-Free variables are split x = u - v; slacks close the rows; artificials only
-appear in phase I on rows whose right-hand side starts negative.
+The tableau stores one column per variable: x, the slacks that close the
+rows, and phase I's artificials on rows whose right-hand side starts
+negative.  The split x = u - v is only Bland's order: v_j is column j negated.
 
 The tableau is fraction-free: each row is an integer row of
 :mod:`reinhardt.linalg` (the format is stated there) over one positive
@@ -12,9 +13,10 @@ integer denominator, for the constraint columns and for the right-hand side
 bases, sorted as in :class:`LogLin`.  A pivot scales its row by
 :func:`linalg.pivoted` and replaces every other row R with a nonzero entry
 f by (R D_p - f P) / (D_R D_p) (:func:`linalg.eliminate`), over the gcd of
-the result and its denominator.  The reduced-cost row, priced once per
-phase, is the last row and is updated the same way; its right-hand side is
-the objective value.
+the result and its denominator; a pivot on v_j does this on column j and
+stores its row negated.  The reduced-cost row, priced once per phase, is
+the last row and is updated the same way; its right-hand side is the
+objective value.
 
 Positive row scalings leave the true tableau B^-1 A unchanged, so every
 sign Bland's rule reads is the sign of an integer, or of a + b sqrt(d)
@@ -26,16 +28,17 @@ coefficients of a positive rational multiple of the difference to integer
 exponents over that base, and :func:`loglin.decide_sign`, the decision of
 :meth:`LogLin.sign`, decides them, with the integer log bounds the ladder
 needs computed once per tableau and precision.  The tableau starts from the
-constraint rows and objective cleared once; ``Fraction``, ``QuadExt`` and
-``LogLin`` values are built only for the returned certificates (and to name
-a form the ladder cannot resolve), which are checked in integers against
-the cleared rows before they are returned:
+constraint rows, right-hand sides and objective cleared once; ``Fraction``,
+``QuadExt`` and ``LogLin`` values are built only for the returned
+certificates (and to name a form the ladder cannot resolve), which are
+checked in integers against the cleared rows, the multipliers as the
+reduced costs of the slacks, before they are returned:
 
 * ``optimal``    — primal point, objective value, dual multipliers with
                    lambda >= 0 and lambda @ A == c;
 * ``unbounded``  — improving ray d with A d <= 0 and <c, d> > 0;
 * ``infeasible`` — Farkas multipliers lambda >= 0 with lambda @ A == 0 and
-                   lambda @ b < 0.
+                   lambda @ b < 0, signed like any right-hand side.
 """
 
 from __future__ import annotations
@@ -43,14 +46,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import ReinhardtError
 from .loglin import LogLin, as_loglin, decide_sign, factor_bases
 from .precision import log_bounds
-from .scalars import QuadExt, Scalar, scalar_cmp, sign_of
+from .scalars import QuadExt, Scalar
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
 
@@ -73,60 +75,63 @@ class _Tableau:
     """The rows of the tableau, each an integer row of :mod:`reinhardt.linalg`
     over its own positive denominator ``den[i]``.
 
-    A row holds the columns ``u, v, slacks, artificials`` followed by the
-    right-hand side ``[const, coeff of log bases[0], ...]``.  The last row is
-    the reduced-cost row of the current phase, whose right-hand side is the
+    A row holds the columns ``x, slacks, artificials`` followed by the
+    right-hand side ``[const, coeff of log bases[0], ...]``.  ``basis``
+    holds Bland's indices into ``order``, the (stored column, sign) pairs of
+    u_j, v_j, the slacks and the artificials.  The last row is the
+    reduced-cost row of the current phase, whose right-hand side is the
     objective value.  A basic column's entry equals its row's denominator
-    (true value 1).  ``a_rows`` are the cleared constraint rows, pairs
-    (integer row, denominator) of :func:`linalg.over_denominator`.
+    (true value 1), and minus it in column j for a basic v_j.  ``a_rows``
+    and ``b_rows`` are the cleared constraint rows and right-hand sides,
+    pairs (integer row, denominator) of :func:`linalg.over_denominator`;
+    ``arts`` are the artificial columns.
     """
 
     def __init__(self, a_rows, b_vals, n: int, d: Optional[int]):
         self.n = n
         self.m = len(a_rows)
         self.d = d
-        self.slack0 = 2 * self.n
-        self.bases = sorted({base for b in b_vals for base, _ in b.terms},
-                            key=cmp_to_key(scalar_cmp))
+        self.a_rows = a_rows
+        self.bases = sorted({base for b in b_vals for base, _ in b.terms})
         # the right-hand-side columns of log bases over their coprime base
         self.log_bases, self.columns = factor_bases(self.bases)
         self.logs: dict[int, list] = {}  # precision -> integer log bounds, as asked for
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
-        b_rows = []  # each right-hand side cleared: (integer row, denominator)
+        self.b_rows = []
         for b in b_vals:
             rhs = [b.const] + [0] * len(self.bases)
             for base, coeff in b.terms:
                 rhs[slot[base]] = coeff
-            b_rows.append(linalg.over_denominator(rhs, d))
-        flips = [self.form_sign(*b) < 0 for b in b_rows]
-        self.art_cols = list(range(2 * self.n + self.m, 2 * self.n + self.m + sum(flips)))
-        self.ncols = 2 * self.n + self.m + len(self.art_cols)
+            self.b_rows.append(linalg.over_denominator(rhs, d))
+        flips = [self.form_sign(*b) < 0 for b in self.b_rows]
+        self.ncols = n + self.m + sum(flips)
+        self.arts = range(n + self.m, self.ncols)
+        self.order = [(j, 1) for j in range(n)] + [(j, -1) for j in range(n)] + \
+            [(k, 1) for k in range(n, self.ncols)]
         self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
-        arts = iter(self.art_cols)
-        for i, ((a, den_a), (rhs, den_b), flip) in enumerate(zip(a_rows, b_rows, flips)):
+        arts = iter(self.arts)
+        for i, ((a, den_a), (rhs, den_b), flip) in enumerate(zip(a_rows, self.b_rows, flips)):
             den = math.lcm(den_a, den_b)
-            # s [a | -a | e_i | b] over den, s = -1 on a flipped row, whose slack
+            # s [a | e_i | b] over den, s = -1 on a flipped row, whose slack
             # sits at -1, unusable as basis: an artificial starts there at +1
             s = -1 if flip else 1
-            self.basis.append(next(arts) if flip else self.slack0 + i)
+            col = next(arts) if flip else n + i
+            self.basis.append(n + col)
             self.rows.append(self.row([s * (den // den_a) * x for x in a],
-                                      {self.slack0 + i: s * den, self.basis[-1]: den},
+                                      {n + i: s * den, col: den},
                                       [s * (den // den_b) * x for x in rhs]))
             self.den.append(den)
         self.rows.append([]), self.den.append(1)  # the reduced costs, set by price
 
     def row(self, x: list[int], units: dict, rhs: Optional[list[int]] = None) -> list[int]:
-        """Integer row [x | -x | u | rhs or 0], u zero but where ``units`` maps a column."""
-        u = [0] * (self.ncols - self.slack0)
+        """Integer row [x | u | rhs or 0], u zero but where ``units`` maps a column."""
+        u = [0] * (self.ncols - self.n)
         for col, v in units.items():
-            u[col - self.slack0] = v
+            u[col - self.n] = v
         rhs = rhs or linalg.rational_row([0] * (1 + len(self.bases)), self.d)
-        return linalg.joined([x, [-v for v in x], linalg.rational_row(u, self.d), rhs], self.d)
+        return linalg.joined([x, linalg.rational_row(u, self.d), rhs], self.d)
 
     # -- exact values, built only for the objective and the certificates ------
-
-    def value(self, i: int, j: int) -> Scalar:
-        return linalg.scalar(self.rows[i], j, self.den[i], self.d)
 
     def rhs(self, i: int) -> list[Scalar]:
         return linalg.vector(linalg.tail(self.rows[i], self.ncols, self.d), self.den[i], self.d)
@@ -134,17 +139,15 @@ class _Tableau:
     def loglin(self, vec: Sequence[Scalar]) -> LogLin:
         return LogLin(vec[0], tuple((b, c) for b, c in zip(self.bases, vec[1:]) if c))
 
-    def objective_value(self) -> LogLin:
-        return self.loglin(self.rhs(self.m))
-
     def objective_sign(self) -> int:
         """Sign of the objective value, on the reduced-cost row's integer
         right-hand side over its positive denominator."""
         return self.form_sign(linalg.tail(self.rows[self.m], self.ncols, self.d), self.den[self.m])
 
-    def multipliers(self) -> tuple[Scalar, ...]:
-        """Dual or Farkas multipliers: the reduced costs of the slacks."""
-        return tuple(self.value(self.m, self.slack0 + i) for i in range(self.m))
+    def multipliers(self) -> tuple[list[int], int]:
+        """Dual or Farkas multipliers, the reduced costs of the slacks, over den[m]."""
+        row, d, m = self.rows[self.m], self.d, self.m
+        return linalg.row_of([linalg.entry(row, self.n + i, d) for i in range(m)], d), self.den[m]
 
     # -- pivoting ---------------------------------------------------------------
 
@@ -154,30 +157,35 @@ class _Tableau:
         eliminated, so that its right-hand side is c_B B^-1 b."""
         self.rows[self.m], self.den[self.m] = cost, den
         for i in range(self.m):
-            if linalg.entry_sign(self.rows[self.m], self.basis[i], self.d):
-                self._eliminate(self.m, i, self.basis[i])
+            col, s = self.order[self.basis[i]]
+            if linalg.entry_sign(self.rows[self.m], col, self.d):
+                self._eliminate(self.m, i, col, s)
 
     def pivot(self, row: int, col: int) -> None:
-        """Divide ``row`` by its entry in ``col`` and eliminate ``col`` from
-        every other row, the reduced costs included."""
-        self.rows[row] = linalg.pivoted(self.rows[row], col, self.d)
-        self.den[row] = self.rows[row][col]
+        """Divide ``row`` by its entry in Bland's column ``col`` and eliminate
+        it from every other row, the reduced costs included; on v_j the row
+        is pivoted on column j and stored negated after the eliminations."""
+        c, s = self.order[col]
+        self.rows[row] = linalg.pivoted(self.rows[row], c, self.d)
+        self.den[row] = self.rows[row][c]
         for i in range(self.m + 1):
-            if i != row and linalg.entry_sign(self.rows[i], col, self.d):
-                self._eliminate(i, row, col)
+            if i != row and linalg.entry_sign(self.rows[i], c, self.d):
+                self._eliminate(i, row, c, 1)
+        if s < 0:
+            self.rows[row] = [-x for x in self.rows[row]]
         self.basis[row] = col
 
-    def _eliminate(self, i: int, row: int, col: int) -> None:
+    def _eliminate(self, i: int, row: int, col: int, s: int) -> None:
         """Row i minus f times ``row``, whose entry in ``col`` has true value
-        1, where f is row i's entry there: (R D_p - f P) / (D_i D_p)."""
-        self.rows[i], self.den[i] = linalg.cancel(
-            linalg.eliminate(self.rows[i], self.rows[row], col, self.d),
-            self.den[i] * self.den[row])
+        s = 1 or -1, f s being row i's entry: s :func:`linalg.eliminate` over D_i D_p."""
+        vec = linalg.eliminate(self.rows[i], self.rows[row], col, self.d)
+        self.rows[i], self.den[i] = linalg.cancel(vec if s > 0 else [-x for x in vec],
+                                                  self.den[i] * self.den[row])
 
     def _ratio_sign(self, i: int, k: int, col: int) -> int:
-        """Sign of rhs_i / a_i - rhs_k / a_k for a_i, a_k > 0 the entries in
-        ``col``: the row denominators cancel, and the cross product
-        rhs_i a_k - rhs_k a_i is a positive multiple of it."""
+        """Sign of rhs_i / a_i - rhs_k / a_k for a_i, a_k the entries in
+        ``col``, of one sign: the row denominators cancel, and the cross
+        product rhs_i a_k - rhs_k a_i is a positive multiple of it."""
         d, ri, rk = self.d, self.rows[i], self.rows[k]
         vec = linalg.eliminate(ri, rk, col, d, self.ncols)
         if linalg.lead(vec, d, 1) is None:
@@ -202,25 +210,26 @@ class _Tableau:
             logs[j] = log_bounds(self.log_bases[j], ctx)
         return logs[j]
 
-    def run(self, cost: list[int], den: int, frozen_cols: set[int]) -> Optional[int]:
-        """Bland pivoting to optimality from the cost row ``cost`` over
-        ``den`` (:meth:`price`); returns an entering column on unboundedness.
-        Row denominators are positive: signs are read off the integer rows."""
+    def run(self, cost: list[int], den: int, stop: int) -> Optional[int]:
+        """Bland pivoting to optimality from the cost row ``cost`` over ``den``
+        (:meth:`price`), entering below Bland's index ``stop``; returns the entering
+        index on unboundedness.  Signs are read off rows over positive denominators."""
         self.price(cost, den)
-        sign, d = linalg.entry_sign, self.d
+        sign, d, order = linalg.entry_sign, self.d, self.order[:stop]
         for _ in range(_MAX_PIVOTS):
-            enter = next((j for j in range(self.ncols)
-                          if j not in frozen_cols and sign(self.rows[self.m], j, d) < 0), None)
+            enter = next((j for j, (c, s) in enumerate(order)
+                          if s * sign(self.rows[self.m], c, d) < 0), None)
             if enter is None:
                 return None
+            c, s = order[enter]
             leave = None
             for i in range(self.m):
-                if sign(self.rows[i], enter, d) > 0:
+                if s * sign(self.rows[i], c, d) > 0:
                     if leave is None:
                         leave = i
                     else:
-                        s = self._ratio_sign(i, leave, enter)
-                        if s < 0 or (s == 0 and self.basis[i] < self.basis[leave]):
+                        r = s * self._ratio_sign(i, leave, c)
+                        if r < 0 or (r == 0 and self.basis[i] < self.basis[leave]):
                             leave = i
             if leave is None:
                 return enter
@@ -246,53 +255,54 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
 
     t = _Tableau(rows, b_vals, n, d)
 
-    if t.art_cols:
-        phase1 = t.row(linalg.rational_row([0] * n, d), dict.fromkeys(t.art_cols, 1))
-        if t.run(phase1, 1, frozen_cols=set()) is not None:
+    if t.arts:
+        phase1 = t.row(linalg.rational_row([0] * n, d), dict.fromkeys(t.arts, 1))
+        if t.run(phase1, 1, n + t.ncols) is not None:
             raise ReinhardtError("phase I unbounded (internal error)")
         if t.objective_sign() < 0:
-            lam = t.multipliers()
-            _check_farkas(rows, b_vals, lam, d)
-            return LPCertificate(status=INFEASIBLE, farkas=lam)
+            lam, den = t.multipliers()
+            _check_farkas(t, lam)
+            return LPCertificate(status=INFEASIBLE, farkas=tuple(linalg.vector(lam, den, d)))
         _drive_out_artificials(t)
 
-    enter = t.run(t.row([-x for x in cost[0]], {}), cost[1], frozen_cols=set(t.art_cols))
+    enter = t.run(t.row([-x for x in cost[0]], {}), cost[1], 2 * n + t.m)
     if enter is not None:
         ray = _extract_ray(t, enter)
         _check_ray(rows, cost, ray, d)
         return LPCertificate(status=UNBOUNDED, ray=ray)
 
     point = _extract_point(t)
-    value = t.objective_value()
-    lam = t.multipliers()
-    _check_dual(rows, cost, lam, d)
-    return LPCertificate(status=OPTIMAL, primal_point=point, objective=value, dual=lam)
+    value = t.loglin(t.rhs(t.m))
+    lam, den = t.multipliers()
+    _check_dual(t, cost, lam, den)
+    return LPCertificate(status=OPTIMAL, primal_point=point, objective=value,
+                         dual=tuple(linalg.vector(lam, den, d)))
 
 
 def _drive_out_artificials(t: _Tableau) -> None:
     """Pivot the artificials still basic, all at level zero, out of the basis.
-    The columns [A, -A, I] of u, v and the slacks have full row rank, so
-    every row has a nonzero entry among them."""
-    art = set(t.art_cols)
+    The columns [A, I] of x and the slacks have full row rank, so every row
+    has a nonzero entry among them; the first is u_j or a slack."""
     for i in range(t.m):
-        if t.basis[i] in art:
-            t.pivot(i, next(j for j in range(t.slack0 + t.m)
-                            if linalg.entry_sign(t.rows[i], j, t.d)))
+        if t.basis[i] >= t.n + t.arts.start:
+            c = next(j for j in range(t.arts.start) if linalg.entry_sign(t.rows[i], j, t.d))
+            t.pivot(i, c if c < t.n else t.n + c)
 
 
 def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:
-    """x = u - v; at most one of the opposite columns of u_j and v_j is basic."""
+    """x = u - v; at most one of u_j and v_j, read off column j, is basic."""
     point = [LogLin.zero()] * t.n
     for i, col in enumerate(t.basis):
-        if col < t.slack0:
+        if col < 2 * t.n:
             point[col % t.n] = t.loglin([x if col < t.n else -x for x in t.rhs(i)])
     return tuple(point)
 
 
 def _extract_ray(t: _Tableau, enter: int) -> tuple[Scalar, ...]:
+    c, s = t.order[enter]
     delta: dict[int, Scalar] = {enter: Fraction(1)}
     for i, col in enumerate(t.basis):
-        delta[col] = -t.value(i, enter)
+        delta[col] = -s * linalg.scalar(t.rows[i], c, t.den[i], t.d)
     return tuple(delta.get(j, Fraction(0)) - delta.get(t.n + j, Fraction(0))
                  for j in range(t.n))
 
@@ -306,27 +316,29 @@ def _check_ray(rows, cost, ray, d: Optional[int]) -> None:
         raise ReinhardtError("unbounded ray does not improve the objective")
 
 
-def _combination(rows, lam, width: int, d: Optional[int]) -> tuple[list[int], int]:
-    """lam @ A over the cleared rows, as an integer row and a positive denominator."""
-    ints, den = linalg.over_denominator(lam, d)
+def _combination(rows, lam: list[int], width: int, d: Optional[int]) -> tuple[list[int], int]:
+    """lam @ A for the integer row ``lam`` and the cleared rows A: an integer
+    row over the lcm of their denominators (times lam's own), and that lcm."""
     scale = math.lcm(*(r for _, r in rows))
-    terms = [linalg.times(linalg.entry(ints, i, d), [x * (scale // r) for x in row], d)
-             for i, (row, r) in enumerate(rows) if linalg.entry_sign(ints, i, d)]
-    return [sum(col) for col in zip([0] * width, *terms)], den * scale
+    terms = [linalg.times(linalg.entry(lam, i, d), [x * (scale // r) for x in row], d)
+             for i, (row, r) in enumerate(rows) if linalg.entry_sign(lam, i, d)]
+    return [sum(col) for col in zip([0] * width, *terms)], scale
 
 
-def _check_farkas(rows, b_vals, lam, d: Optional[int]) -> None:
-    if any(sign_of(li) < 0 for li in lam):
+def _check_farkas(t: _Tableau, lam: list[int]) -> None:
+    """``lam`` is an integer row over any positive denominator."""
+    if any(linalg.entry_sign(lam, i, t.d) < 0 for i in range(t.m)):
         raise ReinhardtError("Farkas multipliers must be non-negative")
-    if any(_combination(rows, lam, len(rows[0][0]), d)[0]):
+    if any(_combination(t.a_rows, lam, len(t.a_rows[0][0]), t.d)[0]):
         raise ReinhardtError("Farkas combination does not annihilate the rows")
-    if LogLin.combination(zip(lam, b_vals)).sign() >= 0:
+    if t.form_sign(_combination(t.b_rows, lam, len(t.b_rows[0][0]), t.d)[0]) >= 0:
         raise ReinhardtError("Farkas combination is not negative")
 
 
-def _check_dual(rows, cost, lam, d: Optional[int]) -> None:
-    if any(sign_of(li) < 0 for li in lam):
+def _check_dual(t: _Tableau, cost, lam: list[int], den: int) -> None:
+    """``lam`` is an integer row over ``den``, ``cost`` the cleared objective."""
+    if any(linalg.entry_sign(lam, i, t.d) < 0 for i in range(t.m)):
         raise ReinhardtError("dual multipliers must be non-negative")
-    (c, c_den), (total, den) = cost, _combination(rows, lam, len(cost[0]), d)
-    if any(x * c_den != y * den for x, y in zip(total, c)):
+    (c, c_den), (total, scale) = cost, _combination(t.a_rows, lam, len(cost[0]), t.d)
+    if any(x * c_den != y * den * scale for x, y in zip(total, c)):
         raise ReinhardtError("dual multipliers do not reproduce the objective")

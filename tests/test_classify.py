@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reinhardt import (DomainSpec, EmptyDomainError, MonomialConstraint, ReinhardtError, classify,
-                       classify_ainf, classify_all, classify_hinf, classify_hinf_k, classify_l2,
-                       classify_lp_ak, parse_spec)
+                       classify_ainf, classify_all, classify_hinf, classify_l2, parse_spec)
 from reinhardt.classify import NO, REPORT_SCHEMA, YES, Verdict
 from reinhardt.cli import main
 from reinhardt.cones import approach, approach_certificate, recession_contains
@@ -87,12 +86,6 @@ def test_permutation_equivariance(hartogs):
         assert a.verdicts[key].value == b.verdicts[key].value
     assert b.verdicts["ainf"].evidence["failing_epsilon"] == [1, 1]  # symmetric here
     assert a.flags == b.flags
-
-
-def test_k_uniformity(hartogs):
-    for k in (0, 1, 2, 3):
-        assert classify_lp_ak(hartogs, k).value == "yes"
-        assert classify_hinf_k(hartogs, k).value == "yes"
 
 
 def test_report_schema_validates(gallery):

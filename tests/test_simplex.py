@@ -173,22 +173,28 @@ def test_seeded_lp_families_against_scipy(name, lp):
 def test_basic_columns_are_unit_columns_after_every_pivot(monkeypatch):
     """After each pivot, over Q, Q(sqrt 2) and Q(sqrt 5) and through pivots
     of negative norm, every basic column holds its row's denominator in its
-    row (true value 1) and 0 in every other row, the reduced costs included."""
+    row (true value 1), minus it in column j for a basic v_j, and 0 in every
+    other row, the reduced costs included.  A row stores one column per
+    variable: x, the slacks and the artificials, then the right-hand side."""
     pivot, checked = simplex._Tableau.pivot, []
 
     def checking(t, row, col):
         pivot(t, row, col)
-        for r, c in enumerate(t.basis):
-            unit = t.den[r] if t.d is None else (t.den[r], 0)
+        width = t.n + t.m + len(t.arts) + 1 + len(t.bases)
+        assert all(len(r) == (width if t.d is None else 2 * width) for r in t.rows)
+        for r, b in enumerate(t.basis):
+            c, s = t.order[b]
+            assert s == (-1 if t.n <= b < 2 * t.n else 1)
+            unit = s * t.den[r] if t.d is None else (s * t.den[r], 0)
             assert linalg.entry(t.rows[r], c, t.d) == unit
             assert all(linalg.entry_sign(t.rows[i], c, t.d) == 0
                        for i in range(t.m + 1) if i != r)
-        checked.append(t.d)
+        checked.append((t.d, any(t.n <= b < 2 * t.n for b in t.basis)))
 
     monkeypatch.setattr(simplex._Tableau, "pivot", checking)
     for _, lp in seeded_lps():
         solve_lp(*lp)
-    assert {None, 2, 5} <= set(checked)
+    assert {(d, True) for d in (None, 2, 5)} <= set(checked)
 
 
 def test_degenerate_lp_with_tied_ratios():
@@ -315,18 +321,31 @@ def _raises(check, message):
         check()
 
 
-def _positive_step(d):
-    """A positive change with an irrational half over Q(sqrt d)."""
-    return Fraction(1) if d is None else quad(-1, 1, d)
+def _changed(lam, i, d, negated=False):
+    """The integer row ``lam`` with entry i negated, or else moved by a
+    positive step, with an irrational half over Q(sqrt d): -1 + sqrt d."""
+    out, k = list(lam), len(lam) // 2
+    if negated:
+        out[i] = -out[i]
+        if d is not None:
+            out[k + i] = -out[k + i]
+    elif d is None:
+        out[i] += 1
+    else:
+        out[i], out[k + i] = out[i] - 1, out[k + i] + 1
+    return out
 
 
 def test_seeded_certificates_pass_their_checks_and_fail_when_changed():
     """Every seeded LP's certificate passes its integer check; one multiplier
-    moved by a positive step along a nonzero row, one multiplier negated, or
-    one ray entry moved so that the objective or a row turns, fails it."""
+    of its integer row moved by a positive step along a nonzero row, one
+    multiplier negated, Farkas multipliers against all-zero right-hand
+    sides, or one ray entry moved so that the objective or a row turns,
+    fails it."""
     checked = set()
     for _, (a, b, c) in seeded_lps():
         rows, cost, d = _cleared(a, c)
+        t = simplex._Tableau(rows, b, len(c), d)
         cert = solve_lp(a, b, c)
         nonzero = [i for i, row in enumerate(a) if any(sign_of(x) for x in row)]
         if cert.status == UNBOUNDED:
@@ -342,41 +361,42 @@ def test_seeded_certificates_pass_their_checks_and_fail_when_changed():
             up = ray[:k] + [ray[k] + (1 - dot(a[i], ray)) / a[i][k]] + ray[k + 1:]  # row i: 1
             _raises(lambda: simplex._check_ray(rows, cost, up, d), "failed verification")
         else:
-            lam = list(cert.dual if cert.status == OPTIMAL else cert.farkas)
+            lam, den = linalg.over_denominator(cert.dual or cert.farkas, d)
             if cert.status == OPTIMAL:
-                check = lambda m: simplex._check_dual(rows, cost, m, d)  # noqa: E731
+                check = lambda m: simplex._check_dual(t, cost, m, den)  # noqa: E731
                 wrong = "do not reproduce the objective"
             else:
-                check = lambda m: simplex._check_farkas(rows, b, m, d)  # noqa: E731
+                check = lambda m: simplex._check_farkas(t, m)  # noqa: E731
                 wrong = "does not annihilate the rows"
+                zero = simplex._Tableau(rows, [LogLin.zero()] * len(a), len(c), d)
+                _raises(lambda: simplex._check_farkas(zero, lam), "is not negative")
+                checked.add(("zero right-hand sides", d))
             check(lam)
             if nonzero:
-                i = nonzero[len(nonzero) // 2]
-                moved = lam[:i] + [lam[i] + _positive_step(d)] + lam[i + 1:]
-                _raises(lambda: check(moved), wrong)
-            i = next((i for i, li in enumerate(lam) if sign_of(li) > 0), None)
+                _raises(lambda: check(_changed(lam, nonzero[len(nonzero) // 2], d)), wrong)
+            i = next((i for i in range(len(a)) if linalg.entry_sign(lam, i, d) > 0), None)
             if i is not None:
-                _raises(lambda: check(lam[:i] + [-lam[i]] + lam[i + 1:]), "non-negative")
+                _raises(lambda: check(_changed(lam, i, d, negated=True)), "non-negative")
         checked.add((cert.status, d))
     assert {(s, d) for s in (OPTIMAL, INFEASIBLE, UNBOUNDED) for d in (None, 2)} <= checked
+    assert {("zero right-hand sides", d) for d in (None, 2)} <= checked
 
 
 def test_initial_rows_are_the_signed_constraint_rows():
     """Read back over its denominator, row i of a new tableau is
-    s [a_i | -a_i | e_i | b_i], with s = -1 and an artificial at +1 on a row
-    whose right-hand side is negative."""
+    s [a_i | e_i | b_i], with s = -1 and an artificial at +1 on a row whose
+    right-hand side is negative."""
     for _, (a, b, c) in seeded_lps():
         rows, _, d = _cleared(a, c)
         t = simplex._Tableau(rows, b, len(c), d)
         for i, (row, bi) in enumerate(zip(a, b)):
             s = -1 if bi.sign() < 0 else 1
-            expected = [Fraction(0)] * t.ncols + [bi.const] + [Fraction(0)] * len(t.bases)
-            expected[:2 * t.n] = [s * x for x in row] + [-s * x for x in row]
-            expected[t.slack0 + i] = Fraction(s)
-            expected[t.basis[i]] = Fraction(1)
+            expected = row + [Fraction(0)] * (t.ncols - t.n) + [bi.const] + [0] * len(t.bases)
+            expected[t.n + i] = Fraction(1)
             for base, coeff in bi.terms:
                 expected[t.ncols + 1 + t.bases.index(base)] = coeff
-            expected[t.ncols:] = [s * x for x in expected[t.ncols:]]
+            expected = [s * x for x in expected]
+            expected[t.order[t.basis[i]][0]] = Fraction(1)
             got = linalg.vector(t.rows[i], t.den[i], d)
             assert len(got) == len(expected)
             assert all(sign_of(x - y) == 0 for x, y in zip(got, expected))
