@@ -13,15 +13,15 @@ the polyhedron plus the extreme rays of its pointed part.  One loop,
 :func:`_cut`, starts from the rows kept by the polyhedron's elimination of
 the integer rows of its normals as lines, cuts by those rows first, which
 turns every line into a ray, and then by the other rows.  Lines and rays
-are integer rows, over Z[sqrt d] pairs of them, kept primitive; a ray is
-read off as primitive integers when it is rational, else with first
-nonzero entry +-1.  These generators are the only owner of finiteness:
-whether a sup is finite, whether the domain is bounded or has finite
-volume, and whether an integral converges are sign tests of dot products
-against them (:func:`recession_meets_halfspace`,
-:func:`unbounded_direction`, :func:`face_meets_halfspace`,
-:func:`is_bounded`, :func:`has_finite_volume`), and every direction they
-return passes :func:`recession_contains` on the same integer rows.  Axis
+are integer rows, over Z[sqrt d] pairs of them, kept primitive, and
+:class:`RecessionCone` holds them so.  They are the only owner of
+finiteness: whether a sup is finite, whether the domain is bounded or has
+finite volume, and whether an integral converges are ring signs of dot
+products against them in a field that holds the query too
+(:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
+:func:`face_meets_halfspace`, :func:`is_bounded`, :func:`has_finite_volume`),
+and a direction is read off a row only where a query returns it, after
+the one gate :func:`_certified` has checked that row.  Axis
 approach is read off the ray supports of the approach cone
 K = C ∩ {d <= 0} (:func:`approach`): K = C when C lies in {d <= 0}, else
 K has its own run of the same loop, from the n unit vectors as lines, cut
@@ -89,19 +89,26 @@ def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[i
     return integer_kernel_basis([linalg.cleared(row, None) for row in rows])
 
 
+def _common_field(poly: LogPolyhedron, vectors: Sequence[Sequence[Scalar]]):
+    """The field d of the normals of ``poly`` and ``vectors`` (None over Q), a
+    map that lifts integer rows over the normals' field into it, and the
+    integer rows of ``vectors`` in it; mixed quadratic fields raise ValueError."""
+    field = poly.integer_normals[0]
+    fields = {field, *(linalg.field_of([v]) for v in vectors)} - {None}
+    if len(fields) > 1:
+        raise ValueError(f"mixed quadratic fields: sqrt d for d in {sorted(fields)}")
+    d = max(fields, default=None)
+    lift = (lambda a: a) if d == field else (lambda a: linalg.rational_row(list(a), d))
+    return d, lift, [linalg.cleared(v, d) for v in vectors]
+
+
 def recession_contains(poly: LogPolyhedron, direction: Sequence[Scalar]) -> bool:
     """True iff <alpha_i, direction> <= 0 for every normal: ring signs on the
     integer rows of the normals, over Z[sqrt d] when the normals or the
     direction are irrational."""
-    field, rows = poly.integer_normals
-    d = linalg.field_of([direction]) or field
-    if d != field:
-        if field is not None:
-            raise ValueError(f"mixed quadratic fields: sqrt({field}) vs sqrt({d})")
-        rows = [linalg.rational_row(a, d) for a in rows]
+    d, lift, (v,) = _common_field(poly, [direction])
     dot, sign, _ = linalg.ring(d)
-    v = linalg.cleared(direction, d)
-    return all(sign(dot(a, v)) <= 0 for a in rows)
+    return all(sign(dot(lift(a), v)) <= 0 for a in poly.integer_normals[1])
 
 
 def require_optimal(cert: LPCertificate, what: str) -> None:
@@ -151,24 +158,28 @@ class RecessionCone:
     """C = {d : <alpha_i, d> <= 0} as span(lineality) + cone(rays).
 
     ``lineality`` is a basis of L = ker A; ``rays`` are the extreme rays of
-    the pointed part C ∩ L^perp.  Both are in the form of ``_scaled``: a
-    rational vector as primitive integers (ints), an irrational one with
-    first nonzero entry +-1.
+    the pointed part C ∩ L^perp.  Each is held once, as an integer row over
+    ``d``, the field of the normals (None over Q), in the form of
+    ``_lead_normal``; :meth:`vector` reads a direction off a row.
     """
 
-    lineality: tuple[tuple[Scalar, ...], ...]
-    rays: tuple[tuple[Scalar, ...], ...]
+    d: Optional[int]
+    lineality: tuple[tuple[int, ...], ...]
+    rays: tuple[tuple[int, ...], ...]
+
+    def vector(self, row: Sequence[int]) -> list[Scalar]:
+        """The direction of a generator row: its ints when it is rational, else
+        the row over the absolute value of its first nonzero entry, which is rational."""
+        ints = linalg.rational_entries(row, self.d)
+        if ints is not None:
+            return list(ints)
+        return linalg.vector(row, abs(linalg.entry(row, linalg.lead(row, self.d), self.d)[0]),
+                             self.d)
 
     def in_negative_orthant(self) -> bool:  # C ⊆ {d <= 0}: no lineality, no positive entry
-        return not self.lineality and all(sign_of(x) <= 0 for r in self.rays for x in r)
-
-
-def _scaled(v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """A positive multiple of v: primitive integers when v is rational, else
-    first nonzero entry +-1.  Signs of dot products with v are unchanged,
-    and int dot products are an order of magnitude cheaper than Fraction ones."""
-    d = linalg.field_of([v])
-    return _generator(_lead_normal(linalg.cleared(v, d), d), d)
+        return not self.lineality and all(
+            linalg.entry_sign(r, j, self.d) <= 0
+            for r in self.rays for j in range(len(r) if self.d is None else len(r) // 2))
 
 
 def _lead_normal(v: list[int], d: Optional[int]) -> list[int]:
@@ -181,16 +192,6 @@ def _lead_normal(v: list[int], d: Optional[int]) -> list[int]:
         _, sign, neg = linalg.ring(d)
         v = linalg.over(v, first if sign(first) > 0 else neg(first), d)
     return linalg.primitive(v)
-
-
-def _generator(v: list[int], d: Optional[int]) -> tuple[Scalar, ...]:
-    """``_scaled`` of the vector of an integer row made by ``_lead_normal``:
-    its primitive integers when it is rational, else the row over the
-    absolute value of its first nonzero entry, which is rational."""
-    ints = linalg.rational_entries(v, d)
-    if ints is not None:
-        return tuple(ints)
-    return tuple(linalg.vector(v, abs(linalg.entry(v, linalg.lead(v, d), d)[0]), d))
 
 
 def _cut(rows: list[tuple[int, list[int]]], lines: list[list[int]], d: Optional[int], what: str,
@@ -273,41 +274,45 @@ def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionC
     basis = poly.elimination[0]
     order = basis + [i for i in range(len(ints)) if i not in basis]
     rays = _cut([(i, ints[i]) for i in order], [ints[i] for i in basis], d, "recession cone", cap)
-    return RecessionCone(lineality=tuple(_scaled(v) for v in poly.lineality),
-                         rays=tuple(_generator(r, d) for r in rays))
+    return RecessionCone(d, tuple(tuple(_lead_normal(linalg.cleared(v, d), d))
+                                  for v in poly.lineality), tuple(map(tuple, rays)))
 
 
-def _certified(poly: LogPolyhedron, d: Sequence[Scalar], w: Sequence[Scalar], strict: bool,
-               face: Optional[Sequence[Scalar]], what: str) -> list[Scalar]:
-    """``d`` after an exact integer check that it answers the query, else a typed error."""
-    s = sign_of(linalg.dot(w, d))
-    if (all(sign_of(x) == 0 for x in d)
-            or not recession_contains(poly, d)
+def _certified(poly: LogPolyhedron, cone: RecessionCone, row: Sequence[int], query,
+               strict: bool, what: str) -> list[Scalar]:
+    """The direction of the generator ``row`` of ``cone`` after ring signs show
+    it answers ``query`` (:func:`_common_field` of w and the face, if any), else
+    a typed error: nonzero, in C, <w, row> >= 0 (> 0 when ``strict``), on the face."""
+    d, lift, (w, *face) = query
+    dot, sign, _ = linalg.ring(d)
+    x = lift(row)
+    s = sign(dot(w, x))
+    if (linalg.lead(x, d) is None
+            or any(sign(dot(lift(a), x)) > 0 for a in poly.integer_normals[1])
             or s < 0 or (strict and s == 0)
-            or (face is not None and sign_of(linalg.dot(face, d)) != 0)):
-        raise ReinhardtError(f"{what}: generator {[str(x) for x in d]} fails its "
-                             "certificate (internal error)")
-    return list(d)
+            or any(sign(dot(f, x)) != 0 for f in face)):
+        raise ReinhardtError(f"{what}: generator {[str(v) for v in cone.vector(row)]} fails "
+                             "its certificate (internal error)")
+    return cone.vector(row)
 
 
 def _generator_direction(poly: LogPolyhedron, w: Sequence[Scalar], strict: bool,
                          face: Optional[Sequence[Scalar]], what: str
                          ) -> Optional[list[Scalar]]:
-    """First generator d (a signed lineality vector, else a ray on the face
-    <face, d> = 0 when given) with <w, d> >= 0, or > 0 when ``strict``."""
+    """First generator d with <w, d> >= 0, or > 0 when ``strict``, on the face
+    <face, d> = 0 when one is given: v, then -v, for each lineality vector v
+    (which lies on every face :func:`face_meets_halfspace` accepts), then the rays."""
     cone = poly.recession
-    w_int = _scaled(w)
-    for v in cone.lineality:
-        s = sign_of(linalg.dot(w_int, v))
-        if s != 0 or not strict:
-            return _certified(poly, v if s >= 0 else [-x for x in v], w, strict, face, what)
-    face_int = None if face is None else _scaled(face)
-    for r in cone.rays:
-        if face_int is not None and sign_of(linalg.dot(face_int, r)) != 0:
+    query = _common_field(poly, [w] if face is None else [w, face])
+    d, lift, (w_row, *face_row) = query
+    dot, sign, _ = linalg.ring(d)
+    for row in (*(r for v in cone.lineality for r in (v, [-x for x in v])), *cone.rays):
+        x = lift(row)
+        if face_row and sign(dot(face_row[0], x)) != 0:
             continue
-        s = sign_of(linalg.dot(w_int, r))
+        s = sign(dot(w_row, x))
         if s > 0 or (s == 0 and not strict):
-            return _certified(poly, r, w, strict, face, what)
+            return _certified(poly, cone, row, query, strict, what)
     return None
 
 
@@ -399,15 +404,16 @@ def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
     pointed and no ray has a positive entry, so no entries cancel in a
     nonnegative combination of rays: its support is the union of theirs."""
     cone = poly.recession
-    if cone.in_negative_orthant():
-        return tuple(dict.fromkeys(frozenset(j for j, x in enumerate(r) if sign_of(x))
-                                   for r in cone.rays))
     n, m = poly.n, len(poly.normals)
     d, ints = poly.integer_normals
-    units = [(m + j, [int(i == j) for i in range(n if d is None else 2 * n)]) for j in range(n)]
-    order = sorted(range(m), key=lambda i: sum(linalg.entry_sign(ints[i], j, d) > 0
-                                              for j in range(n)))
-    rays = _cut(units + [(i, ints[i]) for i in order], [u for _, u in units], d, "approach cone")
+    rays = cone.rays
+    if not cone.in_negative_orthant():
+        units = [(m + j, [int(i == j) for i in range(n if d is None else 2 * n)])
+                 for j in range(n)]
+        order = sorted(range(m), key=lambda i: sum(linalg.entry_sign(ints[i], j, d) > 0
+                                                  for j in range(n)))
+        rays = _cut(units + [(i, ints[i]) for i in order], [u for _, u in units], d,
+                    "approach cone")
     return tuple(dict.fromkeys(
         frozenset(j for j in range(n) if r[j] or (d is not None and r[n + j])) for r in rays))
 
@@ -461,26 +467,25 @@ def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
 
 
 def gordan_direction(poly: LogPolyhedron, cone: RecessionCone) -> Optional[list[Scalar]]:
-    """d = the sum of the rays of the recession cone ``cone`` of ``poly``
-    when <alpha_i, d> < 0 on every nonzero row and every zero row has c_i > 1,
-    else None.  Then x = lambda d is in the open system for every
-    lambda > max_i log(c_i) / <alpha_i, d>, whatever the thresholds are.
+    """d = the sum of the ray rows of the recession cone ``cone`` of ``poly``,
+    as a vector, when <alpha_i, d> < 0 on every nonzero row and every zero
+    row has c_i > 1, else None.  Then x = lambda d is in the open system for
+    every lambda > max_i log(c_i) / <alpha_i, d>, whatever the thresholds are.
 
     A nonzero row vanishes on the lineality and is <= 0 on every ray, so its
-    sign at d is negative unless it is zero on every ray: d fails exactly
-    when some row is an implicit equality of C (Gordan 1873).  Signs are
-    taken on integer rows, over Z or Z[sqrt d]."""
-    direction = [sum((r[j] for r in cone.rays), 0) for j in range(poly.n)]
+    sign at any strictly positive combination of the rays is negative unless
+    it is zero on every ray: d fails exactly when some row is an implicit
+    equality of C (Gordan 1873).  Signs are taken on integer rows."""
     d, rows = poly.integer_normals
     dot, sign, _ = linalg.ring(d)
-    ints = linalg.cleared(direction, d)
+    total = [sum(col) for col in zip([0] * (poly.n if d is None else 2 * poly.n), *cone.rays)]
     for row, c in zip(rows, poly.offsets):
         if linalg.lead(row, d) is None:
             if sign_of(c - 1) <= 0:
                 return None
-        elif sign(dot(row, ints)) >= 0:
+        elif sign(dot(row, total)) >= 0:
             return None
-    return direction
+    return linalg.vector(total, 1, d)
 
 
 def is_empty(poly: LogPolyhedron) -> bool:

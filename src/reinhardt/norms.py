@@ -78,12 +78,6 @@ class SimplicialFrame:
     def n(self) -> int:
         return len(self.normals)
 
-    @cached_property
-    def b_matrix(self) -> tuple[tuple[Scalar, ...], ...]:
-        """The inverse of the normal matrix, as scalars."""
-        return tuple(tuple(linalg.vector(row, self.den, self.quadratic_d))
-                     for row in self.inverse)
-
     def coordinates(self, x: Sequence[Scalar]) -> tuple[list[int], int]:
         """Coordinates t with x = sum_j t_j * alpha_j, as an integer row over a
         positive denominator, which is ``den`` when x is an integer vector."""
@@ -96,10 +90,9 @@ class SimplicialFrame:
     def rescaled_to_unit(self) -> tuple["SimplicialFrame", tuple[LogLin, ...]]:
         """Frame with thresholds 1 plus the log-coordinates of the rescaling."""
         unit = replace(self, thresholds=tuple(Fraction(1) for _ in range(self.n)))
-        shift = tuple(
-            sum((LogLin.log_of(c, self.b_matrix[j][ell]) for ell, c in enumerate(self.thresholds)
-                 if scalar_cmp(c, 1) != 0), LogLin.zero())
-            for j in range(self.n))
+        shift = tuple(sum((LogLin.log_of(c, linalg.scalar(row, ell, self.den, self.quadratic_d))
+                           for ell, c in enumerate(self.thresholds) if scalar_cmp(c, 1) != 0),
+                          LogLin.zero()) for row in self.inverse)
         return unit, shift
 
     @cached_property
@@ -221,7 +214,7 @@ def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> No
     t, den = frame.coordinates([p * c + 2 for c in integer_exponents(nu)])
     for j in range(n):
         if linalg.entry_sign(t, j, d) <= 0:
-            ray = tuple(-frame.b_matrix[ell][j] for ell in range(n))
+            ray = tuple(-linalg.scalar(frame.inverse[ell], j, frame.den, d) for ell in range(n))
             return NormResult(kind="infinite", ray=ray)
     coords = linalg.vector(t, den, d)
     denom: Scalar = frame.det_abs

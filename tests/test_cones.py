@@ -162,29 +162,68 @@ def test_unexpected_lp_status_is_a_typed_error(monkeypatch, hartogs, query):
                                             [Fraction(0), Fraction(0)]),
 ], ids=["recession_meets_halfspace", "unbounded_direction", "face_meets_halfspace"])
 def test_corrupted_generator_is_a_typed_error(hartogs, query):
-    # a fresh polyhedron, so the shared cached one keeps its true generators
-    poly = LogPolyhedron(n=2, normals=hartogs.log_polyhedron.normals,
-                         offsets=hartogs.log_polyhedron.offsets)
-    poly.__dict__["recession"] = RecessionCone(lineality=(), rays=((Fraction(1), Fraction(1)),))
-    with pytest.raises(ReinhardtError, match="fails its certificate"):
-        query(poly)
+    # fresh polyhedra, so the shared cached one keeps its true generators,
+    # given cones that leave C: the ray (1, 1) of hartogs, the ray (1, sqrt 2)
+    # of {d1 + sqrt 2 d2 <= 0, d2 <= 0}, and the lineality row (1, 1) of
+    # hartogs, which a non-strict query returns first
+    s = quad(0, 1, 2)
+    for normals, cone in [(hartogs.log_polyhedron.normals, RecessionCone(None, (), ((1, 1),))),
+                          (((1, s), (0, 1)), RecessionCone(2, (), ((1, 0, 0, 1),))),
+                          (hartogs.log_polyhedron.normals, RecessionCone(None, ((1, 1),), ()))]:
+        poly = LogPolyhedron(n=2, normals=normals, offsets=(1,) * len(normals))
+        poly.__dict__["recession"] = cone
+        with pytest.raises(ReinhardtError, match="fails its certificate"):
+            query(poly)
+
+
+@pytest.mark.parametrize("query", [
+    cones.recession_meets_halfspace, cones.unbounded_direction,
+    lambda poly, w: cones.face_meets_halfspace(poly, [0, 1], w),
+], ids=["recession_meets_halfspace", "unbounded_direction", "face_meets_halfspace"])
+def test_mixed_quadratic_fields_raise_whatever_generator_comes_first(query):
+    # w over Q(sqrt 3) against normals over Q(sqrt 2): C is the negative
+    # quadrant with the rational rays (-1, 0), (0, -1), or has the rays
+    # (-1, 0) and (sqrt 2, -1); either way the query has no common field
+    s2, s3 = quad(0, 1, 2), quad(0, 1, 3)
+    for normals, w in [(((1, 0), (0, 1), (s2, s2)), [s3, 0]), (((1, s2), (0, 1)), [s3, 1])]:
+        poly = LogPolyhedron(n=2, normals=normals, offsets=(1,) * len(normals))
+        with pytest.raises(ValueError, match="mixed quadratic fields"):
+            query(poly, w)
+
+
+def test_rational_normals_with_a_quadratic_query_agree_with_lp_oracle(hartogs):
+    # the generator rows are lifted into Z[sqrt 2] for the query
+    poly = hartogs.log_polyhedron
+    m = poly.normals[0]
+    entries = [quad(a, b, 2) for a in (-1, 0, 1) for b in (-1, 1)]
+    for w in product(entries, repeat=2):
+        got = cones.recession_meets_halfspace(poly, w)
+        assert (got is None) == (lp_recession_meets_halfspace(poly, w) is None)
+        assert got is None or _is_certificate(poly, got, w, strict=False)
+        got = cones.unbounded_direction(poly, w)
+        assert (got is None) == (lp_unbounded_direction(poly, w) is None)
+        assert got is None or _is_certificate(poly, got, w, strict=True)
+        got = cones.face_meets_halfspace(poly, m, w)
+        assert (got is None) == (lp_face_meets_halfspace(poly, m, w) is None)
+        assert got is None or _is_certificate(poly, got, w, strict=False, face=m)
 
 
 def test_recession_cone_examples(hartogs, multiplicative_strip, disc_times_plane):
     # hartogs: d1 <= d2 <= 0 has the rays (-1, 0) and (-1, -1)
-    assert hartogs.log_polyhedron.recession == RecessionCone(
-        lineality=(), rays=((Fraction(-1), Fraction(0)), (Fraction(-1), Fraction(-1))))
+    assert hartogs.log_polyhedron.recession == RecessionCone(None, (), ((-1, 0), (-1, -1)))
     # |z1 z2| < 1: the half-plane d1 + d2 <= 0 is the line (-1, 1) plus the ray (-1, -1)
     assert multiplicative_strip.log_polyhedron.recession == RecessionCone(
-        lineality=((Fraction(-1), Fraction(1)),), rays=((Fraction(-1), Fraction(-1)),))
+        None, ((-1, 1),), ((-1, -1),))
     plane = disc_times_plane.log_polyhedron.recession
-    assert plane.rays == ((Fraction(-1), Fraction(0)),)
-    assert plane.lineality == ((Fraction(0), Fraction(1)),)
+    assert plane.rays == ((-1, 0),)
+    assert plane.lineality == ((0, 1),)
+    assert plane.vector(plane.rays[0]) == [Fraction(-1), Fraction(0)]
     # Q(sqrt 3) normals (``sqrt3-generic-12`` of the cone golden) whose one
     # ray is rational: it is read off as primitive integers, not as (1, 3/2)
     normals = ((-6, 4), (6, -4), (12, quad(-2, -4, 3)), (-3, 2), (3, quad(4, -4, 3)))
     poly = LogPolyhedron(n=2, normals=normals, offsets=(1,) * len(normals))
-    assert poly.recession == RecessionCone(lineality=(), rays=((2, 3),))
+    assert poly.recession == RecessionCone(3, (), ((2, 3, 0, 0),))
+    assert poly.recession.vector(poly.recession.rays[0]) == [2, 3]
 
 
 # -- LP oracle for the generator queries ---------------------------------------
@@ -271,12 +310,13 @@ def test_generators_agree_with_lp_oracle(case):
     spec, w, nu, m = case
     poly = spec.log_polyhedron
     cone = poly.recession
-    for v in cone.lineality:
+    for v in map(cone.vector, cone.lineality):
         assert all(sign_of(dot(a, v)) == 0 for a in poly.normals)
     full = rank([list(a) for a in poly.normals])
-    for r in cone.rays:
+    for row in cone.rays:
+        r = cone.vector(row)
         assert recession_contains(poly, r) and any(sign_of(x) != 0 for x in r)
-        assert cones._scaled(r) == r  # one form per ray
+        assert cones._lead_normal(list(row), cone.d) == list(row)  # one form per ray
         # extreme: the normals tight at r leave one dimension of C ∩ L^perp
         assert rank([list(a) for a in poly.normals if sign_of(dot(a, r)) == 0]) == full - 1
 
@@ -314,7 +354,12 @@ def test_lineality_lattice_and_cone_read_one_elimination(case):
     poly = case[0].log_polyhedron
     assert poly.lineality == tuple(map(tuple, linalg.kernel_basis(
         [list(a) for a in poly.normals], poly.n)))
-    assert poly.recession.lineality == tuple(cones._scaled(v) for v in poly.lineality)
+    cone = poly.recession
+    assert len(cone.lineality) == len(poly.lineality)
+    for row, v in zip(cone.lineality, poly.lineality):  # one form, a positive multiple of v
+        assert cones._lead_normal(list(row), cone.d) == list(row)
+        u = cone.vector(row)
+        assert rank([list(v), u]) == 1 and sign_of(dot(u, v)) > 0
     for v in poly.integer_lattice:
         assert all(sign_of(dot(a, v)) == 0 for a in poly.normals)
     if poly.integer_normals[0] is None:  # rational normals: L is spanned by L ∩ Z^n

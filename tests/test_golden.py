@@ -216,7 +216,8 @@ def recession_cones_text() -> str:
         poly = LogPolyhedron(n=n, normals=tuple(normals), offsets=(1,) * len(normals))
         cone = poly.recession
         cases.append({"name": name, "d": d, "normals": _encode(normals),
-                      "lineality": _encode(cone.lineality), "rays": _encode(cone.rays),
+                      "lineality": _encode([cone.vector(v) for v in cone.lineality]),
+                      "rays": _encode([cone.vector(r) for r in cone.rays]),
                       "approach_supports": sorted(sorted(s) for s in poly.approach_supports)})
     return json.dumps(cases, separators=(",", ":")) + "\n"
 
@@ -227,7 +228,8 @@ def test_recession_cone_generators_match_golden():
     assert recession_cones_text() == CONE_GOLDEN.read_text(encoding="utf-8")
     for _, (_, n, normals) in seeded_cone_systems():
         poly = LogPolyhedron(n=n, normals=tuple(normals), offsets=(1,) * len(normals))
-        assert all(cones._scaled(r) == r for r in poly.recession.rays)
+        cone = poly.recession
+        assert all(cones._lead_normal(list(r), cone.d) == list(r) for r in cone.rays)
 
 
 # -- Monte Carlo ------------------------------------------------------------

@@ -320,7 +320,9 @@ def test_irrational_slope_rows_as_frames(irrational_slope):
     s = quad(0, 1, 2)
     frame = SimplicialFrame.from_rows([irrational_slope.constraints[0].alpha, exponents(0, 1)],
                                       [Fraction(1), Fraction(2)])
-    assert frame.det_abs == 1 and frame.b_matrix == ((1, -s), (0, 1))
+    # A^-1 = ((1, -sqrt 2), (0, 1)): rational halves, then sqrt 2 halves, over den
+    assert frame.det_abs == 1 and frame.den == 1
+    assert frame.inverse == ([1, 0, 0, -1], [0, 1, 0, 0])
     assert frame.basis_coords([Fraction(1, 2), Fraction(3)]) == (Fraction(1, 2), 3 - s / 2)
     # t = (2, 2 - 2 sqrt 2): the volume is infinite along minus column 2 of A^-1
     assert lp_norm_exact_simplicial(frame, (0, 0), 1) == norms.NormResult(kind="infinite",
