@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cones import approach_certificate, has_finite_volume, is_bounded, product_split
+from .cones import approach_certificate, has_finite_volume, is_bounded
 from .domain import DomainSpec
 from .errors import ReinhardtError
 from .scalars import scalar_to_json, sign_of
@@ -86,11 +86,7 @@ def classify_l2(spec: DomainSpec) -> Verdict:
         return Verdict(NOT_APPLICABLE, "whole-space",
                        {"note": "no constraints: the domain is all of C^n"})
     lin = spec.log_polyhedron.lineality
-    if not lin:
-        return Verdict(YES, "lineality-zero", {})
-    return Verdict(NO, "lineality-positive-dim", {
-        "lineality_dim": len(lin),
-        "lineality_vector": _vector_json(lin[0])})
+    return _lineality_positive_dim(lin) if lin else Verdict(YES, "lineality-zero", {})
 
 
 def classify_lp_ak(spec: DomainSpec) -> Verdict:
@@ -99,8 +95,13 @@ def classify_lp_ak(spec: DomainSpec) -> Verdict:
         return Verdict(NO, "not-proper-subset",
                        {"note": "the domain is all of C^n"})
     lin = spec.log_polyhedron.lineality
-    if not lin:
-        return Verdict(YES, "lineality-zero-proper-subset", {"uniform_in_k": True})
+    if lin:
+        return _lineality_positive_dim(lin)
+    return Verdict(YES, "lineality-zero-proper-subset", {"uniform_in_k": True})
+
+
+def _lineality_positive_dim(lin) -> Verdict:
+    """The ``no`` of ``l2`` and ``lp_ak`` for a nonzero lineality space."""
     return Verdict(NO, "lineality-positive-dim", {
         "lineality_dim": len(lin),
         "lineality_vector": _vector_json(lin[0])})
@@ -142,16 +143,16 @@ def classify_ainf(spec: DomainSpec) -> Verdict:
 
 def classify_hinf_k(spec: DomainSpec) -> Verdict:
     """k-independent (k >= 1): yes iff the domain is a constrained factor
-    times a full C factor on the coordinates no constraint touches."""
+    times a full C factor on the coordinates no constraint touches: it
+    splits iff their number is the dimension of the lineality space."""
     lin = spec.log_polyhedron.lineality
-    split = product_split(spec, lin)
-    if split is not None:
-        return Verdict(YES, "product-split", {
-            "m": split.m,
-            "bounded_coords": [j + 1 for j in split.bounded_coords],
-            "free_coords": [j + 1 for j in split.free_coords]})
     untouched = [j + 1 for j in range(spec.n)
                  if all(sign_of(con.alpha[j]) == 0 for con in spec.constraints)]
+    if len(untouched) == len(lin):
+        return Verdict(YES, "product-split", {
+            "m": spec.n - len(untouched),
+            "bounded_coords": [j for j in range(1, spec.n + 1) if j not in untouched],
+            "free_coords": untouched})
     return Verdict(NO, "free-coords-vs-lineality", {
         "lineality_dim": len(lin),
         "untouched_coords": untouched,

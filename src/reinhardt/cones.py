@@ -1,5 +1,5 @@
 """Exact geometry of the log-polyhedron: emptiness, recession, axis
-approach, integer lattices and product splits.
+approach and integer lattices.
 
 Everything in this module decides questions about the normal cone structure
 of a half-space system ``<alpha_i, x> < log(c_i)``.  With the exception of
@@ -62,18 +62,6 @@ if TYPE_CHECKING:
     from .domain import DomainSpec, LogPolyhedron
 
 
-@dataclass(frozen=True)
-class ProductSplit:
-    """Partition of coordinates into a constrained factor and a free factor."""
-
-    bounded_coords: tuple[int, ...]
-    free_coords: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.bounded_coords)
-
-
 def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[int]]:
     """Lattice basis of span(basis) ∩ Z^n via Hermite normal form, for a
     linearly independent ``basis`` of vectors in R^n."""
@@ -93,12 +81,9 @@ def _common_field(poly: LogPolyhedron, vectors: Sequence[Sequence[Scalar]]):
     """The field d of the normals of ``poly`` and ``vectors`` (None over Q), a
     map that lifts integer rows over the normals' field into it, and the
     integer rows of ``vectors`` in it; mixed quadratic fields raise ValueError."""
-    field = poly.integer_normals[0]
-    fields = {field, *(linalg.field_of([v]) for v in vectors)} - {None}
-    if len(fields) > 1:
-        raise ValueError(f"mixed quadratic fields: sqrt d for d in {sorted(fields)}")
-    d = max(fields, default=None)
-    lift = (lambda a: a) if d == field else (lambda a: linalg.rational_row(list(a), d))
+    d = linalg.field_of([*poly.normals, *vectors])
+    lift = ((lambda a: a) if d == poly.integer_normals[0]
+            else (lambda a: linalg.rational_row(list(a), d)))
     return d, lift, [linalg.cleared(v, d) for v in vectors]
 
 
@@ -428,21 +413,6 @@ def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:
     if not target:
         raise ValueError("approach needs a non-empty coordinate set")
     return frozenset().union(*(s for s in poly.approach_supports if s <= target)) == target
-
-
-def product_split(spec: DomainSpec, lineality: Sequence[Sequence[Scalar]]
-                  ) -> Optional[ProductSplit]:
-    """Split into constrained coords x free coords, when the lineality basis
-    allows it."""
-    untouched = [j for j in range(spec.n)
-                 if all(sign_of(con.alpha[j]) == 0 for con in spec.constraints)]
-    if len(untouched) != len(lineality):
-        return None
-    free = set(untouched)
-    return ProductSplit(
-        bounded_coords=tuple(j for j in range(spec.n) if j not in free),
-        free_coords=tuple(sorted(free)),
-    )
 
 
 def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron) -> LPCertificate:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cmp_to_key
 from operator import mul
 from typing import Optional
 
@@ -40,8 +39,12 @@ def dot(u, v) -> Scalar:
 
 
 def field_of(rows) -> Optional[int]:
-    """The d of the first Q(sqrt d) entry of ``rows``, or None over Q."""
-    return next((x.d for row in rows for x in row if isinstance(x, QuadExt)), None)
+    """The d of the Q(sqrt d) entries of ``rows``, or None over Q; entries
+    over two quadratic fields raise ValueError."""
+    fields = {x.d for row in rows for x in row if isinstance(x, QuadExt)}
+    if len(fields) > 1:
+        raise ValueError(f"mixed quadratic fields: sqrt d for d in {sorted(fields)}")
+    return next(iter(fields), None)
 
 
 def halves(v) -> list:
@@ -365,8 +368,4 @@ def coordinates(x, rows: list[list[int]], den: int, d: Optional[int]) -> tuple[l
 
 def largest_entry(rows: list[list[int]], den: int, d: Optional[int]) -> Scalar:
     """The largest entry of nonempty integer rows over ``den > 0``, as a scalar."""
-    if d is None:
-        return Fraction(max(max(v) for v in rows), den)
-    best = max((entry(v, j, d) for v in rows for j in range(len(v) // 2)),
-               key=cmp_to_key(lambda x, y: quadratic_sign(x[0] - y[0], x[1] - y[1], d)))
-    return scalar(row_of([best], d), 0, den, d)
+    return max(x for v in rows for x in vector(v, den, d))

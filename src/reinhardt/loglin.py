@@ -2,19 +2,20 @@
 
 These are the quantities the solver actually compares: log-thresholds of
 constraints, LP objective values, and membership slacks all have this shape.
-A sign is decided in two steps, which :meth:`LogLin.sign` and the ratio
-tests of :mod:`reinhardt.simplex` share.
+A sign is decided in two steps by one owner, :class:`LogBase`, which
+:meth:`LogLin.sign` builds per form and a simplex tableau
+(:mod:`reinhardt.simplex`) builds once for its right-hand sides.
 
-* *Factor* (:func:`factor_bases`): the rational bases are rewritten over a
+* *Factor* (the constructor): the rational bases are rewritten over a
   pairwise-coprime (gcd-free) base p_j of every numerator and denominator
   (Bach, Driscoll and Shallit, "Factor refinement", 1993), each base a
   sparse integer column of valuations; a base in Q(sqrt d) keeps its own
   column.  Cleared of denominators, the form is
   ``const + sum(e_j * log(p_j))`` with integer ``const`` and ``e_j`` (pairs
   (a, b) for a + b sqrt(d) over Q(sqrt d)).  A form with one term
-  ``coeff * log(base)`` and no constant skips this: it has the sign of
-  ``coeff`` times that of ``base - 1``.
-* *Decide* (:func:`decide_sign`), in this order.  Coprime integers greater
+  ``coeff * log(base)`` and no constant skips this in :meth:`LogLin.sign`:
+  it has the sign of ``coeff`` times that of ``base - 1``.
+* *Decide* (:meth:`LogBase.sign`), in this order.  Coprime integers greater
   than 1 are multiplicatively independent, so by Baker's theorem a form over
   them is zero exactly when every ``e_j`` and ``const`` are zero: if every
   ``e_j`` is zero the sign is that of ``const``, for coefficients in Q and
@@ -26,7 +27,8 @@ tests of :mod:`reinhardt.simplex` share.
   sign is always exact, over thresholds in Q(sqrt d) too.
 * Every other form goes to the interval ladder, whose rungs are integer
   multiply-adds on bounds lo <= 2^bits log(p_j) <= hi
-  (:func:`precision.log_bounds`).  Over rational bases it is nonzero there,
+  (:func:`precision.log_bounds`), which a :class:`LogBase` computes once per
+  p_j and precision.  Over rational bases it is nonzero there,
   so the ladder resolves it given enough bits.  A form with a base
   (threshold) in Q(sqrt d) and coefficients in Q(sqrt d) that are not
   rational multiples of one element can be exactly zero without equal bases
@@ -112,21 +114,18 @@ class LogLin:
     def sign(self) -> int:
         """Exact sign; raises BoundaryIndeterminate only past the ladder cap.
 
-        The form is factored over the coprime base of its bases
-        (:func:`factor_bases`), in integers over one positive denominator,
-        and :func:`decide_sign` decides it."""
+        A form of one term and no constant has the sign of its coefficient
+        times that of ``base - 1``; any other is cleared to an integer row
+        over one positive denominator and decided by :meth:`LogBase.sign`."""
         if not self.terms:
             return sign_of(self.const)
         if sign_of(self.const) == 0 and len(self.terms) == 1:
             (base, coeff), = self.terms
             return sign_of(coeff) * scalar_cmp(base, 1)
-        bases, columns = factor_bases([b for b, _ in self.terms])
         row = [self.const, *(c for _, c in self.terms)]
         d = linalg.field_of([row])
         ints, den = linalg.over_denominator(row, d)
-        return decide_sign(linalg.entry(ints, 0, d), linalg.sparse_products(ints, columns, d), d,
-                           bases, lambda ctx, j: log_bounds(bases[j], ctx),
-                           lambda: repr(self), den)
+        return LogBase([b for b, _ in self.terms], d).sign(ints, den, lambda: repr(self))
 
     def is_zero(self) -> bool:
         return self.sign() == 0
@@ -143,88 +142,98 @@ class LogLin:
         return float(base) + sum(float(c) * math.log(float(b)) for b, c in self.terms)
 
 
-def factor_bases(bases: Sequence[Scalar]) -> tuple[list[Scalar], list[list[tuple[int, int]]]]:
-    """The log bases of ``bases`` over a coprime base, and their valuations.
+class LogBase:
+    """The log bases of a form's bases over their coprime base, and the one
+    sign decision over them.
 
-    Returns ``(logs, columns)``.  ``logs`` holds the pairwise-coprime
-    integers p_j > 1 of which every numerator and denominator of a rational
-    base is a product of powers, in increasing order, and then every
-    irrational base as it is.  ``columns[j]`` holds the pairs ``(1 + t, v)``,
-    v nonzero, such that ``log(bases[t])`` is the sum of ``v * log(logs[j])``
-    over j: the sparse integer column of ``logs[j]`` against a row
-    ``[const, coeff of log(bases[0]), ...]``, which
-    :func:`linalg.sparse_products` maps to exponents over ``logs``.
+    ``logs`` holds the pairwise-coprime integers p_j > 1 of which every
+    numerator and denominator of a rational base is a product of powers, in
+    increasing order, and then every irrational base as it is.
+    ``columns[j]`` holds the pairs ``(1 + t, v)``, v nonzero, such that
+    ``log(bases[t])`` is the sum of ``v * log(logs[j])`` over j: the sparse
+    integer column of ``logs[j]`` against an integer row ``[const, coeff of
+    log(bases[0]), ...]`` over Q, or over Z[sqrt d] for the coefficients'
+    field ``d``, which :func:`linalg.sparse_products` maps to exponents over
+    ``logs``.  The integer bounds on 2^bits log(logs[j]) the ladder needs are
+    computed once per precision and held.
     """
-    parts = []  # (t, x > 1, +-1): log x enters log(bases[t]) with that sign
-    irrational = []
-    for t, base in enumerate(bases):
-        if not is_rational(base):
-            irrational.append(t)
-            continue
-        q = Fraction(base)
-        if q.numerator > 1:
-            parts.append((1 + t, q.numerator, 1))
-        if q.denominator > 1:
-            parts.append((1 + t, q.denominator, -1))
-    logs: list[Scalar] = sorted(_coprime_base([x for _, x, _ in parts]))
-    columns = []
-    for p in logs:
-        column = []
-        for t, x, s in parts:  # a numerator and its denominator share no p
-            if x % p == 0:
-                column.append((t, s * _valuation(x, p)[0]))
-        columns.append(column)
-    logs += [bases[t] for t in irrational]
-    columns += [[(1 + t, 1)] for t in irrational]
-    return logs, columns
 
+    def __init__(self, bases: Sequence[Scalar], d: Optional[int]):
+        self.bases, self.d = list(bases), d
+        parts = []  # (t, x > 1, +-1): log x enters log(bases[t]) with that sign
+        irrational = []
+        for t, base in enumerate(self.bases):
+            if not is_rational(base):
+                irrational.append(t)
+                continue
+            q = Fraction(base)
+            if q.numerator > 1:
+                parts.append((1 + t, q.numerator, 1))
+            if q.denominator > 1:
+                parts.append((1 + t, q.denominator, -1))
+        self.logs: list[Scalar] = sorted(_coprime_base([x for _, x, _ in parts]))
+        self.columns = []
+        for p in self.logs:
+            column = []
+            for t, x, s in parts:  # a numerator and its denominator share no p
+                if x % p == 0:
+                    column.append((t, s * _valuation(x, p)[0]))
+            self.columns.append(column)
+        self.logs += [self.bases[t] for t in irrational]
+        self.columns += [[(1 + t, 1)] for t in irrational]
+        self._bounds: dict[int, list] = {}  # precision -> bounds, as asked for
 
-def decide_sign(const, exps: Sequence, d: Optional[int], bases: Sequence[Scalar],
-                log_of: Callable, what: Callable[[], str], den: int = 1) -> int:
-    """Sign of ``(const + sum(exps[j] * log(bases[j]))) / den``.
+    def _log(self, ctx, j: int) -> tuple[int, int]:
+        """Integer bounds on 2^bits log(logs[j]), computed once per precision."""
+        bounds = self._bounds.setdefault(ctx.prec, [None] * len(self.logs))
+        if bounds[j] is None:
+            bounds[j] = log_bounds(self.logs[j], ctx)
+        return bounds[j]
 
-    ``const`` and ``exps`` are ring elements in the format of
-    :mod:`reinhardt.linalg` (ints over Z, ``(a, b)`` pairs over Z[sqrt d]),
-    ``bases`` are as :func:`factor_bases` returns them, ``log_of(ctx, j)``
-    bounds 2^bits log(bases[j]) as :func:`precision.log_bounds` does, and
-    ``what()`` names the form if the ladder fails.  Decided in this order:
+    def sign(self, row: list[int], den: int, what: Callable[[], str]) -> int:
+        """Sign of ``(const + sum(coeff_t * log(bases[t]))) / den`` for the
+        integer row ``[const, coeff_0, ...]`` and a positive integer ``den``;
+        ``what()`` names the form if the ladder fails.  With ``const`` and
+        the exponents e_j over ``logs`` read off the row, decided in this order:
 
-    * every exponent zero: the sign of ``const``;
-    * ``const`` zero and the exponents rational, or rational multiples of
-      one element e as :func:`_powers` allows: the sign of e times that of
-      ``prod(base ** k) - 1`` for integers k, outright when
-      :func:`product_bits` is at most ``EXACT_PRODUCT_BITS``;
-    * everything else, and larger products, by :func:`ladder_sign`; a
-      product the ladder cannot resolve is then compared outright.
-    """
-    if d is None:
-        nums, irrs = exps, None
-    else:
-        nums, irrs = [a for a, _ in exps], [b for _, b in exps]
-    live = [j for j, x in enumerate(nums) if x or (irrs is not None and irrs[j])]
-    if not live:  # the exact zero test
-        return (const > 0) - (const < 0) if d is None else quadratic_sign(*const, d)
-    scale, powers = _powers(const, nums, irrs, live, d, bases)
-    if powers and product_bits(powers) <= EXACT_PRODUCT_BITS:
-        return scale * _product_sign(powers)
+        * every exponent zero: the sign of ``const``;
+        * ``const`` zero and the exponents rational, or rational multiples of
+          one element e as :func:`_powers` allows: the sign of e times that of
+          ``prod(p_j ** k_j) - 1`` for integers k_j, outright when
+          :func:`product_bits` is at most ``EXACT_PRODUCT_BITS``;
+        * everything else, and larger products, by :func:`ladder_sign`; a
+          product the ladder cannot resolve is then compared outright.
+        """
+        d = self.d
+        const, exps = linalg.entry(row, 0, d), linalg.sparse_products(row, self.columns, d)
+        if d is None:
+            nums, irrs = exps, None
+        else:
+            nums, irrs = [a for a, _ in exps], [b for _, b in exps]
+        live = [j for j, x in enumerate(nums) if x or (irrs is not None and irrs[j])]
+        if not live:  # the exact zero test
+            return (const > 0) - (const < 0) if d is None else quadratic_sign(*const, d)
+        scale, powers = _powers(const, nums, irrs, live, d, self.logs)
+        if powers and product_bits(powers) <= EXACT_PRODUCT_BITS:
+            return scale * _product_sign(powers)
 
-    def build(ctx):  # integer bounds on 2^bits times the form, then over 2^bits
-        bits = ctx.prec
-        bounds = [log_of(ctx, j) for j in live]
-        lo, hi = _enclose(const if d is None else const[0], nums, live, bounds, bits)
-        if d is not None and (const[1] or any(irrs[j] for j in live)):
-            ilo, ihi = _enclose(const[1], irrs, live, bounds, bits)
-            r = math.isqrt(d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
-            ends = (ilo * r, ilo * (r + 1), ihi * r, ihi * (r + 1))
-            lo, hi, bits = (lo << bits) + min(ends), (hi << bits) + max(ends), 2 * bits
-        return scaled_interval(lo, hi, den << bits, ctx)
+        def build(ctx):  # integer bounds on 2^bits times the form, then over 2^bits
+            bits = ctx.prec
+            bounds = [self._log(ctx, j) for j in live]
+            lo, hi = _enclose(const if d is None else const[0], nums, live, bounds, bits)
+            if d is not None and (const[1] or any(irrs[j] for j in live)):
+                ilo, ihi = _enclose(const[1], irrs, live, bounds, bits)
+                r = math.isqrt(d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
+                ends = (ilo * r, ilo * (r + 1), ihi * r, ihi * (r + 1))
+                lo, hi, bits = (lo << bits) + min(ends), (hi << bits) + max(ends), 2 * bits
+            return scaled_interval(lo, hi, den << bits, ctx)
 
-    try:
-        return ladder_sign(build, what=what)
-    except BoundaryIndeterminate:
-        if not powers:
-            raise
-        return scale * _product_sign(powers)
+        try:
+            return ladder_sign(build, what=what)
+        except BoundaryIndeterminate:
+            if not powers:
+                raise
+            return scale * _product_sign(powers)
 
 
 def _enclose(c: int, xs: Sequence[int], live: list[int], bounds: list, bits: int) -> tuple:
@@ -237,7 +246,7 @@ def _enclose(c: int, xs: Sequence[int], live: list[int], bounds: list, bits: int
 
 def _powers(const, nums, irrs, live, d, bases) -> tuple[int, list[tuple[Scalar, int]]]:
     """``(s, [(base, k)])``, integers k with gcd 1, such that the form of
-    :func:`decide_sign` has s times the sign of ``sum(k * log(base))``.
+    :meth:`LogBase.sign` has s times the sign of ``sum(k * log(base))``.
 
     The list is empty unless ``const`` is zero and the live exponents are
     rational multiples of the first, e = a + b sqrt(d).  The form is then e

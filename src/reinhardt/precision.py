@@ -19,7 +19,7 @@ exponents over a coprime base, so such a form reaches the ladder only when
 it is nonzero, and then the ladder terminates given enough bits.  The
 ladders of ``LogLin.sign`` and of the simplex ratio tests run on integers:
 each rung takes integer bounds on 2^bits log(p) (:func:`log_bounds`, held
-per tableau and precision by the simplex), encloses the form by integer
+per p and precision by a :class:`loglin.LogBase`), encloses the form by integer
 multiply-adds and passes one outward-rounded interval
 (:func:`scaled_interval`).  The witness threshold ``N0`` and the
 norm-versus-1 comparisons of witness certificates build mpmath intervals.

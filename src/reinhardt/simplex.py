@@ -22,17 +22,16 @@ Positive row scalings leave the true tableau B^-1 A unchanged, so every
 sign Bland's rule reads is the sign of an integer, or of a + b sqrt(d)
 with integer a, b.  The ratio test compares rhs_i / a_i with rhs_k / a_k by
 the sign of the cross product rhs_i a_k - rhs_k a_i: in integers when it has
-no log terms.  Otherwise the tableau, which factors its log bases once
-over their coprime base (:func:`loglin.factor_bases`), maps the log
-coefficients of a positive rational multiple of the difference to integer
-exponents over that base, and :func:`loglin.decide_sign`, the decision of
-:meth:`LogLin.sign`, decides them, with the integer log bounds the ladder
-needs computed once per tableau and precision.  The tableau starts from the
-constraint rows, right-hand sides and objective cleared once; ``Fraction``,
-``QuadExt`` and ``LogLin`` values are built only for the returned
-certificates (and to name a form the ladder cannot resolve), which are
-checked in integers against the cleared rows, the multipliers as the
-reduced costs of the slacks, before they are returned:
+no log terms.  Otherwise the one :class:`loglin.LogBase` of the tableau,
+which factors its log bases once over their coprime base and holds the
+integer log bounds the ladder needs once per precision, decides the sign of
+a positive rational multiple of the difference, as it decides every other
+right-hand-side sign: the flips of phase I and the Farkas value.  The
+tableau starts from the constraint rows, right-hand sides and objective
+cleared once; ``Fraction``, ``QuadExt`` and ``LogLin`` values are built
+only for the returned certificates (and to name a form the ladder cannot
+resolve), which are checked in integers against the cleared rows, the
+multipliers as the reduced costs of the slacks, before they are returned:
 
 * ``optimal``    — primal point, objective value, dual multipliers with
                    lambda >= 0 and lambda @ A == c;
@@ -50,9 +49,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import ReinhardtError
-from .loglin import LogLin, as_loglin, decide_sign, factor_bases
-from .precision import log_bounds
-from .scalars import QuadExt, Scalar
+from .loglin import LogBase, LogLin, as_loglin
+from .scalars import Scalar
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
 
@@ -76,15 +74,16 @@ class _Tableau:
     over its own positive denominator ``den[i]``.
 
     A row holds the columns ``x, slacks, artificials`` followed by the
-    right-hand side ``[const, coeff of log bases[0], ...]``.  ``basis``
-    holds Bland's indices into ``order``, the (stored column, sign) pairs of
-    u_j, v_j, the slacks and the artificials.  The last row is the
-    reduced-cost row of the current phase, whose right-hand side is the
-    objective value.  A basic column's entry equals its row's denominator
-    (true value 1), and minus it in column j for a basic v_j.  ``a_rows``
-    and ``b_rows`` are the cleared constraint rows and right-hand sides,
-    pairs (integer row, denominator) of :func:`linalg.over_denominator`;
-    ``arts`` are the artificial columns.
+    right-hand side ``[const, coeff of log bases[0], ...]``, over the
+    ``bases`` of ``logbase``, the :class:`LogBase` that decides every sign
+    of a right-hand side.  ``basis`` holds Bland's indices into ``order``,
+    the (stored column, sign) pairs of u_j, v_j, the slacks and the
+    artificials.  The last row is the reduced-cost row of the current
+    phase, whose right-hand side is the objective value.  A basic column's
+    entry equals its row's denominator (true value 1), and minus it in
+    column j for a basic v_j.  ``a_rows`` and ``b_rows`` are the cleared
+    constraint rows and right-hand sides, pairs (integer row, denominator)
+    of :func:`linalg.over_denominator`; ``arts`` are the artificial columns.
     """
 
     def __init__(self, a_rows, b_vals, n: int, d: Optional[int]):
@@ -92,10 +91,8 @@ class _Tableau:
         self.m = len(a_rows)
         self.d = d
         self.a_rows = a_rows
-        self.bases = sorted({base for b in b_vals for base, _ in b.terms})
-        # the right-hand-side columns of log bases over their coprime base
-        self.log_bases, self.columns = factor_bases(self.bases)
-        self.logs: dict[int, list] = {}  # precision -> integer log bounds, as asked for
+        self.logbase = LogBase(sorted({base for b in b_vals for base, _ in b.terms}), d)
+        self.bases = self.logbase.bases
         slot = {base: 1 + k for k, base in enumerate(self.bases)}
         self.b_rows = []
         for b in b_vals:
@@ -196,19 +193,9 @@ class _Tableau:
         return self.form_sign(vec)
 
     def form_sign(self, vec: list[int], den: int = 1) -> int:
-        """Sign of the right-hand-side integer row ``vec`` over the positive
-        ``den``, decided on its integer exponents over the coprime base."""
-        d = self.d
-        return decide_sign(linalg.entry(vec, 0, d), linalg.sparse_products(vec, self.columns, d),
-                           d, self.log_bases, self._log,
-                           lambda: repr(self.loglin(linalg.vector(vec, den, d))), den)
-
-    def _log(self, ctx, j: int) -> tuple[int, int]:
-        """Integer bounds on 2^bits log(log_bases[j]), computed once per precision."""
-        logs = self.logs.setdefault(ctx.prec, [None] * len(self.log_bases))
-        if logs[j] is None:
-            logs[j] = log_bounds(self.log_bases[j], ctx)
-        return logs[j]
+        """Sign of the right-hand-side integer row ``vec`` over the positive ``den``."""
+        return self.logbase.sign(vec, den,
+                                 lambda: repr(self.loglin(linalg.vector(vec, den, self.d))))
 
     def run(self, cost: list[int], den: int, stop: int) -> Optional[int]:
         """Bland pivoting to optimality from the cost row ``cost`` over ``den``
@@ -244,12 +231,8 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
     n = len(objective)
     if any(len(r) != n for r in a_rows):
         raise ValueError("constraint rows and objective have mismatched lengths")
-    coeffs = [x for r in a_rows for x in r] + list(objective) + \
-        [c for b in b_vals for c in (b.const, *(c for _, c in b.terms))]
-    fields = {x.d for x in coeffs if isinstance(x, QuadExt)}
-    if len(fields) > 1:
-        raise ValueError(f"mixed quadratic fields: {sorted(fields)}")
-    d = next(iter(fields), None)
+    d = linalg.field_of([*a_rows, objective,
+                         *((b.const, *(c for _, c in b.terms)) for b in b_vals)])
     rows = [linalg.over_denominator(r, d) for r in a_rows]
     cost = linalg.over_denominator(objective, d)
 

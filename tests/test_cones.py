@@ -7,8 +7,8 @@ from conftest import NEAR_TIE, random_spec, sample_interior_points
 from hypothesis import example, given, settings, strategies as st
 
 from reinhardt import (DomainSpec, LogPolyhedron, MonomialConstraint,
-                       RecessionCone, approach, approach_certificate, cones, has_finite_volume,
-                       interior_point, is_bounded, linalg, lp_optimize, product_split,
+                       RecessionCone, approach, approach_certificate, classify_hinf_k, cones,
+                       has_finite_volume, interior_point, is_bounded, linalg, lp_optimize,
                        recession_contains, sup_norm_monomial)
 from reinhardt.cones import integer_lattice_of
 from reinhardt.errors import BoundaryIndeterminate, RayCapError, ReinhardtError
@@ -89,13 +89,12 @@ def test_approach_soundness_certificate(hartogs, annulus, polydisc):
 
 
 def test_product_split(hartogs, disc_times_plane, multiplicative_strip):
-    split = product_split(disc_times_plane, disc_times_plane.log_polyhedron.lineality)
-    assert split is not None and split.m == 1
-    assert split.bounded_coords == (0,) and split.free_coords == (1,)
-    assert product_split(multiplicative_strip,
-                         multiplicative_strip.log_polyhedron.lineality) is None
-    trivial = product_split(hartogs, hartogs.log_polyhedron.lineality)
-    assert trivial is not None and trivial.m == 2 and trivial.free_coords == ()
+    split = classify_hinf_k(disc_times_plane)
+    assert split.is_yes and split.criterion == "product-split" and split.evidence["m"] == 1
+    assert split.evidence["bounded_coords"] == [1] and split.evidence["free_coords"] == [2]
+    assert not classify_hinf_k(multiplicative_strip).is_yes
+    trivial = classify_hinf_k(hartogs)
+    assert trivial.is_yes and trivial.evidence["m"] == 2 and trivial.evidence["free_coords"] == []
 
 
 def test_lp_optimize_attainment(hartogs):

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import NEAR_TIE, SPEC_DIR
 
-from reinhardt import (EmptyDomainError, SpecError, classify_all, contains, has_finite_volume,
-                       is_bounded, parse_spec, radial, spectrum_box)
+from reinhardt import (DomainSpec, EmptyDomainError, MonomialConstraint, SpecError, classify_all,
+                       contains, has_finite_volume, is_bounded, parse_spec, radial, spectrum_box)
 from reinhardt import spaces as sp
 from reinhardt.scalars import quad
 
@@ -42,6 +42,15 @@ def test_nonempty_spec_near_a_tie_parses_at_a_64_bit_cap(monkeypatch):
     report = classify_all(spec)
     assert report.flags["bounded"] is True
     assert {v.value for v in report.verdicts.values()} == {"yes"}
+
+
+def test_normals_over_two_fields_are_refused():
+    # the hinf lineality basis is (0, sqrt3/3, 1), not the sqrt2 field's (0, sqrt2/2, 1)
+    spec = DomainSpec(n=3, constraints=(
+        MonomialConstraint((quad(0, 1, 2), Fraction(0), Fraction(0)), Fraction(2)),
+        MonomialConstraint((Fraction(0), quad(0, 1, 3), Fraction(-1)), Fraction(2))))
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        classify_all(spec)
 
 
 def test_parse_empty_polyhedron_rejected():

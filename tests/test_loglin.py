@@ -34,6 +34,15 @@ def test_exact_signs():
     assert v.sign() == 0  # 8^(2/3) = 4
 
 
+def test_coefficients_over_two_fields_are_refused():
+    form = LogLin.log_of(2, quad(0, 1, 3)) - LogLin.log_of(Fraction(11, 5), quad(0, 1, 2))
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        form.sign()
+    # a base over another field than the coefficients keeps its own log
+    v = LogLin.log_of(quad(1, 1, 3), quad(0, 1, 2)) - LogLin.log_of(Fraction(2))
+    assert v.sign() == 1  # sqrt2 log(1 + sqrt3) - log 2 = 0.728...
+
+
 def test_merging_by_equal_base():
     s = quad(0, 1, 2)
     v = LogLin.log_of(Fraction(2), s) - LogLin.log_of(Fraction(2), s)

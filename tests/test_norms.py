@@ -188,6 +188,13 @@ def test_frame_requires_square_independent(hartogs, annulus):
                                   [Fraction(1), Fraction(1)])
 
 
+def test_frame_over_two_fields_is_refused():
+    # |det| = sqrt6: neither field's arithmetic alone gets it
+    with pytest.raises(ValueError, match="mixed quadratic fields"):
+        SimplicialFrame.from_rows([(quad(0, 1, 2), Fraction(0)), (Fraction(0), quad(0, 1, 3))],
+                                  [Fraction(1), Fraction(1)])
+
+
 def test_frame_on_reordered_rows_builds_its_own_polyhedron():
     chain3 = load_spec(str(Path(__file__).resolve().parent / "specs" / "chain3.json"))
     frame = SimplicialFrame.from_spec(chain3, rows=[2, 0, 1])

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from conftest import degenerate_lp, integer_lp, mixed_log_lp, seeded_lps, sqrt2_lp
-from reinhardt import linalg, simplex
+from conftest import NEAR_TIE, degenerate_lp, integer_lp, mixed_log_lp, seeded_lps, sqrt2_lp
+from reinhardt import linalg, loglin, simplex
 from reinhardt.errors import BoundaryIndeterminate, ReinhardtError
 from reinhardt.linalg import dot
 from reinhardt.loglin import LogLin
@@ -195,6 +195,24 @@ def test_basic_columns_are_unit_columns_after_every_pivot(monkeypatch):
     for _, lp in seeded_lps():
         solve_lp(*lp)
     assert {(d, True) for d in (None, 2, 5)} <= set(checked)
+
+
+def test_a_tableau_bounds_each_log_once_per_precision(monkeypatch):
+    # the interior-point LP of |z| < 1/2, |z^sqrt2| < NEAR_TIE: its ratio
+    # tests climb the ladder past 64 bits
+    monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
+    asked, log_bounds = [], loglin.log_bounds
+
+    def counting(x, ctx):
+        asked.append((x, ctx.prec))
+        return log_bounds(x, ctx)
+
+    monkeypatch.setattr(loglin, "log_bounds", counting)
+    rows = [[Fraction(1), Fraction(1)], [quad(0, 1, 2), Fraction(1)],
+            [Fraction(0), Fraction(1)], [Fraction(0), Fraction(-1)]]
+    rhs = [LogLin.log_of(Fraction(1, 2)), LogLin.log_of(NEAR_TIE), LogLin.of(1), LogLin.zero()]
+    assert solve_lp(rows, rhs, [Fraction(0), Fraction(1)]).status == OPTIMAL
+    assert len(asked) == len(set(asked)) and max(bits for _, bits in asked) > 64
 
 
 def test_degenerate_lp_with_tied_ratios():
