@@ -80,10 +80,14 @@ def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[i
 def _common_field(poly: LogPolyhedron, vectors: Sequence[Sequence[Scalar]]):
     """The field d of the normals of ``poly`` and ``vectors`` (None over Q), a
     map that lifts integer rows over the normals' field into it, and the
-    integer rows of ``vectors`` in it; mixed quadratic fields raise ValueError."""
-    d = linalg.field_of([*poly.normals, *vectors])
-    lift = ((lambda a: a) if d == poly.integer_normals[0]
-            else (lambda a: linalg.rational_row(list(a), d)))
+    integer rows of ``vectors`` in it; mixed quadratic fields raise ValueError.
+    The normals' field is read off ``poly.integer_normals``; only ``vectors``
+    are scanned."""
+    own, d = poly.integer_normals[0], linalg.field_of(vectors)
+    if own is not None and d is not None and own != d:
+        raise ValueError(f"mixed quadratic fields: sqrt d for d in {sorted((own, d))}")
+    d = own if d is None else d
+    lift = (lambda a: a) if d == own else (lambda a: linalg.rational_row(list(a), d))
     return d, lift, [linalg.cleared(v, d) for v in vectors]
 
 

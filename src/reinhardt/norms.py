@@ -19,6 +19,7 @@ scope; finiteness stays exact everywhere and values go through Monte Carlo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -211,17 +212,21 @@ def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> No
     if p < 1:
         raise ValueError("p must be a rational >= 1")
     n, d = frame.n, frame.quadratic_d
-    t, den = frame.coordinates([p * c + 2 for c in integer_exponents(nu)])
+    # t over den: the coordinates of p nu + 2*1, an integer row over p's denominator
+    t, den = frame.coordinates([p.numerator * c + 2 * p.denominator
+                                for c in integer_exponents(nu)])
+    den *= p.denominator
     for j in range(n):
         if linalg.entry_sign(t, j, d) <= 0:
             ray = tuple(-linalg.scalar(frame.inverse[ell], j, frame.den, d) for ell in range(n))
             return NormResult(kind="infinite", ray=ray)
-    coords = linalg.vector(t, den, d)
-    denom: Scalar = frame.det_abs
-    for x in coords:
-        denom = denom * x
-    coeff = Fraction(2) ** n / denom
-    return make_exact_norm(coeff, n, list(zip(frame.thresholds, coords)))
+    # 2^n / (|det A| prod_j t_j/den), the t_j read off the integer row
+    ts = t if d is None else linalg.vector(t, 1, d)
+    coeff = Fraction(2 ** n * den ** n) / (frame.det_abs * math.prod(ts))
+    # a threshold equal to 1 adds no factor
+    factors = [(c, linalg.scalar(t, j, den, d))
+               for j, c in enumerate(frame.thresholds) if c != 1]
+    return make_exact_norm(coeff, n, factors)
 
 
 def find_integrable_monomial(spec: DomainSpec, max_radius: int = 40

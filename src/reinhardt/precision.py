@@ -21,8 +21,10 @@ ladders of ``LogLin.sign`` and of the simplex ratio tests run on integers:
 each rung takes integer bounds on 2^bits log(p) (:func:`log_bounds`, held
 per p and precision by a :class:`loglin.LogBase`), encloses the form by integer
 multiply-adds and passes one outward-rounded interval
-(:func:`scaled_interval`).  The witness threshold ``N0`` and the
-norm-versus-1 comparisons of witness certificates build mpmath intervals.
+(:func:`scaled_interval`).  Witness certificates build mpmath intervals
+only for the threshold ``N0`` and for the near ties of their norm-versus-1
+comparisons, which are otherwise exact signs against a rational enclosure of
+pi^n taken from the 64-bit interval of pi.
 """
 
 from __future__ import annotations

@@ -16,6 +16,13 @@ where coords() expands a vector in the basis of the frame normals.  The two
 max-branches are kept separate so the ceiling of N0 is exact: the branch
 without pi is pure field arithmetic, the branch with pi can never be an
 integer, so the interval ladder always resolves it.
+
+The certificate's other checks are exact.  A term norm c pi^n is compared
+with 1 by two signs of field elements, c lo^n - 1 and c hi^n - 1, for the
+rational ends lo < pi < hi of pi's 64-bit interval; only a norm so near 1
+that the two differ goes to the ladder.  The tail bounds (P + Q mu)^R of the
+derivative orders 0..k share one exact spot check, and a witness holds them
+once it has checked them.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
+from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from mpmath import libmp
@@ -166,6 +173,16 @@ class WitnessFunction:
         return integer_exponents(self.frame.normals[self.j0])
 
     @cached_property
+    def tails(self) -> tuple[TailBound, ...]:
+        """The spot-verified tail bounds of the orders 0..k (:func:`tail_bounds`)."""
+        return tail_bounds(self, self.k)
+
+    def tails_to(self, k: int) -> tuple[TailBound, ...]:
+        """The spot-verified tail bounds of the orders 0..k: ``tails`` up to
+        the witness's own k, checked anew above it."""
+        return self.tails if k <= self.k else tail_bounds(self, k)
+
+    @cached_property
     def d_float(self) -> float:
         """``d`` as a float, for the numeric evaluations of f_N; a SpecError
         when it does not fit one."""
@@ -228,28 +245,52 @@ def build_witness(wspec: WitnessSpec) -> WitnessFunction:
                            d=d, k=wspec.k, n0=n0)
 
 
-def derive_tail_bound(w: WitnessFunction, k: int) -> TailBound:
-    """Constants dominating the derivative-series coefficients (spot-verified).
+def _tail_bound(w: WitnessFunction, order: int) -> TailBound:
+    """The bound for derivative order ``order``, before its spot check.
 
     |sigma! C(m, sigma)| <= prod (|m_l| + sigma_l)^{sigma_l} with
-    m = N*alpha + mu*alpha_j0, so P = max N|alpha_l| + k, Q = max |alpha_j0,l|,
-    R = k works; k = 0 needs nothing beyond the constant 1.
+    m = N*alpha + mu*alpha_j0, so P = max N|alpha_l| + order,
+    Q = max |alpha_j0,l|, R = order works; order 0 needs only the constant 1.
     """
-    if k == 0:
-        bound = TailBound(1, 1, 0)
-    else:
-        big_p = max(w.N * abs(a) for a in w.alpha_sum) + k
-        big_q = max(max(abs(a) for a in w.alpha_j0), 1)
-        bound = TailBound(big_p, big_q, k)
-    for mu in range(0, 1001, 25):  # exact spot verification
-        m = [w.N * a + mu * aj for a, aj in zip(w.alpha_sum, w.alpha_j0)]
-        for sigma in derivative_orders(w.frame.n, k):
+    if order == 0:
+        return TailBound(1, 1, 0)
+    big_p = max(w.N * abs(a) for a in w.alpha_sum) + order
+    big_q = max(max(abs(a) for a in w.alpha_j0), 1)
+    return TailBound(big_p, big_q, order)
+
+
+def tail_bounds(w: WitnessFunction, k: int) -> tuple[TailBound, ...]:
+    """Spot-verified constants dominating the derivative-series coefficients,
+    one bound for each order 0..k.
+
+    The bound of order j is checked exactly against sigma! C(m, sigma) for
+    every |sigma| <= j at mu = 0, 25, ..., 1000; each coefficient is built
+    once, from each coordinate's falling products for s = 0..k, and checked
+    against every order j >= |sigma|.
+    """
+    bounds = tuple(_tail_bound(w, order) for order in range(k + 1))
+    sigmas = [(sigma, sum(sigma)) for sigma in derivative_orders(w.frame.n, k)]
+    for mu in range(0, 1001, 25):
+        # least bound over the orders j >= s, for each s = |sigma|
+        least = list(accumulate((b.value(mu) for b in reversed(bounds)), min))[::-1]
+        falling = []
+        for a, aj in zip(w.alpha_sum, w.alpha_j0):
+            m, prefix = w.N * a + mu * aj, [1]
+            for s in range(k):
+                prefix.append(prefix[-1] * (m - s))
+            falling.append(prefix)
+        for sigma, order in sigmas:
             coef = 1
-            for ml, sl in zip(m, sigma):
-                coef *= falling_product(ml, sl)
-            if abs(coef) > bound.value(mu):
+            for prefix, sl in zip(falling, sigma):
+                coef *= prefix[sl]
+            if abs(coef) > least[order]:
                 raise ReinhardtError(f"tail bound failed spot check at mu={mu}, sigma={sigma}")
-    return bound
+    return bounds
+
+
+def derive_tail_bound(w: WitnessFunction, k: int) -> TailBound:
+    """The spot-verified bound of derivative order k (see :func:`tail_bounds`)."""
+    return tail_bounds(w, k)[k]
 
 
 def eval_witness_derivative(w: WitnessFunction, sigma: Sequence[int], z: Sequence[complex],
@@ -269,7 +310,8 @@ def eval_witness_derivative(w: WitnessFunction, sigma: Sequence[int], z: Sequenc
     if s_ratio >= dd:
         raise ValueError(f"|z^alpha_j0| = {s_ratio:.6g} >= d = {dd:.6g}: outside the "
                          "series region")
-    bound = derive_tail_bound(w, sum(sigma))
+    order = sum(sigma)
+    bound = w.tails_to(order)[order]
     # running term data: exponent m = N*alpha + mu*alpha_j0, power z^{m - sigma}
     m = [w.N * a for a in w.alpha_sum]
     z_pow = _cpow(z, [e - s for e, s in zip(m, sigma)])
@@ -381,8 +423,9 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
     d = w.d_float
     # each approach support is approachable and every approachable set is a union of them
     axis_coords = sorted(frozenset().union(*frame.polyhedron.approach_supports))
+    sigmas = derivative_orders(n, k)
     checks = []
-    for sigma in derivative_orders(n, k):
+    for sigma in sigmas:
         nu = tuple(w.N * a - s for a, s in zip(w.alpha_sum, sigma))
         coords = frame.coordinates(nu)[0]
         # coords(nu - e_ell) = coords(nu) - row ell of the inverse, over the same den
@@ -395,17 +438,33 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
             le_one = norm.kind == "exact" and _norm_sign_vs_one(norm) <= 0
             checks.append(WitnessCheck(sigma=sigma, p=p, norm=norm, norm_le_one=le_one,
                                        sup_cone_ok=sup_ok, vanishing_ok=vanish_ok))
-    # one spot-verified bound per derivative order |sigma| = 0..k
-    tails = {order: derive_tail_bound(w, order) for order in range(k + 1)}
-    sup_bounds = {sigma: _sup_series_bound(tails[sum(sigma)], d)
-                  for sigma in derivative_orders(n, k)}
+    # one spot-verified bound and one summed sup bound per derivative order 0..k
+    tails = w.tails_to(k)
+    sups = [_sup_series_bound(tails[order], d) for order in range(k + 1)]
+    sup_bounds = {sigma: sups[sum(sigma)] for sigma in sigmas}
     return WitnessCertificate(
         witness=w, k=k, p_list=p_list, checks=tuple(checks),
         axis_coords=tuple(axis_coords), derivative_sup_bounds=sup_bounds,
         tail_bound=tails[k], ok=all(c.ok for c in checks))
 
 
+@cache
+def _pi_power_bounds(n: int) -> tuple[Fraction, Fraction]:
+    """lo^n and hi^n for the rationals lo < pi < hi that end pi's 64-bit interval."""
+    return tuple(Fraction(*libmp.to_rational(end)) ** n
+                 for end in working_precision(64).pi._mpi_)
+
+
 def _norm_sign_vs_one(norm: NormResult) -> int:
-    if norm.pi_power == 0 and not norm.factors:
-        return sign_of(norm.coefficient - 1)
+    """Sign of norm - 1.  Without threshold factors the norm is c pi^n, which
+    lies strictly between c lo^n and c hi^n for n != 0, so two exact signs
+    decide it unless they differ; that near tie, and a norm with factors,
+    go to the ladder."""
+    c, n = norm.coefficient, norm.pi_power
+    if not norm.factors:
+        if n == 0:
+            return sign_of(c - 1)
+        s = sum(sign_of(c * bound - 1) for bound in _pi_power_bounds(n))
+        if s:
+            return (s > 0) - (s < 0)
     return ladder_sign(lambda ctx: norm.enclosure(ctx) - 1, what="norm vs 1")

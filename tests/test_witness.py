@@ -2,15 +2,20 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import libmp
 
-from reinhardt import (SimplicialFrame, SpecError, build_witness, compute_n0,
-                       derive_tail_bound, eval_witness_derivative, radial,
-                       verify_witness_membership)
+from reinhardt import (NormResult, ReinhardtError, SimplicialFrame, SpecError, build_witness,
+                       compute_n0, derive_tail_bound, eval_witness_derivative, load_spec,
+                       radial, verify_witness_membership, witness)
 from reinhardt.domain import exponents
-from reinhardt.witness import N0Result, WitnessSpec, falling_product
+from reinhardt.precision import ladder_sign
+from reinhardt.witness import (N0Result, TailBound, WitnessSpec, derivative_orders,
+                               falling_product, tail_bounds)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +247,152 @@ def test_hartogs_witness_verifies_at_k1_with_exact_norm(hartogs_witness):
     assert doc["tail_bound"] == {"P": 7, "Q": 1, "R": 1}  # bound at order k=1
     assert set(doc) >= {"N", "N0_interval", "alpha", "j0", "d", "checks", "tail_bound"}
     assert all(c["ok"] for c in doc["checks"])
+
+
+# the frames, orders and exterior points of the four witness goldens (tests/test_golden.py)
+GOLDEN_WITNESSES = [
+    ("specs/hartogs.json", None, (3, Fraction(3, 2)), 0, 1),
+    ("specs/polydisc.json", None, (5, 5), 1, 2),
+    ("tests/specs/chain3.json", None, (4, 2, 1), 0, 2),
+    ("specs/annulus.json", [0], (2,), 0, 1),
+]
+
+
+def golden_witness(path, rows, exterior, j0, k):
+    frame = SimplicialFrame.from_spec(load_spec(str(ROOT / path)), rows)
+    return build_witness(WitnessSpec(frame=frame, k=k, exterior=radial(*exterior), j0=j0))
+
+
+def seeded_witnesses(count, seed=23):
+    """Witnesses on random integer frames with n = 2, 3 and k = 0..2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3))
+        normals = [exponents(*(rng.randint(-3, 3) for _ in range(n))) for _ in range(n)]
+        exterior = radial(*(rng.choice((Fraction(1, 2), Fraction(3, 2), 2, 3))
+                            for _ in range(n)))
+        try:
+            frame = SimplicialFrame.from_rows(normals, [Fraction(1)] * n)
+            out.append(build_witness(WitnessSpec(frame=frame, k=rng.randint(0, 2),
+                                                 exterior=exterior, j0=rng.randrange(n))))
+        except SpecError:  # dependent normals, or b^alpha_j0 <= 1
+            continue
+    return out
+
+
+def per_order_tail_bound(w, k):
+    """Oracle: the bound of order k and its own spot check, order by order."""
+    if k == 0:
+        bound = TailBound(1, 1, 0)
+    else:
+        big_p = max(w.N * abs(a) for a in w.alpha_sum) + k
+        big_q = max(max(abs(a) for a in w.alpha_j0), 1)
+        bound = TailBound(big_p, big_q, k)
+    for mu in range(0, 1001, 25):
+        m = [w.N * a + mu * aj for a, aj in zip(w.alpha_sum, w.alpha_j0)]
+        for sigma in derivative_orders(w.frame.n, k):
+            coef = 1
+            for ml, sl in zip(m, sigma):
+                coef *= falling_product(ml, sl)
+            if abs(coef) > bound.value(mu):
+                raise ReinhardtError(f"tail bound failed spot check at mu={mu}, sigma={sigma}")
+    return bound
+
+
+def test_shared_spot_check_matches_the_per_order_oracle():
+    witnesses = [golden_witness(*case) for case in GOLDEN_WITNESSES] + seeded_witnesses(16)
+    for w in witnesses:
+        bounds = tuple(per_order_tail_bound(w, order) for order in range(w.k + 1))
+        assert tail_bounds(w, w.k) == bounds == w.tails
+        assert derive_tail_bound(w, w.k) == bounds[-1]
+
+
+def test_a_lower_order_bound_keeps_its_own_spot_check(hartogs_frame, monkeypatch):
+    """Order 1's P is cut to one below the least value that passes at mu = 0,
+    N max|alpha_l|; the bound of order 2 still dominates every coefficient,
+    so only order 1's own check can refuse the certificate."""
+    make = witness._tail_bound
+
+    def cut(tight):
+        def bound(w, order):
+            b = make(w, order)
+            if order != 1:
+                return b
+            least = max(w.N * abs(a) for a in w.alpha_sum)
+            return TailBound(least - (not tight), b.Q, b.R)
+        return bound
+
+    spec = WitnessSpec(frame=hartogs_frame, k=2, exterior=radial(3, Fraction(3, 2)), j0=0)
+    monkeypatch.setattr(witness, "_tail_bound", cut(tight=True))
+    assert verify_witness_membership(build_witness(spec), k=2).ok
+    monkeypatch.setattr(witness, "_tail_bound", cut(tight=False))
+    with pytest.raises(ReinhardtError, match="tail bound failed spot check at mu=0"):
+        verify_witness_membership(build_witness(spec), k=2)
+
+
+def test_series_evaluations_reuse_the_checked_bounds(hartogs_frame, monkeypatch):
+    calls = []
+
+    def counted(w, k):
+        calls.append(k)
+        return tail_bounds(w, k)
+
+    monkeypatch.setattr(witness, "tail_bounds", counted)
+    w = build_witness(WitnessSpec(frame=hartogs_frame, k=1,
+                                  exterior=radial(3, Fraction(3, 2)), j0=0))
+    z = (0.35 + 0.1j, 0.62 - 0.2j)
+    for sigma in ((0, 0), (1, 0), (0, 1), (1, 0)):
+        eval_witness_derivative(w, sigma, z)
+    verify_witness_membership(w)
+    assert calls == [1]
+    eval_witness_derivative(w, (2, 0), z)  # above k: checked on demand
+    assert calls == [1, 2]
+
+
+def count_ladder_calls(monkeypatch):
+    """The calls that witness.py makes to the ladder from now on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ladder_sign(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "ladder_sign", counted)
+    return calls
+
+
+# 1/pi^2 to 3000 bits, cut to 2^-100: c pi^2 is within 2^-96 of 1, and the
+# 64-bit enclosure of pi^2 straddles 1/c
+INV_PI_SQUARED = 1 / (TWO_PI / 2) ** 2
+
+
+@pytest.mark.parametrize("rounding, expected", [(math.floor, -1), (math.ceil, 1)])
+def test_norm_vs_one_near_a_tie_goes_to_the_ladder(rounding, expected, monkeypatch):
+    monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
+    c = Fraction(rounding(INV_PI_SQUARED * 2 ** 100), 2 ** 100)
+    norm = NormResult(kind="exact", coefficient=c, pi_power=2)
+    lo, hi = witness._pi_power_bounds(2)
+    assert c * lo < 1 < c * hi
+    calls = count_ladder_calls(monkeypatch)
+    oracle = ladder_sign(lambda ctx: norm.enclosure(ctx) - 1)
+    assert witness._norm_sign_vs_one(norm) == oracle == expected
+    assert len(calls) == 1
+
+
+def test_norm_vs_one_decides_exactly_away_from_ties(monkeypatch):
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    monkeypatch.setattr(witness, "ladder_sign", None)  # a ladder call would fail
+    sign = witness._norm_sign_vs_one
+    assert sign(NormResult(kind="exact", coefficient=Fraction(1), pi_power=0)) == 0
+    assert sign(NormResult(kind="exact", coefficient=Fraction(1, 10), pi_power=2)) == -1
+    assert sign(NormResult(kind="exact", coefficient=Fraction(1, 9), pi_power=2)) == 1
+    assert sign(NormResult(kind="exact", coefficient=Fraction(4, 63), pi_power=2)) == -1
+
+
+def test_golden_witnesses_verify_without_the_ladder(monkeypatch):
+    calls = count_ladder_calls(monkeypatch)
+    for path, rows, exterior, j0, k in GOLDEN_WITNESSES:
+        w = golden_witness(path, rows, exterior, j0, k)
+        assert verify_witness_membership(w, p_list=[1, 2, 3]).ok
+    assert calls == []
