@@ -19,7 +19,6 @@ from .classify import classify_all
 from .domain import DomainSpec, load_spec, radial
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
                      ReinhardtError, SpecError)
-from .montecarlo import lp_norm_monte_carlo
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial, sup_norm_monomial
 from .scalars import parse_rational_literal
 from . import spaces as sp
@@ -127,6 +126,7 @@ def _run_norm(args, spec: DomainSpec, nu: tuple[int, ...]) -> int:
     if args.mc:
         if args.seed is None:
             raise SpecError("--mc requires an explicit --seed")
+        from .montecarlo import lp_norm_monte_carlo  # numpy loads only for --mc
         result = lp_norm_monte_carlo(spec, nu, p, args.samples, args.seed)
     else:
         result = lp_norm_exact_simplicial(SimplicialFrame.from_spec(spec), nu, p)

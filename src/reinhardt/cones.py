@@ -38,8 +38,10 @@ when some row is an implicit equality of C, or C is not found within a
 budget of 4 m intermediate rays, does the simplex (:mod:`reinhardt.simplex`)
 decide it (:func:`interior_point`).  Otherwise the simplex computes what
 gets printed or pinned once finiteness is known: the value of a finite sup
-(:func:`lp_optimize`, also the Monte-Carlo bounding box :func:`radius_box`)
-and the reported approach and sup-norm rays.
+(:func:`lp_optimize`, also the upper bounds on log|z_j| that the Monte-Carlo
+bounding box is made of, :func:`radius_box`) and the reported approach and
+sup-norm rays.  Nothing here needs numpy: only :mod:`reinhardt.montecarlo`
+loads it.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import linalg
 from .errors import RayCapError, ReinhardtError
@@ -426,9 +426,11 @@ def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron) -> LPCertifica
 
 
 def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
-    """Per-coordinate sup of |z_j| as floats rounded up, or None when some
-    |z_j| is unbounded, that is when the recession cone does not lie in the
-    closed negative orthant; else one LP per coordinate, in order."""
+    """Per-coordinate upper bound on log|z_j|, the upper end of a 64-bit
+    enclosure of its sup as a float, or None when some |z_j| is unbounded,
+    that is when the recession cone does not lie in the closed negative
+    orthant; else one LP per coordinate, in order.
+    :func:`reinhardt.montecarlo.bounding_radii` exponentiates them."""
     if not poly.recession.in_negative_orthant():
         return None
     logs = []
@@ -436,8 +438,7 @@ def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
         cert = lp_optimize([int(i == j) for i in range(poly.n)], poly)
         require_optimal(cert, "radius_box")
         logs.append(float(cert.objective.interval(working_precision(64)).b))
-    # tiny outward inflation keeps the box a true superset after float rounding
-    return tuple((np.exp(np.array(logs)) * (1.0 + 1e-9)).tolist())
+    return tuple(logs)
 
 
 def gordan_direction(poly: LogPolyhedron, cone: RecessionCone) -> Optional[list[Scalar]]:

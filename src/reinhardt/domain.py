@@ -141,7 +141,8 @@ class LogPolyhedron:
 
     @cached_property
     def radius_box(self) -> Optional[tuple[float, ...]]:
-        """Per-coordinate sup of |z_j|, rounded up (None when unbounded)."""
+        """Per-coordinate upper bound on log|z_j| (None when unbounded): the
+        Monte-Carlo box before exponentiation, solved once per domain."""
         return radius_box(self)
 
     @cached_property

@@ -4,9 +4,15 @@ Sampling measure: each radius r_j is drawn with density 2 r / R_j^2 on
 [0, R_j] (the area measure of the disc of radius R_j), phases uniformly when
 the integrand needs them; acceptance is membership of the radius vector.
 With W = prod_j pi R_j^2 the estimator  W * mean(1_G * f)  converges to
-int_G f dLambda_{2n}.  The box R is solved once per domain (one LP per
-coordinate) and held by its ``LogPolyhedron``; whether it exists at all is
-read off the recession generators.
+int_G f dLambda_{2n}.  The upper bounds on log R_j are solved once per
+domain (one LP per coordinate) and held by its ``LogPolyhedron``; R is their
+exponential, rounded outward, taken here.  Whether the box exists at all, and
+whether an integral converges, are read off the recession generators before
+any sample is drawn: a divergent integral is reported as infinite, with its
+ray, as :func:`reinhardt.norms.lp_norm_finite` decides it.
+
+This is the one module that imports numpy.  ``import reinhardt`` does not
+load it; the package loads it on the first read of one of its names.
 
 Streams are counter-based and bit-reproducible: sample block b (fixed size
 65536) is generated by ``numpy.random.Philox(key=(seed, b))``, radii first,
@@ -46,6 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cones import recession_meets_halfspace
 from .domain import DomainSpec, contains, integer_exponents, radial
 from .errors import MonteCarloError
 from .norms import NormResult
@@ -54,18 +61,34 @@ from .spectrum import monomial_defined
 BLOCK_SIZE = 1 << 16
 _CHUNK = 1 << 14  # rows per acceptance pass: its scratch stays cache-sized
 _BOUNDARY_BAND = 1e-9
+_SEEDS = 1 << 64  # a seed is one 64-bit word of the Philox key
 
 
 def bounding_radii(spec: DomainSpec) -> np.ndarray:
     """Per-coordinate sup of |z_j|, as floats rounded up (rejection box).
 
-    The LPs are solved once per domain (``LogPolyhedron.radius_box``); each
-    call returns a new array.
+    The bounds on log|z_j| are solved once per domain
+    (``LogPolyhedron.radius_box``); each call returns a new array.
     """
-    box = spec.log_polyhedron.radius_box
-    if box is None:
+    logs = spec.log_polyhedron.radius_box
+    if logs is None:
         raise MonteCarloError("domain is unbounded; Monte-Carlo needs a bounding polydisc")
-    return np.array(box)
+    # tiny outward inflation keeps the box a true superset after float rounding
+    return np.exp(np.array(logs)) * (1.0 + 1e-9)
+
+
+def _check_run(samples: int, seed: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
+    if not 0 <= int(seed) < _SEEDS:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+
+
+def _divergent_ray(spec: DomainSpec, nu: Sequence[int], p: Fraction):
+    """A recession direction along which the integral of |z^nu|^p over the
+    domain diverges, as a tuple, or None when it is finite."""
+    ray = recession_meets_halfspace(spec.log_polyhedron, [p * c + 2 for c in nu])
+    return None if ray is None else tuple(ray)
 
 
 class _Sampler:
@@ -91,7 +114,9 @@ class _Sampler:
         self._slack, self._term = np.empty(_CHUNK), np.empty(_CHUNK)
 
     def block(self, index: int, count: int):
-        rng = np.random.Generator(np.random.Philox(key=[self.seed, index]))
+        # a list key would go through float64 for seeds >= 2^63 and lose bits
+        key = np.array([self.seed, index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         r = rng.random(out=self._r[:count])
         np.sqrt(r, out=r)
         # column by column: broadcasting the box would run an n-long inner loop per sample
@@ -164,11 +189,16 @@ def _weighted_powers(r: np.ndarray, ok: np.ndarray, exps: np.ndarray, weight: fl
 
 def lp_norm_monte_carlo(spec: DomainSpec, nu: Sequence[int], p, samples: int, seed: int
                         ) -> NormResult:
-    """MC estimate of the integral of |z^nu|^p, with standard error."""
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
-    exps = np.array(integer_exponents(nu), dtype=float) * float(Fraction(p))
-    sampler = _Sampler(spec, seed, with_phases=False)
+    """MC estimate of the integral of |z^nu|^p, with standard error; a
+    divergent integral is ``kind="infinite"`` with its ray, and no sample is
+    drawn."""
+    _check_run(samples, seed)
+    nu, p = integer_exponents(nu), Fraction(p)
+    sampler = _Sampler(spec, seed, with_phases=False)  # refuses an unbounded domain first
+    ray = _divergent_ray(spec, nu, p)
+    if ray is not None:
+        return NormResult(kind="infinite", ray=ray)
+    exps = np.array(nu, dtype=float) * float(p)
     vals_buf, sq_buf = np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE)
     s1 = s2 = 0.0
     accepted = 0
@@ -215,15 +245,18 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
 
     All estimates share the same sample stream, so the comparison is made at
     matched randomness.  Each monomial must be defined on the domain
-    (:func:`reinhardt.spectrum.monomial_defined`).
+    (:func:`reinhardt.spectrum.monomial_defined`) and have a finite
+    integral; a term whose integral diverges raises :class:`MonteCarloError`.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
+    _check_run(samples, seed)
     p = Fraction(p)
     terms = sorted((integer_exponents(nu), coeff) for nu, coeff in laurent_poly.items())
-    for nu, _ in terms:
+    for nu, coeff in terms:
         if not monomial_defined(spec, nu):
             raise MonteCarloError(f"monomial {nu} is undefined on the domain")
+        if coeff != 0 and _divergent_ray(spec, nu, p) is not None:
+            raise MonteCarloError(f"the integral of |{coeff} z^{list(nu)}|^{p} diverges "
+                                  "on the domain")
     sampler = _Sampler(spec, seed, with_phases=True)
     pf = float(p)
     tot = [0.0, 0.0]

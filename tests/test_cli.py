@@ -165,6 +165,27 @@ def test_mc_sample_count_must_be_positive(capsys):
         assert code == 1 and out == "" and "samples" in err and "acceptance" not in err
 
 
+def test_mc_reports_a_divergent_integral_as_infinite(capsys):
+    unit_disc = str(SPECS / "unit_disc.json")
+    for method in (["--mc", "--samples", "100000", "--seed", "1"], ["--exact"]):
+        code, out, err = run(capsys, "norm", unit_disc, "--nu", "-2", *method)
+        assert (code, out, err) == (0, "integral of |z^[-2]|^1: infinite\n", "")
+        code, out, err = run(capsys, "norm", unit_disc, "--nu", "-2", *method, "--json")
+        assert code == 0 and json.loads(out)["result"] == {"kind": "infinite", "ray": ["-1"]}
+
+
+def test_mc_seed_must_fit_64_bits(capsys):
+    unit_disc = str(SPECS / "unit_disc.json")
+    for seed in ("-1", str(2 ** 64)):
+        code, out, err = run(capsys, "volume", unit_disc, "--mc", "--samples", "1000",
+                             "--seed", seed)
+        assert code == 1 and out == "" and err == f"error: seed must be an integer in " \
+            f"[0, 2^64), got {seed}\n"
+    code, out, err = run(capsys, "volume", unit_disc, "--mc", "--samples", "1000",
+                         "--seed", str(2 ** 64 - 1))
+    assert code == 0 and f"seed {2 ** 64 - 1})" in out and err == ""
+
+
 def test_norm_and_volume_take_no_rows(capsys):
     # the annulus has two constraints for n = 1: an exact norm over one of
     # them would be the integral over the unit disc, a superset of the domain

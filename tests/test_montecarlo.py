@@ -1,13 +1,17 @@
 import math
+import warnings
 from fractions import Fraction
+
+from itertools import product
 
 import numpy as np
 import pytest
 
 from reinhardt import (MonteCarloError, coefficient_inequality_check, cones, contains, exponents,
-                       load_spec, lp_norm_monte_carlo, radial)
+                       load_spec, lp_norm_finite, lp_norm_monte_carlo, radial)
 from reinhardt.montecarlo import (_BOUNDARY_BAND, BLOCK_SIZE, _Sampler, _weighted_powers,
                                   bounding_radii)
+from reinhardt.linalg import dot
 from conftest import SPEC_DIR
 
 N_SMOKE = 200_000
@@ -105,6 +109,72 @@ def test_bounding_radii_cannot_be_corrupted_by_callers():
     box *= 4.0
     assert bounding_radii(spec) == pytest.approx([0.5, 0.5], rel=1e-6)
     assert lp_norm_monte_carlo(spec, exponents(1, 0), 1, BLOCK_SIZE + 7, seed=3) == before
+
+
+def test_bounding_radii_exponentiate_the_held_log_bounds(gallery):
+    for name, spec in gallery.items():
+        logs = spec.log_polyhedron.radius_box
+        if logs is None:
+            with pytest.raises(MonteCarloError, match="unbounded"):
+                bounding_radii(spec)
+            continue
+        assert all(isinstance(x, float) for x in logs)
+        assert np.array_equal(bounding_radii(spec), np.exp(np.array(logs)) * (1.0 + 1e-9))
+
+
+def test_divergent_integral_is_infinite_and_draws_no_sample(unit_disc, hartogs, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a divergent integral")
+
+    monkeypatch.setattr(_Sampler, "block", no_sampling)
+    # int_{|z|<1} |z|^-2 dA diverges at 0; on Hartogs |z_2|^-4 diverges along |z_1| < |z_2| -> 0
+    for spec, nu, p in ((unit_disc, (-2,), 1), (hartogs, (0, -2), 2), (hartogs, (0, -1), 4)):
+        result = lp_norm_monte_carlo(spec, exponents(*nu), p, 1000, seed=1)
+        assert result.kind == "infinite" and result.estimate is None
+        w = [Fraction(p) * c + 2 for c in nu]
+        assert any(x != 0 for x in result.ray) and dot(w, result.ray) >= 0
+        assert not lp_norm_finite(spec, nu, p)
+    assert lp_norm_monte_carlo(unit_disc, exponents(-2), 1, 1000, seed=1).ray == (-1,)
+
+
+@pytest.mark.parametrize("name", ["hartogs", "annulus", "polydisc", "hartogs_half",
+                                  "unit_disc"])
+def test_mc_divergence_agrees_with_lp_norm_finite(gallery, name):
+    spec = gallery[name]
+    for nu in product(range(-3, 2), repeat=spec.n):
+        for p in (1, 2, Fraction(3, 2)):
+            result = lp_norm_monte_carlo(spec, nu, p, 1, seed=1)
+            assert (result.kind == "infinite") == (not lp_norm_finite(spec, nu, p))
+
+
+def test_coefficient_check_refuses_a_divergent_term(hartogs):
+    with pytest.raises(MonteCarloError, match=r"z\^\[0, -2\]\|\^2 diverges"):
+        coefficient_inequality_check(hartogs, {(1, 0): 1.0, (0, -2): 0.5}, 2, 1000, seed=1)
+    # the same term is finite at p = 1, and a zero coefficient adds nothing
+    assert coefficient_inequality_check(hartogs, {(0, -2): 1.0}, 1, 1000, seed=1).passed
+    coefficient_inequality_check(hartogs, {(1, 0): 1.0, (0, -2): 0.0}, 2, 1000, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seeds_outside_64_bits_are_refused(polydisc, seed):
+    with pytest.raises(ValueError, match="seed"):
+        lp_norm_monte_carlo(polydisc, exponents(0, 0), 1, 1000, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        coefficient_inequality_check(polydisc, {(0, 0): 1.0}, 1, 1000, seed=seed)
+
+
+def test_every_64_bit_seed_pins_its_own_stream(annulus):
+    """0 and 2^64 - 1 are accepted; seeds at and above 2^63 used to go
+    through float64 into the Philox key, so 2^63 and 2^63 + 1 drew the same
+    stream and 2^64 - 1 an invalid cast."""
+    seeds = (0, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = [lp_norm_monte_carlo(annulus, exponents(0), 1, 2000, seed=s).estimate
+                     for s in seeds]
+        report = coefficient_inequality_check(annulus, {(1,): 1.0}, 1, 2000, seed=2 ** 64 - 1)
+    assert len(set(estimates)) == len(seeds)
+    assert report.seed == 2 ** 64 - 1
 
 
 def test_mc_rejects_unbounded(disc_times_plane):

@@ -4,9 +4,13 @@ Every precision has its own fixed interval context, so a thread that climbs
 the ladder to 512 bits cannot have its precision changed under it by a
 thread that prints a 64-bit display at the same time.  A log-polyhedron
 computes its derived geometry on first read, so threads that make those
-first reads together must each see the serial values.
+first reads together must each see the serial values.  The package loads
+its Monte-Carlo module on the first read of one of its names, so threads
+that make that read together must each get the same function.
 """
 
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -88,3 +92,45 @@ def test_parallel_first_reads_of_derived_geometry_match_serial(gallery):
                 assert [f.result(timeout=60) for f in futures] == [serial] * threads
     finally:
         sys.setswitchinterval(interval)
+
+
+_FIRST_MC_CALLS = """
+import sys, threading
+from concurrent.futures import ThreadPoolExecutor
+import reinhardt
+
+spec = reinhardt.load_spec(sys.argv[1])
+assert "reinhardt.montecarlo" not in sys.modules
+threads = 8
+barrier = threading.Barrier(threads, timeout=60)
+
+
+def first_call(_):
+    barrier.wait()
+    fn = reinhardt.lp_norm_monte_carlo
+    return fn, fn(spec, (1, 0), 2, 5000, 11)
+
+
+sys.setswitchinterval(1e-6)  # switch threads often, inside the module import too
+with ThreadPoolExecutor(max_workers=threads) as pool:
+    got = list(pool.map(first_call, range(threads)))
+sys.setswitchinterval(0.005)
+serial = reinhardt.montecarlo.lp_norm_monte_carlo(spec, (1, 0), 2, 5000, 11)
+assert all(fn is reinhardt.montecarlo.lp_norm_monte_carlo for fn, _ in got)
+assert [result for _, result in got] == [serial] * threads
+print("ok", serial.estimate)
+"""
+
+
+def test_parallel_first_monte_carlo_calls_share_one_function():
+    """8 threads of a fresh interpreter make the package's first
+    ``lp_norm_monte_carlo`` read and call at once."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _FIRST_MC_CALLS,
+                           str(root / "specs" / "hartogs.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok ")
