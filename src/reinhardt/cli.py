@@ -172,23 +172,21 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-_SPACES = {"hinf": (None, lambda a: sp.hinf()), "l2": (None, lambda a: sp.l2()),
-           "lp": ("p", lambda a: sp.lp(parse_rational_literal(a.p))),
-           "hinfk": ("k", lambda a: sp.hinf_k(a.k)), "ak": ("k", lambda a: sp.ak(a.k)),
-           "ldiamond": ("k", lambda a: sp.ldiamond_ak(a.k))}
+_SPACES = {"hinf": sp.HINF, "l2": sp.L2, "lp": sp.LP, "hinfk": sp.HINF_K, "ak": sp.AK,
+           "ldiamond": sp.LDIAMOND_AK}
 
 
 def _cmd_spectrum(args) -> int:
     spec = load_spec(args.spec)
     if args.space not in _SPACES:
         raise SpecError(f"--space must be one of {sorted(_SPACES)}")
-    flag, builder = _SPACES[args.space]
-    if flag is not None and getattr(args, flag) is None:
-        raise SpecError(f"--space {args.space} needs --{flag}")
+    p = None if args.p is None else parse_rational_literal(args.p)
     try:
-        space = builder(args)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"space {args.space} is missing a parameter: {exc}") from exc
+        space = sp.FunctionSpace(_SPACES[args.space], p=p, k=args.k)
+    except ValueError as exc:  # name the flags that set the parameters p and k
+        given = " ".join(f"--{flag} {value}" for flag, value in (("p", args.p), ("k", args.k))
+                         if value is not None)
+        raise SpecError(f"--space {args.space} with {given or 'no --p or --k'}: {exc}") from exc
     members = spectrum_box(spec, space, args.box)
     doc = {"command": "spectrum", "space": str(space), "box": args.box,
            "members": [list(nu) for nu in members]}

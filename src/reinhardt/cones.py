@@ -19,7 +19,7 @@ finiteness: whether a sup is finite, whether the domain is bounded or has
 finite volume, and whether an integral converges are ring signs of dot
 products against them in a field that holds the query too
 (:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
-:func:`face_meets_halfspace`, :func:`is_bounded`, :func:`has_finite_volume`),
+:func:`is_bounded`, :func:`has_finite_volume`),
 and a direction is read off a row only where a query returns it, after
 the one gate :func:`_certified` has checked that row.  Axis
 approach is read off the ray supports of the approach cone
@@ -77,25 +77,25 @@ def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[i
     return integer_kernel_basis([linalg.cleared(row, None) for row in rows])
 
 
-def _common_field(poly: LogPolyhedron, vectors: Sequence[Sequence[Scalar]]):
-    """The field d of the normals of ``poly`` and ``vectors`` (None over Q), a
+def _common_field(poly: LogPolyhedron, vector: Sequence[Scalar]):
+    """The field d of the normals of ``poly`` and ``vector`` (None over Q), a
     map that lifts integer rows over the normals' field into it, and the
-    integer rows of ``vectors`` in it; mixed quadratic fields raise ValueError.
-    The normals' field is read off ``poly.integer_normals``; only ``vectors``
-    are scanned."""
-    own, d = poly.integer_normals[0], linalg.field_of(vectors)
+    integer row of ``vector`` in it; mixed quadratic fields raise ValueError.
+    The normals' field is read off ``poly.integer_normals``; only ``vector``
+    is scanned."""
+    own, d = poly.integer_normals[0], linalg.field_of([vector])
     if own is not None and d is not None and own != d:
         raise ValueError(f"mixed quadratic fields: sqrt d for d in {sorted((own, d))}")
     d = own if d is None else d
     lift = (lambda a: a) if d == own else (lambda a: linalg.rational_row(list(a), d))
-    return d, lift, [linalg.cleared(v, d) for v in vectors]
+    return d, lift, linalg.cleared(vector, d)
 
 
 def recession_contains(poly: LogPolyhedron, direction: Sequence[Scalar]) -> bool:
     """True iff <alpha_i, direction> <= 0 for every normal: ring signs on the
     integer rows of the normals, over Z[sqrt d] when the normals or the
     direction are irrational."""
-    d, lift, (v,) = _common_field(poly, [direction])
+    d, lift, v = _common_field(poly, direction)
     dot, sign, _ = linalg.ring(d)
     return all(sign(dot(lift(a), v)) <= 0 for a in poly.integer_normals[1])
 
@@ -270,36 +270,30 @@ def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionC
 def _certified(poly: LogPolyhedron, cone: RecessionCone, row: Sequence[int], query,
                strict: bool, what: str) -> list[Scalar]:
     """The direction of the generator ``row`` of ``cone`` after ring signs show
-    it answers ``query`` (:func:`_common_field` of w and the face, if any), else
-    a typed error: nonzero, in C, <w, row> >= 0 (> 0 when ``strict``), on the face."""
-    d, lift, (w, *face) = query
+    it answers ``query`` (:func:`_common_field` of w), else a typed error:
+    nonzero, in C, and <w, row> >= 0 (> 0 when ``strict``)."""
+    d, lift, w = query
     dot, sign, _ = linalg.ring(d)
     x = lift(row)
     s = sign(dot(w, x))
     if (linalg.lead(x, d) is None
             or any(sign(dot(lift(a), x)) > 0 for a in poly.integer_normals[1])
-            or s < 0 or (strict and s == 0)
-            or any(sign(dot(f, x)) != 0 for f in face)):
+            or s < 0 or (strict and s == 0)):
         raise ReinhardtError(f"{what}: generator {[str(v) for v in cone.vector(row)]} fails "
                              "its certificate (internal error)")
     return cone.vector(row)
 
 
-def _generator_direction(poly: LogPolyhedron, w: Sequence[Scalar], strict: bool,
-                         face: Optional[Sequence[Scalar]], what: str
+def _generator_direction(poly: LogPolyhedron, w: Sequence[Scalar], strict: bool, what: str
                          ) -> Optional[list[Scalar]]:
-    """First generator d with <w, d> >= 0, or > 0 when ``strict``, on the face
-    <face, d> = 0 when one is given: v, then -v, for each lineality vector v
-    (which lies on every face :func:`face_meets_halfspace` accepts), then the rays."""
+    """First generator d with <w, d> >= 0, or > 0 when ``strict``: v, then -v,
+    for each lineality vector v, then the rays."""
     cone = poly.recession
-    query = _common_field(poly, [w] if face is None else [w, face])
-    d, lift, (w_row, *face_row) = query
+    query = _common_field(poly, w)
+    d, lift, w_row = query
     dot, sign, _ = linalg.ring(d)
     for row in (*(r for v in cone.lineality for r in (v, [-x for x in v])), *cone.rays):
-        x = lift(row)
-        if face_row and sign(dot(face_row[0], x)) != 0:
-            continue
-        s = sign(dot(w_row, x))
+        s = sign(dot(w_row, lift(row)))
         if s > 0 or (s == 0 and not strict):
             return _certified(poly, cone, row, query, strict, what)
     return None
@@ -311,25 +305,13 @@ def recession_meets_halfspace(poly: LogPolyhedron, w: Sequence[Scalar]
 
     None iff the integral of exp(<w, x>) over log G is finite, for a nonempty G.
     """
-    return _generator_direction(poly, w, False, None, "recession_meets_halfspace")
+    return _generator_direction(poly, w, False, "recession_meets_halfspace")
 
 
 def unbounded_direction(poly: LogPolyhedron, w: Sequence[Scalar]) -> Optional[list[Scalar]]:
     """Recession direction d with <w, d> > 0, or None iff sup <w, x> over log G
     is finite: w is orthogonal to the lineality and <w, r> <= 0 on every ray."""
-    return _generator_direction(poly, w, True, None, "unbounded_direction")
-
-
-def face_meets_halfspace(poly: LogPolyhedron, m: Sequence[Scalar], w: Sequence[Scalar]
-                         ) -> Optional[list[Scalar]]:
-    """Nonzero recession direction d with <m, d> = 0 and <w, d> >= 0, or None.
-
-    Needs sup <m, x> finite, so that {d in C : <m, d> = 0} is the face
-    L + cone{r : <m, r> = 0} of the recession cone C.
-    """
-    if unbounded_direction(poly, m) is not None:
-        raise ValueError("face_meets_halfspace needs <m, d> <= 0 on the recession cone")
-    return _generator_direction(poly, w, False, m, "face_meets_halfspace")
+    return _generator_direction(poly, w, True, "unbounded_direction")
 
 
 def is_bounded(spec: DomainSpec) -> bool:

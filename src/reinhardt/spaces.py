@@ -25,16 +25,23 @@ class FunctionSpace:
     k: Optional[int] = None
 
     def __post_init__(self):
+        """Check the parameters, and hold p as the Fraction every query
+        computes with."""
         if self.kind not in _ALL:
             raise ValueError(f"unknown function space: {self.kind}")
         if self.kind in _PARAM_P:
-            if self.p is None or Fraction(self.p) < 1:
-                raise ValueError("this space needs a rational parameter p >= 1")
+            try:
+                p = Fraction(self.p)
+            except (TypeError, ValueError, OverflowError):
+                p = None
+            if p is None or p < 1:
+                raise ValueError(f"space {self.kind} needs a rational parameter p >= 1")
+            object.__setattr__(self, "p", p)
         elif self.p is not None:
             raise ValueError(f"space {self.kind} takes no p parameter")
         if self.kind in _PARAM_K:
-            if self.k is None or self.k < 0:
-                raise ValueError("this space needs an integer parameter k >= 0")
+            if type(self.k) is not int or self.k < 0:  # a bool or 1.5 is no order
+                raise ValueError(f"space {self.kind} needs an integer parameter k >= 0")
         elif self.k is not None:
             raise ValueError(f"space {self.kind} takes no k parameter")
 
@@ -55,7 +62,7 @@ def l2() -> FunctionSpace:
 
 
 def lp(p) -> FunctionSpace:
-    return FunctionSpace(LP, p=Fraction(p))
+    return FunctionSpace(LP, p=p)
 
 
 def ldiamond_ak(k: int) -> FunctionSpace:

@@ -3,14 +3,14 @@
 On Reinhardt domains every space in scope is generated by its monomials, so
 spectrum-level decisions are the computable core.  Verdicts for sup-norm and
 integrability questions are exact recession-cone decisions: sup |z^nu| is
-finite iff <nu, d> <= 0 on the recession cone C of log G, and the integral
-of |z^nu|^p iff <p*nu + 2*1, d> < 0 on C minus 0.  Each is a scan of dot
-products against the generators of C, which :mod:`reinhardt.cones` computes
-once per domain, so no monomial solves an LP for them.  The closure-
-continuity engine for A^k is deliberately a sufficient-condition checker
-that answers "yes" or "indeterminate", never an unsound "no"; it walks the
-approachable axis sets and their projected faces, which each
-``LogPolyhedron`` derives once from the ray supports of C ∩ {d <= 0}.
+finite iff <nu, d> <= 0 on the recession cone C of log G, the integral of
+|z^nu|^p iff <p*nu + 2*1, d> < 0 on C minus 0, and so for every p >= 1 iff
+the sup and the integral at p = 1 are.  Each is a scan of dot products
+against the generators of C, which :mod:`reinhardt.cones` computes once per
+domain, so no monomial solves an LP for them.  The closure-continuity engine
+for A^k is a sufficient-condition checker, "yes" or "indeterminate" and never
+an unsound "no"; it walks the approachable axis sets and their projected
+faces, which each ``LogPolyhedron`` derives once from C ∩ {d <= 0}.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import product
 from typing import Sequence
 
 from . import spaces as sp
-from .cones import face_meets_halfspace, recession_meets_halfspace, unbounded_direction
+from .cones import recession_meets_halfspace, unbounded_direction
 from .domain import DomainSpec, LogPolyhedron, integer_exponents
 from .linalg import dot
 from .scalars import sign_of
@@ -64,20 +64,22 @@ def _nonvanishing_orders(nu: Sequence[int], k: int):
 
 
 def _extends_continuously(poly: LogPolyhedron, m: tuple) -> bool:
-    """Sufficient check that z^m extends continuously to the closure."""
-    if all(e == 0 for e in m):
+    """Sufficient check that z^m, with a finite sup on ``poly``, extends continuously."""
+    if not any(m):
         return True
-    if unbounded_direction(poly, m) is not None:
-        return False
-    for coords, face in poly.axis_faces:
-        # |z^m| <= |z_ell| * sup|z^(m - e_ell)| -> 0
-        if any(unbounded_direction(poly, [e - (j == ell) for j, e in enumerate(m)]) is None
-               for ell in coords):
+    faces = poly.axis_faces
+    # |z^m| <= |z_ell| * sup|z^(m - e_ell)| -> 0 at every stratum with z_ell = 0
+    vanishing = {ell for ell in frozenset().union(*(coords for coords, _ in faces))
+                 if unbounded_direction(poly, [e - (j == ell) for j, e in enumerate(m)]) is None}
+    for coords, face in faces:
+        if coords & vanishing:
             continue
-        if all(m[j] == 0 for j in coords) and (face is None or _extends_continuously(
-                face, tuple(e for j, e in enumerate(m) if j not in coords))):
-            continue  # constant on the stratum, or continuous on its face
-        return False
+        if any(m[j] for j in coords):
+            return False
+        # constant on the stratum and continuous on its face (a system: m is nonzero off coords)
+        rest = tuple(e for j, e in enumerate(m) if j not in coords)
+        if unbounded_direction(face, rest) is not None or not _extends_continuously(face, rest):
+            return False
     return True
 
 
@@ -134,26 +136,22 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
                 return SpaceMembership(NO, "recession-obstruction",
                                        {"sigma": list(sigma), "p": str(p),
                                         "direction": [str(x) for x in bad]})
-        # all p >= 1 at once: <m, d> > 0 or (<m, d> = 0 and <2*1, d> >= 0) kills it
+        # any p >= 1 on C minus 0: (p - 1) <m, d> <= 0 (a finite sup) + <m + 2*1, d> < 0 (p = 1)
         ray = unbounded_direction(poly, m)
         if ray is not None:
             return SpaceMembership(NO, "large-p-obstruction",
                                    {"sigma": list(sigma), "direction": [str(x) for x in ray]})
-        bad = face_meets_halfspace(poly, m, [Fraction(1)] * spec.n)
-        if bad is not None:
-            return SpaceMembership(NO, "limit-p-obstruction",
-                                   {"sigma": list(sigma), "direction": [str(x) for x in bad]})
     return SpaceMembership(YES, "all-p-integrable", {})
 
 
 def spectrum_box(spec: DomainSpec, space: FunctionSpace, radius: int
                  ) -> list[tuple[int, ...]]:
-    """All nu in [-radius, radius]^n that are members, sorted."""
+    """All nu in [-radius, radius]^n that are members, sorted: ``product``
+    yields them in lexicographic order."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    out = [nu for nu in product(range(-radius, radius + 1), repeat=spec.n)
-           if monomial_in_space(spec, nu, space).is_yes]
-    return sorted(out)
+    return [nu for nu in product(range(-radius, radius + 1), repeat=spec.n)
+            if monomial_in_space(spec, nu, space).is_yes]
 
 
 def spectrum_orthogonality_check(spec: DomainSpec, radius: int) -> bool:

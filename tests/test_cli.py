@@ -157,6 +157,19 @@ def test_flag_errors_name_the_flag(capsys):
     assert code == 1 and out == "" and "--k" in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--space", "hinf", "--k", "3"], "--space hinf with --k 3: space hinf takes no k parameter"),
+    (["--space", "l2", "--p", "2"], "--space l2 with --p 2: space l2 takes no p parameter"),
+    (["--space", "ldiamond"], "--space ldiamond with no --p or --k: space ldiamond_ak needs"),
+    (["--space", "ak", "--k", "-1"], "--space ak with --k -1: space ak needs an integer"),
+    (["--space", "lp", "--p", "1/2"], "--space lp with --p 1/2: space lp needs a rational"),
+], ids=["extra", "extra-p", "missing", "k-out-of-range", "p-out-of-range"])
+def test_spectrum_parameters_are_checked_by_the_space(capsys, flags, message):
+    # an extra parameter used to be dropped, an out-of-range one to be "missing"
+    code, out, err = run(capsys, "spectrum", HARTOGS, "--box", "1", *flags)
+    assert code == 1 and out == "" and message in err
+
+
 def test_mc_sample_count_must_be_positive(capsys):
     polydisc = str(SPECS / "polydisc.json")
     for samples in ("0", "-5"):

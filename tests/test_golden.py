@@ -12,7 +12,10 @@ each with its certificate and its number of ``_Tableau.pivot`` calls.
 ``conftest.seeded_cone_systems`` (integer, Q(sqrt 2) and Q(sqrt 3), with
 lineality, implicit equalities and repeated rows), each with the lineality
 basis and the rays of its recession cone in order, whose order feeds the
-printed rays, and its sorted approach supports.  ``montecarlo.json`` holds the
+printed rays, and its sorted approach supports.  ``spectrum_memberships.json``
+holds the verdict, criterion and evidence of ``monomial_in_space`` for thirteen
+spaces over a small box, for the gallery, ``tests/specs/`` and the cone
+systems with n <= 3 at thresholds 2.  ``montecarlo.json`` holds the
 ``repr`` of seeded Monte-Carlo estimates and coefficient reports, one case
 per path of the block kernel, and for the cases whose exponents are all 0 or 1
 a digest of every per-sample value, so a faster kernel must keep every output
@@ -27,18 +30,22 @@ import hashlib
 import io
 import json
 import os
+import string
 import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import seeded_cone_systems, seeded_lps
-from reinhardt import (LogPolyhedron, coefficient_inequality_check, cones, exponents,
-                       load_spec, lp_norm_monte_carlo, parse_spec, simplex)
+from reinhardt import (DomainSpec, LogPolyhedron, MonomialConstraint,
+                       coefficient_inequality_check, cones, exponents, load_spec,
+                       lp_norm_monte_carlo, monomial_in_space, parse_spec, simplex)
+from reinhardt import spaces as sp
 from reinhardt.cli import main
 from reinhardt.loglin import LogLin
 from reinhardt.montecarlo import BLOCK_SIZE, _Sampler, _weighted_powers
@@ -49,6 +56,7 @@ GOLDEN = ROOT / "tests" / "golden"
 LP_GOLDEN = GOLDEN / "gallery_lps.json"
 RANDOM_LP_GOLDEN = GOLDEN / "random_lps.json"
 CONE_GOLDEN = GOLDEN / "recession_cones.json"
+MEMBERSHIP_GOLDEN = GOLDEN / "spectrum_memberships.json"
 MC_GOLDEN = GOLDEN / "montecarlo.json"
 SPECS = sorted(p.stem for p in (ROOT / "specs").glob("*.json"))
 
@@ -111,7 +119,8 @@ CASES = [(f"classify_{name}", ["classify", f"specs/{name}.json", "--json"]) for 
 
 def test_gallery_is_complete():
     assert len(SPECS) == 8
-    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p not in (LP_GOLDEN, RANDOM_LP_GOLDEN, CONE_GOLDEN, MC_GOLDEN)) == \
+    assert sorted(p.stem for p in GOLDEN.glob("*.json") if p not in (
+        LP_GOLDEN, RANDOM_LP_GOLDEN, CONE_GOLDEN, MEMBERSHIP_GOLDEN, MC_GOLDEN)) == \
         sorted(name for name, _ in CASES)
 
 
@@ -230,6 +239,58 @@ def test_recession_cone_generators_match_golden():
         poly = LogPolyhedron(n=n, normals=tuple(normals), offsets=(1,) * len(normals))
         cone = poly.recession
         assert all(cones._lead_normal(list(r), cone.d) == list(r) for r in cone.rays)
+
+
+# -- spectrum memberships -----------------------------------------------------
+
+MEMBERSHIP_SPACES = [sp.hinf(), sp.l2(), sp.lp(1), sp.lp(3)] + [
+    make(k) for make in (sp.hinf_k, sp.ak, sp.ldiamond_ak) for k in (0, 1, 2)]
+_OUTCOME_DIGITS = string.digits + string.ascii_letters
+
+
+def _membership_specs():
+    """``(name, spec)`` for the gallery, ``tests/specs/`` and the seeded cone
+    systems with n <= 3, whose thresholds 2 put the origin inside."""
+    for folder in ("specs", "tests/specs"):
+        for path in sorted((ROOT / folder).glob("*.json")):
+            yield f"{folder}/{path.stem}", load_spec(str(path))
+    for name, (d, n, normals) in seeded_cone_systems():
+        if n <= 3:
+            yield name, DomainSpec(n=n, quadratic_d=d, constraints=tuple(
+                MonomialConstraint(tuple(a), Fraction(2)) for a in normals))
+
+
+def spectrum_memberships_text() -> str:
+    """JSON text, one line per spec, of ``monomial_in_space`` for every space
+    of ``MEMBERSHIP_SPACES`` and every nu in [-r, r]^n, r = 2 for n <= 2 and
+    1 above.  Each spec lists its distinct ``[verdict, criterion, evidence]``
+    outcomes once; each space is a string with one character per nu, in
+    ``product`` order: the outcome's index, or "-" for z^nu undefined on G,
+    whose evidence is nu itself."""
+    lines = []
+    for name, spec in _membership_specs():
+        r = 2 if spec.n <= 2 else 1
+        outcomes, spaces = {}, {}
+        for space in MEMBERSHIP_SPACES:
+            chars = []
+            for nu in product(range(-r, r + 1), repeat=spec.n):
+                m = monomial_in_space(spec, nu, space)
+                if (m.verdict, m.criterion, m.evidence) == \
+                        ("no", "undefined-on-interior-axis", {"nu": list(nu)}):
+                    chars.append("-")
+                    continue
+                key = json.dumps([m.verdict, m.criterion, m.evidence], sort_keys=True)
+                chars.append(_OUTCOME_DIGITS[outcomes.setdefault(key, len(outcomes))])
+            spaces[str(space)] = "".join(chars)
+        lines.append(json.dumps({"spec": name, "box": r, "spaces": spaces,
+                                 "outcomes": [json.loads(k) for k in outcomes]},
+                                separators=(",", ":"), sort_keys=True))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_spectrum_memberships_match_golden():
+    """Byte for byte: every verdict, criterion and evidence dict."""
+    assert spectrum_memberships_text() == MEMBERSHIP_GOLDEN.read_text(encoding="utf-8")
 
 
 # -- Monte Carlo ------------------------------------------------------------
@@ -367,6 +428,7 @@ def record() -> None:
     LP_GOLDEN.write_text(json.dumps(cases, separators=(",", ":")) + "\n", encoding="utf-8")
     RANDOM_LP_GOLDEN.write_text(random_lps_text(), encoding="utf-8")
     CONE_GOLDEN.write_text(recession_cones_text(), encoding="utf-8")
+    MEMBERSHIP_GOLDEN.write_text(spectrum_memberships_text(), encoding="utf-8")
     MC_GOLDEN.write_text(json.dumps(montecarlo_results(), indent=1) + "\n", encoding="utf-8")
 
 

@@ -124,6 +124,26 @@ def test_spaces_without_monomial_criterion():
             sp.FunctionSpace(kind)
 
 
+def test_order_k_must_be_an_int(hartogs):
+    # k = 1.5 used to build and then fail inside ``range`` at the first query
+    for k in (1.5, True, "1", None, -1):
+        with pytest.raises(ValueError, match="integer parameter k >= 0"):
+            sp.ak(k)
+    assert monomial_in_space(hartogs, (1, 0), sp.ak(1)).criterion == "axis-vanishing-certified"
+
+
+def test_exponent_p_is_held_as_a_fraction(hartogs):
+    # p = "3/2" used to build and then fail on str + int at the first query
+    space = sp.FunctionSpace(sp.LP, p="3/2")
+    assert space.p == Fraction(3, 2) and type(space.p) is Fraction
+    assert space == sp.lp(Fraction(3, 2)) and str(space) == "lp(3/2)"
+    assert monomial_in_space(hartogs, (1, 0), space) == \
+        monomial_in_space(hartogs, (1, 0), sp.lp(Fraction(3, 2)))
+    for p in ("x", None, "1/2", float("inf")):
+        with pytest.raises(ValueError, match="rational parameter p >= 1"):
+            sp.FunctionSpace(sp.LP, p=p)
+
+
 def test_ldiamond_large_p_obstruction(disc_times_plane):
     # z1 is bounded on E x C and in no L^p: the free factor blocks every p
     v = monomial_in_space(disc_times_plane, (1, 0), sp.ldiamond_ak(0))
