@@ -53,9 +53,9 @@ class MonomialConstraint:
 
     def __post_init__(self):
         if all(sign_of(a) == 0 for a in self.alpha):
-            raise SpecError("constraint exponent vector must be nonzero")
+            raise SpecError("'alpha' must have a nonzero entry")
         if sign_of(self.c) <= 0:
-            raise SpecError("constraint threshold must be > 0")
+            raise SpecError("threshold c must be > 0")
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,8 @@ class DomainSpec:
             if len(con.alpha) != self.n:
                 raise SpecError(f"constraint has {len(con.alpha)} exponents, expected {self.n}")
         if self.quadratic_d is not None and not is_square_free(self.quadratic_d):
-            raise SpecError(f"quadratic_d={self.quadratic_d} must be a square-free integer >= 2")
+            raise SpecError(f"quadratic_d={self.quadratic_d} must be a square-free integer "
+                            "in [2, 2^64)")
 
     def to_json_dict(self) -> dict:
         doc: dict = {"n": self.n}
@@ -230,7 +231,7 @@ def parse_spec(text: str) -> DomainSpec:
     n = doc["n"]
     quad_d = doc.get("quadratic_d")
     if quad_d is not None and (not isinstance(quad_d, int) or not is_square_free(quad_d)):
-        raise SpecError("quadratic_d must be a square-free integer >= 2")
+        raise SpecError("quadratic_d must be a square-free integer in [2, 2^64)")
     raw_constraints = doc.get("constraints", [])
     if not isinstance(raw_constraints, list):
         raise SpecError("'constraints' must be an array")
@@ -246,9 +247,10 @@ def parse_spec(text: str) -> DomainSpec:
             raise SpecError(f"constraint {idx}: 'alpha' must be an array of {n} scalars")
         alpha = tuple(parse_scalar_literal(a, quad_d) for a in alpha_raw)
         c = parse_scalar_literal(item.get("c"), quad_d)
-        if sign_of(c) <= 0:
-            raise SpecError(f"constraint {idx}: threshold c must be > 0")
-        constraints.append(MonomialConstraint(alpha, c))
+        try:
+            constraints.append(MonomialConstraint(alpha, c))
+        except SpecError as exc:
+            raise SpecError(f"constraint {idx}: {exc}") from None
     spec = DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=quad_d, raw_text=text)
     # reject empty open domains at load time
     if is_empty(spec.log_polyhedron):

@@ -23,12 +23,13 @@ A sign is decided in two steps by one owner, :class:`LogBase`, which
   the sign of ``prod(p_j ** k_j) - 1`` for integers k_j, and so has one
   whose exponents are rational multiples of one element of Q(sqrt d), times
   the sign of that element.  The product is compared outright when it is
-  small, and otherwise when the interval ladder reaches its cap, so such a
+  small, and otherwise when the ladder reaches its cap, so such a
   sign is always exact, over thresholds in Q(sqrt d) too.
-* Every other form goes to the interval ladder, whose rungs are integer
-  multiply-adds on bounds lo <= 2^bits log(p_j) <= hi
+* Every other form goes to the ladder (:func:`precision.ladder_sign`),
+  whose rungs are integer multiply-adds on bounds lo <= 2^bits log(p_j) <= hi
   (:func:`precision.log_bounds`), which a :class:`LogBase` computes once per
-  p_j and precision.  Over rational bases it is nonzero there,
+  p_j and precision, handed over as rationals over den 2^bits.  Over
+  rational bases the form is nonzero there,
   so the ladder resolves it given enough bits.  A form with a base
   (threshold) in Q(sqrt d) and coefficients in Q(sqrt d) that are not
   rational multiples of one element can be exactly zero without equal bases
@@ -45,12 +46,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
 from .errors import BoundaryIndeterminate
-from .precision import ladder_sign, log_bounds, scalar_interval, scaled_interval
+from .precision import ladder_sign, log_bounds, scalar_interval
 from .scalars import QuadExt, Scalar, is_rational, quadratic_sign, scalar_cmp, sign_of
 
 # A form with a zero constant and rational coefficients is decided by the
 # product prod(base ** k) outright when product_bits puts it at no more than
-# this many bits; larger ones try the interval ladder first.
+# this many bits; larger ones try the ladder first.
 EXACT_PRODUCT_BITS = 4096
 
 
@@ -183,11 +184,11 @@ class LogBase:
         self.columns += [[(1 + t, 1)] for t in irrational]
         self._bounds: dict[int, list] = {}  # precision -> bounds, as asked for
 
-    def _log(self, ctx, j: int) -> tuple[int, int]:
+    def _log(self, bits: int, j: int) -> tuple[int, int]:
         """Integer bounds on 2^bits log(logs[j]), computed once per precision."""
-        bounds = self._bounds.setdefault(ctx.prec, [None] * len(self.logs))
+        bounds = self._bounds.setdefault(bits, [None] * len(self.logs))
         if bounds[j] is None:
-            bounds[j] = log_bounds(self.logs[j], ctx)
+            bounds[j] = log_bounds(self.logs[j], bits)
         return bounds[j]
 
     def sign(self, row: list[int], den: int, what: Callable[[], str]) -> int:
@@ -217,16 +218,15 @@ class LogBase:
         if powers and product_bits(powers) <= EXACT_PRODUCT_BITS:
             return scale * _product_sign(powers)
 
-        def build(ctx):  # integer bounds on 2^bits times the form, then over 2^bits
-            bits = ctx.prec
-            bounds = [self._log(ctx, j) for j in live]
+        def build(bits):  # integer bounds on 2^bits times the form, then over den 2^bits
+            bounds = [self._log(bits, j) for j in live]
             lo, hi = _enclose(const if d is None else const[0], nums, live, bounds, bits)
             if d is not None and (const[1] or any(irrs[j] for j in live)):
                 ilo, ihi = _enclose(const[1], irrs, live, bounds, bits)
                 r = math.isqrt(d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
                 ends = (ilo * r, ilo * (r + 1), ihi * r, ihi * (r + 1))
                 lo, hi, bits = (lo << bits) + min(ends), (hi << bits) + max(ends), 2 * bits
-            return scaled_interval(lo, hi, den << bits, ctx)
+            return Fraction(lo, den << bits), Fraction(hi, den << bits)
 
         try:
             return ladder_sign(build, what=what)

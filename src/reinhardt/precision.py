@@ -1,37 +1,35 @@
-"""Interval evaluation with a doubling working-precision ladder.
+"""Exact signs on rational enclosures, with a doubling working-precision ladder.
 
 Exact decisions go through field arithmetic whenever possible.  Whatever is
-left (signs of expressions mixing logarithms, pi, or n-th roots) is evaluated
-with mpmath's outward-rounding interval arithmetic: start at 64 bits, double
-until the sign resolves, give up with :class:`BoundaryIndeterminate` at the
-cap.  The cap defaults to 1024 bits and can be overridden through the
-``REINHARDT_PRECISION`` environment variable.
+left (signs of expressions mixing logarithms or pi) is decided by
+:func:`ladder_sign` on exact rational ends lo <= x <= hi that tighten with
+the working precision: start at 64 bits, double until lo > 0 or hi < 0, give
+up with :class:`BoundaryIndeterminate` at the cap.  The cap defaults to 1024
+bits and can be overridden through the ``REINHARDT_PRECISION`` environment
+variable.  The ladder hands its rungs bits, not interval contexts.
 
-Each precision has its own interval context, fixed at that many bits and
-passed explicitly to whatever builds an interval; nothing here writes
-mpmath's global state, so evaluations in parallel threads cannot change each
-other's precision.  :func:`ladder_sign` is the one loop that raises the
-precision.
+mpmath only supplies bounds and printed intervals: integer bounds on
+2^bits log(x) (:func:`log_bounds`), which a :class:`loglin.LogBase` holds
+per precision and combines by integer multiply-adds; rational bounds on pi^n
+(:func:`pi_power_bounds`), for the witness's c pi^n against 1; and the
+outward-rounded intervals that :func:`interval_str` prints.  A precision
+that still needs an interval context (a log over Q(sqrt d), a printed
+interval) has its own, fixed at that many bits; nothing here writes mpmath's
+global state, so parallel threads cannot change each other's precision.
 
 Signs of log-linear forms over rational bases never need the ladder to tell
 zero from nonzero: :mod:`reinhardt.loglin` decides that exactly on integer
 exponents over a coprime base, so such a form reaches the ladder only when
-it is nonzero, and then the ladder terminates given enough bits.  The
-ladders of ``LogLin.sign`` and of the simplex ratio tests run on integers:
-each rung takes integer bounds on 2^bits log(p) (:func:`log_bounds`, held
-per p and precision by a :class:`loglin.LogBase`), encloses the form by integer
-multiply-adds and passes one outward-rounded interval
-(:func:`scaled_interval`).  Witness certificates build mpmath intervals
-only for the threshold ``N0`` and for the near ties of their norm-versus-1
-comparisons, which are otherwise exact signs against a rational enclosure of
-pi^n taken from the 64-bit interval of pi.
+it is nonzero, and then the ladder terminates given enough bits.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 import os
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from mpmath import libmp
@@ -81,40 +79,50 @@ def scalar_interval(x: Scalar, ctx: MPIntervalContext):
     return ctx.mpf(x.numerator) / x.denominator
 
 
-def log_bounds(x: Scalar, ctx: MPIntervalContext) -> tuple[int, int]:
-    """Integers lo <= 2^bits log(x) <= hi for an exact x > 0, at the bits of ``ctx``."""
-    arg = (libmp.from_int(x),) * 2 if isinstance(x, int) else scalar_interval(x, ctx)._mpi_
-    lo, hi = libmp.mpi_log(arg, ctx.prec)
-    return (libmp.to_int(libmp.mpf_shift(lo, ctx.prec), libmp.round_floor),
-            libmp.to_int(libmp.mpf_shift(hi, ctx.prec), libmp.round_ceiling))
+def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= x <= hi: x itself for a rational x, and a + b sqrt(d)
+    with sqrt(d) between consecutive multiples of 2^-bits otherwise."""
+    if not isinstance(x, QuadExt):
+        return x, x
+    r = math.isqrt(x.d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
+    return tuple(sorted(x.a + x.b * Fraction(s, 1 << bits) for s in (r, r + 1)))
 
 
-def scaled_interval(lo: int, hi: int, den: int, ctx: MPIntervalContext):
-    """[lo / den, hi / den] in ``ctx`` for integers lo <= hi and den > 0, rounded outward."""
-    den = libmp.from_int(den)
-    return ctx.make_mpf(tuple(libmp.mpf_div(libmp.from_int(x), den, ctx.prec, rnd)
-                              for x, rnd in ((lo, libmp.round_floor), (hi, libmp.round_ceiling))))
+def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits log(x) <= hi for an exact x > 0."""
+    arg = ((libmp.from_int(x),) * 2 if isinstance(x, int)
+           else scalar_interval(x, working_precision(bits))._mpi_)
+    lo, hi = libmp.mpi_log(arg, bits)
+    return (libmp.to_int(libmp.mpf_shift(lo, bits), libmp.round_floor),
+            libmp.to_int(libmp.mpf_shift(hi, bits), libmp.round_ceiling))
 
 
-def ladder_sign(build: Callable[[MPIntervalContext], object],
+@cache
+def pi_power_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
+    """lo^n and hi^n for the rationals lo < pi < hi that are pi rounded down
+    and up to ``bits`` bits; held once per n and precision."""
+    return tuple(Fraction(*libmp.to_rational(libmp.mpf_pi(bits, rnd))) ** n
+                 for rnd in (libmp.round_floor, libmp.round_ceiling))
+
+
+def ladder_sign(build: Callable[[int], tuple[Fraction, Fraction]],
                 what: str | Callable[[], str] = "expression") -> int:
-    """Resolve the sign of ``build(ctx)`` by escalating the working precision.
+    """Resolve the sign of an exact quantity x by escalating the working precision.
 
-    ``build`` must enclose the same exact quantity in whatever interval
-    context it is given; each rung passes a context with more bits.
-    ``what`` names that quantity in the error, or builds the name when
-    called, which happens only past the cap.
+    ``build(bits)`` must return rationals lo <= x <= hi for the same x at
+    every precision, tighter the more bits it is given.  ``what`` names x in
+    the error, or builds the name when called, which happens only past the cap.
     """
     bits = LADDER_START_BITS
     cap = max_precision_bits()
     while True:
-        val = build(working_precision(bits))
-        if val.a > 0:
+        lo, hi = build(bits)
+        if lo > 0:
             return 1
-        if val.b < 0:
+        if hi < 0:
             return -1
         if bits >= cap:
-            lo, hi = interval_str(val)
+            lo, hi = _decimal_str(lo, decimal.ROUND_FLOOR), _decimal_str(hi, decimal.ROUND_CEILING)
             if callable(what):
                 what = what()
             raise BoundaryIndeterminate(
@@ -124,28 +132,16 @@ def ladder_sign(build: Callable[[MPIntervalContext], object],
         bits = min(2 * bits, cap)
 
 
-def _mpf_decimal_str(data, dps: int, rounding: str) -> str:
-    """Exact binary-to-decimal conversion of mpf data with directed rounding."""
-    sign, man, exp, _ = data
-    man, exp = int(man), int(exp)
-    if man == 0:
-        if exp == 0:
-            return "0"
-        raise ValueError("cannot print a non-finite interval endpoint")
+def _decimal_str(q: Fraction, rounding: str, dps: int = 10) -> str:
+    """The rational q to ``dps`` significant digits, rounded in the direction
+    ``rounding``; decimal division rounds the exact quotient once."""
     with decimal.localcontext() as ctx:
-        ctx.prec = dps
-        ctx.rounding = rounding
-        d = decimal.Decimal(-man if sign else man)
-        if exp >= 0:
-            d = ctx.multiply(d, decimal.Decimal(1 << exp))
-        else:
-            d = ctx.divide(d, decimal.Decimal(1 << -exp))
-        return str(d)
+        ctx.prec, ctx.rounding = dps, rounding
+        return str(ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
 
 
 def interval_str(val, dps: int = 10) -> tuple[str, str]:
-    """Directed decimal endpoints (lo rounded down, hi rounded up)."""
-    lo_data, hi_data = val._mpi_
-    lo = _mpf_decimal_str(lo_data, dps, decimal.ROUND_FLOOR)
-    hi = _mpf_decimal_str(hi_data, dps, decimal.ROUND_CEILING)
-    return lo, hi
+    """Directed decimal endpoints (lo rounded down, hi rounded up) of a
+    finite mpmath interval."""
+    lo, hi = (Fraction(*libmp.to_rational(end)) for end in val._mpi_)
+    return _decimal_str(lo, decimal.ROUND_FLOOR, dps), _decimal_str(hi, decimal.ROUND_CEILING, dps)

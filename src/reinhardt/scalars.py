@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import SpecError
@@ -27,15 +28,21 @@ Scalar = Union[int, Fraction, "QuadExt"]
 _RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+@lru_cache(maxsize=64)
 def is_square_free(d: int) -> bool:
-    if d < 2:
+    """Whether 2 <= d < 2^64 and no square > 1 divides d.  Trial division up
+    to the cube root of d leaves a cofactor with at most two prime factors,
+    all larger, so it has a square factor only if it is a square."""
+    if not 2 <= d < 2 ** 64:
         return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    m, k = d, 2
+    while k * k * k <= d:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                return False
+        k += 1 + (k & 1)  # 2, then the odd numbers
+    return m == 1 or math.isqrt(m) ** 2 != m
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ class QuadExt:
         if self.b == 0:
             raise ValueError("rational values must be plain Fractions; use quad()")
         if not is_square_free(self.d):
-            raise ValueError(f"d={self.d} is not a square-free integer >= 2")
+            raise ValueError(f"d={self.d} is not a square-free integer in [2, 2^64)")
 
     # -- coercion -----------------------------------------------------------
 

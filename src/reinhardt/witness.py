@@ -15,14 +15,13 @@ and vanishing at the axis pieces of the boundary.  The threshold exponent is
 where coords() expands a vector in the basis of the frame normals.  The two
 max-branches are kept separate so the ceiling of N0 is exact: the branch
 without pi is pure field arithmetic, the branch with pi can never be an
-integer, so the interval ladder always resolves it.
+integer.
 
-The certificate's other checks are exact.  A term norm c pi^n is compared
-with 1 by two signs of field elements, c lo^n - 1 and c hi^n - 1, for the
-rational ends lo < pi < hi of pi's 64-bit interval; only a norm so near 1
-that the two differ goes to the ladder.  The tail bounds (P + Q mu)^R of the
-derivative orders 0..k share one exact spot check, and a witness holds them
-once it has checked them.
+The certificate's term norms c pi^n and the ceiling of N0's pi branch come
+down to one sign, that of c pi^n - 1 for an exact c > 0 (:func:`_pi_sign`),
+which the ladder decides on rational bounds of pi^n held per precision.  The
+tail bounds (P + Q mu)^R of the derivative orders 0..k share one exact spot
+check, and a witness holds them once it has checked them.
 """
 
 from __future__ import annotations
@@ -30,19 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, product
 from typing import Optional, Sequence
-
-from mpmath import libmp
 
 from . import linalg
 from .domain import RadialPoint, integer_exponents
 from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
 from .loglin import EXACT_PRODUCT_BITS, product_bits
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
-from .precision import interval_str, ladder_sign, scalar_interval, working_precision
-from .scalars import Scalar, exact_ceil, format_scalar, scalar_cmp, sign_of
+from .precision import (interval_str, ladder_sign, pi_power_bounds, rational_bounds,
+                        scalar_interval, working_precision)
+from .scalars import Scalar, exact_ceil, exact_floor, format_scalar, scalar_cmp, sign_of
 
 
 def derivative_orders(n: int, max_total: int):
@@ -67,38 +65,39 @@ class N0Result:
     det_abs: Scalar
     n: int
 
-    def _branches(self, ctx):
+    def interval(self, ctx):
+        """An enclosure of N0 in the interval context ``ctx``, for printing."""
         pure = scalar_interval(self.shift_max, ctx)
         root = ctx.exp(ctx.log(scalar_interval(self.det_abs, ctx)) / self.n)
         trans = scalar_interval(self.log_branch_max, ctx) + 2 * ctx.pi / root
-        return pure, trans
-
-    def interval(self, ctx):
-        pure, trans = self._branches(ctx)
-        lo = max(pure.a, trans.a)
-        hi = max(pure.b, trans.b)
-        return ctx.mpf([lo, hi])
+        return ctx.mpf([max(pure.a, trans.a), max(pure.b, trans.b)])
 
     def interval_str(self, dps: int = 12) -> tuple[str, str]:
         return interval_str(self.interval(working_precision(64)), dps)
 
     def ceil(self) -> int:
         """Smallest integer >= N0, as ceil(max(a, b)) = max(ceil a, ceil b);
-        the field branch's ceiling is exact.  The transcendental branch is
-        never an integer, so its ceiling is the least m with trans < m,
-        bisected for between the ceilings of its 64-bit endpoints.  A
-        comparison unresolved at the cap counts as trans > m, the safe side:
-        then the result is >= N0 but may not be least (2^70 + 256 for
-        N0 = 2^70 + 2 + 2 pi at a 64-bit cap)."""
-        _, trans = self._branches(working_precision(64))
-        lo, hi = (libmp.to_int(end, libmp.round_ceiling) for end in trans._mpi_)
+        the field branch's ceiling is exact.  The pi branch
+        L + 2 pi / |det|^(1/n) is never an integer: its ceiling is the least
+        m > L with c pi^n < 1 for c = 2^n / ((m - L)^n |det|): bracketed by
+        galloping up from floor(L) + 1, then bisected for.  A sign unresolved
+        at the cap counts as m too small, the safe side: the result is >= N0
+        but may not be least."""
+        low, n = self.log_branch_max, self.n
+
+        def above(m: int) -> bool:  # m > L + 2 pi / |det|^(1/n), with L = low
+            try:
+                return _pi_sign(Fraction(2 ** n) / ((m - low) ** n * self.det_abs), n) < 0
+            except BoundaryIndeterminate:
+                return False
+
+        lo = exact_floor(low) + 1
+        hi, step = lo + 7, 8  # 7 > 2 pi: the first bracket holds m for |det| >= 1
+        while not above(hi):
+            lo, hi, step = hi + 1, hi + step, 2 * step
         while lo < hi:
             m = (lo + hi) // 2
-            try:
-                below = ladder_sign(lambda ctx: self._branches(ctx)[1] - m) < 0
-            except BoundaryIndeterminate:
-                below = False
-            lo, hi = (lo, m) if below else (m + 1, hi)
+            lo, hi = (lo, m) if above(m) else (m + 1, hi)
         return max(exact_ceil(self.shift_max), lo)
 
     def __float__(self):
@@ -435,7 +434,8 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
         sup_ok, vanish_ok = ok[0], all(ok[1:])
         for p in p_list:
             norm = lp_norm_exact_simplicial(frame, nu, p)
-            le_one = norm.kind == "exact" and _norm_sign_vs_one(norm) <= 0
+            # a unit-threshold frame's norm c pi^n carries no threshold factors
+            le_one = norm.kind == "exact" and _pi_sign(norm.coefficient, norm.pi_power) <= 0
             checks.append(WitnessCheck(sigma=sigma, p=p, norm=norm, norm_le_one=le_one,
                                        sup_cone_ok=sup_ok, vanishing_ok=vanish_ok))
     # one spot-verified bound and one summed sup bound per derivative order 0..k
@@ -448,23 +448,16 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
         tail_bound=tails[k], ok=all(c.ok for c in checks))
 
 
-@cache
-def _pi_power_bounds(n: int) -> tuple[Fraction, Fraction]:
-    """lo^n and hi^n for the rationals lo < pi < hi that end pi's 64-bit interval."""
-    return tuple(Fraction(*libmp.to_rational(end)) ** n
-                 for end in working_precision(64).pi._mpi_)
+def _pi_sign(c: Scalar, n: int) -> int:
+    """Sign of c pi^n - 1 for an exact c > 0: exact for n = 0, and otherwise
+    on the ladder, each rung enclosing c and pi^n in rationals (as c > 0,
+    c_lo p_lo <= c pi^n even when c_lo < 0); c pi^n is transcendental for
+    n >= 1, so only the cap stops it."""
+    if n == 0:
+        return sign_of(c - 1)
 
+    def build(bits):
+        (c_lo, c_hi), (p_lo, p_hi) = rational_bounds(c, bits), pi_power_bounds(n, bits)
+        return c_lo * p_lo - 1, c_hi * p_hi - 1
 
-def _norm_sign_vs_one(norm: NormResult) -> int:
-    """Sign of norm - 1.  Without threshold factors the norm is c pi^n, which
-    lies strictly between c lo^n and c hi^n for n != 0, so two exact signs
-    decide it unless they differ; that near tie, and a norm with factors,
-    go to the ladder."""
-    c, n = norm.coefficient, norm.pi_power
-    if not norm.factors:
-        if n == 0:
-            return sign_of(c - 1)
-        s = sum(sign_of(c * bound - 1) for bound in _pi_power_bounds(n))
-        if s:
-            return (s > 0) - (s < 0)
-    return ladder_sign(lambda ctx: norm.enclosure(ctx) - 1, what="norm vs 1")
+    return ladder_sign(build, what=lambda: f"{format_scalar(c)}*pi^{n} - 1")

@@ -135,6 +135,32 @@ def test_exit_code_empty_domain(tmp_path, capsys):
     assert code == 2 and "empty" in err
 
 
+def test_an_all_zero_exponent_names_its_constraint(tmp_path, capsys):
+    bad = tmp_path / "zero.json"
+    bad.write_text('{"n": 2, "constraints": [{"alpha": ["1","0"], "c": "2"}, '
+                   '{"alpha": ["0","0"], "c": "2"}]}')
+    code, _, err = run(capsys, "classify", str(bad))
+    assert code == 1 and "constraint 1: 'alpha' must have a nonzero entry" in err
+
+
+def test_a_large_quadratic_d_is_tested_once_and_refused_from_2_64(tmp_path, capsys):
+    """Q(sqrt d) values do not test d again: a spec over d = 10^12 + 39
+    parses, classifies and scans a box-2 spectrum at once."""
+    doc = {"n": 2, "quadratic_d": 10 ** 12 + 39, "constraints": [
+        {"alpha": ["1", "0"], "c": "1"}, {"alpha": ["0", "1"], "c": "1"},
+        {"alpha": ["1", {"a": "1", "b": "1/1000000"}], "c": {"a": "1/2", "b": "1/1000000"}}]}
+    path = tmp_path / "big_d.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert run(capsys, "classify", str(path), "--json")[0] == 0
+    assert run(capsys, "spectrum", str(path), "--space", "hinf", "--box", "2")[0] == 0
+    assert time.perf_counter() - start < 0.1
+    doc["quadratic_d"] = 2 ** 64 + 13
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == 1 and "[2, 2^64)" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/path.json")
     assert code == 1 and err

@@ -5,8 +5,10 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from mpmath import libmp
 
+from reinhardt import loglin
 from reinhardt.errors import BoundaryIndeterminate
 from reinhardt.loglin import LogLin, _coprime_base
 from reinhardt.precision import log_bounds, working_precision
@@ -303,7 +305,7 @@ def log_bases(draw):
 @example(2, 64)
 @settings(max_examples=200, deadline=None)
 def test_integer_log_bounds_enclose_the_log(x, bits):
-    lo, hi = log_bounds(x, working_precision(bits))
+    lo, hi = log_bounds(x, bits)
     exact = ENCLOSURE.ldexp(ENCLOSURE.log(_at_4000_bits(x)), bits)
     assert lo <= exact <= hi
     assert hi - lo < 2 ** (bits // 2)  # about bits / 2 of the bits are right
@@ -335,3 +337,41 @@ def test_indeterminate_interval_encloses_the_form(base, q, irr):
     assert hi - lo < Fraction(1, 2 ** 50)  # 64 bits, not den times as wide
     with mock.patch.dict(os.environ, {"REINHARDT_PRECISION": "1024"}):
         assert v.sign() == (1 if value > 0 else -1)  # 1024 bits have the digits
+
+
+@st.composite
+def ladder_forms(draw):
+    """const + sum(coeff * log(base)) with a nonzero constant, so the sign
+    goes to the ladder: over Q, or with bases and coefficients over one
+    Q(sqrt d)."""
+    d = draw(st.sampled_from((None, 2, 3, 5)))
+    small = st.fractions(-20, 20, max_denominator=12)
+
+    def scalar():
+        q = draw(small)
+        return q if d is None or draw(st.booleans()) else quad(q, draw(small.filter(bool)), d)
+
+    form = LogLin.of(draw(small.filter(bool)))
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.fractions(Fraction(1, 50), 50).filter(bool))
+        if d is not None and draw(st.booleans()):
+            base = quad(draw(st.integers(-9, 9)), draw(st.integers(-9, 9).filter(bool)), d)
+            base = base if sign_of(base) > 0 else -base
+        form += LogLin.log_of(base, scalar())
+    return form
+
+
+@given(ladder_forms())
+@settings(max_examples=150, deadline=None)
+def test_logbase_rational_enclosures_contain_the_form(form):
+    """Every rung of LogBase's ladder, 64 to 1024 bits, encloses the midpoint
+    of a 4096-bit interval of the form between its rational ends."""
+    builds = []
+    with mock.patch.object(loglin, "ladder_sign", lambda build, what: builds.append(build) or 1):
+        form.sign()
+    assume(builds)  # every exponent over the coprime base cancelled: no ladder
+    lo, hi = form.interval(working_precision(4096))._mpi_
+    mid = (Fraction(*libmp.to_rational(lo)) + Fraction(*libmp.to_rational(hi))) / 2
+    for bits in (64, 128, 256, 512, 1024):
+        low, high = builds[0](bits)
+        assert low <= mid <= high

@@ -29,6 +29,21 @@ def test_square_free_validation():
         QuadExt(Fraction(1), Fraction(1), 4)
 
 
+def _square_free_by_brute_force(d: int) -> bool:
+    return d >= 2 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+
+
+def test_square_free_agrees_with_brute_force():
+    assert all(is_square_free(d) == _square_free_by_brute_force(d) for d in range(10 ** 5))
+    # cofactors past the cube root: p q and p^2 q for primes p, q near 2^20
+    p, q = 1048573, 1048583
+    assert is_square_free(p * q) and is_square_free(p) and is_square_free(p * q * 3)
+    assert not is_square_free(p * p) and not is_square_free(p * p * q)
+    assert not is_square_free(q * q * 2) and not is_square_free(p * q * q)
+    # d is refused from 2^64 on, square-free or not
+    assert is_square_free(2 ** 64 - 59) and not is_square_free(2 ** 64 + 13)
+
+
 def test_exact_sign_cases():
     assert sign_of(quad(1, -1, 2)) == -1      # 1 - sqrt2
     assert sign_of(quad(3, -2, 2)) == 1       # 3 - 2 sqrt2 = 0.17...

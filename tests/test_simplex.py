@@ -203,9 +203,9 @@ def test_a_tableau_bounds_each_log_once_per_precision(monkeypatch):
     monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
     asked, log_bounds = [], loglin.log_bounds
 
-    def counting(x, ctx):
-        asked.append((x, ctx.prec))
-        return log_bounds(x, ctx)
+    def counting(x, bits):
+        asked.append((x, bits))
+        return log_bounds(x, bits)
 
     monkeypatch.setattr(loglin, "log_bounds", counting)
     rows = [[Fraction(1), Fraction(1)], [quad(0, 1, 2), Fraction(1)],

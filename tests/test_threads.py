@@ -1,8 +1,9 @@
 """Interval evaluation and derived geometry from parallel threads of one process.
 
-Every precision has its own fixed interval context, so a thread that climbs
-the ladder to 512 bits cannot have its precision changed under it by a
-thread that prints a 64-bit display at the same time.  A log-polyhedron
+The ladder hands its rungs bits and every precision that builds an interval
+has its own fixed context, so a thread that climbs the ladder to 512 bits
+cannot have its precision changed under it by a thread that prints a 64-bit
+display at the same time.  A log-polyhedron
 computes its derived geometry on first read, so threads that make those
 first reads together must each see the serial values.  The package loads
 its Monte-Carlo module on the first read of one of its names, so threads

@@ -1,17 +1,22 @@
 import cmath
 import math
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import libmp
 
 from reinhardt import (NormResult, ReinhardtError, SimplicialFrame, SpecError, build_witness,
                        compute_n0, derive_tail_bound, eval_witness_derivative, load_spec,
                        radial, verify_witness_membership, witness)
 from reinhardt.domain import exponents
-from reinhardt.precision import ladder_sign
+from reinhardt.errors import BoundaryIndeterminate
+from reinhardt.precision import ladder_sign, pi_power_bounds, scalar_interval, working_precision
+from reinhardt.scalars import exact_ceil, quad, sign_of
 from reinhardt.witness import (N0Result, TailBound, WitnessSpec, derivative_orders,
                                falling_product, tail_bounds)
 
@@ -94,6 +99,82 @@ def test_n0_of_a_frame_with_huge_coordinates(monkeypatch):
     n0, big_n = compute_n0(frame, 0)
     assert n0.log_branch_max == m + 2
     assert big_n == m + 9
+
+
+def test_n0_of_a_frame_with_huge_coordinates_at_a_64_bit_cap(monkeypatch):
+    """Each m is compared with N0 through (m - L)^n |det| against (2 pi)^n,
+    small exact numbers, so 64 bits give the least N (2^70 + 256 when N0
+    itself was enclosed)."""
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    m = 2 ** 70
+    frame = SimplicialFrame.from_rows([exponents(m, m + 1), exponents(m - 1, m)],
+                                      [Fraction(1), Fraction(1)])
+    assert compute_n0(frame, 0)[1] == m + 9
+
+
+@pytest.mark.parametrize("cap, offset, expected", [
+    ("64", EPS, 10), ("64", -EPS, 10), (None, EPS, 10), (None, -EPS, 9),
+], ids=["64-bit-above-9", "64-bit-below-9", "default-above-9", "default-below-9"])
+def test_n0_ceil_of_a_quadratic_near_tie(cap, offset, expected, monkeypatch):
+    """L = 9 - 2 pi + offset + 2^-90 sqrt2 in Q(sqrt2): its 64-bit rung leaves
+    m = 9 unresolved, which counts as too small; the default cap decides it."""
+    if cap is None:
+        monkeypatch.delenv("REINHARDT_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("REINHARDT_PRECISION", cap)
+    low = 9 - TWO_PI + offset + quad(0, Fraction(1, 2 ** 90), 2)
+    assert N0Result(shift_max=0, log_branch_max=low, det_abs=1, n=1).ceil() == expected
+
+
+def _parent_ceil(n0: N0Result) -> int:
+    """The reference ceiling: bisection between the ceilings of the 64-bit
+    mpmath enclosure of the pi branch, on a ladder of interval contexts."""
+    def sign(build):
+        bits = 64
+        while True:
+            val = build(working_precision(bits))
+            if val.a > 0 or val.b < 0:
+                return 1 if val.a > 0 else -1
+            if bits >= 1024:
+                raise BoundaryIndeterminate("unresolved")
+            bits *= 2
+
+    def trans(ctx):
+        root = ctx.exp(ctx.log(scalar_interval(n0.det_abs, ctx)) / n0.n)
+        return scalar_interval(n0.log_branch_max, ctx) + 2 * ctx.pi / root
+
+    lo, hi = (libmp.to_int(end, libmp.round_ceiling) for end in trans(working_precision(64))._mpi_)
+    while lo < hi:
+        m = (lo + hi) // 2
+        try:
+            below = sign(lambda ctx: trans(ctx) - m) < 0
+        except BoundaryIndeterminate:
+            below = False
+        lo, hi = (lo, m) if below else (m + 1, hi)
+    return max(exact_ceil(n0.shift_max), lo)
+
+
+@st.composite
+def n0_results(draw):
+    """N0 with random L and |det| and n = 1..4, over Q or over Q(sqrt d)."""
+    d = draw(st.sampled_from((None, 2, 3, 7)))
+    low = draw(st.fractions(-40, 40, max_denominator=50))
+    det = draw(st.fractions(Fraction(1, 50), 200, max_denominator=50))
+    if d is not None:
+        low = quad(low, draw(st.fractions(-5, 5, max_denominator=20).filter(bool)), d)
+        if draw(st.booleans()):
+            det = quad(det, draw(st.fractions(-1, 1, max_denominator=20).filter(bool)), d)
+            det = det if sign_of(det) > 0 else -det
+    shift = draw(st.fractions(-40, 40, max_denominator=50))
+    return N0Result(shift_max=shift, log_branch_max=low, det_abs=det, n=draw(st.integers(1, 4)))
+
+
+@given(n0_results())
+@settings(max_examples=150, deadline=None)
+def test_n0_ceil_matches_the_parent_bisection(n0):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("REINHARDT_PRECISION", None)  # the default ladder cap
+        assert n0.ceil() == _parent_ceil(n0)
 
 
 def test_build_witness_examples(hartogs_frame, polydisc_frame):
@@ -350,16 +431,18 @@ def test_series_evaluations_reuse_the_checked_bounds(hartogs_frame, monkeypatch)
     assert calls == [1, 2]
 
 
-def count_ladder_calls(monkeypatch):
-    """The calls that witness.py makes to the ladder from now on."""
-    calls = []
+def ladder_rungs(monkeypatch):
+    """The bits of every rung that witness.py's ladder calls build from now on."""
+    rungs = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return ladder_sign(*args, **kwargs)
+    def recording(build, *args, **kwargs):
+        def rung(bits):
+            rungs.append(bits)
+            return build(bits)
+        return ladder_sign(rung, *args, **kwargs)
 
-    monkeypatch.setattr(witness, "ladder_sign", counted)
-    return calls
+    monkeypatch.setattr(witness, "ladder_sign", recording)
+    return rungs
 
 
 # 1/pi^2 to 3000 bits, cut to 2^-100: c pi^2 is within 2^-96 of 1, and the
@@ -372,27 +455,30 @@ def test_norm_vs_one_near_a_tie_goes_to_the_ladder(rounding, expected, monkeypat
     monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
     c = Fraction(rounding(INV_PI_SQUARED * 2 ** 100), 2 ** 100)
     norm = NormResult(kind="exact", coefficient=c, pi_power=2)
-    lo, hi = witness._pi_power_bounds(2)
+    lo, hi = pi_power_bounds(2, 64)
     assert c * lo < 1 < c * hi
-    calls = count_ladder_calls(monkeypatch)
-    oracle = ladder_sign(lambda ctx: norm.enclosure(ctx) - 1)
-    assert witness._norm_sign_vs_one(norm) == oracle == expected
-    assert len(calls) == 1
+    rungs = ladder_rungs(monkeypatch)
+    gap = norm.enclosure(working_precision(512)) - 1  # the mpmath oracle
+    oracle = 1 if gap.a > 0 else -1 if gap.b < 0 else 0
+    assert witness._pi_sign(c, 2) == oracle == expected
+    assert rungs[0] == 64 and max(rungs) > 64
 
 
 def test_norm_vs_one_decides_exactly_away_from_ties(monkeypatch):
     monkeypatch.setenv("REINHARDT_PRECISION", "64")
-    monkeypatch.setattr(witness, "ladder_sign", None)  # a ladder call would fail
-    sign = witness._norm_sign_vs_one
-    assert sign(NormResult(kind="exact", coefficient=Fraction(1), pi_power=0)) == 0
-    assert sign(NormResult(kind="exact", coefficient=Fraction(1, 10), pi_power=2)) == -1
-    assert sign(NormResult(kind="exact", coefficient=Fraction(1, 9), pi_power=2)) == 1
-    assert sign(NormResult(kind="exact", coefficient=Fraction(4, 63), pi_power=2)) == -1
+    rungs = ladder_rungs(monkeypatch)
+    sign = witness._pi_sign  # of c pi^n - 1
+    assert sign(Fraction(1), 0) == 0
+    assert sign(Fraction(1, 10), 2) == -1
+    assert sign(Fraction(1, 9), 2) == 1
+    assert sign(Fraction(4, 63), 2) == -1
+    assert rungs == [64] * 3  # each decided at the first rung; pi^0 needs none
 
 
 def test_golden_witnesses_verify_without_the_ladder(monkeypatch):
-    calls = count_ladder_calls(monkeypatch)
+    """Both the ceiling of N0 and every norm test end at the first rung."""
+    rungs = ladder_rungs(monkeypatch)
     for path, rows, exterior, j0, k in GOLDEN_WITNESSES:
         w = golden_witness(path, rows, exterior, j0, k)
         assert verify_witness_membership(w, p_list=[1, 2, 3]).ok
-    assert calls == []
+    assert rungs and set(rungs) == {64}
