@@ -19,11 +19,7 @@ from .classify import classify_all
 from .domain import DomainSpec, load_spec, radial
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
                      ReinhardtError, SpecError)
-from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial, sup_norm_monomial
 from .scalars import parse_rational_literal
-from . import spaces as sp
-from .spectrum import spectrum_box
-from .witness import WitnessSpec, build_witness, verify_witness_membership
 
 CRITERION_TEXT = {
     "lineality-rational-type": "the lineality space of the log-domain has an integer basis",
@@ -60,7 +56,7 @@ def _parse_rows(text: str | None, spec: DomainSpec):
     return rows
 
 
-def _norm_json(result: NormResult) -> dict:
+def _norm_json(result) -> dict:
     if result.kind == "exact":
         lo, hi = result.interval()
         return {"kind": "exact", "symbolic": result.symbolic(), "interval": [lo, hi]}
@@ -71,7 +67,7 @@ def _norm_json(result: NormResult) -> dict:
             "ray": [str(x) for x in result.ray] if result.ray else None}
 
 
-def _norm_text(result: NormResult) -> str:
+def _norm_text(result) -> str:
     if result.kind == "exact":
         lo, hi = result.interval()
         return f"{result.symbolic()}  in [{lo}, {hi}]"
@@ -113,6 +109,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sup(args) -> int:
+    from .norms import sup_norm_monomial  # each command imports what it runs
     spec = load_spec(args.spec)
     nu = _parse_int_vector(args.nu, spec.n, "--nu")
     result = sup_norm_monomial(spec, nu)
@@ -122,6 +119,7 @@ def _cmd_sup(args) -> int:
 
 
 def _run_norm(args, spec: DomainSpec, nu: tuple[int, ...]) -> int:
+    from .norms import SimplicialFrame, lp_norm_exact_simplicial
     p = parse_rational_literal(args.p)
     if args.mc:
         if args.seed is None:
@@ -147,6 +145,8 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .norms import SimplicialFrame
+    from .witness import WitnessSpec, build_witness, verify_witness_membership
     spec = load_spec(args.spec)
     frame = SimplicialFrame.from_spec(spec, _parse_rows(args.rows, spec))
     exterior = radial(*[parse_rational_literal(x) for x in args.exterior.split(",")])
@@ -172,17 +172,17 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-_SPACES = {"hinf": sp.HINF, "l2": sp.L2, "lp": sp.LP, "hinfk": sp.HINF_K, "ak": sp.AK,
-           "ldiamond": sp.LDIAMOND_AK}
-
-
 def _cmd_spectrum(args) -> int:
+    from . import spaces as sp
+    from .spectrum import spectrum_box
+    spaces = {"hinf": sp.HINF, "l2": sp.L2, "lp": sp.LP, "hinfk": sp.HINF_K, "ak": sp.AK,
+              "ldiamond": sp.LDIAMOND_AK}
     spec = load_spec(args.spec)
-    if args.space not in _SPACES:
-        raise SpecError(f"--space must be one of {sorted(_SPACES)}")
+    if args.space not in spaces:
+        raise SpecError(f"--space must be one of {sorted(spaces)}")
     p = None if args.p is None else parse_rational_literal(args.p)
     try:
-        space = sp.FunctionSpace(_SPACES[args.space], p=p, k=args.k)
+        space = sp.FunctionSpace(spaces[args.space], p=p, k=args.k)
     except ValueError as exc:  # name the flags that set the parameters p and k
         given = " ".join(f"--{flag} {value}" for flag, value in (("p", args.p), ("k", args.k))
                          if value is not None)

@@ -466,9 +466,11 @@ def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
     """A point of the open system, or None if the open system is empty.
 
     Decided as "the closed system is full-dimensional-feasible": the LP
-    max t s.t. <alpha, x> + t <= log c, 0 <= t <= 1 must have optimum > 0.
-    :func:`is_empty` runs it only when Gordan's test on the recession cone
-    does not decide; callers that need a point call it directly.
+    max t s.t. <alpha, x> + t <= log c, 0 <= t <= log 2 must have optimum
+    > 0.  The cap log 2, not 1, keeps every form of the LP free of a
+    constant, so over rational thresholds LogBase decides each sign off the
+    ladder.  :func:`is_empty` runs it only when Gordan's test on the
+    recession cone does not decide; callers that need a point call it directly.
     """
     n = poly.n
     rows, rhs = [], []
@@ -477,7 +479,7 @@ def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
         rhs.append(LogLin.log_of(c))
     tail = [Fraction(0)] * n + [Fraction(1)]
     rows.append(list(tail))
-    rhs.append(LogLin.of(1))
+    rhs.append(LogLin.log_of(2))
     rows.append([-x for x in tail])
     rhs.append(LogLin.zero())
     cert = solve_lp(rows, rhs, tail)

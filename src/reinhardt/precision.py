@@ -12,8 +12,9 @@ mpmath only supplies bounds and printed intervals: integer bounds on
 2^bits log(x) (:func:`log_bounds`), which a :class:`loglin.LogBase` holds
 per precision and combines by integer multiply-adds; rational bounds on pi^n
 (:func:`pi_power_bounds`), for the witness's c pi^n against 1; and the
-outward-rounded intervals that :func:`interval_str` prints.  A precision
-that still needs an interval context (a log over Q(sqrt d), a printed
+outward-rounded intervals that :func:`interval_str` prints.  The first of
+those calls imports it, so a run whose signs are all exact never does.  A
+precision that needs an interval context (a log over Q(sqrt d), a printed
 interval) has its own, fixed at that many bits; nothing here writes mpmath's
 global state, so parallel threads cannot change each other's precision.
 
@@ -32,19 +33,12 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from mpmath import libmp
-from mpmath.ctx_iv import MPIntervalContext
-
 from .errors import BoundaryIndeterminate
 from .scalars import QuadExt, Scalar
 
 LADDER_START_BITS = 64
 DEFAULT_MAX_BITS = 1024
 PRECISION_ENV_VAR = "REINHARDT_PRECISION"
-
-# bits -> interval context fixed at that precision; building one costs more
-# than a whole sign, so each is built once and never changed afterwards
-_CONTEXTS: dict[int, MPIntervalContext] = {}
 
 
 def max_precision_bits() -> int:
@@ -58,23 +52,21 @@ def max_precision_bits() -> int:
     return max(bits, LADDER_START_BITS)
 
 
-def working_precision(bits: int) -> MPIntervalContext:
-    """The interval context that evaluates at ``bits`` working bits."""
-    ctx = _CONTEXTS.get(bits)
-    if ctx is None:
-        ctx = MPIntervalContext()
-        ctx.prec = bits
-        ctx = _CONTEXTS.setdefault(bits, ctx)
+@cache
+def working_precision(bits: int):
+    """The mpmath interval context at ``bits`` working bits, built once (it
+    costs more than a whole sign) and never changed afterwards."""
+    from mpmath.ctx_iv import MPIntervalContext
+    ctx = MPIntervalContext()
+    ctx.prec = bits
     return ctx
 
 
-def scalar_interval(x: Scalar, ctx: MPIntervalContext):
+def scalar_interval(x: Scalar, ctx):
     """Enclose an exact scalar in an interval of the context ``ctx``."""
     if isinstance(x, QuadExt):
         return (ctx.mpf(x.a.numerator) / x.a.denominator
                 + ctx.mpf(x.b.numerator) / x.b.denominator * ctx.sqrt(x.d))
-    if isinstance(x, int):
-        return ctx.mpf(x)
     x = Fraction(x)
     return ctx.mpf(x.numerator) / x.denominator
 
@@ -90,6 +82,7 @@ def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
 
 def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
     """Integers lo <= 2^bits log(x) <= hi for an exact x > 0."""
+    from mpmath import libmp
     arg = ((libmp.from_int(x),) * 2 if isinstance(x, int)
            else scalar_interval(x, working_precision(bits))._mpi_)
     lo, hi = libmp.mpi_log(arg, bits)
@@ -101,6 +94,7 @@ def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
 def pi_power_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
     """lo^n and hi^n for the rationals lo < pi < hi that are pi rounded down
     and up to ``bits`` bits; held once per n and precision."""
+    from mpmath import libmp
     return tuple(Fraction(*libmp.to_rational(libmp.mpf_pi(bits, rnd))) ** n
                  for rnd in (libmp.round_floor, libmp.round_ceiling))
 
@@ -143,5 +137,6 @@ def _decimal_str(q: Fraction, rounding: str, dps: int = 10) -> str:
 def interval_str(val, dps: int = 10) -> tuple[str, str]:
     """Directed decimal endpoints (lo rounded down, hi rounded up) of a
     finite mpmath interval."""
+    from mpmath import libmp
     lo, hi = (Fraction(*libmp.to_rational(end)) for end in val._mpi_)
     return _decimal_str(lo, decimal.ROUND_FLOOR, dps), _decimal_str(hi, decimal.ROUND_CEILING, dps)

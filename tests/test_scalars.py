@@ -1,7 +1,10 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from reinhardt.errors import SpecError
@@ -42,6 +45,37 @@ def test_square_free_agrees_with_brute_force():
     assert not is_square_free(q * q * 2) and not is_square_free(p * q * q)
     # d is refused from 2^64 on, square-free or not
     assert is_square_free(2 ** 64 - 59) and not is_square_free(2 ** 64 + 13)
+
+
+def _square_free_by_factorint(d: int) -> bool:
+    return d >= 2 and all(e == 1 for e in sympy.factorint(d).values())
+
+
+def test_square_free_agrees_with_factorint_below_2_64():
+    """Cofactors past trial division: primes, p q and p^2 near 2^32, p^3,
+    products of six primes, and seeded d across [2, 2^64)."""
+    rng = random.Random(20261020)
+    p, q = sympy.prevprime(2 ** 32), sympy.nextprime(2 ** 32 - 1000)
+    r = sympy.prevprime(2 ** 21)
+    cases = [2 ** 64 - 59, 2 ** 64 - 1, p * q, p * p, 3 * sympy.prevprime(2 ** 31) ** 2,
+             r ** 3, r * r * 1031, 1031 * 1033 * 1039 * 1049 * 1051 * 1061,
+             (1031 * 1033) ** 2 * 1039 * 1049]
+    for _ in range(8):
+        a, b = (sympy.prevprime(rng.randrange(2 ** 31, 2 ** 32)) for _ in range(2))
+        cases += [a * b, a * a]
+    cases += [rng.randrange(2, 2 ** 64) for _ in range(150)]
+    cases += [rng.randrange(2, 2 ** 20) * rng.randrange(2 ** 20, 2 ** 22) ** 2 for _ in range(50)]
+    for d in cases:
+        assert d < 2 ** 64
+        assert is_square_free(d) == _square_free_by_factorint(d), d
+
+
+def test_square_free_of_a_prime_near_2_64_is_fast():
+    # trial division to the cube root took about 0.3 s here
+    is_square_free.cache_clear()
+    t0 = time.perf_counter()
+    assert is_square_free(2 ** 64 - 59)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_exact_sign_cases():
@@ -109,6 +143,14 @@ def test_exact_floor_rationals():
     assert exact_floor(Fraction(-7, 2)) == -4
     assert exact_ceil(Fraction(6)) == 6
     assert exact_floor(quad(3, 2, 2)) == 5   # 3 + 2 sqrt2 = 5.828
+
+
+def test_exact_floor_past_the_float_range():
+    big = 10 ** 400
+    assert exact_floor(quad(big, 1, 2)) == big + 1 and exact_ceil(quad(big, 1, 2)) == big + 2
+    assert exact_floor(quad(big, -1, 2)) == big - 2 and exact_ceil(quad(-big, 1, 2)) == 2 - big
+    assert exact_floor(quad(Fraction(1, 3), big, 2)) == math.isqrt(2 * big * big)
+    assert exact_floor(quad(0, -big, 3)) == -math.isqrt(3 * big * big) - 1
 
 
 def test_parse_literals():

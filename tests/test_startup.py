@@ -1,8 +1,12 @@
-"""What ``import reinhardt`` loads: the exact core and mpmath, never numpy.
+"""What ``import reinhardt`` and its commands load: only what the call needs.
 
 Each check runs in a fresh interpreter, since this test session has loaded
-numpy already.  numpy and ``reinhardt.montecarlo`` load on the first read of
-a Monte-Carlo name of the package, and exact work never reads one.
+every module already.  The package loads the classify stack; norms, spaces,
+spectrum and witness load on the first read of one of their names, numpy
+and ``reinhardt.montecarlo`` on the first read of a Monte-Carlo name, and
+mpmath with the first sign or interval that needs the ladder.  Exact work
+never loads numpy, and a classify whose signs are all exact never loads
+mpmath.
 """
 
 import os
@@ -16,7 +20,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
 MC_ONLY = ("numpy", "reinhardt.montecarlo")
 CLASSIFY_STACK = ("reinhardt.classify", "reinhardt.cones", "reinhardt.domain",
-                  "reinhardt.simplex", "reinhardt.loglin", "reinhardt.precision", "mpmath")
+                  "reinhardt.simplex", "reinhardt.loglin", "reinhardt.precision")
+ON_FIRST_USE = ("mpmath", "reinhardt.norms", "reinhardt.spaces", "reinhardt.spectrum",
+                "reinhardt.witness", *MC_ONLY)
+# x1 + sqrt2 x2 < log(1 + sqrt2), x1 > 0, x2 > 0: its emptiness LP compares
+# log(1 + sqrt2) against log 2 with coefficients in Q(sqrt2), on the ladder
+QUADRATIC_THRESHOLD = ('{"n": 2, "quadratic_d": 2, "constraints": ['
+                       '{"alpha": ["1", {"a": "0", "b": "1"}], "c": {"a": "1", "b": "1"}},'
+                       '{"alpha": ["-1", "0"], "c": "1"}, {"alpha": ["0", "-1"], "c": "1"}]}')
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -34,10 +45,28 @@ def _run(code: str) -> str:
 
 
 def test_import_loads_the_classify_stack_and_no_numpy():
+    """Nor mpmath, norms, spaces, spectrum or witness."""
     out = _run("import sys, reinhardt\n"
                f"print([m for m in {CLASSIFY_STACK!r} if m not in sys.modules])\n"
-               f"print([m for m in {MC_ONLY!r} if m in sys.modules])")
+               f"print([m for m in {ON_FIRST_USE!r} if m in sys.modules])")
     assert out.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_exact_classify_never_loads_mpmath_and_the_ladder_does():
+    out = _run(f"""
+import sys
+import reinhardt as r
+for name in ("annulus", "hartogs", "irrational_slope"):
+    r.classify_all(r.load_spec(f"{{SPECS}}/{{name}}.json"))
+print([m for m in {ON_FIRST_USE!r} if m in sys.modules])
+report = r.classify_all(r.parse_spec({QUADRATIC_THRESHOLD!r}))
+print("mpmath" in sys.modules)
+print(sorted((k, v.value, v.criterion) for k, v in report.verdicts.items()))
+""")
+    assert out.split("\n")[:3] == ["[]", "True", str(sorted([
+        ("ainf", "yes", "axis-approach-blocked"), ("hinf", "yes", "lineality-rational-type"),
+        ("hinf_k", "yes", "product-split"), ("l2", "yes", "lineality-zero"),
+        ("lp_ak", "yes", "lineality-zero-proper-subset")]))]
 
 
 def test_exact_work_never_loads_numpy():
@@ -62,6 +91,13 @@ print([m for m in ("numpy", "reinhardt.montecarlo") if m in sys.modules])
     assert out.strip() == "[]"
 
 
+def _loaded(*argv: str) -> set[str]:
+    """The modules ``python -m reinhardt argv`` imports, read off -X importtime."""
+    done = _python("-X", "importtime", "-m", "reinhardt", *argv)
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "hartogs.json"],
     ["sup", "hartogs.json", "--nu", "1,0"],
@@ -70,12 +106,16 @@ print([m for m in ("numpy", "reinhardt.montecarlo") if m in sys.modules])
     ["witness", "hartogs.json", "--exterior", "3,3/2", "--j0", "1", "--k", "1", "--verify"],
 ], ids=lambda argv: argv[0])
 def test_exact_cli_commands_never_load_numpy(argv):
-    argv = [argv[0], str(SPECS / argv[1]), *argv[2:]]
-    done = _python("-X", "importtime", "-m", "reinhardt", *argv)
-    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
-              if line.startswith("import time:")}
+    loaded = _loaded(argv[0], str(SPECS / argv[1]), *argv[2:])
     assert "reinhardt.cli" in loaded
     assert not loaded & set(MC_ONLY)
+
+
+def test_cli_classify_loads_no_norms_spectra_witnesses_or_mpmath():
+    loaded = _loaded("classify", str(SPECS / "hartogs.json"))
+    assert "reinhardt.classify" in loaded
+    assert not loaded & {"mpmath", "reinhardt.norms", "reinhardt.spaces", "reinhardt.spectrum",
+                         "reinhardt.witness"}
 
 
 @pytest.mark.parametrize("first_read", [
@@ -113,3 +153,20 @@ def test_monte_carlo_names_are_listed_before_they_load():
                "print('numpy' in sys.modules, {'montecarlo', 'lp_norm_monte_carlo',"
                " 'coefficient_inequality_check'} <= names)")
     assert out.strip() == "False True"
+
+
+@pytest.mark.parametrize("module", ["norms", "spaces", "spectrum", "witness"])
+def test_first_read_of_a_lazy_name_binds_its_module_and_every_name(module):
+    """Listed by ``dir`` before they load; the first read binds them all."""
+    out = _run(f"""
+import sys, reinhardt
+names = reinhardt._LAZY[{module!r}]
+assert {{{module!r}, *names}} <= set(dir(reinhardt))
+assert "reinhardt.{module}" not in sys.modules
+got = getattr(reinhardt, names[-1])
+mod = sys.modules["reinhardt.{module}"]
+assert got is getattr(mod, names[-1]) and reinhardt.{module} is mod
+assert all(vars(reinhardt)[n] is getattr(mod, n) for n in names)
+print("ok")
+""")
+    assert out.strip() == "ok"

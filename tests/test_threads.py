@@ -6,8 +6,9 @@ cannot have its precision changed under it by a thread that prints a 64-bit
 display at the same time.  A log-polyhedron
 computes its derived geometry on first read, so threads that make those
 first reads together must each see the serial values.  The package loads
-its Monte-Carlo module on the first read of one of its names, so threads
-that make that read together must each get the same function.
+norms, spaces, spectrum, witness and montecarlo on the first read of one
+of their names, so threads that make that read together must each get the
+same object.
 """
 
 import os
@@ -18,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from mpmath import libmp
 
 from reinhardt import LogPolyhedron, SimplicialFrame, compute_n0, load_spec
@@ -95,43 +97,60 @@ def test_parallel_first_reads_of_derived_geometry_match_serial(gallery):
         sys.setswitchinterval(interval)
 
 
-_FIRST_MC_CALLS = """
+_FIRST_CALLS = """
 import sys, threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 import reinhardt
 
 spec = reinhardt.load_spec(sys.argv[1])
-assert "reinhardt.montecarlo" not in sys.modules
+name, module, call = sys.argv[2], "reinhardt." + sys.argv[3], eval("lambda fn: " + sys.argv[4])
+assert module not in sys.modules
 threads = 8
 barrier = threading.Barrier(threads, timeout=60)
 
 
 def first_call(_):
     barrier.wait()
-    fn = reinhardt.lp_norm_monte_carlo
-    return fn, fn(spec, (1, 0), 2, 5000, 11)
+    fn = getattr(reinhardt, name)
+    return fn, call(fn)
 
 
 sys.setswitchinterval(1e-6)  # switch threads often, inside the module import too
 with ThreadPoolExecutor(max_workers=threads) as pool:
     got = list(pool.map(first_call, range(threads)))
 sys.setswitchinterval(0.005)
-serial = reinhardt.montecarlo.lp_norm_monte_carlo(spec, (1, 0), 2, 5000, 11)
-assert all(fn is reinhardt.montecarlo.lp_norm_monte_carlo for fn, _ in got)
+own = getattr(sys.modules[module], name)
+serial = call(own)
+assert all(fn is own for fn, _ in got)
 assert [result for _, result in got] == [serial] * threads
-print("ok", serial.estimate)
+print("ok")
 """
 
 
-def test_parallel_first_monte_carlo_calls_share_one_function():
-    """8 threads of a fresh interpreter make the package's first
-    ``lp_norm_monte_carlo`` read and call at once."""
+# a lazily loaded name of each module -> (module, a first call of it)
+FIRST_CALLS = {
+    "lp_norm_monte_carlo": ("montecarlo", "fn(spec, (1, 0), 2, 5000, 11)"),
+    "sup_norm_monomial": ("norms", "fn(spec, (1, 0))"),
+    "spectrum_box": ("spectrum", "fn(spec, reinhardt.FunctionSpace('l2'), 1)"),
+    "build_witness": ("witness", "fn(reinhardt.WitnessSpec(frame=reinhardt.SimplicialFrame"
+                      ".from_spec(spec), k=1, exterior=reinhardt.radial(3, Fraction(3, 2)),"
+                      " j0=0)).N"),
+    "FunctionSpace": ("spaces", "fn('l2')"),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_CALLS))
+def test_parallel_first_calls_of_a_lazy_name_share_one_object(name):
+    """8 threads of a fresh interpreter make the package's first read of
+    ``name``, which loads its module, and call it at once: each gets the
+    module's own object and the serial result."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _FIRST_MC_CALLS,
-                           str(root / "specs" / "hartogs.json")],
+    done = subprocess.run([sys.executable, "-c", _FIRST_CALLS,
+                           str(root / "specs" / "hartogs.json"), name, *FIRST_CALLS[name]],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("ok ")
+    assert done.stdout.strip() == "ok"

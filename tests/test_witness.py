@@ -89,6 +89,12 @@ def test_n0_ceil_takes_the_safe_side_at_the_cap(monkeypatch):
         assert n0.ceil() == 10
 
 
+def test_n0_ceil_past_the_float_range():
+    # L = 10^400 + sqrt2, so N0 = L + 2 pi = 10^400 + 7.69...
+    n0 = N0Result(shift_max=0, log_branch_max=quad(10 ** 400, 1, 2), det_abs=1, n=1)
+    assert n0.ceil() == 10 ** 400 + 8
+
+
 def test_n0_of_a_frame_with_huge_coordinates(monkeypatch):
     monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
     # |det| = 1 and coords((1, 0)) = (M, -M - 1), so N0 = M + 2 + 2 pi exactly;
