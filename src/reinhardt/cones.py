@@ -3,7 +3,7 @@ approach and integer lattices.
 
 Everything in this module decides questions about the normal cone structure
 of a half-space system ``<alpha_i, x> < log(c_i)``.  With the exception of
-:func:`interior_point`, :func:`lp_optimize` and the fallback of
+:func:`interior_point`, :func:`lp_optimize` and the proofs of
 :func:`is_empty` (which involve the offsets), the decisions depend on the
 normals only and are therefore fully exact field computations.
 
@@ -33,10 +33,15 @@ and holds it for its own lifetime.
 
 Emptiness (:func:`is_empty`) is decided first by Gordan's alternative on
 the recession cone: if d, the sum of the rays of C, has <alpha_i, d> < 0 on
-every row, then lambda d lies in the domain for lambda large enough.  Only
-when some row is an implicit equality of C, or C is not found within a
-budget of 4 m intermediate rays, does the simplex (:mod:`reinhardt.simplex`)
-decide it (:func:`interior_point`).  Otherwise the simplex computes what
+every row, then lambda d lies in the domain for lambda large enough.  When
+some row is an implicit equality of C, or C is not found within a budget
+of 4 m intermediate rays, a float simplex guesses an optimal basis of the
+LP of :func:`interior_point` and exact arithmetic proves its answer
+(:func:`certify_emptiness`, a certifying algorithm in the sense of
+McConnell, Mehlhorn, Naeher and Schweitzer 2011): a point of the open
+system solved from the tight rows, or Farkas multipliers of Motzkin's
+alternative.  Only when the proof fails does the exact simplex
+(:mod:`reinhardt.simplex`) decide it.  Otherwise the simplex computes what
 gets printed or pinned once finiteness is known: the value of a finite sup
 (:func:`lp_optimize`, also the upper bounds on log|z_j| that the Monte-Carlo
 bounding box is made of, :func:`radius_box`) and the reported approach and
@@ -46,17 +51,18 @@ loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import linalg
-from .errors import RayCapError, ReinhardtError
+from .errors import BoundaryIndeterminate, RayCapError, ReinhardtError
 from .hnf import integer_kernel_basis
-from .loglin import LogLin
+from .loglin import LogBase, LogLin
 from .precision import working_precision
-from .scalars import Scalar, sign_of
-from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, solve_lp
+from .scalars import Scalar, is_rational, sign_of
+from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, float_basis, solve_lp
 
 if TYPE_CHECKING:
     from .domain import DomainSpec, LogPolyhedron
@@ -140,6 +146,9 @@ _MAX_RAYS = 5_000
 # cone first in 123-5488 ms; within 4 m rays each cone stops by row 15 after
 # 4-8 ms.  All 810 classify-stream inputs fit within 3 m.
 _PARSE_RAYS_PER_ROW = 4
+# certify_emptiness tries the nonemptiness proof when the float optimum t
+# exceeds this, and the Farkas proof otherwise (an exact zero lands there).
+_FLOAT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -452,14 +461,115 @@ def is_empty(poly: LogPolyhedron) -> bool:
     Nonempty when :func:`gordan_direction` finds a direction in the
     recession cone, which is computed within a budget of
     ``_PARSE_RAYS_PER_ROW`` intermediate rays per row and, when it finishes,
-    held as ``poly.recession``.  Otherwise, or past the budget, the LP of
-    :func:`interior_point` decides.  Only that LP can raise
+    held as ``poly.recession``.  Otherwise, or past the budget,
+    :func:`certify_emptiness` decides, and where it proves nothing the LP
+    of :func:`interior_point`.  Only that LP can raise
     :class:`BoundaryIndeterminate`.
     """
     cone = poly.recession_within(_PARSE_RAYS_PER_ROW * len(poly.normals))
     if cone is not None and gordan_direction(poly, cone) is not None:
         return False
-    return interior_point(poly) is None
+    proof = certify_emptiness(poly)
+    return interior_point(poly) is None if proof is None else proof[0]
+
+
+def _float_log(c: Scalar) -> float:
+    """log c in floats, for a guess; a rational's numerator and denominator
+    may each be past the float range."""
+    if is_rational(c):
+        q = Fraction(c)
+        return math.log(q.numerator) - math.log(q.denominator)
+    return math.log(float(c))
+
+
+def certify_emptiness(poly: LogPolyhedron) -> Optional[tuple[bool, tuple[list[int], list]]]:
+    """Whether the open system is empty, proved exactly from the basis that
+    :func:`simplex.float_basis` guesses for the LP of :func:`interior_point`
+    (max t s.t. <alpha_i, x> + t <= log c_i, t <= log 2), with its proof;
+    None when the guess proves nothing, or a sign of the proof is past the
+    ladder's cap.  Every sign is decided on one :class:`LogBase` of the
+    thresholds and 2.
+
+    * ``(False, (cols, tight))``: the rows ``tight`` (row m is t <= log 2)
+      hold with equality at one point (x, t) whose coordinates off ``cols``
+      (column n is t) are zero, t > 0, and <alpha_i, x> < log c_i on every
+      other row: x is in the open system (:func:`_inside`).
+    * ``(True, (rows, y))``: y > 0 on ``rows``, sum(y_i alpha_i) = 0 and
+      sum(y_i log c_i) <= 0, so no x has every <alpha_i, x> < log c_i
+      (Motzkin's transposition theorem, :func:`_farkas`).
+    """
+    if not poly.normals:
+        return None
+    try:
+        guess = float_basis([[float(a) for a in alpha] for alpha in poly.normals],
+                            [_float_log(c) for c in poly.offsets], math.log(2))
+    except (OverflowError, ValueError):  # a threshold past the float range
+        return None
+    if guess is None:
+        return None
+    t, cols, tight, duals = guess
+    bases = list(dict.fromkeys([*poly.offsets, 2]))
+    slots = [bases.index(c) for c in (*poly.offsets, 2)]
+    logbase = LogBase(bases, poly.integer_normals[0])
+    try:
+        if t > _FLOAT_MARGIN:
+            return (False, (cols, tight)) if _inside(poly, logbase, slots, cols, tight) else None
+        y = _farkas(poly, logbase, slots, duals)
+        return None if y is None else (True, (duals, y))
+    except BoundaryIndeterminate:
+        return None
+
+
+def _log_form_sign(logbase: LogBase, coeffs: list[int], slots: list[int], den: int) -> int:
+    """Sign of sum(coeffs[t] log(bases[slots[t]])) / den for the ring elements
+    of the integer row ``coeffs`` and the bases of ``logbase``."""
+    d = logbase.d
+    columns = [[(t, 1) for t, s in enumerate(slots) if s == k] for k in range(len(logbase.bases))]
+    form = linalg.sparse_products(coeffs, columns, d)
+    return logbase.sign(linalg.row_of([0 if d is None else (0, 0), *form], d), den,
+                        "a sign of the emptiness certificate")
+
+
+def _inside(poly: LogPolyhedron, logbase: LogBase, slots: list[int], cols: list[int],
+            tight: list[int]) -> bool:
+    """Solve the rows ``tight`` with equality for the coordinates ``cols`` of
+    (x, t), the others zero (:func:`linalg.frame_inverse`); then t > 0, which
+    is the slack of every tight row, and <alpha_i, x> < log c_i on the others."""
+    n, d = poly.n, logbase.d
+    if n not in cols:
+        return False
+    aug = [*(list(a) + [1] for a in poly.normals), [0] * n + [1]]
+    frame = linalg.frame_inverse([[aug[i][j] for j in cols] for i in tight], d)
+    if frame is None:
+        return False
+    inv, den, _ = frame
+    at = [slots[i] for i in tight]
+    if _log_form_sign(logbase, inv[cols.index(n)], at, den) <= 0:
+        return False
+    for i in sorted(set(range(len(poly.normals))) - set(tight)):
+        alpha = poly.normals[i]
+        coeffs, scale = linalg.coordinates([alpha[j] if j < n else 0 for j in cols], inv, den, d)
+        slack = linalg.joined([[-x for x in coeffs], linalg.rational_row([scale], d)], d)
+        if _log_form_sign(logbase, slack, at + [slots[i]], scale) <= 0:
+            return False
+    return True
+
+
+def _farkas(poly: LogPolyhedron, logbase: LogBase, slots: list[int], rows: list[int]
+            ) -> Optional[list[Scalar]]:
+    """The y > 0 with sum(y_i alpha_i) = 0 over ``rows``, one-dimensional as the
+    dual of a basis, when sum(y_i log c_i) <= 0; else None."""
+    alphas = [poly.normals[i] for i in rows]
+    ys = linalg.kernel_basis([list(col) for col in zip(*alphas)], len(rows))
+    if len(ys) != 1:
+        return None
+    d = logbase.d
+    y, den = linalg.over_denominator(ys[0], d)
+    normals = [linalg.over_denominator(a, d) for a in alphas]
+    if (any(linalg.entry_sign(y, k, d) <= 0 for k in range(len(rows)))
+            or any(linalg.combination(normals, y, len(normals[0][0]), d)[0])):
+        return None
+    return ys[0] if _log_form_sign(logbase, y, [slots[i] for i in rows], den) <= 0 else None
 
 
 def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:

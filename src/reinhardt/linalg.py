@@ -150,6 +150,16 @@ def eliminate(v: list[int], pv: list[int], c: int, d: Optional[int], start: int 
     return combine(p, v, f, pv, d, start)
 
 
+def combination(rows, lam: list[int], width: int, d: Optional[int]) -> tuple[list[int], int]:
+    """lam @ A for the integer row ``lam`` and the rows A, pairs (integer row,
+    denominator) of :func:`over_denominator`: an integer row over the lcm of
+    their denominators (times lam's own), and that lcm."""
+    scale = math.lcm(*(r for _, r in rows))
+    terms = [times(entry(lam, i, d), [x * (scale // r) for x in row], d)
+             for i, (row, r) in enumerate(rows) if entry_sign(lam, i, d)]
+    return [sum(col) for col in zip([0] * width, *terms)], scale
+
+
 def ring(d: Optional[int]):
     """Dot product, sign and negation of ring elements: ints over Z, and
     (a, b) pairs for a + b sqrt(d) over Z[sqrt d]."""

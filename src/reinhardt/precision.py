@@ -8,15 +8,18 @@ up with :class:`BoundaryIndeterminate` at the cap.  The cap defaults to 1024
 bits and can be overridden through the ``REINHARDT_PRECISION`` environment
 variable.  The ladder hands its rungs bits, not interval contexts.
 
-mpmath only supplies bounds and printed intervals: integer bounds on
-2^bits log(x) (:func:`log_bounds`), which a :class:`loglin.LogBase` holds
-per precision and combines by integer multiply-adds; rational bounds on pi^n
-(:func:`pi_power_bounds`), for the witness's c pi^n against 1; and the
-outward-rounded intervals that :func:`interval_str` prints.  The first of
-those calls imports it, so a run whose signs are all exact never does.  A
-precision that needs an interval context (a log over Q(sqrt d), a printed
-interval) has its own, fixed at that many bits; nothing here writes mpmath's
-global state, so parallel threads cannot change each other's precision.
+Integer bounds on 2^bits log(x) (:func:`log_bounds`), which a
+:class:`loglin.LogBase` holds per precision and combines by integer
+multiply-adds, come from the stdlib ``decimal`` for an integer x, the only
+kind a rational base factors into.  mpmath supplies the rest: log bounds
+for x in Q(sqrt d), rational bounds on pi^n (:func:`pi_power_bounds`), for
+the witness's c pi^n against 1, and the outward-rounded intervals that
+:func:`interval_str` prints.  The first of those calls imports it, so a
+classify whose thresholds are rational never does.  A precision that needs
+an interval context (a log over Q(sqrt d), a printed interval) has its own,
+fixed at that many bits; nothing here writes mpmath's global state or the
+thread's decimal context, so parallel threads cannot change each other's
+precision.
 
 Signs of log-linear forms over rational bases never need the ladder to tell
 zero from nonzero: :mod:`reinhardt.loglin` decides that exactly on integer
@@ -30,7 +33,7 @@ import decimal
 import math
 import os
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 from .errors import BoundaryIndeterminate
@@ -81,13 +84,31 @@ def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
-    """Integers lo <= 2^bits log(x) <= hi for an exact x > 0."""
+    """Integers lo <= 2^bits log(x) <= hi for an exact x > 0: from ``decimal``
+    for an integer (:func:`_int_log_bounds`), else from mpmath."""
+    if isinstance(x, int):
+        return _int_log_bounds(x, bits)
     from mpmath import libmp
-    arg = ((libmp.from_int(x),) * 2 if isinstance(x, int)
-           else scalar_interval(x, working_precision(bits))._mpi_)
-    lo, hi = libmp.mpi_log(arg, bits)
+    lo, hi = libmp.mpi_log(scalar_interval(x, working_precision(bits))._mpi_, bits)
     return (libmp.to_int(libmp.mpf_shift(lo, bits), libmp.round_floor),
             libmp.to_int(libmp.mpf_shift(hi, bits), libmp.round_ceiling))
+
+
+@lru_cache(maxsize=4096)
+def _int_log_bounds(p: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits log(p) <= hi for an integer p > 0, held for the
+    4096 pairs (p, bits) asked for last.  ``Context.ln`` rounds correctly to
+    its ``prec`` digits, which exceed bits log10(2) plus the digits of the
+    integer part of log p, so the result D 10^e is within one unit of its
+    last digit: (D - 1) 10^e and (D + 1) 10^e enclose log p, and their
+    multiples of 2^bits are rounded outward.  The context is local to the
+    call, so threads share nothing."""
+    if p == 1:
+        return 0, 0
+    prec = bits * 30103 // 100000 + len(str(p.bit_length())) + 3
+    _, digits, e = decimal.Context(prec=prec).ln(decimal.Decimal(p)).as_tuple()
+    d, scale = int("".join(map(str, digits))), 10 ** -e  # e < 0: log p is irrational
+    return ((d - 1) << bits) // scale, -((-(d + 1) << bits) // scale)
 
 
 @cache

@@ -38,6 +38,10 @@ multipliers as the reduced costs of the slacks, before they are returned:
 * ``unbounded``  — improving ray d with A d <= 0 and <c, d> > 0;
 * ``infeasible`` — Farkas multipliers lambda >= 0 with lambda @ A == 0 and
                    lambda @ b < 0, signed like any right-hand side.
+
+:func:`float_basis` runs Bland's rule on floats for the emptiness LP alone.
+Its basis is a guess that :func:`reinhardt.cones.certify_emptiness` proves
+or throws away; nothing it returns is an answer.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .loglin import LogBase, LogLin, as_loglin
 from .scalars import Scalar
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
+_EPS = 1e-9  # float_basis: an entry, reduced cost or dual below this counts as zero
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -299,22 +304,13 @@ def _check_ray(rows, cost, ray, d: Optional[int]) -> None:
         raise ReinhardtError("unbounded ray does not improve the objective")
 
 
-def _combination(rows, lam: list[int], width: int, d: Optional[int]) -> tuple[list[int], int]:
-    """lam @ A for the integer row ``lam`` and the cleared rows A: an integer
-    row over the lcm of their denominators (times lam's own), and that lcm."""
-    scale = math.lcm(*(r for _, r in rows))
-    terms = [linalg.times(linalg.entry(lam, i, d), [x * (scale // r) for x in row], d)
-             for i, (row, r) in enumerate(rows) if linalg.entry_sign(lam, i, d)]
-    return [sum(col) for col in zip([0] * width, *terms)], scale
-
-
 def _check_farkas(t: _Tableau, lam: list[int]) -> None:
     """``lam`` is an integer row over any positive denominator."""
     if any(linalg.entry_sign(lam, i, t.d) < 0 for i in range(t.m)):
         raise ReinhardtError("Farkas multipliers must be non-negative")
-    if any(_combination(t.a_rows, lam, len(t.a_rows[0][0]), t.d)[0]):
+    if any(linalg.combination(t.a_rows, lam, len(t.a_rows[0][0]), t.d)[0]):
         raise ReinhardtError("Farkas combination does not annihilate the rows")
-    if t.form_sign(_combination(t.b_rows, lam, len(t.b_rows[0][0]), t.d)[0]) >= 0:
+    if t.form_sign(linalg.combination(t.b_rows, lam, len(t.b_rows[0][0]), t.d)[0]) >= 0:
         raise ReinhardtError("Farkas combination is not negative")
 
 
@@ -322,6 +318,48 @@ def _check_dual(t: _Tableau, cost, lam: list[int], den: int) -> None:
     """``lam`` is an integer row over ``den``, ``cost`` the cleared objective."""
     if any(linalg.entry_sign(lam, i, t.d) < 0 for i in range(t.m)):
         raise ReinhardtError("dual multipliers must be non-negative")
-    (c, c_den), (total, scale) = cost, _combination(t.a_rows, lam, len(cost[0]), t.d)
+    (c, c_den), (total, scale) = cost, linalg.combination(t.a_rows, lam, len(cost[0]), t.d)
     if any(x * c_den != y * den * scale for x, y in zip(total, c)):
         raise ReinhardtError("dual multipliers do not reproduce the objective")
+
+
+def float_basis(rows: Sequence[Sequence[float]], rhs: Sequence[float], cap: float
+                ) -> Optional[tuple[float, list[int], list[int], list[int]]]:
+    """A float guess at an optimal basis of max t s.t. <rows[i], x> + t <= rhs[i]
+    and t <= cap, with x and t free; never trusted, since rounding can pick
+    a wrong basis: callers prove what it claims exactly, or solve exactly.
+
+    Bland's rule from x = 0 and t = min(rhs, cap), where the slacks are a
+    feasible basis.  A free column enters in the direction that improves t
+    and, once basic, never leaves.  Returns t, the basic columns among x
+    and t (t is column n), the tight rows (no basic slack; the cap is row
+    m) and the rows with a positive dual, or None if it stops unbounded or
+    after 16 (m + n + 2) pivots."""
+    m, n = len(rows), len(rows[0])
+    t0 = min([*rhs, cap])
+    tab = [[*a, 1.0, *(float(k == i) for k in range(m + 1)), b - t0]
+           for i, (a, b) in enumerate(zip([*rows, [0.0] * n], [*rhs, cap]))]
+    tab.append([0.0] * n + [-1.0] + [0.0] * (m + 2))
+    basis = list(range(n + 1, n + m + 2))
+    for _ in range(16 * (m + n + 2)):
+        z = tab[-1]
+        enter = next((j for j, v in enumerate(z[:-1]) if v < -_EPS or (j <= n and v > _EPS)),
+                     None)
+        if enter is None:
+            break
+        s = -1.0 if z[enter] > 0 else 1.0
+        ratios = [(tab[r][-1] / (s * tab[r][enter]), basis[r], r) for r in range(m + 1)
+                  if basis[r] > n and s * tab[r][enter] > _EPS]
+        if not ratios:
+            return None
+        r = min(ratios)[2]
+        row = [v / tab[r][enter] for v in tab[r]]
+        tab = [row if i == r else [a - other[enter] * b for a, b in zip(other, row)]
+               if other[enter] else other for i, other in enumerate(tab)]
+        basis[r] = enter
+    else:
+        return None
+    z, slacks = tab[-1], set(basis)
+    t = t0 + next((tab[r][-1] for r, c in enumerate(basis) if c == n), 0.0)
+    return (t, [c for c in basis if c <= n], [i for i in range(m + 1) if n + 1 + i not in slacks],
+            [i for i in range(m) if z[n + 1 + i] > _EPS])

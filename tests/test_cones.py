@@ -470,3 +470,90 @@ def test_is_empty_past_the_parse_budget_uses_the_lp_and_holds_no_cone(slab):
     assert "recession" not in poly.__dict__
     assert "elimination" in poly.__dict__  # the elimination outlives the budget
     assert poly.recession == cones.recession_cone(fresh())
+
+
+# -- emptiness: the float guess and its exact proof ------------------------------
+
+@st.composite
+def certificate_cases(draw):
+    """``emptiness_cases``, and half of them closed by the row -(a_1 + ... + a_k)
+    over some rows a_i with threshold s / (c_1 ... c_k), s in {1/2, 1}: empty
+    by construction (y = 1 on those rows), at an exact zero when s = 1."""
+    poly = draw(emptiness_cases())
+    k = draw(st.integers(0, len(poly.normals)))
+    if not k or not draw(st.booleans()):
+        return poly, False
+    rows = poly.normals[:k]
+    closing = tuple(-sum(col) for col in zip(*rows))
+    product = Fraction(1)
+    for c in poly.offsets[:k]:
+        product *= c
+    c = draw(st.sampled_from([Fraction(1, 2), Fraction(1)])) / product
+    return LogPolyhedron(n=poly.n, normals=poly.normals + (closing,),
+                         offsets=poly.offsets + (c,)), True
+
+
+def _vertex(poly, cols, tight):
+    """x at the point of (x, t) where the rows ``tight`` of the emptiness LP
+    hold with equality and the coordinates off ``cols`` are zero, as LogLins."""
+    n, d = poly.n, linalg.field_of(poly.normals)
+    aug = [list(a) + [1] for a in poly.normals] + [[0] * n + [1]]
+    rhs = [LogLin.log_of(c) for c in poly.offsets] + [LogLin.log_of(2)]
+    inv, den, _ = linalg.frame_inverse([[aug[i][j] for j in cols] for i in tight], d)
+    x = [LogLin.zero()] * (n + 1)
+    for row, j in zip(inv, cols):
+        for coeff, i in zip(linalg.vector(row, den, d), tight):
+            x[j] = x[j] + rhs[i] * coeff
+    return x[:n]
+
+
+@settings(max_examples=200, deadline=10_000)
+@given(certificate_cases())
+@example((LogPolyhedron(n=1, normals=((1,), (quad(0, 1, 2),), (-1,)),
+                        offsets=(Fraction(1, 2), NEAR_TIE, Fraction(4))), False))
+def test_emptiness_certificates_check_independently(case):
+    poly, empty_by_construction = case
+    lp = _emptiness(lambda p: interior_point(p) is None, poly)
+    got = _emptiness(cones.is_empty, LogPolyhedron(n=poly.n, normals=poly.normals,
+                                                   offsets=poly.offsets))
+    if lp is not None:
+        assert got is lp
+    if empty_by_construction:
+        assert got is not False and lp is not False
+    proof = cones.certify_emptiness(poly)
+    if proof is None:
+        return
+    empty, (rows, cert) = proof
+    assert got is None or got is empty
+    if empty:  # Motzkin: y > 0, y A = 0 and y log c <= 0
+        assert all(sign_of(v) > 0 for v in cert)
+        assert all(sign_of(sum(v * poly.normals[i][j] for v, i in zip(cert, rows))) == 0
+                   for j in range(poly.n))
+        assert sum((LogLin.log_of(poly.offsets[i], v) for v, i in zip(cert, rows)),
+                   LogLin.zero()).sign() <= 0
+    else:  # the vertex is strictly inside
+        assert all(s.sign() > 0 for s in poly.half_space_slack(_vertex(poly, rows, cert)))
+
+
+@pytest.mark.parametrize("offsets", [(Fraction(2), Fraction(2)), (Fraction(1, 2), Fraction(2)),
+                                     (Fraction(1, 2), Fraction(3, 2))],
+                         ids=["annulus", "edge", "empty"])
+def test_a_wrong_float_guess_reaches_the_exact_lp(monkeypatch, offsets):
+    # |z| < c, |z^-1| < c': C = {0}, so Gordan's test fails and the guess runs;
+    # the guess with its optimum's sign flipped proves nothing
+    poly = LogPolyhedron(n=1, normals=((1,), (-1,)), offsets=offsets)
+    empty = offsets[0] * offsets[1] <= 1
+    assert cones.certify_emptiness(poly)[0] is empty
+    guess = cones.float_basis
+
+    def flipped(*args):
+        t, *rest = guess(*args)
+        return (-1.0 if t > 0 else 1.0, *rest)
+
+    monkeypatch.setattr(cones, "float_basis", flipped)
+    solved = []
+    monkeypatch.setattr(cones, "interior_point",
+                        lambda p: solved.append(p) or interior_point(p))
+    assert cones.certify_emptiness(poly) is None
+    assert cones.is_empty(poly) is empty
+    assert solved == [poly]

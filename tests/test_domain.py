@@ -44,6 +44,20 @@ def test_nonempty_spec_near_a_tie_parses_at_a_64_bit_cap(monkeypatch):
     assert {v.value for v in report.verdicts.values()} == {"yes"}
 
 
+@pytest.mark.parametrize("lower", [["-1"], [{"a": "0", "b": "-1"}]], ids=["z^-1", "z^-sqrt2"])
+def test_nonempty_spec_near_a_tie_with_c_zero_parses_at_a_64_bit_cap(monkeypatch, lower):
+    # the spec above and |z^-1| < 4 (or |z^-sqrt2| < 4): C = {0}, so Gordan's
+    # test fails; the exact LP's near-tie ratio test exhausts a 64-bit ladder,
+    # but the emptiness proof signs slacks of at least t* > 0 at its vertex
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    spec = parse_spec(json.dumps({"n": 1, "quadratic_d": 2, "constraints": [
+        {"alpha": ["1"], "c": "1/2"},
+        {"alpha": [{"a": "0", "b": "1"}], "c": f"{NEAR_TIE.numerator}/{NEAR_TIE.denominator}"},
+        {"alpha": lower, "c": "4"}]}))
+    assert contains(spec, radial(Fraction(2, 5)))
+    assert classify_all(spec).flags["bounded"] is True
+
+
 def test_normals_over_two_fields_are_refused():
     # the hinf lineality basis is (0, sqrt3/3, 1), not the sqrt2 field's (0, sqrt2/2, 1)
     spec = DomainSpec(n=3, constraints=(

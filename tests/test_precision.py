@@ -1,12 +1,13 @@
-"""Rational bounds of the ladder, and printed interval ends: one
-directed-decimal formatter of a rational."""
+"""Rational bounds of the ladder, integer bounds on logs of integers from
+``decimal`` against mpmath, and printed interval ends: one directed-decimal
+formatter of a rational."""
 
 import decimal
 
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
-from reinhardt.precision import interval_str, rational_bounds, working_precision
+from reinhardt.precision import interval_str, log_bounds, rational_bounds, working_precision
 from reinhardt.scalars import quad, sign_of
 
 rationals = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)
@@ -21,6 +22,24 @@ def test_rational_bounds_enclose_a_quadratic_value(a, b, d, bits):
     assert sign_of(x - lo) >= 0 and sign_of(hi - x) >= 0
     assert hi - lo <= abs(b) / 2 ** bits
     assert (lo == hi) == (b == 0)
+
+
+@given(st.integers(1, 2 ** 4096), st.integers(64, 4096))
+@example(1, 64)
+@example(2, 64)
+@example(2 ** 4096, 4096)
+@example(10 ** 1233, 1024)
+@settings(max_examples=60, deadline=None)
+def test_decimal_log_bounds_enclose_the_mpmath_log_outward(p, bits):
+    # mpmath's 2^bits log p to bits + 64 more bits than needed, rounded both ways
+    lo, hi = log_bounds(p, bits)
+    wide = bits + p.bit_length().bit_length() + 64
+    ends = [libmp.mpf_shift(libmp.mpf_log(libmp.from_int(p), wide, rnd), bits)
+            for rnd in (libmp.round_floor, libmp.round_ceiling)]
+    floor = libmp.to_int(ends[0], libmp.round_floor)
+    ceil = libmp.to_int(ends[1], libmp.round_ceiling)
+    assert lo <= floor and ceil <= hi
+    assert hi - lo <= 2
 
 
 def _mpf_decimal_str(data, dps: int, rounding: str) -> str:

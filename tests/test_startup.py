@@ -4,9 +4,9 @@ Each check runs in a fresh interpreter, since this test session has loaded
 every module already.  The package loads the classify stack; norms, spaces,
 spectrum and witness load on the first read of one of their names, numpy
 and ``reinhardt.montecarlo`` on the first read of a Monte-Carlo name, and
-mpmath with the first sign or interval that needs the ladder.  Exact work
-never loads numpy, and a classify whose signs are all exact never loads
-mpmath.
+mpmath with the first ladder rung on a log over Q(sqrt d), pi bound or
+printed interval.  Exact work never loads numpy, and a classify never loads
+mpmath unless a threshold is in Q(sqrt d) and its log reaches the ladder.
 """
 
 import os
@@ -23,12 +23,19 @@ CLASSIFY_STACK = ("reinhardt.classify", "reinhardt.cones", "reinhardt.domain",
                   "reinhardt.simplex", "reinhardt.loglin", "reinhardt.precision")
 ON_FIRST_USE = ("mpmath", "reinhardt.norms", "reinhardt.spaces", "reinhardt.spectrum",
                 "reinhardt.witness", *MC_ONLY)
-# x1 + sqrt2 x2 < log(1 + sqrt2), x1 > 0, x2 > 0: its emptiness LP compares
-# log(1 + sqrt2) against log 2 with coefficients in Q(sqrt2), on the ladder
+# x1 + sqrt2 x2 < log(1 + sqrt2), x1 > 0, x2 > 0: its emptiness proof signs
+# one-term forms in log(1 + sqrt2), which need no ladder
 QUADRATIC_THRESHOLD = ('{"n": 2, "quadratic_d": 2, "constraints": ['
                        '{"alpha": ["1", {"a": "0", "b": "1"}], "c": {"a": "1", "b": "1"}},'
                        '{"alpha": ["-1", "0"], "c": "1"}, {"alpha": ["0", "-1"], "c": "1"}]}')
-
+# classify-stream op 492 of the benchmark: exponents in Q(sqrt3), rational
+# thresholds, empty; its Farkas proof climbs the ladder on logs of integers only
+QUADRATIC_EXPONENTS = (
+    '{"n":2,"quadratic_d":3,"constraints":[{"alpha":["0","2"],"c":"1/9"},'
+    '{"alpha":["-2",{"a":"-2","b":"-1"}],"c":"1/2"},'
+    '{"alpha":[{"a":"1","b":"2"},{"a":"-2","b":"2"}],"c":"2/3"},'
+    '{"alpha":["-2","-1"],"c":"5/2"},{"alpha":[{"a":"1","b":"-1"},{"a":"2","b":"-1"}],"c":"3"},'
+    '{"alpha":["1","1"],"c":"1/4"}]}')
 
 def _python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -53,21 +60,29 @@ def test_import_loads_the_classify_stack_and_no_numpy():
 
 
 def test_exact_classify_never_loads_mpmath_and_the_ladder_does():
+    """Logs of integers come from ``decimal``; a log over Q(sqrt d) needs mpmath."""
     out = _run(f"""
 import sys
 import reinhardt as r
+from reinhardt import loglin
+from reinhardt.scalars import quad
 for name in ("annulus", "hartogs", "irrational_slope"):
     r.classify_all(r.load_spec(f"{{SPECS}}/{{name}}.json"))
 print([m for m in {ON_FIRST_USE!r} if m in sys.modules])
 report = r.classify_all(r.parse_spec({QUADRATIC_THRESHOLD!r}))
-print("mpmath" in sys.modules)
 print(sorted((k, v.value, v.criterion) for k, v in report.verdicts.items()))
+climbs, ladder = [], loglin.ladder_sign
+loglin.ladder_sign = lambda *args, **kw: climbs.append(1) or ladder(*args, **kw)
+try:
+    r.classify_all(r.parse_spec({QUADRATIC_EXPONENTS!r}))
+except r.EmptyDomainError:
+    print(len(climbs) > 0, "mpmath" in sys.modules)
+print((loglin.LogLin.of(1) - loglin.LogLin.log_of(quad(1, 1, 2))).sign(), "mpmath" in sys.modules)
 """)
-    assert out.split("\n")[:3] == ["[]", "True", str(sorted([
+    assert out.split("\n")[:4] == ["[]", str(sorted([
         ("ainf", "yes", "axis-approach-blocked"), ("hinf", "yes", "lineality-rational-type"),
         ("hinf_k", "yes", "product-split"), ("l2", "yes", "lineality-zero"),
-        ("lp_ak", "yes", "lineality-zero-proper-subset")]))]
-
+        ("lp_ak", "yes", "lineality-zero-proper-subset")])), "True False", "1 True"]
 
 def test_exact_work_never_loads_numpy():
     out = _run("""

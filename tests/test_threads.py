@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 from mpmath import libmp
 
-from reinhardt import LogPolyhedron, SimplicialFrame, compute_n0, load_spec
+from reinhardt import LogPolyhedron, SimplicialFrame, compute_n0, load_spec, precision
 from reinhardt.loglin import LogLin
 from reinhardt.norms import NormResult
 
@@ -60,6 +60,28 @@ def test_parallel_signs_and_displays_match_serial(hartogs, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+def test_parallel_first_log_bounds_of_one_integer_are_equal():
+    # an integer near 2^200 at 1024 bits, asked for the first time by 8 threads at once
+    p, bits = 2 ** 200 + 235, 1024
+    precision._int_log_bounds.cache_clear()
+    barrier = threading.Barrier(8, timeout=60)
+
+    def bound(_):
+        barrier.wait()
+        return precision.log_bounds(p, bits)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(bound, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(got)) == 1
+    lo, hi = got[0]
+    assert 0 < hi - lo <= 2 and precision.log_bounds(p, bits) == got[0]
 
 
 GEOMETRY = ("lineality", "integer_lattice", "recession", "approach_supports")
