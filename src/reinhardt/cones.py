@@ -20,8 +20,8 @@ finite volume, and whether an integral converges are ring signs of dot
 products against them in a field that holds the query too
 (:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
 :func:`is_bounded`, :func:`has_finite_volume`),
-and a direction is read off a row only where a query returns it, after
-the one gate :func:`_certified` has checked that row.  Axis
+and a direction is read off a row only where a query returns it, once
+:func:`_generator_direction` has checked that row.  Axis
 approach is read off the ray supports of the approach cone
 K = C ∩ {d <= 0} (:func:`approach`): K = C when C lies in {d <= 0}, else
 K has its own run of the same loop, from the n unit vectors as lines, cut
@@ -29,7 +29,8 @@ by the n unit rows and then by the normals; every run starts from lines
 only.  Past a cap of intermediate rays (``_MAX_RAYS`` unless the caller
 gives one) either cone raises :class:`RayCapError`.  The functions here
 keep no memo: ``LogPolyhedron`` computes each derived object on first use
-and holds it for its own lifetime.
+and holds it for its own lifetime, its LP rows cleared once among them, and
+the cone holds its scan order and each generator it has checked.
 
 Emptiness (:func:`is_empty`) is decided first by Gordan's alternative on
 the recession cone: if d, the sum of the rays of C, has <alpha_i, d> < 0 on
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import linalg
@@ -62,7 +64,7 @@ from .hnf import integer_kernel_basis
 from .loglin import LogBase, LogLin
 from .precision import working_precision
 from .scalars import Scalar, is_rational, sign_of
-from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, float_basis, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, LPSystem, float_basis, solve_lp
 
 if TYPE_CHECKING:
     from .domain import DomainSpec, LogPolyhedron
@@ -86,10 +88,15 @@ def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[i
 def _common_field(poly: LogPolyhedron, vector: Sequence[Scalar]):
     """The field d of the normals of ``poly`` and ``vector`` (None over Q), a
     map that lifts integer rows over the normals' field into it, and the
-    integer row of ``vector`` in it; mixed quadratic fields raise ValueError.
-    The normals' field is read off ``poly.integer_normals``; only ``vector``
-    is scanned."""
-    own, d = poly.integer_normals[0], linalg.field_of([vector])
+    integer row of ``vector`` in it; mixed quadratic fields, or a length
+    other than n, raise ValueError.  Only ``vector`` is scanned, and ints
+    over Q not even that."""
+    if len(vector) != poly.n:
+        raise ValueError(f"exponent vector has length {len(vector)}, expected {poly.n}")
+    own = poly.integer_normals[0]
+    if own is None and all(type(c) is int for c in vector):
+        return None, (lambda a: a), list(vector)
+    d = linalg.field_of([vector])
     if own is not None and d is not None and own != d:
         raise ValueError(f"mixed quadratic fields: sqrt d for d in {sorted((own, d))}")
     d = own if d is None else d
@@ -126,8 +133,11 @@ def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
                                   ) -> Optional[list[Scalar]]:
     """Recession direction with <w, d> > 0 found by an LP; ``sup_norm_monomial``
     reports this LP vertex as its ray."""
-    rows = [list(a) for a in poly.normals]
-    cert = solve_lp(rows + [list(w)], [LogLin.zero()] * len(rows) + [LogLin.of(1)], list(w))
+    held, b = poly.lp_system, [LogLin.zero()] * len(poly.normals) + [LogLin.of(1)]
+    system = None  # w outside the normals' field: solve_lp clears every row anew
+    if linalg.field_of([w]) in (None, held.d):
+        system = LPSystem((*held.a_rows, linalg.over_denominator(w, held.d)), b, poly.n, held.d)
+    cert = solve_lp([*poly.normals, w], b, list(w), system)
     require_optimal(cert, "recession_improving_direction")
     if cert.objective.sign() > 0:
         return _const_point(cert)
@@ -158,12 +168,23 @@ class RecessionCone:
     ``lineality`` is a basis of L = ker A; ``rays`` are the extreme rays of
     the pointed part C ∩ L^perp.  Each is held once, as an integer row over
     ``d``, the field of the normals (None over Q), in the form of
-    ``_lead_normal``; :meth:`vector` reads a direction off a row.
+    ``_lead_normal``; :meth:`vector` reads a direction off a row.  Queries
+    scan ``scan`` in order; ``checked`` holds the direction of each row found
+    nonzero and in C (:func:`_generator_direction`).
     """
 
     d: Optional[int]
     lineality: tuple[tuple[int, ...], ...]
     rays: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def scan(self) -> tuple[tuple[int, ...], ...]:
+        """v, then -v, for each lineality vector v, then the rays."""
+        return (*(r for v in self.lineality for r in (v, tuple(-x for x in v))), *self.rays)
+
+    @cached_property
+    def checked(self) -> list[Optional[tuple[Scalar, ...]]]:
+        return [None] * len(self.scan)
 
     def vector(self, row: Sequence[int]) -> list[Scalar]:
         """The direction of a generator row: its ints when it is rational, else
@@ -276,35 +297,26 @@ def recession_cone(poly: LogPolyhedron, cap: Optional[int] = None) -> RecessionC
                                   for v in poly.lineality), tuple(map(tuple, rays)))
 
 
-def _certified(poly: LogPolyhedron, cone: RecessionCone, row: Sequence[int], query,
-               strict: bool, what: str) -> list[Scalar]:
-    """The direction of the generator ``row`` of ``cone`` after ring signs show
-    it answers ``query`` (:func:`_common_field` of w), else a typed error:
-    nonzero, in C, and <w, row> >= 0 (> 0 when ``strict``)."""
-    d, lift, w = query
-    dot, sign, _ = linalg.ring(d)
-    x = lift(row)
-    s = sign(dot(w, x))
-    if (linalg.lead(x, d) is None
-            or any(sign(dot(lift(a), x)) > 0 for a in poly.integer_normals[1])
-            or s < 0 or (strict and s == 0)):
-        raise ReinhardtError(f"{what}: generator {[str(v) for v in cone.vector(row)]} fails "
-                             "its certificate (internal error)")
-    return cone.vector(row)
-
-
 def _generator_direction(poly: LogPolyhedron, w: Sequence[Scalar], strict: bool, what: str
                          ) -> Optional[list[Scalar]]:
-    """First generator d with <w, d> >= 0, or > 0 when ``strict``: v, then -v,
-    for each lineality vector v, then the rays."""
+    """First generator d with <w, d> >= 0, or > 0 when ``strict``, in the
+    order of ``cone.scan``, once ring signs show that its row is nonzero and
+    in C, else a typed error; that check is made in the normals' field once
+    per row, which ``cone.checked`` then holds with its direction."""
     cone = poly.recession
-    query = _common_field(poly, w)
-    d, lift, w_row = query
+    d, lift, w_row = _common_field(poly, w)
     dot, sign, _ = linalg.ring(d)
-    for row in (*(r for v in cone.lineality for r in (v, [-x for x in v])), *cone.rays):
+    for k, row in enumerate(cone.scan):
         s = sign(dot(w_row, lift(row)))
         if s > 0 or (s == 0 and not strict):
-            return _certified(poly, cone, row, query, strict, what)
+            if cone.checked[k] is None:
+                own_dot, own_sign, _ = linalg.ring(cone.d)
+                if linalg.lead(row, cone.d) is None or any(
+                        own_sign(own_dot(a, row)) > 0 for a in poly.integer_normals[1]):
+                    raise ReinhardtError(f"{what}: generator {[str(v) for v in cone.vector(row)]}"
+                                         " fails its certificate (internal error)")
+                cone.checked[k] = tuple(cone.vector(row))
+            return list(cone.checked[k])
     return None
 
 
@@ -346,24 +358,12 @@ def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
         raise ValueError("approach needs a non-empty coordinate set")
     s_list = sorted(coords)
     k = len(s_list)
-    rows, rhs = [], []
-    for alpha in poly.normals:
-        rows.append([alpha[j] for j in s_list] + [Fraction(0)])
-        rhs.append(LogLin.zero())
-    for i in range(k):
-        row = [Fraction(0)] * (k + 1)
-        row[i] = Fraction(1)
-        row[k] = Fraction(1)
-        rows.append(row)  # d_j + t <= 0
-        rhs.append(LogLin.zero())
-    bound = [Fraction(0)] * (k + 1)
-    bound[k] = Fraction(1)
-    rows.append(bound)  # t <= 1
-    rhs.append(LogLin.of(1))
-    rows.append([-x for x in bound])  # -t <= 0
-    rhs.append(LogLin.zero())
-    obj = [Fraction(0)] * k + [Fraction(1)]
-    cert = solve_lp(rows, rhs, obj)
+    bound = [Fraction(0)] * k + [Fraction(1)]
+    rows = ([[alpha[j] for j in s_list] + [Fraction(0)] for alpha in poly.normals]
+            + [[Fraction(int(j in (i, k))) for j in range(k + 1)] for i in range(k)]  # d_j + t <= 0
+            + [bound, [-x for x in bound]])  # t <= 1, -t <= 0
+    cert = solve_lp(rows, [LogLin.zero()] * (len(rows) - 2) + [LogLin.of(1), LogLin.zero()],
+                    bound)
     require_optimal(cert, "approach_certificate")
     if cert.objective.sign() <= 0:
         return None
@@ -412,8 +412,9 @@ def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:
 
 def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron) -> LPCertificate:
     """sup <objective, x> over the closed system, exact with symbolic offsets."""
-    rows = [list(a) for a in poly.normals]
-    return solve_lp(rows, [LogLin.log_of(c) for c in poly.offsets], list(objective))
+    held = poly.lp_system
+    return solve_lp(poly.normals, held.b_vals, objective,
+                    held if linalg.field_of([objective]) in (None, held.d) else None)
 
 
 def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
@@ -583,16 +584,10 @@ def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
     recession cone does not decide; callers that need a point call it directly.
     """
     n = poly.n
-    rows, rhs = [], []
-    for alpha, c in zip(poly.normals, poly.offsets):
-        rows.append(list(alpha) + [Fraction(1)])
-        rhs.append(LogLin.log_of(c))
     tail = [Fraction(0)] * n + [Fraction(1)]
-    rows.append(list(tail))
-    rhs.append(LogLin.log_of(2))
-    rows.append([-x for x in tail])
-    rhs.append(LogLin.zero())
-    cert = solve_lp(rows, rhs, tail)
+    rows = [[*alpha, Fraction(1)] for alpha in poly.normals] + [tail, [-x for x in tail]]
+    cert = solve_lp(rows, [*(LogLin.log_of(c) for c in poly.offsets), LogLin.log_of(2),
+                           LogLin.zero()], tail)
     if cert.status == INFEASIBLE:
         return None
     require_optimal(cert, "interior_point")

@@ -26,6 +26,9 @@ from .errors import EmptyDomainError, RayCapError, SpecError
 from .loglin import LogLin
 from .scalars import (Scalar, format_scalar, is_rational, is_square_free,
                       parse_scalar_literal, scalar_to_json, sign_of)
+from .simplex import LPSystem
+
+HELD_KEYS = 64  # per table of :func:`held`; past it values are made, not held
 
 
 def exponents(*components) -> tuple[Scalar, ...]:
@@ -33,9 +36,12 @@ def exponents(*components) -> tuple[Scalar, ...]:
     return tuple(Fraction(c) if isinstance(c, int) else c for c in components)
 
 
-def integer_exponents(nu: Sequence[Scalar]) -> tuple[int, ...]:
-    """The exponents of a monomial z^nu as ints; ValueError unless each is an integer."""
+def integer_exponents(nu: Sequence[Scalar], n: Optional[int] = None) -> tuple[int, ...]:
+    """The exponents of a monomial z^nu as ints; ValueError unless each is an
+    integer, and unless there are ``n`` of them when ``n`` is given."""
     nu = tuple(nu)
+    if n is not None and len(nu) != n:
+        raise ValueError(f"exponent vector has length {len(nu)}, expected {n}")
     if all(type(c) is int for c in nu):  # the common case, e.g. every spectrum_box query
         return nu
     if not all(isinstance(c, Integral) or (is_rational(c) and c.denominator == 1) for c in nu):
@@ -70,6 +76,19 @@ class RadialPoint:
 
     def __len__(self):
         return len(self.radii)
+
+
+def held(owner, table: str, key, make):
+    """``make()``, held by ``owner`` for its lifetime in its dict ``table``
+    under ``key`` (at most ``HELD_KEYS`` keys); threads that make one entry
+    at once all get the one held first."""
+    entries = owner.__dict__.setdefault(table, {})
+    value = entries.get(key)
+    if value is None:
+        value = make()
+        if len(entries) < HELD_KEYS:
+            value = entries.setdefault(key, value)
+    return value
 
 
 def radial(*radii) -> RadialPoint:
@@ -132,6 +151,11 @@ class LogPolyhedron:
                 return None
             self.__dict__.setdefault("recession", cone)
         return self.recession
+
+    @cached_property
+    def lp_system(self) -> LPSystem:
+        """The rows <alpha_i, x> <= log c_i of the value LPs, cleared once."""
+        return LPSystem.of(self.normals, [LogLin.log_of(c) for c in self.offsets], [0] * self.n)
 
     @cached_property
     def approach_supports(self) -> tuple[frozenset[int], ...]:
@@ -204,6 +228,12 @@ class DomainSpec:
             {"alpha": [scalar_to_json(a) for a in con.alpha], "c": scalar_to_json(con.c)}
             for con in self.constraints]
         return doc
+
+    @cached_property
+    def nonvanishing(self) -> frozenset[int]:
+        """The coordinates that never vanish: a negative exponent in some constraint."""
+        return frozenset(j for j in range(self.n)
+                         if any(sign_of(con.alpha[j]) < 0 for con in self.constraints))
 
     @cached_property
     def log_polyhedron(self) -> LogPolyhedron:

@@ -193,7 +193,7 @@ def lp_norm_monte_carlo(spec: DomainSpec, nu: Sequence[int], p, samples: int, se
     divergent integral is ``kind="infinite"`` with its ray, and no sample is
     drawn."""
     _check_run(samples, seed)
-    nu, p = integer_exponents(nu), Fraction(p)
+    nu, p = integer_exponents(nu, spec.n), Fraction(p)
     sampler = _Sampler(spec, seed, with_phases=False)  # refuses an unbounded domain first
     ray = _divergent_ray(spec, nu, p)
     if ray is not None:
@@ -250,7 +250,7 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
     """
     _check_run(samples, seed)
     p = Fraction(p)
-    terms = sorted((integer_exponents(nu), coeff) for nu, coeff in laurent_poly.items())
+    terms = sorted((integer_exponents(nu, spec.n), coeff) for nu, coeff in laurent_poly.items())
     for nu, coeff in terms:
         if not monomial_defined(spec, nu):
             raise MonteCarloError(f"monomial {nu} is undefined on the domain")

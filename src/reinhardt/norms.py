@@ -11,7 +11,8 @@ independent constraints has the closed form
     p*nu + 2*1 in the basis of the constraint normals,
 
 finite exactly when every t_j > 0; t is a row of integer dot products with
-A^-1, which a frame holds as integer rows.  Values are carried symbolically
+A^-1, which a frame holds as integer rows, and a parsed domain holds each
+frame it has built, per tuple of rows.  Values are carried symbolically
 (rational coefficient, power of pi, leftover threshold powers) and only
 interval-evaluated for display.  Non-simplicial exact values are out of
 scope; finiteness stays exact everywhere and values go through Monte Carlo.
@@ -24,12 +25,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 from typing import Optional, Sequence
 
 from . import linalg
 from .cones import (lp_optimize, recession_improving_direction, recession_meets_halfspace,
                     require_optimal, unbounded_direction)
-from .domain import DomainSpec, LogPolyhedron, integer_exponents
+from .domain import DomainSpec, LogPolyhedron, held, integer_exponents
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
 from .precision import interval_str, scalar_interval, working_precision
@@ -63,17 +65,22 @@ class SimplicialFrame:
 
     @staticmethod
     def from_spec(spec: DomainSpec, rows: Optional[Sequence[int]] = None) -> "SimplicialFrame":
-        """Choose n constraints (0-based indices); defaults to all of them."""
-        if rows is None:
-            rows = range(len(spec.constraints))
-        chosen = [spec.constraints[i] for i in rows]
-        if len(chosen) != spec.n:
-            raise SpecError(f"need exactly {spec.n} constraints for a frame, got {len(chosen)}")
-        frame = SimplicialFrame.from_rows([c.alpha for c in chosen], [c.c for c in chosen])
-        poly = spec.log_polyhedron
-        if poly.normals == frame.normals and poly.offsets == frame.thresholds:
-            frame.__dict__["polyhedron"] = poly  # the same system: share its derived geometry
-        return frame
+        """The frame of n constraints (0-based indices; defaults to all of
+        them), which the spec's polyhedron holds for that tuple of indices."""
+        m, poly = len(spec.constraints), spec.log_polyhedron
+        key = tuple(range(m) if rows is None else rows)
+        if any(not isinstance(i, Integral) or not 0 <= i < m for i in key):
+            raise SpecError(f"frame row indices must be integers in 0..{m - 1}")
+        if len(key) != spec.n:
+            raise SpecError(f"need exactly {spec.n} constraints for a frame, got {len(key)}")
+
+        def make():
+            frame = SimplicialFrame.from_rows([poly.normals[i] for i in key],
+                                              [poly.offsets[i] for i in key])
+            if poly.normals == frame.normals and poly.offsets == frame.thresholds:
+                frame.__dict__["polyhedron"] = poly  # the same system: share its geometry
+            return frame
+        return held(poly, "frames", key, make)
 
     @property
     def n(self) -> int:
@@ -202,7 +209,7 @@ def lp_norm_finite(spec: DomainSpec, nu: Sequence[int], p) -> bool:
     p = Fraction(p)
     if p < 1:
         raise ValueError("p must be a rational >= 1")
-    w = [p * c + 2 for c in integer_exponents(nu)]
+    w = [p * c + 2 for c in integer_exponents(nu, spec.n)]
     return recession_meets_halfspace(spec.log_polyhedron, w) is None
 
 
@@ -214,7 +221,7 @@ def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> No
     n, d = frame.n, frame.quadratic_d
     # t over den: the coordinates of p nu + 2*1, an integer row over p's denominator
     t, den = frame.coordinates([p.numerator * c + 2 * p.denominator
-                                for c in integer_exponents(nu)])
+                                for c in integer_exponents(nu, n)])
     den *= p.denominator
     for j in range(n):
         if linalg.entry_sign(t, j, d) <= 0:

@@ -86,33 +86,22 @@ class _Tableau:
     artificials.  The last row is the reduced-cost row of the current
     phase, whose right-hand side is the objective value.  A basic column's
     entry equals its row's denominator (true value 1), and minus it in
-    column j for a basic v_j.  ``a_rows`` and ``b_rows`` are the cleared
-    constraint rows and right-hand sides, pairs (integer row, denominator)
-    of :func:`linalg.over_denominator`; ``arts`` are the artificial columns.
+    column j for a basic v_j.  ``a_rows``, ``b_rows`` and ``logbase`` are
+    those of the :class:`LPSystem` it starts from; ``arts`` are the
+    artificial columns.
     """
 
-    def __init__(self, a_rows, b_vals, n: int, d: Optional[int]):
-        self.n = n
-        self.m = len(a_rows)
-        self.d = d
-        self.a_rows = a_rows
-        self.logbase = LogBase(sorted({base for b in b_vals for base, _ in b.terms}), d)
-        self.bases = self.logbase.bases
-        slot = {base: 1 + k for k, base in enumerate(self.bases)}
-        self.b_rows = []
-        for b in b_vals:
-            rhs = [b.const] + [0] * len(self.bases)
-            for base, coeff in b.terms:
-                rhs[slot[base]] = coeff
-            self.b_rows.append(linalg.over_denominator(rhs, d))
-        flips = [self.form_sign(*b) < 0 for b in self.b_rows]
+    def __init__(self, system: LPSystem):
+        n, self.d, self.a_rows, self.b_rows = system.n, system.d, system.a_rows, system.b_rows
+        self.n, self.m, self.logbase = n, len(self.a_rows), system.logbase
+        self.bases, flips = self.logbase.bases, system.flips
         self.ncols = n + self.m + sum(flips)
         self.arts = range(n + self.m, self.ncols)
         self.order = [(j, 1) for j in range(n)] + [(j, -1) for j in range(n)] + \
             [(k, 1) for k in range(n, self.ncols)]
         self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
         arts = iter(self.arts)
-        for i, ((a, den_a), (rhs, den_b), flip) in enumerate(zip(a_rows, self.b_rows, flips)):
+        for i, ((a, den_a), (rhs, den_b), flip) in enumerate(zip(self.a_rows, self.b_rows, flips)):
             den = math.lcm(den_a, den_b)
             # s [a | e_i | b] over den, s = -1 on a flipped row, whose slack
             # sits at -1, unusable as basis: an artificial starts there at +1
@@ -229,19 +218,55 @@ class _Tableau:
         raise ReinhardtError("simplex failed to terminate (internal error)")
 
 
+class LPSystem:
+    """The rows A x <= b of an LP cleared once, for every objective over
+    their field ``d``.  ``a_rows``, cleared before they are given, and
+    ``b_rows`` are pairs (integer row, denominator) of
+    :func:`linalg.over_denominator`, a right-hand side as ``[const, coeff of
+    log bases[0], ...]`` over the bases of ``logbase``, the one
+    :class:`LogBase` that decides its sign; ``flips`` marks the negative ones."""
+
+    def __init__(self, a_rows: Sequence, b_vals: Sequence[LogLin], n: int, d: Optional[int]):
+        self.n, self.d, self.a_rows, self.b_vals = n, d, tuple(a_rows), tuple(b_vals)
+        self.logbase = LogBase(sorted({base for b in b_vals for base, _ in b.terms}), d)
+        slot = {base: 1 + k for k, base in enumerate(self.logbase.bases)}
+        b_rows = []
+        for b in b_vals:
+            rhs = [b.const] + [0] * len(slot)
+            for base, coeff in b.terms:
+                rhs[slot[base]] = coeff
+            b_rows.append(linalg.over_denominator(rhs, d))
+        self.b_rows = tuple(b_rows)
+        self.flips = tuple(self.logbase.sign(*row, lambda b=b: repr(b)) < 0
+                           for row, b in zip(b_rows, b_vals))
+
+    @staticmethod
+    def of(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar]
+           ) -> LPSystem:
+        """``a_rows`` and ``b_vals`` cleared over the field of every entry,
+        ``objective``'s included."""
+        b_vals = [as_loglin(b) for b in b_vals]
+        n = len(objective)
+        if any(len(r) != n for r in a_rows):
+            raise ValueError("constraint rows and objective have mismatched lengths")
+        d = linalg.field_of([*a_rows, objective,
+                             *((b.const, *(c for _, c in b.terms)) for b in b_vals)])
+        return LPSystem([linalg.over_denominator(r, d) for r in a_rows], b_vals, n, d)
+
+
 def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar],
-             ) -> LPCertificate:
-    """Maximize <objective, x> over {x : a_rows @ x <= b_vals}, exactly."""
-    b_vals = [as_loglin(b) for b in b_vals]
-    n = len(objective)
-    if any(len(r) != n for r in a_rows):
+             system: Optional[LPSystem] = None) -> LPCertificate:
+    """Maximize <objective, x> over {x : a_rows @ x <= b_vals}, exactly, on
+    ``system`` when given: the two cleared over a field that holds
+    ``objective`` (:meth:`LPSystem.of`)."""
+    if system is None:
+        system = LPSystem.of(a_rows, b_vals, objective)
+    elif len(objective) != system.n:
         raise ValueError("constraint rows and objective have mismatched lengths")
-    d = linalg.field_of([*a_rows, objective,
-                         *((b.const, *(c for _, c in b.terms)) for b in b_vals)])
-    rows = [linalg.over_denominator(r, d) for r in a_rows]
+    n, d, rows = system.n, system.d, system.a_rows
     cost = linalg.over_denominator(objective, d)
 
-    t = _Tableau(rows, b_vals, n, d)
+    t = _Tableau(system)
 
     if t.arts:
         phase1 = t.row(linalg.rational_row([0] * n, d), dict.fromkeys(t.arts, 1))

@@ -45,12 +45,8 @@ class SpaceMembership:
 
 def monomial_defined(spec: DomainSpec, nu: Sequence[int]) -> bool:
     """z^nu is a function on G iff every negative exponent sits on a
-    coordinate that never vanishes inside G (some constraint is negative
-    there)."""
-    for ell, e in enumerate(nu):
-        if e < 0 and all(sign_of(con.alpha[ell]) >= 0 for con in spec.constraints):
-            return False
-    return True
+    coordinate that never vanishes inside G (``spec.nonvanishing``)."""
+    return all(e >= 0 or ell in spec.nonvanishing for ell, e in enumerate(nu))
 
 
 def _nonvanishing_orders(nu: Sequence[int], k: int):
@@ -63,14 +59,23 @@ def _nonvanishing_orders(nu: Sequence[int], k: int):
         yield sigma
 
 
-def _extends_continuously(poly: LogPolyhedron, m: tuple) -> bool:
+def _sup_ray(poly: LogPolyhedron, m: tuple, asked: dict):
+    """``unbounded_direction(poly, m)``, asked of the cone once per
+    membership: ``asked`` holds the answers by (id(poly), m)."""
+    key = (id(poly), m)
+    if key not in asked:
+        asked[key] = unbounded_direction(poly, m)
+    return asked[key]
+
+
+def _extends_continuously(poly: LogPolyhedron, m: tuple, asked: dict) -> bool:
     """Sufficient check that z^m, with a finite sup on ``poly``, extends continuously."""
     if not any(m):
         return True
     faces = poly.axis_faces
     # |z^m| <= |z_ell| * sup|z^(m - e_ell)| -> 0 at every stratum with z_ell = 0
     vanishing = {ell for ell in frozenset().union(*(coords for coords, _ in faces))
-                 if unbounded_direction(poly, [e - (j == ell) for j, e in enumerate(m)]) is None}
+                 if _sup_ray(poly, tuple(e - (j == ell) for j, e in enumerate(m)), asked) is None}
     for coords, face in faces:
         if coords & vanishing:
             continue
@@ -78,7 +83,7 @@ def _extends_continuously(poly: LogPolyhedron, m: tuple) -> bool:
             return False
         # constant on the stratum and continuous on its face (a system: m is nonzero off coords)
         rest = tuple(e for j, e in enumerate(m) if j not in coords)
-        if unbounded_direction(face, rest) is not None or not _extends_continuously(face, rest):
+        if _sup_ray(face, rest, asked) is not None or not _extends_continuously(face, rest, asked):
             return False
     return True
 
@@ -87,9 +92,7 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
                       ) -> SpaceMembership:
     """Exact membership of z^nu, with "indeterminate" only for the A^k
     continuity cases the sufficient criteria do not cover."""
-    nu = integer_exponents(nu)
-    if len(nu) != spec.n:
-        raise ValueError(f"exponent vector has length {len(nu)}, expected {spec.n}")
+    nu = integer_exponents(nu, spec.n)
     if not monomial_defined(spec, nu):
         return SpaceMembership(NO, "undefined-on-interior-axis",
                                {"nu": list(nu)})
@@ -107,22 +110,21 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
             return SpaceMembership(YES, "integrable-recession", {})
         return SpaceMembership(NO, "recession-obstruction",
                                {"direction": [str(x) for x in bad]})
-    if kind == sp.HINF_K:
+    if kind in (sp.HINF_K, sp.AK):
+        asked: dict = {}  # each sup question of this membership, asked once
         for sigma in _nonvanishing_orders(nu, space.k):
-            m = tuple(e - s for e, s in zip(nu, sigma))
-            ray = unbounded_direction(poly, m)
+            ray = _sup_ray(poly, tuple(e - s for e, s in zip(nu, sigma)), asked)
             if ray is not None:
-                return SpaceMembership(NO, "derivative-sup-unbounded",
-                                       {"sigma": list(sigma), "ray": [str(x) for x in ray]})
-        return SpaceMembership(YES, "derivative-sups-bounded", {})
-    if kind == sp.AK:
-        base = monomial_in_space(spec, nu, sp.hinf_k(space.k))
-        if not base.is_yes:
-            return SpaceMembership(INDETERMINATE, "outside-sufficient-criteria",
-                                   {"blocked_by": base.criterion, **base.evidence})
+                no = {"sigma": list(sigma), "ray": [str(x) for x in ray]}
+                if kind == sp.HINF_K:
+                    return SpaceMembership(NO, "derivative-sup-unbounded", no)
+                return SpaceMembership(INDETERMINATE, "outside-sufficient-criteria",
+                                       {"blocked_by": "derivative-sup-unbounded", **no})
+        if kind == sp.HINF_K:
+            return SpaceMembership(YES, "derivative-sups-bounded", {})
         for sigma in _nonvanishing_orders(nu, space.k):
             m = tuple(e - s for e, s in zip(nu, sigma))
-            if not _extends_continuously(poly, m):
+            if not _extends_continuously(poly, m, asked):
                 return SpaceMembership(INDETERMINATE, "outside-sufficient-criteria",
                                        {"sigma": list(sigma)})
         return SpaceMembership(YES, "axis-vanishing-certified", {})

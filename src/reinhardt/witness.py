@@ -15,7 +15,7 @@ and vanishing at the axis pieces of the boundary.  The threshold exponent is
 where coords() expands a vector in the basis of the frame normals.  The two
 max-branches are kept separate so the ceiling of N0 is exact: the branch
 without pi is pure field arithmetic, the branch with pi can never be an
-integer.
+integer.  A frame holds its N0 per k and ladder cap (:func:`build_witness`).
 
 The certificate's term norms c pi^n and the ceiling of N0's pi branch come
 down to one sign, that of c pi^n - 1 for an exact c > 0 (:func:`_pi_sign`),
@@ -34,12 +34,12 @@ from itertools import accumulate, product
 from typing import Optional, Sequence
 
 from . import linalg
-from .domain import RadialPoint, integer_exponents
+from .domain import RadialPoint, held, integer_exponents
 from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
 from .loglin import EXACT_PRODUCT_BITS, product_bits
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
-from .precision import (interval_str, ladder_sign, pi_power_bounds, rational_bounds,
-                        scalar_interval, working_precision)
+from .precision import (interval_str, ladder_sign, max_precision_bits, pi_power_bounds,
+                        rational_bounds, scalar_interval, working_precision)
 from .scalars import Scalar, exact_ceil, exact_floor, format_scalar, scalar_cmp, sign_of
 
 
@@ -235,7 +235,8 @@ def build_witness(wspec: WitnessSpec) -> WitnessFunction:
         d = d * (Fraction(r) ** e if not hasattr(r, "sign") else r ** e)
     if sign_of(d - 1) <= 0:
         raise SpecError(f"|b^alpha_j0| = {format_scalar(d)} must exceed 1")
-    n0, big_n = compute_n0(frame, wspec.k)
+    n0, big_n = held(frame, "n0", (wspec.k, max_precision_bits()),
+                     lambda: compute_n0(frame, wspec.k))
     alpha_sum = tuple(sum(a[ell] for a in normals) for ell in range(frame.n))
     coords, den = frame.coordinates(alpha_sum)
     if coords != linalg.rational_row([den] * frame.n, frame.quadratic_d):

@@ -402,8 +402,8 @@ def record() -> None:
     seen = {_lp_inputs_key(case) for case in cases}
     solve = simplex.solve_lp
 
-    def recording(a_rows, b_vals, objective):
-        cert = solve(a_rows, b_vals, objective)
+    def recording(a_rows, b_vals, objective, system=None):
+        cert = solve(a_rows, b_vals, objective, system)
         case = _lp_inputs(a_rows, b_vals, objective)
         key = _lp_inputs_key(case)
         if key not in seen:

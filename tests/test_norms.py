@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
+import reinhardt
 from reinhardt import (SimplicialFrame, compute_n0, exponents, find_integrable_monomial,
                        lp_norm_exact_simplicial, lp_norm_finite, norms, sup_norm_monomial)
 from reinhardt.domain import LogPolyhedron, load_spec, parse_spec
@@ -186,6 +187,24 @@ def test_frame_requires_square_independent(hartogs, annulus):
     with pytest.raises(Exception):
         SimplicialFrame.from_rows([exponents(1, 1), exponents(2, 2)],
                                   [Fraction(1), Fraction(1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: lp_norm_exact_simplicial(SimplicialFrame.from_spec(h), (1,), 2),
+    lambda h: lp_norm_finite(h, (1, 2, 3), 2),
+    lambda h: sup_norm_monomial(h, exponents(1)),
+    lambda h: norms.lp_optimize(exponents(1, 0, 0), h.log_polyhedron),
+    lambda h: norms.recession_improving_direction(h.log_polyhedron, exponents(1)),
+    lambda h: reinhardt.monomial_in_space(h, (1,), reinhardt.FunctionSpace("hinf")),
+    lambda h: reinhardt.lp_norm_monte_carlo(h, (1,), 1, 100, 1),
+    lambda h: reinhardt.lp_norm_monte_carlo(h, (0, 0, 1), 1, 100, 1),
+    lambda h: reinhardt.coefficient_inequality_check(h, {(1,): 1}, 2, 100, 1),
+], ids=["exact", "finite", "sup", "lp_optimize", "ray", "membership", "mc", "mc-long",
+        "coefficient"])
+def test_every_monomial_entry_point_checks_the_exponent_length(hartogs, call):
+    # a short vector was truncated by zip and a long one raised IndexError
+    with pytest.raises(ValueError, match=r"length [13], expected 2|mismatched lengths"):
+        call(hartogs)
 
 
 def test_frame_over_two_fields_is_refused():

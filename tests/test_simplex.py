@@ -299,7 +299,8 @@ def _outcome(sign):
 def _ratio_tableau(thresholds, d):
     """A tableau whose right-hand sides are over ``thresholds``."""
     b = [LogLin.log_of(t) for t in thresholds]
-    return simplex._Tableau([linalg.over_denominator([Fraction(1)], d)] * len(b), b, 1, d)
+    return simplex._Tableau(simplex.LPSystem([linalg.over_denominator([Fraction(1)], d)] * len(b),
+                                             b, 1, d))
 
 
 @given(ratio_forms())
@@ -363,7 +364,7 @@ def test_seeded_certificates_pass_their_checks_and_fail_when_changed():
     checked = set()
     for _, (a, b, c) in seeded_lps():
         rows, cost, d = _cleared(a, c)
-        t = simplex._Tableau(rows, b, len(c), d)
+        t = simplex._Tableau(simplex.LPSystem(rows, b, len(c), d))
         cert = solve_lp(a, b, c)
         nonzero = [i for i, row in enumerate(a) if any(sign_of(x) for x in row)]
         if cert.status == UNBOUNDED:
@@ -386,7 +387,7 @@ def test_seeded_certificates_pass_their_checks_and_fail_when_changed():
             else:
                 check = lambda m: simplex._check_farkas(t, m)  # noqa: E731
                 wrong = "does not annihilate the rows"
-                zero = simplex._Tableau(rows, [LogLin.zero()] * len(a), len(c), d)
+                zero = simplex._Tableau(simplex.LPSystem(rows, [LogLin.zero()] * len(a), len(c), d))
                 _raises(lambda: simplex._check_farkas(zero, lam), "is not negative")
                 checked.add(("zero right-hand sides", d))
             check(lam)
@@ -406,7 +407,7 @@ def test_initial_rows_are_the_signed_constraint_rows():
     right-hand side is negative."""
     for _, (a, b, c) in seeded_lps():
         rows, _, d = _cleared(a, c)
-        t = simplex._Tableau(rows, b, len(c), d)
+        t = simplex._Tableau(simplex.LPSystem(rows, b, len(c), d))
         for i, (row, bi) in enumerate(zip(a, b)):
             s = -1 if bi.sign() < 0 else 1
             expected = row + [Fraction(0)] * (t.ncols - t.n) + [bi.const] + [0] * len(t.bases)

@@ -4,8 +4,10 @@ The ladder hands its rungs bits and every precision that builds an interval
 has its own fixed context, so a thread that climbs the ladder to 512 bits
 cannot have its precision changed under it by a thread that prints a 64-bit
 display at the same time.  A log-polyhedron
-computes its derived geometry on first read, so threads that make those
-first reads together must each see the serial values.  The package loads
+computes its derived geometry on first read, and a parsed domain holds its
+frames, their N0, its cone's scan rows and its cleared LP rows from first
+use, so threads that make those first reads together must each see the
+serial values, and share one held frame and N0.  The package loads
 norms, spaces, spectrum, witness and montecarlo on the first read of one
 of their names, so threads that make that read together must each get the
 same object.
@@ -22,7 +24,10 @@ from pathlib import Path
 import pytest
 from mpmath import libmp
 
-from reinhardt import LogPolyhedron, SimplicialFrame, compute_n0, load_spec, precision
+from reinhardt import (LogPolyhedron, SimplicialFrame, WitnessSpec, build_witness, compute_n0,
+                       lp_norm_exact_simplicial, load_spec, parse_spec, precision, radial,
+                       spectrum_box, sup_norm_monomial)
+from reinhardt.spaces import hinf_k
 from reinhardt.loglin import LogLin
 from reinhardt.norms import NormResult
 
@@ -115,6 +120,36 @@ def test_parallel_first_reads_of_derived_geometry_match_serial(gallery):
                 futures = [pool.submit(_first_reads, poly, i % len(GEOMETRY), barrier)
                            for i in range(threads)]
                 assert [f.result(timeout=60) for f in futures] == [serial] * threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _held_reads(spec, barrier: threading.Barrier):
+    """Answers that make the first use of ``spec``'s held frame, the frame's
+    N0, the cone's scan rows and checked generators, and the LP rows."""
+    barrier.wait()
+    frame = SimplicialFrame.from_spec(spec)
+    w = build_witness(WitnessSpec(frame=frame, k=1, exterior=radial(8, 4, 2), j0=0))
+    return (frame, w.n0, w.N, sup_norm_monomial(spec, (1, 1, 0)),
+            sup_norm_monomial(spec, (-1, 0, 0)), spectrum_box(spec, hinf_k(1), 1),
+            lp_norm_exact_simplicial(frame, (1, 0, 2), 2))
+
+
+def test_parallel_first_uses_of_held_objects_agree():
+    text = (Path(__file__).resolve().parent / "specs" / "chain3.json").read_text()
+    serial = _held_reads(parse_spec(text), threading.Barrier(1))
+    threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            spec, barrier = parse_spec(text), threading.Barrier(threads, timeout=60)
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                got = [f.result(timeout=60) for f in
+                       [pool.submit(_held_reads, spec, barrier) for _ in range(threads)]]
+            assert all(g[0] is got[0][0] and g[1] is got[0][1] for g in got)
+            assert [g[2:] for g in got] == [serial[2:]] * threads
+            assert got[0][0] == serial[0] and got[0][1] == serial[1]
     finally:
         sys.setswitchinterval(interval)
 
