@@ -2,8 +2,8 @@
 
 ``import reinhardt`` loads what ``parse_spec`` and ``classify_all`` need.
 Each module of ``_LAZY`` loads, and binds itself and its names, on the
-first read of one of them (PEP 562); mpmath loads with the first sign or
-interval that needs it (:mod:`reinhardt.precision`).
+first read of one of them (PEP 562).  Every bound the package computes
+comes from integers and the stdlib ``decimal`` (:mod:`reinhardt.precision`).
 """
 
 import importlib

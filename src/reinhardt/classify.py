@@ -126,7 +126,7 @@ def classify_ainf(spec: DomainSpec) -> Verdict:
         return Verdict(NOT_APPLICABLE, "requires-hinf-domain",
                        {"hinf_criterion": base.criterion})
     poly = spec.log_polyhedron
-    negative = {j for con in spec.constraints for j, a in enumerate(con.alpha) if sign_of(a) < 0}
+    negative = spec.nonvanishing
     meeting = [s for s in poly.approach_supports if s & negative]
     if not meeting:
         return Verdict(YES, "axis-approach-blocked",

@@ -62,7 +62,6 @@ from . import linalg
 from .errors import BoundaryIndeterminate, RayCapError, ReinhardtError
 from .hnf import integer_kernel_basis
 from .loglin import LogBase, LogLin
-from .precision import working_precision
 from .scalars import Scalar, is_rational, sign_of
 from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, LPSystem, float_basis, solve_lp
 
@@ -429,7 +428,7 @@ def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
     for j in range(poly.n):
         cert = lp_optimize([int(i == j) for i in range(poly.n)], poly)
         require_optimal(cert, "radius_box")
-        logs.append(float(cert.objective.interval(working_precision(64)).b))
+        logs.append(float(cert.objective.bounds(64)[1]))
     return tuple(logs)
 
 

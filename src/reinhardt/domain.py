@@ -24,7 +24,7 @@ from .cones import (RecessionCone, approach, approach_supports, integer_lattice_
                     radius_box, recession_cone)
 from .errors import EmptyDomainError, RayCapError, SpecError
 from .loglin import LogLin
-from .scalars import (Scalar, format_scalar, is_rational, is_square_free,
+from .scalars import (Scalar, format_scalar, is_nonsquare, is_rational,
                       parse_scalar_literal, scalar_to_json, sign_of)
 from .simplex import LPSystem
 
@@ -216,8 +216,8 @@ class DomainSpec:
         for con in self.constraints:
             if len(con.alpha) != self.n:
                 raise SpecError(f"constraint has {len(con.alpha)} exponents, expected {self.n}")
-        if self.quadratic_d is not None and not is_square_free(self.quadratic_d):
-            raise SpecError(f"quadratic_d={self.quadratic_d} must be a square-free integer "
+        if self.quadratic_d is not None and not is_nonsquare(self.quadratic_d):
+            raise SpecError(f"quadratic_d={self.quadratic_d} must be a non-square integer "
                             "in [2, 2^64)")
 
     def to_json_dict(self) -> dict:
@@ -260,8 +260,8 @@ def parse_spec(text: str) -> DomainSpec:
         raise SpecError("field 'n' must be an integer >= 1")
     n = doc["n"]
     quad_d = doc.get("quadratic_d")
-    if quad_d is not None and (not isinstance(quad_d, int) or not is_square_free(quad_d)):
-        raise SpecError("quadratic_d must be a square-free integer in [2, 2^64)")
+    if quad_d is not None and (not isinstance(quad_d, int) or not is_nonsquare(quad_d)):
+        raise SpecError("quadratic_d must be a non-square integer in [2, 2^64)")
     raw_constraints = doc.get("constraints", [])
     if not isinstance(raw_constraints, list):
         raise SpecError("'constraints' must be an array")

@@ -28,13 +28,14 @@ A sign is decided in two steps by one owner, :class:`LogBase`, which
 * Every other form goes to the ladder (:func:`precision.ladder_sign`),
   whose rungs are integer multiply-adds on bounds lo <= 2^bits log(p_j) <= hi
   (:func:`precision.log_bounds`), which a :class:`LogBase` computes once per
-  p_j and precision, handed over as rationals over den 2^bits.  Over
-  rational bases the form is nonzero there,
-  so the ladder resolves it given enough bits.  A form with a base
-  (threshold) in Q(sqrt d) and coefficients in Q(sqrt d) that are not
-  rational multiples of one element can be exactly zero without equal bases
-  cancelling; its ladder cannot resolve it, and it ends in
-  :class:`BoundaryIndeterminate`.
+  p_j and precision, handed over as rationals over den 2^bits
+  (:meth:`LogBase.bounds`, which :meth:`LogLin.bounds` exposes).  A form
+  with a zero constant over Q(sqrt d) is first tested for zero: its rational
+  and sqrt(d) halves are sums of logs R and S, and by Baker (1966)
+  R + sqrt(d) S = 0 exactly when R = S = 0, which products of powers
+  decide.  So a form reaches the ladder only when it is nonzero (or those
+  products are too large to compare outright), and the ladder resolves it
+  given enough bits.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
 from .errors import BoundaryIndeterminate
-from .precision import ladder_sign, log_bounds, scalar_interval
+from .precision import ladder_sign, log_bounds
 from .scalars import QuadExt, Scalar, is_rational, quadratic_sign, scalar_cmp, sign_of
 
 # A form with a zero constant and rational coefficients is decided by the
@@ -123,20 +124,24 @@ class LogLin:
         if sign_of(self.const) == 0 and len(self.terms) == 1:
             (base, coeff), = self.terms
             return sign_of(coeff) * scalar_cmp(base, 1)
-        row = [self.const, *(c for _, c in self.terms)]
-        d = linalg.field_of([row])
-        ints, den = linalg.over_denominator(row, d)
-        return LogBase([b for b, _ in self.terms], d).sign(ints, den, lambda: repr(self))
+        base, ints, den = self._cleared()
+        return base.sign(ints, den, lambda: repr(self))
 
     def is_zero(self) -> bool:
         return self.sign() == 0
 
-    def interval(self, ctx):
-        """Interval enclosure in the interval context ``ctx``."""
-        val = scalar_interval(self.const, ctx)
-        for base, coeff in self.terms:
-            val += scalar_interval(coeff, ctx) * ctx.log(scalar_interval(base, ctx))
-        return val
+    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= value <= hi, a few units of 2^-bits (times the
+        coefficients) apart: :meth:`LogBase.bounds` of the cleared row."""
+        base, ints, den = self._cleared()
+        return base.bounds(ints, den, bits)
+
+    def _cleared(self) -> tuple["LogBase", list[int], int]:
+        """The form's bases and its integer row over one positive denominator."""
+        row = [self.const, *(c for _, c in self.terms)]
+        d = linalg.field_of([row])
+        ints, den = linalg.over_denominator(row, d)
+        return LogBase([b for b, _ in self.terms], d), ints, den
 
     def __float__(self):
         base = float(self.const) if not isinstance(self.const, int) else self.const
@@ -191,6 +196,34 @@ class LogBase:
             bounds[j] = log_bounds(self.logs[j], bits)
         return bounds[j]
 
+    def _read(self, row: list[int]) -> tuple:
+        """``const``, the exponents over ``logs`` (their rational and sqrt(d)
+        halves over Q(sqrt d)) and the indices j of the nonzero ones."""
+        d = self.d
+        const, exps = linalg.entry(row, 0, d), linalg.sparse_products(row, self.columns, d)
+        if d is None:
+            nums, irrs = exps, None
+        else:
+            nums, irrs = [a for a, _ in exps], [b for _, b in exps]
+        live = [j for j, x in enumerate(nums) if x or (irrs is not None and irrs[j])]
+        return const, nums, irrs, live
+
+    def bounds(self, row: list[int], den: int, bits: int) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= ``(const + sum(coeff_t * log(bases[t]))) / den`` <= hi
+        for the integer row ``[const, coeff_0, ...]``, a few units of 2^-bits
+        (times the exponents) apart: integer bounds on 2^bits times the form,
+        then over den 2^bits."""
+        d = self.d
+        const, nums, irrs, live = self._read(row)
+        bounds = [self._log(bits, j) for j in live]
+        lo, hi = _enclose(const if d is None else const[0], nums, live, bounds, bits)
+        if d is not None and (const[1] or any(irrs[j] for j in live)):
+            ilo, ihi = _enclose(const[1], irrs, live, bounds, bits)
+            r = math.isqrt(d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
+            ends = (ilo * r, ilo * (r + 1), ihi * r, ihi * (r + 1))
+            lo, hi, bits = (lo << bits) + min(ends), (hi << bits) + max(ends), 2 * bits
+        return Fraction(lo, den << bits), Fraction(hi, den << bits)
+
     def sign(self, row: list[int], den: int, what: Callable[[], str]) -> int:
         """Sign of ``(const + sum(coeff_t * log(bases[t]))) / den`` for the
         integer row ``[const, coeff_0, ...]`` and a positive integer ``den``;
@@ -202,34 +235,26 @@ class LogBase:
           one element e as :func:`_powers` allows: the sign of e times that of
           ``prod(p_j ** k_j) - 1`` for integers k_j, outright when
           :func:`product_bits` is at most ``EXACT_PRODUCT_BITS``;
+        * ``const`` zero over Q(sqrt d), e_j = a_j + b_j sqrt(d): zero when
+          ``prod(p_j ** a_j)`` and ``prod(p_j ** b_j)`` are both 1, compared
+          outright within ``EXACT_PRODUCT_BITS``; by Baker (1966) the form
+          R + sqrt(d) S, R and S the two sums of logs, is zero only then;
         * everything else, and larger products, by :func:`ladder_sign`; a
           product the ladder cannot resolve is then compared outright.
         """
         d = self.d
-        const, exps = linalg.entry(row, 0, d), linalg.sparse_products(row, self.columns, d)
-        if d is None:
-            nums, irrs = exps, None
-        else:
-            nums, irrs = [a for a, _ in exps], [b for _, b in exps]
-        live = [j for j, x in enumerate(nums) if x or (irrs is not None and irrs[j])]
+        const, nums, irrs, live = self._read(row)
         if not live:  # the exact zero test
             return (const > 0) - (const < 0) if d is None else quadratic_sign(*const, d)
         scale, powers = _powers(const, nums, irrs, live, d, self.logs)
         if powers and product_bits(powers) <= EXACT_PRODUCT_BITS:
             return scale * _product_sign(powers)
-
-        def build(bits):  # integer bounds on 2^bits times the form, then over den 2^bits
-            bounds = [self._log(bits, j) for j in live]
-            lo, hi = _enclose(const if d is None else const[0], nums, live, bounds, bits)
-            if d is not None and (const[1] or any(irrs[j] for j in live)):
-                ilo, ihi = _enclose(const[1], irrs, live, bounds, bits)
-                r = math.isqrt(d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
-                ends = (ilo * r, ilo * (r + 1), ihi * r, ihi * (r + 1))
-                lo, hi, bits = (lo << bits) + min(ends), (hi << bits) + max(ends), 2 * bits
-            return Fraction(lo, den << bits), Fraction(hi, den << bits)
-
+        if not powers and d is not None and not (const[0] or const[1]):
+            halves = [[(self.logs[j], x[j]) for j in live if x[j]] for x in (nums, irrs)]
+            if all(product_bits(h) <= EXACT_PRODUCT_BITS and _product_sign(h) == 0 for h in halves):
+                return 0
         try:
-            return ladder_sign(build, what=what)
+            return ladder_sign(lambda bits: self.bounds(row, den, bits), what=what)
         except BoundaryIndeterminate:
             if not powers:
                 raise

@@ -14,7 +14,7 @@ finite exactly when every t_j > 0; t is a row of integer dot products with
 A^-1, which a frame holds as integer rows, and a parsed domain holds each
 frame it has built, per tuple of rows.  Values are carried symbolically
 (rational coefficient, power of pi, leftover threshold powers) and only
-interval-evaluated for display.  Non-simplicial exact values are out of
+enclosed in rationals for display.  Non-simplicial exact values are out of
 scope; finiteness stays exact everywhere and values go through Monte Carlo.
 """
 
@@ -34,7 +34,7 @@ from .cones import (lp_optimize, recession_improving_direction, recession_meets_
 from .domain import DomainSpec, LogPolyhedron, held, integer_exponents
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
-from .precision import interval_str, scalar_interval, working_precision
+from .precision import exp_bounds, interval_str, pi_power_bounds, rational_bounds
 from .scalars import Scalar, format_scalar, is_rational, scalar_cmp, sign_of
 
 
@@ -123,24 +123,29 @@ class NormResult:
     seed: Optional[int] = None
     ray: Optional[tuple[Scalar, ...]] = None
 
-    def enclosure(self, ctx):
-        """Interval enclosure of the exact value in the interval context ``ctx``."""
+    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= the exact value <= hi: the coefficient, pi^n and
+        each factor base^exp = exp(exp log(base)) enclosed at ``bits`` bits,
+        all positive."""
         if self.kind != "exact":
             raise ValueError(f"no exact interval for kind={self.kind}")
-        val = scalar_interval(self.coefficient, ctx) * ctx.pi ** self.pi_power
+        (lo, hi), (p_lo, p_hi) = (rational_bounds(self.coefficient, bits),
+                                  pi_power_bounds(self.pi_power, bits))
+        lo, hi = lo * p_lo, hi * p_hi
         for base, exp in self.factors:
-            val *= ctx.exp(scalar_interval(exp, ctx) * ctx.log(scalar_interval(base, ctx)))
-        return val
+            f_lo, f_hi = exp_bounds(*LogLin.log_of(base, exp).bounds(bits), bits)
+            lo, hi = lo * f_lo, hi * f_hi
+        return lo, hi
 
     def interval(self) -> tuple[str, str]:
-        return interval_str(self.enclosure(working_precision(64)))
+        return interval_str(*self.bounds())
 
     def __float__(self) -> float:
         if self.kind == "estimate":
             return self.estimate
         if self.kind == "exact":
-            lo, hi = self.interval()
-            return (float(lo) + float(hi)) / 2
+            lo, hi = self.bounds()
+            return float((lo + hi) / 2)
         raise ValueError(f"no numeric value for kind={self.kind}")
 
     def symbolic(self) -> str:

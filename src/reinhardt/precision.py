@@ -6,20 +6,20 @@ left (signs of expressions mixing logarithms or pi) is decided by
 the working precision: start at 64 bits, double until lo > 0 or hi < 0, give
 up with :class:`BoundaryIndeterminate` at the cap.  The cap defaults to 1024
 bits and can be overridden through the ``REINHARDT_PRECISION`` environment
-variable.  The ladder hands its rungs bits, not interval contexts.
+variable.  The ladder hands its rungs bits.
 
-Integer bounds on 2^bits log(x) (:func:`log_bounds`), which a
+Every bound here comes from integers and the stdlib ``decimal``.  Integer
+bounds on 2^bits log(x) (:func:`log_bounds`), which a
 :class:`loglin.LogBase` holds per precision and combines by integer
-multiply-adds, come from the stdlib ``decimal`` for an integer x, the only
-kind a rational base factors into.  mpmath supplies the rest: log bounds
-for x in Q(sqrt d), rational bounds on pi^n (:func:`pi_power_bounds`), for
-the witness's c pi^n against 1, and the outward-rounded intervals that
-:func:`interval_str` prints.  The first of those calls imports it, so a
-classify whose thresholds are rational never does.  A precision that needs
-an interval context (a log over Q(sqrt d), a printed interval) has its own,
-fixed at that many bits; nothing here writes mpmath's global state or the
-thread's decimal context, so parallel threads cannot change each other's
-precision.
+multiply-adds, come from ``decimal``'s correctly rounded ``ln`` for an
+integer x, the only kind a rational base factors into, and from an atanh
+series on integers after integer square roots for x in Q(sqrt d).
+Rational bounds on pi^n (:func:`pi_power_bounds`) come from Machin's
+formula summed in integers, and on exp (:func:`exp_bounds`) from
+``decimal``'s correctly rounded ``exp``.  Printed intervals
+(:func:`interval_str`) round rational ends outward to decimals.  Each call
+builds its own ``decimal`` context and nothing here writes the thread's,
+so parallel threads cannot change each other's precision.
 
 Signs of log-linear forms over rational bases never need the ladder to tell
 zero from nonzero: :mod:`reinhardt.loglin` decides that exactly on integer
@@ -55,25 +55,6 @@ def max_precision_bits() -> int:
     return max(bits, LADDER_START_BITS)
 
 
-@cache
-def working_precision(bits: int):
-    """The mpmath interval context at ``bits`` working bits, built once (it
-    costs more than a whole sign) and never changed afterwards."""
-    from mpmath.ctx_iv import MPIntervalContext
-    ctx = MPIntervalContext()
-    ctx.prec = bits
-    return ctx
-
-
-def scalar_interval(x: Scalar, ctx):
-    """Enclose an exact scalar in an interval of the context ``ctx``."""
-    if isinstance(x, QuadExt):
-        return (ctx.mpf(x.a.numerator) / x.a.denominator
-                + ctx.mpf(x.b.numerator) / x.b.denominator * ctx.sqrt(x.d))
-    x = Fraction(x)
-    return ctx.mpf(x.numerator) / x.denominator
-
-
 def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
     """Rationals lo <= x <= hi: x itself for a rational x, and a + b sqrt(d)
     with sqrt(d) between consecutive multiples of 2^-bits otherwise."""
@@ -84,14 +65,64 @@ def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
-    """Integers lo <= 2^bits log(x) <= hi for an exact x > 0: from ``decimal``
-    for an integer (:func:`_int_log_bounds`), else from mpmath."""
+    """Integers lo <= 2^bits log(x) <= hi, at most 2 apart, for an exact x > 0.
+    An integer goes to :func:`_int_log_bounds`, held.  Any other x is
+    2^e y with y in [1, 2): log(x) = e log 2 + log(y), each from
+    :func:`_log_fixed` at f = bits + g bits (log 2 held), rounded outward."""
     if isinstance(x, int):
         return _int_log_bounds(x, bits)
-    from mpmath import libmp
-    lo, hi = libmp.mpi_log(scalar_interval(x, working_precision(bits))._mpi_, bits)
-    return (libmp.to_int(libmp.mpf_shift(lo, bits), libmp.round_floor),
-            libmp.to_int(libmp.mpf_shift(hi, bits), libmp.round_ceiling))
+    r = math.isqrt(bits) // 4 + 2  # square roots before the series: about the cheapest mix
+    g = r + 2 * bits.bit_length() + 10  # 2^g exceeds the units lost below, for |e| < 2^12
+    f = bits + g
+    # x = (a + b sqrt(d)) / den in integers, and e is log2(x) within a few units;
+    # when a and b have opposite signs, x = (a^2 - b^2 d) / (den (a - b sqrt(d))) does not cancel
+    qa, qb, d = (x.a, x.b, x.d) if isinstance(x, QuadExt) else (Fraction(x), Fraction(0), 0)
+    den = math.lcm(qa.denominator, qb.denominator)
+    a, b = qa.numerator * (den // qa.denominator), qb.numerator * (den // qb.denominator)
+    big = max(abs(a).bit_length(), abs(b).bit_length() + d.bit_length() // 2)
+    e = (big if a * b >= 0 else abs(a * a - b * b * d).bit_length() - big) - den.bit_length()
+    while (y := _floor_scaled(a, b, d, den, f - e)).bit_length() != f + 1:
+        e += y.bit_length() - f - 1
+    (y_lo, y_hi), (t_lo, t_hi) = _log_fixed(y, f, r), _log2(f, r)
+    lo, hi = y_lo + min(e * t_lo, e * t_hi), y_hi + max(e * t_lo, e * t_hi)
+    return lo >> g, -(-hi >> g)
+
+
+def _floor_scaled(a: int, b: int, d: int, den: int, s: int) -> int:
+    """floor((a + b sqrt(d)) 2^s / den) for integers, den > 0 and sqrt(d)
+    irrational unless b = 0: t <= |b| sqrt(d) 2^s < t + 1, and the quotient
+    of an integer plus a fraction in [0, 1) floors as the integer's does."""
+    if s < 0:
+        den, s = den << -s, 0
+    t = math.isqrt(b * b * d << 2 * s)
+    return ((a << s) + (t if b >= 0 else -t - 1)) // den
+
+
+@cache
+def _log2(f: int, r: int) -> tuple[int, int]:
+    """:func:`_log_fixed` of v = 2, held per precision."""
+    return _log_fixed(2 << f, f, r)
+
+
+def _log_fixed(y: int, f: int, r: int) -> tuple[int, int]:
+    """Integers lo <= 2^f log(v) <= hi for a real v in [1, 2] with
+    y <= 2^f v < y + 1.  r integer square roots take y to z with
+    z <= 2^f v^(2^-r) < z + 2 (each halves the units lost so far and loses
+    at most one more), and log(v) = 2^(r + 1) atanh(u) for
+    u = (z - 1) / (z + 1) < 2^-r.  The series sum(u^(2i + 1) / (2i + 1)) in
+    floored integers is a lower bound, within 3k + 6 units for k = 2i + 1
+    at the first power that floors to 0 (under 2 per term and under 2k for
+    the tail, and 3 for u and the 2 units of z)."""
+    for _ in range(r):
+        y = math.isqrt(y << f)
+    one = 1 << f
+    u = ((y - one) << f) // (y + one)
+    s, p, k, u2 = 0, u, 1, u * u >> f
+    while p:
+        s += p // k
+        p = p * u2 >> f
+        k += 2
+    return s << r + 1, (s + 3 * k + 6) << r + 1
 
 
 @lru_cache(maxsize=4096)
@@ -113,11 +144,45 @@ def _int_log_bounds(p: int, bits: int) -> tuple[int, int]:
 
 @cache
 def pi_power_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
-    """lo^n and hi^n for the rationals lo < pi < hi that are pi rounded down
-    and up to ``bits`` bits; held once per n and precision."""
-    from mpmath import libmp
-    return tuple(Fraction(*libmp.to_rational(libmp.mpf_pi(bits, rnd))) ** n
-                 for rnd in (libmp.round_floor, libmp.round_ceiling))
+    """lo^n and hi^n for the consecutive multiples lo < pi < hi of 2^-bits;
+    held once per n and precision.  Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) is summed in integers at g more bits,
+    each atan to within its number of terms plus one unit; g grows until the
+    enclosure lies between two multiples of 2^-bits."""
+    g = bits.bit_length() + 6
+    while True:
+        (s5, t5), (s239, t239) = _atan_inv(5, bits + g), _atan_inv(239, bits + g)
+        mid, err = 16 * s5 - 4 * s239, 16 * t5 + 4 * t239
+        lo, hi = (mid - err) >> g, -(-(mid + err) >> g)
+        if hi - lo == 1:
+            return Fraction(lo, 1 << bits) ** n, Fraction(hi, 1 << bits) ** n
+        g += 16
+
+
+def _atan_inv(x: int, p: int) -> tuple[int, int]:
+    """``(s, t)`` with |s - 2^p atan(1/x)| <= t for an integer x > 1: the
+    series sum((-1)^i / ((2i + 1) x^(2i + 1))), each term floored exactly
+    (repeated floor division is floor division by the product), summed while
+    a term is at least one unit; the tail left is below one unit."""
+    total, power, k, x2 = 0, (1 << p) // x, 1, x * x
+    while power:
+        total += power // k if k & 2 == 0 else -(power // k)
+        power //= x2
+        k += 2
+    return total, k // 2 + 1
+
+
+def exp_bounds(lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals below exp(lo) and above exp(hi), for rationals lo <= hi, each
+    within a few units of 2^-bits relative.  lo is rounded down and hi up to
+    P = bits log10(2) + 3 decimals, and ``decimal``'s ``exp``, correctly
+    rounded to P significant digits, is stepped one unit outward."""
+    digits = bits * 30103 // 100000 + 3
+    ctx = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    scale = 10 ** digits
+    args = ((lo.numerator * scale) // lo.denominator, -(-hi.numerator * scale // hi.denominator))
+    low, high = (ctx.exp(decimal.Decimal(f"{a}e-{digits}")) for a in args)  # exact
+    return Fraction(ctx.next_minus(low)), Fraction(ctx.next_plus(high))
 
 
 def ladder_sign(build: Callable[[int], tuple[Fraction, Fraction]],
@@ -137,7 +202,7 @@ def ladder_sign(build: Callable[[int], tuple[Fraction, Fraction]],
         if hi < 0:
             return -1
         if bits >= cap:
-            lo, hi = _decimal_str(lo, decimal.ROUND_FLOOR), _decimal_str(hi, decimal.ROUND_CEILING)
+            lo, hi = interval_str(lo, hi)
             if callable(what):
                 what = what()
             raise BoundaryIndeterminate(
@@ -147,17 +212,9 @@ def ladder_sign(build: Callable[[int], tuple[Fraction, Fraction]],
         bits = min(2 * bits, cap)
 
 
-def _decimal_str(q: Fraction, rounding: str, dps: int = 10) -> str:
-    """The rational q to ``dps`` significant digits, rounded in the direction
-    ``rounding``; decimal division rounds the exact quotient once."""
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.rounding = dps, rounding
-        return str(ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
-
-
-def interval_str(val, dps: int = 10) -> tuple[str, str]:
-    """Directed decimal endpoints (lo rounded down, hi rounded up) of a
-    finite mpmath interval."""
-    from mpmath import libmp
-    lo, hi = (Fraction(*libmp.to_rational(end)) for end in val._mpi_)
-    return _decimal_str(lo, decimal.ROUND_FLOOR, dps), _decimal_str(hi, decimal.ROUND_CEILING, dps)
+def interval_str(lo: Fraction, hi: Fraction, dps: int = 10) -> tuple[str, str]:
+    """The rationals lo <= hi to ``dps`` significant digits, lo rounded down
+    and hi up; decimal division rounds each exact quotient once."""
+    ends = ((Fraction(lo), decimal.ROUND_FLOOR), (Fraction(hi), decimal.ROUND_CEILING))
+    return tuple(str(decimal.Context(prec=dps, rounding=rounding).divide(
+        decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))) for q, rounding in ends)

@@ -2,9 +2,11 @@
 
 A scalar is either a ``fractions.Fraction`` (plain ``int`` is accepted
 everywhere and normalised on the way in) or a :class:`QuadExt` element
-``a + b*sqrt(d)`` with rational ``a``, ``b`` and a fixed square-free
-``d >= 2``.  All arithmetic and all comparisons are exact; in particular the
-sign of ``a + b*sqrt(d)`` is decided algebraically, never through floats.
+``a + b*sqrt(d)`` with rational ``a``, ``b`` and a fixed integer
+``2 <= d < 2^64`` that is not a perfect square (:func:`is_nonsquare`); d
+need not be square-free.  All arithmetic and all comparisons are exact; in
+particular the sign of ``a + b*sqrt(d)`` is decided algebraically, never
+through floats.
 
 ``QuadExt`` values always have ``b != 0``: the :func:`quad` constructor
 demotes to ``Fraction`` when the irrational part cancels, so
@@ -17,8 +19,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
 from typing import Union
 
 from .errors import SpecError
@@ -29,80 +29,11 @@ Scalar = Union[int, Fraction, "QuadExt"]
 _RAT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-@lru_cache(maxsize=64)
-def is_square_free(d: int) -> bool:
-    """Whether 2 <= d < 2^64 and no square > 1 divides d.  Trial division
-    by k < 2^10 leaves a cofactor whose primes are all at least k."""
-    if not 2 <= d < 2 ** 64:
-        return False
-    m, k = d, 2
-    while k < 1 << 10 and k * k * k <= m:
-        if m % k == 0:
-            m //= k
-            if m % k == 0:
-                return False
-        k += 1 + (k & 1)  # 2, then the odd numbers
-    return _cofactor_square_free(m, k)
-
-
-def _cofactor_square_free(m: int, k: int) -> bool:
-    """Whether m < 2^64, whose primes are all at least k, is square-free.
-    Below k^3, or prime, m has at most two primes, so a square factor only
-    if it is a square.  Otherwise Pollard's rho splits it as f * g, which is
-    square-free exactly when f and g are and share no prime."""
-    if math.isqrt(m) ** 2 == m:
-        return m == 1
-    if m < k * k * k or _is_prime(m):
-        return True
-    f = _rho_factor(m)
-    return (math.gcd(f, m // f) == 1 and _cofactor_square_free(f, k)
-            and _cofactor_square_free(m // f, k))
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 to the prime bases up to 37, which
-    decides primality exactly for n < 3 * 10^24, so for every n < 2^64."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s t with t odd
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, (n - 1) >> s, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> int:
-    """A factor 1 < f < n of an odd composite n that is not a square:
-    Pollard's rho in Brent's variant, iterating y -> y^2 + c mod n for
-    c = 1, 2, ... and taking one gcd per 128 steps, stepping back one at a
-    time when a batch overshoots to n."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            for k in range(0, r, 128):
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                if g != 1:
-                    break
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
+def is_nonsquare(d: int) -> bool:
+    """Whether 2 <= d < 2^64 and d is not a perfect square: all Q(sqrt d)
+    needs is that sqrt(d) is irrational, so 1 and sqrt(d) are independent
+    over Q and a + b sqrt(d) is zero only when a = b = 0."""
+    return 2 <= d < 2 ** 64 and math.isqrt(d) ** 2 != d
 
 
 @dataclass(frozen=True)
@@ -116,8 +47,8 @@ class QuadExt:
     def __post_init__(self):
         if self.b == 0:
             raise ValueError("rational values must be plain Fractions; use quad()")
-        if not is_square_free(self.d):
-            raise ValueError(f"d={self.d} is not a square-free integer in [2, 2^64)")
+        if not is_nonsquare(self.d):
+            raise ValueError(f"d={self.d} is not a non-square integer in [2, 2^64)")
 
     # -- coercion -----------------------------------------------------------
 
@@ -239,7 +170,7 @@ def quad(a, b, d: int) -> Scalar:
 
 
 def quadratic_sign(a: Rat, b: Rat, d: int) -> int:
-    """Exact sign of ``a + b*sqrt(d)`` for rational a, b and square-free d >= 2."""
+    """Exact sign of ``a + b*sqrt(d)`` for rational a, b and a non-square d >= 2."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa == sb or not sb:
         return sa

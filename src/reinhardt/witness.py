@@ -36,10 +36,10 @@ from typing import Optional, Sequence
 from . import linalg
 from .domain import RadialPoint, held, integer_exponents
 from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
-from .loglin import EXACT_PRODUCT_BITS, product_bits
+from .loglin import EXACT_PRODUCT_BITS, LogLin, product_bits
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
-from .precision import (interval_str, ladder_sign, max_precision_bits, pi_power_bounds,
-                        rational_bounds, scalar_interval, working_precision)
+from .precision import (exp_bounds, interval_str, ladder_sign, max_precision_bits,
+                        pi_power_bounds, rational_bounds)
 from .scalars import Scalar, exact_ceil, exact_floor, format_scalar, scalar_cmp, sign_of
 
 
@@ -65,15 +65,17 @@ class N0Result:
     det_abs: Scalar
     n: int
 
-    def interval(self, ctx):
-        """An enclosure of N0 in the interval context ``ctx``, for printing."""
-        pure = scalar_interval(self.shift_max, ctx)
-        root = ctx.exp(ctx.log(scalar_interval(self.det_abs, ctx)) / self.n)
-        trans = scalar_interval(self.log_branch_max, ctx) + 2 * ctx.pi / root
-        return ctx.mpf([max(pure.a, trans.a), max(pure.b, trans.b)])
+    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= N0 <= hi, for printing: the two branches
+        max(shift_max, L + 2 pi exp(-log|det| / n)) enclosed at ``bits`` bits."""
+        (s_lo, s_hi), (l_lo, l_hi) = (rational_bounds(self.shift_max, bits),
+                                      rational_bounds(self.log_branch_max, bits))
+        (p_lo, p_hi), (r_lo, r_hi) = pi_power_bounds(1, bits), exp_bounds(
+            *LogLin.log_of(self.det_abs, Fraction(-1, self.n)).bounds(bits), bits)
+        return max(s_lo, l_lo + 2 * p_lo * r_lo), max(s_hi, l_hi + 2 * p_hi * r_hi)
 
     def interval_str(self, dps: int = 12) -> tuple[str, str]:
-        return interval_str(self.interval(working_precision(64)), dps)
+        return interval_str(*self.bounds(), dps)
 
     def ceil(self) -> int:
         """Smallest integer >= N0, as ceil(max(a, b)) = max(ceil a, ceil b);
@@ -101,8 +103,8 @@ class N0Result:
         return max(exact_ceil(self.shift_max), lo)
 
     def __float__(self):
-        v = self.interval(working_precision(64))
-        return float((v.a + v.b) / 2)
+        lo, hi = self.bounds()
+        return float((lo + hi) / 2)
 
 
 def compute_n0(frame: SimplicialFrame, k: int) -> tuple[N0Result, int]:

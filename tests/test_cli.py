@@ -144,7 +144,7 @@ def test_an_all_zero_exponent_names_its_constraint(tmp_path, capsys):
 
 
 def test_a_large_quadratic_d_is_tested_once_and_refused_from_2_64(tmp_path, capsys):
-    """Q(sqrt d) values do not test d again: a spec over d = 10^12 + 39
+    """The d check is one integer square root: a spec over d = 10^12 + 39
     parses, classifies and scans a box-2 spectrum at once."""
     doc = {"n": 2, "quadratic_d": 10 ** 12 + 39, "constraints": [
         {"alpha": ["1", "0"], "c": "1"}, {"alpha": ["0", "1"], "c": "1"},

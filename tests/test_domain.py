@@ -92,7 +92,7 @@ def test_parse_whole_space_allowed(doc):
     '{"n":1,"constraints":[{"alpha":["1"],"c":"1","x":1}]}',    # unknown field
     '{"n":1,"weird":true,"constraints":[]}',
     '{"n":1,"constraints":[{"alpha":["1.5"],"c":"1"}]}',        # bad literal
-    '{"n":1,"quadratic_d":4,"constraints":[]}',                 # not square-free
+    '{"n":1,"quadratic_d":4,"constraints":[]}',                 # a perfect square
     '{"n":1,"quadratic_d":18446744073709551629,"constraints":[]}',  # 2^64 + 13: too large
     '{"n":1,"constraints":[{"alpha":[{"a":"1","b":"1"}],"c":"1"}]}',  # quad without d
     '{"n":1,"constraints":[{"alpha":["1"],"c":"1/0"}]}',        # zero denominator

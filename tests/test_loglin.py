@@ -6,12 +6,11 @@ from unittest import mock
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from mpmath import libmp
 
 from reinhardt import loglin
 from reinhardt.errors import BoundaryIndeterminate
 from reinhardt.loglin import LogLin, _coprime_base
-from reinhardt.precision import log_bounds, working_precision
+from reinhardt.precision import log_bounds
 from reinhardt.scalars import QuadExt, quad, sign_of
 
 
@@ -128,6 +127,58 @@ def test_zero_constant_rational_coefficients_over_quadratic_thresholds(monkeypat
     assert w.sign() == 1 and (-w).sign() == -1
     mixed = LogLin.log_of(square, Fraction(1, 2)) - LogLin.log_of(unit) + LogLin.log_of(Fraction(1, 3))
     assert mixed.sign() == -1
+
+
+def _baker_form():
+    """(sqrt2 - 2) log(1 + sqrt2) + log(3 + 2 sqrt2) - sqrt2 log(2 + 2 sqrt2)
+    + sqrt2 log 2: its rational half is log((3 + 2 sqrt2) / (1 + sqrt2)^2)
+    and its sqrt2 half log(2 (1 + sqrt2) / (2 + 2 sqrt2)), both log 1."""
+    s2 = quad(0, 1, 2)
+    return (LogLin.log_of(quad(1, 1, 2), s2 - 2) + LogLin.log_of(quad(3, 2, 2))
+            - LogLin.log_of(quad(2, 2, 2), s2) + LogLin.log_of(2, s2))
+
+
+def test_an_exactly_zero_form_over_quadratic_coefficients_and_bases(monkeypatch):
+    """R + sqrt2 S is zero exactly when R = S = 0 (Baker 1966): decided by two
+    field products, at any cap, where the ladder used to end in exit 3."""
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    form = _baker_form()
+    assert len({c for _, c in form.terms}) == 4 and form.sign() == 0
+    for s in (1, -1):
+        assert (form + LogLin.log_of(3, quad(0, s, 2))).sign() == s
+        assert (form - LogLin.log_of(3, quad(0, s, 2))).sign() == -s
+
+
+ATOMS = (quad(1, 1, 2), Fraction(2), Fraction(3))  # 1 + sqrt2 and two primes
+
+
+@st.composite
+def zero_forms(draw):
+    """sum(m log X) - log(prod X^m) twice over products X of powers of the
+    atoms, once times 1 and once times sqrt2: a form over Q(sqrt2) that is
+    exactly zero, with coefficients that are not multiples of one element."""
+    form = LogLin.zero()
+    for scale in (1, quad(0, 1, 2)):
+        total = Fraction(1)
+        for _ in range(draw(st.integers(1, 3))):
+            base = math.prod((a ** draw(st.integers(-2, 2)) for a in ATOMS), start=Fraction(1))
+            assume(base != 1)
+            m = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+            form += LogLin.log_of(base, m * scale)
+            total *= base ** m
+        assume(total != 1)
+        form -= LogLin.log_of(total, scale)
+    assume(form.terms)
+    return form
+
+
+@given(zero_forms(), st.sampled_from((Fraction(1, 7), quad(0, 1, 2), quad(-1, 1, 2))),
+       st.sampled_from((1, -1)))
+@settings(max_examples=60, deadline=2000)
+def test_zero_forms_over_units_and_integers_are_zero_and_their_perturbations_are_not(
+        form, eps, s):
+    assert form.sign() == 0
+    assert (form + LogLin.log_of(5, s * eps)).sign() == s
 
 
 def test_large_quadratic_products_fall_back_from_the_ladder():
@@ -364,14 +415,14 @@ def ladder_forms(draw):
 @given(ladder_forms())
 @settings(max_examples=150, deadline=None)
 def test_logbase_rational_enclosures_contain_the_form(form):
-    """Every rung of LogBase's ladder, 64 to 1024 bits, encloses the midpoint
-    of a 4096-bit interval of the form between its rational ends."""
+    """Every rung of LogBase's ladder, 64 to 1024 bits, and LogLin.bounds at
+    the same bits enclose mpmath's 4000-bit value of the form."""
     builds = []
     with mock.patch.object(loglin, "ladder_sign", lambda build, what: builds.append(build) or 1):
         form.sign()
     assume(builds)  # every exponent over the coprime base cancelled: no ladder
-    lo, hi = form.interval(working_precision(4096))._mpi_
-    mid = (Fraction(*libmp.to_rational(lo)) + Fraction(*libmp.to_rational(hi))) / 2
+    value = _at_4000_bits(form.const) + ENCLOSURE.fsum(
+        _at_4000_bits(c) * ENCLOSURE.log(_at_4000_bits(b)) for b, c in form.terms)
     for bits in (64, 128, 256, 512, 1024):
-        low, high = builds[0](bits)
-        assert low <= mid <= high
+        for low, high in (builds[0](bits), form.bounds(bits)):
+            assert _at_4000_bits(low) <= value <= _at_4000_bits(high)

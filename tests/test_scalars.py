@@ -1,16 +1,16 @@
+import itertools
+import json
 import math
-import random
-import time
 from fractions import Fraction
 
 import pytest
-import sympy
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from reinhardt.errors import SpecError
-from reinhardt.scalars import (QuadExt, exact_ceil, exact_floor, format_scalar,
-                               is_square_free, parse_scalar_literal, quad, scalar_cmp,
-                               scalar_to_json, sign_of)
+from reinhardt import classify_all, parse_spec, spaces
+from reinhardt.errors import EmptyDomainError, SpecError
+from reinhardt.scalars import (QuadExt, exact_ceil, exact_floor, format_scalar, is_nonsquare,
+                               parse_scalar_literal, quad, scalar_cmp, scalar_to_json, sign_of)
+from reinhardt.spectrum import monomial_in_space
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -25,57 +25,74 @@ def test_quad_demotes_to_fraction():
     assert w == Fraction(25 - 9 * 2)
 
 
-def test_square_free_validation():
-    assert is_square_free(2) and is_square_free(15)
-    assert not is_square_free(4) and not is_square_free(12) and not is_square_free(1)
-    with pytest.raises(ValueError):
-        QuadExt(Fraction(1), Fraction(1), 4)
+def test_quadratic_d_validation():
+    """Q(sqrt d) needs only that sqrt(d) is irrational: d in [2, 2^64) and not
+    a perfect square, square-free or not."""
+    for d in (0, 1, 4, 9, 2 ** 64 + 13, (2 ** 32 - 5) ** 2):
+        assert not is_nonsquare(d)
+        with pytest.raises(ValueError, match=r"non-square integer in \[2, 2\^64\)"):
+            QuadExt(Fraction(1), Fraction(1), d)
+        with pytest.raises(SpecError, match=r"non-square integer in \[2, 2\^64\)"):
+            parse_spec(f'{{"n": 1, "quadratic_d": {d}, "constraints": []}}')
+    for d in (2, 8, 12, 15, 2 ** 64 - 59, 2 ** 64 - 1):
+        assert is_nonsquare(d)
+        assert QuadExt(Fraction(1), Fraction(1), d).sign() == 1
+        assert parse_spec(f'{{"n": 1, "quadratic_d": {d}, "constraints": []}}').quadratic_d == d
+    # sqrt 8 = 2 sqrt 2: the field is Q(sqrt 2), and its arithmetic is exact
+    assert quad(0, 1, 8) * quad(0, 1, 8) == 8 and quad(3, -1, 8).sign() == 1
 
 
-def _square_free_by_brute_force(d: int) -> bool:
-    return d >= 2 and all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+def test_nonsquare_agrees_with_brute_force():
+    squares = {k * k for k in range(400)}
+    assert all(is_nonsquare(d) == (d >= 2 and d not in squares) for d in range(400 ** 2))
+    for k in (2 ** 32 - 1, 2 ** 31 + 11):
+        assert not is_nonsquare(k * k) and is_nonsquare(k * k + 1) and is_nonsquare(k * k - 1)
 
 
-def test_square_free_agrees_with_brute_force():
-    assert all(is_square_free(d) == _square_free_by_brute_force(d) for d in range(10 ** 5))
-    # cofactors past the cube root: p q and p^2 q for primes p, q near 2^20
-    p, q = 1048573, 1048583
-    assert is_square_free(p * q) and is_square_free(p) and is_square_free(p * q * 3)
-    assert not is_square_free(p * p) and not is_square_free(p * p * q)
-    assert not is_square_free(q * q * 2) and not is_square_free(p * q * q)
-    # d is refused from 2^64 on, square-free or not
-    assert is_square_free(2 ** 64 - 59) and not is_square_free(2 ** 64 + 13)
+SMALL = st.integers(-3, 3)
 
 
-def _square_free_by_factorint(d: int) -> bool:
-    return d >= 2 and all(e == 1 for e in sympy.factorint(d).values())
+@st.composite
+def scaled_specs(draw):
+    """One spec twice: over Q(sqrt(k^2 d)) with literals {a, b}, and over
+    Q(sqrt d) with {a, k b}; both read a + b k sqrt(d)."""
+    d, k, n = draw(st.sampled_from((2, 3, 5))), draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = [(draw(SMALL), draw(SMALL)) for _ in range(n)]
+        c = (draw(st.integers(1, 9)), draw(st.integers(0, 1)))  # c > 0
+        rows.append((alpha, c))
+    assume(all(any(a or b for a, b in alpha) for alpha, _ in rows))
+
+    def doc(field, scale):
+        lit = lambda a, b: {"a": str(a), "b": str(b * scale)}
+        return json.dumps({"n": n, "quadratic_d": field, "constraints": [
+            {"alpha": [lit(*x) for x in alpha], "c": lit(*c)} for alpha, c in rows]})
+    return doc(k * k * d, 1), doc(d, k)
 
 
-def test_square_free_agrees_with_factorint_below_2_64():
-    """Cofactors past trial division: primes, p q and p^2 near 2^32, p^3,
-    products of six primes, and seeded d across [2, 2^64)."""
-    rng = random.Random(20261020)
-    p, q = sympy.prevprime(2 ** 32), sympy.nextprime(2 ** 32 - 1000)
-    r = sympy.prevprime(2 ** 21)
-    cases = [2 ** 64 - 59, 2 ** 64 - 1, p * q, p * p, 3 * sympy.prevprime(2 ** 31) ** 2,
-             r ** 3, r * r * 1031, 1031 * 1033 * 1039 * 1049 * 1051 * 1061,
-             (1031 * 1033) ** 2 * 1039 * 1049]
-    for _ in range(8):
-        a, b = (sympy.prevprime(rng.randrange(2 ** 31, 2 ** 32)) for _ in range(2))
-        cases += [a * b, a * a]
-    cases += [rng.randrange(2, 2 ** 64) for _ in range(150)]
-    cases += [rng.randrange(2, 2 ** 20) * rng.randrange(2 ** 20, 2 ** 22) ** 2 for _ in range(50)]
-    for d in cases:
-        assert d < 2 ** 64
-        assert is_square_free(d) == _square_free_by_factorint(d), d
-
-
-def test_square_free_of_a_prime_near_2_64_is_fast():
-    # trial division to the cube root took about 0.3 s here
-    is_square_free.cache_clear()
-    t0 = time.perf_counter()
-    assert is_square_free(2 ** 64 - 59)
-    assert time.perf_counter() - t0 < 0.1
+@given(scaled_specs())
+@settings(max_examples=40, deadline=5000)
+def test_a_field_written_with_k_squared_d_answers_as_with_d(docs):
+    parsed = []
+    for doc in docs:
+        try:
+            parsed.append(parse_spec(doc))
+        except EmptyDomainError:
+            parsed.append(None)
+    wide, narrow = parsed
+    if wide is None or narrow is None:
+        assert wide is narrow is None
+        return
+    reports = [classify_all(spec) for spec in (wide, narrow)]
+    assert reports[0].flags == reports[1].flags
+    assert ({k: (v.value, v.criterion) for k, v in reports[0].verdicts.items()}
+            == {k: (v.value, v.criterion) for k, v in reports[1].verdicts.items()})
+    for space in (spaces.l2(), spaces.hinf(), spaces.hinf_k(1)):
+        for nu in itertools.product(range(-1, 2), repeat=wide.n):
+            members = [monomial_in_space(spec, nu, space) for spec in (wide, narrow)]
+            assert members[0].verdict == members[1].verdict
+            assert members[0].criterion == members[1].criterion
 
 
 def test_exact_sign_cases():

@@ -1,9 +1,9 @@
 """Interval evaluation and derived geometry from parallel threads of one process.
 
-The ladder hands its rungs bits and every precision that builds an interval
-has its own fixed context, so a thread that climbs the ladder to 512 bits
-cannot have its precision changed under it by a thread that prints a 64-bit
-display at the same time.  A log-polyhedron
+The ladder hands its rungs bits and every call that uses ``decimal`` builds
+its own context, so a thread that climbs the ladder to 512 bits cannot have
+its precision changed under it by a thread that prints a 64-bit display at
+the same time.  A log-polyhedron
 computes its derived geometry on first read, and a parsed domain holds its
 frames, their N0, its cone's scan rows and its cleared LP rows from first
 use, so threads that make those first reads together must each see the

@@ -9,14 +9,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp
+from mpmath.ctx_iv import MPIntervalContext
 
 from reinhardt import (NormResult, ReinhardtError, SimplicialFrame, SpecError, build_witness,
                        compute_n0, derive_tail_bound, eval_witness_derivative, load_spec,
                        radial, verify_witness_membership, witness)
 from reinhardt.domain import exponents
 from reinhardt.errors import BoundaryIndeterminate
-from reinhardt.precision import ladder_sign, pi_power_bounds, scalar_interval, working_precision
-from reinhardt.scalars import exact_ceil, quad, sign_of
+from reinhardt.precision import ladder_sign, pi_power_bounds
+from reinhardt.scalars import QuadExt, exact_ceil, quad, sign_of
 from reinhardt.witness import (N0Result, TailBound, WitnessSpec, derivative_orders,
                                falling_product, tail_bounds)
 
@@ -132,13 +133,27 @@ def test_n0_ceil_of_a_quadratic_near_tie(cap, offset, expected, monkeypatch):
     assert N0Result(shift_max=0, log_branch_max=low, det_abs=1, n=1).ceil() == expected
 
 
+def _iv(bits: int) -> MPIntervalContext:
+    """An mpmath interval context at ``bits`` bits: the oracle of these tests."""
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    return ctx
+
+
+def _iv_scalar(x, ctx):
+    if isinstance(x, QuadExt):
+        return _iv_scalar(x.a, ctx) + _iv_scalar(x.b, ctx) * ctx.sqrt(x.d)
+    x = Fraction(x)
+    return ctx.mpf(x.numerator) / x.denominator
+
+
 def _parent_ceil(n0: N0Result) -> int:
     """The reference ceiling: bisection between the ceilings of the 64-bit
     mpmath enclosure of the pi branch, on a ladder of interval contexts."""
     def sign(build):
         bits = 64
         while True:
-            val = build(working_precision(bits))
+            val = build(_iv(bits))
             if val.a > 0 or val.b < 0:
                 return 1 if val.a > 0 else -1
             if bits >= 1024:
@@ -146,10 +161,10 @@ def _parent_ceil(n0: N0Result) -> int:
             bits *= 2
 
     def trans(ctx):
-        root = ctx.exp(ctx.log(scalar_interval(n0.det_abs, ctx)) / n0.n)
-        return scalar_interval(n0.log_branch_max, ctx) + 2 * ctx.pi / root
+        root = ctx.exp(ctx.log(_iv_scalar(n0.det_abs, ctx)) / n0.n)
+        return _iv_scalar(n0.log_branch_max, ctx) + 2 * ctx.pi / root
 
-    lo, hi = (libmp.to_int(end, libmp.round_ceiling) for end in trans(working_precision(64))._mpi_)
+    lo, hi = (libmp.to_int(end, libmp.round_ceiling) for end in trans(_iv(64))._mpi_)
     while lo < hi:
         m = (lo + hi) // 2
         try:
@@ -464,7 +479,8 @@ def test_norm_vs_one_near_a_tie_goes_to_the_ladder(rounding, expected, monkeypat
     lo, hi = pi_power_bounds(2, 64)
     assert c * lo < 1 < c * hi
     rungs = ladder_rungs(monkeypatch)
-    gap = norm.enclosure(working_precision(512)) - 1  # the mpmath oracle
+    ctx = _iv(512)
+    gap = ctx.mpf(c.numerator) / c.denominator * ctx.pi ** 2 - 1  # the mpmath oracle
     oracle = 1 if gap.a > 0 else -1 if gap.b < 0 else 0
     assert witness._pi_sign(c, 2) == oracle == expected
     assert rungs[0] == 64 and max(rungs) > 64
