@@ -29,8 +29,8 @@ by the n unit rows and then by the normals; every run starts from lines
 only.  Past a cap of intermediate rays (``_MAX_RAYS`` unless the caller
 gives one) either cone raises :class:`RayCapError`.  The functions here
 keep no memo: ``LogPolyhedron`` computes each derived object on first use
-and holds it for its own lifetime, its LP rows cleared once among them, and
-the cone holds its scan order and each generator it has checked.
+and holds it for its own lifetime, the rows of its LPs and of the ray LP
+cleared once among them, and the cone its scan order and checked generators.
 
 Emptiness (:func:`is_empty`) is decided first by Gordan's alternative on
 the recession cone: if d, the sum of the rays of C, has <alpha_i, d> < 0 on
@@ -63,7 +63,7 @@ from .errors import BoundaryIndeterminate, RayCapError, ReinhardtError
 from .hnf import integer_kernel_basis
 from .loglin import LogBase, LogLin
 from .scalars import Scalar, is_rational, sign_of
-from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, LPSystem, float_basis, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, float_basis, solve_lp
 
 if TYPE_CHECKING:
     from .domain import DomainSpec, LogPolyhedron
@@ -130,12 +130,12 @@ def _const_point(cert: LPCertificate) -> list[Scalar]:
 
 def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
                                   ) -> Optional[list[Scalar]]:
-    """Recession direction with <w, d> > 0 found by an LP; ``sup_norm_monomial``
-    reports this LP vertex as its ray."""
-    held, b = poly.lp_system, [LogLin.zero()] * len(poly.normals) + [LogLin.of(1)]
+    """Recession direction with <w, d> > 0, the vertex of max <w, d> s.t. A d <= 0
+    (``poly.cone_system``) and <w, d> <= 1, which ``sup_norm_monomial`` reports."""
+    cone, b = poly.cone_system, [LogLin.zero()] * len(poly.normals) + [LogLin.of(1)]
     system = None  # w outside the normals' field: solve_lp clears every row anew
-    if linalg.field_of([w]) in (None, held.d):
-        system = LPSystem((*held.a_rows, linalg.over_denominator(w, held.d)), b, poly.n, held.d)
+    if linalg.field_of([w]) in (None, cone.d):
+        system = cone.appended(linalg.over_denominator(w, cone.d), 1)
     cert = solve_lp([*poly.normals, w], b, list(w), system)
     require_optimal(cert, "recession_improving_direction")
     if cert.objective.sign() > 0:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -48,6 +48,17 @@ def integer_exponents(nu: Sequence[Scalar], n: Optional[int] = None) -> tuple[in
         raise ValueError("not an integer exponent vector: "
                          f"({', '.join(format_scalar(c) for c in nu)})")
     return tuple(int(c) for c in nu)
+
+
+def lp_weight(nu: Sequence[int], p: Fraction | int) -> list[int]:
+    """den(p) (p nu + 2*1) for integer exponents and a rational p: a positive
+    multiple of the weight whose signs on C decide whether |z^nu|^p is integrable."""
+    return [p.numerator * e + 2 * p.denominator for e in nu]
+
+
+def derivative_orders(n: int, max_total: int) -> list[tuple[int, ...]]:
+    """All sigma in Z_+^n with |sigma| <= max_total, in lexicographic order."""
+    return [s for s in product(range(max_total + 1), repeat=n) if sum(s) <= max_total]
 
 
 @dataclass(frozen=True)
@@ -156,6 +167,11 @@ class LogPolyhedron:
     def lp_system(self) -> LPSystem:
         """The rows <alpha_i, x> <= log c_i of the value LPs, cleared once."""
         return LPSystem.of(self.normals, [LogLin.log_of(c) for c in self.offsets], [0] * self.n)
+
+    @cached_property
+    def cone_system(self) -> LPSystem:
+        """The rows <alpha_i, d> <= 0 of the ray LPs, cleared once."""
+        return LPSystem.of(self.normals, [0] * len(self.normals), [0] * self.n)
 
     @cached_property
     def approach_supports(self) -> tuple[frozenset[int], ...]:

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .cones import recession_meets_halfspace
-from .domain import DomainSpec, contains, integer_exponents, radial
+from .domain import DomainSpec, contains, integer_exponents, lp_weight, radial
 from .errors import MonteCarloError
 from .norms import NormResult
 from .spectrum import monomial_defined
@@ -87,7 +87,7 @@ def _check_run(samples: int, seed: int) -> None:
 def _divergent_ray(spec: DomainSpec, nu: Sequence[int], p: Fraction):
     """A recession direction along which the integral of |z^nu|^p over the
     domain diverges, as a tuple, or None when it is finite."""
-    ray = recession_meets_halfspace(spec.log_polyhedron, [p * c + 2 for c in nu])
+    ray = recession_meets_halfspace(spec.log_polyhedron, lp_weight(nu, p))
     return None if ray is None else tuple(ray)
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .cones import (lp_optimize, recession_improving_direction, recession_meets_halfspace,
                     require_optimal, unbounded_direction)
-from .domain import DomainSpec, LogPolyhedron, held, integer_exponents
+from .domain import DomainSpec, LogPolyhedron, held, integer_exponents, lp_weight
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
 from .precision import exp_bounds, interval_str, pi_power_bounds, rational_bounds
@@ -214,8 +214,8 @@ def lp_norm_finite(spec: DomainSpec, nu: Sequence[int], p) -> bool:
     p = Fraction(p)
     if p < 1:
         raise ValueError("p must be a rational >= 1")
-    w = [p * c + 2 for c in integer_exponents(nu, spec.n)]
-    return recession_meets_halfspace(spec.log_polyhedron, w) is None
+    return recession_meets_halfspace(spec.log_polyhedron,
+                                     lp_weight(integer_exponents(nu, spec.n), p)) is None
 
 
 def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> NormResult:
@@ -225,8 +225,7 @@ def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> No
         raise ValueError("p must be a rational >= 1")
     n, d = frame.n, frame.quadratic_d
     # t over den: the coordinates of p nu + 2*1, an integer row over p's denominator
-    t, den = frame.coordinates([p.numerator * c + 2 * p.denominator
-                                for c in integer_exponents(nu, n)])
+    t, den = frame.coordinates(lp_weight(integer_exponents(nu, n), p))
     den *= p.denominator
     for j in range(n):
         if linalg.entry_sign(t, j, d) <= 0:

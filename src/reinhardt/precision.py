@@ -56,12 +56,16 @@ def max_precision_bits() -> int:
 
 
 def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= x <= hi: x itself for a rational x, and a + b sqrt(d)
+    """Rationals lo <= x <= hi: x itself for a rational x, and a + b sqrt(d),
+    or (a^2 - b^2 d) / (a - b sqrt(d)) when a b < 0, which does not cancel,
     with sqrt(d) between consecutive multiples of 2^-bits otherwise."""
     if not isinstance(x, QuadExt):
         return x, x
     r = math.isqrt(x.d << 2 * bits)  # r <= 2^bits sqrt(d) < r + 1
-    return tuple(sorted(x.a + x.b * Fraction(s, 1 << bits) for s in (r, r + 1)))
+    a, b, roots = x.a, x.b, (Fraction(s, 1 << bits) for s in (r, r + 1))
+    if a * b >= 0:
+        return tuple(sorted(a + b * t for t in roots))
+    return tuple(sorted((a * a - b * b * x.d) / (a - b * t) for t in roots))
 
 
 def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:

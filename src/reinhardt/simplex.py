@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import ReinhardtError
 from .loglin import LogBase, LogLin, as_loglin
-from .scalars import Scalar
+from .scalars import Scalar, sign_of
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
 _EPS = 1e-9  # float_basis: an entry, reduced cost or dual below this counts as zero
@@ -239,6 +239,16 @@ class LPSystem:
         self.b_rows = tuple(b_rows)
         self.flips = tuple(self.logbase.sign(*row, lambda b=b: repr(b)) < 0
                            for row, b in zip(b_rows, b_vals))
+
+    def appended(self, a_row: tuple[list[int], int], b: Scalar) -> LPSystem:
+        """These rows, sharing their :class:`LogBase`, and <a, x> <= b for the
+        cleared ``a_row`` and a constant b: only that row is new."""
+        out = object.__new__(LPSystem)
+        out.__dict__.update(self.__dict__)
+        rhs = linalg.over_denominator([b] + [0] * len(self.logbase.bases), self.d)
+        out.a_rows, out.b_vals = (*self.a_rows, a_row), (*self.b_vals, LogLin.of(b))
+        out.b_rows, out.flips = (*self.b_rows, rhs), (*self.flips, sign_of(b) < 0)
+        return out
 
     @staticmethod
     def of(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar]

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import spaces as sp
 from .cones import recession_meets_halfspace, unbounded_direction
-from .domain import DomainSpec, LogPolyhedron, integer_exponents
+from .domain import DomainSpec, LogPolyhedron, derivative_orders, integer_exponents, lp_weight
 from .linalg import dot
 from .scalars import sign_of
 from .spaces import FunctionSpace
@@ -49,14 +49,10 @@ def monomial_defined(spec: DomainSpec, nu: Sequence[int]) -> bool:
     return all(e >= 0 or ell in spec.nonvanishing for ell, e in enumerate(nu))
 
 
-def _nonvanishing_orders(nu: Sequence[int], k: int):
+def _nonvanishing_orders(nu: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """sigma with |sigma| <= k whose derivative of z^nu is not identically 0."""
-    for sigma in product(range(k + 1), repeat=len(nu)):
-        if sum(sigma) > k:
-            continue
-        if any(0 <= e < s for e, s in zip(nu, sigma)):
-            continue  # falling factorial hits zero
-        yield sigma
+    return [sigma for sigma in derivative_orders(len(nu), k)
+            if not any(0 <= e < s for e, s in zip(nu, sigma))]
 
 
 def _sup_ray(poly: LogPolyhedron, m: tuple, asked: dict):
@@ -104,8 +100,7 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
             return SpaceMembership(YES, "sup-lp-bounded", {})
         return SpaceMembership(NO, "sup-unbounded", {"ray": [str(x) for x in ray]})
     if kind in (sp.L2, sp.LP):
-        p = Fraction(2) if kind == sp.L2 else space.p
-        bad = recession_meets_halfspace(poly, [p * e + 2 for e in nu])
+        bad = recession_meets_halfspace(poly, lp_weight(nu, 2 if kind == sp.L2 else space.p))
         if bad is None:
             return SpaceMembership(YES, "integrable-recession", {})
         return SpaceMembership(NO, "recession-obstruction",
@@ -131,9 +126,8 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
     # sp.LDIAMOND_AK: every other kind has returned above
     for sigma in _nonvanishing_orders(nu, space.k):
         m = tuple(e - s for e, s in zip(nu, sigma))
-        for p in (Fraction(1), Fraction(2)):
-            w = [p * e + 2 for e in m]
-            bad = recession_meets_halfspace(poly, w)
+        for p in (1, 2):
+            bad = recession_meets_halfspace(poly, lp_weight(m, p))
             if bad is not None:
                 return SpaceMembership(NO, "recession-obstruction",
                                        {"sigma": list(sigma), "p": str(p),

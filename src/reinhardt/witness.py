@@ -21,7 +21,7 @@ The certificate's term norms c pi^n and the ceiling of N0's pi branch come
 down to one sign, that of c pi^n - 1 for an exact c > 0 (:func:`_pi_sign`),
 which the ladder decides on rational bounds of pi^n held per precision.  The
 tail bounds (P + Q mu)^R of the derivative orders 0..k share one exact spot
-check, and a witness holds them once it has checked them.
+check, and the frame holds them per j0, k and N once it has checked them.
 """
 
 from __future__ import annotations
@@ -30,22 +30,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import linalg
-from .domain import RadialPoint, held, integer_exponents
+from .domain import RadialPoint, derivative_orders, held, integer_exponents
 from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
 from .loglin import EXACT_PRODUCT_BITS, LogLin, product_bits
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
 from .precision import (exp_bounds, interval_str, ladder_sign, max_precision_bits,
                         pi_power_bounds, rational_bounds)
 from .scalars import Scalar, exact_ceil, exact_floor, format_scalar, scalar_cmp, sign_of
-
-
-def derivative_orders(n: int, max_total: int):
-    """All sigma in Z_+^n with |sigma| <= max_total."""
-    return [s for s in product(range(max_total + 1), repeat=n) if sum(s) <= max_total]
 
 
 def falling_product(m: int, s: int) -> int:
@@ -173,15 +168,16 @@ class WitnessFunction:
     def alpha_j0(self) -> tuple[int, ...]:
         return integer_exponents(self.frame.normals[self.j0])
 
-    @cached_property
+    @property
     def tails(self) -> tuple[TailBound, ...]:
         """The spot-verified tail bounds of the orders 0..k (:func:`tail_bounds`)."""
-        return tail_bounds(self, self.k)
+        return self.tails_to(self.k)
 
     def tails_to(self, k: int) -> tuple[TailBound, ...]:
-        """The spot-verified tail bounds of the orders 0..k: ``tails`` up to
-        the witness's own k, checked anew above it."""
-        return self.tails if k <= self.k else tail_bounds(self, k)
+        """The spot-verified tail bounds of the orders 0..max(k, self.k), held by
+        the frame per j0, order and N: all of the witness that they read."""
+        k = max(k, self.k)
+        return held(self.frame, "tails", (self.j0, k, self.N), lambda: tail_bounds(self, k))
 
     @cached_property
     def d_float(self) -> float:
@@ -268,7 +264,8 @@ def tail_bounds(w: WitnessFunction, k: int) -> tuple[TailBound, ...]:
     The bound of order j is checked exactly against sigma! C(m, sigma) for
     every |sigma| <= j at mu = 0, 25, ..., 1000; each coefficient is built
     once, from each coordinate's falling products for s = 0..k, and checked
-    against every order j >= |sigma|.
+    against every order j >= |sigma|.  It reads only the frame, j0, k and N,
+    never the exterior point: ``tails_to`` runs it once per frame, j0, k and N.
     """
     bounds = tuple(_tail_bound(w, order) for order in range(k + 1))
     sigmas = [(sigma, sum(sigma)) for sigma in derivative_orders(w.frame.n, k)]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from conftest import NEAR_TIE, random_spec, sample_interior_points
@@ -9,13 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from reinhardt import (DomainSpec, LogPolyhedron, MonomialConstraint,
                        RecessionCone, approach, approach_certificate, classify_hinf_k, cones,
                        has_finite_volume, interior_point, is_bounded, linalg, lp_optimize,
-                       recession_contains, sup_norm_monomial)
+                       load_spec, recession_contains, sup_norm_monomial)
 from reinhardt.cones import integer_lattice_of
 from reinhardt.errors import BoundaryIndeterminate, RayCapError, ReinhardtError
 from reinhardt.linalg import dot, rank
 from reinhardt.loglin import LogLin
 from reinhardt.scalars import quad, sign_of
-from reinhardt.simplex import UNBOUNDED, LPCertificate, solve_lp
+from reinhardt.simplex import OPTIMAL, UNBOUNDED, LPCertificate, LPSystem, solve_lp
 
 
 def test_lineality_examples(hartogs, multiplicative_strip, disc_times_plane):
@@ -557,3 +558,35 @@ def test_a_wrong_float_guess_reaches_the_exact_lp(monkeypatch, offsets):
     assert cones.certify_emptiness(poly) is None
     assert cones.is_empty(poly) is empty
     assert solved == [poly]
+
+
+def _ray_on_rows_cleared_anew(poly: LogPolyhedron, w) -> list:
+    """Oracle: the ray LP of ``recession_improving_direction`` with its whole
+    system, the rows A d <= 0 and <w, d> <= 1, cleared anew for each w."""
+    held, b = poly.lp_system, [LogLin.zero()] * len(poly.normals) + [LogLin.of(1)]
+    system = None  # w outside the normals' field: solve_lp clears every row anew
+    if linalg.field_of([w]) in (None, held.d):
+        system = LPSystem((*held.a_rows, linalg.over_denominator(w, held.d)), b, poly.n, held.d)
+    cert = solve_lp([*poly.normals, w], b, list(w), system)
+    assert cert.status == OPTIMAL and cert.objective.sign() > 0
+    return [v.const for v in cert.primal_point]
+
+
+def test_sup_rays_on_the_held_cone_system_equal_those_of_rows_cleared_anew(gallery):
+    """Every infinite sup over [-2, 2]^n, and one with an exponent sqrt(d)
+    (outside the normals' field over Q), on the gallery and two Q(sqrt d)
+    specs: the same LP, so the same vertex and the same printed ray."""
+    here = Path(__file__).resolve().parent / "specs"
+    specs = [*gallery.values(), load_spec(str(here / "irrational_plane3.json"))]
+    infinite = 0
+    for spec in specs:
+        poly = spec.log_polyhedron
+        root = quad(0, 1, poly.integer_normals[0] or 3)
+        for w in [*product(range(-2, 3), repeat=spec.n), (root,) + (0,) * (spec.n - 1)]:
+            if cones.unbounded_direction(poly, w) is None:
+                continue
+            infinite += 1
+            oracle = _ray_on_rows_cleared_anew(poly, list(w))
+            assert cones.recession_improving_direction(poly, list(w)) == oracle
+            assert [str(x) for x in sup_norm_monomial(spec, w).ray] == [str(x) for x in oracle]
+    assert infinite > 100

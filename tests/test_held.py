@@ -1,8 +1,9 @@
 """What a parsed domain derives once and holds: its frames per tuple of rows,
-each frame's N0 per order k (and ladder cap), the cleared LP rows, the
-recession cone's scan order and checked generators, and the coordinates
-that never vanish.  A query on a domain that has answered many others must
-give exactly the answer it gives on a fresh parse."""
+each frame's N0 per order k (and ladder cap) and spot-checked tail bounds
+per j0, order k and N, the cleared LP rows and the rows A d <= 0 of the ray
+LP, the recession cone's scan order and checked generators, and the
+coordinates that never vanish.  A query on a domain that has answered many
+others must give exactly the answer it gives on a fresh parse."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -96,6 +97,71 @@ def test_same_rows_give_the_same_frame_and_n0_is_computed_once(monkeypatch):
     monkeypatch.setenv("REINHARDT_PRECISION", "64")  # N0's ceiling may move with the cap
     _witness((0, 1), 1, 0, (Fraction(4), Fraction(2)))(spec)
     assert calls == [0, 1, 2, 1]
+
+
+# |det| = E, the floor of U^2 / pi^2, puts N0's pi branch L + 2 pi / sqrt(E) within
+# 2^-76 of the integer 1, below it: N is 1 at the default cap and 2 at a 64-bit cap
+U = 2 ** 40 + 7
+E = 122489794980697202373541
+NEAR_TIE = ((1, 0), (E - U, E))
+
+
+def test_tail_bounds_are_checked_once_per_frame_j0_and_k(monkeypatch):
+    monkeypatch.delenv("REINHARDT_PRECISION", raising=False)
+    calls = []
+    tail_bounds = witness.tail_bounds
+
+    def counting(w, k):
+        calls.append((w.j0, k, w.N))
+        return tail_bounds(w, k)
+
+    monkeypatch.setattr(witness, "tail_bounds", counting)
+    spec = parse_spec(TEXTS["four_rows"])
+    for k, j0 in ((0, 0), (1, 0), (0, 0), (1, 1), (1, 0), (0, 1), (1, 1)):
+        _witness((0, 1), k, j0, (Fraction(4), Fraction(2)))(spec)  # the frame from from_spec
+    assert [(j0, k) for j0, k, _ in calls] == [(0, 0), (0, 1), (1, 1), (1, 0)]
+    w = _build(SimplicialFrame.from_spec(spec, (0, 1)), 1, 0, (4, 2))
+    reinhardt.verify_witness_membership(w, k=2)  # orders above the witness's own k
+    reinhardt.verify_witness_membership(w, k=2)
+    assert calls[4:] == [(0, 2, w.N)]
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")  # the same N: nothing to check anew
+    _witness((0, 1), 1, 0, (Fraction(4), Fraction(2)))(spec)
+    assert len(calls) == 5
+
+    del calls[:]
+    frame = SimplicialFrame.from_rows(NEAR_TIE, (1, 1))
+    monkeypatch.delenv("REINHARDT_PRECISION")
+    assert [_build(frame, 0, 0, (2, 1)).N for _ in range(2)] == [1, 1]
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")  # another cap, another N
+    assert [_build(frame, 0, 0, (2, 1)).N for _ in range(2)] == [2, 2]
+    monkeypatch.delenv("REINHARDT_PRECISION")
+    assert _build(frame, 0, 0, (2, 1)).N == 1
+    assert calls == [(0, 0, 1), (0, 0, 2)]
+
+
+def _build(frame, k, j0, exterior):
+    """The witness of ``frame``, with its tail bounds of the orders 0..k."""
+    w = reinhardt.build_witness(reinhardt.WitnessSpec(
+        frame=frame, k=k, exterior=reinhardt.radial(*exterior), j0=j0))
+    assert len(w.tails) == k + 1
+    return w
+
+
+def test_warm_witness_certificates_equal_cold_ones():
+    """Certificates up to order 2 of witnesses of orders 0..2 on one warm
+    domain, in two orders, equal those on a fresh parse each."""
+    text = TEXTS["four_rows"]
+    cases = [(rows, k, j0, cert_k) for rows in ((0, 1), (1, 2), (0, 2)) for k in range(3)
+             for j0 in range(2) for cert_k in range(3)]
+
+    def certificate(spec, rows, k, j0, cert_k):
+        w = _build(SimplicialFrame.from_spec(spec, rows), k, j0, (4, 3))
+        return reinhardt.verify_witness_membership(w, k=cert_k).to_json_dict()
+
+    cold = [certificate(parse_spec(text), *case) for case in cases]
+    warm = parse_spec(text)
+    assert [certificate(warm, *case) for case in cases] == cold
+    assert [certificate(warm, *case) for case in reversed(cases)][::-1] == cold
 
 
 def test_held_tables_stop_growing_at_their_cap(monkeypatch):

@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
+from mpmath.ctx_iv import MPIntervalContext
 
 from reinhardt.norms import NormResult
 from reinhardt.precision import (exp_bounds, interval_str, log_bounds, pi_power_bounds,
@@ -30,6 +31,18 @@ def test_rational_bounds_enclose_a_quadratic_value(a, b, d, bits):
     assert sign_of(x - lo) >= 0 and sign_of(hi - x) >= 0
     assert hi - lo <= abs(b) / 2 ** bits
     assert (lo == hi) == (b == 0)
+
+
+def test_rational_bounds_of_a_cancelling_value_keep_its_relative_precision():
+    # (1 - sqrt 2)^30 = a + b sqrt 2 with a, b near 1.5e11 of opposite signs, about 3.3e-12
+    x = quad(1, -1, 2) ** 30
+    lo, hi = rational_bounds(x, 64)
+    assert 0 < lo <= hi and (hi - lo) / lo <= Fraction(1, 2 ** 60)
+    ctx = MPIntervalContext()
+    ctx.prec = 256
+    value = (1 - ctx.sqrt(2)) ** 30  # the mpmath oracle, an interval
+    ends = [ctx.mpf(q.numerator) / q.denominator for q in (lo, hi)]
+    assert ends[0].b <= value.a and value.b <= ends[1].a
 
 
 @given(st.integers(1, 2 ** 4096), st.integers(64, 4096))

@@ -5,12 +5,15 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_spec
 
-from reinhardt import (exponents, load_spec, lp_norm_monte_carlo, monomial_in_space,
-                       spectrum_box, spectrum_orthogonality_check)
-from reinhardt import spaces as sp
+from reinhardt import (exponents, load_spec, lp_norm_finite, lp_norm_monte_carlo,
+                       monomial_in_space, spectrum_box, spectrum_orthogonality_check)
+from reinhardt import montecarlo, spaces as sp
+from reinhardt.cones import recession_meets_halfspace, unbounded_direction
+from reinhardt.spectrum import monomial_defined
 
 
 def test_monomial_examples(hartogs, multiplicative_strip):
@@ -175,3 +178,60 @@ def test_an_ak_membership_asks_each_sup_question_once(monkeypatch, gallery):
                 asked.clear()
                 monomial_in_space(spec, nu, sp.ak(k))
                 assert not repeats, (spec.n, nu, k)
+
+
+CHAIN3 = load_spec(str(Path(__file__).resolve().parent / "specs" / "chain3.json"))
+
+
+def _fraction_weight(poly, nu, p):
+    """Oracle: the recession direction against the weight p nu + 2*1 built
+    as Fractions, as integrability was asked before the weight was an integer row."""
+    return recession_meets_halfspace(poly, [Fraction(p) * e + 2 for e in nu])
+
+
+def _fraction_weight_membership(spec, nu, space):
+    """Oracle: (verdict, criterion, evidence) of an L^p, L^2 or L-diamond
+    membership of a defined monomial, on Fraction weights."""
+    poly = spec.log_polyhedron
+    if space.kind != sp.LDIAMOND_AK:
+        bad = _fraction_weight(poly, nu, 2 if space.kind == sp.L2 else space.p)
+        if bad is None:
+            return "yes", "integrable-recession", {}
+        return "no", "recession-obstruction", {"direction": [str(x) for x in bad]}
+    for sigma in product(range(space.k + 1), repeat=len(nu)):
+        if sum(sigma) > space.k or any(0 <= e < s for e, s in zip(nu, sigma)):
+            continue
+        m = tuple(e - s for e, s in zip(nu, sigma))
+        for p in (Fraction(1), Fraction(2)):
+            bad = _fraction_weight(poly, m, p)
+            if bad is not None:
+                return "no", "recession-obstruction", {"sigma": list(sigma), "p": str(p),
+                                                       "direction": [str(x) for x in bad]}
+        ray = unbounded_direction(poly, m)
+        if ray is not None:
+            return "no", "large-p-obstruction", {"sigma": list(sigma),
+                                                 "direction": [str(x) for x in ray]}
+    return "yes", "all-p-integrable", {}
+
+
+@settings(max_examples=300, deadline=10_000)
+@given(st.sampled_from(["annulus", "chain3", "disc_times_plane", "hartogs", "hartogs_half",
+                        "irrational_slope", "multiplicative_strip", "polydisc", "unit_disc"]),
+       st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+       st.sampled_from([1, Fraction(3, 2), 2, Fraction(7, 3), 5]), st.integers(0, 2))
+def test_integer_lp_weights_answer_as_fraction_weights(gallery, name, nu, p, k):
+    """den(p) (p nu + 2*1) in integers is a positive multiple of p nu + 2*1:
+    every membership, finiteness and divergent ray stays as it was."""
+    spec = CHAIN3 if name == "chain3" else gallery[name]
+    nu = tuple(nu[:spec.n])
+    finite = _fraction_weight(spec.log_polyhedron, nu, p) is None
+    assert lp_norm_finite(spec, nu, p) == finite
+    ray = montecarlo._divergent_ray(spec, nu, Fraction(p))
+    assert (ray is None) == finite and ray == (
+        None if finite else tuple(_fraction_weight(spec.log_polyhedron, nu, p)))
+    if not monomial_defined(spec, nu):
+        return
+    for space in (sp.lp(p), sp.l2(), sp.ldiamond_ak(k)):
+        got = monomial_in_space(spec, nu, space)
+        assert (got.verdict, got.criterion, got.evidence) == _fraction_weight_membership(
+            spec, nu, space)

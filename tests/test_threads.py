@@ -5,12 +5,12 @@ its own context, so a thread that climbs the ladder to 512 bits cannot have
 its precision changed under it by a thread that prints a 64-bit display at
 the same time.  A log-polyhedron
 computes its derived geometry on first read, and a parsed domain holds its
-frames, their N0, its cone's scan rows and its cleared LP rows from first
-use, so threads that make those first reads together must each see the
-serial values, and share one held frame and N0.  The package loads
-norms, spaces, spectrum, witness and montecarlo on the first read of one
-of their names, so threads that make that read together must each get the
-same object.
+frames, their N0 and tail bounds, its cone's scan rows and its cleared LP
+rows, those of the ray LP among them, from first use, so threads that make
+those first reads together must each see the serial values, and share one
+held frame, N0 and set of tail bounds.  The package loads norms, spaces,
+spectrum, witness and montecarlo on the first read of one of their names,
+so threads that make that read together must each get the same object.
 """
 
 import os
@@ -26,7 +26,7 @@ from mpmath import libmp
 
 from reinhardt import (LogPolyhedron, SimplicialFrame, WitnessSpec, build_witness, compute_n0,
                        lp_norm_exact_simplicial, load_spec, parse_spec, precision, radial,
-                       spectrum_box, sup_norm_monomial)
+                       spectrum_box, sup_norm_monomial, verify_witness_membership)
 from reinhardt.spaces import hinf_k
 from reinhardt.loglin import LogLin
 from reinhardt.norms import NormResult
@@ -126,13 +126,15 @@ def test_parallel_first_reads_of_derived_geometry_match_serial(gallery):
 
 def _held_reads(spec, barrier: threading.Barrier):
     """Answers that make the first use of ``spec``'s held frame, the frame's
-    N0, the cone's scan rows and checked generators, and the LP rows."""
+    N0 and tail bounds, the cone's scan rows and checked generators, the LP
+    rows, and the rows of the ray LP of an infinite sup."""
     barrier.wait()
     frame = SimplicialFrame.from_spec(spec)
     w = build_witness(WitnessSpec(frame=frame, k=1, exterior=radial(8, 4, 2), j0=0))
-    return (frame, w.n0, w.N, sup_norm_monomial(spec, (1, 1, 0)),
-            sup_norm_monomial(spec, (-1, 0, 0)), spectrum_box(spec, hinf_k(1), 1),
-            lp_norm_exact_simplicial(frame, (1, 0, 2), 2))
+    return (frame, w.n0, w.tails, w.N, sup_norm_monomial(spec, (1, 1, 0)),
+            sup_norm_monomial(spec, (-1, 0, 0)), sup_norm_monomial(spec, (0, -1, 0)),
+            spectrum_box(spec, hinf_k(1), 1), lp_norm_exact_simplicial(frame, (1, 0, 2), 2),
+            verify_witness_membership(w, k=2).to_json_dict())
 
 
 def test_parallel_first_uses_of_held_objects_agree():
@@ -147,9 +149,9 @@ def test_parallel_first_uses_of_held_objects_agree():
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 got = [f.result(timeout=60) for f in
                        [pool.submit(_held_reads, spec, barrier) for _ in range(threads)]]
-            assert all(g[0] is got[0][0] and g[1] is got[0][1] for g in got)
-            assert [g[2:] for g in got] == [serial[2:]] * threads
-            assert got[0][0] == serial[0] and got[0][1] == serial[1]
+            assert all(g[i] is got[0][i] for g in got for i in range(3))
+            assert [g[3:] for g in got] == [serial[3:]] * threads
+            assert got[0][:3] == serial[:3]
     finally:
         sys.setswitchinterval(interval)
 

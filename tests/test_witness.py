@@ -29,6 +29,11 @@ def hartogs_frame(hartogs):
     return SimplicialFrame.from_spec(hartogs)
 
 
+def fresh(frame):
+    """A new frame of the same rows, which holds nothing yet."""
+    return SimplicialFrame.from_rows(frame.normals, frame.thresholds)
+
+
 @pytest.fixture(scope="module")
 def polydisc_frame(polydisc):
     return SimplicialFrame.from_spec(polydisc)
@@ -425,12 +430,15 @@ def test_a_lower_order_bound_keeps_its_own_spot_check(hartogs_frame, monkeypatch
             return TailBound(least - (not tight), b.Q, b.R)
         return bound
 
-    spec = WitnessSpec(frame=hartogs_frame, k=2, exterior=radial(3, Fraction(3, 2)), j0=0)
+    def spec():  # a fresh frame per build: a frame holds the bounds it has checked
+        return WitnessSpec(frame=fresh(hartogs_frame), k=2, exterior=radial(3, Fraction(3, 2)),
+                           j0=0)
+
     monkeypatch.setattr(witness, "_tail_bound", cut(tight=True))
-    assert verify_witness_membership(build_witness(spec), k=2).ok
+    assert verify_witness_membership(build_witness(spec()), k=2).ok
     monkeypatch.setattr(witness, "_tail_bound", cut(tight=False))
     with pytest.raises(ReinhardtError, match="tail bound failed spot check at mu=0"):
-        verify_witness_membership(build_witness(spec), k=2)
+        verify_witness_membership(build_witness(spec()), k=2)
 
 
 def test_series_evaluations_reuse_the_checked_bounds(hartogs_frame, monkeypatch):
@@ -441,7 +449,7 @@ def test_series_evaluations_reuse_the_checked_bounds(hartogs_frame, monkeypatch)
         return tail_bounds(w, k)
 
     monkeypatch.setattr(witness, "tail_bounds", counted)
-    w = build_witness(WitnessSpec(frame=hartogs_frame, k=1,
+    w = build_witness(WitnessSpec(frame=fresh(hartogs_frame), k=1,
                                   exterior=radial(3, Fraction(3, 2)), j0=0))
     z = (0.35 + 0.1j, 0.62 - 0.2j)
     for sigma in ((0, 0), (1, 0), (0, 1), (1, 0)):
