@@ -473,7 +473,7 @@ def is_empty(poly: LogPolyhedron) -> bool:
     return interior_point(poly) is None if proof is None else proof[0]
 
 
-def _float_log(c: Scalar) -> float:
+def float_log(c: Scalar) -> float:
     """log c in floats, for a guess; a rational's numerator and denominator
     may each be past the float range."""
     if is_rational(c):
@@ -502,7 +502,7 @@ def certify_emptiness(poly: LogPolyhedron) -> Optional[tuple[bool, tuple[list[in
         return None
     try:
         guess = float_basis([[float(a) for a in alpha] for alpha in poly.normals],
-                            [_float_log(c) for c in poly.offsets], math.log(2))
+                            [float_log(c) for c in poly.offsets], math.log(2))
     except (OverflowError, ValueError):  # a threshold past the float range
         return None
     if guess is None:

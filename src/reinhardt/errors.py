@@ -35,4 +35,4 @@ class BoundaryIndeterminate(ReinhardtError):
 
 
 class MonteCarloError(ReinhardtError):
-    """Monte-Carlo estimation failed (unbounded domain, zero acceptance)."""
+    """Monte-Carlo estimation failed (unbounded domain, a value past floats, zero acceptance)."""

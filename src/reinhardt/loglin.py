@@ -27,15 +27,14 @@ A sign is decided in two steps by one owner, :class:`LogBase`, which
   sign is always exact, over thresholds in Q(sqrt d) too.
 * Every other form goes to the ladder (:func:`precision.ladder_sign`),
   whose rungs are integer multiply-adds on bounds lo <= 2^bits log(p_j) <= hi
-  (:func:`precision.log_bounds`), which a :class:`LogBase` computes once per
-  p_j and precision, handed over as rationals over den 2^bits
-  (:meth:`LogBase.bounds`, which :meth:`LogLin.bounds` exposes).  A form
-  with a zero constant over Q(sqrt d) is first tested for zero: its rational
-  and sqrt(d) halves are sums of logs R and S, and by Baker (1966)
-  R + sqrt(d) S = 0 exactly when R = S = 0, which products of powers
-  decide.  So a form reaches the ladder only when it is nonzero (or those
-  products are too large to compare outright), and the ladder resolves it
-  given enough bits.
+  from one process-wide table (:func:`precision.log_bounds`), as rationals
+  over den 2^bits (:meth:`LogBase.bounds`, which :meth:`LogLin.bounds`
+  exposes).  A form with a zero constant over Q(sqrt d) is first tested for
+  zero: its rational and sqrt(d) halves are sums of logs R and S, and by
+  Baker (1966) R + sqrt(d) S = 0 exactly when R = S = 0, which products of
+  powers decide.  So a form reaches the ladder only when it is nonzero (or
+  those products are too large to compare outright), and the ladder
+  resolves it given enough bits.
 """
 
 from __future__ import annotations
@@ -160,8 +159,8 @@ class LogBase:
     integer column of ``logs[j]`` against an integer row ``[const, coeff of
     log(bases[0]), ...]`` over Q, or over Z[sqrt d] for the coefficients'
     field ``d``, which :func:`linalg.sparse_products` maps to exponents over
-    ``logs``.  The integer bounds on 2^bits log(logs[j]) the ladder needs are
-    computed once per precision and held.
+    ``logs``.  The integer bounds on 2^bits log(logs[j]) the ladder needs come
+    from :func:`precision.log_bounds`, which holds them for the process.
     """
 
     def __init__(self, bases: Sequence[Scalar], d: Optional[int]):
@@ -187,14 +186,6 @@ class LogBase:
             self.columns.append(column)
         self.logs += [self.bases[t] for t in irrational]
         self.columns += [[(1 + t, 1)] for t in irrational]
-        self._bounds: dict[int, list] = {}  # precision -> bounds, as asked for
-
-    def _log(self, bits: int, j: int) -> tuple[int, int]:
-        """Integer bounds on 2^bits log(logs[j]), computed once per precision."""
-        bounds = self._bounds.setdefault(bits, [None] * len(self.logs))
-        if bounds[j] is None:
-            bounds[j] = log_bounds(self.logs[j], bits)
-        return bounds[j]
 
     def _read(self, row: list[int]) -> tuple:
         """``const``, the exponents over ``logs`` (their rational and sqrt(d)
@@ -215,7 +206,7 @@ class LogBase:
         then over den 2^bits."""
         d = self.d
         const, nums, irrs, live = self._read(row)
-        bounds = [self._log(bits, j) for j in live]
+        bounds = [log_bounds(self.logs[j], bits) for j in live]
         lo, hi = _enclose(const if d is None else const[0], nums, live, bounds, bits)
         if d is not None and (const[1] or any(irrs[j] for j in live)):
             ilo, ihi = _enclose(const[1], irrs, live, bounds, bits)

@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import recession_meets_halfspace
+from .cones import float_log, recession_meets_halfspace
 from .domain import DomainSpec, contains, integer_exponents, lp_weight, radial
 from .errors import MonteCarloError
 from .norms import NormResult
@@ -70,7 +70,10 @@ def bounding_radii(spec: DomainSpec) -> np.ndarray:
     The bounds on log|z_j| are solved once per domain
     (``LogPolyhedron.radius_box``); each call returns a new array.
     """
-    logs = spec.log_polyhedron.radius_box
+    try:
+        logs = spec.log_polyhedron.radius_box
+    except OverflowError:  # float() of an exact bound
+        raise MonteCarloError("a bound on log|z_j| does not fit a float") from None
     if logs is None:
         raise MonteCarloError("domain is unbounded; Monte-Carlo needs a bounding polydisc")
     # tiny outward inflation keeps the box a true superset after float rounding
@@ -82,6 +85,23 @@ def _check_run(samples: int, seed: int) -> None:
         raise ValueError(f"samples must be a positive integer, got {samples}")
     if not 0 <= int(seed) < _SEEDS:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
+
+
+def _finite(convert, x, what: str) -> float:
+    """``convert(x)``, a finite float, or MonteCarloError naming ``what``."""
+    try:
+        value = convert(x)
+    except (OverflowError, ValueError):  # past the float range, or the log of a float 0
+        value = math.inf
+    if not math.isfinite(value):
+        raise MonteCarloError(f"{what} does not fit a float")
+    return value
+
+
+def _exponents(nu: Sequence[int], p: Fraction) -> np.ndarray:
+    """The float exponents nu_j p, or MonteCarloError if p or one does not fit a float."""
+    pf = _finite(float, p, "p")
+    return np.array([_finite(lambda x: float(x) * pf, x, "an exponent nu_j p") for x in nu])
 
 
 def _divergent_ray(spec: DomainSpec, nu: Sequence[int], p: Fraction):
@@ -100,13 +120,18 @@ class _Sampler:
     def __init__(self, spec: DomainSpec, seed: int, with_phases: bool):
         self.spec = spec
         self.seed = int(seed)
-        self.box = bounding_radii(spec)
-        self.weight = float(np.prod(np.pi * self.box ** 2))
+        with np.errstate(over="ignore"):
+            self.box = bounding_radii(spec)
+            self.weight = float(np.prod(np.pi * self.box ** 2))
+        if not 0.0 < self.weight < math.inf:  # else every radius is finite and nonzero too
+            raise MonteCarloError(f"the polydisc of radii {self.box.tolist()} has volume "
+                                  f"{self.weight} in floats, not finite and nonzero")
         # per constraint: log c and its (column, exponent) pairs with a nonzero exponent
-        self.rows = [(math.log(float(con.c)),
-                      [(j, a) for j, a in enumerate(float(x) for x in con.alpha)
-                       if a != 0.0])
-                     for con in spec.constraints]
+        self.rows = [(_finite(float_log, con.c, f"log c of constraint {i}"),
+                      [(j, a) for j, a in enumerate(
+                          _finite(float, x, f"alpha[{j}] of constraint {i}")
+                          for j, x in enumerate(con.alpha)) if a != 0.0])
+                     for i, con in enumerate(spec.constraints)]
         shape = (BLOCK_SIZE, len(self.box))
         self._r = np.empty(shape)
         self._theta = np.empty(shape) if with_phases else None
@@ -198,7 +223,7 @@ def lp_norm_monte_carlo(spec: DomainSpec, nu: Sequence[int], p, samples: int, se
     ray = _divergent_ray(spec, nu, p)
     if ray is not None:
         return NormResult(kind="infinite", ray=ray)
-    exps = np.array(nu, dtype=float) * float(p)
+    exps = _exponents(nu, p)
     vals_buf, sq_buf = np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE)
     s1 = s2 = 0.0
     accepted = 0
@@ -252,6 +277,7 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
     p = Fraction(p)
     terms = sorted((integer_exponents(nu, spec.n), coeff) for nu, coeff in laurent_poly.items())
     for nu, coeff in terms:
+        _exponents(nu, p)
         if not monomial_defined(spec, nu):
             raise MonteCarloError(f"monomial {nu} is undefined on the domain")
         if coeff != 0 and _divergent_ray(spec, nu, p) is not None:

@@ -9,11 +9,10 @@ bits and can be overridden through the ``REINHARDT_PRECISION`` environment
 variable.  The ladder hands its rungs bits.
 
 Every bound here comes from integers and the stdlib ``decimal``.  Integer
-bounds on 2^bits log(x) (:func:`log_bounds`), which a
-:class:`loglin.LogBase` holds per precision and combines by integer
-multiply-adds, come from ``decimal``'s correctly rounded ``ln`` for an
-integer x, the only kind a rational base factors into, and from an atanh
-series on integers after integer square roots for x in Q(sqrt d).
+bounds on 2^bits log(x) (:func:`log_bounds`, held for the 4096 pairs
+(x, bits) asked for last), which a :class:`loglin.LogBase` combines by
+integer multiply-adds, come from one atanh series on integers after integer
+square roots for every exact x > 0, an integer or in Q(sqrt d).
 Rational bounds on pi^n (:func:`pi_power_bounds`) come from Machin's
 formula summed in integers, and on exp (:func:`exp_bounds`) from
 ``decimal``'s correctly rounded ``exp``.  Printed intervals
@@ -68,19 +67,18 @@ def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
     return tuple(sorted((a * a - b * b * x.d) / (a - b * t) for t in roots))
 
 
+@lru_cache(maxsize=4096)
 def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
-    """Integers lo <= 2^bits log(x) <= hi, at most 2 apart, for an exact x > 0.
-    An integer goes to :func:`_int_log_bounds`, held.  Any other x is
-    2^e y with y in [1, 2): log(x) = e log 2 + log(y), each from
-    :func:`_log_fixed` at f = bits + g bits (log 2 held), rounded outward."""
-    if isinstance(x, int):
-        return _int_log_bounds(x, bits)
+    """Integers lo <= 2^bits log(x) <= hi, at most 2 apart, for an exact x > 0,
+    held for the 4096 pairs (x, bits) asked for last.  x is 2^e y with y in
+    [1, 2): log(x) = e log 2 + log(y), each from :func:`_log_fixed` at
+    f = bits + g bits (log 2 held), rounded outward."""
     r = math.isqrt(bits) // 4 + 2  # square roots before the series: about the cheapest mix
     g = r + 2 * bits.bit_length() + 10  # 2^g exceeds the units lost below, for |e| < 2^12
     f = bits + g
     # x = (a + b sqrt(d)) / den in integers, and e is log2(x) within a few units;
     # when a and b have opposite signs, x = (a^2 - b^2 d) / (den (a - b sqrt(d))) does not cancel
-    qa, qb, d = (x.a, x.b, x.d) if isinstance(x, QuadExt) else (Fraction(x), Fraction(0), 0)
+    qa, qb, d = (x.a, x.b, x.d) if isinstance(x, QuadExt) else (x, 0, 0)
     den = math.lcm(qa.denominator, qb.denominator)
     a, b = qa.numerator * (den // qa.denominator), qb.numerator * (den // qb.denominator)
     big = max(abs(a).bit_length(), abs(b).bit_length() + d.bit_length() // 2)
@@ -127,23 +125,6 @@ def _log_fixed(y: int, f: int, r: int) -> tuple[int, int]:
         p = p * u2 >> f
         k += 2
     return s << r + 1, (s + 3 * k + 6) << r + 1
-
-
-@lru_cache(maxsize=4096)
-def _int_log_bounds(p: int, bits: int) -> tuple[int, int]:
-    """Integers lo <= 2^bits log(p) <= hi for an integer p > 0, held for the
-    4096 pairs (p, bits) asked for last.  ``Context.ln`` rounds correctly to
-    its ``prec`` digits, which exceed bits log10(2) plus the digits of the
-    integer part of log p, so the result D 10^e is within one unit of its
-    last digit: (D - 1) 10^e and (D + 1) 10^e enclose log p, and their
-    multiples of 2^bits are rounded outward.  The context is local to the
-    call, so threads share nothing."""
-    if p == 1:
-        return 0, 0
-    prec = bits * 30103 // 100000 + len(str(p.bit_length())) + 3
-    _, digits, e = decimal.Context(prec=prec).ln(decimal.Decimal(p)).as_tuple()
-    d, scale = int("".join(map(str, digits))), 10 ** -e  # e < 0: log p is irrational
-    return ((d - 1) << bits) // scale, -((-(d + 1) << bits) // scale)
 
 
 @cache

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 from reinhardt import (MonteCarloError, coefficient_inequality_check, cones, contains, exponents,
-                       load_spec, lp_norm_finite, lp_norm_monte_carlo, radial)
+                       load_spec, lp_norm_finite, lp_norm_monte_carlo, parse_spec, radial)
+from reinhardt.cli import main
 from reinhardt.montecarlo import (_BOUNDARY_BAND, BLOCK_SIZE, _Sampler, _weighted_powers,
                                   bounding_radii)
 from reinhardt.linalg import dot
@@ -231,3 +234,63 @@ def test_coefficient_exponents_must_be_integers(hartogs):
         assert report == by_int and report.terms[0].nu == (2, 0)
         assert lp_norm_monte_carlo(hartogs, nu, 1, 1000, seed=1) == \
             lp_norm_monte_carlo(hartogs, (2, 0), 1, 1000, seed=1)
+
+
+BIG = 10 ** 400
+UNIT_BIDISC = [((1, 0), 1), ((0, 1), 1)]
+
+# (constraints, integrand (nu, p), what the error names): every value is exact,
+# and each case once ended in an OverflowError or "math domain error", or in
+# an estimate of a box of inf or 0
+PAST_THE_FLOAT_RANGE = {
+    "radius-inf": ([((1, 0), BIG), ((0, 1), 1)], ((0, 0), 1), r"radii \[inf, "),
+    "radius-0": ([((1, 0), Fraction(1, BIG)), ((0, 1), 1)], ((0, 0), 1), r"radii \[0\.0, "),
+    "volume-inf": ([((1, 0), 10 ** 200), ((0, 1), 10 ** 200)], ((0, 0), 1), "volume inf in floats"),
+    "volume-0": ([((1, 0), Fraction(1, 10 ** 200)), ((0, 1), Fraction(1, 10 ** 200))],
+                 ((0, 0), 1), r"volume 0\.0 in floats"),
+    "log-radius": ([((Fraction(1, BIG), 0), Fraction(1, 2)), ((0, 1), 1)], ((0, 0), 1),
+                   r"log\|z_j\| does not fit a float"),
+    "exponent": (UNIT_BIDISC + [((BIG, 1), 2)], ((0, 0), 1), r"alpha\[0\] of constraint 2"),
+    "p": (UNIT_BIDISC, ((0, 0), BIG), "p does not fit a float"),
+    "nu": (UNIT_BIDISC, ((BIG, 0), 1), "an exponent nu_j p does not fit a float"),
+    # log c = -400 log 10 is read right; no sample lands in a domain of volume under 10^-399
+    "threshold-0": (UNIT_BIDISC + [((1, 1), Fraction(1, BIG))], ((0, 0), 1), "zero acceptance"),
+}
+
+
+def _spec_text(constraints) -> str:
+    return json.dumps({"n": 2, "constraints": [
+        {"alpha": [str(a) for a in alpha], "c": str(c)} for alpha, c in constraints]})
+
+
+def test_a_threshold_past_the_float_range_keeps_the_estimate_bits(polydisc):
+    # |z1|^-1 < 10^400 removes nothing a float sample can reach
+    spec = parse_spec(_spec_text(UNIT_BIDISC + [((-1, 0), BIG)]))
+    assert _Sampler(spec, 1, False).rows[2][0] == pytest.approx(400 * math.log(10))
+    assert lp_norm_monte_carlo(spec, (1, 0), 2, 100_000, seed=5) == \
+        lp_norm_monte_carlo(polydisc, (1, 0), 2, 100_000, seed=5)
+    tiny = parse_spec(_spec_text(PAST_THE_FLOAT_RANGE["threshold-0"][0]))
+    assert _Sampler(tiny, 1, False).rows[2][0] == pytest.approx(-400 * math.log(10))
+
+
+@pytest.mark.parametrize("case", list(PAST_THE_FLOAT_RANGE))
+def test_values_past_the_float_range_are_monte_carlo_errors(case):
+    constraints, (nu, p), message = PAST_THE_FLOAT_RANGE[case]
+    spec = parse_spec(_spec_text(constraints))
+    with pytest.raises(MonteCarloError, match=message):
+        lp_norm_monte_carlo(spec, nu, p, 1000, seed=1)
+    with pytest.raises(MonteCarloError, match=message):
+        coefficient_inequality_check(spec, {nu: 1.0}, p, 1000, seed=1)
+
+
+@pytest.mark.parametrize("case", list(PAST_THE_FLOAT_RANGE))
+def test_values_past_the_float_range_are_one_error_line_of_the_cli(case, tmp_path, capsys):
+    constraints, (nu, p), message = PAST_THE_FLOAT_RANGE[case]
+    path = tmp_path / "spec.json"
+    path.write_text(_spec_text(constraints))
+    code = main(["norm", str(path), "--nu", ",".join(map(str, nu)), "--p", str(p), "--mc",
+                 "--samples", "1000", "--seed", "1"])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert re.search(message, out.err)

@@ -1,8 +1,8 @@
 """Every bound of the exact-number layer against mpmath, the oracle here:
-rational bounds of the ladder, integer bounds on logs of integers from
-``decimal`` and of other exact numbers from the integer series, pi^n from
-Machin's formula, exp from ``decimal``, the enclosures of exact norms and of
-N0, and printed interval ends: one directed-decimal formatter of a rational."""
+rational bounds of the ladder, integer bounds on logs of integers and of
+elements of Q(sqrt d) from the one integer series, pi^n from Machin's
+formula, exp from ``decimal``, the enclosures of exact norms and of N0, and
+printed interval ends: one directed-decimal formatter of a rational."""
 
 import decimal
 
@@ -51,7 +51,7 @@ def test_rational_bounds_of_a_cancelling_value_keep_its_relative_precision():
 @example(2 ** 4096, 4096)
 @example(10 ** 1233, 1024)
 @settings(max_examples=60, deadline=None)
-def test_decimal_log_bounds_enclose_the_mpmath_log_outward(p, bits):
+def test_series_log_bounds_of_integers_enclose_the_mpmath_log_outward(p, bits):
     # mpmath's 2^bits log p to bits + 64 more bits than needed, rounded both ways
     lo, hi = log_bounds(p, bits)
     wide = bits + p.bit_length().bit_length() + 64

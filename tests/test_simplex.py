@@ -199,7 +199,8 @@ def test_basic_columns_are_unit_columns_after_every_pivot(monkeypatch):
 
 def test_a_tableau_bounds_each_log_once_per_precision(monkeypatch):
     # the interior-point LP of |z| < 1/2, |z^sqrt2| < NEAR_TIE: its ratio
-    # tests climb the ladder past 64 bits
+    # tests climb the ladder past 64 bits; precision.log_bounds holds the
+    # bounds, so it computes each (base, precision) asked for once
     monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
     asked, log_bounds = [], loglin.log_bounds
 
@@ -208,11 +209,13 @@ def test_a_tableau_bounds_each_log_once_per_precision(monkeypatch):
         return log_bounds(x, bits)
 
     monkeypatch.setattr(loglin, "log_bounds", counting)
+    log_bounds.cache_clear()
     rows = [[Fraction(1), Fraction(1)], [quad(0, 1, 2), Fraction(1)],
             [Fraction(0), Fraction(1)], [Fraction(0), Fraction(-1)]]
     rhs = [LogLin.log_of(Fraction(1, 2)), LogLin.log_of(NEAR_TIE), LogLin.of(1), LogLin.zero()]
     assert solve_lp(rows, rhs, [Fraction(0), Fraction(1)]).status == OPTIMAL
-    assert len(asked) == len(set(asked)) and max(bits for _, bits in asked) > 64
+    assert log_bounds.cache_info().misses == len(set(asked))
+    assert max(bits for _, bits in asked) > 64
 
 
 def test_degenerate_lp_with_tied_ratios():

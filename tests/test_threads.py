@@ -30,6 +30,7 @@ from reinhardt import (LogPolyhedron, SimplicialFrame, WitnessSpec, build_witnes
 from reinhardt.spaces import hinf_k
 from reinhardt.loglin import LogLin
 from reinhardt.norms import NormResult
+from reinhardt.scalars import quad
 
 # log 2 to 2000 bits; log(2) - (LOG2 -+ 2^-400) is about +-2^-400, so its sign
 # needs the 512-bit rung of the ladder
@@ -70,7 +71,7 @@ def test_parallel_signs_and_displays_match_serial(hartogs, monkeypatch):
 def test_parallel_first_log_bounds_of_one_integer_are_equal():
     # an integer near 2^200 at 1024 bits, asked for the first time by 8 threads at once
     p, bits = 2 ** 200 + 235, 1024
-    precision._int_log_bounds.cache_clear()
+    precision.log_bounds.cache_clear()
     barrier = threading.Barrier(8, timeout=60)
 
     def bound(_):
@@ -87,6 +88,37 @@ def test_parallel_first_log_bounds_of_one_integer_are_equal():
     assert len(set(got)) == 1
     lo, hi = got[0]
     assert 0 < hi - lo <= 2 and precision.log_bounds(p, bits) == got[0]
+
+
+LOG_PAIRS = [(x, bits) for x in (3, 2 ** 200 + 235, 10 ** 50 + 151, quad(1, 1, 2), quad(3, -1, 5))
+             for bits in (64, 1024, 2048)]
+
+
+def test_parallel_first_log_bounds_of_same_and_different_pairs_match_serial():
+    """8 threads make the first use of the one table of log bounds at once,
+    each asking for every (x, bits) from its own start, so they ask for the
+    same pair and for different ones together: each gets the serial bounds."""
+    serial = [precision.log_bounds.__wrapped__(x, bits) for x, bits in LOG_PAIRS]
+    precision.log_bounds.cache_clear()
+    precision._log2.cache_clear()
+    threads = 8
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def bounds(start):
+        barrier.wait()
+        order = list(range(start, len(LOG_PAIRS))) + list(range(start))
+        got = {i: precision.log_bounds(*LOG_PAIRS[i]) for i in order}
+        return [got[i] for i in range(len(LOG_PAIRS))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            got = list(pool.map(bounds, [i * len(LOG_PAIRS) // threads for i in range(threads)]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [serial] * threads
+    assert precision.log_bounds.cache_info().currsize == len(LOG_PAIRS)
 
 
 GEOMETRY = ("lineality", "integer_lattice", "recession", "approach_supports")
