@@ -10,10 +10,10 @@ import importlib
 
 from .classify import (ClassificationReport, Verdict, classify_ainf, classify_all,
                        classify_hinf, classify_hinf_k, classify_l2, classify_lp_ak)
-from .cones import (RecessionCone, approach, approach_certificate, has_finite_volume,
-                    interior_point, is_bounded, is_empty, lp_optimize, recession_contains)
-from .domain import (DomainSpec, LogPolyhedron, MonomialConstraint, RadialPoint, contains,
-                     exponents, load_spec, parse_spec, radial)
+from .cones import (LogPolyhedron, RecessionCone, approach, approach_certificate,
+                    interior_point, is_empty, lp_optimize, recession_contains)
+from .domain import (DomainSpec, MonomialConstraint, RadialPoint, contains, exponents,
+                     has_finite_volume, is_bounded, load_spec, parse_spec, radial)
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError, RayCapError,
                      ReinhardtError, SpecError)
 from .scalars import QuadExt, quad

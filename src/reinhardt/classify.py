@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cones import approach_certificate, has_finite_volume, is_bounded
-from .domain import DomainSpec
+from .cones import approach_certificate
+from .domain import DomainSpec, has_finite_volume, is_bounded
 from .errors import ReinhardtError
 from .scalars import scalar_to_json, sign_of
 

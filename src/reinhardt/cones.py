@@ -1,11 +1,16 @@
-"""Exact geometry of the log-polyhedron: emptiness, recession, axis
+"""The log-polyhedron and its exact geometry: emptiness, recession, axis
 approach and integer lattices.
 
-Everything in this module decides questions about the normal cone structure
-of a half-space system ``<alpha_i, x> < log(c_i)``.  With the exception of
-:func:`interior_point`, :func:`lp_optimize` and the proofs of
-:func:`is_empty` (which involve the offsets), the decisions depend on the
-normals only and are therefore fully exact field computations.
+:class:`LogPolyhedron` is the half-space system ``<alpha_i, x> < log(c_i)``
+of a domain's constraints.  It computes each derived object on first use
+and holds it for its own lifetime: the integer rows of its normals and
+their one elimination, the recession cone with its scan order and checked
+generators, the approach supports, the Monte-Carlo radius box and the rows
+of its value LPs and of its ray LP, cleared once.  The functions here keep
+no memo of their own.  With the exception of :func:`interior_point`,
+:func:`lp_optimize` and the proofs of :func:`is_empty` (which involve the
+offsets), the decisions depend on the normals only and are therefore fully
+exact field computations.
 
 The recession cone C = {d : <alpha_i, d> <= 0} is computed by double
 description in integers (:func:`recession_cone`), as the lineality basis of
@@ -19,18 +24,14 @@ finiteness: whether a sup is finite, whether the domain is bounded or has
 finite volume, and whether an integral converges are ring signs of dot
 products against them in a field that holds the query too
 (:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
-:func:`is_bounded`, :func:`has_finite_volume`),
-and a direction is read off a row only where a query returns it, once
-:func:`_generator_direction` has checked that row.  Axis
-approach is read off the ray supports of the approach cone
-K = C ∩ {d <= 0} (:func:`approach`): K = C when C lies in {d <= 0}, else
-K has its own run of the same loop, from the n unit vectors as lines, cut
-by the n unit rows and then by the normals; every run starts from lines
-only.  Past a cap of intermediate rays (``_MAX_RAYS`` unless the caller
-gives one) either cone raises :class:`RayCapError`.  The functions here
-keep no memo: ``LogPolyhedron`` computes each derived object on first use
-and holds it for its own lifetime, the rows of its LPs and of the ray LP
-cleared once among them, and the cone its scan order and checked generators.
+:meth:`RecessionCone.in_negative_orthant`), and a direction is read off a
+row only where a query returns it, once :func:`_generator_direction` has
+checked that row.  Axis approach is read off the ray supports of the
+approach cone K = C ∩ {d <= 0} (:func:`approach`): K = C when C lies in
+{d <= 0}, else K has its own run of the same loop, from the n unit vectors
+as lines, cut by the n unit rows and then by the normals; every run starts
+from lines only.  Past a cap of intermediate rays (``_MAX_RAYS`` unless the
+caller gives one) either cone raises :class:`RayCapError`.
 
 Emptiness (:func:`is_empty`) is decided first by Gordan's alternative on
 the recession cone: if d, the sum of the rays of C, has <alpha_i, d> < 0 on
@@ -45,9 +46,10 @@ alternative.  Only when the proof fails does the exact simplex
 (:mod:`reinhardt.simplex`) decide it.  Otherwise the simplex computes what
 gets printed or pinned once finiteness is known: the value of a finite sup
 (:func:`lp_optimize`, also the upper bounds on log|z_j| that the Monte-Carlo
-bounding box is made of, :func:`radius_box`) and the reported approach and
-sup-norm rays.  Nothing here needs numpy: only :mod:`reinhardt.montecarlo`
-loads it.
+bounding box is made of, ``LogPolyhedron.radius_box``) and the reported
+approach and sup-norm rays.  Nothing here reads a spec, which
+:mod:`reinhardt.domain` turns into a polyhedron, and nothing needs numpy:
+only :mod:`reinhardt.montecarlo` loads it.
 """
 
 from __future__ import annotations
@@ -56,17 +58,155 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .errors import BoundaryIndeterminate, RayCapError, ReinhardtError
 from .hnf import integer_kernel_basis
 from .loglin import LogBase, LogLin
-from .scalars import Scalar, is_rational, sign_of
-from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, float_basis, solve_lp
+from .precision import float_log
+from .scalars import Scalar, sign_of
+from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, LPSystem, float_basis, solve_lp
 
-if TYPE_CHECKING:
-    from .domain import DomainSpec, LogPolyhedron
+
+@dataclass(frozen=True)
+class LogPolyhedron:
+    """The system <alpha, x> < log(c) over R^n, one half-space per constraint.
+
+    Offsets stay as the exact thresholds c; log(c) only ever materialises as
+    a directed-rounding interval inside LogLin comparisons.  The derived
+    geometry below is computed on first use and lives as long as the
+    polyhedron.  All of it reads one integer form of the normals and its one
+    fraction-free elimination.
+    """
+
+    n: int
+    normals: tuple[tuple[Scalar, ...], ...]
+    offsets: tuple[Scalar, ...]
+
+    @cached_property
+    def integer_normals(self) -> tuple[Optional[int], tuple[list[int], ...]]:
+        """The d of the normals (None over Q) and their primitive integer rows."""
+        d = linalg.field_of(self.normals)
+        return d, tuple(linalg.primitive(linalg.cleared(a, d)) for a in self.normals)
+
+    @cached_property
+    def elimination(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """``linalg.gauss_jordan`` of ``integer_normals``: kept rows, pivots
+        and reduced rows."""
+        d, rows = self.integer_normals
+        return linalg.gauss_jordan(list(rows), self.n, d)
+
+    @cached_property
+    def lineality(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Basis of the common kernel of the normals, read off ``elimination``."""
+        _, pivots, held = self.elimination
+        return tuple(map(tuple, linalg.kernel_from(pivots, held, self.n,
+                                                   self.integer_normals[0])))
+
+    @cached_property
+    def integer_lattice(self) -> tuple[tuple[int, ...], ...]:
+        """Lattice basis of the lineality space ∩ Z^n (Hermite normal form)."""
+        return tuple(map(tuple, integer_lattice_of(self.lineality, self.n)))
+
+    @cached_property
+    def recession(self) -> RecessionCone:
+        """Exact generators of {d : <alpha_i, d> <= 0}."""
+        return recession_cone(self)
+
+    def recession_within(self, cap: int) -> Optional[RecessionCone]:
+        """``recession``, computed now if its double description stays within
+        ``cap`` intermediate rays and then held; None past the cap, and
+        then no cone is held, only ``elimination``."""
+        if "recession" not in self.__dict__:
+            try:
+                cone = recession_cone(self, cap)
+            except RayCapError:
+                return None
+            self.__dict__.setdefault("recession", cone)
+        return self.recession
+
+    @cached_property
+    def lp_system(self) -> LPSystem:
+        """The rows <alpha_i, x> <= log c_i of the value LPs, cleared once."""
+        return LPSystem.of(self.normals, [LogLin.log_of(c) for c in self.offsets], [0] * self.n)
+
+    @cached_property
+    def cone_system(self) -> LPSystem:
+        """The rows <alpha_i, d> <= 0 of the ray LPs, cleared once."""
+        return LPSystem.of(self.normals, [0] * len(self.normals), [0] * self.n)
+
+    @cached_property
+    def approach_supports(self) -> tuple[frozenset[int], ...]:
+        """Distinct supports of the extreme rays of K = C ∩ {d <= 0}: C's rays
+        when C lies in {d <= 0}, else those of K's own double description,
+        from the n unit vectors as lines cut by the unit rows, which leaves
+        the negative orthant, then by the normals stably by their number of
+        positive entries, fewest first: there a row with p positive and q
+        negative entries removes q rays and adds p q.  K is pointed and no
+        ray has a positive entry, so no entries cancel in a nonnegative
+        combination of rays: its support is the union of theirs."""
+        cone = self.recession
+        n, m = self.n, len(self.normals)
+        d, ints = self.integer_normals
+        rays = cone.rays
+        if not cone.in_negative_orthant():
+            units = [(m + j, [int(i == j) for i in range(n if d is None else 2 * n)])
+                     for j in range(n)]
+            order = sorted(range(m), key=lambda i: sum(linalg.entry_sign(ints[i], j, d) > 0
+                                                      for j in range(n)))
+            rays = _cut(units + [(i, ints[i]) for i in order], [u for _, u in units], d,
+                        "approach cone")
+        return tuple(dict.fromkeys(
+            frozenset(j for j in range(n) if r[j] or (d is not None and r[n + j])) for r in rays))
+
+    @cached_property
+    def radius_box(self) -> Optional[tuple[float, ...]]:
+        """Per-coordinate upper bound on log|z_j|, the upper end of a 64-bit
+        enclosure of its sup as a float, or None when some |z_j| is unbounded,
+        that is when the recession cone does not lie in the closed negative
+        orthant; else one LP per coordinate, in order: the Monte-Carlo box
+        before :func:`reinhardt.montecarlo.bounding_radii` exponentiates it."""
+        if not self.recession.in_negative_orthant():
+            return None
+        logs = []
+        for j in range(self.n):
+            cert = lp_optimize([int(i == j) for i in range(self.n)], self)
+            require_optimal(cert, "radius_box")
+            logs.append(float(cert.objective.bounds(64)[1]))
+        return tuple(logs)
+
+    @cached_property
+    def axis_faces(self) -> tuple[tuple[frozenset[int], Optional[LogPolyhedron]], ...]:
+        """Each approachable coordinate set S, by size and then lexicographically,
+        with the system on the other coordinates made of the constraints that
+        vanish on S (None when no coordinate is left).  That system contains
+        the closure stratum at S, so certifying continuity on it is sound."""
+        out = []
+        for size in range(1, self.n + 1):
+            for coords in combinations(range(self.n), size):
+                if not approach(self, coords):
+                    continue
+                keep = [j for j in range(self.n) if j not in coords]
+                rows = [(tuple(a[j] for j in keep), c)
+                        for a, c in zip(self.normals, self.offsets)
+                        if all(sign_of(a[j]) == 0 for j in coords)]
+                face = LogPolyhedron(n=len(keep), normals=tuple(a for a, _ in rows),
+                                     offsets=tuple(c for _, c in rows)) if keep else None
+                out.append((frozenset(coords), face))
+        return tuple(out)
+
+    def half_space_slack(self, x: Sequence[LogLin]) -> list[LogLin]:
+        """log(c_i) - <alpha_i, x> for each constraint (positive inside)."""
+        out = []
+        for alpha, c in zip(self.normals, self.offsets):
+            acc = LogLin.log_of(c)
+            for a, xi in zip(alpha, x):
+                if sign_of(a) != 0:
+                    acc = acc - xi * a
+            out.append(acc)
+        return out
 
 
 def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[int]]:
@@ -334,17 +474,6 @@ def unbounded_direction(poly: LogPolyhedron, w: Sequence[Scalar]) -> Optional[li
     return _generator_direction(poly, w, True, "unbounded_direction")
 
 
-def is_bounded(spec: DomainSpec) -> bool:
-    """True iff every coordinate modulus is bounded above on the domain: the
-    recession cone lies in the closed negative orthant."""
-    return spec.log_polyhedron.recession.in_negative_orthant()
-
-
-def has_finite_volume(spec: DomainSpec) -> bool:
-    """True iff <2*1, d> < 0 on every nonzero recession direction of log G."""
-    return recession_meets_halfspace(spec.log_polyhedron, [2] * spec.n) is None
-
-
 def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
                          ) -> Optional[tuple[Scalar, ...]]:
     """Recession ray along which all coords in S go to -infinity, rest fixed.
@@ -373,30 +502,6 @@ def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
     return tuple(ray)
 
 
-def approach_supports(poly: LogPolyhedron) -> tuple[frozenset[int], ...]:
-    """Distinct supports of the extreme rays of K = C ∩ {d <= 0}: C's rays
-    when C lies in {d <= 0} (:func:`is_bounded`), else those of K's own
-    double description, from the n unit vectors as lines cut by the unit
-    rows, which leaves the negative orthant, then by the normals stably by
-    their number of positive entries, fewest first: there a row with p
-    positive and q negative entries removes q rays and adds p q.  K is
-    pointed and no ray has a positive entry, so no entries cancel in a
-    nonnegative combination of rays: its support is the union of theirs."""
-    cone = poly.recession
-    n, m = poly.n, len(poly.normals)
-    d, ints = poly.integer_normals
-    rays = cone.rays
-    if not cone.in_negative_orthant():
-        units = [(m + j, [int(i == j) for i in range(n if d is None else 2 * n)])
-                 for j in range(n)]
-        order = sorted(range(m), key=lambda i: sum(linalg.entry_sign(ints[i], j, d) > 0
-                                                  for j in range(n)))
-        rays = _cut(units + [(i, ints[i]) for i in order], [u for _, u in units], d,
-                    "approach cone")
-    return tuple(dict.fromkeys(
-        frozenset(j for j in range(n) if r[j] or (d is not None and r[n + j])) for r in rays))
-
-
 def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:
     """Can the axis stratum with zeros exactly on ``coords`` be reached from G?
 
@@ -414,22 +519,6 @@ def lp_optimize(objective: Sequence[Scalar], poly: LogPolyhedron) -> LPCertifica
     held = poly.lp_system
     return solve_lp(poly.normals, held.b_vals, objective,
                     held if linalg.field_of([objective]) in (None, held.d) else None)
-
-
-def radius_box(poly: LogPolyhedron) -> Optional[tuple[float, ...]]:
-    """Per-coordinate upper bound on log|z_j|, the upper end of a 64-bit
-    enclosure of its sup as a float, or None when some |z_j| is unbounded,
-    that is when the recession cone does not lie in the closed negative
-    orthant; else one LP per coordinate, in order.
-    :func:`reinhardt.montecarlo.bounding_radii` exponentiates them."""
-    if not poly.recession.in_negative_orthant():
-        return None
-    logs = []
-    for j in range(poly.n):
-        cert = lp_optimize([int(i == j) for i in range(poly.n)], poly)
-        require_optimal(cert, "radius_box")
-        logs.append(float(cert.objective.bounds(64)[1]))
-    return tuple(logs)
 
 
 def gordan_direction(poly: LogPolyhedron, cone: RecessionCone) -> Optional[list[Scalar]]:
@@ -473,15 +562,6 @@ def is_empty(poly: LogPolyhedron) -> bool:
     return interior_point(poly) is None if proof is None else proof[0]
 
 
-def float_log(c: Scalar) -> float:
-    """log c in floats, for a guess; a rational's numerator and denominator
-    may each be past the float range."""
-    if is_rational(c):
-        q = Fraction(c)
-        return math.log(q.numerator) - math.log(q.denominator)
-    return math.log(float(c))
-
-
 def certify_emptiness(poly: LogPolyhedron) -> Optional[tuple[bool, tuple[list[int], list]]]:
     """Whether the open system is empty, proved exactly from the basis that
     :func:`simplex.float_basis` guesses for the LP of :func:`interior_point`
@@ -503,7 +583,7 @@ def certify_emptiness(poly: LogPolyhedron) -> Optional[tuple[bool, tuple[list[in
     try:
         guess = float_basis([[float(a) for a in alpha] for alpha in poly.normals],
                             [float_log(c) for c in poly.offsets], math.log(2))
-    except (OverflowError, ValueError):  # a threshold past the float range
+    except OverflowError:  # a normal past the float range
         return None
     if guess is None:
         return None

@@ -7,6 +7,10 @@ is violated, a positive exponent on a vanishing coordinate makes the
 constraint value 0 and hence satisfied.  The constraint list is kept
 verbatim — a log-redundant constraint can still change axis membership, so
 no redundancy elimination ever happens.
+
+This module holds specs, their parsing, membership, :func:`held` and the
+exponent helpers.  A spec builds its log-polyhedron on first use and holds
+it; the polyhedron and its geometry live in :mod:`reinhardt.cones`.
 """
 
 from __future__ import annotations
@@ -15,18 +19,15 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from numbers import Integral
 from typing import Optional, Sequence
 
-from . import linalg
-from .cones import (RecessionCone, approach, approach_supports, integer_lattice_of, is_empty,
-                    radius_box, recession_cone)
-from .errors import EmptyDomainError, RayCapError, SpecError
+from .cones import LogPolyhedron, is_empty, recession_meets_halfspace
+from .errors import EmptyDomainError, SpecError
 from .loglin import LogLin
 from .scalars import (Scalar, format_scalar, is_nonsquare, is_rational,
                       parse_scalar_literal, scalar_to_json, sign_of)
-from .simplex import LPSystem
 
 HELD_KEYS = 64  # per table of :func:`held`; past it values are made, not held
 
@@ -104,117 +105,6 @@ def held(owner, table: str, key, make):
 
 def radial(*radii) -> RadialPoint:
     return RadialPoint(tuple(Fraction(r) if isinstance(r, (int, float)) else r for r in radii))
-
-
-@dataclass(frozen=True)
-class LogPolyhedron:
-    """The system <alpha, x> < log(c) over R^n, one half-space per constraint.
-
-    Offsets stay as the exact thresholds c; log(c) only ever materialises as
-    a directed-rounding interval inside LogLin comparisons.  The derived
-    geometry below is computed on first use and lives as long as the
-    polyhedron.  All of it, here and in :mod:`reinhardt.cones`, reads one
-    integer form of the normals and its one fraction-free elimination.
-    """
-
-    n: int
-    normals: tuple[tuple[Scalar, ...], ...]
-    offsets: tuple[Scalar, ...]
-
-    @cached_property
-    def integer_normals(self) -> tuple[Optional[int], tuple[list[int], ...]]:
-        """The d of the normals (None over Q) and their primitive integer rows."""
-        d = linalg.field_of(self.normals)
-        return d, tuple(linalg.primitive(linalg.cleared(a, d)) for a in self.normals)
-
-    @cached_property
-    def elimination(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """``linalg.gauss_jordan`` of ``integer_normals``: kept rows, pivots
-        and reduced rows."""
-        d, rows = self.integer_normals
-        return linalg.gauss_jordan(list(rows), self.n, d)
-
-    @cached_property
-    def lineality(self) -> tuple[tuple[Scalar, ...], ...]:
-        """Basis of the common kernel of the normals, read off ``elimination``."""
-        _, pivots, held = self.elimination
-        return tuple(map(tuple, linalg.kernel_from(pivots, held, self.n,
-                                                   self.integer_normals[0])))
-
-    @cached_property
-    def integer_lattice(self) -> tuple[tuple[int, ...], ...]:
-        """Lattice basis of the lineality space ∩ Z^n (Hermite normal form)."""
-        return tuple(map(tuple, integer_lattice_of(self.lineality, self.n)))
-
-    @cached_property
-    def recession(self) -> RecessionCone:
-        """Exact generators of {d : <alpha_i, d> <= 0}."""
-        return recession_cone(self)
-
-    def recession_within(self, cap: int) -> Optional[RecessionCone]:
-        """``recession``, computed now if its double description stays within
-        ``cap`` intermediate rays and then held; None past the cap, and
-        then no cone is held, only ``elimination``."""
-        if "recession" not in self.__dict__:
-            try:
-                cone = recession_cone(self, cap)
-            except RayCapError:
-                return None
-            self.__dict__.setdefault("recession", cone)
-        return self.recession
-
-    @cached_property
-    def lp_system(self) -> LPSystem:
-        """The rows <alpha_i, x> <= log c_i of the value LPs, cleared once."""
-        return LPSystem.of(self.normals, [LogLin.log_of(c) for c in self.offsets], [0] * self.n)
-
-    @cached_property
-    def cone_system(self) -> LPSystem:
-        """The rows <alpha_i, d> <= 0 of the ray LPs, cleared once."""
-        return LPSystem.of(self.normals, [0] * len(self.normals), [0] * self.n)
-
-    @cached_property
-    def approach_supports(self) -> tuple[frozenset[int], ...]:
-        """Supports of the extreme rays of {d : <alpha_i, d> <= 0, d <= 0}, read
-        off ``recession`` when it lies in {d <= 0}, else by their own run."""
-        return approach_supports(self)
-
-    @cached_property
-    def radius_box(self) -> Optional[tuple[float, ...]]:
-        """Per-coordinate upper bound on log|z_j| (None when unbounded): the
-        Monte-Carlo box before exponentiation, solved once per domain."""
-        return radius_box(self)
-
-    @cached_property
-    def axis_faces(self) -> tuple[tuple[frozenset[int], Optional[LogPolyhedron]], ...]:
-        """Each approachable coordinate set S, by size and then lexicographically,
-        with the system on the other coordinates made of the constraints that
-        vanish on S (None when no coordinate is left).  That system contains
-        the closure stratum at S, so certifying continuity on it is sound."""
-        out = []
-        for size in range(1, self.n + 1):
-            for coords in combinations(range(self.n), size):
-                if not approach(self, coords):
-                    continue
-                keep = [j for j in range(self.n) if j not in coords]
-                rows = [(tuple(a[j] for j in keep), c)
-                        for a, c in zip(self.normals, self.offsets)
-                        if all(sign_of(a[j]) == 0 for j in coords)]
-                face = LogPolyhedron(n=len(keep), normals=tuple(a for a, _ in rows),
-                                     offsets=tuple(c for _, c in rows)) if keep else None
-                out.append((frozenset(coords), face))
-        return tuple(out)
-
-    def half_space_slack(self, x: Sequence[LogLin]) -> list[LogLin]:
-        """log(c_i) - <alpha_i, x> for each constraint (positive inside)."""
-        out = []
-        for alpha, c in zip(self.normals, self.offsets):
-            acc = LogLin.log_of(c)
-            for a, xi in zip(alpha, x):
-                if sign_of(a) != 0:
-                    acc = acc - xi * a
-            out.append(acc)
-        return out
 
 
 @dataclass(frozen=True)
@@ -302,6 +192,17 @@ def parse_spec(text: str) -> DomainSpec:
     if is_empty(spec.log_polyhedron):
         raise EmptyDomainError("the constraint system has an empty log-polyhedron")
     return spec
+
+
+def is_bounded(spec: DomainSpec) -> bool:
+    """True iff every coordinate modulus is bounded above on the domain: the
+    recession cone lies in the closed negative orthant."""
+    return spec.log_polyhedron.recession.in_negative_orthant()
+
+
+def has_finite_volume(spec: DomainSpec) -> bool:
+    """True iff <2*1, d> < 0 on every nonzero recession direction of log G."""
+    return recession_meets_halfspace(spec.log_polyhedron, [2] * spec.n) is None
 
 
 def load_spec(path: str) -> DomainSpec:

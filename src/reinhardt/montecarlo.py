@@ -52,10 +52,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import float_log, recession_meets_halfspace
+from .cones import recession_meets_halfspace
 from .domain import DomainSpec, contains, integer_exponents, lp_weight, radial
 from .errors import MonteCarloError
 from .norms import NormResult
+from .precision import float_log
 from .spectrum import monomial_defined
 
 BLOCK_SIZE = 1 << 16
@@ -156,8 +157,6 @@ class _Sampler:
     def _accept(self, r: np.ndarray) -> np.ndarray:
         count = len(r)
         ok = np.ones(count, dtype=bool)
-        if not self.rows:
-            return ok
         near = np.ones(count, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             for start in range(0, count, _CHUNK):

@@ -29,9 +29,9 @@ from numbers import Integral
 from typing import Optional, Sequence
 
 from . import linalg
-from .cones import (lp_optimize, recession_improving_direction, recession_meets_halfspace,
-                    require_optimal, unbounded_direction)
-from .domain import DomainSpec, LogPolyhedron, held, integer_exponents, lp_weight
+from .cones import (LogPolyhedron, lp_optimize, recession_improving_direction,
+                    recession_meets_halfspace, require_optimal, unbounded_direction)
+from .domain import DomainSpec, held, integer_exponents, lp_weight
 from .errors import ReinhardtError, SpecError
 from .loglin import LogLin
 from .precision import exp_bounds, interval_str, pi_power_bounds, rational_bounds

@@ -12,7 +12,8 @@ Every bound here comes from integers and the stdlib ``decimal``.  Integer
 bounds on 2^bits log(x) (:func:`log_bounds`, held for the 4096 pairs
 (x, bits) asked for last), which a :class:`loglin.LogBase` combines by
 integer multiply-adds, come from one atanh series on integers after integer
-square roots for every exact x > 0, an integer or in Q(sqrt d).
+square roots for every exact x > 0, an integer or in Q(sqrt d); past the
+float range, the float log of a threshold (:func:`float_log`) is read off them.
 Rational bounds on pi^n (:func:`pi_power_bounds`) come from Machin's
 formula summed in integers, and on exp (:func:`exp_bounds`) from
 ``decimal``'s correctly rounded ``exp``.  Printed intervals
@@ -88,6 +89,21 @@ def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
     (y_lo, y_hi), (t_lo, t_hi) = _log_fixed(y, f, r), _log2(f, r)
     lo, hi = y_lo + min(e * t_lo, e * t_hi), y_hi + max(e * t_lo, e * t_hi)
     return lo >> g, -(-hi >> g)
+
+
+def float_log(c: Scalar) -> float:
+    """log c in floats for an exact c > 0, for a guess: a rational's numerator
+    and denominator may each be past the float range, and a Q(sqrt d) value
+    whose float is not finite and positive takes the lower end of
+    :func:`log_bounds` at 64 bits."""
+    if not isinstance(c, QuadExt):
+        q = Fraction(c)
+        return math.log(q.numerator) - math.log(q.denominator)
+    try:
+        x = float(c)
+    except OverflowError:
+        x = math.inf
+    return math.log(x) if 0.0 < x < math.inf else log_bounds(c, 64)[0] / 2 ** 64
 
 
 def _floor_scaled(a: int, b: int, d: int, den: int, s: int) -> int:

@@ -21,8 +21,8 @@ from itertools import product
 from typing import Sequence
 
 from . import spaces as sp
-from .cones import recession_meets_halfspace, unbounded_direction
-from .domain import DomainSpec, LogPolyhedron, derivative_orders, integer_exponents, lp_weight
+from .cones import LogPolyhedron, recession_meets_halfspace, unbounded_direction
+from .domain import DomainSpec, derivative_orders, integer_exponents, lp_weight
 from .linalg import dot
 from .scalars import sign_of
 from .spaces import FunctionSpace

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from conftest import NEAR_TIE
 
 from reinhardt.classify import REPORT_SCHEMA
 from reinhardt.cli import main
+from reinhardt.precision import max_precision_bits
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 HARTOGS = str(SPECS / "hartogs.json")
@@ -263,3 +265,33 @@ def test_usage_errors_exit_1(capsys):
         main(["--help"])
     assert info.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def _near_tie_spec(tmp_path) -> str:
+    # |z| < 1/2 and |z^sqrt2| < NEAR_TIE: the sup of |z| is within about 2^-110 of a tie
+    path = tmp_path / "near_tie.json"
+    path.write_text(json.dumps({"n": 1, "quadratic_d": 2, "constraints": [
+        {"alpha": ["1"], "c": "1/2"},
+        {"alpha": [{"a": "0", "b": "1"}], "c": f"{NEAR_TIE.numerator}/{NEAR_TIE.denominator}"}]}))
+    return str(path)
+
+
+def test_a_sign_past_the_ladder_cap_exits_3(tmp_path, capsys, monkeypatch):
+    spec = _near_tie_spec(tmp_path)
+    monkeypatch.delenv("REINHARDT_PRECISION", raising=False)
+    code, out, err = run(capsys, "sup", spec, "--nu", "1")
+    assert code == 0 and out.startswith("sup |z^[1]| = ") and err == ""
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    code, out, err = run(capsys, "sup", spec, "--nu", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: sign of ") and err.count("\n") == 1
+    assert "unresolved at 64 working bits" in err
+
+
+def test_a_precision_cap_that_is_not_an_integer_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REINHARDT_PRECISION", "abc")
+    with pytest.raises(ValueError, match="REINHARDT_PRECISION must be an integer, got 'abc'"):
+        max_precision_bits()
+    code, out, err = run(capsys, "sup", _near_tie_spec(tmp_path), "--nu", "1")
+    assert code == 1 and out == ""
+    assert err == "error: REINHARDT_PRECISION must be an integer, got 'abc'\n"

@@ -560,6 +560,74 @@ def test_a_wrong_float_guess_reaches_the_exact_lp(monkeypatch, offsets):
     assert solved == [poly]
 
 
+# |z| < 8, |z| < 2, |z^-1| < 2: C = {0}, so Gordan's test fails and the guess runs
+THREE_ROWS = LogPolyhedron(n=1, normals=((1,), (1,), (-1,)), offsets=(8, 2, 2))
+# |z| < 1/2 and |z^-1| < 1/2: empty, and C = {0} again
+EMPTY_PAIR = LogPolyhedron(n=1, normals=((1,), (-1,)), offsets=(Fraction(1, 2), Fraction(1, 2)))
+
+# crafted guesses (t, basic columns, tight rows, rows with a positive dual), or
+# no guess, each of which reaches a fallback of the proof; the last row of the
+# LP is t <= log 2
+CRAFTED_GUESSES = {
+    "no-guess": (THREE_ROWS, None),
+    "t-not-basic": (THREE_ROWS, (1.0, [0], [0], [])),
+    "singular-tight-rows": (THREE_ROWS, (1.0, [0, 1], [0, 1], [])),
+    "t-not-positive": (EMPTY_PAIR, (1.0, [0, 1], [0, 1], [])),  # t = log(1/2) exactly
+    "slack-not-positive": (THREE_ROWS, (1.0, [0, 1], [0, 3], [])),  # x = log 4 breaks |z| < 2
+    "kernel-not-one-dimensional": (THREE_ROWS, (0.0, [0, 1], [0, 2], [0, 1, 2])),
+    "dual-not-positive": (THREE_ROWS, (0.0, [0, 1], [0, 1], [0, 1])),  # y = (1, -1)
+}
+
+
+def _fresh(poly: LogPolyhedron) -> LogPolyhedron:
+    return LogPolyhedron(n=poly.n, normals=poly.normals, offsets=poly.offsets)
+
+
+@pytest.mark.parametrize("case", list(CRAFTED_GUESSES))
+def test_a_crafted_guess_that_proves_nothing_falls_back_to_the_lp(monkeypatch, case):
+    poly, guess = CRAFTED_GUESSES[case]
+    monkeypatch.setattr(cones, "float_basis", lambda *args: guess)
+    assert cones.certify_emptiness(_fresh(poly)) is None
+    assert cones.is_empty(_fresh(poly)) is (interior_point(poly) is None) is (poly is EMPTY_PAIR)
+
+
+def test_a_normal_past_the_float_range_falls_back_to_the_lp():
+    # |z|^(10^400) < 2 and |z^-1| < 3: C = {0}, and the guess cannot take the normal's float
+    poly = LogPolyhedron(n=1, normals=((10 ** 400,), (-1,)), offsets=(2, 3))
+    assert cones.gordan_direction(poly, poly.recession) is None
+    assert cones.certify_emptiness(_fresh(poly)) is None
+    assert cones.is_empty(_fresh(poly)) is (interior_point(poly) is None) is False
+
+
+def test_a_proof_sign_past_the_ladder_cap_falls_back_to_the_lp(monkeypatch):
+    # at the vertex of |z| < 1/2 and |z^sqrt2| < NEAR_TIE, t is about 2^-110:
+    # the same guess is proved at the default cap, and its first sign is past a 64-bit cap
+    monkeypatch.delenv("REINHARDT_PRECISION", raising=False)
+    poly = LogPolyhedron(n=1, normals=((1,), (quad(0, 1, 2),)), offsets=(Fraction(1, 2), NEAR_TIE))
+    guess = (1.0, [0, 1], [0, 1], [])
+    monkeypatch.setattr(cones, "float_basis", lambda *args: guess)
+    assert cones.certify_emptiness(_fresh(poly)) == (False, (guess[1], guess[2]))
+    lp = interior_point(poly) is None
+    monkeypatch.setenv("REINHARDT_PRECISION", "64")
+    assert cones.certify_emptiness(_fresh(poly)) is None
+    assert cones.is_empty(_fresh(poly)) is lp is False
+
+
+@pytest.mark.parametrize("threshold", ["overflow", "underflow"])
+def test_a_quadratic_threshold_past_the_float_range_is_proved_nonempty(threshold):
+    # |z1| < 1, |z2| < 1, |z1|^-1 < 10^400 + sqrt2; or |z1| < 10^-400 (1 + sqrt2),
+    # |z1|^-1 < 10^401, |z2| < 1: Gordan's test fails on the row pair of z1
+    big, r2 = 10 ** 400, quad(0, 1, 2)
+    if threshold == "overflow":
+        normals, offsets = ((1, 0), (0, 1), (-1, 0)), (1, 1, big + r2)
+    else:
+        normals, offsets = ((1, 0), (-1, 0), (0, 1)), ((1 + r2) / big, 10 * big, 1)
+    poly = LogPolyhedron(n=2, normals=normals, offsets=offsets)
+    assert cones.gordan_direction(poly, poly.recession) is None
+    assert cones.certify_emptiness(_fresh(poly))[0] is False
+    assert cones.is_empty(_fresh(poly)) is (interior_point(poly) is None) is False
+
+
 def _ray_on_rows_cleared_anew(poly: LogPolyhedron, w) -> list:
     """Oracle: the ray LP of ``recession_improving_direction`` with its whole
     system, the rows A d <= 0 and <w, d> <= 1, cleared anew for each w."""

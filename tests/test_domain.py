@@ -10,7 +10,8 @@ import pytest
 from conftest import NEAR_TIE, SPEC_DIR
 
 from reinhardt import (DomainSpec, EmptyDomainError, MonomialConstraint, SpecError, classify_all,
-                       contains, has_finite_volume, is_bounded, parse_spec, radial, spectrum_box)
+                       contains, exponents, has_finite_volume, is_bounded, parse_spec, radial,
+                       spectrum_box)
 from reinhardt import spaces as sp
 from reinhardt.scalars import quad
 
@@ -101,10 +102,24 @@ def test_parse_whole_space_allowed(doc):
     '{"n":1,"constraints":[{"alpha":["1\\n"],"c":"1"}]}',      # trailing newline
     '{"n":1,"constraints":[{"alpha":["\u0661"],"c":"1"}]}',    # non-ASCII digit
     '{"n":true,"constraints":[{"alpha":["1"],"c":"1"}]}',       # boolean n
+    '{"n":1,"constraints":{"alpha":["1"],"c":"1"}}',            # constraints not an array
+    '{"n":1,"constraints":[["1"]]}',                            # constraint not an object
 ])
 def test_parse_rejects_malformed(doc):
     with pytest.raises(SpecError):
         parse_spec(doc)
+
+
+@pytest.mark.parametrize("n,alphas,quadratic_d,message", [
+    (0, [], None, "ambient dimension n must be >= 1"),
+    (2, [(1, 0), (1,)], None, "constraint has 1 exponents, expected 2"),
+    (1, [(1,)], 9, "quadratic_d=9 must be a non-square integer"),
+    (1, [(1,)], 1, "quadratic_d=1 must be a non-square integer"),
+])
+def test_a_domain_spec_built_directly_validates_itself(n, alphas, quadratic_d, message):
+    constraints = tuple(MonomialConstraint(exponents(*a), Fraction(1)) for a in alphas)
+    with pytest.raises(SpecError, match=message):
+        DomainSpec(n=n, constraints=constraints, quadratic_d=quadratic_d)
 
 
 def test_log_polyhedron_order_preserved():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from reinhardt import (MonteCarloError, coefficient_inequality_check, cones, contains, exponents,
-                       load_spec, lp_norm_finite, lp_norm_monte_carlo, parse_spec, radial)
+                       load_spec, lp_norm_finite, lp_norm_monte_carlo, montecarlo, parse_spec,
+                       radial)
 from reinhardt.cli import main
 from reinhardt.montecarlo import (_BOUNDARY_BAND, BLOCK_SIZE, _Sampler, _weighted_powers,
                                   bounding_radii)
@@ -91,6 +92,21 @@ def test_acceptance_matches_the_reference_mask(name):
         for idx in np.flatnonzero(~expected & (slack > -_BOUNDARY_BAND).all(axis=1)):
             expected[idx] = contains(spec, radial(*[Fraction(float(x)) for x in r[idx]]))
         assert np.array_equal(ok, expected)
+
+
+@pytest.mark.parametrize("name,edges", [("unit_disc", (1.0,)), ("annulus", (0.5, 1.0))])
+def test_samples_in_the_guard_band_are_decided_exactly(monkeypatch, name, edges):
+    """Radii on a boundary circle and within 1e-12 of it reach the exact
+    membership test, and the mask agrees with it."""
+    spec = load_spec(str(SPEC_DIR / f"{name}.json"))
+    rechecked = []
+    monkeypatch.setattr(montecarlo, "contains", lambda s, p: rechecked.append(p) or contains(s, p))
+    radii = [e + k * 1e-12 for e in edges for k in (-1, 0, 1)]
+    ok = _Sampler(spec, 1, False)._accept(np.array(radii).reshape(-1, 1))
+    assert ok.tolist() == [contains(spec, radial(Fraction(r))) for r in radii]
+    assert len(rechecked) == len(radii)
+    assert ok.tolist() == {"unit_disc": [True, False, False],
+                           "annulus": [False, False, True, True, False, False]}[name]
 
 
 def test_bounding_radii_solves_its_lps_once_per_domain(monkeypatch):
@@ -271,6 +287,29 @@ def test_a_threshold_past_the_float_range_keeps_the_estimate_bits(polydisc):
         lp_norm_monte_carlo(polydisc, (1, 0), 2, 100_000, seed=5)
     tiny = parse_spec(_spec_text(PAST_THE_FLOAT_RANGE["threshold-0"][0]))
     assert _Sampler(tiny, 1, False).rows[2][0] == pytest.approx(-400 * math.log(10))
+
+
+# the bidisc and |z1|^-1 < 10^400 + sqrt2: the float of that threshold overflows, its log does not
+QUADRATIC_PAST_THE_FLOAT_RANGE = json.dumps({"n": 2, "quadratic_d": 2, "constraints": [
+    {"alpha": ["1", "0"], "c": "1"}, {"alpha": ["0", "1"], "c": "1"},
+    {"alpha": ["-1", "0"], "c": {"a": str(BIG), "b": "1"}}]})
+BIDISC_VOLUME_BITS = 9.869604440567782  # lp_norm_monte_carlo(bidisc, (0, 0), 1, 1000, seed=1)
+
+
+def test_a_quadratic_threshold_past_the_float_range_keeps_the_estimate_bits(tmp_path, capsys):
+    spec = parse_spec(QUADRATIC_PAST_THE_FLOAT_RANGE)
+    assert _Sampler(spec, 1, False).rows[2][0] == pytest.approx(400 * math.log(10))
+    bidisc = parse_spec(_spec_text(UNIT_BIDISC))
+    result = lp_norm_monte_carlo(spec, (0, 0), 1, 1000, seed=1)
+    assert result == lp_norm_monte_carlo(bidisc, (0, 0), 1, 1000, seed=1)
+    assert result.estimate == BIDISC_VOLUME_BITS
+    path = tmp_path / "spec.json"
+    path.write_text(QUADRATIC_PAST_THE_FLOAT_RANGE)
+    code = main(["norm", str(path), "--nu", "0,0", "--mc", "--samples", "1000", "--seed", "1",
+                 "--json"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert json.loads(out.out)["result"]["value"] == BIDISC_VOLUME_BITS
 
 
 @pytest.mark.parametrize("case", list(PAST_THE_FLOAT_RANGE))

@@ -5,6 +5,7 @@ formula, exp from ``decimal``, the enclosures of exact norms and of N0, and
 printed interval ends: one directed-decimal formatter of a rational."""
 
 import decimal
+import math
 
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
 from reinhardt.norms import NormResult
-from reinhardt.precision import (exp_bounds, interval_str, log_bounds, pi_power_bounds,
-                                 rational_bounds)
+from reinhardt.precision import (exp_bounds, float_log, interval_str, log_bounds,
+                                 pi_power_bounds, rational_bounds)
 from reinhardt.scalars import QuadExt, quad, sign_of
 from reinhardt.witness import N0Result
 
@@ -159,6 +160,24 @@ def test_quadratic_log_bounds_enclose_the_mpmath_log_outward(x, bits):
     lo, hi = log_bounds(x, bits)
     exact = ORACLE.ldexp(ORACLE.log(_mp(x)), bits)
     assert lo <= exact <= hi and hi - lo <= 2
+
+
+@given(positive_quadratics())
+@example(quad(99, -70, 2) / 99)
+@example(quad(10 ** 400, 1, 2))  # float() overflows
+@example(quad(1, 1, 2) / 10 ** 400)  # float() is 0.0
+@example(quad(3, 2, 2) ** 600)  # float() overflows in b sqrt(d)
+@settings(max_examples=100, deadline=2000)
+def test_float_logs_of_quadratic_values_keep_the_float_log_where_it_exists(x):
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:
+        assert float_log(x) == math.log(value)
+    else:
+        assert float_log(x) == log_bounds(x, 64)[0] / 2 ** 64
+        assert abs(float_log(x) - float(ORACLE.log(_mp(x)))) <= 1e-12 * abs(float_log(x))
 
 
 @st.composite

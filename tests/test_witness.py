@@ -231,6 +231,23 @@ def test_build_witness_needs_unit_thresholds(hartogs_half):
     assert w.d == 2
 
 
+@pytest.mark.parametrize("k,exterior,j0,message", [
+    (-1, (3, 3), 0, "k must be >= 0"),
+    (0, (3, 3), 2, "j0 out of range"),
+    (0, (3, 3), -1, "j0 out of range"),
+    (0, (3, 3, 3), 0, "exterior point has the wrong dimension"),
+])
+def test_witness_spec_validates_its_fields(hartogs_frame, k, exterior, j0, message):
+    with pytest.raises(SpecError, match=message):
+        WitnessSpec(frame=hartogs_frame, k=k, exterior=radial(*exterior), j0=j0)
+
+
+@pytest.mark.parametrize("exterior", [(0, 3), (3, 0)])
+def test_build_witness_needs_positive_radii(hartogs_frame, exterior):
+    with pytest.raises(SpecError, match="strictly positive radii"):
+        build_witness(WitnessSpec(frame=hartogs_frame, k=0, exterior=radial(*exterior), j0=0))
+
+
 def test_build_witness_rejects_fractional_normals():
     frame = SimplicialFrame.from_rows([exponents(Fraction(1, 2), 0), exponents(0, 1)],
                                       [Fraction(1), Fraction(1)])
