@@ -9,7 +9,7 @@ domain (one LP per coordinate) and held by its ``LogPolyhedron``; R is their
 exponential, rounded outward, taken here.  Whether the box exists at all, and
 whether an integral converges, are read off the recession generators before
 any sample is drawn: a divergent integral is reported as infinite, with its
-ray, as :func:`reinhardt.norms.lp_norm_finite` decides it.
+ray, as :func:`reinhardt.norms.divergent_ray` decides it (which refuses p < 1).
 
 This is the one module that imports numpy.  ``import reinhardt`` does not
 load it; the package loads it on the first read of one of its names.
@@ -52,10 +52,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cones import recession_meets_halfspace
-from .domain import DomainSpec, contains, integer_exponents, lp_weight, radial
+from .domain import DomainSpec, contains, integer_exponents, radial
 from .errors import MonteCarloError
-from .norms import NormResult
+from .norms import NormResult, divergent_ray
 from .precision import float_log
 from .spectrum import monomial_defined
 
@@ -103,13 +102,6 @@ def _exponents(nu: Sequence[int], p: Fraction) -> np.ndarray:
     """The float exponents nu_j p, or MonteCarloError if p or one does not fit a float."""
     pf = _finite(float, p, "p")
     return np.array([_finite(lambda x: float(x) * pf, x, "an exponent nu_j p") for x in nu])
-
-
-def _divergent_ray(spec: DomainSpec, nu: Sequence[int], p: Fraction):
-    """A recession direction along which the integral of |z^nu|^p over the
-    domain diverges, as a tuple, or None when it is finite."""
-    ray = recession_meets_halfspace(spec.log_polyhedron, lp_weight(nu, p))
-    return None if ray is None else tuple(ray)
 
 
 class _Sampler:
@@ -219,7 +211,7 @@ def lp_norm_monte_carlo(spec: DomainSpec, nu: Sequence[int], p, samples: int, se
     _check_run(samples, seed)
     nu, p = integer_exponents(nu, spec.n), Fraction(p)
     sampler = _Sampler(spec, seed, with_phases=False)  # refuses an unbounded domain first
-    ray = _divergent_ray(spec, nu, p)
+    ray = divergent_ray(spec, nu, p)
     if ray is not None:
         return NormResult(kind="infinite", ray=ray)
     exps = _exponents(nu, p)
@@ -279,7 +271,7 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
         _exponents(nu, p)
         if not monomial_defined(spec, nu):
             raise MonteCarloError(f"monomial {nu} is undefined on the domain")
-        if coeff != 0 and _divergent_ray(spec, nu, p) is not None:
+        if divergent_ray(spec, nu, p) is not None and coeff != 0:
             raise MonteCarloError(f"the integral of |{coeff} z^{list(nu)}|^{p} diverges "
                                   "on the domain")
     sampler = _Sampler(spec, seed, with_phases=True)

@@ -209,13 +209,20 @@ def sup_norm_monomial(spec: DomainSpec, nu: Sequence[Scalar]) -> NormResult:
     return make_exact_norm(Fraction(1), 0, cert.objective.terms)
 
 
-def lp_norm_finite(spec: DomainSpec, nu: Sequence[int], p) -> bool:
-    """Is the integral of |z^nu|^p finite?  Exact recession-cone decision."""
+def divergent_ray(spec: DomainSpec, nu: Sequence[int], p) -> Optional[tuple[Scalar, ...]]:
+    """A recession direction along which the integral of |z^nu|^p over the
+    domain diverges, or None when it is finite, for a rational p >= 1."""
     p = Fraction(p)
     if p < 1:
         raise ValueError("p must be a rational >= 1")
-    return recession_meets_halfspace(spec.log_polyhedron,
-                                     lp_weight(integer_exponents(nu, spec.n), p)) is None
+    ray = recession_meets_halfspace(spec.log_polyhedron,
+                                    lp_weight(integer_exponents(nu, spec.n), p))
+    return None if ray is None else tuple(ray)
+
+
+def lp_norm_finite(spec: DomainSpec, nu: Sequence[int], p) -> bool:
+    """Is the integral of |z^nu|^p finite?  Exact recession-cone decision."""
+    return divergent_ray(spec, nu, p) is None
 
 
 def lp_norm_exact_simplicial(frame: SimplicialFrame, nu: Sequence[int], p) -> NormResult:

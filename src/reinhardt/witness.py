@@ -17,11 +17,11 @@ max-branches are kept separate so the ceiling of N0 is exact: the branch
 without pi is pure field arithmetic, the branch with pi can never be an
 integer.  A frame holds its N0 per k and ladder cap (:func:`build_witness`).
 
-The certificate's term norms c pi^n and the ceiling of N0's pi branch come
-down to one sign, that of c pi^n - 1 for an exact c > 0 (:func:`_pi_sign`),
-which the ladder decides on rational bounds of pi^n held per precision.  The
-tail bounds (P + Q mu)^R of the derivative orders 0..k share one exact spot
-check, and the frame holds them per j0, k and N once it has checked them.
+Each witness quantity is decided on the enclosure that prints it: the
+ceiling of N0's pi branch is 1 plus the floor of its enclosure, and a term
+norm is compared with 1 on :meth:`NormResult.bounds`, both on the ladder.
+The tail bounds (P + Q mu)^R of the orders 0..k share one exact spot check,
+are held by the frame per j0, k and N, and are summed in closed form.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .domain import RadialPoint, derivative_orders, held, integer_exponents
-from .errors import BoundaryIndeterminate, ReinhardtError, SpecError
+from .errors import ReinhardtError, SpecError
 from .loglin import EXACT_PRODUCT_BITS, LogLin, product_bits
 from .norms import NormResult, SimplicialFrame, lp_norm_exact_simplicial
-from .precision import (exp_bounds, interval_str, ladder_sign, max_precision_bits,
-                        pi_power_bounds, rational_bounds)
-from .scalars import Scalar, exact_ceil, exact_floor, format_scalar, scalar_cmp, sign_of
+from .precision import (LADDER_START_BITS, exp_bounds, interval_str, ladder_sign,
+                        max_precision_bits, pi_power_bounds, rational_bounds)
+from .scalars import Scalar, exact_ceil, format_scalar, scalar_cmp, sign_of
 
 
 def falling_product(m: int, s: int) -> int:
@@ -60,42 +60,36 @@ class N0Result:
     det_abs: Scalar
     n: int
 
-    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rationals lo <= N0 <= hi, for printing: the two branches
-        max(shift_max, L + 2 pi exp(-log|det| / n)) enclosed at ``bits`` bits."""
-        (s_lo, s_hi), (l_lo, l_hi) = (rational_bounds(self.shift_max, bits),
-                                      rational_bounds(self.log_branch_max, bits))
-        (p_lo, p_hi), (r_lo, r_hi) = pi_power_bounds(1, bits), exp_bounds(
+    def _pi_branch(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= L + 2 pi exp(-log|det| / n) <= hi at ``bits`` bits."""
+        (l_lo, l_hi), (p_lo, p_hi) = (rational_bounds(self.log_branch_max, bits),
+                                      pi_power_bounds(1, bits))
+        r_lo, r_hi = exp_bounds(
             *LogLin.log_of(self.det_abs, Fraction(-1, self.n)).bounds(bits), bits)
-        return max(s_lo, l_lo + 2 * p_lo * r_lo), max(s_hi, l_hi + 2 * p_hi * r_hi)
+        return l_lo + 2 * p_lo * r_lo, l_hi + 2 * p_hi * r_hi
+
+    def bounds(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= N0 <= hi, for printing: max(shift_max, pi branch),
+        each enclosed at ``bits`` bits."""
+        (s_lo, s_hi), (b_lo, b_hi) = rational_bounds(self.shift_max, bits), self._pi_branch(bits)
+        return max(s_lo, b_lo), max(s_hi, b_hi)
 
     def interval_str(self, dps: int = 12) -> tuple[str, str]:
         return interval_str(*self.bounds(), dps)
 
     def ceil(self) -> int:
-        """Smallest integer >= N0, as ceil(max(a, b)) = max(ceil a, ceil b);
-        the field branch's ceiling is exact.  The pi branch
-        L + 2 pi / |det|^(1/n) is never an integer: its ceiling is the least
-        m > L with c pi^n < 1 for c = 2^n / ((m - L)^n |det|): bracketed by
-        galloping up from floor(L) + 1, then bisected for.  A sign unresolved
-        at the cap counts as m too small, the safe side: the result is >= N0
-        but may not be least."""
-        low, n = self.log_branch_max, self.n
-
-        def above(m: int) -> bool:  # m > L + 2 pi / |det|^(1/n), with L = low
-            try:
-                return _pi_sign(Fraction(2 ** n) / ((m - low) ** n * self.det_abs), n) < 0
-            except BoundaryIndeterminate:
-                return False
-
-        lo = exact_floor(low) + 1
-        hi, step = lo + 7, 8  # 7 > 2 pi: the first bracket holds m for |det| >= 1
-        while not above(hi):
-            lo, hi, step = hi + 1, hi + step, 2 * step
-        while lo < hi:
-            m = (lo + hi) // 2
-            lo, hi = (lo, m) if above(m) else (m + 1, hi)
-        return max(exact_ceil(self.shift_max), lo)
+        """Smallest integer >= N0, as ceil(max(a, b)) = max(ceil a, ceil b):
+        the field branch's ceiling is exact, and the pi branch, never an
+        integer, has the ceiling 1 + floor of its enclosure once both ends
+        floor alike, from 64 bits doubling to the ladder's cap.  At the cap the
+        upper end's floor is taken, the safe side: the result is >= N0 but
+        may not be least."""
+        bits, cap = LADDER_START_BITS, max_precision_bits()
+        while True:
+            lo, hi = self._pi_branch(bits)
+            if math.floor(lo) == math.floor(hi) or bits >= cap:
+                return max(exact_ceil(self.shift_max), math.floor(hi) + 1)
+            bits = min(2 * bits, cap)
 
     def __float__(self):
         lo, hi = self.bounds()
@@ -288,8 +282,9 @@ def tail_bounds(w: WitnessFunction, k: int) -> tuple[TailBound, ...]:
 
 
 def derive_tail_bound(w: WitnessFunction, k: int) -> TailBound:
-    """The spot-verified bound of derivative order k (see :func:`tail_bounds`)."""
-    return tail_bounds(w, k)[k]
+    """The spot-verified bound of derivative order k, held by the frame
+    (see :meth:`WitnessFunction.tails_to`)."""
+    return w.tails_to(k)[k]
 
 
 def eval_witness_derivative(w: WitnessFunction, sigma: Sequence[int], z: Sequence[complex],
@@ -388,20 +383,21 @@ class WitnessCertificate:
         }
 
 
-def _sup_series_bound(bound: TailBound, d: float) -> float:
-    """Numeric sum of (P + Q*mu)^R / d^(mu+1); converges since d > 1."""
-    acc = 0.0
-    d_inv = 1.0 / d
-    d_pow = d_inv
-    mu = 0
-    while True:
-        term = bound.value(mu) * d_pow
-        acc += term
-        ratio = (1.0 + bound.Q / (bound.P + bound.Q * (mu + 1))) ** bound.R * d_inv
-        if ratio < 1.0 and bound.value(mu + 1) * d_pow * d_inv / (1.0 - ratio) < 1e-15 * acc:
-            return acc
-        d_pow *= d_inv
-        mu += 1
+def _sup_series_bound(bound: TailBound, d: Scalar) -> float:
+    """The sum of (P + Q mu)^R / d^(mu+1) over mu >= 0, rounded up to a float:
+    for f(mu) = (P + Q mu)^R it is sum_{j <= R} (Delta^j f)(0) / (d - 1)^(j+1),
+    taken exactly (Newton's forward differences; converges since d > 1)."""
+    diffs, gap, total = [bound.value(mu) for mu in range(bound.R + 1)], d - 1, Fraction(0)
+    for j in range(bound.R + 1):
+        total += Fraction(diffs[0]) / gap ** (j + 1)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    hi = rational_bounds(total, 64)[1]
+    try:
+        value = float(hi)
+    except OverflowError:
+        raise SpecError(f"a derivative sup bound of order {bound.R} does not fit a float"
+                        ) from None
+    return value if value >= hi else math.nextafter(value, math.inf)
 
 
 def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
@@ -419,7 +415,7 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
     n = frame.n
     if any(scalar_cmp(c, 1) != 0 for c in frame.thresholds):
         raise SpecError("membership verification expects unit thresholds")
-    d = w.d_float
+    w.d_float  # a SpecError for a d past the float range, which f_N's evaluations need
     # each approach support is approachable and every approachable set is a union of them
     axis_coords = sorted(frozenset().union(*frame.polyhedron.approach_supports))
     sigmas = derivative_orders(n, k)
@@ -434,13 +430,12 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
         sup_ok, vanish_ok = ok[0], all(ok[1:])
         for p in p_list:
             norm = lp_norm_exact_simplicial(frame, nu, p)
-            # a unit-threshold frame's norm c pi^n carries no threshold factors
-            le_one = norm.kind == "exact" and _pi_sign(norm.coefficient, norm.pi_power) <= 0
+            le_one = norm.kind == "exact" and _at_most_one(norm)
             checks.append(WitnessCheck(sigma=sigma, p=p, norm=norm, norm_le_one=le_one,
                                        sup_cone_ok=sup_ok, vanishing_ok=vanish_ok))
     # one spot-verified bound and one summed sup bound per derivative order 0..k
     tails = w.tails_to(k)
-    sups = [_sup_series_bound(tails[order], d) for order in range(k + 1)]
+    sups = [_sup_series_bound(tails[order], w.d) for order in range(k + 1)]
     sup_bounds = {sigma: sups[sum(sigma)] for sigma in sigmas}
     return WitnessCertificate(
         witness=w, k=k, p_list=p_list, checks=tuple(checks),
@@ -448,16 +443,18 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
         tail_bound=tails[k], ok=all(c.ok for c in checks))
 
 
-def _pi_sign(c: Scalar, n: int) -> int:
-    """Sign of c pi^n - 1 for an exact c > 0: exact for n = 0, and otherwise
-    on the ladder, each rung enclosing c and pi^n in rationals (as c > 0,
-    c_lo p_lo <= c pi^n even when c_lo < 0); c pi^n is transcendental for
-    n >= 1, so only the cap stops it."""
-    if n == 0:
-        return sign_of(c - 1)
+def _at_most_one(norm: NormResult) -> bool:
+    """Is an exact norm <= 1?  Exact without pi and factors, and otherwise
+    decided by the ladder on the norm's own bounds minus 1."""
+    if not norm.pi_power and not norm.factors:
+        return sign_of(norm.coefficient - 1) <= 0
 
     def build(bits):
-        (c_lo, c_hi), (p_lo, p_hi) = rational_bounds(c, bits), pi_power_bounds(n, bits)
-        return c_lo * p_lo - 1, c_hi * p_hi - 1
+        lo, hi = norm.bounds(bits)
+        return lo - 1, hi - 1
 
-    return ladder_sign(build, what=lambda: f"{format_scalar(c)}*pi^{n} - 1")
+    def what():
+        factors = "".join(f"*({format_scalar(b)})^({format_scalar(e)})" for b, e in norm.factors)
+        return f"{format_scalar(norm.coefficient)}*pi^{norm.pi_power}{factors} - 1"
+
+    return ladder_sign(build, what=what) <= 0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -106,6 +109,32 @@ def test_witness_verify_with_d_beyond_float_range_is_a_spec_error(capsys):
                        "--j0", "1", "--verify")
     assert time.perf_counter() - start < 5
     assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("k, exterior, sups", [
+    ("0", "100000000000000000001/100000000000000000000", {"[0]": 1e20}),
+    ("1", "1000000001/1000000000", {"[0]": 1e9, "[1]": 8e9 + 1e18}),
+], ids=["k0-d-1e-20-above-1", "k1-d-1e-9-above-1"])
+def test_witness_verify_near_the_boundary_ends(k, exterior, sups):
+    """d = |b^alpha_j0| just above 1: the sup bound sum((P + Q mu)^R / d^(mu+1))
+    has about 1 / (d - 1) terms that matter, and is taken in closed form.  A
+    subprocess with a timeout, so a hang fails instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SPECS.parent / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "reinhardt", "witness",
+                           str(SPECS / "unit_disc.json"), "--k", k, "--exterior", exterior,
+                           "--j0", "1", "--verify", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    cert = json.loads(done.stdout)["certificate"]
+    assert cert["all_ok"] and cert["derivative_sup_bounds"] == sups
+
+
+@pytest.mark.parametrize("p", ["-1", "0", "1/2"])
+def test_norm_refuses_p_below_one_by_either_method(capsys, p):
+    for method in (["--mc", "--samples", "1000", "--seed", "1"], ["--exact"]):
+        code, out, err = run(capsys, "norm", HARTOGS, "--nu", "0,0", "--p", p, *method)
+        assert (code, out, err) == (1, "", "error: p must be a rational >= 1\n")
 
 
 def test_spectrum_command(capsys):

@@ -123,6 +123,8 @@ def test_tail_bounds_are_checked_once_per_frame_j0_and_k(monkeypatch):
     w = _build(SimplicialFrame.from_spec(spec, (0, 1)), 1, 0, (4, 2))
     reinhardt.verify_witness_membership(w, k=2)  # orders above the witness's own k
     reinhardt.verify_witness_membership(w, k=2)
+    # derive_tail_bound reads the held bounds too
+    assert [reinhardt.derive_tail_bound(w, k) for k in (2, 1, 0)] == list(w.tails_to(2))[::-1]
     assert calls[4:] == [(0, 2, w.N)]
     monkeypatch.setenv("REINHARDT_PRECISION", "64")  # the same N: nothing to check anew
     _witness((0, 1), 1, 0, (Fraction(4), Fraction(2)))(spec)

@@ -166,6 +166,16 @@ def test_mc_divergence_agrees_with_lp_norm_finite(gallery, name):
             assert (result.kind == "infinite") == (not lp_norm_finite(spec, nu, p))
 
 
+@pytest.mark.parametrize("p", [-1, 0, Fraction(1, 2)])
+def test_monte_carlo_refuses_p_below_one(hartogs, p):
+    """The rule of the exact path, even where every coefficient is zero."""
+    with pytest.raises(ValueError, match="p must be a rational >= 1"):
+        lp_norm_monte_carlo(hartogs, (0, 0), p, 1000, seed=1)
+    for coeff in (1.0, 0.0):
+        with pytest.raises(ValueError, match="p must be a rational >= 1"):
+            coefficient_inequality_check(hartogs, {(0, 0): coeff}, p, 1000, seed=1)
+
+
 def test_coefficient_check_refuses_a_divergent_term(hartogs):
     with pytest.raises(MonteCarloError, match=r"z\^\[0, -2\]\|\^2 diverges"):
         coefficient_inequality_check(hartogs, {(1, 0): 1.0, (0, -2): 0.5}, 2, 1000, seed=1)

@@ -11,7 +11,7 @@ from conftest import random_spec
 
 from reinhardt import (exponents, load_spec, lp_norm_finite, lp_norm_monte_carlo,
                        monomial_in_space, spectrum_box, spectrum_orthogonality_check)
-from reinhardt import montecarlo, spaces as sp
+from reinhardt import norms, spaces as sp
 from reinhardt.cones import recession_meets_halfspace, unbounded_direction
 from reinhardt.spectrum import monomial_defined
 
@@ -226,7 +226,7 @@ def test_integer_lp_weights_answer_as_fraction_weights(gallery, name, nu, p, k):
     nu = tuple(nu[:spec.n])
     finite = _fraction_weight(spec.log_polyhedron, nu, p) is None
     assert lp_norm_finite(spec, nu, p) == finite
-    ray = montecarlo._divergent_ray(spec, nu, Fraction(p))
+    ray = norms.divergent_ray(spec, nu, Fraction(p))
     assert (ray is None) == finite and ray == (
         None if finite else tuple(_fraction_weight(spec.log_polyhedron, nu, p)))
     if not monomial_defined(spec, nu):

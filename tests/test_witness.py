@@ -6,8 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
@@ -16,7 +17,7 @@ from reinhardt import (NormResult, ReinhardtError, SimplicialFrame, SpecError, b
                        radial, verify_witness_membership, witness)
 from reinhardt.domain import exponents
 from reinhardt.errors import BoundaryIndeterminate
-from reinhardt.precision import ladder_sign, pi_power_bounds
+from reinhardt.precision import ladder_sign, max_precision_bits
 from reinhardt.scalars import QuadExt, exact_ceil, quad, sign_of
 from reinhardt.witness import (N0Result, TailBound, WitnessSpec, derivative_orders,
                                falling_product, tail_bounds)
@@ -114,9 +115,9 @@ def test_n0_of_a_frame_with_huge_coordinates(monkeypatch):
 
 
 def test_n0_of_a_frame_with_huge_coordinates_at_a_64_bit_cap(monkeypatch):
-    """Each m is compared with N0 through (m - L)^n |det| against (2 pi)^n,
-    small exact numbers, so 64 bits give the least N (2^70 + 256 when N0
-    itself was enclosed)."""
+    """The pi branch is L + 2 pi with L = 2^70 + 2 exact, so its 64-bit
+    enclosure is 2 pi's, shifted: both ends floor alike and 64 bits give the
+    least N."""
     monkeypatch.setenv("REINHARDT_PRECISION", "64")
     m = 2 ** 70
     frame = SimplicialFrame.from_rows([exponents(m, m + 1), exponents(m - 1, m)],
@@ -203,6 +204,37 @@ def test_n0_ceil_matches_the_parent_bisection(n0):
         assert n0.ceil() == _parent_ceil(n0)
 
 
+@st.composite
+def random_frames(draw):
+    """Frames of n = 1..4 normals with entries in -3..3, over Q or with
+    entries a + b sqrt(d) over Q(sqrt d)."""
+    n, d = draw(st.integers(1, 4)), draw(st.sampled_from((None, 2, 5)))
+    entry = st.integers(-3, 3)
+    if d is not None:
+        entry = st.builds(lambda a, b: quad(a, b, d), st.integers(-3, 3), st.integers(-2, 2))
+    normals = [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
+    try:
+        return SimplicialFrame.from_rows(normals, [Fraction(1)] * n)
+    except SpecError:  # dependent normals
+        assume(False)
+
+
+@given(random_frames(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_n0_bounds_enclose_its_ceiling_at_every_rung(frame, k):
+    """N - 1 < hi and lo <= N, for N = ceil(N0) and the printed bounds of N0
+    at each rung of the ladder, from 64 bits up to the cap in force."""
+    n0, big_n = compute_n0(frame, k)
+    ceil, bits = n0.ceil(), 64
+    assert big_n == max(1, ceil)
+    while True:
+        lo, hi = n0.bounds(bits)
+        assert ceil - 1 < hi and lo <= ceil, bits
+        if bits >= max_precision_bits():
+            break
+        bits *= 2
+
+
 def test_build_witness_examples(hartogs_frame, polydisc_frame):
     w = build_witness(WitnessSpec(frame=hartogs_frame, k=0,
                                   exterior=radial(3, Fraction(3, 2)), j0=0))
@@ -270,6 +302,34 @@ def test_verify_rejects_d_beyond_float_range(hartogs_frame):
     assert w.d == 10 ** 400
     with pytest.raises(SpecError, match="too large for a float"):
         verify_witness_membership(w, k=0)
+
+
+@pytest.mark.parametrize("bound, d", [
+    (TailBound(1, 1, 0), 2), (TailBound(8, 1, 1), 2), (TailBound(10, 1, 2), 2),
+    (TailBound(10, 1, 2), 5), (TailBound(7, 3, 3), Fraction(3, 2)),
+    (TailBound(9, 2, 2), quad(1, 1, 2)), (TailBound(1, 1, 0), 1 + Fraction(1, 10 ** 20)),
+])
+def test_sup_bounds_are_the_exact_sums_rounded_up(bound, d):
+    """The float is the least one >= sum((P + Q mu)^R / d^(mu+1)); the oracle
+    is mpmath's nsum at 60 digits (1 / (d - 1) for R = 0)."""
+    got = witness._sup_series_bound(bound, d)
+    with mpmath.workdps(60):
+        def mpf(q):
+            return mpmath.mpf(Fraction(q).numerator) / Fraction(q).denominator
+
+        dm = mpf(d.a) + mpf(d.b) * mpmath.sqrt(d.d) if isinstance(d, QuadExt) else mpf(d)
+        if bound.R == 0:
+            oracle = 1 / (dm - 1)
+        else:
+            oracle = mpmath.nsum(lambda mu: bound.value(int(mu)) / dm ** (mu + 1),
+                                 [0, mpmath.inf])
+        slack = oracle * mpmath.mpf(10) ** -40
+        assert got >= oracle - slack and math.nextafter(got, 0) < oracle - slack
+
+
+def test_a_sup_bound_past_the_float_range_is_a_spec_error():
+    with pytest.raises(SpecError, match="derivative sup bound of order 2 does not fit a float"):
+        witness._sup_series_bound(TailBound(10, 1, 2), 1 + Fraction(1, 10 ** 200))
 
 
 def test_evaluations_reject_d_beyond_float_range(hartogs_frame):
@@ -501,31 +561,49 @@ def test_norm_vs_one_near_a_tie_goes_to_the_ladder(rounding, expected, monkeypat
     monkeypatch.delenv("REINHARDT_PRECISION", raising=False)  # the default ladder cap
     c = Fraction(rounding(INV_PI_SQUARED * 2 ** 100), 2 ** 100)
     norm = NormResult(kind="exact", coefficient=c, pi_power=2)
-    lo, hi = pi_power_bounds(2, 64)
-    assert c * lo < 1 < c * hi
+    lo, hi = norm.bounds(64)
+    assert lo < 1 < hi
     rungs = ladder_rungs(monkeypatch)
     ctx = _iv(512)
     gap = ctx.mpf(c.numerator) / c.denominator * ctx.pi ** 2 - 1  # the mpmath oracle
     oracle = 1 if gap.a > 0 else -1 if gap.b < 0 else 0
-    assert witness._pi_sign(c, 2) == oracle == expected
+    assert oracle == expected
+    assert witness._at_most_one(norm) is (expected < 0)
     assert rungs[0] == 64 and max(rungs) > 64
 
 
 def test_norm_vs_one_decides_exactly_away_from_ties(monkeypatch):
     monkeypatch.setenv("REINHARDT_PRECISION", "64")
     rungs = ladder_rungs(monkeypatch)
-    sign = witness._pi_sign  # of c pi^n - 1
-    assert sign(Fraction(1), 0) == 0
-    assert sign(Fraction(1, 10), 2) == -1
-    assert sign(Fraction(1, 9), 2) == 1
-    assert sign(Fraction(4, 63), 2) == -1
+
+    def at_most_one(c, n):  # c pi^n <= 1
+        return witness._at_most_one(NormResult(kind="exact", coefficient=c, pi_power=n))
+
+    assert at_most_one(Fraction(1), 0)
+    assert at_most_one(Fraction(1, 10), 2)
+    assert not at_most_one(Fraction(1, 9), 2)
+    assert at_most_one(Fraction(4, 63), 2)
     assert rungs == [64] * 3  # each decided at the first rung; pi^0 needs none
+
+
+def n0_ceil_rungs(monkeypatch):
+    """The bits of every enclosure of N0's pi branch taken from now on."""
+    rungs = []
+    branch = N0Result._pi_branch
+
+    def recording(self, bits):
+        rungs.append(bits)
+        return branch(self, bits)
+
+    monkeypatch.setattr(N0Result, "_pi_branch", recording)
+    return rungs
 
 
 def test_golden_witnesses_verify_without_the_ladder(monkeypatch):
     """Both the ceiling of N0 and every norm test end at the first rung."""
-    rungs = ladder_rungs(monkeypatch)
+    rungs, n0_rungs = ladder_rungs(monkeypatch), n0_ceil_rungs(monkeypatch)
     for path, rows, exterior, j0, k in GOLDEN_WITNESSES:
         w = golden_witness(path, rows, exterior, j0, k)
         assert verify_witness_membership(w, p_list=[1, 2, 3]).ok
+    assert n0_rungs == [64] * len(GOLDEN_WITNESSES)
     assert rungs and set(rungs) == {64}
