@@ -16,7 +16,7 @@ import json
 import sys
 
 from .classify import classify_all
-from .domain import DomainSpec, load_spec, radial
+from .domain import DomainSpec, parse_spec, radial
 from .errors import (BoundaryIndeterminate, EmptyDomainError, MonteCarloError,
                      ReinhardtError, SpecError)
 from .scalars import parse_rational_literal
@@ -85,8 +85,7 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _cmd_classify(args) -> int:
-    spec = load_spec(args.spec)
+def _cmd_classify(args, spec: DomainSpec) -> int:
     report = classify_all(spec)
     doc = report.to_json_dict()
     lines = [f"domain: n={spec.n}, {len(spec.constraints)} constraints"]
@@ -108,9 +107,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_sup(args) -> int:
+def _cmd_sup(args, spec: DomainSpec) -> int:
     from .norms import sup_norm_monomial  # each command imports what it runs
-    spec = load_spec(args.spec)
     nu = _parse_int_vector(args.nu, spec.n, "--nu")
     result = sup_norm_monomial(spec, nu)
     doc = {"command": "sup", "nu": list(nu), "result": _norm_json(result)}
@@ -133,21 +131,18 @@ def _run_norm(args, spec: DomainSpec, nu: tuple[int, ...]) -> int:
     return 0
 
 
-def _cmd_norm(args) -> int:
-    spec = load_spec(args.spec)
+def _cmd_norm(args, spec: DomainSpec) -> int:
     return _run_norm(args, spec, _parse_int_vector(args.nu, spec.n, "--nu"))
 
 
-def _cmd_volume(args) -> int:
-    spec = load_spec(args.spec)
+def _cmd_volume(args, spec: DomainSpec) -> int:
     args.p = "1"
     return _run_norm(args, spec, (0,) * spec.n)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args, spec: DomainSpec) -> int:
     from .norms import SimplicialFrame
     from .witness import WitnessSpec, build_witness, verify_witness_membership
-    spec = load_spec(args.spec)
     frame = SimplicialFrame.from_spec(spec, _parse_rows(args.rows, spec))
     exterior = radial(*[parse_rational_literal(x) for x in args.exterior.split(",")])
     wspec = WitnessSpec(frame=frame, k=args.k, exterior=exterior, j0=args.j0 - 1)
@@ -172,12 +167,11 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, spec: DomainSpec) -> int:
     from . import spaces as sp
     from .spectrum import spectrum_box
     spaces = {"hinf": sp.HINF, "l2": sp.L2, "lp": sp.LP, "hinfk": sp.HINF_K, "ak": sp.AK,
               "ldiamond": sp.LDIAMOND_AK}
-    spec = load_spec(args.spec)
     if args.space not in spaces:
         raise SpecError(f"--space must be one of {sorted(spaces)}")
     p = None if args.p is None else parse_rational_literal(args.p)
@@ -259,11 +253,13 @@ def main(argv=None) -> int:
             raise
         return 1  # argparse has printed the usage error to stderr
     try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        spec = parse_spec(text)
         if args.echo_spec:
-            spec = load_spec(args.spec)
-            sys.stdout.write(spec.raw_text)
+            sys.stdout.write(text)
             return 0
-        return args.fn(args)
+        return args.fn(args, spec)
     except EmptyDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ it; the polyhedron and its geometry live in :mod:`reinhardt.cones`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -114,7 +114,6 @@ class DomainSpec:
     n: int
     constraints: tuple[MonomialConstraint, ...]
     quadratic_d: Optional[int] = None
-    raw_text: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -187,7 +186,7 @@ def parse_spec(text: str) -> DomainSpec:
             constraints.append(MonomialConstraint(alpha, c))
         except SpecError as exc:
             raise SpecError(f"constraint {idx}: {exc}") from None
-    spec = DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=quad_d, raw_text=text)
+    spec = DomainSpec(n=n, constraints=tuple(constraints), quadratic_d=quad_d)
     # reject empty open domains at load time
     if is_empty(spec.log_polyhedron):
         raise EmptyDomainError("the constraint system has an empty log-polyhedron")

@@ -12,9 +12,9 @@ A sign is decided in two steps by one owner, :class:`LogBase`, which
   sparse integer column of valuations; a base in Q(sqrt d) keeps its own
   column.  Cleared of denominators, the form is
   ``const + sum(e_j * log(p_j))`` with integer ``const`` and ``e_j`` (pairs
-  (a, b) for a + b sqrt(d) over Q(sqrt d)).  A form with one term
-  ``coeff * log(base)`` and no constant skips this in :meth:`LogLin.sign`:
-  it has the sign of ``coeff`` times that of ``base - 1``.
+  (a, b) for a + b sqrt(d) over Q(sqrt d)).  Every form with a term takes
+  this path, one term ``coeff * log(base)`` too: its product of powers is
+  ``base`` or ``1 / base``.
 * *Decide* (:meth:`LogBase.sign`), in this order.  Coprime integers greater
   than 1 are multiplicatively independent, so by Baker's theorem a form over
   them is zero exactly when every ``e_j`` and ``const`` are zero: if every
@@ -115,14 +115,10 @@ class LogLin:
     def sign(self) -> int:
         """Exact sign; raises BoundaryIndeterminate only past the ladder cap.
 
-        A form of one term and no constant has the sign of its coefficient
-        times that of ``base - 1``; any other is cleared to an integer row
-        over one positive denominator and decided by :meth:`LogBase.sign`."""
+        A form with terms is cleared to an integer row over one positive
+        denominator and decided by :meth:`LogBase.sign`."""
         if not self.terms:
             return sign_of(self.const)
-        if sign_of(self.const) == 0 and len(self.terms) == 1:
-            (base, coeff), = self.terms
-            return sign_of(coeff) * scalar_cmp(base, 1)
         base, ints, den = self._cleared()
         return base.sign(ints, den, lambda: repr(self))
 

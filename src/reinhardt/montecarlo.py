@@ -16,7 +16,9 @@ load it; the package loads it on the first read of one of its names.
 
 Streams are counter-based and bit-reproducible: sample block b (fixed size
 65536) is generated by ``numpy.random.Philox(key=(seed, b))``, radii first,
-then phases, and blocks are reduced in index order.  Identical seed and
+then phases, and blocks are reduced in index order.  Both estimators walk
+them with one generator, ``_Sampler.blocks``, which also counts accepted
+samples and raises the error of a run that accepts none.  Identical seed and
 sample count give identical results for any thread layout.  Across CPUs,
 numpy's SIMD loops for transcendental functions may round single values
 differently from its baseline loops: ``pow`` with an array exponent does so
@@ -131,6 +133,17 @@ class _Sampler:
         self._log_r = np.empty((_CHUNK, len(self.box)))
         self._slack, self._term = np.empty(_CHUNK), np.empty(_CHUNK)
 
+    def blocks(self, samples: int):
+        """``block(b, count)`` for b = 0, 1, ... over ``samples`` proposals in
+        all; MonteCarloError after the last block if none was accepted."""
+        accepted = 0
+        for index, start in enumerate(range(0, samples, BLOCK_SIZE)):
+            r, theta, ok = self.block(index, min(BLOCK_SIZE, samples - start))
+            accepted += int(np.count_nonzero(ok))
+            yield r, theta, ok
+        if accepted == 0:
+            raise MonteCarloError(f"zero acceptance after {samples} proposals")
+
     def block(self, index: int, count: int):
         # a list key would go through float64 for seeds >= 2^63 and lose bits
         key = np.array([self.seed, index], dtype=np.uint64)
@@ -217,20 +230,10 @@ def lp_norm_monte_carlo(spec: DomainSpec, nu: Sequence[int], p, samples: int, se
     exps = _exponents(nu, p)
     vals_buf, sq_buf = np.empty(BLOCK_SIZE), np.empty(BLOCK_SIZE)
     s1 = s2 = 0.0
-    accepted = 0
-    done = 0
-    block = 0
-    while done < samples:
-        count = min(BLOCK_SIZE, samples - done)
-        r, _, ok = sampler.block(block, count)
-        vals = _weighted_powers(r, ok, exps, sampler.weight, vals_buf[:count])
+    for r, _, ok in sampler.blocks(samples):
+        vals = _weighted_powers(r, ok, exps, sampler.weight, vals_buf[:len(r)])
         s1 += float(vals.sum())
-        s2 += float(np.multiply(vals, vals, out=sq_buf[:count]).sum())
-        accepted += int(np.count_nonzero(ok))
-        done += count
-        block += 1
-    if accepted == 0:
-        raise MonteCarloError(f"zero acceptance after {done} proposals")
+        s2 += float(np.multiply(vals, vals, out=sq_buf[:len(r)]).sum())
     mean, se = _mean_stderr(s1, s2, samples)
     return NormResult(kind="estimate", estimate=mean, stderr=se, samples=samples, seed=seed)
 
@@ -278,12 +281,7 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
     pf = float(p)
     tot = [0.0, 0.0]
     per_term = [[0.0, 0.0] for _ in terms]
-    done = 0
-    block = 0
-    accepted = 0
-    while done < samples:
-        count = min(BLOCK_SIZE, samples - done)
-        r, theta, ok = sampler.block(block, count)
+    for r, theta, ok in sampler.blocks(samples):
         if ok.any():
             idx = np.flatnonzero(ok)
             ra, ta = np.take(r, idx, axis=0), np.take(theta, idx, axis=0)
@@ -298,11 +296,6 @@ def coefficient_inequality_check(spec: DomainSpec, laurent_poly: dict, p, sample
             fv = sampler.weight * np.abs(f_vals) ** pf
             tot[0] += float(fv.sum())
             tot[1] += float((fv * fv).sum())
-            accepted += int(ok.sum())
-        done += count
-        block += 1
-    if accepted == 0:
-        raise MonteCarloError(f"zero acceptance after {done} proposals")
     total, total_se = _mean_stderr(tot[0], tot[1], samples)
     estimates = []
     passed = True

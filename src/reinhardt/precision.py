@@ -10,7 +10,7 @@ variable.  The ladder hands its rungs bits.
 
 Every bound here comes from integers and the stdlib ``decimal``.  Integer
 bounds on 2^bits log(x) (:func:`log_bounds`, held for the 4096 pairs
-(x, bits) asked for last), which a :class:`loglin.LogBase` combines by
+(x, bits) requested last), which a :class:`loglin.LogBase` combines by
 integer multiply-adds, come from one atanh series on integers after integer
 square roots for every exact x > 0, an integer or in Q(sqrt d); past the
 float range, the float log of a threshold (:func:`float_log`) is read off them.
@@ -71,7 +71,7 @@ def rational_bounds(x: Scalar, bits: int) -> tuple[Fraction, Fraction]:
 @lru_cache(maxsize=4096)
 def log_bounds(x: Scalar, bits: int) -> tuple[int, int]:
     """Integers lo <= 2^bits log(x) <= hi, at most 2 apart, for an exact x > 0,
-    held for the 4096 pairs (x, bits) asked for last.  x is 2^e y with y in
+    held for the 4096 pairs (x, bits) requested last.  x is 2^e y with y in
     [1, 2): log(x) = e log 2 + log(y), each from :func:`_log_fixed` at
     f = bits + g bits (log 2 held), rounded outward."""
     r = math.isqrt(bits) // 4 + 2  # square roots before the series: about the cheapest mix

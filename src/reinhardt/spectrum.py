@@ -10,7 +10,9 @@ against the generators of C, which :mod:`reinhardt.cones` computes once per
 domain, so no monomial solves an LP for them.  The closure-continuity engine
 for A^k is a sufficient-condition checker, "yes" or "indeterminate" and never
 an unsound "no"; it walks the approachable axis sets and their projected
-faces, which each ``LogPolyhedron`` derives once from C ∩ {d <= 0}.
+faces, which each ``LogPolyhedron`` derives once from C ∩ {d <= 0}, and asks
+each sup question of :func:`reinhardt.cones.unbounded_direction`, whose cone
+holds every generator check it has made.
 """
 
 from __future__ import annotations
@@ -55,23 +57,14 @@ def _nonvanishing_orders(nu: Sequence[int], k: int) -> list[tuple[int, ...]]:
             if not any(0 <= e < s for e, s in zip(nu, sigma))]
 
 
-def _sup_ray(poly: LogPolyhedron, m: tuple, asked: dict):
-    """``unbounded_direction(poly, m)``, asked of the cone once per
-    membership: ``asked`` holds the answers by (id(poly), m)."""
-    key = (id(poly), m)
-    if key not in asked:
-        asked[key] = unbounded_direction(poly, m)
-    return asked[key]
-
-
-def _extends_continuously(poly: LogPolyhedron, m: tuple, asked: dict) -> bool:
+def _extends_continuously(poly: LogPolyhedron, m: tuple) -> bool:
     """Sufficient check that z^m, with a finite sup on ``poly``, extends continuously."""
     if not any(m):
         return True
     faces = poly.axis_faces
     # |z^m| <= |z_ell| * sup|z^(m - e_ell)| -> 0 at every stratum with z_ell = 0
     vanishing = {ell for ell in frozenset().union(*(coords for coords, _ in faces))
-                 if _sup_ray(poly, tuple(e - (j == ell) for j, e in enumerate(m)), asked) is None}
+                 if unbounded_direction(poly, [e - (j == ell) for j, e in enumerate(m)]) is None}
     for coords, face in faces:
         if coords & vanishing:
             continue
@@ -79,7 +72,7 @@ def _extends_continuously(poly: LogPolyhedron, m: tuple, asked: dict) -> bool:
             return False
         # constant on the stratum and continuous on its face (a system: m is nonzero off coords)
         rest = tuple(e for j, e in enumerate(m) if j not in coords)
-        if _sup_ray(face, rest, asked) is not None or not _extends_continuously(face, rest, asked):
+        if unbounded_direction(face, rest) is not None or not _extends_continuously(face, rest):
             return False
     return True
 
@@ -106,9 +99,8 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
         return SpaceMembership(NO, "recession-obstruction",
                                {"direction": [str(x) for x in bad]})
     if kind in (sp.HINF_K, sp.AK):
-        asked: dict = {}  # each sup question of this membership, asked once
         for sigma in _nonvanishing_orders(nu, space.k):
-            ray = _sup_ray(poly, tuple(e - s for e, s in zip(nu, sigma)), asked)
+            ray = unbounded_direction(poly, tuple(e - s for e, s in zip(nu, sigma)))
             if ray is not None:
                 no = {"sigma": list(sigma), "ray": [str(x) for x in ray]}
                 if kind == sp.HINF_K:
@@ -119,7 +111,7 @@ def monomial_in_space(spec: DomainSpec, nu: Sequence[int], space: FunctionSpace
             return SpaceMembership(YES, "derivative-sups-bounded", {})
         for sigma in _nonvanishing_orders(nu, space.k):
             m = tuple(e - s for e, s in zip(nu, sigma))
-            if not _extends_continuously(poly, m, asked):
+            if not _extends_continuously(poly, m):
                 return SpaceMembership(INDETERMINATE, "outside-sufficient-criteria",
                                        {"sigma": list(sigma)})
         return SpaceMembership(YES, "axis-vanishing-certified", {})

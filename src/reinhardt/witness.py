@@ -176,13 +176,16 @@ class WitnessFunction:
     @cached_property
     def d_float(self) -> float:
         """``d`` as a float, for the numeric evaluations of f_N; a SpecError
-        when it does not fit one."""
+        when it does not fit one, or when it rounds to 1, which would put the
+        pole of f_N on |z^alpha_j0| = 1."""
         try:
             value = float(self.d)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
             raise SpecError("d = |b^alpha_j0| is too large for a float")
+        if value == 1.0:
+            raise SpecError(f"d = |b^alpha_j0| = {format_scalar(self.d)} rounds to 1 as a float")
         return value
 
     def value(self, z: Sequence[complex]) -> complex:
@@ -415,7 +418,6 @@ def verify_witness_membership(w: WitnessFunction, k: Optional[int] = None,
     n = frame.n
     if any(scalar_cmp(c, 1) != 0 for c in frame.thresholds):
         raise SpecError("membership verification expects unit thresholds")
-    w.d_float  # a SpecError for a d past the float range, which f_N's evaluations need
     # each approach support is approachable and every approachable set is a union of them
     axis_coords = sorted(frozenset().union(*frame.polyhedron.approach_supports))
     sigmas = derivative_orders(n, k)

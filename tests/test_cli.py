@@ -103,12 +103,15 @@ def test_witness_with_huge_exterior_power_is_a_spec_error(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
-def test_witness_verify_with_d_beyond_float_range_is_a_spec_error(capsys):
+def test_witness_verify_with_d_beyond_float_range_answers(capsys):
+    """The certificate's sums are exact: a d past the float range is answered."""
     start = time.perf_counter()
-    code, _, err = run(capsys, "witness", HARTOGS, "--k", "0", "--exterior", f"{10 ** 400},1",
-                       "--j0", "1", "--verify")
+    code, out, err = run(capsys, "witness", HARTOGS, "--k", "0", "--exterior", f"{10 ** 400},1",
+                         "--j0", "1", "--verify", "--json")
     assert time.perf_counter() - start < 5
-    assert code == 1 and err.startswith("error:")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["d"] == str(10 ** 400) and doc["certificate"]["all_ok"]
 
 
 @pytest.mark.parametrize("k, exterior, sups", [

@@ -337,10 +337,8 @@ def _values_sha256(spec, nu, p, samples, seed) -> str:
     exps = np.array(nu, dtype=float) * float(Fraction(p))
     sampler = _Sampler(spec, seed, with_phases=False)
     digest = hashlib.sha256()
-    for block, start in enumerate(range(0, samples, BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, samples - start)
-        r, _, ok = sampler.block(block, count)
-        digest.update(_weighted_powers(r, ok, exps, sampler.weight, np.empty(count)).tobytes())
+    for r, _, ok in sampler.blocks(samples):
+        digest.update(_weighted_powers(r, ok, exps, sampler.weight, np.empty(len(r))).tobytes())
     return digest.hexdigest()
 
 

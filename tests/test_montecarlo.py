@@ -332,6 +332,20 @@ def test_values_past_the_float_range_are_monte_carlo_errors(case):
         coefficient_inequality_check(spec, {nu: 1.0}, p, 1000, seed=1)
 
 
+@pytest.mark.parametrize("estimator", [
+    lambda spec, nu, p, samples: lp_norm_monte_carlo(spec, nu, p, samples, seed=1),
+    lambda spec, nu, p, samples: coefficient_inequality_check(spec, {nu: 1.0}, p, samples, seed=1),
+], ids=["lp_norm_monte_carlo", "coefficient_inequality_check"])
+def test_zero_acceptance_counts_the_proposals_of_every_block(estimator):
+    """Both estimators walk ``_Sampler.blocks``, which raises once the last
+    of two blocks is drawn and none of their samples was accepted."""
+    constraints, (nu, p), _ = PAST_THE_FLOAT_RANGE["threshold-0"]
+    spec = parse_spec(_spec_text(constraints))
+    samples = BLOCK_SIZE + 5
+    with pytest.raises(MonteCarloError, match=f"^zero acceptance after {samples} proposals$"):
+        estimator(spec, nu, p, samples)
+
+
 @pytest.mark.parametrize("case", list(PAST_THE_FLOAT_RANGE))
 def test_values_past_the_float_range_are_one_error_line_of_the_cli(case, tmp_path, capsys):
     constraints, (nu, p), message = PAST_THE_FLOAT_RANGE[case]

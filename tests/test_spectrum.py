@@ -157,29 +157,6 @@ def test_ldiamond_large_p_obstruction(disc_times_plane):
     # at the p -> infinity end only when <2*1, d> >= 0
 
 
-def test_an_ak_membership_asks_each_sup_question_once(monkeypatch, gallery):
-    # the hinf_k loop and the continuity walk share one dict of answers per membership
-    from reinhardt import spectrum
-    asked, repeats = set(), []
-    unbounded_direction = spectrum.unbounded_direction
-
-    def counting(poly, w):
-        key = (id(poly), tuple(w))
-        repeats.extend([key] if key in asked else [])
-        asked.add(key)
-        return unbounded_direction(poly, w)
-
-    monkeypatch.setattr(spectrum, "unbounded_direction", counting)
-    here = Path(__file__).resolve().parent / "specs"
-    specs = [*gallery.values(), *(load_spec(str(here / f"{name}.json")) for name in ("chain3",))]
-    for spec in specs:
-        for nu in product(range(-2, 3), repeat=spec.n):
-            for k in (1, 2):
-                asked.clear()
-                monomial_in_space(spec, nu, sp.ak(k))
-                assert not repeats, (spec.n, nu, k)
-
-
 CHAIN3 = load_spec(str(Path(__file__).resolve().parent / "specs" / "chain3.json"))
 
 

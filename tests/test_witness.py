@@ -2,6 +2,7 @@ import cmath
 import math
 import os
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -129,8 +130,10 @@ def test_n0_of_a_frame_with_huge_coordinates_at_a_64_bit_cap(monkeypatch):
     ("64", EPS, 10), ("64", -EPS, 10), (None, EPS, 10), (None, -EPS, 9),
 ], ids=["64-bit-above-9", "64-bit-below-9", "default-above-9", "default-below-9"])
 def test_n0_ceil_of_a_quadratic_near_tie(cap, offset, expected, monkeypatch):
-    """L = 9 - 2 pi + offset + 2^-90 sqrt2 in Q(sqrt2): its 64-bit rung leaves
-    m = 9 unresolved, which counts as too small; the default cap decides it."""
+    """L = 9 - 2 pi + offset + 2^-90 sqrt2 in Q(sqrt2), so the pi branch
+    L + 2 pi lies within 2^-79 of 9.  At a 64-bit cap its enclosure still
+    straddles 9, and the upper end's floor gives 10 on either side: >= N0,
+    not least below 9.  The default cap's rungs floor both ends alike."""
     if cap is None:
         monkeypatch.delenv("REINHARDT_PRECISION", raising=False)
     else:
@@ -296,12 +299,13 @@ def test_build_witness_bounds_the_size_of_d():
         build_witness(WitnessSpec(frame=frame, k=0, exterior=radial(3, 3), j0=0))
 
 
-def test_verify_rejects_d_beyond_float_range(hartogs_frame):
+def test_verify_answers_d_beyond_float_range(hartogs_frame):
+    """The certificate's sums are exact, so only f_N's evaluations need d as
+    a float (see ``test_evaluations_reject_d_beyond_float_range``)."""
     w = build_witness(WitnessSpec(frame=hartogs_frame, k=0,
                                   exterior=radial(10 ** 400, 1), j0=0))
     assert w.d == 10 ** 400
-    with pytest.raises(SpecError, match="too large for a float"):
-        verify_witness_membership(w, k=0)
+    assert verify_witness_membership(w, k=0).ok
 
 
 @pytest.mark.parametrize("bound, d", [
@@ -339,6 +343,20 @@ def test_evaluations_reject_d_beyond_float_range(hartogs_frame):
         w.value([0.5, 0.5])
     with pytest.raises(SpecError, match="too large for a float"):
         eval_witness_derivative(w, (0, 0), [0.5, 0.5])
+
+
+def test_evaluations_reject_d_that_rounds_to_one(unit_disc):
+    """d = 1 + 10^-20 is 1.0 as a float, which would put f_N's pole on
+    |z| = 1, where the series would run its 10^6 terms before failing."""
+    w = build_witness(WitnessSpec(frame=SimplicialFrame.from_spec(unit_disc), k=0,
+                                  exterior=radial(1 + Fraction(1, 10 ** 20)), j0=0))
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="rounds to 1 as a float"):
+        eval_witness_derivative(w, (0,), [0.999999])
+    with pytest.raises(SpecError, match="rounds to 1 as a float"):
+        w.value([0.5])
+    assert time.perf_counter() - start < 1
+    assert verify_witness_membership(w, k=0).ok
 
 
 def test_alpha_j0_is_computed_once(hartogs_witness):
