@@ -13,9 +13,10 @@ Each classifier reduces its question to exact geometry of the log-polyhedron:
                 constrained factor times a full free factor.
 
 Every "no" ships a concrete witness (irrational lineality basis, lineality
-vector, or reachable coordinate set plus ray); every "yes" names the rule
-that fired.  ``classify_all`` additionally asserts the implication lattice
-between the verdicts before returning the report.
+vector, or reachable coordinate set plus ray, the sup ray of t on the
+approach cone, one of the two LP queries of :mod:`reinhardt.cones`); every
+"yes" names the rule that fired.  ``classify_all`` additionally asserts the
+implication lattice between the verdicts before returning the report.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def classify_ainf(spec: DomainSpec) -> Verdict:
     that is when S is a union of approach supports.  Such a union contains
     a support that meets N and is no larger, and that support obstructs
     too, so the first obstructing set in (size, lex) order is the least
-    support that meets N.  The reported ray is the vertex of the approach
-    LP for it; a ``yes`` counts the 2^n - 2^(n - |N|) sets that meet N.
+    support that meets N.  The reported ray is the sup ray of t on the
+    approach cone for it (:func:`approach_certificate`); a ``yes`` counts
+    the 2^n - 2^(n - |N|) sets that meet N.
     """
     base = classify_hinf(spec)
     if not base.is_yes:

@@ -19,10 +19,11 @@ the polyhedron plus the extreme rays of its pointed part.  One loop,
 the integer rows of its normals as lines, cuts by those rows first, which
 turns every line into a ray, and then by the other rows.  Lines and rays
 are integer rows, over Z[sqrt d] pairs of them, kept primitive, and
-:class:`RecessionCone` holds them so.  They are the only owner of
-finiteness: whether a sup is finite, whether the domain is bounded or has
-finite volume, and whether an integral converges are ring signs of dot
-products against them in a field that holds the query too
+:class:`RecessionCone` holds them so.  They own finiteness on a general
+system (a simplicial frame reads it off its inverse instead,
+:mod:`reinhardt.norms`): whether a sup is finite, whether the domain is
+bounded or has finite volume, and whether an integral converges are ring
+signs of dot products against them in a field that holds the query too
 (:func:`recession_meets_halfspace`, :func:`unbounded_direction`,
 :meth:`RecessionCone.in_negative_orthant`), and a direction is read off a
 row only where a query returns it, once :func:`_generator_direction` has
@@ -43,13 +44,14 @@ LP of :func:`interior_point` and exact arithmetic proves its answer
 McConnell, Mehlhorn, Naeher and Schweitzer 2011): a point of the open
 system solved from the tight rows, or Farkas multipliers of Motzkin's
 alternative.  Only when the proof fails does the exact simplex
-(:mod:`reinhardt.simplex`) decide it.  Otherwise the simplex computes what
-gets printed or pinned once finiteness is known: the value of a finite sup
-(:func:`lp_optimize`, also the upper bounds on log|z_j| that the Monte-Carlo
-bounding box is made of, ``LogPolyhedron.radius_box``) and the reported
-approach and sup-norm rays.  Nothing here reads a spec, which
-:mod:`reinhardt.domain` turns into a polyhedron, and nothing needs numpy:
-only :mod:`reinhardt.montecarlo` loads it.
+(:mod:`reinhardt.simplex`) decide it.  Every LP here is one of two queries
+on a log-polyhedron, the value LP (:func:`lp_optimize`) and the sup-ray LP
+(:func:`_sup_ray`), asked once finiteness is known: the value of a finite
+sup, the Monte-Carlo box (``LogPolyhedron.radius_box``), the sup-norm ray,
+the approach ray (the sup ray of t on the approach cone in (d_S, t)) and
+the interior point (the value LP of t on the lifted system in (x, t)).
+Nothing here reads a spec, which :mod:`reinhardt.domain` turns into a
+polyhedron, and nothing needs numpy: only :mod:`reinhardt.montecarlo` loads it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .hnf import integer_kernel_basis
 from .loglin import LogBase, LogLin
 from .precision import float_log
 from .scalars import Scalar, sign_of
-from .simplex import INFEASIBLE, OPTIMAL, LPCertificate, LPSystem, float_basis, solve_lp
+from .simplex import OPTIMAL, LPCertificate, LPSystem, float_basis, solve_lp
 
 
 @dataclass(frozen=True)
@@ -259,28 +261,26 @@ def require_optimal(cert: LPCertificate, what: str) -> None:
                              "(internal error)")
 
 
-def _const_point(cert: LPCertificate) -> list[Scalar]:
-    out = []
-    for v in cert.primal_point:
-        if v.terms:
-            raise ValueError("expected a purely scalar LP solution")
-        out.append(v.const)
-    return out
+def _vertex(cert: LPCertificate, what: str) -> Optional[tuple[LogLin, ...]]:
+    """The vertex of an optimal ``cert`` whose optimum is positive, else None."""
+    require_optimal(cert, what)
+    return cert.primal_point if cert.objective.sign() > 0 else None
 
 
-def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
-                                  ) -> Optional[list[Scalar]]:
-    """Recession direction with <w, d> > 0, the vertex of max <w, d> s.t. A d <= 0
-    (``poly.cone_system``) and <w, d> <= 1, which ``sup_norm_monomial`` reports."""
+def _sup_ray(poly: LogPolyhedron, w: Sequence[Scalar], what: str) -> Optional[list[Scalar]]:
+    """:func:`_vertex` of max <w, d> s.t. A d <= 0 (``poly.cone_system``) and <w, d> <= 1."""
     cone, b = poly.cone_system, [LogLin.zero()] * len(poly.normals) + [LogLin.of(1)]
     system = None  # w outside the normals' field: solve_lp clears every row anew
     if linalg.field_of([w]) in (None, cone.d):
         system = cone.appended(linalg.over_denominator(w, cone.d), 1)
-    cert = solve_lp([*poly.normals, w], b, list(w), system)
-    require_optimal(cert, "recession_improving_direction")
-    if cert.objective.sign() > 0:
-        return _const_point(cert)
-    return None
+    point = _vertex(solve_lp([*poly.normals, w], b, list(w), system), what)
+    return None if point is None else [v.const for v in point]
+
+
+def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
+                                  ) -> Optional[list[Scalar]]:
+    """Recession direction with <w, d> > 0 that ``sup_norm_monomial`` reports."""
+    return _sup_ray(poly, w, "recession_improving_direction")
 
 
 # -- exact generators of the recession cone -------------------------------------
@@ -474,32 +474,33 @@ def unbounded_direction(poly: LogPolyhedron, w: Sequence[Scalar]) -> Optional[li
     return _generator_direction(poly, w, True, "unbounded_direction")
 
 
+def _coordinate_set(poly: LogPolyhedron, coords: Iterable[int]) -> frozenset[int]:
+    """``coords`` as a set, which must be nonempty and within 0..n-1."""
+    target = frozenset(coords)
+    if not target:
+        raise ValueError("approach needs a non-empty coordinate set")
+    outside = sorted(target - frozenset(range(poly.n)))
+    if outside:
+        raise ValueError(f"coordinate {outside[0]} outside 0..{poly.n - 1}")
+    return target
+
+
 def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
                          ) -> Optional[tuple[Scalar, ...]]:
-    """Recession ray along which all coords in S go to -infinity, rest fixed.
-
-    Solves max t s.t. <alpha|_S, d_S> <= 0, d_j <= -t (j in S), 0 <= t <= 1.
-    By homogeneity the optimum is 0 or 1; on success returns the full-length
-    ray (zeros off S, components <= -1 on S).
-    """
-    if not coords:
-        raise ValueError("approach needs a non-empty coordinate set")
-    s_list = sorted(coords)
+    """Recession ray along which all coords in S go to -infinity, rest fixed:
+    the sup ray of t on the cone in (d_S, t) with rows <alpha|_S, d_S> <= 0,
+    d_j + t <= 0 (j in S) and -t <= 0, padded with zeros off S."""
+    s_list = sorted(_coordinate_set(poly, coords))
     k = len(s_list)
-    bound = [Fraction(0)] * k + [Fraction(1)]
-    rows = ([[alpha[j] for j in s_list] + [Fraction(0)] for alpha in poly.normals]
-            + [[Fraction(int(j in (i, k))) for j in range(k + 1)] for i in range(k)]  # d_j + t <= 0
-            + [bound, [-x for x in bound]])  # t <= 1, -t <= 0
-    cert = solve_lp(rows, [LogLin.zero()] * (len(rows) - 2) + [LogLin.of(1), LogLin.zero()],
-                    bound)
-    require_optimal(cert, "approach_certificate")
-    if cert.objective.sign() <= 0:
+    rows = ([(*(alpha[j] for j in s_list), 0) for alpha in poly.normals]
+            + [tuple(int(j in (i, k)) for j in range(k + 1)) for i in range(k)]
+            + [(0,) * k + (-1,)])
+    cone = LogPolyhedron(n=k + 1, normals=tuple(rows), offsets=(1,) * len(rows))
+    point = _sup_ray(cone, [0] * k + [1], "approach_certificate")
+    if point is None:
         return None
-    point = _const_point(cert)
-    ray = [Fraction(0)] * poly.n
-    for i, j in enumerate(s_list):
-        ray[j] = point[i]
-    return tuple(ray)
+    at = dict(zip(s_list, point))
+    return tuple(at.get(j, Fraction(0)) for j in range(poly.n))
 
 
 def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:
@@ -508,9 +509,7 @@ def approach(poly: LogPolyhedron, coords: Iterable[int]) -> bool:
     Yes iff some recession direction d <= 0 has support exactly S = coords,
     that is iff S is the union of the approach supports contained in S.
     """
-    target = frozenset(coords)
-    if not target:
-        raise ValueError("approach needs a non-empty coordinate set")
+    target = _coordinate_set(poly, coords)
     return frozenset().union(*(s for s in poly.approach_supports if s <= target)) == target
 
 
@@ -565,7 +564,7 @@ def is_empty(poly: LogPolyhedron) -> bool:
 def certify_emptiness(poly: LogPolyhedron) -> Optional[tuple[bool, tuple[list[int], list]]]:
     """Whether the open system is empty, proved exactly from the basis that
     :func:`simplex.float_basis` guesses for the LP of :func:`interior_point`
-    (max t s.t. <alpha_i, x> + t <= log c_i, t <= log 2), with its proof;
+    (max t on :func:`_lifted`), with its proof;
     None when the guess proves nothing, or a sign of the proof is past the
     ladder's cap.  Every sign is decided on one :class:`LogBase` of the
     thresholds and 2.
@@ -618,7 +617,7 @@ def _inside(poly: LogPolyhedron, logbase: LogBase, slots: list[int], cols: list[
     n, d = poly.n, logbase.d
     if n not in cols:
         return False
-    aug = [*(list(a) + [1] for a in poly.normals), [0] * n + [1]]
+    aug = _lifted(poly).normals
     frame = linalg.frame_inverse([[aug[i][j] for j in cols] for i in tight], d)
     if frame is None:
         return False
@@ -652,24 +651,20 @@ def _farkas(poly: LogPolyhedron, logbase: LogBase, slots: list[int], rows: list[
     return ys[0] if _log_form_sign(logbase, y, [slots[i] for i in rows], den) <= 0 else None
 
 
+def _lifted(poly: LogPolyhedron) -> LogPolyhedron:
+    """The system in (x, t) with rows <alpha_i, x> + t < log c_i and t < log 2."""
+    rows = (*((*a, 1) for a in poly.normals), (0,) * poly.n + (1,))
+    return LogPolyhedron(n=poly.n + 1, normals=rows, offsets=(*poly.offsets, 2))
+
+
 def interior_point(poly: LogPolyhedron) -> Optional[tuple[LogLin, ...]]:
     """A point of the open system, or None if the open system is empty.
 
-    Decided as "the closed system is full-dimensional-feasible": the LP
-    max t s.t. <alpha, x> + t <= log c, 0 <= t <= log 2 must have optimum
-    > 0.  The cap log 2, not 1, keeps every form of the LP free of a
-    constant, so over rational thresholds LogBase decides each sign off the
-    ladder.  :func:`is_empty` runs it only when Gordan's test on the
-    recession cone does not decide; callers that need a point call it directly.
+    The value LP of t on :func:`_lifted`: x = 0 with t = min(log c_i, log 2)
+    is feasible and t <= log 2 bounds it, and the open system is nonempty
+    iff the optimum is > 0.  The cap log 2, not 1, keeps every form of the
+    LP free of a constant, so over rational thresholds LogBase decides each
+    sign off the ladder.
     """
-    n = poly.n
-    tail = [Fraction(0)] * n + [Fraction(1)]
-    rows = [[*alpha, Fraction(1)] for alpha in poly.normals] + [tail, [-x for x in tail]]
-    cert = solve_lp(rows, [*(LogLin.log_of(c) for c in poly.offsets), LogLin.log_of(2),
-                           LogLin.zero()], tail)
-    if cert.status == INFEASIBLE:
-        return None
-    require_optimal(cert, "interior_point")
-    if cert.objective.sign() <= 0:
-        return None
-    return cert.primal_point[:n]
+    point = _vertex(lp_optimize([0] * poly.n + [1], _lifted(poly)), "interior_point")
+    return None if point is None else point[:poly.n]

@@ -1,8 +1,10 @@
 """Monomial norms: sup norms, exact L^p integrals on simplicial frames.
 
 Whether a sup or an integral is finite is read off the recession-cone
-generators of the domain (:mod:`reinhardt.cones`); an LP only computes the
-value of a finite sup, or the ray printed for an infinite one.
+generators of the domain (:mod:`reinhardt.cones`), but on a simplicial frame
+:func:`lp_norm_exact_simplicial` and the witness checks read it off the
+frame's inverse (t_j > 0, coordinates >= 0); an LP only computes the value
+of a finite sup, or the ray printed for an infinite one (the sup-ray LP).
 
 The exact L^p integral of |z^nu|^p over a domain cut out by exactly n
 independent constraints has the closed form

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from conftest import NEAR_TIE, random_spec, sample_interior_points
+from conftest import NEAR_TIE, cone_system, random_spec, sample_interior_points
 from hypothesis import example, given, settings, strategies as st
 
 from reinhardt import (DomainSpec, LogPolyhedron, MonomialConstraint,
@@ -70,6 +70,19 @@ def test_approach_examples(hartogs):
     assert approach(poly, {1}) is False
     assert approach(poly, {0, 1}) is True
     assert approach(poly, {0}) is True
+
+
+def test_approach_rejects_coordinates_outside_the_domain(hartogs, polydisc):
+    # negative indexing would read -1 as the last coordinate
+    for query in (approach, approach_certificate):
+        with pytest.raises(ValueError, match="coordinate 5 outside 0..1"):
+            query(hartogs.log_polyhedron, frozenset({5}))
+        with pytest.raises(ValueError, match="coordinate -1 outside 0..1"):
+            query(polydisc.log_polyhedron, frozenset({-1}))
+        with pytest.raises(ValueError, match="coordinate -2 outside 0..1"):
+            query(polydisc.log_polyhedron, frozenset({-2, 1}))
+        with pytest.raises(ValueError, match="non-empty coordinate set"):
+            query(polydisc.log_polyhedron, frozenset())
 
 
 def test_approach_soundness_certificate(hartogs, annulus, polydisc):
@@ -142,16 +155,18 @@ def test_recession_intersection_is_lineality(hartogs, multiplicative_strip,
             assert two_sided == in_span
 
 
-@pytest.mark.parametrize("query", [
-    lambda poly: cones.recession_improving_direction(poly, [Fraction(1), Fraction(0)]),
-    lambda poly: cones.approach_certificate(poly, frozenset({0})),
-    lambda poly: cones.interior_point(poly),
+@pytest.mark.parametrize("name,query", [
+    ("recession_improving_direction",
+     lambda poly: cones.recession_improving_direction(poly, [Fraction(1), Fraction(0)])),
+    ("approach_certificate", lambda poly: cones.approach_certificate(poly, frozenset({0}))),
+    ("interior_point", lambda poly: cones.interior_point(poly)),
 ], ids=["recession_improving_direction", "approach_certificate", "interior_point"])
-def test_unexpected_lp_status_is_a_typed_error(monkeypatch, hartogs, query):
-    # these checks must hold under ``python -O`` too, so they cannot be asserts
+def test_unexpected_lp_status_is_a_typed_error(monkeypatch, hartogs, name, query):
+    # these checks must hold under ``python -O`` too, so they cannot be asserts;
+    # the approach LP runs through the sup-ray code yet names its own caller
     poly = hartogs.log_polyhedron
     monkeypatch.setattr(cones, "solve_lp", lambda *_args: LPCertificate(status=UNBOUNDED))
-    with pytest.raises(ReinhardtError, match="expected optimal"):
+    with pytest.raises(ReinhardtError, match=f"^{name}: LP returned 'unbounded', expected optimal"):
         query(poly)
 
 
@@ -658,3 +673,39 @@ def test_sup_rays_on_the_held_cone_system_equal_those_of_rows_cleared_anew(galle
             assert cones.recession_improving_direction(poly, list(w)) == oracle
             assert [str(x) for x in sup_norm_monomial(spec, w).ray] == [str(x) for x in oracle]
     assert infinite > 100
+
+
+def _approach_ray_of_its_own_lp(poly: LogPolyhedron, coords) -> tuple | None:
+    """Oracle: the approach LP written out, max t s.t. <alpha|_S, d_S> <= 0,
+    d_j + t <= 0 (j in S), t <= 1 and -t <= 0, its ray padded with zeros."""
+    s_list = sorted(coords)
+    k = len(s_list)
+    bound = [Fraction(0)] * k + [Fraction(1)]
+    rows = ([[alpha[j] for j in s_list] + [Fraction(0)] for alpha in poly.normals]
+            + [[Fraction(int(j in (i, k))) for j in range(k + 1)] for i in range(k)]
+            + [bound, [-x for x in bound]])
+    cert = solve_lp(rows, [LogLin.zero()] * (len(rows) - 2) + [LogLin.of(1), LogLin.zero()],
+                    bound)
+    assert cert.status == OPTIMAL
+    if cert.objective.sign() <= 0:
+        return None
+    at = {j: cert.primal_point[i].const for i, j in enumerate(s_list)}
+    return tuple(at.get(j, Fraction(0)) for j in range(poly.n))
+
+
+@settings(max_examples=100, deadline=20_000)
+@given(st.sampled_from([None, 2, 3, 5]),
+       st.sampled_from(["generic", "lineality", "equalities", "scaled"]),
+       st.integers(0, 2 ** 32))
+def test_approach_ray_is_that_of_its_own_lp(d, shape, seed):
+    """The sup ray of t on the approach cone lists t <= 1 after -t <= 0, and
+    Bland's rule still reaches the vertex of the LP written out, for every
+    nonempty coordinate set of a seeded random system: the printed ray."""
+    _, n, normals = cone_system(random.Random(seed), d, shape)
+    poly = LogPolyhedron(n=n, normals=tuple(normals), offsets=(1,) * len(normals))
+    for size in range(1, n + 1):
+        for coords in combinations(range(n), size):
+            oracle = _approach_ray_of_its_own_lp(poly, coords)
+            got = approach_certificate(poly, frozenset(coords))
+            assert got == oracle
+            assert got is None or [str(x) for x in got] == [str(x) for x in oracle]
