@@ -245,9 +245,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attached_exponents(argv: list[str]) -> list[str]:
+    """``--nu -1,3`` as ``--nu=-1,3``: argparse reads a separate value that
+    starts with '-' as an option unless it is one negative number."""
+    out, args = [], iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--nu" else None
+        if value is None:
+            out.append(arg)
+        elif value.startswith("-") and value[1:2].isdigit():
+            out.append(f"{arg}={value}")
+        else:
+            out += [arg, value]
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attached_exponents(argv))
     except SystemExit as exc:
         if exc.code == 0:  # --help
             raise

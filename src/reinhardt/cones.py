@@ -267,20 +267,25 @@ def _vertex(cert: LPCertificate, what: str) -> Optional[tuple[LogLin, ...]]:
     return cert.primal_point if cert.objective.sign() > 0 else None
 
 
-def _sup_ray(poly: LogPolyhedron, w: Sequence[Scalar], what: str) -> Optional[list[Scalar]]:
-    """:func:`_vertex` of max <w, d> s.t. A d <= 0 (``poly.cone_system``) and <w, d> <= 1."""
-    cone, b = poly.cone_system, [LogLin.zero()] * len(poly.normals) + [LogLin.of(1)]
-    system = None  # w outside the normals' field: solve_lp clears every row anew
-    if linalg.field_of([w]) in (None, cone.d):
-        system = cone.appended(linalg.over_denominator(w, cone.d), 1)
-    point = _vertex(solve_lp([*poly.normals, w], b, list(w), system), what)
+_ZERO, _ONE = LogLin.zero(), LogLin.of(1)  # the right-hand sides of a sup ray LP
+
+
+def _sup_ray(normals: Sequence[Sequence[Scalar]], w: list[Scalar], system: Optional[LPSystem],
+             what: str) -> Optional[list[Scalar]]:
+    """:func:`_vertex` of max <w, d> s.t. <alpha_i, d> <= 0 and <w, d> <= 1 on
+    ``system``, those rows cleared with w last (None: :func:`solve_lp` clears them)."""
+    b = [_ZERO] * len(normals) + [_ONE]
+    point = _vertex(solve_lp([*normals, w], b, w, system), what)
     return None if point is None else [v.const for v in point]
 
 
 def recession_improving_direction(poly: LogPolyhedron, w: Sequence[Scalar]
                                   ) -> Optional[list[Scalar]]:
-    """Recession direction with <w, d> > 0 that ``sup_norm_monomial`` reports."""
-    return _sup_ray(poly, w, "recession_improving_direction")
+    """Recession direction with <w, d> > 0 that ``sup_norm_monomial`` reports:
+    the sup ray LP on ``poly.cone_system`` with <w, d> <= 1 appended."""
+    w = list(w)
+    return _sup_ray(poly.normals, w, poly.cone_system.appended(w),
+                    "recession_improving_direction")
 
 
 # -- exact generators of the recession cone -------------------------------------
@@ -495,8 +500,9 @@ def approach_certificate(poly: LogPolyhedron, coords: frozenset[int]
     rows = ([(*(alpha[j] for j in s_list), 0) for alpha in poly.normals]
             + [tuple(int(j in (i, k)) for j in range(k + 1)) for i in range(k)]
             + [(0,) * k + (-1,)])
-    cone = LogPolyhedron(n=k + 1, normals=tuple(rows), offsets=(1,) * len(rows))
-    point = _sup_ray(cone, [0] * k + [1], "approach_certificate")
+    w = [0] * k + [1]
+    system = LPSystem.of([*rows, w], [0] * len(rows) + [1], w)  # every row cleared once
+    point = _sup_ray(rows, w, system, "approach_certificate")
     if point is None:
         return None
     at = dict(zip(s_list, point))

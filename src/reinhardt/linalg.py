@@ -32,6 +32,8 @@ from typing import Optional
 
 from .scalars import QuadExt, Scalar, quadratic_sign, sign_of
 
+_ZERO = Fraction(0)  # shared by every zero entry that vector builds
+
 
 def dot(u, v) -> Scalar:
     """Exact inner product; int vectors stay ints, which is much cheaper."""
@@ -83,12 +85,6 @@ def primitive(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries."""
     g = math.gcd(*v)
     return [x // g for x in v] if g > 1 else v
-
-
-def cancel(v: list[int], den: int) -> tuple[list[int], int]:
-    """The row v over the denominator ``den``, both divided by their gcd."""
-    g = math.gcd(*v, den)
-    return ([x // g for x in v], den // g) if g > 1 else (v, den)
 
 
 def times(s, v: list[int], d: Optional[int]) -> list[int]:
@@ -155,9 +151,19 @@ def combination(rows, lam: list[int], width: int, d: Optional[int]) -> tuple[lis
     denominator) of :func:`over_denominator`: an integer row over the lcm of
     their denominators (times lam's own), and that lcm."""
     scale = math.lcm(*(r for _, r in rows))
-    terms = [times(entry(lam, i, d), [x * (scale // r) for x in row], d)
-             for i, (row, r) in enumerate(rows) if entry_sign(lam, i, d)]
-    return [sum(col) for col in zip([0] * width, *terms)], scale
+    if d is None:
+        total = [0] * width
+        for f, (row, r) in zip(lam, rows):
+            if f:
+                f *= scale // r
+                total = [t + f * x for t, x in zip(total, row)]
+        return total, scale
+    k, total = len(lam) // 2, [0] * width
+    for i, (row, r) in enumerate(rows):
+        if lam[i] or lam[k + i]:
+            total = combine((1, 0), total, ((scale // r) * lam[i], (scale // r) * lam[k + i]),
+                            row, d)
+    return total, scale
 
 
 def ring(d: Optional[int]):
@@ -225,10 +231,91 @@ def sparse_products(v: list[int], columns: list[list[tuple[int, int]]], d: Optio
     return [(sum(x * v[t] for t, x in col), sum(x * v[k + t] for t, x in col)) for col in columns]
 
 
-def tail(v: list[int], j: int, d: Optional[int]) -> list[int]:
-    """The integer row of entries j, j + 1, ... of v."""
+def segment(v: list[int], start: int, stop: Optional[int], d: Optional[int]) -> list[int]:
+    """The integer row of entries start, ..., stop - 1 of v (to its end when
+    ``stop`` is None)."""
+    if d is None:
+        return v[start:stop]
     k = len(v) // 2
-    return v[j:] if d is None else v[j:k] + v[k + j:]
+    stop = k if stop is None else stop
+    return v[start:stop] + v[k + start:k + stop]
+
+
+def spliced(v: list[int], start: int, stop: int, zeros: int, d: Optional[int]) -> list[int]:
+    """The integer row v with its entries start, ..., stop - 1 replaced by
+    ``zeros`` zero entries: a column inserted or columns dropped."""
+    if d is None:
+        return v[:start] + [0] * zeros + v[stop:]
+    k, pad = len(v) // 2, [0] * zeros
+    return v[:start] + pad + v[stop:k] + v[k:k + start] + pad + v[k + stop:]
+
+
+def signs(v: list[int], stop: int, d: Optional[int]) -> list[int]:
+    """The signs of entries 0, ..., stop - 1 of an integer row, in one pass."""
+    if d is None:
+        return [(x > 0) - (x < 0) for x in v[:stop]]
+    k = len(v) // 2
+    return [quadratic_sign(a, b, d) if b else (a > 0) - (a < 0)
+            for a, b in zip(v[:stop], v[k:k + stop])]
+
+
+def column_signs(rows: list[list[int]], c: int, d: Optional[int]) -> list[int]:
+    """The sign of entry c of each of the integer rows ``rows``, of one width."""
+    if d is None:
+        return [(v[c] > 0) - (v[c] < 0) for v in rows]
+    k = len(rows[0]) // 2 if rows else 0
+    return [quadratic_sign(v[c], v[k + c], d) if v[k + c] else (v[c] > 0) - (v[c] < 0)
+            for v in rows]
+
+
+def reduce_row(rows: list[list[int]], dens: list[int], i: int, pv: list[int], c: int,
+               d: Optional[int], support: Optional[list[int]] = None) -> None:
+    """Row i of ``rows`` over ``dens[i]`` minus its entry f in column c times
+    the row pv over |p|, for p = pv[c] a nonzero integer (a rational entry),
+    in place: sign(p) (p R - f pv) over dens[i] |p|, zero in column c, both
+    divided by their gcd; nothing changes when f is zero.  Only the columns
+    where pv is nonzero are read, ``support`` when given (:func:`_support`)."""
+    v, p = rows[i], pv[c]
+    k = len(v) // 2
+    f, g = v[c], (0 if d is None else v[k + c])
+    if not (f or g):
+        return
+    if p < 0:
+        p, f, g = -p, -f, -g
+    out = v[:] if p == 1 else [p * x for x in v]
+    if d is None:
+        for j in support or _support(pv, d):
+            out[j] -= f * pv[j]
+    else:
+        dg = d * g
+        for j in support or _support(pv, d):
+            y, z = pv[j], pv[k + j]
+            out[j] -= f * y + dg * z
+            out[k + j] -= f * z + g * y
+    den = dens[i] * p
+    h = math.gcd(*out, den) if den > 1 else 1
+    rows[i], dens[i] = ([x // h for x in out], den // h) if h > 1 else (out, den)
+
+
+def _support(v: list[int], d: Optional[int]) -> list[int]:
+    """The columns where the integer row v is nonzero."""
+    if d is None:
+        return [j for j, y in enumerate(v) if y]
+    k = len(v) // 2
+    return [j for j in range(k) if v[j] or v[k + j]]
+
+
+def pivot(rows: list[list[int]], dens: list[int], r: int, c: int, d: Optional[int]) -> None:
+    """Pivot the integer rows ``rows`` over their positive denominators
+    ``dens`` on entry c of row r, in place: row r becomes :func:`pivoted` over
+    its pivot (true value 1 in column c), and every other row R with an entry
+    f there becomes (R D_p - f P) / (D_R D_p) (:func:`reduce_row`)."""
+    pv = pivoted(rows[r], c, d)
+    rows[r], dens[r] = pv, pv[c]
+    support = _support(pv, d)
+    for i in range(len(rows)):
+        if i != r:
+            reduce_row(rows, dens, i, pv, c, d, support)
 
 
 def scalar(v: list[int], j: int, den: int, d: Optional[int]) -> Scalar:
@@ -242,7 +329,10 @@ def scalar(v: list[int], j: int, den: int, d: Optional[int]) -> Scalar:
 
 def vector(v: list[int], den: int, d: Optional[int]) -> list[Scalar]:
     """The scalar vector of an integer row over the positive integer ``den``."""
-    xs = [Fraction(x) for x in v] if den == 1 else [Fraction(x, den) for x in v]
+    if den == 1:
+        xs = [Fraction(x) if x else _ZERO for x in v]
+    else:
+        xs = [Fraction(x, den) if x else _ZERO for x in v]
     if d is None:
         return xs
     k = len(v) // 2
@@ -357,7 +447,8 @@ def frame_inverse(rows, d: Optional[int]) -> tuple[list[list[int]], int, Scalar]
         return None
     den = math.lcm(*(row[i] for i, row in enumerate(held)))
     scales = [[den // row[i] * m for m in dens] for i, row in enumerate(held)]
-    inverse = [[x * y for x, y in zip(tail(row, len(rows), d), s if d is None else s + s)]
+    inverse = [[x * y for x, y in zip(segment(row, len(rows), None, d),
+                                      s if d is None else s + s)]
                for row, s in zip(held, scales)]
     g = math.gcd(den, *(x for row in inverse for x in row))
     det = math.prod(true_pivots, start=Fraction(1)) / math.prod(dens)

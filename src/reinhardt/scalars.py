@@ -186,7 +186,9 @@ def is_rational(x: Scalar) -> bool:
 
 
 def sign_of(x: Scalar) -> int:
-    if isinstance(x, QuadExt):
+    if type(x) is Fraction:
+        x = x.numerator  # an int compares with 0 without Fraction's rich comparison
+    elif isinstance(x, QuadExt):
         return x.sign()
     return (x > 0) - (x < 0)
 

@@ -10,28 +10,39 @@ The tableau is fraction-free: each row is an integer row of
 :mod:`reinhardt.linalg` (the format is stated there) over one positive
 integer denominator, for the constraint columns and for the right-hand side
 ``[const, coeff of log b_1, ..., log b_k]`` over the LP's distinct log
-bases, sorted as in :class:`LogLin`.  A pivot scales its row by
-:func:`linalg.pivoted` and replaces every other row R with a nonzero entry
-f by (R D_p - f P) / (D_R D_p) (:func:`linalg.eliminate`), over the gcd of
-the result and its denominator; a pivot on v_j does this on column j and
-stores its row negated.  The reduced-cost row, priced once per phase, is
-the last row and is updated the same way; its right-hand side is the
-objective value.
+bases, sorted as in :class:`LogLin`.  A pivot is one :func:`linalg.pivot`:
+it scales its row by :func:`linalg.pivoted` and replaces every other row R
+with a nonzero entry f by (R D_p - f P) / (D_R D_p), over the gcd of the
+result and its denominator; a pivot on v_j does this on column j and stores
+its row negated.  The reduced-cost row, priced once per phase, is the last
+row and is updated the same way; its right-hand side is the objective value.
+
+An :class:`LPSystem` holds the rows A x <= b cleared once, and from its
+first solve on the tableaux every objective starts from: the signed start
+tableau, whose basis is the slacks and, on a row whose right-hand side is
+negative, an artificial; and for such a system phase I's end, run once,
+with the artificials driven out of the basis and their columns dropped, or
+its Farkas certificate.  A solve copies the held lists and runs phase II
+alone.  :meth:`LPSystem.appended` adds the cap row <w, x> <= 1 of a sup ray
+LP to a held system: its start is the held one with one slack column and
+one row more, and w, cleared once, is the row and the objective.
 
 Positive row scalings leave the true tableau B^-1 A unchanged, so every
 sign Bland's rule reads is the sign of an integer, or of a + b sqrt(d)
-with integer a, b.  The ratio test compares rhs_i / a_i with rhs_k / a_k by
-the sign of the cross product rhs_i a_k - rhs_k a_i: in integers when it has
-no log terms.  Otherwise the one :class:`loglin.LogBase` of the tableau,
-which factors its log bases once over their coprime base and holds the
-integer log bounds the ladder needs once per precision, decides the sign of
-a positive rational multiple of the difference, as it decides every other
-right-hand-side sign: the flips of phase I and the Farkas value.  The
-tableau starts from the constraint rows, right-hand sides and objective
-cleared once; ``Fraction``, ``QuadExt`` and ``LogLin`` values are built
-only for the returned certificates (and to name a form the ladder cannot
-resolve), which are checked in integers against the cleared rows, the
-multipliers as the reduced costs of the slacks, before they are returned:
+with integer a, b; each step reads the signs of the reduced costs, then
+those of the entering column, in one pass each.  The ratio test compares
+rhs_i / a_i with rhs_k / a_k by the sign of the cross product
+rhs_i a_k - rhs_k a_i: in integers when it has no log terms.  Otherwise
+the one :class:`loglin.LogBase` of the system, which factors its log bases
+once over their coprime base and holds the integer log bounds the ladder
+needs once per precision, decides the sign of a positive rational multiple
+of the difference, as it decides every other right-hand-side sign: the
+flips of phase I and the Farkas value.
+``Fraction``, ``QuadExt`` and ``LogLin`` values are built once, from the
+final tableau, only for the returned certificates (and to name a form the
+ladder cannot resolve), which are checked in integers against the cleared
+rows, the multipliers as the reduced costs of the slacks, before they are
+returned:
 
 * ``optimal``    — primal point, objective value, dual multipliers with
                    lambda >= 0 and lambda @ A == c;
@@ -48,13 +59,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import ReinhardtError
 from .loglin import LogBase, LogLin, as_loglin
-from .scalars import Scalar, sign_of
+from .scalars import Scalar
 
 _MAX_PIVOTS = 50_000  # Bland's rule terminates; this guards against bugs only
 _EPS = 1e-9  # float_basis: an entry, reduced cost or dual below this counts as zero
@@ -62,6 +74,8 @@ _EPS = 1e-9  # float_basis: an entry, reduced cost or dual below this counts as 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
+
+_ZERO, _ONE = LogLin.zero(), LogLin.of(1)  # a nonbasic coordinate; the right-hand side of a cap
 
 
 @dataclass(frozen=True)
@@ -78,8 +92,8 @@ class _Tableau:
     """The rows of the tableau, each an integer row of :mod:`reinhardt.linalg`
     over its own positive denominator ``den[i]``.
 
-    A row holds the columns ``x, slacks, artificials`` followed by the
-    right-hand side ``[const, coeff of log bases[0], ...]``, over the
+    A row holds the ``ncols`` columns ``x, slacks, artificials`` followed by
+    the right-hand side ``[const, coeff of log bases[0], ...]``, over the
     ``bases`` of ``logbase``, the :class:`LogBase` that decides every sign
     of a right-hand side.  ``basis`` holds Bland's indices into ``order``,
     the (stored column, sign) pairs of u_j, v_j, the slacks and the
@@ -87,45 +101,36 @@ class _Tableau:
     phase, whose right-hand side is the objective value.  A basic column's
     entry equals its row's denominator (true value 1), and minus it in
     column j for a basic v_j.  ``a_rows``, ``b_rows`` and ``logbase`` are
-    those of the :class:`LPSystem` it starts from; ``arts`` are the
-    artificial columns.
+    those of the :class:`LPSystem` it starts from, at ``held`` (rows,
+    denominators, basis, ncols) or else at its start tableau; ``arts`` are
+    the artificial columns, none once phase I has dropped them.  The held
+    lists are copied, and a row is only ever replaced, never changed in place.
     """
 
-    def __init__(self, system: LPSystem):
-        n, self.d, self.a_rows, self.b_rows = system.n, system.d, system.a_rows, system.b_rows
-        self.n, self.m, self.logbase = n, len(self.a_rows), system.logbase
-        self.bases, flips = self.logbase.bases, system.flips
-        self.ncols = n + self.m + sum(flips)
-        self.arts = range(n + self.m, self.ncols)
-        self.order = [(j, 1) for j in range(n)] + [(j, -1) for j in range(n)] + \
-            [(k, 1) for k in range(n, self.ncols)]
-        self.rows, self.den, self.basis = [], [], []  # integer rows, denominators, basic columns
-        arts = iter(self.arts)
-        for i, ((a, den_a), (rhs, den_b), flip) in enumerate(zip(self.a_rows, self.b_rows, flips)):
-            den = math.lcm(den_a, den_b)
-            # s [a | e_i | b] over den, s = -1 on a flipped row, whose slack
-            # sits at -1, unusable as basis: an artificial starts there at +1
-            s = -1 if flip else 1
-            col = next(arts) if flip else n + i
-            self.basis.append(n + col)
-            self.rows.append(self.row([s * (den // den_a) * x for x in a],
-                                      {n + i: s * den, col: den},
-                                      [s * (den // den_b) * x for x in rhs]))
-            self.den.append(den)
-        self.rows.append([]), self.den.append(1)  # the reduced costs, set by price
+    def __init__(self, system: LPSystem, held: Optional[tuple] = None):
+        rows, den, basis, self.ncols = system.start if held is None else held
+        self.n, self.d, self.a_rows, self.b_rows = system.n, system.d, system.a_rows, system.b_rows
+        n, self.m, self.logbase = self.n, len(self.a_rows), system.logbase
+        self.bases, self.arts = self.logbase.bases, range(n + self.m, self.ncols)
+        self.order = _bland_order(n, self.ncols)
+        self.rows, self.den, self.basis = [*rows, []], [*den, 1], list(basis)
 
-    def row(self, x: list[int], units: dict, rhs: Optional[list[int]] = None) -> list[int]:
-        """Integer row [x | u | rhs or 0], u zero but where ``units`` maps a column."""
-        u = [0] * (self.ncols - self.n)
-        for col, v in units.items():
-            u[col - self.n] = v
-        rhs = rhs or linalg.rational_row([0] * (1 + len(self.bases)), self.d)
-        return linalg.joined([x, linalg.rational_row(u, self.d), rhs], self.d)
+    def zero_row(self, head: list[int]) -> list[int]:
+        """The integer row ``head`` on the n columns of x, zero on the others
+        and on the right-hand side."""
+        n = self.n
+        return linalg.spliced(head, n, n, self.ncols - n + 1 + len(self.bases), self.d)
 
     # -- exact values, built only for the objective and the certificates ------
 
-    def rhs(self, i: int) -> list[Scalar]:
-        return linalg.vector(linalg.tail(self.rows[i], self.ncols, self.d), self.den[i], self.d)
+    def value(self, i: int, s: int = 1) -> LogLin:
+        """s times the right-hand side of row i, over its denominator."""
+        row, den, d = self.rows[i], self.den[i], self.d
+        if not self.bases:
+            x = linalg.scalar(row, self.ncols, den, d)
+            return LogLin(x if s > 0 else -x, ())
+        rhs = linalg.segment(row, self.ncols, None, d)
+        return self.loglin(linalg.vector(rhs if s > 0 else [-x for x in rhs], den, d))
 
     def loglin(self, vec: Sequence[Scalar]) -> LogLin:
         return LogLin(vec[0], tuple((b, c) for b, c in zip(self.bases, vec[1:]) if c))
@@ -133,45 +138,37 @@ class _Tableau:
     def objective_sign(self) -> int:
         """Sign of the objective value, on the reduced-cost row's integer
         right-hand side over its positive denominator."""
-        return self.form_sign(linalg.tail(self.rows[self.m], self.ncols, self.d), self.den[self.m])
+        return self.form_sign(linalg.segment(self.rows[self.m], self.ncols, None, self.d),
+                              self.den[self.m])
 
     def multipliers(self) -> tuple[list[int], int]:
         """Dual or Farkas multipliers, the reduced costs of the slacks, over den[m]."""
-        row, d, m = self.rows[self.m], self.d, self.m
-        return linalg.row_of([linalg.entry(row, self.n + i, d) for i in range(m)], d), self.den[m]
+        n, m = self.n, self.m
+        return linalg.segment(self.rows[m], n, n + m, self.d), self.den[m]
 
     # -- pivoting ---------------------------------------------------------------
 
     def price(self, cost: list[int], den: int) -> None:
         """Reduced-cost row c_B B^-1 A - c for the current basis: the integer
-        row [-c | 0] over ``den`` (:meth:`row`) with each basic column
+        row [-c | 0] over ``den`` (:meth:`zero_row`) with each basic column
         eliminated, so that its right-hand side is c_B B^-1 b."""
-        self.rows[self.m], self.den[self.m] = cost, den
-        for i in range(self.m):
-            col, s = self.order[self.basis[i]]
-            if linalg.entry_sign(self.rows[self.m], col, self.d):
-                self._eliminate(self.m, i, col, s)
+        rows, dens, m, d = self.rows, self.den, self.m, self.d
+        signs, rows[m], dens[m] = linalg.signs(cost, self.ncols, d), cost, den
+        for i, b in enumerate(self.basis):  # a basic row is zero in the other basic columns
+            col = self.order[b][0]
+            if signs[col]:
+                linalg.reduce_row(rows, dens, m, rows[i], col, d)
 
     def pivot(self, row: int, col: int) -> None:
         """Divide ``row`` by its entry in Bland's column ``col`` and eliminate
-        it from every other row, the reduced costs included; on v_j the row
-        is pivoted on column j and stored negated after the eliminations."""
+        it from every other row, the reduced costs included, in one
+        :func:`linalg.pivot`; on v_j the row is pivoted on column j and
+        stored negated after the eliminations."""
         c, s = self.order[col]
-        self.rows[row] = linalg.pivoted(self.rows[row], c, self.d)
-        self.den[row] = self.rows[row][c]
-        for i in range(self.m + 1):
-            if i != row and linalg.entry_sign(self.rows[i], c, self.d):
-                self._eliminate(i, row, c, 1)
+        linalg.pivot(self.rows, self.den, row, c, self.d)
         if s < 0:
             self.rows[row] = [-x for x in self.rows[row]]
         self.basis[row] = col
-
-    def _eliminate(self, i: int, row: int, col: int, s: int) -> None:
-        """Row i minus f times ``row``, whose entry in ``col`` has true value
-        s = 1 or -1, f s being row i's entry: s :func:`linalg.eliminate` over D_i D_p."""
-        vec = linalg.eliminate(self.rows[i], self.rows[row], col, self.d)
-        self.rows[i], self.den[i] = linalg.cancel(vec if s > 0 else [-x for x in vec],
-                                                  self.den[i] * self.den[row])
 
     def _ratio_sign(self, i: int, k: int, col: int) -> int:
         """Sign of rhs_i / a_i - rhs_k / a_k for a_i, a_k the entries in
@@ -194,28 +191,63 @@ class _Tableau:
     def run(self, cost: list[int], den: int, stop: int) -> Optional[int]:
         """Bland pivoting to optimality from the cost row ``cost`` over ``den``
         (:meth:`price`), entering below Bland's index ``stop``; returns the entering
-        index on unboundedness.  Signs are read off rows over positive denominators."""
+        index on unboundedness.  Each step reads the signs of the reduced
+        costs, then those of the entering column, in one pass each."""
         self.price(cost, den)
-        sign, d, order = linalg.entry_sign, self.d, self.order[:stop]
+        n, m, d, rows, order, basis = self.n, self.m, self.d, self.rows, self.order, self.basis
         for _ in range(_MAX_PIVOTS):
-            enter = next((j for j, (c, s) in enumerate(order)
-                          if s * sign(self.rows[self.m], c, d) < 0), None)
-            if enter is None:
+            signs = linalg.signs(rows[m], stop - n, d)
+            head = signs[:n]  # u_j enters on a negative cost, v_j on a positive one
+            if -1 in head:
+                enter = head.index(-1)
+            elif 1 in head:
+                enter = n + head.index(1)
+            elif -1 in signs:
+                enter = n + signs.index(-1)
+            else:
                 return None
             c, s = order[enter]
-            leave = None
-            for i in range(self.m):
-                if s * sign(self.rows[i], c, d) > 0:
-                    if leave is None:
-                        leave = i
-                    else:
-                        r = s * self._ratio_sign(i, leave, c)
-                        if r < 0 or (r == 0 and self.basis[i] < self.basis[leave]):
-                            leave = i
-            if leave is None:
+            rivals = [i for i, sign in enumerate(linalg.column_signs(rows[:m], c, d)) if sign == s]
+            if not rivals:
                 return enter
+            leave = rivals[0]
+            for i in rivals[1:]:
+                r = s * self._ratio_sign(i, leave, c)
+                if r < 0 or (r == 0 and basis[i] < basis[leave]):
+                    leave = i
             self.pivot(leave, enter)
         raise ReinhardtError("simplex failed to terminate (internal error)")
+
+    def held(self) -> tuple:
+        """The constraint rows with the artificial columns dropped, their
+        denominators and the basis: phase I's end, with no artificial basic."""
+        n, m, d = self.n, self.m, self.d
+        return ([linalg.spliced(r, n + m, self.ncols, 0, d) for r in self.rows[:m]],
+                self.den[:m], tuple(self.basis), n + m)
+
+
+@lru_cache(maxsize=256)
+def _bland_order(n: int, ncols: int) -> tuple[tuple[int, int], ...]:
+    """Bland's order of a tableau: the (stored column, sign) pairs of u_j, v_j,
+    the slacks and the artificials."""
+    return (*((j, 1) for j in range(n)), *((j, -1) for j in range(n)),
+            *((k, 1) for k in range(n, ncols)))
+
+
+def _start_row(a_row: tuple[list[int], int], b_row: tuple[list[int], int], slack: int,
+               art: Optional[int], n: int, ncols: int, d: Optional[int]) -> tuple[list[int], int]:
+    """s [a | e_slack | b] over the lcm den of the denominators of the cleared
+    ``a_row`` and ``b_row``, as an integer row, and den; s = -1 on a row with
+    an artificial column ``art`` at +1, whose slack sits at -1, unusable as basis."""
+    (a, den_a), (rhs, den_b) = a_row, b_row
+    den = math.lcm(den_a, den_b)
+    s = 1 if art is None else -1
+    units = [0] * (ncols - n)
+    units[slack - n] = s * den
+    if art is not None:
+        units[art - n] = den
+    return linalg.joined([[s * (den // den_a) * x for x in a], linalg.rational_row(units, d),
+                          [s * (den // den_b) * x for x in rhs]], d), den
 
 
 class LPSystem:
@@ -224,7 +256,14 @@ class LPSystem:
     ``b_rows`` are pairs (integer row, denominator) of
     :func:`linalg.over_denominator`, a right-hand side as ``[const, coeff of
     log bases[0], ...]`` over the bases of ``logbase``, the one
-    :class:`LogBase` that decides its sign; ``flips`` marks the negative ones."""
+    :class:`LogBase` that decides its sign; ``flips`` marks the negative ones.
+    ``last`` is (the vector, its cleared row) of the last row when this
+    system cleared it itself, for an objective that is that row (:meth:`cost`).
+
+    The tableaux it starts from are built on the first solve and then held:
+    the signed start tableau (``start``) and, when some right-hand side is
+    negative, phase I's end (``feasible``), the objective-independent part
+    of every solve."""
 
     def __init__(self, a_rows: Sequence, b_vals: Sequence[LogLin], n: int, d: Optional[int]):
         self.n, self.d, self.a_rows, self.b_vals = n, d, tuple(a_rows), tuple(b_vals)
@@ -239,16 +278,77 @@ class LPSystem:
         self.b_rows = tuple(b_rows)
         self.flips = tuple(self.logbase.sign(*row, lambda b=b: repr(b)) < 0
                            for row, b in zip(b_rows, b_vals))
+        self.last = None
 
-    def appended(self, a_row: tuple[list[int], int], b: Scalar) -> LPSystem:
-        """These rows, sharing their :class:`LogBase`, and <a, x> <= b for the
-        cleared ``a_row`` and a constant b: only that row is new."""
+    @cached_property
+    def start(self) -> tuple:
+        """The signed start tableau (rows, denominators, basis, ncols): row i
+        is s [a_i | e_i | b_i] (:func:`_start_row`), its slack basic, or an
+        artificial on a row whose right-hand side is negative."""
+        n, m, d = self.n, len(self.a_rows), self.d
+        ncols = n + m + sum(self.flips)
+        rows, den, basis, arts = [], [], [], iter(range(n + m, ncols))
+        for i, (a_row, b_row, flip) in enumerate(zip(self.a_rows, self.b_rows, self.flips)):
+            art = next(arts) if flip else None
+            row, den_i = _start_row(a_row, b_row, n + i, art, n, ncols, d)
+            rows.append(row), den.append(den_i), basis.append(n + (n + i if art is None else art))
+        return rows, den, tuple(basis), ncols
+
+    @cached_property
+    def feasible(self):
+        """Phase I's end, for a system with a negative right-hand side: the
+        tableau with the artificials driven out of the basis and their
+        columns dropped (:meth:`_Tableau.held`), or the checked Farkas
+        certificate of an infeasible system."""
+        t = _Tableau(self)
+        width = t.ncols + 1 + len(t.bases)
+        phase1 = linalg.rational_row([int(k in t.arts) for k in range(width)], self.d)
+        if t.run(phase1, 1, t.n + t.ncols) is not None:
+            raise ReinhardtError("phase I unbounded (internal error)")
+        if t.objective_sign() < 0:
+            lam, den = t.multipliers()
+            _check_farkas(t, lam)
+            return LPCertificate(status=INFEASIBLE, farkas=tuple(linalg.vector(lam, den, self.d)))
+        _drive_out_artificials(t)
+        return t.held()
+
+    def cost(self, objective: Sequence[Scalar]) -> tuple[list[int], int]:
+        """``objective`` cleared over the field: the cleared last row itself
+        when ``objective`` is the vector it was cleared from, as in a sup ray
+        LP, whose objective is its cap row."""
+        if self.last is not None and self.last[0] is objective:
+            return self.last[1]
+        return linalg.over_denominator(objective, self.d)
+
+    def appended(self, row: Sequence[Scalar]) -> Optional[LPSystem]:
+        """These rows, sharing their :class:`LogBase`, and the cap
+        <row, x> <= 1, or None when ``row`` lies outside their field: only
+        ``row`` is cleared, once, and held as ``last``.  The start tableau is
+        this one's with a new slack column before the artificials
+        (``widened``) and a new row, whose slack is basic."""
+        if linalg.field_of([row]) not in (None, self.d):
+            return None
+        n, m, d = self.n, len(self.a_rows), self.d
+        a_row = linalg.over_denominator(row, d)
+        cap = linalg.rational_row([1] + [0] * len(self.logbase.bases), d), 1
+        rows, den, basis, ncols = self.widened
+        new, new_den = _start_row(a_row, cap, n + m, None, n, ncols, d)
         out = object.__new__(LPSystem)
-        out.__dict__.update(self.__dict__)
-        rhs = linalg.over_denominator([b] + [0] * len(self.logbase.bases), self.d)
-        out.a_rows, out.b_vals = (*self.a_rows, a_row), (*self.b_vals, LogLin.of(b))
-        out.b_rows, out.flips = (*self.b_rows, rhs), (*self.flips, sign_of(b) < 0)
+        out.n, out.d, out.logbase, out.last = n, d, self.logbase, (row, a_row)
+        out.a_rows, out.b_vals = (*self.a_rows, a_row), (*self.b_vals, _ONE)
+        out.b_rows, out.flips = (*self.b_rows, cap), (*self.flips, False)
+        out.start = [*rows, new], [*den, new_den], (*basis, 2 * n + m), ncols
         return out
+
+    @cached_property
+    def widened(self) -> tuple:
+        """``start`` with a zero column before the artificials for the slack
+        of one more row: the start of every system :meth:`appended` makes,
+        but for its new row."""
+        rows, den, basis, ncols = self.start
+        n, m, d = self.n, len(self.a_rows), self.d
+        return ([linalg.spliced(r, n + m, n + m, 1, d) for r in rows], den,
+                tuple(k + (k >= 2 * n + m) for k in basis), ncols + 1)
 
     @staticmethod
     def of(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar]
@@ -261,45 +361,36 @@ class LPSystem:
             raise ValueError("constraint rows and objective have mismatched lengths")
         d = linalg.field_of([*a_rows, objective,
                              *((b.const, *(c for _, c in b.terms)) for b in b_vals)])
-        return LPSystem([linalg.over_denominator(r, d) for r in a_rows], b_vals, n, d)
+        system = LPSystem([linalg.over_denominator(r, d) for r in a_rows], b_vals, n, d)
+        if a_rows:
+            system.last = (a_rows[-1], system.a_rows[-1])
+        return system
 
 
 def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar],
              system: Optional[LPSystem] = None) -> LPCertificate:
     """Maximize <objective, x> over {x : a_rows @ x <= b_vals}, exactly, on
     ``system`` when given: the two cleared over a field that holds
-    ``objective`` (:meth:`LPSystem.of`)."""
+    ``objective`` (:meth:`LPSystem.of`).  Phase II starts from the tableau
+    the system holds: its start, or phase I's end (:attr:`LPSystem.feasible`)."""
     if system is None:
         system = LPSystem.of(a_rows, b_vals, objective)
     elif len(objective) != system.n:
         raise ValueError("constraint rows and objective have mismatched lengths")
-    n, d, rows = system.n, system.d, system.a_rows
-    cost = linalg.over_denominator(objective, d)
-
-    t = _Tableau(system)
-
-    if t.arts:
-        phase1 = t.row(linalg.rational_row([0] * n, d), dict.fromkeys(t.arts, 1))
-        if t.run(phase1, 1, n + t.ncols) is not None:
-            raise ReinhardtError("phase I unbounded (internal error)")
-        if t.objective_sign() < 0:
-            lam, den = t.multipliers()
-            _check_farkas(t, lam)
-            return LPCertificate(status=INFEASIBLE, farkas=tuple(linalg.vector(lam, den, d)))
-        _drive_out_artificials(t)
-
-    enter = t.run(t.row([-x for x in cost[0]], {}), cost[1], 2 * n + t.m)
+    held = system.feasible if any(system.flips) else system.start
+    if isinstance(held, LPCertificate):
+        return held
+    cost = system.cost(objective)
+    t = _Tableau(system, held)
+    enter = t.run(t.zero_row([-x for x in cost[0]]), cost[1], 2 * t.n + t.m)
     if enter is not None:
         ray = _extract_ray(t, enter)
-        _check_ray(rows, cost, ray, d)
+        _check_ray(system.a_rows, cost, ray, t.d)
         return LPCertificate(status=UNBOUNDED, ray=ray)
-
-    point = _extract_point(t)
-    value = t.loglin(t.rhs(t.m))
     lam, den = t.multipliers()
     _check_dual(t, cost, lam, den)
-    return LPCertificate(status=OPTIMAL, primal_point=point, objective=value,
-                         dual=tuple(linalg.vector(lam, den, d)))
+    return LPCertificate(status=OPTIMAL, primal_point=_extract_point(t),
+                         objective=t.value(t.m), dual=tuple(linalg.vector(lam, den, t.d)))
 
 
 def _drive_out_artificials(t: _Tableau) -> None:
@@ -308,16 +399,16 @@ def _drive_out_artificials(t: _Tableau) -> None:
     has a nonzero entry among them; the first is u_j or a slack."""
     for i in range(t.m):
         if t.basis[i] >= t.n + t.arts.start:
-            c = next(j for j in range(t.arts.start) if linalg.entry_sign(t.rows[i], j, t.d))
+            c = linalg.lead(t.rows[i], t.d)
             t.pivot(i, c if c < t.n else t.n + c)
 
 
 def _extract_point(t: _Tableau) -> tuple[LogLin, ...]:
     """x = u - v; at most one of u_j and v_j, read off column j, is basic."""
-    point = [LogLin.zero()] * t.n
+    n, point = t.n, [_ZERO] * t.n
     for i, col in enumerate(t.basis):
-        if col < 2 * t.n:
-            point[col % t.n] = t.loglin([x if col < t.n else -x for x in t.rhs(i)])
+        if col < 2 * n:
+            point[col % n] = t.value(i, 1 if col < n else -1)
     return tuple(point)
 
 
@@ -341,7 +432,7 @@ def _check_ray(rows, cost, ray, d: Optional[int]) -> None:
 
 def _check_farkas(t: _Tableau, lam: list[int]) -> None:
     """``lam`` is an integer row over any positive denominator."""
-    if any(linalg.entry_sign(lam, i, t.d) < 0 for i in range(t.m)):
+    if -1 in linalg.signs(lam, t.m, t.d):
         raise ReinhardtError("Farkas multipliers must be non-negative")
     if any(linalg.combination(t.a_rows, lam, len(t.a_rows[0][0]), t.d)[0]):
         raise ReinhardtError("Farkas combination does not annihilate the rows")
@@ -351,7 +442,7 @@ def _check_farkas(t: _Tableau, lam: list[int]) -> None:
 
 def _check_dual(t: _Tableau, cost, lam: list[int], den: int) -> None:
     """``lam`` is an integer row over ``den``, ``cost`` the cleared objective."""
-    if any(linalg.entry_sign(lam, i, t.d) < 0 for i in range(t.m)):
+    if -1 in linalg.signs(lam, t.m, t.d):
         raise ReinhardtError("dual multipliers must be non-negative")
     (c, c_den), (total, scale) = cost, linalg.combination(t.a_rows, lam, len(cost[0]), t.d)
     if any(x * c_den != y * den * scale for x, y in zip(total, c)):

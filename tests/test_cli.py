@@ -154,6 +154,19 @@ def test_sup_command(capsys):
     assert code == 0 and "= 1" in out
 
 
+@pytest.mark.parametrize("command", [["sup"], ["norm", "--exact"]])
+def test_exponents_with_a_leading_minus_may_follow_nu_as_their_own_argument(capsys, command):
+    # argparse reads "-1,3" as an option unless it is attached as --nu=-1,3
+    name, *flags = command
+    attached = run(capsys, name, HARTOGS, "--nu=-1,3", *flags, "--json")
+    spaced = run(capsys, name, HARTOGS, "--nu", "-1,3", *flags, "--json")
+    assert attached[0] == 0 and attached[2] == ""
+    assert spaced == attached
+    assert json.loads(spaced[1])["nu"] == [-1, 3]
+    code, out, err = run(capsys, name, HARTOGS, *flags, "--json", "--nu")
+    assert code == 1 and out == "" and "expected one argument" in err
+
+
 def test_exit_code_spec_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n":1,"constraints":[{"alpha":["1"],"c":"-1"}]}')

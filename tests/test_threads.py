@@ -13,6 +13,8 @@ spectrum, witness and montecarlo on the first read of one of their names,
 so threads that make that read together must each get the same object.
 """
 
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -184,6 +186,40 @@ def test_parallel_first_uses_of_held_objects_agree():
             assert all(g[i] is got[0][i] for g in got for i in range(3))
             assert [g[3:] for g in got] == [serial[3:]] * threads
             assert got[0][:3] == serial[:3]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parallel_sup_queries_on_one_domain_match_serial():
+    """Threads that ask a fresh domain for finite and infinite sups at once
+    share its held LP systems, the start and phase-I tableaux they hold
+    from their first solve among them; each must see the serial answers."""
+    here = Path(__file__).resolve().parent
+    texts = [(here.parent / "specs" / "hartogs.json").read_text(),
+             json.dumps({"n": 3, "constraints": [  # a threshold below 1: phase I runs
+                 {"alpha": ["1", "0", "0"], "c": "1/2"}, {"alpha": ["0", "1", "-1"], "c": "3"},
+                 {"alpha": ["-1", "1", "1"], "c": "5"}]})]
+    threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for text in texts:
+            n = parse_spec(text).n
+            queries = [nu for nu in itertools.product(range(-2, 3), repeat=n)][::max(1, n - 1)]
+            fresh = parse_spec(text)
+            serial = [sup_norm_monomial(fresh, nu) for nu in queries]
+            assert {r.kind for r in serial} == {"exact", "infinite"}
+            spec, barrier = parse_spec(text), threading.Barrier(threads, timeout=60)
+
+            def ask(i):
+                barrier.wait()
+                order = queries[i:] + queries[:i]
+                return dict(zip(order, (sup_norm_monomial(spec, nu) for nu in order)))
+
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(ask, i) for i in range(threads)]
+                got = [f.result(timeout=120) for f in futures]
+            assert all(answers == dict(zip(queries, serial)) for answers in got)
     finally:
         sys.setswitchinterval(interval)
 
