@@ -154,14 +154,13 @@ class LogPolyhedron:
         d, ints = self.integer_normals
         rays = cone.rays
         if not cone.in_negative_orthant():
-            units = [(m + j, [int(i == j) for i in range(n if d is None else 2 * n)])
+            units = [(m + j, linalg.rational_row([int(i == j) for i in range(n)], d))
                      for j in range(n)]
             order = sorted(range(m), key=lambda i: sum(linalg.entry_sign(ints[i], j, d) > 0
                                                       for j in range(n)))
             rays = _cut(units + [(i, ints[i]) for i in order], [u for _, u in units], d,
                         "approach cone")
-        return tuple(dict.fromkeys(
-            frozenset(j for j in range(n) if r[j] or (d is not None and r[n + j])) for r in rays))
+        return tuple(dict.fromkeys(frozenset(linalg.support(r, d)) for r in rays))
 
     @cached_property
     def radius_box(self) -> Optional[tuple[float, ...]]:
@@ -221,8 +220,8 @@ def integer_lattice_of(basis: Sequence[Sequence[Scalar]], n: int) -> list[list[i
         return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     rows = []  # rational and sqrt(d) halves as separate rows: same integer solutions
     for v in perp:
-        halves = linalg.halves(v)
-        rows += [halves[:n], halves[n:]] if any(halves[n:]) else [halves[:n]]
+        rational, irrational = linalg.halves(v)
+        rows += [rational, irrational] if any(irrational) else [rational]
     return integer_kernel_basis([linalg.cleared(row, None) for row in rows])
 
 
@@ -340,9 +339,9 @@ class RecessionCone:
                              self.d)
 
     def in_negative_orthant(self) -> bool:  # C ⊆ {d <= 0}: no lineality, no positive entry
+        d = self.d
         return not self.lineality and all(
-            linalg.entry_sign(r, j, self.d) <= 0
-            for r in self.rays for j in range(len(r) if self.d is None else len(r) // 2))
+            linalg.entry_sign(r, j, d) <= 0 for r in self.rays for j in linalg.support(r, d))
 
 
 def _lead_normal(v: list[int], d: Optional[int]) -> list[int]:
@@ -538,7 +537,7 @@ def gordan_direction(poly: LogPolyhedron, cone: RecessionCone) -> Optional[list[
     equality of C (Gordan 1873).  Signs are taken on integer rows."""
     d, rows = poly.integer_normals
     dot, sign, _ = linalg.ring(d)
-    total = [sum(col) for col in zip([0] * (poly.n if d is None else 2 * poly.n), *cone.rays)]
+    total = [sum(col) for col in zip(linalg.rational_row([0] * poly.n, d), *cone.rays)]
     for row, c in zip(rows, poly.offsets):
         if linalg.lead(row, d) is None:
             if sign_of(c - 1) <= 0:

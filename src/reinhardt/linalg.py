@@ -11,23 +11,27 @@ this module reads that layout: the simplex tableau of
 and the simplicial frames of :mod:`reinhardt.norms` (:func:`frame_inverse`,
 :func:`coordinates`) work through its helpers.
 
-Every query goes through one fraction-free Gauss-Jordan routine,
-:func:`gauss_jordan`.  Rows are added one at a time.  Each is reduced
-against the pivot rows kept so far by R <- p R - f P (:func:`eliminate`),
-with p the pivot of P and f the entry of R in its column, so no division is
-needed.  A row that does not vanish is kept with its first nonzero column
-as pivot, scaled by :func:`pivoted` to a positive integer pivot and a
-primitive row, and that column is eliminated from the other kept rows.  The
-kept rows are then positive multiples of the rows of the reduced row
-echelon form, which is canonical, so ranks, pivot columns, kernels,
-inverses and determinants do not depend on the scalings.
+There is one fraction-free kernel: :func:`pivot` and :func:`reduce_row`,
+on integer rows over positive denominators.  Row R over D_R less f times
+the row P over p, for f the entry of R and p > 0 that of P in a column, is
+(p R - f P) over D_R p, divided by the gcd of the two, so no division is
+needed.  The simplex pivots its tableau with it, and :func:`gauss_jordan`,
+behind ranks, kernels and frame inverses, adds rows one at a time: each is
+reduced against the rows kept so far, and one that does not vanish is
+kept with its first nonzero column as pivot, where it is pivoted, which
+also clears that column from the rows kept before it.  A kept row's pivot
+entry equals its denominator, a positive integer, and the row is
+primitive, so the kept rows are positive multiples of the rows of the
+reduced row echelon form, which is canonical: ranks, pivot columns,
+kernels, inverses and determinants do not depend on the scalings.
+:func:`eliminate` serves only the simplex's ratio test, a cross product.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Optional
 
 from .scalars import QuadExt, Scalar, quadratic_sign, sign_of
@@ -49,16 +53,16 @@ def field_of(rows) -> Optional[int]:
     return next(iter(fields), None)
 
 
-def halves(v) -> list:
-    """The rational halves of the entries of v, then their sqrt(d) halves."""
-    return [x.a if isinstance(x, QuadExt) else x for x in v] + \
-        [x.b if isinstance(x, QuadExt) else 0 for x in v]
+def halves(v) -> tuple[list, list]:
+    """The rational halves of the entries of v and their sqrt(d) halves."""
+    return ([x.a if isinstance(x, QuadExt) else x for x in v],
+            [x.b if isinstance(x, QuadExt) else 0 for x in v])
 
 
 def over_denominator(v, d: Optional[int]) -> tuple[list[int], int]:
     """The integer row of a scalar vector and its denominator, the lcm of the
     denominators of its entries (of both halves over Q(sqrt d))."""
-    entries = v if d is None else halves(v)
+    entries = v if d is None else add(*halves(v))
     den = math.lcm(*(x.denominator for x in entries))
     return [x.numerator * (den // x.denominator) for x in entries], den
 
@@ -87,17 +91,6 @@ def primitive(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def times(s, v: list[int], d: Optional[int]) -> list[int]:
-    """The integer row v times a ring element s."""
-    if d is None:
-        return [s * x for x in v]
-    a, b = s
-    k = len(v) // 2
-    num, irr = v[:k], v[k:]
-    return ([a * x + d * b * y for x, y in zip(num, irr)]
-            + [a * y + b * x for x, y in zip(num, irr)])
-
-
 def combine(s, u: list[int], t, v: list[int], d: Optional[int], start: int = 0) -> list[int]:
     """s u + t v for ring elements s, t and integer rows u, v, on the
     entries from ``start`` on."""
@@ -124,13 +117,11 @@ def over(v: list[int], s, d: Optional[int]) -> list[int]:
     if d is None or not s[1]:
         return [-x for x in v] if (s if d is None else s[0]) < 0 else v
     a, b = s
-    return times((a, -b) if a * a > d * b * b else (-a, b), v, d)
-
-
-def pivoted(v: list[int], c: int, d: Optional[int]) -> list[int]:
-    """The primitive positive multiple of v whose entry in column c is a
-    positive integer: v over its entry there, divided by the gcd."""
-    return primitive(over(v, entry(v, c, d), d))
+    a, b = (a, -b) if a * a > d * b * b else (-a, b)
+    k = len(v) // 2
+    num, irr = v[:k], v[k:]
+    return ([a * x + d * b * y for x, y in zip(num, irr)]
+            + [a * y + b * x for x, y in zip(num, irr)])
 
 
 def eliminate(v: list[int], pv: list[int], c: int, d: Optional[int], start: int = 0
@@ -269,12 +260,12 @@ def column_signs(rows: list[list[int]], c: int, d: Optional[int]) -> list[int]:
 
 
 def reduce_row(rows: list[list[int]], dens: list[int], i: int, pv: list[int], c: int,
-               d: Optional[int], support: Optional[list[int]] = None) -> None:
+               d: Optional[int], cols: Optional[list[int]] = None) -> None:
     """Row i of ``rows`` over ``dens[i]`` minus its entry f in column c times
     the row pv over |p|, for p = pv[c] a nonzero integer (a rational entry),
     in place: sign(p) (p R - f pv) over dens[i] |p|, zero in column c, both
     divided by their gcd; nothing changes when f is zero.  Only the columns
-    where pv is nonzero are read, ``support`` when given (:func:`_support`)."""
+    where pv is nonzero are read, ``cols`` when given (:func:`support`)."""
     v, p = rows[i], pv[c]
     k = len(v) // 2
     f, g = v[c], (0 if d is None else v[k + c])
@@ -284,11 +275,11 @@ def reduce_row(rows: list[list[int]], dens: list[int], i: int, pv: list[int], c:
         p, f, g = -p, -f, -g
     out = v[:] if p == 1 else [p * x for x in v]
     if d is None:
-        for j in support or _support(pv, d):
+        for j in cols or support(pv, d):
             out[j] -= f * pv[j]
     else:
         dg = d * g
-        for j in support or _support(pv, d):
+        for j in cols or support(pv, d):
             y, z = pv[j], pv[k + j]
             out[j] -= f * y + dg * z
             out[k + j] -= f * z + g * y
@@ -297,7 +288,7 @@ def reduce_row(rows: list[list[int]], dens: list[int], i: int, pv: list[int], c:
     rows[i], dens[i] = ([x // h for x in out], den // h) if h > 1 else (out, den)
 
 
-def _support(v: list[int], d: Optional[int]) -> list[int]:
+def support(v: list[int], d: Optional[int]) -> list[int]:
     """The columns where the integer row v is nonzero."""
     if d is None:
         return [j for j, y in enumerate(v) if y]
@@ -307,15 +298,17 @@ def _support(v: list[int], d: Optional[int]) -> list[int]:
 
 def pivot(rows: list[list[int]], dens: list[int], r: int, c: int, d: Optional[int]) -> None:
     """Pivot the integer rows ``rows`` over their positive denominators
-    ``dens`` on entry c of row r, in place: row r becomes :func:`pivoted` over
-    its pivot (true value 1 in column c), and every other row R with an entry
-    f there becomes (R D_p - f P) / (D_R D_p) (:func:`reduce_row`)."""
-    pv = pivoted(rows[r], c, d)
+    ``dens`` on entry c of row r, in place: row r becomes P over D_p (true
+    value 1 in column c), P the primitive positive multiple of it whose
+    entry D_p there is a positive integer (:func:`over` that entry), and
+    every other row R with an entry f there becomes (R D_p - f P) / (D_R D_p)
+    (:func:`reduce_row`)."""
+    pv = primitive(over(rows[r], entry(rows[r], c, d), d))
     rows[r], dens[r] = pv, pv[c]
-    support = _support(pv, d)
+    cols = support(pv, d)
     for i in range(len(rows)):
         if i != r:
-            reduce_row(rows, dens, i, pv, c, d, support)
+            reduce_row(rows, dens, i, pv, c, d, cols)
 
 
 def scalar(v: list[int], j: int, den: int, d: Optional[int]) -> Scalar:
@@ -339,49 +332,35 @@ def vector(v: list[int], den: int, d: Optional[int]) -> list[Scalar]:
     return [QuadExt(x, y, d) if y else x for x, y in zip(xs[:k], xs[k:])]
 
 
-def _subtract(row: list[int], prow: list[int], c: int, d: Optional[int]
-              ) -> tuple[list[int], int, int]:
-    """``eliminate(row, prow, c, d)`` divided by its gcd g, with p > 0 the
-    integer pivot of ``prow`` in column c; also returns p and g."""
-    out = eliminate(row, prow, c, d)
-    g = math.gcd(*out)
-    return ([x // g for x in out] if g > 1 else out), prow[c], g
-
-
 def gauss_jordan(rows: list[list[int]], ncols: int, d: Optional[int],
                  det: Optional[list] = None) -> tuple[list[int], list[int], list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of integer rows, one at a time.
 
     Returns ``(kept, pivots, held)``: the indices of the input rows that are
     independent of the rows before them, the pivot column of each, and the
-    reduced rows, each a positive multiple of a row of the reduced row
-    echelon form, whose pivot entry is a positive integer.  When ``det`` is
-    a list, the true pivot of each kept row (its pivot entry when its row
-    operations are divisions by the pivots, which keep the determinant)
-    is appended to it.
+    reduced rows, each primitive and a positive multiple of a row of the
+    reduced row echelon form, whose pivot entry is a positive integer.  When
+    ``det`` is a list, the true pivot of each kept row (its pivot entry once
+    its row operations are R <- R - f P for kept rows P of true pivot 1,
+    which keep the determinant) is appended to it.
     """
     held: list[list[int]] = []
+    dens: list[int] = []  # of the kept rows, their pivot entries, then of the new row
     pivots: list[int] = []
     kept: list[int] = []
     for index, row in enumerate(rows):
         if len(pivots) == ncols:  # full rank: every later row reduces to zero
             break
-        scale_num = scale_den = 1  # row = scale_num / scale_den times its true row
-        for prow, c in zip(held, pivots):
-            if row[c] or (d is not None and row[ncols + c]):
-                row, p, g = _subtract(row, prow, c, d)
-                if det is not None:
-                    scale_num, scale_den = scale_num * p, scale_den * g
-        c = lead(row, d)
+        held.append(row), dens.append(1)
+        for i, c in enumerate(pivots):
+            reduce_row(held, dens, -1, held[i], c, d)
+        c = lead(held[-1], d)
         if c is None:
+            held.pop(), dens.pop()
             continue
         if det is not None:
-            det.append(scalar(row, c, 1, d) * Fraction(scale_den, scale_num))
-        row = pivoted(row, c, d)
-        for i, prow in enumerate(held):
-            if prow[c] or (d is not None and prow[ncols + c]):
-                held[i] = _subtract(prow, row, c, d)[0]
-        held.append(row)
+            det.append(scalar(held[-1], c, dens[-1], d))
+        pivot(held, dens, len(pivots), c, d)
         pivots.append(c)
         kept.append(index)
     return kept, pivots, held
@@ -421,34 +400,22 @@ def kernel_basis(rows, ncols: int) -> list[list[Scalar]]:
     return kernel_from(pivots, held, ncols, d)
 
 
-def inverse_rows(rows: list[list[int]], d: Optional[int], det: Optional[list] = None
-                 ) -> list[list[int]] | None:
-    """The rows of [A | A^-1] for a square integer matrix A, each times a
-    positive integer (its entry on the diagonal of A), or None if singular."""
-    n = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        unit = [int(j == i) for j in range(n)]
-        aug.append(row + unit if d is None else row[:n] + unit + row[n:] + [0] * n)
-    _, pivots, held = gauss_jordan(aug, 2 * n, d, det)
-    if sorted(pivots) != list(range(n)):
-        return None
-    return [row for _, row in sorted(zip(pivots, held))]
-
-
 def frame_inverse(rows, d: Optional[int]) -> tuple[list[list[int]], int, Scalar] | None:
     """A^-1 of a square matrix A of scalars, as integer rows over one positive
     denominator, and |det A|, or None if singular: one elimination of the
     cleared rows D A beside the identity, and A^-1 = (D A)^-1 D."""
+    n = len(rows)
     ints, dens = zip(*(over_denominator(r, d) for r in rows))
     true_pivots: list[Scalar] = []
-    held = inverse_rows(list(ints), d, true_pivots)
-    if held is None:
+    _, pivots, held = gauss_jordan(
+        [joined([v, rational_row([int(j == i) for j in range(n)], d)], d)
+         for i, v in enumerate(ints)], 2 * n, d, true_pivots)
+    if sorted(pivots) != list(range(n)):
         return None
+    held = [row for _, row in sorted(zip(pivots, held))]  # row i: its pivot entry at i
     den = math.lcm(*(row[i] for i, row in enumerate(held)))
     scales = [[den // row[i] * m for m in dens] for i, row in enumerate(held)]
-    inverse = [[x * y for x, y in zip(segment(row, len(rows), None, d),
-                                      s if d is None else s + s)]
+    inverse = [[x * y for x, y in zip(segment(row, n, None, d), s if d is None else s + s)]
                for row, s in zip(held, scales)]
     g = math.gcd(den, *(x for row in inverse for x in row))
     det = math.prod(true_pivots, start=Fraction(1)) / math.prod(dens)

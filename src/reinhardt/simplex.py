@@ -11,21 +11,22 @@ The tableau is fraction-free: each row is an integer row of
 integer denominator, for the constraint columns and for the right-hand side
 ``[const, coeff of log b_1, ..., log b_k]`` over the LP's distinct log
 bases, sorted as in :class:`LogLin`.  A pivot is one :func:`linalg.pivot`:
-it scales its row by :func:`linalg.pivoted` and replaces every other row R
-with a nonzero entry f by (R D_p - f P) / (D_R D_p), over the gcd of the
-result and its denominator; a pivot on v_j does this on column j and stores
-its row negated.  The reduced-cost row, priced once per phase, is the last
-row and is updated the same way; its right-hand side is the objective value.
+it makes its row primitive over its pivot entry and replaces every other
+row R with a nonzero entry f by (R D_p - f P) / (D_R D_p), over the gcd of
+the result and its denominator; a pivot on v_j does this on column j and
+stores its row negated.  The reduced-cost row, priced once per phase, is
+the last row and is updated the same way; its right-hand side is the
+objective value.
 
 An :class:`LPSystem` holds the rows A x <= b cleared once, and from its
 first solve on the tableaux every objective starts from: the signed start
 tableau, whose basis is the slacks and, on a row whose right-hand side is
 negative, an artificial; and for such a system phase I's end, run once,
 with the artificials driven out of the basis and their columns dropped, or
-its Farkas certificate.  A solve copies the held lists and runs phase II
-alone.  :meth:`LPSystem.appended` adds the cap row <w, x> <= 1 of a sup ray
-LP to a held system: its start is the held one with one slack column and
-one row more, and w, cleared once, is the row and the objective.
+its Farkas certificate.  A solve clears its objective, copies the held
+lists and runs phase II alone.  :meth:`LPSystem.appended` adds the cap row
+<w, x> <= 1 of a sup ray LP to a held system: its start is the held one
+with one slack column and one row more.
 
 Positive row scalings leave the true tableau B^-1 A unchanged, so every
 sign Bland's rule reads is the sign of an integer, or of a + b sqrt(d)
@@ -257,8 +258,6 @@ class LPSystem:
     :func:`linalg.over_denominator`, a right-hand side as ``[const, coeff of
     log bases[0], ...]`` over the bases of ``logbase``, the one
     :class:`LogBase` that decides its sign; ``flips`` marks the negative ones.
-    ``last`` is (the vector, its cleared row) of the last row when this
-    system cleared it itself, for an objective that is that row (:meth:`cost`).
 
     The tableaux it starts from are built on the first solve and then held:
     the signed start tableau (``start``) and, when some right-hand side is
@@ -278,7 +277,6 @@ class LPSystem:
         self.b_rows = tuple(b_rows)
         self.flips = tuple(self.logbase.sign(*row, lambda b=b: repr(b)) < 0
                            for row, b in zip(b_rows, b_vals))
-        self.last = None
 
     @cached_property
     def start(self) -> tuple:
@@ -312,20 +310,12 @@ class LPSystem:
         _drive_out_artificials(t)
         return t.held()
 
-    def cost(self, objective: Sequence[Scalar]) -> tuple[list[int], int]:
-        """``objective`` cleared over the field: the cleared last row itself
-        when ``objective`` is the vector it was cleared from, as in a sup ray
-        LP, whose objective is its cap row."""
-        if self.last is not None and self.last[0] is objective:
-            return self.last[1]
-        return linalg.over_denominator(objective, self.d)
-
     def appended(self, row: Sequence[Scalar]) -> Optional[LPSystem]:
         """These rows, sharing their :class:`LogBase`, and the cap
         <row, x> <= 1, or None when ``row`` lies outside their field: only
-        ``row`` is cleared, once, and held as ``last``.  The start tableau is
-        this one's with a new slack column before the artificials
-        (``widened``) and a new row, whose slack is basic."""
+        ``row`` is cleared.  The start tableau is this one's with a new
+        slack column before the artificials (``widened``) and a new row,
+        whose slack is basic."""
         if linalg.field_of([row]) not in (None, self.d):
             return None
         n, m, d = self.n, len(self.a_rows), self.d
@@ -334,7 +324,7 @@ class LPSystem:
         rows, den, basis, ncols = self.widened
         new, new_den = _start_row(a_row, cap, n + m, None, n, ncols, d)
         out = object.__new__(LPSystem)
-        out.n, out.d, out.logbase, out.last = n, d, self.logbase, (row, a_row)
+        out.n, out.d, out.logbase = n, d, self.logbase
         out.a_rows, out.b_vals = (*self.a_rows, a_row), (*self.b_vals, _ONE)
         out.b_rows, out.flips = (*self.b_rows, cap), (*self.flips, False)
         out.start = [*rows, new], [*den, new_den], (*basis, 2 * n + m), ncols
@@ -361,10 +351,7 @@ class LPSystem:
             raise ValueError("constraint rows and objective have mismatched lengths")
         d = linalg.field_of([*a_rows, objective,
                              *((b.const, *(c for _, c in b.terms)) for b in b_vals)])
-        system = LPSystem([linalg.over_denominator(r, d) for r in a_rows], b_vals, n, d)
-        if a_rows:
-            system.last = (a_rows[-1], system.a_rows[-1])
-        return system
+        return LPSystem([linalg.over_denominator(r, d) for r in a_rows], b_vals, n, d)
 
 
 def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Sequence[Scalar],
@@ -380,7 +367,7 @@ def solve_lp(a_rows: Sequence[Sequence[Scalar]], b_vals: Sequence, objective: Se
     held = system.feasible if any(system.flips) else system.start
     if isinstance(held, LPCertificate):
         return held
-    cost = system.cost(objective)
+    cost = linalg.over_denominator(objective, system.d)
     t = _Tableau(system, held)
     enter = t.run(t.zero_row([-x for x in cost[0]]), cost[1], 2 * t.n + t.m)
     if enter is not None:
